@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .coloring import first_coloring, is_k_critical
+from .coloring import is_k_critical
 from .errors import SizeCapError
-from .graphs import Graph, bits_of, canonical_key
+from .graphs import Graph, bits_of, canonical_key, has_clique
 
 ENUMERATION_CAP = 9
 
@@ -73,7 +73,7 @@ def _augment(parent: Graph, mask: int) -> Graph:
     for v in bits_of(mask):
         rows[v] |= 1 << parent.n
     rows.append(mask)
-    return Graph(parent.n + 1, tuple(rows))
+    return Graph._trusted(parent.n + 1, tuple(rows))
 
 
 @lru_cache(maxsize=None)
@@ -109,39 +109,6 @@ def enumerate_graphs(n: int) -> Corpus:
 # -- criticality census --------------------------------------------------------
 
 
-def _rows_connected(rows: list[int], n: int) -> bool:
-    if n == 0:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in bits_of(frontier):
-            nxt |= rows[v]
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == (1 << n) - 1
-
-
-def _rows_has_clique(rows: list[int], size: int) -> bool:
-    n = len(rows)
-
-    def extend(allowed: int, want: int, floor: int) -> bool:
-        if want == 0:
-            return True
-        v = floor
-        while v < n:
-            if allowed >> v & 1:
-                if (allowed & rows[v]).bit_count() >= want - 1 and extend(
-                    allowed & rows[v], want - 1, v + 1
-                ):
-                    return True
-            v += 1
-        return False
-
-    return extend((1 << n) - 1, size, 0)
-
-
 def _critical_on(n: int, k: int) -> list[Graph]:
     out: dict = {}
     for parent in graph_classes(n - 1):
@@ -163,17 +130,11 @@ def _critical_on(n: int, k: int) -> list[Graph]:
             m = base_m + pc
             if n > k and 2 * m * (k - 1) > (k - 2) * n * n:
                 continue
-            rows = list(parent.adj)
-            for v in bits_of(mask):
-                rows[v] |= 1 << pn
-            rows.append(mask)
-            if not _rows_connected(rows, n):
+            g = _augment(parent, mask)
+            if not g.is_connected():
                 continue
-            if n > k and _rows_has_clique(rows, k):
+            if n > k and has_clique(g, k):
                 continue
-            if first_coloring(rows, k - 1) is not None:
-                continue
-            g = Graph(n, tuple(rows))
             if not is_k_critical(g, k):
                 continue
             out.setdefault(canonical_key(g), g)

@@ -130,7 +130,10 @@ def verify_cmd(suite_id, k, infile, census_n, seed, caps, json_path, csv_path):
         key, sep, value = item.partition("=")
         if not sep:
             raise click.ClickException(f"cap {item!r} is not key=value")
-        cap_map[key] = int(value)
+        try:
+            cap_map[key] = int(value)
+        except ValueError:
+            raise click.ClickException(f"cap {key!r} needs an integer value, got {value!r}")
     corpus = None
     if infile is not None:
         corpus = corpus_from_lines("cli", infile)

@@ -12,7 +12,7 @@ from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeCapError
-from .graphs import Graph, bits_of, mask_of
+from .graphs import Graph, bits_of, components, mask_of
 
 
 @dataclass
@@ -45,25 +45,6 @@ class PartialColoring:
 # -- core exact solver -------------------------------------------------------
 
 
-def _components_masks(adj: Sequence[int], sub: int) -> list[int]:
-    seen = 0
-    out = []
-    for v in bits_of(sub):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for u in bits_of(frontier):
-                nxt |= adj[u]
-            frontier = nxt & sub & ~comp
-            comp |= frontier
-        seen |= comp
-        out.append(comp)
-    return out
-
-
 def first_coloring(adj: Sequence[int], t: int) -> list[int] | None:
     """One proper coloring with colors 0..t-1, or None.
 
@@ -78,7 +59,7 @@ def first_coloring(adj: Sequence[int], t: int) -> list[int] | None:
     if t <= 0:
         return None
     full = (1 << n) - 1
-    for comp in _components_masks(adj, full):
+    for comp in components(adj, full):
         if not _color_component(adj, comp, t, colors):
             return None
     return colors

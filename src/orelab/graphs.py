@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
 
@@ -38,6 +38,31 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def components(adj: Sequence[int], sub: int) -> list[int]:
+    """Connected components of the subgraph induced on the vertex mask
+    ``sub``, as vertex bitmasks ordered by least vertex."""
+    seen = 0
+    out = []
+    for v in bits_of(sub):
+        if seen >> v & 1:
+            continue
+        comp = frontier = 1 << v
+        while frontier:
+            nxt = 0
+            for u in bits_of(frontier):
+                nxt |= adj[u]
+            frontier = nxt & sub & ~comp
+            comp |= frontier
+        seen |= comp
+        out.append(comp)
+    return out
+
+
+def _check_order(n: int) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertex ids 0..n-1.
@@ -50,8 +75,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
+        _check_order(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count does not match vertex count")
         full = (1 << self.n) - 1
@@ -66,8 +90,17 @@ class Graph:
 
     # -- constructors ------------------------------------------------------
 
+    @classmethod
+    def _trusted(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+        """Wrap rows that are valid by construction, skipping validation."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", rows)
+        return g
+
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        _check_order(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -76,16 +109,18 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return Graph(n, tuple(rows))
+        return Graph._trusted(n, tuple(rows))
 
     @staticmethod
     def empty(n: int) -> "Graph":
-        return Graph(n, (0,) * n)
+        _check_order(n)
+        return Graph._trusted(n, (0,) * n)
 
     @staticmethod
     def complete(n: int) -> "Graph":
+        _check_order(n)
         full = (1 << n) - 1
-        return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+        return Graph._trusted(n, tuple(full ^ (1 << v) for v in range(n)))
 
     @staticmethod
     def cycle(n: int) -> "Graph":
@@ -149,22 +184,7 @@ class Graph:
 
     def components(self) -> list[int]:
         """Connected components as vertex bitmasks, ordered by least vertex."""
-        seen = 0
-        out = []
-        for v in range(self.n):
-            if seen >> v & 1:
-                continue
-            comp = 1 << v
-            frontier = 1 << v
-            while frontier:
-                nxt = 0
-                for u in bits_of(frontier):
-                    nxt |= self.adj[u]
-                frontier = nxt & ~comp
-                comp |= frontier
-            seen |= comp
-            out.append(comp)
-        return out
+        return components(self.adj, self.full_mask())
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
@@ -177,7 +197,7 @@ class Graph:
         rows = list(self.adj)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows))
+        return Graph._trusted(self.n, tuple(rows))
 
     def delete_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
@@ -185,7 +205,7 @@ class Graph:
         rows = list(self.adj)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        return Graph(self.n, tuple(rows))
+        return Graph._trusted(self.n, tuple(rows))
 
     def delete_vertex(self, v: int) -> tuple["Graph", dict[int, int]]:
         """Remove v; survivors are renumbered densely in increasing id order."""
@@ -199,7 +219,7 @@ class Graph:
             for w in bits_of(self.adj[old] & ~(1 << v)):
                 row |= 1 << remap[w]
             rows.append(row)
-        return Graph(self.n - 1, tuple(rows)), remap
+        return Graph._trusted(self.n - 1, tuple(rows)), remap
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph plus the old->new renumbering map."""
@@ -214,7 +234,7 @@ class Graph:
             for w in bits_of(self.adj[old] & keep_mask):
                 row |= 1 << remap[w]
             rows.append(row)
-        return Graph(len(keep), tuple(rows)), remap
+        return Graph._trusted(len(keep), tuple(rows)), remap
 
     def relabelled(self, perm: dict[int, int] | list[int]) -> "Graph":
         """Apply a vertex bijection old->new and return the relabelled graph."""
@@ -240,6 +260,8 @@ def identify(g: Graph, x: int, y: int) -> tuple[Graph, dict[int, int]]:
     """
     if x == y:
         raise ValueError("identify needs two distinct vertices")
+    if not (0 <= x < g.n and 0 <= y < g.n):
+        raise ValueError(f"cannot identify ({x},{y}) outside 0..{g.n - 1}")
     keep = [u for u in range(g.n) if u not in (x, y)]
     remap = {old: new for new, old in enumerate(keep)}
     merged = len(keep)
@@ -259,7 +281,7 @@ def identify(g: Graph, x: int, y: int) -> tuple[Graph, dict[int, int]]:
         row_bit = 1 << remap[w]
         merged_row |= row_bit
     rows.append(merged_row)
-    return Graph(g.n - 1, tuple(rows)), remap
+    return Graph._trusted(g.n - 1, tuple(rows)), remap
 
 
 # -- clique and subgraph search ------------------------------------------
@@ -294,24 +316,27 @@ def cliques_of_size(g: Graph, size: int, cap: int | None = None) -> list[tuple[i
 
 
 def has_clique(g: Graph, size: int) -> bool:
-    """Early-exit test for a complete subgraph on ``size`` vertices."""
+    """Early-exit test for a complete subgraph on ``size`` vertices.
+
+    A vertex is tried only if it keeps enough candidates to finish the
+    clique; candidates are scanned by index from ``floor``, which is cheaper
+    than a bit iterator on the small graphs the census feeds it.
+    """
     if size <= 0:
         return True
-    if size == 1:
-        return g.n > 0
+    adj, n = g.adj, g.n
 
-    def extend(allowed: int, want: int) -> bool:
+    def extend(allowed: int, want: int, floor: int) -> bool:
         if want == 0:
             return True
-        if allowed.bit_count() < want:
-            return False
-        for v in bits_of(allowed):
-            higher = allowed & ~((1 << (v + 1)) - 1)
-            if extend(higher & g.adj[v], want - 1):
-                return True
+        for v in range(floor, n):
+            if allowed >> v & 1:
+                nxt = allowed & adj[v]
+                if nxt.bit_count() >= want - 1 and extend(nxt, want - 1, v + 1):
+                    return True
         return False
 
-    return extend(g.full_mask(), size)
+    return extend(g.full_mask(), size, 0)
 
 
 def embeddings(pattern: Graph, host: Graph, limit: int | None = None) -> Iterator[tuple[int, ...]]:

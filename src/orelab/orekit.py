@@ -19,6 +19,7 @@ from .graphs import (
     Graph,
     bits_of,
     canonical_form,
+    components,
     identify,
     is_isomorphic,
     isomorphism,
@@ -268,7 +269,7 @@ def _candidate_splits(g: Graph):
             if g.has_edge(a, b):
                 continue
             rest = full & ~(1 << a) & ~(1 << b)
-            comps = _components_within(g, rest)
+            comps = components(g.adj, rest)
             if len(comps) < 2:
                 continue
             for sel in range(1, (1 << len(comps)) - 1):
@@ -281,25 +282,6 @@ def _candidate_splits(g: Graph):
                 if g.adj[a] & g.adj[b] & split_mask:
                     continue
                 yield a, b, split_mask
-
-
-def _components_within(g: Graph, sub: int) -> list[int]:
-    seen = 0
-    out = []
-    for v in bits_of(sub):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for u in bits_of(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & sub & ~comp
-            comp |= frontier
-        seen |= comp
-        out.append(comp)
-    return out
 
 
 def _try_split(g: Graph, k: int, a: int, b: int, split_mask: int) -> Node | None:

@@ -10,13 +10,11 @@ suite result is a pure function of (corpus, params).
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 from .census import Corpus, census_critical, graph_classes, random_graph
 from .coloring import chromatic_number, edge_count_lemma_check
@@ -36,22 +34,6 @@ from .potential import (
     rho_subset,
 )
 from .structure import build_extension, find_diamonds_emeralds, mic, minimum_colorings
-
-SUITE_IDS = (
-    "ky-bound",
-    "ky-equality-ore",
-    "main2-potential",
-    "t-superadd",
-    "t-lower",
-    "diamond-emerald",
-    "extension-potential",
-    "kernel-ineq",
-    "mic-ineq",
-    "charge-identity",
-    "packing-oracle",
-    "coloring-oracle",
-    "graph6-roundtrip",
-)
 
 DEFAULT_SEED = 20250801
 
@@ -119,14 +101,6 @@ def _row(g6: str, claim: str, ok: bool, **values) -> SuiteRow:
     return SuiteRow(g6, claim, _vals(**values), PASS if ok else FAIL)
 
 
-def _pool_map(fn: Callable, items: Sequence) -> list:
-    threads = int(os.environ.get("ORELAB_THREADS", "1") or "1")
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _graphs_of(corpus) -> list[Graph]:
     if corpus is None:
         return []
@@ -155,337 +129,283 @@ def _trees_from_params(params: dict) -> list[OreTree]:
     ]
 
 
-# -- individual suites ---------------------------------------------------------
+# -- individual suites: each checks one graph or tree and returns its rows -----
 
 
-def _suite_ky_bound(graphs, trees, params):
+def _ky_bound(g: Graph, params: dict) -> list[SuiteRow]:
+    bound = ky_edge_bound(g.n, params["k"])
+    m = g.edge_count()
+    return [
+        _row(
+            graph6_encode(g),
+            "critical graph meets the ceiling edge bound",
+            m >= bound,
+            n=g.n,
+            m=m,
+            bound=bound,
+        )
+    ]
+
+
+def _ky_equality_ore(g: Graph, params: dict) -> list[SuiteRow]:
     k = params["k"]
-
-    def one(g: Graph):
-        bound = ky_edge_bound(g.n, k)
-        m = g.edge_count()
+    g6 = graph6_encode(g)
+    target = rho_ky(g, k) == k * (k - 3)
+    try:
+        witness = is_k_ore(g, k, cap=params["caps"]["recognition"])
+    except SizeCapError as err:
         return [
-            _row(
-                graph6_encode(g),
-                "critical graph meets the ceiling edge bound",
-                m >= bound,
-                n=g.n,
-                m=m,
-                bound=bound,
-            )
-        ]
-
-    return _pool_map(one, graphs)
-
-
-def _suite_ky_equality_ore(graphs, trees, params):
-    k = params["k"]
-    cap = params.get("caps", {}).get("recognition", 25)
-
-    def one(g: Graph):
-        g6 = graph6_encode(g)
-        target = rho_ky(g, k) == k * (k - 3)
-        try:
-            witness = is_k_ore(g, k, cap=cap)
-        except SizeCapError as err:
-            return [
-                SuiteRow(
-                    g6,
-                    "integer potential is extremal exactly for composed graphs",
-                    _vals(note=str(err)),
-                    SKIP,
-                )
-            ]
-        return [
-            _row(
+            SuiteRow(
                 g6,
                 "integer potential is extremal exactly for composed graphs",
-                target == (witness is not None),
-                rho_ky=rho_ky(g, k),
-                extremal=target,
-                recognized=witness is not None,
+                _vals(note=str(err)),
+                SKIP,
             )
         ]
+    return [
+        _row(
+            g6,
+            "integer potential is extremal exactly for composed graphs",
+            target == (witness is not None),
+            rho_ky=rho_ky(g, k),
+            extremal=target,
+            recognized=witness is not None,
+        )
+    ]
 
-    return _pool_map(one, graphs)
 
-
-def _suite_main2_potential(graphs, trees, params):
+def _main2_potential(tree: OreTree, params: dict) -> list[SuiteRow]:
     k = params["k"]
-    par = PotentialParams.for_k(k)
-
-    def one(tree: OreTree):
-        g = realize(tree, k)
-        t_val = compute_T(g, k).value
-        value = rho(g, k, t_val)
-        g6 = graph6_encode(g)
-        if isinstance(tree, Leaf):
-            expect = Fraction(k * (k - 3)) + k * par.eps - 2 * par.delta
-            return [
-                _row(
-                    g6,
-                    "complete graph hits its exact potential value",
-                    value == expect,
-                    n=g.n,
-                    t=t_val,
-                    rho=value,
-                    expected=expect,
-                )
-            ]
-        bound = main_potential_bound(g.n, k)
+    g = realize(tree, k)
+    t_val = compute_T(g, k).value
+    value = rho(g, k, t_val)
+    g6 = graph6_encode(g)
+    if isinstance(tree, Leaf):
+        par = PotentialParams.for_k(k)
+        expect = Fraction(k * (k - 3)) + k * par.eps - 2 * par.delta
         return [
             _row(
                 g6,
-                "composed graph stays under the potential bound",
-                value <= bound,
+                "complete graph hits its exact potential value",
+                value == expect,
                 n=g.n,
-                m=g.edge_count(),
                 t=t_val,
                 rho=value,
-                bound=bound,
-                equality=value == bound,
+                expected=expect,
             )
         ]
+    bound = main_potential_bound(g.n, k)
+    return [
+        _row(
+            g6,
+            "composed graph stays under the potential bound",
+            value <= bound,
+            n=g.n,
+            m=g.edge_count(),
+            t=t_val,
+            rho=value,
+            bound=bound,
+            equality=value == bound,
+        )
+    ]
 
-    return _pool_map(one, trees)
 
-
-def _suite_t_superadd(graphs, trees, params):
+def _t_superadd(tree: OreTree, params: dict) -> list[SuiteRow]:
     k = params["k"]
-
-    def one(tree: OreTree):
-        rows = []
-        for node in _walk_nodes(tree):
-            g = realize(node, k)
-            t = compute_T(g, k).value
-            t1 = compute_T(realize(node.edge_side, k), k).value
-            t2 = compute_T(realize(node.split_side, k), k).value
-            g6 = graph6_encode(g)
-            left_leaf = isinstance(node.edge_side, Leaf)
-            right_leaf = isinstance(node.split_side, Leaf)
-            if left_leaf and right_leaf:
-                rows.append(
-                    _row(
-                        g6,
-                        "double complete composition packs exactly 4",
-                        t == 4,
-                        t=t,
-                        t1=t1,
-                        t2=t2,
-                    )
-                )
-                continue
-            drop = 1 if (left_leaf or right_leaf) else 2
+    rows = []
+    for node in _walk_nodes(tree):
+        g = realize(node, k)
+        t = compute_T(g, k).value
+        t1 = compute_T(realize(node.edge_side, k), k).value
+        t2 = compute_T(realize(node.split_side, k), k).value
+        g6 = graph6_encode(g)
+        left_leaf = isinstance(node.edge_side, Leaf)
+        right_leaf = isinstance(node.split_side, Leaf)
+        if left_leaf and right_leaf:
             rows.append(
                 _row(
                     g6,
-                    "packing value is superadditive under composition",
-                    t >= t1 + t2 - drop,
+                    "double complete composition packs exactly 4",
+                    t == 4,
                     t=t,
                     t1=t1,
                     t2=t2,
-                    allowed_drop=drop,
                 )
             )
-        return rows
-
-    return _pool_map(one, trees)
-
-
-def _suite_t_lower(graphs, trees, params):
-    k = params["k"]
-
-    def one(tree: OreTree):
-        if isinstance(tree, Leaf):
-            return []
-        g = realize(tree, k)
-        t = compute_T(g, k).value
-        bound = Fraction(2) + Fraction(g.n - 1, k - 1)
-        return [
+            continue
+        drop = 1 if (left_leaf or right_leaf) else 2
+        rows.append(
             _row(
-                graph6_encode(g),
-                "composed graph packing value clears the size bound",
-                Fraction(t) >= bound,
-                n=g.n,
+                g6,
+                "packing value is superadditive under composition",
+                t >= t1 + t2 - drop,
                 t=t,
-                bound=bound,
+                t1=t1,
+                t2=t2,
+                allowed_drop=drop,
             )
-        ]
+        )
+    return rows
 
-    return _pool_map(one, trees)
 
-
-def _suite_diamond_emerald(graphs, trees, params):
+def _t_lower(tree: OreTree, params: dict) -> list[SuiteRow]:
+    if isinstance(tree, Leaf):
+        return []
     k = params["k"]
+    g = realize(tree, k)
+    t = compute_T(g, k).value
+    bound = Fraction(2) + Fraction(g.n - 1, k - 1)
+    return [
+        _row(
+            graph6_encode(g),
+            "composed graph packing value clears the size bound",
+            Fraction(t) >= bound,
+            n=g.n,
+            t=t,
+            bound=bound,
+        )
+    ]
 
-    def one(tree: OreTree):
-        g = realize(tree, k)
-        g6 = graph6_encode(g)
-        rows = []
-        for v in range(g.n):
-            hits = find_diamonds_emeralds(g, k, forbidden=(v,))
+
+def _diamond_emerald(tree: OreTree, params: dict) -> list[SuiteRow]:
+    k = params["k"]
+    g = realize(tree, k)
+    g6 = graph6_encode(g)
+    rows = []
+    for v in range(g.n):
+        hits = find_diamonds_emeralds(g, k, forbidden=(v,))
+        rows.append(
+            _row(
+                g6,
+                "near-clique witness avoiding one vertex",
+                bool(hits),
+                forbidden=v,
+                witnesses=len(hits),
+            )
+        )
+    if g.n > k:
+        for clique in cliques_of_size(g, k - 1):
+            hits = find_diamonds_emeralds(g, k, forbidden=clique)
             rows.append(
                 _row(
                     g6,
-                    "near-clique witness avoiding one vertex",
+                    "near-clique witness avoiding a full clique",
                     bool(hits),
-                    forbidden=v,
+                    forbidden="+".join(map(str, clique)),
                     witnesses=len(hits),
                 )
             )
-        if g.n > k:
-            for clique in cliques_of_size(g, k - 1):
-                hits = find_diamonds_emeralds(g, k, forbidden=clique)
-                rows.append(
-                    _row(
-                        g6,
-                        "near-clique witness avoiding a full clique",
-                        bool(hits),
-                        forbidden="+".join(map(str, clique)),
-                        witnesses=len(hits),
-                    )
-                )
-        return rows
-
-    return _pool_map(one, trees)
+    return rows
 
 
-def _suite_extension_potential(graphs, trees, params):
+def _extension_potential(g: Graph, params: dict) -> list[SuiteRow]:
     k = params["k"]
     par = PotentialParams.for_k(k)
-    r_sizes = params.get("r_sizes", (3, 4, 5))
-    per_graph = params.get("caps", {}).get("extensions_per_graph", 30)
-    colorings_cap = params.get("caps", {}).get("colorings_per_subset", 2)
-    w_limit = params.get("caps", {}).get("witnesses_per_reduction", 3)
-
-    def one(g: Graph):
-        g6 = graph6_encode(g)
-        rows = []
-        for size in r_sizes:
-            if size >= g.n:
-                continue
-            for r_set in combinations(range(g.n), size):
-                for phi in minimum_colorings(g, r_set, k, limit=colorings_cap):
-                    for rec in build_extension(g, k, r_set, phi, limit=w_limit):
-                        w_graph, _ = rec.w_subgraph.to_graph()
-                        lhs = rho_subset(g, rec.r_prime, k)
-                        x = len(rec.core)
-                        rhs = (
-                            rho_subset(g, r_set, k)
-                            + rho(w_graph, k, compute_T(w_graph, k).value)
-                            - (
-                                complete_potential(x, k)
-                                + par.delta * complete_graph_T(x, k)
-                                - par.delta * x
-                            )
+    caps = params["caps"]
+    g6 = graph6_encode(g)
+    rows = []
+    for size in params.get("r_sizes", (3, 4, 5)):
+        if size >= g.n:
+            continue
+        for r_set in combinations(range(g.n), size):
+            for phi in minimum_colorings(g, r_set, k, limit=caps["colorings_per_subset"]):
+                for rec in build_extension(g, k, r_set, phi, limit=caps["witnesses_per_reduction"]):
+                    w_graph, _ = rec.w_subgraph.to_graph()
+                    lhs = rho_subset(g, rec.r_prime, k)
+                    x = len(rec.core)
+                    rhs = (
+                        rho_subset(g, r_set, k)
+                        + rho(w_graph, k, compute_T(w_graph, k).value)
+                        - (
+                            complete_potential(x, k)
+                            + par.delta * complete_graph_T(x, k)
+                            - par.delta * x
                         )
-                        rows.append(
-                            _row(
-                                g6,
-                                "extension never raises the subset potential past the drop bound",
-                                lhs <= rhs,
-                                r="+".join(map(str, r_set)),
-                                r_prime="+".join(map(str, sorted(rec.r_prime))),
-                                core=x,
-                                incompleteness=rec.incompleteness,
-                                lhs=lhs,
-                                rhs=rhs,
-                            )
+                    )
+                    rows.append(
+                        _row(
+                            g6,
+                            "extension never raises the subset potential past the drop bound",
+                            lhs <= rhs,
+                            r="+".join(map(str, r_set)),
+                            r_prime="+".join(map(str, sorted(rec.r_prime))),
+                            core=x,
+                            incompleteness=rec.incompleteness,
+                            lhs=lhs,
+                            rhs=rhs,
                         )
-                        if len(rows) >= per_graph:
-                            return rows
-        return rows
+                    )
+                    if len(rows) >= caps["extensions_per_graph"]:
+                        return rows
+    return rows
 
-    return _pool_map(one, graphs)
+
+def _kernel_ineq(g: Graph, params: dict) -> list[SuiteRow]:
+    g6 = graph6_encode(g)
+    claim = "independent low-degree sets meet the strict edge count bound"
+    try:
+        check = edge_count_lemma_check(g, params["k"], subset_cap=params["caps"]["subset_cap"])
+    except SizeCapError as err:
+        return [SuiteRow(g6, claim, _vals(note=str(err)), SKIP)]
+    return [
+        _row(
+            g6,
+            claim,
+            check.ok,
+            subsets=check.subsets_checked,
+            b0=len(check.b0),
+            b1=len(check.b1),
+            violations=len(check.violations),
+        )
+    ]
 
 
-def _suite_kernel_ineq(graphs, trees, params):
+def _mic_ineq(g: Graph, params: dict) -> list[SuiteRow]:
+    value, _ = mic(g)
+    return [
+        _row(
+            graph6_encode(g),
+            "doubled edge count beats the degree-weighted independence term",
+            2 * g.edge_count() > (params["k"] - 2) * g.n + value,
+            n=g.n,
+            m=g.edge_count(),
+            mic=value,
+        )
+    ]
+
+
+def _charge_identity(g: Graph, params: dict) -> list[SuiteRow]:
+    g6 = graph6_encode(g)
+    claim = "initial charge totals the potential and the rules conserve it"
+    try:
+        report = charge_report(g, params["k"], ore_catalog_cap=params["caps"]["gadget_steps"])
+    except AssertionError as err:
+        return [SuiteRow(g6, claim, _vals(note=str(err)), FAIL)]
+    return [
+        _row(
+            g6,
+            claim,
+            report.total_charge == report.rho_plus_delta_t
+            and report.ledger.total_initial() == report.ledger.total_final(),
+            total=report.total_charge,
+            rho_plus=report.rho_plus_delta_t,
+        )
+    ]
+
+
+def _packing_oracle(g: Graph, params: dict) -> list[SuiteRow]:
     k = params["k"]
-    cap = params.get("caps", {}).get("subset_cap", 2 ** 20)
-
-    def one(g: Graph):
-        g6 = graph6_encode(g)
-        claim = "independent low-degree sets meet the strict edge count bound"
-        try:
-            check = edge_count_lemma_check(g, k, subset_cap=cap)
-        except SizeCapError as err:
-            return [SuiteRow(g6, claim, _vals(note=str(err)), SKIP)]
-        return [
-            _row(
-                g6,
-                claim,
-                check.ok,
-                subsets=check.subsets_checked,
-                b0=len(check.b0),
-                b1=len(check.b1),
-                violations=len(check.violations),
-            )
-        ]
-
-    return _pool_map(one, graphs)
-
-
-def _suite_mic_ineq(graphs, trees, params):
-    k = params["k"]
-
-    def one(g: Graph):
-        value, _ = mic(g)
-        return [
-            _row(
-                graph6_encode(g),
-                "doubled edge count beats the degree-weighted independence term",
-                2 * g.edge_count() > (k - 2) * g.n + value,
-                n=g.n,
-                m=g.edge_count(),
-                mic=value,
-            )
-        ]
-
-    return _pool_map(one, graphs)
-
-
-def _suite_charge_identity(graphs, trees, params):
-    k = params["k"]
-    cap = params.get("caps", {}).get("gadget_steps", 2)
-
-    def one(g: Graph):
-        g6 = graph6_encode(g)
-        claim = "initial charge totals the potential and the rules conserve it"
-        try:
-            report = charge_report(g, k, ore_catalog_cap=cap)
-        except AssertionError as err:
-            return [SuiteRow(g6, claim, _vals(note=str(err)), FAIL)]
-        return [
-            _row(
-                g6,
-                claim,
-                report.total_charge == report.rho_plus_delta_t
-                and report.ledger.total_initial() == report.ledger.total_final(),
-                total=report.total_charge,
-                rho_plus=report.rho_plus_delta_t,
-            )
-        ]
-
-    return _pool_map(one, graphs)
-
-
-def _suite_packing_oracle(graphs, trees, params):
-    k = params["k"]
-
-    def one(g: Graph):
-        fast = compute_T(g, k).value
-        slow = compute_T_bruteforce(g, k)
-        return [
-            _row(
-                graph6_encode(g),
-                "packer agrees with the independent oracle",
-                fast == slow,
-                fast=fast,
-                oracle=slow,
-            )
-        ]
-
-    return _pool_map(one, graphs)
+    fast = compute_T(g, k).value
+    slow = compute_T_bruteforce(g, k)
+    return [
+        _row(
+            graph6_encode(g),
+            "packer agrees with the independent oracle",
+            fast == slow,
+            fast=fast,
+            oracle=slow,
+        )
+    ]
 
 
 def _chromatic_oracle(g: Graph) -> int:
@@ -515,63 +435,72 @@ def _chromatic_oracle(g: Graph) -> int:
     raise AssertionError("n colors always suffice")
 
 
-def _suite_coloring_oracle(graphs, trees, params):
-    def one(g: Graph):
-        fast = chromatic_number(g)
-        slow = _chromatic_oracle(g)
-        return [
-            _row(
-                graph6_encode(g),
-                "solver chromatic number agrees with plain backtracking",
-                fast == slow,
-                fast=fast,
-                oracle=slow,
-            )
-        ]
-
-    return _pool_map(one, graphs)
+def _coloring_oracle(g: Graph, params: dict) -> list[SuiteRow]:
+    fast = chromatic_number(g)
+    slow = _chromatic_oracle(g)
+    return [
+        _row(
+            graph6_encode(g),
+            "solver chromatic number agrees with plain backtracking",
+            fast == slow,
+            fast=fast,
+            oracle=slow,
+        )
+    ]
 
 
-def _suite_graph6_roundtrip(graphs, trees, params):
-    def one(g: Graph):
-        g6 = graph6_encode(g)
-        back = graph6_decode(g6)
-        # per-item generator keeps rows independent of pool scheduling
-        rng = random.Random(f"{params['seed']}:{g6}")
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        shuffled = g.relabelled(perm)
-        return [
-            _row(g6, "decode inverts encode", back == g, n=g.n, m=g.edge_count()),
-            _row(
-                g6,
-                "canonical form ignores labeling",
-                canonical_key(shuffled) == canonical_key(g),
-                n=g.n,
-            ),
-        ]
+def _graph6_roundtrip(g: Graph, params: dict) -> list[SuiteRow]:
+    g6 = graph6_encode(g)
+    back = graph6_decode(g6)
+    # seeding per graph makes each row independent of the corpus order
+    rng = random.Random(f"{params['seed']}:{g6}")
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    shuffled = g.relabelled(perm)
+    return [
+        _row(g6, "decode inverts encode", back == g, n=g.n, m=g.edge_count()),
+        _row(
+            g6,
+            "canonical form ignores labeling",
+            canonical_key(shuffled) == canonical_key(g),
+            n=g.n,
+        ),
+    ]
 
-    return _pool_map(one, graphs)
+
+class _Suite(NamedTuple):
+    check: Callable  # (graph or tree, params) -> rows for that item
+    feed: str  # "graphs" or "trees"
+    default: str  # corpus used when the caller gives none
+    caps: dict[str, int]  # the cap keys the suite reads, with their defaults
 
 
 _SUITES = {
-    "ky-bound": (_suite_ky_bound, "graphs", None),
-    "ky-equality-ore": (_suite_ky_equality_ore, "graphs", None),
-    "main2-potential": (_suite_main2_potential, "trees", None),
-    "t-superadd": (_suite_t_superadd, "trees", None),
-    "t-lower": (_suite_t_lower, "trees", None),
-    "diamond-emerald": (_suite_diamond_emerald, "trees", "catalog"),
-    "extension-potential": (_suite_extension_potential, "graphs", "census"),
-    "kernel-ineq": (_suite_kernel_ineq, "graphs", "census"),
-    "mic-ineq": (_suite_mic_ineq, "graphs", "census"),
-    "charge-identity": (_suite_charge_identity, "graphs", "enum+random"),
-    "packing-oracle": (_suite_packing_oracle, "graphs", "random"),
-    "coloring-oracle": (_suite_coloring_oracle, "graphs", "enum"),
-    "graph6-roundtrip": (_suite_graph6_roundtrip, "graphs", "enum"),
+    "ky-bound": _Suite(_ky_bound, "graphs", "census", {}),
+    "ky-equality-ore": _Suite(_ky_equality_ore, "graphs", "census", {"recognition": 25}),
+    "main2-potential": _Suite(_main2_potential, "trees", "random", {}),
+    "t-superadd": _Suite(_t_superadd, "trees", "random", {}),
+    "t-lower": _Suite(_t_lower, "trees", "random", {}),
+    "diamond-emerald": _Suite(_diamond_emerald, "trees", "catalog", {}),
+    "extension-potential": _Suite(
+        _extension_potential,
+        "graphs",
+        "census",
+        {"extensions_per_graph": 30, "colorings_per_subset": 2, "witnesses_per_reduction": 3},
+    ),
+    "kernel-ineq": _Suite(_kernel_ineq, "graphs", "census", {"subset_cap": 2 ** 20}),
+    "mic-ineq": _Suite(_mic_ineq, "graphs", "census", {}),
+    "charge-identity": _Suite(_charge_identity, "graphs", "enum+random", {"gadget_steps": 2}),
+    "packing-oracle": _Suite(_packing_oracle, "graphs", "random", {}),
+    "coloring-oracle": _Suite(_coloring_oracle, "graphs", "enum", {}),
+    "graph6-roundtrip": _Suite(_graph6_roundtrip, "graphs", "enum", {}),
 }
 
+SUITE_IDS = tuple(_SUITES)
+_CAP_KEYS = tuple(sorted({key for suite in _SUITES.values() for key in suite.caps}))
 
-def _default_graphs(kind: str | None, params: dict) -> list[Graph]:
+
+def _default_graphs(kind: str, params: dict) -> list[Graph]:
     k = params["k"]
     seed = params["seed"]
     if kind == "census":
@@ -589,13 +518,12 @@ def _default_graphs(kind: str | None, params: dict) -> list[Graph]:
         for _ in range(params.get("random_count", 100)):
             out.append(random_graph(rng, rng.randrange(1, 11)))
         return out
-    if kind == "random":
-        rng = random.Random(seed)
-        return [
-            random_graph(rng, rng.randrange(1, 11))
-            for _ in range(params.get("random_count", 500))
-        ]
-    return []
+    # kind == "random"
+    rng = random.Random(seed)
+    return [
+        random_graph(rng, rng.randrange(1, 11))
+        for _ in range(params.get("random_count", 500))
+    ]
 
 
 def run_suite(suite_id: str, corpus=None, params: dict | None = None) -> SuiteResult:
@@ -605,24 +533,34 @@ def run_suite(suite_id: str, corpus=None, params: dict | None = None) -> SuiteRe
     suite build its documented default input. Tree-driven suites read
     ``params["trees"]`` and otherwise generate seeded random composition
     trees (or, for the near-clique suite, the exhaustive catalog).
+    ``params["caps"]`` may set, to an integer, any cap key that some suite
+    in the registry declares; any other key or value raises ValueError.
     """
     if suite_id not in _SUITES:
         raise ValueError(f"unknown suite id {suite_id!r}; expected one of {', '.join(SUITE_IDS)}")
     p = {"k": 4, "seed": DEFAULT_SEED, "caps": {}}
     p.update(params or {})
-    fn, feed, default_kind = _SUITES[suite_id]
+    for key, value in p["caps"].items():
+        if key not in _CAP_KEYS:
+            raise ValueError(f"unknown cap key {key!r}; expected one of {', '.join(_CAP_KEYS)}")
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"cap {key!r} needs an integer value, got {value!r}")
+    suite = _SUITES[suite_id]
     graphs = _graphs_of(corpus)
     trees: list[OreTree] = []
-    if feed == "trees":
-        if default_kind == "catalog" and "trees" not in p:
+    if suite.feed == "trees":
+        if suite.default == "catalog" and "trees" not in p:
             trees = list(ore_catalog(p["k"], p.get("l_max", 2)))
         else:
             trees = _trees_from_params(p)
     elif not graphs:
-        graphs = _default_graphs(default_kind, p)
-    rows = []
-    for chunk in fn(graphs, trees, p):
-        rows.extend(chunk if isinstance(chunk, list) else [chunk])
+        graphs = _default_graphs(suite.default, p)
+    item_params = {**p, "caps": {**suite.caps, **p["caps"]}}
+    rows = [
+        row
+        for item in (trees if suite.feed == "trees" else graphs)
+        for row in suite.check(item, item_params)
+    ]
     rows.sort(key=lambda r: (r.graph6, r.claim, r.values))
     config = _vals(
         suite=suite_id,

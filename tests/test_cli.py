@@ -127,6 +127,12 @@ def test_verify_argument_errors():
     assert bad_cap.exit_code != 0 and "key=value" in bad_cap.output
     unknown = invoke("verify", "--suite", "bogus", "--census", "6")
     assert unknown.exit_code != 0 and "unknown suite id" in unknown.output
+    not_int = invoke("verify", "--suite", "ky-bound", "--census", "6", "--cap", "recognition=x")
+    assert not_int.exit_code == 1 and "integer" in not_int.output
+    assert not isinstance(not_int.exception, ValueError)
+    typo = invoke("verify", "--suite", "ky-bound", "--census", "6", "--cap", "recogniton=3")
+    assert typo.exit_code == 1 and "unknown cap key 'recogniton'" in typo.output
+    assert not isinstance(typo.exception, ValueError)
 
 
 def test_export_formats():

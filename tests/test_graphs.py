@@ -29,6 +29,8 @@ from orelab import (
     read_graph6_lines,
     to_dot,
 )
+from orelab.census import _augment
+from orelab.graphs import bits_of, components, mask_of
 
 
 def all_labeled_graphs(n: int):
@@ -54,6 +56,31 @@ def graphs(draw, min_n=0, max_n=8):
     pairs = list(itertools.combinations(range(n), 2))
     mask = draw(st.integers(0, (1 << len(pairs)) - 1))
     return Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    shifted = [(u + g.n, v + g.n) for u, v in h.edges()]
+    return Graph.from_edges(g.n + h.n, g.edges() + shifted)
+
+
+def complete_multipartite(sizes: list[int]) -> Graph:
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    pairs = itertools.combinations(range(len(part)), 2)
+    return Graph.from_edges(len(part), [(u, v) for u, v in pairs if part[u] != part[v]])
+
+
+@st.composite
+def kernel_graphs(draw):
+    """Random graphs on at most 12 vertices, disjoint unions and complete
+    multipartite graphs, randomly relabelled so components interleave."""
+    g = draw(
+        st.one_of(
+            graphs(max_n=12),
+            st.builds(disjoint_union, graphs(max_n=6), graphs(max_n=6)),
+            st.builds(complete_multipartite, st.lists(st.integers(1, 4), min_size=1, max_size=3)),
+        )
+    )
+    return g.relabelled(draw(st.permutations(range(g.n))))
 
 
 # -- construction and validation ----------------------------------------------
@@ -82,6 +109,31 @@ def test_validation_rejects_bad_values():
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
+    for make in (Graph.empty, Graph.complete, lambda n: Graph.from_edges(n, [])):
+        for n in (-1, 65):
+            with pytest.raises(ValueError):
+                make(n)
+    with pytest.raises(ValueError):
+        identify(Graph.path(3), 0, 3)
+    with pytest.raises(ValueError):
+        identify(Graph.path(3), -1, 1)
+
+
+@given(graphs(min_n=2, max_n=8), st.data())
+@settings(max_examples=60)
+def test_unvalidated_edits_build_valid_graphs(g, data):
+    u, v = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+    edited = [
+        g.delete_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v),
+        g.delete_vertex(u)[0],
+        g.induced([u, v])[0],
+        identify(g, u, v)[0],
+        _augment(g, data.draw(st.integers(0, g.full_mask()))),
+        Graph.complete(g.n),
+        Graph.empty(g.n),
+    ]
+    for h in edited:
+        assert Graph(h.n, h.adj) == h  # the validating constructor accepts it
 
 
 def test_queries():
@@ -147,6 +199,36 @@ def test_identify_commutes_up_to_isomorphism(g, data):
     a, _ = identify(g, x, y)
     b, _ = identify(g, y, x)
     assert is_isomorphic(a, b)
+
+
+# -- bitset kernel: components and clique test ----------------------------------
+
+
+@given(kernel_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_components_match_networkx(g, data):
+    nx = pytest.importorskip("networkx")
+    sub = data.draw(st.integers(0, g.full_mask()))
+    h = nx.Graph()
+    h.add_nodes_from(bits_of(sub))
+    h.add_edges_from((u, v) for u, v in g.edges() if sub >> u & 1 and sub >> v & 1)
+    expected = sorted((mask_of(c) for c in nx.connected_components(h)), key=lambda m: m & -m)
+    assert components(g.adj, sub) == expected
+    assert g.components() == components(g.adj, g.full_mask())
+    whole = nx.Graph()
+    whole.add_nodes_from(range(g.n))
+    whole.add_edges_from(g.edges())
+    assert g.is_connected() == (g.n == 0 or nx.is_connected(whole))
+
+
+@given(kernel_graphs(), st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_has_clique_matches_brute_force(g, size):
+    expected = any(
+        all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))
+        for vs in itertools.combinations(range(g.n), size)
+    )
+    assert has_clique(g, size) == expected
 
 
 # -- cliques and embeddings ----------------------------------------------------

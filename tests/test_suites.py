@@ -71,7 +71,7 @@ def test_unknown_suite_id():
 
 
 def test_no_rows_is_not_a_pass():
-    result = run_suite("ky-bound", corpus=[])
+    result = run_suite("t-lower", params={"trees": [Leaf(4)]})
     assert result.rows == () and not result.passed
 
 
@@ -108,13 +108,21 @@ def test_suite_runs_are_deterministic():
     assert a == b
 
 
-def test_thread_pool_does_not_change_rows(monkeypatch):
-    params = {"enum_max": 4, "random_count": 6}
-    monkeypatch.delenv("ORELAB_THREADS", raising=False)
-    serial = run_suite("charge-identity", params=params)
-    monkeypatch.setenv("ORELAB_THREADS", "4")
-    pooled = run_suite("charge-identity", params=params)
-    assert serial.rows == pooled.rows
+@pytest.mark.parametrize("suite_id", ["ky-bound", "ky-equality-ore"])
+def test_census_is_the_default_corpus(suite_id):
+    result = run_suite(suite_id, params={"census_max": 6})
+    assert result.passed and len(result.rows) == 2  # K4 and the 6-vertex critical graph
+
+
+def test_caps_reject_unknown_keys_and_non_integers():
+    with pytest.raises(ValueError, match="unknown cap key 'recogniton'"):
+        run_suite("ky-equality-ore", corpus=[], params={"caps": {"recogniton": 3}})
+    for value in ("3", 2.5, True):
+        with pytest.raises(ValueError, match="integer"):
+            run_suite("ky-equality-ore", corpus=[], params={"caps": {"recognition": value}})
+    # a key declared by another suite is accepted, so one cap map serves 'all'
+    result = run_suite("ky-bound", corpus=[Graph.complete(4)], params={"caps": {"recognition": 3}})
+    assert result.passed and dict(result.config)["caps"] == "recognition=3"
 
 
 def test_catalog_default_for_near_clique_suite():
