@@ -56,18 +56,6 @@ def corpus_from_graphs(source: str, items: Iterable[tuple[Graph, str]]) -> Corpu
     )
 
 
-def corpus_from_lines(source: str, lines: Iterable[str]) -> Corpus:
-    from .graphs import graph6_decode
-
-    items = []
-    for idx, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        items.append((graph6_decode(line), f"{source}:{idx + 1}"))
-    return corpus_from_graphs(source, items)
-
-
 def _augment(parent: Graph, mask: int) -> Graph:
     rows = list(parent.adj)
     for v in bits_of(mask):
@@ -97,7 +85,7 @@ def enumerate_graphs(n: int) -> Corpus:
     """All isomorphism classes on exactly n vertices as a corpus.
 
     Bounded by the built-in cap; larger orders are supported only through
-    external graph6 files via corpus_from_lines.
+    external graph6 files (``orelab verify --in``).
     """
     return Corpus(
         f"enumeration n={n}",

@@ -10,13 +10,13 @@ import sys
 
 import click
 
-from .census import census_critical, corpus_from_lines, enumerate_graphs
+from .census import census_critical, corpus_from_graphs, enumerate_graphs
 from .errors import SizeCapError
 from .graphs import graph6_decode, graph6_encode, to_dot
 from .orekit import is_k_ore, random_ore_tree, realize, tree_dumps
 from .packing import compute_T
 from .potential import rho, rho_ky
-from .suites import DEFAULT_SEED, SUITE_IDS, run_suite
+from .suites import DEFAULT_SEED, SUITE_IDS, check_suite_args, run_suite
 
 
 def _read_graphs(handle):
@@ -134,19 +134,19 @@ def verify_cmd(suite_id, k, infile, census_n, seed, caps, json_path, csv_path):
             cap_map[key] = int(value)
         except ValueError:
             raise click.ClickException(f"cap {key!r} needs an integer value, got {value!r}")
-    corpus = None
-    if infile is not None:
-        corpus = corpus_from_lines("cli", infile)
-    elif census_n is not None:
-        corpus = census_critical(census_n, k)
-    params = {"k": k, "seed": seed, "caps": cap_map}
     ids = SUITE_IDS if suite_id == "all" else (suite_id,)
-    results = []
-    for sid in ids:
-        try:
-            results.append(run_suite(sid, corpus, params))
-        except ValueError as err:
-            raise click.ClickException(str(err))
+    try:
+        check_suite_args(ids, cap_map)
+        corpus = None
+        if infile is not None:
+            graphs = _read_graphs(infile)
+            corpus = corpus_from_graphs("cli", ((g, f"cli:{i + 1}") for i, g in enumerate(graphs)))
+        elif census_n is not None:
+            corpus = census_critical(census_n, k)
+        params = {"k": k, "seed": seed, "caps": cap_map}
+        results = [run_suite(sid, corpus, params) for sid in ids]
+    except ValueError as err:
+        raise click.ClickException(str(err))
     for res in results:
         c = res.counts()
         click.echo(

@@ -1,5 +1,6 @@
 """Exact coloring machinery: decision procedure, chromatic number, edge
-criticality, critical-subgraph extraction, and small list-coloring checks.
+criticality, critical-subgraph extraction, and the degree-class edge-count
+check.
 
 Everything here is a complete search; answers are never heuristic. Witness
 colorings are re-verified against the graph before being returned.
@@ -8,7 +9,6 @@ colorings are re-verified against the graph before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeCapError
@@ -177,7 +177,7 @@ def _edges_colorable(n: int, edges: Iterable[tuple[int, int]], t: int) -> bool:
     return first_coloring(rows, t) is not None
 
 
-def _minimalize(n: int, edges: frozenset, k: int, protected: frozenset) -> frozenset:
+def _minimalize(n: int, edges: frozenset, k: int) -> frozenset:
     """Drop removable edges in one deterministic pass.
 
     An edge that is not removable (its deletion makes the graph
@@ -186,8 +186,6 @@ def _minimalize(n: int, edges: frozenset, k: int, protected: frozenset) -> froze
     """
     current = set(edges)
     for e in sorted(edges):
-        if e in protected:
-            continue
         trial = current - {e}
         if not _edges_colorable(n, trial, k - 1):
             current = trial
@@ -210,7 +208,7 @@ def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Subgraph]:
         raise ValueError("graph is (k-1)-colorable; no k-critical subgraph exists")
     all_edges = frozenset(tuple(e) for e in g.edges())
     found: dict[frozenset, Subgraph] = {}
-    base = _minimalize(g.n, all_edges, k, frozenset())
+    base = _minimalize(g.n, all_edges, k)
     found[base] = _subgraph_from_edges(base)
     for e in sorted(all_edges):
         if len(found) >= limit:
@@ -218,7 +216,7 @@ def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Subgraph]:
         trial = all_edges - {e}
         if _edges_colorable(g.n, trial, k - 1):
             continue
-        w = _minimalize(g.n, frozenset(trial), k, frozenset())
+        w = _minimalize(g.n, frozenset(trial), k)
         if w not in found:
             found[w] = _subgraph_from_edges(w)
     return [found[key] for key in sorted(found, key=sorted)]
@@ -261,70 +259,6 @@ def color_partitions(
             masks.pop()
 
     yield from rec(0)
-
-
-# -- list coloring (brute force, desk scale) ---------------------------------
-
-
-def _list_colorable(adj: Sequence[int], lists: list[int]) -> bool:
-    n = len(adj)
-    assigned = [-1] * n
-    avail = list(lists)
-
-    def rec(done: int) -> bool:
-        if done == n:
-            return True
-        v = min(
-            (u for u in range(n) if assigned[u] < 0),
-            key=lambda u: (avail[u].bit_count(), u),
-        )
-        options = avail[v]
-        if not options:
-            return False
-        for c in bits_of(options):
-            assigned[v] = c
-            bit = 1 << c
-            touched = []
-            for u in bits_of(adj[v]):
-                if assigned[u] < 0 and avail[u] & bit:
-                    avail[u] ^= bit
-                    touched.append(u)
-            if rec(done + 1):
-                return True
-            for u in touched:
-                avail[u] |= bit
-            assigned[v] = -1
-        return False
-
-    return rec(0)
-
-
-def f_choosable_bruteforce(
-    g: Graph, f: Sequence[int] | dict[int, int], universe: int,
-    max_vertices: int = 8, max_universe: int = 6,
-) -> bool:
-    """Whether g is f-choosable for every list assignment from the universe.
-
-    Checks every assignment of f(v)-subsets of {0..universe-1}; caps keep the
-    product enumerable. A vertex with f(v) > universe has no admissible lists,
-    which makes the statement vacuously true; f(v) = 0 makes it false (for a
-    nonempty graph) since the empty list colors nothing.
-    """
-    if g.n > max_vertices:
-        raise SizeCapError("f-choosability vertices", g.n, max_vertices)
-    if universe > max_universe:
-        raise SizeCapError("f-choosability universe", universe, max_universe)
-    fvals = [f[v] for v in range(g.n)]
-    if any(x < 0 for x in fvals):
-        raise ValueError("list sizes must be nonnegative")
-    per_vertex = []
-    for v in range(g.n):
-        opts = [mask_of(c) for c in combinations(range(universe), fvals[v])]
-        per_vertex.append(opts)
-    for assignment in product(*per_vertex):
-        if not _list_colorable(g.adj, list(assignment)):
-            return False
-    return True
 
 
 # -- degree-class edge-count inequality ---------------------------------------

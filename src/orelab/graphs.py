@@ -607,10 +607,6 @@ def graph6_decode(text: str | bytes) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def read_graph6_lines(text: str) -> list[Graph]:
-    return [graph6_decode(line) for line in text.splitlines() if line.strip()]
-
-
 def to_dot(g: Graph) -> str:
     lines = ["graph G {"]
     for v in range(g.n):

@@ -21,10 +21,10 @@ from .graphs import (
     canonical_form,
     components,
     identify,
-    is_isomorphic,
     isomorphism,
     mask_of,
 )
+from .structure import clusters
 
 DEFAULT_RECOGNITION_CAP = 25
 
@@ -284,32 +284,36 @@ def _candidate_splits(g: Graph):
                 yield a, b, split_mask
 
 
+def _edge_side(g: Graph, a: int, b: int, split_mask: int) -> tuple[Graph, dict[int, int]]:
+    """Drop the split interior and restore the replaced edge ab; the map
+    sends each kept host vertex (a and b included) to its id."""
+    g1, map1 = g.induced(bits_of(g.full_mask() & ~split_mask))
+    return g1.add_edge(map1[a], map1[b]), map1
+
+
+def _split_side(g: Graph, a: int, b: int, split_mask: int) -> tuple[Graph, dict[int, int]]:
+    """Keep the split interior plus the pair and merge the pair back into z;
+    the map sends each kept host vertex (a and b to z) to its id."""
+    sub2, map2 = g.induced(bits_of(split_mask | (1 << a) | (1 << b)))
+    g2, idmap = identify(sub2, map2[a], map2[b])
+    return g2, {v: idmap[i] for v, i in map2.items()}
+
+
 def _try_split(g: Graph, k: int, a: int, b: int, split_mask: int) -> Node | None:
-    full = g.full_mask()
-    edge_mask = full & ~split_mask  # includes a and b
-    # edge side: drop the split interior, restore the replaced edge
-    g1, map1 = g.induced(bits_of(edge_mask))
-    g1 = g1.add_edge(map1[a], map1[b])
+    g1, map1 = _edge_side(g, a, b, split_mask)
     t1 = _recognize(g1, k)
     if t1 is None:
         return None
-    # split side: keep interior plus the pair, merge the pair back into z
-    sub2, map2 = g.induced(bits_of(split_mask | (1 << a) | (1 << b)))
-    g2, idmap = identify(sub2, map2[a], map2[b])
+    g2, map2 = _split_side(g, a, b, split_mask)
     t2 = _recognize(g2, k)
     if t2 is None:
         return None
     # express labels in the realizations so the witness is self-contained
-    r1 = _realize(t1)
-    iso1 = isomorphism(r1, g1)
-    inv1 = {v: u for u, v in iso1.items()}
-    r2 = _realize(t2)
-    iso2 = isomorphism(r2, g2)
-    inv2 = {v: u for u, v in iso2.items()}
-    z_r2 = inv2[idmap[map2[a]]]
-    part_a = tuple(sorted(inv2[idmap[map2[w]]] for w in bits_of(g.adj[a] & split_mask)))
-    part_b = tuple(sorted(inv2[idmap[map2[w]]] for w in bits_of(g.adj[b] & split_mask)))
-    return Node(t1, t2, (inv1[map1[a]], inv1[map1[b]]), z_r2, (part_a, part_b))
+    inv1 = {v: u for u, v in isomorphism(_realize(t1), g1).items()}
+    inv2 = {v: u for u, v in isomorphism(_realize(t2), g2).items()}
+    part_a = tuple(sorted(inv2[map2[w]] for w in bits_of(g.adj[a] & split_mask)))
+    part_b = tuple(sorted(inv2[map2[w]] for w in bits_of(g.adj[b] & split_mask)))
+    return Node(t1, t2, (inv1[map1[a]], inv1[map1[b]]), inv2[map2[a]], (part_a, part_b))
 
 
 @dataclass(frozen=True)
@@ -331,24 +335,13 @@ def ore_decompositions(g: Graph, k: int, cap: int = DEFAULT_RECOGNITION_CAP) -> 
         raise SizeCapError("decomposition vertex count", g.n, cap)
     out = []
     for a, b, split_mask in _candidate_splits(g):
-        full = g.full_mask()
-        edge_mask = full & ~split_mask
-        g1, map1 = g.induced(bits_of(edge_mask))
-        g1 = g1.add_edge(map1[a], map1[b])
+        g1, map1 = _edge_side(g, a, b, split_mask)
         if _recognize(g1, k) is None:
             continue
-        sub2, map2 = g.induced(bits_of(split_mask | (1 << a) | (1 << b)))
-        g2, _ = identify(sub2, map2[a], map2[b])
+        g2, map2 = _split_side(g, a, b, split_mask)
         if _recognize(g2, k) is None:
             continue
-        out.append(
-            Decomposition(
-                a,
-                b,
-                frozenset(bits_of(edge_mask)),
-                frozenset(bits_of(split_mask)) | {a, b},
-            )
-        )
+        out.append(Decomposition(a, b, frozenset(map1), frozenset(map2)))
     return out
 
 
@@ -397,8 +390,6 @@ def make_gadget(tree: OreTree, x: int, cap: int = DEFAULT_RECOGNITION_CAP) -> Ga
     The cluster-size requirement keeps x away from every overlap pair, which
     is what makes the leftover graph useful as a pattern.
     """
-    from .structure import clusters
-
     k = tree_k(tree)
     g = _realize(tree)
     if not 0 <= x < g.n:
@@ -454,8 +445,6 @@ def gadget_catalog(k: int, max_steps: int) -> tuple[Gadget, ...]:
     """Every gadget obtainable from the ore_catalog, deduplicated by the
     canonical form of the stripped graph together with the canonical
     positions of its key vertices."""
-    from .structure import clusters
-
     out: list[Gadget] = []
     seen: set[tuple] = set()
     for tree in ore_catalog(k, max_steps):

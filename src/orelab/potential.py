@@ -82,45 +82,6 @@ def complete_potential(order: int, k: int) -> Fraction:
     return rho_value(order, m, complete_graph_T(order, k), k)
 
 
-@dataclass(frozen=True)
-class CompletePotentialTable:
-    """rho(K_1..K_k) plus verification flags for the four standard facts:
-
-    1. rho(K_k)   = k(k-3) + k*eps - 2*delta
-    2. rho(K_1)   = k^2 - k - 2 + eps
-    3. rho(K_k-1) = 2k^2 - 6k + 4 + (k-1)*eps - 2*delta
-    4. rho(K_l)  >= 2k^2 - 4k - 2 + 2*eps for 1 < l < k-1
-
-    Fact 4 is a theorem only for k >= 5. At k = 4 the middle range is the
-    single order l = 2 = k-2, whose packing value 1 costs delta: the margin
-    at l = k-2 is (k-3)(k-4) - 3*eps in general, which is -3*eps at k = 4.
-    The flag reports the honest comparison either way.
-    """
-
-    k: int
-    values: dict[int, Fraction]
-    checks: dict[str, bool]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(self.checks.values())
-
-
-def complete_potentials(k: int) -> CompletePotentialTable:
-    p = PotentialParams.for_k(k)
-    values = {order: complete_potential(order, k) for order in range(1, k + 1)}
-    checks = {
-        "top": values[k] == k * (k - 3) + k * p.eps - 2 * p.delta,
-        "single": values[1] == k * k - k - 2 + p.eps,
-        "near_top": values[k - 1] == 2 * k * k - 6 * k + 4 + (k - 1) * p.eps - 2 * p.delta,
-        "middle": all(
-            values[order] >= 2 * k * k - 4 * k - 2 + 2 * p.eps
-            for order in range(2, k - 1)
-        ),
-    }
-    return CompletePotentialTable(k, values, checks)
-
-
 def ky_edge_bound(n: int, k: int) -> int:
     """Integer lower edge bound ceil((k/2 - 1/(k-1))n - k(k-3)/(2(k-1)))."""
     if k < 4:

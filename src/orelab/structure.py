@@ -1,6 +1,6 @@
 """Local structure around degree-(k-1) vertices and subset machinery:
-clusters, near-cliques, cloning, color reductions with critical extensions,
-collapsibility, small edge additions, and the weighted independence number.
+clusters, near-cliques, color reductions with critical extensions, and the
+weighted independence number.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from typing import Iterable
 from .coloring import (
     PartialColoring,
     Subgraph,
-    _edges_colorable,
-    _minimalize,
     chromatic_number,
     color_partitions,
     find_critical_subgraphs,
@@ -50,13 +48,6 @@ def clusters(g: Graph, k: int) -> list[Cluster]:
     ]
     out.sort(key=lambda c: min(c.vertices))
     return out
-
-
-def cluster_of(g: Graph, k: int, v: int) -> Cluster | None:
-    for c in clusters(g, k):
-        if v in c.vertices:
-            return c
-    return None
 
 
 # -- diamonds and emeralds ---------------------------------------------------
@@ -115,38 +106,6 @@ def find_diamonds_emeralds(
                 )
     out.sort(key=lambda d: (d.kind, sorted(d.vertices)))
     return out
-
-
-# -- cloning -----------------------------------------------------------------
-
-
-def clone(g: Graph, k: int, x: int, y: int) -> Graph:
-    """Replace neighbor y of x (deg x = k-1) by a fresh copy of x.
-
-    The copy is adjacent to x and to all of x's other neighbors. y's removal
-    renumbers survivors densely; the copy takes the final id, so the result
-    has the same vertex count as g. If y already sits in x's cluster the
-    result is isomorphic to g.
-    """
-    if not g.has_edge(x, y):
-        raise ValueError(f"({x},{y}) must be an edge")
-    if g.degree(x) != k - 1:
-        raise ValueError(f"cloned vertex must have degree {k - 1}, got {g.degree(x)}")
-    stripped, remap = g.delete_vertex(y)
-    fresh = stripped.n
-    rows = list(stripped.adj)
-    new_row = 0
-    for w in bits_of(g.adj[x] & ~(1 << y)):
-        new_row |= 1 << remap[w]
-    new_row |= 1 << remap[x]
-    out_rows = []
-    for v in range(fresh):
-        row = rows[v]
-        if new_row >> v & 1:
-            row |= 1 << fresh
-        out_rows.append(row)
-    out_rows.append(new_row)
-    return Graph(fresh + 1, tuple(out_rows))
 
 
 # -- color reduction and critical extensions ---------------------------------
@@ -319,125 +278,6 @@ def minimum_colorings(g: Graph, r_set: Iterable[int], k: int, limit: int | None 
             return
 
 
-# -- collapsibility ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CollapsibilityResult:
-    """Least i such that every proper (k-1)-coloring of G[R] leaves at most i
-    boundary edges outside its largest-boundary color class. ``exact`` is
-    False when the coloring enumeration hit its cap (value is then only a
-    lower bound); ``colorings`` counts the partitions inspected."""
-
-    value: int
-    exact: bool
-    colorings: int
-
-
-def collapsibility(
-    g: Graph, k: int, r_set: Iterable[int], partition_cap: int = 100_000
-) -> CollapsibilityResult:
-    """Exact collapsibility index by scanning colorings up to permutation.
-
-    The inner minimum over colors depends only on the color partition, so one
-    representative per permutation class suffices. For each partition the
-    cheapest color to keep is the class holding the most boundary edges.
-    """
-    r = sorted(set(r_set))
-    r_mask = mask_of(r)
-    out_deg = {v: (g.adj[v] & ~r_mask).bit_count() for v in r}
-    total = sum(out_deg.values())
-    best = 0
-    seen = 0
-    exact = True
-    for part in color_partitions(g, r, k - 1):
-        seen += 1
-        if seen > partition_cap:
-            exact = False
-            break
-        largest = max((sum(out_deg[v] for v in cls) for cls in part), default=0)
-        best = max(best, total - largest)
-    return CollapsibilityResult(best, exact, min(seen, partition_cap))
-
-
-# -- edge additions -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EdgeAddition:
-    """A nonempty set S of non-edges together with a k-critical witness H
-    containing S, with H - S a subgraph of the host on a proper vertex
-    subset."""
-
-    edges: frozenset[tuple[int, int]]
-    witness: Subgraph
-
-
-def find_edge_addition(
-    g: Graph, k: int, budget: int, pool_cap: int = 400
-) -> EdgeAddition | None:
-    """Search for an edge addition of size at most ``budget``.
-
-    Scans every nonempty set of at most ``budget`` non-edges (lexicographic
-    order) and, for each, every excluded vertex; a protected minimalization
-    of the augmented graph minus the excluded vertex extracts the witness.
-    Returns the first witness found. None means no witness exists within
-    this exhaustive scan of the non-edge pool; it is not a nonexistence proof
-    beyond the caps.
-    """
-    non_edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
-    ]
-    if len(non_edges) > pool_cap:
-        raise SizeCapError("edge-addition pool", len(non_edges), pool_cap)
-    for size in range(1, budget + 1):
-        for s_edges in combinations(non_edges, size):
-            found = _edge_addition_with(g, k, frozenset(s_edges))
-            if found is not None:
-                return found
-    return None
-
-
-def _edge_addition_with(g: Graph, k: int, s_edges: frozenset) -> EdgeAddition | None:
-    base_edges = {tuple(e) for e in g.edges()}
-    aug = base_edges | s_edges
-    touched = {v for e in s_edges for v in e}
-    for v in range(g.n):
-        if v in touched:
-            continue
-        sub_edges = frozenset(e for e in aug if v not in e)
-        if _edges_colorable(g.n, sub_edges, k - 1):
-            continue
-        protected = set(s_edges)
-        current = sub_edges
-        witness = None
-        while protected:
-            w_edges = _minimalize(g.n, current, k, frozenset(protected))
-            loose = [
-                s for s in sorted(protected)
-                if not _edges_colorable(g.n, w_edges - {s}, k - 1)
-            ]
-            if not loose:
-                witness = w_edges
-                break
-            # a protected edge turned out not to be needed: drop it from the
-            # graph as well, or the witness could smuggle it back in
-            protected.discard(loose[0])
-            current = w_edges - {loose[0]}
-        if witness is None or not protected:
-            continue
-        verts = sorted({u for e in witness for u in e})
-        sub = Subgraph(tuple(verts), frozenset(witness))
-        w_graph, _ = sub.to_graph()
-        if not is_k_critical(w_graph, k):
-            continue
-        return EdgeAddition(frozenset(protected), sub)
-    return None
-
-
 # -- weighted independence -----------------------------------------------------
 
 
@@ -478,13 +318,6 @@ def mic(g: Graph, max_vertices: int = 40) -> tuple[int, frozenset[int]]:
 # -- subset bookkeeping ---------------------------------------------------------
 
 
-def boundary(g: Graph, r_set: Iterable[int]) -> frozenset[int]:
-    """Vertices of R with at least one neighbor outside R."""
-    r = frozenset(r_set)
-    r_mask = mask_of(r)
-    return frozenset(v for v in r if g.adj[v] & ~r_mask)
-
-
 def edge_between(g: Graph, a_set: Iterable[int], b_set: Iterable[int]) -> int:
     """Number of edges with one endpoint in each set (each edge once)."""
     a = frozenset(a_set)
@@ -494,24 +327,3 @@ def edge_between(g: Graph, a_set: Iterable[int], b_set: Iterable[int]) -> int:
         if (u in a and v in b) or (u in b and v in a):
             count += 1
     return count
-
-
-def twin_pairs(g: Graph) -> int:
-    """Pairs of vertices with identical closed neighborhoods."""
-    count = 0
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.closed_mask(u) == g.closed_mask(v):
-                count += 1
-    return count
-
-
-def size_triple(g: Graph) -> tuple[int, int, int]:
-    """Comparison key (|V|, |E|, -twin pairs): fewer vertices, then fewer
-    edges, then *more* same-closed-neighborhood pairs counts as smaller."""
-    return (g.n, g.edge_count(), -twin_pairs(g))
-
-
-def smaller(h: Graph, g: Graph) -> bool:
-    """Whether h precedes g in the minimal-counterexample order."""
-    return size_triple(h) < size_triple(g)

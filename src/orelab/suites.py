@@ -13,8 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .census import Corpus, census_critical, graph_classes, random_graph
 from .coloring import chromatic_number, edge_count_lemma_check
@@ -500,30 +501,39 @@ SUITE_IDS = tuple(_SUITES)
 _CAP_KEYS = tuple(sorted({key for suite in _SUITES.values() for key in suite.caps}))
 
 
-def _default_graphs(kind: str, params: dict) -> list[Graph]:
-    k = params["k"]
-    seed = params["seed"]
-    if kind == "census":
-        return list(census_critical(params.get("census_max", 8), k).graphs)
-    if kind == "enum":
-        out: list[Graph] = []
-        for n in range(1, params.get("enum_max", 6) + 1):
-            out.extend(graph_classes(n))
-        return out
+_SIZE_PARAMS = {"census": ("census_max", 8), "enum": ("enum_max", 6), "random": ("random_count", 500)}
+
+
+def _default_graphs(kind: str, params: dict) -> tuple[Graph, ...]:
     if kind == "enum+random":
-        out = []
-        for n in range(1, params.get("enum_max", 6) + 1):
-            out.extend(graph_classes(n))
-        rng = random.Random(seed)
-        for _ in range(params.get("random_count", 100)):
-            out.append(random_graph(rng, rng.randrange(1, 11)))
-        return out
-    # kind == "random"
+        return _default_graphs("enum", params) + _default_graphs(
+            "random", {"random_count": 100, **params}
+        )
+    key, default = _SIZE_PARAMS[kind]
+    return _built_corpus(kind, params["k"], params["seed"], params.get(key, default))
+
+
+@lru_cache(maxsize=4)
+def _built_corpus(kind: str, k: int, seed: int, size: int) -> tuple[Graph, ...]:
+    if kind == "census":
+        return census_critical(size, k).graphs
+    if kind == "enum":
+        return tuple(g for n in range(1, size + 1) for g in graph_classes(n))
     rng = random.Random(seed)
-    return [
-        random_graph(rng, rng.randrange(1, 11))
-        for _ in range(params.get("random_count", 500))
-    ]
+    return tuple(random_graph(rng, rng.randrange(1, 11)) for _ in range(size))
+
+
+def check_suite_args(suite_ids: Iterable[str], caps: dict) -> None:
+    """Raise ValueError for a suite id or a cap that no suite in the registry
+    accepts; cheap, so callers run it before building any corpus."""
+    for suite_id in suite_ids:
+        if suite_id not in _SUITES:
+            raise ValueError(f"unknown suite id {suite_id!r}; expected one of {', '.join(SUITE_IDS)}")
+    for key, value in caps.items():
+        if key not in _CAP_KEYS:
+            raise ValueError(f"unknown cap key {key!r}; expected one of {', '.join(_CAP_KEYS)}")
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"cap {key!r} needs an integer value, got {value!r}")
 
 
 def run_suite(suite_id: str, corpus=None, params: dict | None = None) -> SuiteResult:
@@ -536,15 +546,9 @@ def run_suite(suite_id: str, corpus=None, params: dict | None = None) -> SuiteRe
     ``params["caps"]`` may set, to an integer, any cap key that some suite
     in the registry declares; any other key or value raises ValueError.
     """
-    if suite_id not in _SUITES:
-        raise ValueError(f"unknown suite id {suite_id!r}; expected one of {', '.join(SUITE_IDS)}")
     p = {"k": 4, "seed": DEFAULT_SEED, "caps": {}}
     p.update(params or {})
-    for key, value in p["caps"].items():
-        if key not in _CAP_KEYS:
-            raise ValueError(f"unknown cap key {key!r}; expected one of {', '.join(_CAP_KEYS)}")
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"cap {key!r} needs an integer value, got {value!r}")
+    check_suite_args((suite_id,), p["caps"])
     suite = _SUITES[suite_id]
     graphs = _graphs_of(corpus)
     trees: list[OreTree] = []

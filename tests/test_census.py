@@ -18,9 +18,7 @@ from orelab import (
     canonical_key,
     census_critical,
     corpus_from_graphs,
-    corpus_from_lines,
     enumerate_graphs,
-    graph6_encode,
     graph_classes,
     is_isomorphic,
     is_k_critical,
@@ -132,14 +130,6 @@ def test_corpus_from_graphs_dedupes_and_orders():
     assert len(corpus) == 2
     assert corpus.graphs[0].n == 3  # ordered by size, then canonical key
     assert corpus.provenance[1] == "first"  # first witness of a class wins
-
-
-def test_corpus_from_lines():
-    lines = [graph6_encode(Graph.complete(4)), "", graph6_encode(Graph.cycle(5))]
-    corpus = corpus_from_lines("file", lines)
-    assert len(corpus) == 2
-    assert corpus.provenance == ("file:1", "file:3")
-    assert {g.n for g in corpus.graphs} == {4, 5}
 
 
 def test_random_graph_determinism_and_extremes():

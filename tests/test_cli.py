@@ -4,6 +4,7 @@ import json
 
 from click.testing import CliRunner
 
+import orelab.cli
 from orelab import Graph, graph6_decode, graph6_encode, is_k_ore, tree_loads
 from orelab.cli import main
 
@@ -133,6 +134,39 @@ def test_verify_argument_errors():
     typo = invoke("verify", "--suite", "ky-bound", "--census", "6", "--cap", "recogniton=3")
     assert typo.exit_code == 1 and "unknown cap key 'recogniton'" in typo.output
     assert not isinstance(typo.exception, ValueError)
+    bad_line = invoke("verify", "--suite", "ky-bound", "--in", "-", input="C~\nD?\n")
+    assert bad_line.exit_code == 1 and "Error: line 2" in bad_line.output
+    over_cap = invoke("verify", "--suite", "ky-bound", "--census", "10")
+    assert over_cap.exit_code == 1 and "Error:" in over_cap.output and "cap" in over_cap.output
+    low_k = invoke("verify", "--suite", "ky-bound", "--k", "2", "--census", "5")
+    assert low_k.exit_code == 1 and "Error:" in low_k.output and "k >= 3" in low_k.output
+    for result in (bad_line, over_cap, low_k):
+        assert isinstance(result.exception, SystemExit)
+
+
+def test_verify_checks_arguments_before_building_the_census(monkeypatch):
+    def no_census(n_max, k):
+        raise AssertionError("the census was built before the arguments were checked")
+
+    monkeypatch.setattr(orelab.cli, "census_critical", no_census)
+    typo = invoke("verify", "--suite", "all", "--census", "9", "--cap", "typo=1")
+    assert typo.exit_code == 1 and "unknown cap key 'typo'" in typo.output
+    bogus = invoke("verify", "--suite", "bogus", "--census", "9")
+    assert bogus.exit_code == 1 and "unknown suite id 'bogus'" in bogus.output
+
+
+def test_verify_in_skips_blank_lines_and_dedupes(tmp_path):
+    k4 = Graph.complete(4)
+    lines = [graph6_encode(k4), "", graph6_encode(k4.relabelled([3, 2, 1, 0])), graph6_encode(Graph.cycle(5))]
+    json_path = tmp_path / "out.json"
+    result = invoke(
+        "verify", "--suite", "graph6-roundtrip", "--in", "-", "--json", str(json_path),
+        input="\n".join(lines) + "\n",
+    )
+    assert result.exit_code == 0
+    payload = json.loads(json_path.read_text())
+    assert payload["config"]["graphs"] == "2"
+    assert {row["graph6"] for row in payload["rows"]} == {graph6_encode(k4), graph6_encode(Graph.cycle(5))}
 
 
 def test_export_formats():

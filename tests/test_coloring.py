@@ -18,7 +18,6 @@ from orelab import (
     colorable,
     edge_count_lemma_check,
     edge_between,
-    f_choosable_bruteforce,
     find_critical_subgraphs,
     graph_classes,
     is_k_critical,
@@ -177,24 +176,6 @@ def test_color_partitions_independent_and_clique():
     for part in color_partitions(Graph.cycle(4), [0, 1, 2, 3], 3):
         for cls in part:
             assert Graph.cycle(4).is_independent(cls)
-
-
-# -- choosability ---------------------------------------------------------------
-
-
-def test_f_choosable_anchors():
-    assert f_choosable_bruteforce(Graph.complete(1), [1], 1)
-    assert not f_choosable_bruteforce(Graph.complete(2), [1, 1], 2)
-    assert f_choosable_bruteforce(Graph.complete(2), [1, 2], 2)
-    assert not f_choosable_bruteforce(Graph.complete(3), [2, 2, 2], 3)
-    assert f_choosable_bruteforce(Graph.cycle(4), [2, 2, 2, 2], 3)
-
-
-def test_f_choosable_caps():
-    with pytest.raises(SizeCapError):
-        f_choosable_bruteforce(Graph.empty(9), [1] * 9, 2)
-    with pytest.raises(SizeCapError):
-        f_choosable_bruteforce(Graph.empty(2), [1, 1], 7)
 
 
 # -- low-vertex edge-count lemma --------------------------------------------------

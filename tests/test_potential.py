@@ -14,7 +14,6 @@ from orelab import (
     PotentialParams,
     complete_graph_T,
     complete_potential,
-    complete_potentials,
     compute_T,
     eps_edge_bound,
     is_k_ore,
@@ -89,24 +88,35 @@ def test_rho_subset():
     assert rho_subset(g, tri, 4) == Fraction(12 * 11 - 3, 11)  # 12 - 3/11
 
 
+def standard_facts(k: int) -> dict[str, bool]:
+    """The four textbook values of rho(K_l), l = 1..k, at parameter k."""
+    p = PotentialParams.for_k(k)
+    values = {order: complete_potential(order, k) for order in range(1, k + 1)}
+    return {
+        "top": values[k] == k * (k - 3) + k * p.eps - 2 * p.delta,
+        "single": values[1] == k * k - k - 2 + p.eps,
+        "near_top": values[k - 1] == 2 * k * k - 6 * k + 4 + (k - 1) * p.eps - 2 * p.delta,
+        "middle": all(
+            values[order] >= 2 * k * k - 4 * k - 2 + 2 * p.eps for order in range(2, k - 1)
+        ),
+    }
+
+
 def test_complete_potentials_standard_facts():
     for k in range(5, 41):
-        assert complete_potentials(k).all_ok
-    t5 = complete_potentials(5)
+        assert all(standard_facts(k).values())
     p5 = PotentialParams.for_k(5)
-    assert t5.values[5] == 10 + 5 * p5.eps - 2 * p5.delta
+    assert complete_potential(5, 5) == 10 + 5 * p5.eps - 2 * p5.delta
     assert complete_potential(4, 4) == Fraction(42, 11)
 
 
 def test_complete_potentials_middle_fact_fails_at_k4():
     # the lone middle order at k=4 is K_2 = K_{k-2}, whose packing value 1
     # costs delta = 3*eps; the stated lower bound misses by exactly that
-    table = complete_potentials(4)
-    assert table.checks == {"top": True, "single": True, "near_top": True, "middle": False}
-    assert not table.all_ok
+    assert standard_facts(4) == {"top": True, "single": True, "near_top": True, "middle": False}
     p4 = PotentialParams.for_k(4)
     bound = 2 * 16 - 16 - 2 + 2 * p4.eps
-    assert bound - table.values[2] == 3 * p4.eps
+    assert bound - complete_potential(2, 4) == 3 * p4.eps
 
 
 def test_complete_graph_T_table():

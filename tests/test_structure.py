@@ -1,27 +1,22 @@
-"""Structural primitives: clusters, near-cliques, cloning, reductions,
-extensions, collapsibility, edge additions, and the counting helpers.
+"""Structural primitives: clusters, near-cliques, reductions, extensions,
+and the counting helpers.
 
-Extension records and collapsibility values are replayed against brute-force
-recounts here; the production code's own assertions are not trusted as tests.
+Extension records are replayed against brute-force recounts here; the
+production code's own assertions are not trusted as tests.
 """
 
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from orelab import (
     Graph,
     PartialColoring,
     PotentialParams,
     SizeCapError,
-    boundary,
     build_extension,
-    clone,
-    cluster_of,
     clusters,
-    collapsibility,
     color_reduce,
     colorable,
     complete_graph_T,
@@ -29,10 +24,7 @@ from orelab import (
     compute_T,
     edge_between,
     find_diamonds_emeralds,
-    find_edge_addition,
     is_isomorphic,
-    is_k_critical,
-    is_k_ore,
     mic,
     minimum_colorings,
     ore_catalog,
@@ -41,11 +33,7 @@ from orelab import (
     realize,
     rho,
     rho_subset,
-    size_triple,
-    smaller,
-    twin_pairs,
 )
-from orelab.coloring import color_partitions
 
 
 def wheel5() -> Graph:
@@ -86,9 +74,6 @@ def test_clusters_match_pairwise_oracle():
         )
         expected.add(members)
     assert {c.vertices for c in clusters(g, 4)} == expected
-    for v in low:
-        assert v in cluster_of(g, 4, v).vertices
-    assert cluster_of(g, 4, max(range(g.n), key=g.degree)) is None
 
 
 # -- diamonds and emeralds ------------------------------------------------------
@@ -147,48 +132,6 @@ def test_avoidance_on_small_ore_graphs():
                 assert found
                 for nc in found:
                     assert not (nc.vertices & set(q))
-
-
-# -- cloning ---------------------------------------------------------------------
-
-
-def test_clone_inside_cluster_is_identity_up_to_isomorphism():
-    k4 = Graph.complete(4)
-    assert is_isomorphic(clone(k4, 4, 0, 1), k4)
-
-
-def test_clone_degree_bookkeeping():
-    g = fused_k4()
-    for x in range(g.n):
-        if g.degree(x) != 3:
-            continue
-        for y in g.neighbors(x):
-            c = clone(g, 4, x, y)
-            assert c.n == g.n
-            # the copy lands at the old top id; x gained the copy as a neighbor
-            copy = c.n - 1
-            expected = g.degree(x) + 1 - (1 if g.has_edge(x, y) else 0)
-            assert c.degree(copy) == expected - (1 if y == x else 0)
-            assert c.has_edge(copy, min(x, c.n - 1) if x != g.n - 1 else copy - 1) or True
-
-
-def test_clone_blocks_coloring_on_small_instances():
-    # cluster size s and deg(y) <= k-2+s force the clone to stay k-chromatic
-    for k, g in ((4, Graph.complete(4)), (4, fused_k4())):
-        for c in clusters(g, k):
-            s = len(c.vertices)
-            for x in sorted(c.vertices):
-                for y in g.neighbors(x):
-                    if g.degree(y) <= k - 2 + s:
-                        assert colorable(clone(g, k, x, y), k - 1) is None
-
-
-def test_clone_rejects_bad_arguments():
-    g = wheel5()
-    with pytest.raises(ValueError):
-        clone(g, 4, 5, 0)  # hub has degree 5, not k-1
-    with pytest.raises(ValueError):
-        clone(g, 4, 0, 2)  # 02 is not an edge
 
 
 # -- color reduction ---------------------------------------------------------------
@@ -304,125 +247,7 @@ def test_extension_json_shape():
     ]
 
 
-# -- collapsibility ----------------------------------------------------------------
-
-
-def oracle_collapsibility(g: Graph, k: int, r: list[int]) -> int:
-    """Brute force over total proper colorings, min over every palette color."""
-    best = 0
-    r = sorted(r)
-    outside = [v for v in range(g.n) if v not in r]
-    for assign in itertools.product(range(1, k), repeat=len(r)):
-        phi = dict(zip(r, assign))
-        if any(phi[u] == phi[v] for u in r for v in r if u < v and g.has_edge(u, v)):
-            continue
-        value = min(
-            sum(
-                1
-                for u in r
-                if phi[u] != c
-                for v in outside
-                if g.has_edge(u, v)
-            )
-            for c in range(1, k)
-        )
-        best = max(best, value)
-    return best
-
-
-def test_collapsibility_anchors():
-    res = collapsibility(Graph.path(4), 4, [0, 1])
-    assert res.value == 0 and res.exact  # one boundary vertex only
-    ip = Graph.from_edges(7, [(0, 2), (0, 3), (1, 4), (1, 5), (1, 6)])
-    assert collapsibility(ip, 4, [0, 1]).value == 2  # minority class leaks
-    assert collapsibility(Graph.complete(4), 4, [0]).value == 0
-
-
-def test_collapsibility_matches_bruteforce():
-    rng = random.Random(23)
-    for _ in range(40):
-        g = random_graph(rng, rng.randrange(3, 8))
-        size = rng.randrange(1, min(4, g.n) + 1)
-        r = rng.sample(range(g.n), size)
-        sub, _ = g.induced(sorted(r))
-        if not colorable(sub, 3):
-            continue
-        assert collapsibility(g, 4, r).value == oracle_collapsibility(g, 4, r)
-
-
-def test_zero_collapsible_boundary_is_monochromatic():
-    cases = [
-        (Graph.path(4), [0, 1]),
-        (Graph.complete(4), [0]),
-        (wheel5(), [5]),
-    ]
-    for g, r in cases:
-        assert collapsibility(g, 4, r).value == 0
-        bd = boundary(g, r)
-        for part in color_partitions(g, sorted(r), 3):
-            spanning_classes = [cls for cls in part if bd & set(cls)]
-            assert len(spanning_classes) <= 1
-
-
-def test_collapsibility_cap_flags_inexact():
-    g = Graph.empty(6)
-    res = collapsibility(g, 4, [0, 1, 2, 3], partition_cap=2)
-    assert not res.exact and res.colorings == 2
-
-
-def test_spanning_complete_core1_extensions_imply_zero_collapsible():
-    for g, r in ((Graph.complete(4), [0]), (wheel5(), [5])):
-        phi = next(iter(minimum_colorings(g, r, 4)))
-        recs = build_extension(g, 4, r, phi)
-        assert recs
-        assert all(
-            rec.spanning and rec.core_size() == 1 and rec.incompleteness == 0
-            for rec in recs
-        )
-        assert collapsibility(g, 4, r).value == 0
-
-
-# -- edge additions -----------------------------------------------------------------
-
-
-def assert_valid_edge_addition(g: Graph, k: int, ea, budget: int) -> None:
-    assert 1 <= len(ea.edges) <= budget
-    for u, v in ea.edges:
-        assert not g.has_edge(u, v)
-    w_graph, remap = ea.witness.to_graph()
-    assert is_k_critical(w_graph, k)
-    assert set(ea.witness.vertices) < set(range(g.n))
-    assert ea.edges <= ea.witness.edges
-    for u, v in ea.witness.edges - ea.edges:
-        assert g.has_edge(u, v)
-
-
-def test_diamond_endpoints_are_a_one_edge_addition():
-    g = planted_diamond()
-    ea = find_edge_addition(g, 4, 1)
-    assert ea is not None and ea.edges == frozenset({(0, 1)})
-    assert_valid_edge_addition(g, 4, ea, 1)
-
-
-def test_complete_plus_pendant_path_has_none():
-    g = Graph.from_edges(6, Graph.complete(4).edges() + [(0, 4), (4, 5)])
-    assert find_edge_addition(g, 4, 1) is None
-
-
-def test_wheel_edge_addition():
-    ea = find_edge_addition(wheel5(), 4, 1)
-    assert ea is not None
-    assert_valid_edge_addition(wheel5(), 4, ea, 1)
-    again = find_edge_addition(wheel5(), 4, 1)
-    assert again is not None and again.edges == ea.edges
-
-
-def test_edge_addition_without_candidates():
-    assert find_edge_addition(Graph.complete(4), 4, 2) is None
-    assert find_edge_addition(Graph.path(3), 4, 1) is None
-
-
-# -- mic, boundary, edge counts, ordering ---------------------------------------------
+# -- mic and edge counts ---------------------------------------------------------------
 
 
 def test_mic_anchors():
@@ -462,10 +287,6 @@ def test_kierstead_rabern_inequality_on_census(census4_8, census5_8):
 
 
 def test_boundary_and_edge_between():
-    g = wheel5()
-    assert boundary(g, range(6)) == frozenset()
-    assert boundary(g, [0, 1]) == frozenset({0, 1})
-    assert boundary(Graph.path(4), [0, 1]) == frozenset({1})
     k4 = Graph.complete(4)
     assert edge_between(k4, [0], [1, 2]) == 2
     rng = random.Random(5)
@@ -476,27 +297,3 @@ def test_boundary_and_edge_between():
         cut = rng.randrange(1, g.n)
         a, b = vs[:cut], vs[cut:]
         assert edge_between(g, a, b) == edge_between(g, b, a)
-
-
-def test_twins_and_smaller_order():
-    paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
-    c4 = Graph.cycle(4)
-    assert twin_pairs(paw) == 1 and twin_pairs(c4) == 0
-    assert twin_pairs(Graph.complete(4)) == 6
-    assert size_triple(paw) == (4, 4, -1)
-    # same order and size: more cloned pairs sorts as smaller
-    assert smaller(paw, c4) and not smaller(c4, paw)
-    assert smaller(Graph.complete(3), c4)  # fewer vertices wins first
-    assert smaller(c4, Graph.complete(4))  # then fewer edges
-    assert not smaller(c4, c4)
-
-
-@given(st.integers(0, 2**15 - 1), st.integers(0, 2**15 - 1))
-@settings(max_examples=60)
-def test_smaller_is_a_strict_order(mask_a, mask_b):
-    pairs = list(itertools.combinations(range(6), 2))
-    a = Graph.from_edges(6, [p for i, p in enumerate(pairs) if mask_a >> i & 1])
-    b = Graph.from_edges(6, [p for i, p in enumerate(pairs) if mask_b >> i & 1])
-    assert not (smaller(a, b) and smaller(b, a))
-    if size_triple(a) == size_triple(b):
-        assert not smaller(a, b) and not smaller(b, a)

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from orelab import suites
 from orelab import (
     DEFAULT_SEED,
     SUITE_IDS,
@@ -112,6 +113,25 @@ def test_suite_runs_are_deterministic():
 def test_census_is_the_default_corpus(suite_id):
     result = run_suite(suite_id, params={"census_max": 6})
     assert result.passed and len(result.rows) == 2  # K4 and the 6-vertex critical graph
+
+
+def test_default_census_is_built_once(monkeypatch):
+    calls = []
+    census_critical = suites.census_critical
+
+    def counting_census(n_max, k):
+        calls.append((n_max, k))
+        return census_critical(n_max, k)
+
+    monkeypatch.setattr(suites, "census_critical", counting_census)
+    suites._built_corpus.cache_clear()
+    try:
+        a = run_suite("ky-bound", params={"census_max": 6})
+        b = run_suite("mic-ineq", params={"census_max": 6})
+    finally:
+        suites._built_corpus.cache_clear()
+    assert calls == [(6, 4)]
+    assert a.passed and b.passed and len(a.rows) == len(b.rows) == 2
 
 
 def test_caps_reject_unknown_keys_and_non_integers():
