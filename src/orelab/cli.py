@@ -69,6 +69,8 @@ def recognize_ore(k, infile, cap):
         except SizeCapError as err:
             click.echo(f"{graph6_encode(g)}\tskip-cap\t{err}")
             continue
+        except ValueError as err:
+            raise click.ClickException(str(err))
         click.echo(f"{graph6_encode(g)}\t{'ore' if witness is not None else 'not-ore'}")
 
 
@@ -79,7 +81,10 @@ def potential_cmd(k, infile):
     """Print exact potential values for each input graph."""
     click.echo("graph6\tn\tm\tT\trho_int\trho")
     for g in _read_graphs(infile):
-        t_val = compute_T(g, k).value
+        try:
+            t_val = compute_T(g, k).value
+        except ValueError as err:
+            raise click.ClickException(str(err))
         click.echo(
             f"{graph6_encode(g)}\t{g.n}\t{g.edge_count()}\t{t_val}"
             f"\t{rho_ky(g, k)}\t{rho(g, k, t_val)}"
@@ -92,7 +97,10 @@ def potential_cmd(k, infile):
 def pack_cmd(k, infile):
     """Print the exact packing value and a witness for each input graph."""
     for g in _read_graphs(infile):
-        witness = compute_T(g, k)
+        try:
+            witness = compute_T(g, k)
+        except ValueError as err:
+            raise click.ClickException(str(err))
         parts = " ".join("+".join(map(str, c)) for c in witness.cliques) or "-"
         click.echo(f"{graph6_encode(g)}\tT={witness.value}\t{parts}")
 

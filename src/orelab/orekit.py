@@ -5,6 +5,10 @@ into two positive-degree halves, and glues x to one half and y to the other.
 Closure of {K_k} under this operation is recognized here by searching
 nonadjacent separating pairs; every found witness is a construction tree that
 re-realizes to the input up to isomorphism.
+
+One search, ``_decompose``, serves recognition and ``ore_decompositions``;
+the catalog composes the graphs it already holds, and the gadget catalog
+finds the key vertices once per tree.
 """
 
 from __future__ import annotations
@@ -54,13 +58,6 @@ class Node:
 
 
 OreTree = Leaf | Node
-
-
-def tree_nodes(tree: OreTree) -> int:
-    """Number of composition steps in the tree."""
-    if isinstance(tree, Leaf):
-        return 0
-    return 1 + tree_nodes(tree.edge_side) + tree_nodes(tree.split_side)
 
 
 def tree_k(tree: OreTree) -> int:
@@ -151,17 +148,20 @@ def tree_from_json(data: dict) -> OreTree:
     if not isinstance(data, dict):
         raise ValueError(f"tree node must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
-    if kind == "leaf":
-        return Leaf(int(data["k"]))
-    if kind == "node":
-        part = data["partition"]
-        return Node(
-            tree_from_json(data["edge_side"]),
-            tree_from_json(data["split_side"]),
-            (int(data["replaced_edge"][0]), int(data["replaced_edge"][1])),
-            int(data["split_vertex"]),
-            (tuple(int(v) for v in part[0]), tuple(int(v) for v in part[1])),
-        )
+    try:
+        if kind == "leaf":
+            return Leaf(int(data["k"]))
+        if kind == "node":
+            part = data["partition"]
+            return Node(
+                tree_from_json(data["edge_side"]),
+                tree_from_json(data["split_side"]),
+                (int(data["replaced_edge"][0]), int(data["replaced_edge"][1])),
+                int(data["split_vertex"]),
+                (tuple(int(v) for v in part[0]), tuple(int(v) for v in part[1])),
+            )
+    except KeyError as err:
+        raise ValueError(f"tree {kind} is missing field {err.args[0]!r}") from None
     raise ValueError(f"unknown tree node kind {kind!r}")
 
 
@@ -182,6 +182,8 @@ def random_ore_tree(k: int, steps: int, rng: random.Random) -> OreTree:
     Shape, replaced edge, split vertex, and neighbor partition are all drawn
     from the rng, so a seeded generator reproduces the tree exactly.
     """
+    if steps < 0:
+        raise ValueError(f"step count must be nonnegative, got {steps}")
     if steps == 0:
         return Leaf(k)
     left = rng.randrange(steps)
@@ -194,9 +196,14 @@ def random_ore_tree(k: int, steps: int, rng: random.Random) -> OreTree:
     z = rng.randrange(g2.n)
     nbrs = sorted(bits_of(g2.adj[z]))
     sel = rng.randrange(1, (1 << len(nbrs)) - 1)
-    part1 = tuple(nbrs[i] for i in range(len(nbrs)) if sel >> i & 1)
-    part2 = tuple(nbrs[i] for i in range(len(nbrs)) if not sel >> i & 1)
-    return Node(t1, t2, edge, z, (part1, part2))
+    return Node(t1, t2, edge, z, _halves(nbrs, sel))
+
+
+def _halves(nbrs: list[int], sel: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split the sorted neighbors of z by the bits of sel: set bits go to the
+    first half, clear bits to the second."""
+    first = tuple(v for i, v in enumerate(nbrs) if sel >> i & 1)
+    return first, tuple(v for i, v in enumerate(nbrs) if not sel >> i & 1)
 
 
 # -- recognition -------------------------------------------------------------
@@ -246,11 +253,14 @@ def _recognize(g: Graph, k: int) -> OreTree | None:
     if key in _MEMO:
         return _MEMO[key]
     result = None
-    for a, b, split_mask in _candidate_splits(g):
-        witness = _try_split(g, k, a, b, split_mask)
-        if witness is not None:
-            result = witness
-            break
+    for a, b, split_mask, (g1, map1, t1), (g2, map2, t2) in _decompose(g, k):
+        # express labels in the realizations so the witness is self-contained
+        inv1 = {v: u for u, v in isomorphism(_realize(t1), g1).items()}
+        inv2 = {v: u for u, v in isomorphism(_realize(t2), g2).items()}
+        part_a = tuple(sorted(inv2[map2[w]] for w in bits_of(g.adj[a] & split_mask)))
+        part_b = tuple(sorted(inv2[map2[w]] for w in bits_of(g.adj[b] & split_mask)))
+        result = Node(t1, t2, (inv1[map1[a]], inv1[map1[b]]), inv2[map2[a]], (part_a, part_b))
+        break
     _MEMO[key] = result
     return result
 
@@ -284,36 +294,28 @@ def _candidate_splits(g: Graph):
                 yield a, b, split_mask
 
 
-def _edge_side(g: Graph, a: int, b: int, split_mask: int) -> tuple[Graph, dict[int, int]]:
-    """Drop the split interior and restore the replaced edge ab; the map
-    sends each kept host vertex (a and b included) to its id."""
-    g1, map1 = g.induced(bits_of(g.full_mask() & ~split_mask))
-    return g1.add_edge(map1[a], map1[b]), map1
+def _decompose(g: Graph, k: int):
+    """Yield each candidate split whose two sides are closure members, as
+    (a, b, split_mask, (g1, map1, t1), (g2, map2, t2)).
 
-
-def _split_side(g: Graph, a: int, b: int, split_mask: int) -> tuple[Graph, dict[int, int]]:
-    """Keep the split interior plus the pair and merge the pair back into z;
-    the map sends each kept host vertex (a and b to z) to its id."""
-    sub2, map2 = g.induced(bits_of(split_mask | (1 << a) | (1 << b)))
-    g2, idmap = identify(sub2, map2[a], map2[b])
-    return g2, {v: idmap[i] for v, i in map2.items()}
-
-
-def _try_split(g: Graph, k: int, a: int, b: int, split_mask: int) -> Node | None:
-    g1, map1 = _edge_side(g, a, b, split_mask)
-    t1 = _recognize(g1, k)
-    if t1 is None:
-        return None
-    g2, map2 = _split_side(g, a, b, split_mask)
-    t2 = _recognize(g2, k)
-    if t2 is None:
-        return None
-    # express labels in the realizations so the witness is self-contained
-    inv1 = {v: u for u, v in isomorphism(_realize(t1), g1).items()}
-    inv2 = {v: u for u, v in isomorphism(_realize(t2), g2).items()}
-    part_a = tuple(sorted(inv2[map2[w]] for w in bits_of(g.adj[a] & split_mask)))
-    part_b = tuple(sorted(inv2[map2[w]] for w in bits_of(g.adj[b] & split_mask)))
-    return Node(t1, t2, (inv1[map1[a]], inv1[map1[b]]), inv2[map2[a]], (part_a, part_b))
+    g1 drops the split interior and restores the replaced edge ab; g2 keeps
+    the split interior plus the pair and merges the pair back into z. Each
+    map sends the kept host vertices to their ids in that side, and t1, t2
+    are the recognized trees. The split side is built only once the edge
+    side is recognized.
+    """
+    for a, b, split_mask in _candidate_splits(g):
+        g1, map1 = g.induced(bits_of(g.full_mask() & ~split_mask))
+        g1 = g1.add_edge(map1[a], map1[b])
+        t1 = _recognize(g1, k)
+        if t1 is None:
+            continue
+        sub2, sub_map = g.induced(bits_of(split_mask | (1 << a) | (1 << b)))
+        g2, idmap = identify(sub2, sub_map[a], sub_map[b])
+        t2 = _recognize(g2, k)
+        if t2 is not None:
+            map2 = {v: idmap[i] for v, i in sub_map.items()}
+            yield a, b, split_mask, (g1, map1, t1), (g2, map2, t2)
 
 
 @dataclass(frozen=True)
@@ -333,16 +335,10 @@ def ore_decompositions(g: Graph, k: int, cap: int = DEFAULT_RECOGNITION_CAP) -> 
     """All top-level decompositions of g into two closure members."""
     if g.n > cap:
         raise SizeCapError("decomposition vertex count", g.n, cap)
-    out = []
-    for a, b, split_mask in _candidate_splits(g):
-        g1, map1 = _edge_side(g, a, b, split_mask)
-        if _recognize(g1, k) is None:
-            continue
-        g2, map2 = _split_side(g, a, b, split_mask)
-        if _recognize(g2, k) is None:
-            continue
-        out.append(Decomposition(a, b, frozenset(map1), frozenset(map2)))
-    return out
+    return [
+        Decomposition(a, b, frozenset(map1), frozenset(map2))
+        for a, b, _, (_, map1, _), (_, map2, _) in _decompose(g, k)
+    ]
 
 
 def key_vertices(tree: OreTree, cap: int = DEFAULT_RECOGNITION_CAP) -> frozenset[int]:
@@ -384,27 +380,6 @@ class Gadget:
     key_vertices: frozenset[int]
 
 
-def make_gadget(tree: OreTree, x: int, cap: int = DEFAULT_RECOGNITION_CAP) -> Gadget:
-    """Delete vertex x (degree k-1, cluster size >= 2) from the realization.
-
-    The cluster-size requirement keeps x away from every overlap pair, which
-    is what makes the leftover graph useful as a pattern.
-    """
-    k = tree_k(tree)
-    g = _realize(tree)
-    if not 0 <= x < g.n:
-        raise ValueError(f"vertex {x} not in realization")
-    if g.degree(x) != k - 1:
-        raise ValueError(f"gadget vertex must have degree {k - 1}, got {g.degree(x)}")
-    cluster = next((c for c in clusters(g, k) if x in c.vertices), None)
-    if cluster is None or len(cluster.vertices) < 2:
-        raise ValueError("gadget vertex must lie in a cluster of size >= 2")
-    keys = key_vertices(tree, cap)
-    stripped, remap = g.delete_vertex(x)
-    kept_keys = frozenset(remap[v] for v in keys if v != x)
-    return Gadget(k, tree, x, stripped, kept_keys)
-
-
 # -- exhaustive catalogs -----------------------------------------------------
 
 
@@ -426,13 +401,10 @@ def ore_catalog(k: int, max_steps: int) -> tuple[OreTree, ...]:
                         for z in range(g2.n):
                             nbrs = sorted(bits_of(g2.adj[z]))
                             for sel in range(1, (1 << len(nbrs)) - 1):
-                                part1 = tuple(nbrs[i] for i in range(len(nbrs)) if sel >> i & 1)
-                                part2 = tuple(nbrs[i] for i in range(len(nbrs)) if not sel >> i & 1)
-                                node = Node(t1, t2, edge, z, (part1, part2))
-                                g = _realize(node)
-                                key = canonical_form(g).key
+                                halves = _halves(nbrs, sel)
+                                key = canonical_form(ore_compose(g1, edge, g2, z, halves)).key
                                 if key not in found:
-                                    found[key] = node
+                                    found[key] = Node(t1, t2, edge, z, halves)
         levels.append(found)
     out: list[OreTree] = []
     for level in levels:
@@ -444,24 +416,25 @@ def ore_catalog(k: int, max_steps: int) -> tuple[OreTree, ...]:
 def gadget_catalog(k: int, max_steps: int) -> tuple[Gadget, ...]:
     """Every gadget obtainable from the ore_catalog, deduplicated by the
     canonical form of the stripped graph together with the canonical
-    positions of its key vertices."""
+    positions of its key vertices.
+
+    A gadget deletes a vertex x of degree k-1 whose cluster has size >= 2;
+    that keeps x away from every overlap pair, which is what makes the
+    leftover graph useful as a pattern.
+    """
     out: list[Gadget] = []
     seen: set[tuple] = set()
     for tree in ore_catalog(k, max_steps):
         g = _realize(tree)
-        eligible = {
-            v
-            for c in clusters(g, k)
-            if len(c.vertices) >= 2
-            for v in c.vertices
-        }
+        keys = key_vertices(tree)
+        eligible = {v for c in clusters(g, k) if len(c.vertices) >= 2 for v in c.vertices}
         for x in sorted(eligible):
-            gadget = make_gadget(tree, x)
-            cf = canonical_form(gadget.graph)
+            stripped, remap = g.delete_vertex(x)
+            kept_keys = frozenset(remap[v] for v in keys if v != x)
+            cf = canonical_form(stripped)
             pos = {v: i for i, v in enumerate(cf.labeling)}
-            sig = (cf.key, frozenset(pos[v] for v in gadget.key_vertices))
-            if sig in seen:
-                continue
-            seen.add(sig)
-            out.append(gadget)
+            sig = (cf.key, frozenset(pos[v] for v in kept_keys))
+            if sig not in seen:
+                seen.add(sig)
+                out.append(Gadget(k, tree, x, stripped, kept_keys))
     return tuple(out)

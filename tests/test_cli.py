@@ -1,11 +1,12 @@
 """Command-line behavior, exercised through click's test runner."""
 
 import json
+from functools import partial
 
 from click.testing import CliRunner
 
 import orelab.cli
-from orelab import Graph, graph6_decode, graph6_encode, is_k_ore, tree_loads
+from orelab import Graph, compute_T, graph6_decode, graph6_encode, is_k_ore, tree_loads
 from orelab.cli import main
 
 
@@ -47,6 +48,22 @@ def test_gen_ore_tree_sidecar(tmp_path):
 def test_gen_ore_rejects_bad_k():
     result = invoke("gen-ore", "--k", "2", "--steps", "1", "--seed", "1")
     assert result.exit_code != 0
+    negative = invoke("gen-ore", "--k", "4", "--steps", "-1", "--seed", "1")
+    assert negative.exit_code == 1 and isinstance(negative.exception, SystemExit)
+    assert "Error: step count must be nonnegative, got -1" in negative.output
+
+
+def test_low_k_and_packing_cap_are_clean_errors(monkeypatch):
+    k4 = graph6_encode(Graph.complete(4)) + "\n"
+    for command in ("recognize-ore", "pack", "potential"):
+        result = invoke(command, "--k", "3", "--in", "-", input=k4)
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), command
+        assert "Error:" in result.output and "k >= 4" in result.output, command
+    monkeypatch.setattr(orelab.cli, "compute_T", partial(compute_T, clique_cap=1))
+    for command in ("pack", "potential"):
+        result = invoke(command, "--k", "4", "--in", "-", input=k4)
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), command
+        assert "Error:" in result.output and "exceeds cap 1" in result.output, command
 
 
 def test_recognize_ore():

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from orelab import orekit
 from orelab import (
     Graph,
     Leaf,
@@ -23,7 +24,6 @@ from orelab import (
     is_k_critical,
     is_k_ore,
     key_vertices,
-    make_gadget,
     ore_catalog,
     ore_compose,
     ore_decompositions,
@@ -34,7 +34,6 @@ from orelab import (
     tree_from_json,
     tree_k,
     tree_loads,
-    tree_nodes,
     tree_to_json,
 )
 
@@ -45,6 +44,13 @@ def one_step() -> Node:
 
 def wheel5() -> Graph:
     return Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
+
+
+def steps(tree) -> int:
+    """Number of composition steps (Node objects) in the tree."""
+    if isinstance(tree, Leaf):
+        return 0
+    return 1 + steps(tree.edge_side) + steps(tree.split_side)
 
 
 def seeded_trees(k: int, count: int, max_steps: int, seed: str):
@@ -97,7 +103,7 @@ def test_realize_counts_and_ky_value():
     for k in (4, 5, 6):
         for tree in seeded_trees(k, 12, 3, f"counts:{k}"):
             g = realize(tree)
-            l = tree_nodes(tree)
+            l = steps(tree)
             assert g.n == k + l * (k - 1)
             assert g.edge_count() == (l + 1) * k * (k - 1) // 2 - l
             assert rho_ky(g, k) == k * (k - 3)
@@ -134,12 +140,27 @@ def test_tree_json_rejects_malformed_input():
         tree_from_json({"kind": "nonsense"})
     with pytest.raises(ValueError):
         tree_loads("[1, 2]")
+    with pytest.raises(ValueError, match="tree leaf is missing field 'k'"):
+        tree_loads('{"kind": "leaf"}')
+    with pytest.raises(ValueError, match="tree node is missing field"):
+        tree_loads('{"kind": "node"}')
+    for field in ("edge_side", "split_side", "replaced_edge", "split_vertex", "partition"):
+        node = tree_to_json(one_step())
+        del node[field]
+        with pytest.raises(ValueError, match=f"tree node is missing field '{field}'"):
+            tree_from_json(node)
+    leaf_inside = tree_to_json(one_step())
+    del leaf_inside["split_side"]["k"]
+    with pytest.raises(ValueError, match="tree leaf is missing field 'k'"):
+        tree_from_json(leaf_inside)
+    with pytest.raises(ValueError, match="nonnegative"):
+        random_ore_tree(4, -1, random.Random(0))
 
 
 def test_random_tree_determinism():
     a = random_ore_tree(4, 3, random.Random(99))
     b = random_ore_tree(4, 3, random.Random(99))
-    assert a == b and tree_nodes(a) == 3 and tree_k(a) == 4
+    assert a == b and steps(a) == 3 and tree_k(a) == 4
 
 
 # -- recognition -------------------------------------------------------------------
@@ -206,26 +227,43 @@ def test_key_vertices():
 # -- gadgets ----------------------------------------------------------------------
 
 
-def test_make_gadget_from_complete_leaf():
-    gadget = make_gadget(Leaf(4), 2)
+def test_gadget_catalog_from_complete_leaf():
+    # the only gadget of K_4 is K_3; dedup keeps the one with x = 0
+    (gadget,) = gadget_catalog(4, 0)
+    assert gadget.tree == Leaf(4) and gadget.deleted_vertex == 0
     assert gadget.graph == Graph.complete(3)
     assert gadget.key_vertices == frozenset(range(3))
-    assert gadget.deleted_vertex == 2
 
 
-def test_make_gadget_from_composition():
-    tree = one_step()
-    g = realize(tree)
-    eligible = {
-        v for c in clusters(g, 4) if len(c.vertices) >= 2 for v in c.vertices
-    }
-    assert eligible
-    x = min(eligible)
-    gadget = make_gadget(tree, x)
-    assert gadget.graph.n == 6
-    ineligible = min(set(range(g.n)) - eligible)
-    with pytest.raises(ValueError):
-        make_gadget(tree, ineligible)
+def test_gadget_catalog_from_composition():
+    # a gadget deletes a vertex of a cluster of size >= 2 and keeps the
+    # surviving key vertices of its host
+    g = realize(one_step())
+    gadgets = [gd for gd in gadget_catalog(4, 1) if is_isomorphic(realize(gd.tree), g)]
+    assert gadgets
+    for gadget in gadgets:
+        host, x = realize(gadget.tree), gadget.deleted_vertex
+        eligible = {v for c in clusters(host, 4) if len(c.vertices) >= 2 for v in c.vertices}
+        assert x in eligible and eligible != set(range(host.n))
+        stripped, remap = host.delete_vertex(x)
+        assert gadget.graph == stripped and gadget.graph.n == 6
+        keys = key_vertices(gadget.tree)
+        assert gadget.key_vertices == frozenset(remap[v] for v in keys if v != x)
+
+
+def test_gadget_catalog_finds_key_vertices_once_per_tree(monkeypatch):
+    calls = []
+
+    def counted(tree, cap=orekit.DEFAULT_RECOGNITION_CAP):
+        calls.append(tree)
+        return key_vertices(tree, cap)
+
+    monkeypatch.setattr(orekit, "key_vertices", counted)
+    for k in (4, 5):
+        calls.clear()
+        fresh = gadget_catalog.__wrapped__(k, 2)
+        assert calls == list(ore_catalog(k, 2))
+        assert fresh == gadget_catalog(k, 2)
 
 
 def test_catalog_sizes_and_contents():

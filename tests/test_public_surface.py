@@ -18,7 +18,6 @@ PACKAGE = ROOT / "src" / "orelab"
 
 ALLOWED_UNUSED = {
     "tree_loads": "reads back the JSON lines that gen-ore --tree-out writes",
-    "tree_nodes": "counts the composition steps of a tree read with tree_loads",
     "clear_recognition_cache": "the only way to release the unbounded recognition memo",
     "colorable": "the witness-returning, re-verified form of first_coloring",
     "is_isomorphic": "the isomorphism predicate over canonical_key for library users",
