@@ -1,12 +1,16 @@
-"""Behaviour locks for the verification suites and the composition catalogs.
+"""Behaviour locks for the verification suites, the composition catalogs and
+the discharging and extension records.
 
 ``orelab verify --suite all --census 7`` at k = 4 and k = 5 must reproduce
 the per-suite counts, configs and row digests recorded in
 ``tests/golden/verify_all.json``. ``ore_catalog(k, 2)`` and
 ``gadget_catalog(k, 2)`` at k = 4 and 5 must reproduce the counts and
 digests in ``tests/golden/catalogs.json``; the gadget digest covers the key
-vertices, which no suite row shows. Refactors must leave both files
-untouched; regenerate them only for an intended change of results, with
+vertices, which no suite row shows. ``tests/golden/structure.json`` holds
+digests of every ``charge_report`` field (one line per ledger row) and of
+every ``build_extension`` record on fixed small corpora; suite rows show
+only totals of either. Refactors must leave all three files untouched;
+regenerate them only for an intended change of results, with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -18,11 +22,27 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
-from orelab import gadget_catalog, graph6_encode, ore_catalog, tree_dumps, tree_to_json
+from itertools import combinations
+
+from orelab import (
+    Graph,
+    build_extension,
+    census_critical,
+    charge_report,
+    gadget_catalog,
+    graph6_encode,
+    graph_classes,
+    minimum_colorings,
+    ore_catalog,
+    realize,
+    tree_dumps,
+    tree_to_json,
+)
 from orelab.cli import main
 
 GOLDEN = Path(__file__).with_name("golden") / "verify_all.json"
 CATALOGS = Path(__file__).with_name("golden") / "catalogs.json"
+STRUCTURE = Path(__file__).with_name("golden") / "structure.json"
 SEED = 20250801
 CENSUS = 7
 KS = (4, 5)
@@ -79,6 +99,80 @@ def catalog_snapshot() -> dict:
     return out
 
 
+def _charge_lines(g, k: int, cap: int = 2) -> list[str]:
+    rep = charge_report(g, k, ore_catalog_cap=cap)
+    head = {
+        "graph6": graph6_encode(g),
+        "k": rep.k,
+        "roles": [rep.roles.roles[v] for v in range(g.n)],
+        "complete": rep.roles.complete,
+        "catalog_size": rep.roles.catalog_size,
+        "promoted": sorted(rep.roles.promoted),
+        "sizes": rep.sizes,
+        "lm_to_rest_edges": rep.lm_to_rest_edges,
+        "lm_identity_value": rep.lm_identity_value,
+        "identity_hypothesis": rep.identity_hypothesis,
+        "m_p_edges": rep.m_p_edges,
+        "total_charge": str(rep.total_charge),
+        "rho_plus_delta_t": str(rep.rho_plus_delta_t),
+        "heavy_class_over_residue": rep.heavy_class_over_residue,
+        "lone_singleton_frontier": rep.lone_singleton_frontier,
+    }
+    lines = [json.dumps(head, sort_keys=True)]
+    for r in rep.ledger.rows:
+        lines.append(
+            json.dumps([r.vertex, r.degree, r.role, r.label, str(r.initial), str(r.final)])
+        )
+    return lines
+
+
+def _extension_lines(g, k: int) -> list[str]:
+    # the extension-potential suite's limits: 2 colorings, 3 witnesses
+    lines = []
+    for r_set in combinations(range(g.n), 3):
+        for phi in minimum_colorings(g, r_set, k, limit=2):
+            for rec in build_extension(g, k, r_set, phi, limit=3):
+                record = {
+                    "graph6": graph6_encode(g),
+                    "r_set": sorted(rec.r_set),
+                    "phi": [list(p) for p in rec.phi],
+                    "w_vertices": list(rec.w_subgraph.vertices),
+                    "w_edges": sorted(map(list, rec.w_subgraph.edges)),
+                    "core": list(rec.core),
+                    "r_prime": sorted(rec.r_prime),
+                    "incompleteness": rec.incompleteness,
+                    "spanning": rec.spanning,
+                }
+                lines.append(json.dumps(record, sort_keys=True))
+    return lines
+
+
+def structure_snapshot() -> dict:
+    out = {}
+    for k in KS:
+        census = census_critical(CENSUS, k).graphs
+        out[f"census{CENSUS}_k{k}"] = {
+            "charge_report": _digest([line for g in census for line in _charge_lines(g, k)]),
+            "build_extension": _digest([line for g in census for line in _extension_lines(g, k)]),
+        }
+    classes = [g for n in range(7) for g in graph_classes(n)]
+    out["classes6_k4"] = {
+        "charge_report": _digest([line for g in classes for line in _charge_lines(g, 4)])
+    }
+    trees = [realize(tree) for tree in ore_catalog(6, 1)]
+    out["ore1_k6"] = {
+        "charge_report": _digest([line for g in trees for line in _charge_lines(g, 6, cap=1)])
+    }
+    # gadgets are embedded only for a degree-(k-1) vertex on no K_{k-3}, which
+    # none of the graphs above has; every vertex of the Clebsch graph
+    # (5-regular, triangle-free) is one at k = 6
+    clebsch = Graph.from_edges(
+        16, [(u, v) for u, v in combinations(range(16), 2) if bin(u ^ v).count("1") in (1, 4)]
+    )
+    out["clebsch_k6"] = {"charge_report": _digest(_charge_lines(clebsch, 6, cap=1))}
+    return out
+
+
 def test_verify_all_matches_golden(tmp_path):
     expected = json.loads(GOLDEN.read_text())
     fresh = snapshot(tmp_path)
@@ -94,8 +188,13 @@ def test_catalogs_match_golden():
     assert catalog_snapshot() == json.loads(CATALOGS.read_text())
 
 
+def test_structure_matches_golden():
+    assert structure_snapshot() == json.loads(STRUCTURE.read_text())
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         GOLDEN.write_text(json.dumps(snapshot(Path(tmp)), indent=2) + "\n")
     CATALOGS.write_text(json.dumps(catalog_snapshot(), indent=2) + "\n")
-    sys.stdout.write(f"wrote {GOLDEN} and {CATALOGS}\n")
+    STRUCTURE.write_text(json.dumps(structure_snapshot(), indent=2) + "\n")
+    sys.stdout.write(f"wrote {GOLDEN}, {CATALOGS} and {STRUCTURE}\n")
