@@ -3,7 +3,9 @@ criticality, critical-subgraph extraction, and the degree-class edge-count
 check.
 
 Everything here is a complete search; answers are never heuristic. Witness
-colorings are re-verified against the graph before being returned.
+colorings are re-verified against the graph before being returned. The
+criticality test and the critical-subgraph search work on adjacency rows and
+share one step: delete an edge and test (k-1)-colorability.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ class PartialColoring:
 
     assignment: dict[int, int]
     palette: int
-
-    def colors_used(self) -> set[int]:
-        return set(self.assignment.values())
 
     def is_proper(self, g: Graph) -> bool:
         for v, c in self.assignment.items():
@@ -145,12 +144,18 @@ def is_k_critical(g: Graph, k: int) -> bool:
     if first_coloring(g.adj, k - 1) is not None:
         return False
     for u, v in g.edges():
-        rows = list(g.adj)
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-        if first_coloring(rows, k - 1) is None:
+        if _uncolorable_without(g.adj, u, v, k - 1) is not None:
             return False
     return True
+
+
+def _uncolorable_without(rows: Sequence[int], u: int, v: int, t: int) -> list[int] | None:
+    """The rows with edge uv deleted if they are still not t-colorable,
+    otherwise None."""
+    trial = list(rows)
+    trial[u] &= ~(1 << v)
+    trial[v] &= ~(1 << u)
+    return trial if first_coloring(trial, t) is None else None
 
 
 # -- critical subgraph extraction --------------------------------------------
@@ -169,32 +174,20 @@ class Subgraph:
         return g, remap
 
 
-def _edges_colorable(n: int, edges: Iterable[tuple[int, int]], t: int) -> bool:
-    rows = [0] * n
-    for u, v in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return first_coloring(rows, t) is not None
-
-
-def _minimalize(n: int, edges: frozenset, k: int) -> frozenset:
-    """Drop removable edges in one deterministic pass.
+def _minimalize(rows: list[int], edges: list[tuple[int, int]], k: int) -> list[int]:
+    """Drop removable edges in one deterministic pass over ``edges``.
 
     An edge that is not removable (its deletion makes the graph
     (k-1)-colorable) stays non-removable as other edges are dropped, so a
     single ordered pass reaches an edge-minimal non-(k-1)-colorable subgraph.
+    Edges already missing from ``rows`` are skipped.
     """
-    current = set(edges)
-    for e in sorted(edges):
-        trial = current - {e}
-        if not _edges_colorable(n, trial, k - 1):
-            current = trial
-    return frozenset(current)
-
-
-def _subgraph_from_edges(edges: frozenset) -> Subgraph:
-    verts = sorted({v for e in edges for v in e})
-    return Subgraph(tuple(verts), edges)
+    for u, v in edges:
+        if rows[u] >> v & 1:
+            trial = _uncolorable_without(rows, u, v, k - 1)
+            if trial is not None:
+                rows = trial
+    return rows
 
 
 def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Subgraph]:
@@ -202,24 +195,30 @@ def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Subgraph]:
 
     Requires g itself to not be (k-1)-colorable. Enumeration restarts with
     each single edge force-deleted first, which surfaces distinct minimal
-    subgraphs; at most ``limit`` distinct results are returned.
+    subgraphs; at most ``limit`` distinct results are returned, ordered by
+    their sorted edge lists. Subgraphs are held as adjacency rows.
     """
     if first_coloring(g.adj, k - 1) is not None:
         raise ValueError("graph is (k-1)-colorable; no k-critical subgraph exists")
-    all_edges = frozenset(tuple(e) for e in g.edges())
-    found: dict[frozenset, Subgraph] = {}
-    base = _minimalize(g.n, all_edges, k)
-    found[base] = _subgraph_from_edges(base)
-    for e in sorted(all_edges):
+    edges = g.edges()
+    found: dict[tuple[int, ...], Subgraph] = {}
+
+    def record(rows: list[int]) -> None:
+        w = tuple(_minimalize(rows, edges, k))
+        if w not in found:
+            found[w] = Subgraph(
+                tuple(v for v in range(g.n) if w[v]),
+                frozenset((u, v) for u, v in edges if w[u] >> v & 1),
+            )
+
+    record(list(g.adj))
+    for u, v in edges:
         if len(found) >= limit:
             break
-        trial = all_edges - {e}
-        if _edges_colorable(g.n, trial, k - 1):
-            continue
-        w = _minimalize(g.n, frozenset(trial), k)
-        if w not in found:
-            found[w] = _subgraph_from_edges(w)
-    return [found[key] for key in sorted(found, key=sorted)]
+        trial = _uncolorable_without(g.adj, u, v, k - 1)
+        if trial is not None:
+            record(trial)
+    return sorted(found.values(), key=lambda w: sorted(w.edges))
 
 
 # -- proper partitions (colorings up to color permutation) -------------------

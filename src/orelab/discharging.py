@@ -3,17 +3,19 @@ vertices, the two redistribution rules, class sizes, and the exact edge and
 charge identities that tie redistribution back to the potential.
 
 Roles and rules are evaluated on any host graph; facts that hold only for
-minimal counterexamples are reported as observations, never asserted.
+minimal counterexamples are reported as observations, never asserted. One
+report derives each per-graph fact once: classification finds the clusters
+and fetches the gadget catalog, the rules read cluster sizes from the role
+report, and the ledger carries the potential parameters to the audit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .graphs import Graph, cliques_of_size, embeddings
-from .orekit import gadget_catalog
+from .orekit import Gadget, gadget_catalog
 from .packing import compute_T
 from .potential import PotentialParams, rho
 from .structure import clusters, edge_between
@@ -31,12 +33,14 @@ class RoleReport:
     ``complete`` is True when the gadget catalog covered every size that
     could embed into the host, so no vertex can be under-labeled. ``promoted``
     lists vertices relabeled structure to keep labels cluster-constant.
+    ``cluster_size`` maps each degree-(k-1) vertex to the size of its cluster.
     """
 
     roles: dict[int, str]
     complete: bool
     catalog_size: int
     promoted: frozenset[int]
+    cluster_size: dict[int, int]
 
 
 def _small_clique_members(g: Graph, k: int) -> set[int]:
@@ -51,9 +55,9 @@ def _small_clique_members(g: Graph, k: int) -> set[int]:
     return members
 
 
-def _gadget_key_hits(g: Graph, k: int, max_steps: int, target: set[int]) -> set[int]:
+def _gadget_key_hits(g: Graph, catalog: tuple[Gadget, ...], target: set[int]) -> set[int]:
     hits: set[int] = set()
-    for gadget in gadget_catalog(k, max_steps):
+    for gadget in catalog:
         if gadget.graph.n > g.n or not gadget.key_vertices:
             continue
         for image in embeddings(gadget.graph, g):
@@ -81,22 +85,14 @@ def classify_degree_k1(g: Graph, k: int, ore_catalog_cap: int = 2) -> RoleReport
     low = {v for v in range(g.n) if g.degree(v) == k - 1}
     roles: dict[int, str] = {v: ROLE_OTHER for v in range(g.n)}
     cluster_list = clusters(g, k)
-    cluster_of_vertex = {}
-    for c in cluster_list:
-        for v in c.vertices:
-            cluster_of_vertex[v] = c
+    cluster_of = {v: c.vertices for c in cluster_list for v in c.vertices}
 
     in_clique = _small_clique_members(g, k)
     # every gadget comes from a host on k + steps*(k-1) vertices, one removed
-    largest_useful = 0
-    steps = 0
-    while k + steps * (k - 1) - 1 <= g.n:
-        largest_useful = steps
-        steps += 1
-    complete = ore_catalog_cap >= largest_useful
+    complete = ore_catalog_cap >= max(0, (g.n + 1 - k) // (k - 1))
     catalog = gadget_catalog(k, ore_catalog_cap)
     key_targets = {v for v in low if v not in in_clique}
-    key_hits = _gadget_key_hits(g, k, ore_catalog_cap, key_targets) if key_targets else set()
+    key_hits = _gadget_key_hits(g, catalog, key_targets) if key_targets else set()
 
     structure = {v for v in low if v in in_clique or v in key_hits}
     promoted: set[int] = set()
@@ -109,17 +105,14 @@ def classify_degree_k1(g: Graph, k: int, ore_catalog_cap: int = 2) -> RoleReport
         if v in structure:
             roles[v] = ROLE_STRUCTURE
             continue
-        c = cluster_of_vertex[v]
-        outside = [
-            u for u in g.neighbors(v)
-            if u in low and u not in c.vertices
-        ]
+        outside = [u for u in g.neighbors(v) if u in low and u not in cluster_of[v]]
         roles[v] = ROLE_NEAR if outside else ROLE_LONE
-        if roles[v] == ROLE_LONE and len(c.vertices) > k - 4:
+        if roles[v] == ROLE_LONE and len(cluster_of[v]) > k - 4:
             raise AssertionError(
                 "a lone cluster this large is itself a clique witness"
             )
-    return RoleReport(roles, complete, len(catalog), frozenset(promoted))
+    cluster_size = {v: len(members) for v, members in cluster_of.items()}
+    return RoleReport(roles, complete, len(catalog), frozenset(promoted), cluster_size)
 
 
 LABEL_L = "L"
@@ -141,7 +134,7 @@ class VertexCharge:
 
 @dataclass(frozen=True)
 class ChargeLedger:
-    k: int
+    params: PotentialParams
     rows: tuple[VertexCharge, ...]
 
     def total_initial(self) -> Fraction:
@@ -150,52 +143,20 @@ class ChargeLedger:
     def total_final(self) -> Fraction:
         return sum((r.final for r in self.rows), Fraction(0))
 
-    def label_sizes(self) -> dict[str, int]:
-        out = {LABEL_L: 0, LABEL_M: 0, LABEL_P: 0, LABEL_Q: 0, LABEL_R: 0}
-        for r in self.rows:
-            out[r.label] += 1
-        return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "rows": [
-                {
-                    "vertex": r.vertex,
-                    "degree": r.degree,
-                    "role": r.role,
-                    "label": r.label,
-                    "w": str(r.initial),
-                    "w_after": str(r.final),
-                }
-                for r in self.rows
-            ],
-        }
-
-    def csv_rows(self) -> list[list[str]]:
-        head = ["vertex", "degree", "role", "label", "w", "w_after"]
-        body = [
-            [str(r.vertex), str(r.degree), r.role, r.label, str(r.initial), str(r.final)]
-            for r in self.rows
-        ]
-        return [head] + body
-
-
-def initial_charge(g: Graph, k: int, v: int) -> Fraction:
-    eps = PotentialParams.for_k(k).eps
-    return (k - 2) * (k + 1) + eps - g.degree(v) * (k - 1)
-
-
-def apply_rules(g: Graph, k: int, roles: Mapping[int, str]) -> ChargeLedger:
+def apply_rules(g: Graph, k: int, report: RoleReport) -> ChargeLedger:
     """Run both redistribution rules and return the per-vertex ledger.
 
-    Rule one: each vertex of degree d >= k+2 keeps exactly -2+eps and sends
-    (k-d)(k-1)/d along each edge. Rule two: each structure vertex sends a
-    total of -(k-1) split equally over its near-vertex neighbors; with no
-    near neighbor nothing moves, the only reading that conserves charge.
+    Every vertex v starts with (k-2)(k+1) + eps - d(v)(k-1). Rule one: each
+    vertex of degree d >= k+2 keeps exactly -2+eps and sends (k-d)(k-1)/d
+    along each edge. Rule two: each structure vertex sends a total of -(k-1)
+    split equally over its near-vertex neighbors; with no near neighbor
+    nothing moves, the only reading that conserves charge.
     """
-    eps = PotentialParams.for_k(k).eps
-    initial = {v: initial_charge(g, k, v) for v in range(g.n)}
+    params = PotentialParams.for_k(k)
+    roles = report.roles
+    base = (k - 2) * (k + 1) + params.eps
+    initial = {v: base - g.degree(v) * (k - 1) for v in range(g.n)}
     shift: dict[int, Fraction] = {v: Fraction(0) for v in range(g.n)}
     for v in range(g.n):
         d = g.degree(v)
@@ -207,12 +168,12 @@ def apply_rules(g: Graph, k: int, roles: Mapping[int, str]) -> ChargeLedger:
                 shift[u] += per_edge
             # the residue rule is about what the sender keeps, before any
             # charge it receives back from other senders
-            if initial[v] - sent_total != -2 + eps:
+            if initial[v] - sent_total != -2 + params.eps:
                 raise AssertionError("sender residue is off")
     for v in range(g.n):
-        if roles.get(v) != ROLE_STRUCTURE:
+        if roles[v] != ROLE_STRUCTURE:
             continue
-        near = [u for u in g.neighbors(v) if roles.get(u) == ROLE_NEAR]
+        near = [u for u in g.neighbors(v) if roles[u] == ROLE_NEAR]
         if not near:
             continue
         sent_total = Fraction(-(k - 1))
@@ -220,17 +181,13 @@ def apply_rules(g: Graph, k: int, roles: Mapping[int, str]) -> ChargeLedger:
         for u in near:
             shift[u] += sent_total / len(near)
 
-    size_of_cluster = {}
-    for c in clusters(g, k):
-        for v in c.vertices:
-            size_of_cluster[v] = len(c.vertices)
     rows = []
     for v in range(g.n):
         d = g.degree(v)
-        role = roles.get(v, ROLE_OTHER)
-        if role == ROLE_LONE and size_of_cluster[v] == 1:
+        role = roles[v]
+        if role == ROLE_LONE and report.cluster_size[v] == 1:
             label = LABEL_L
-        elif role == ROLE_LONE and size_of_cluster[v] == 2:
+        elif role == ROLE_LONE and report.cluster_size[v] == 2:
             label = LABEL_M
         elif d == k:
             label = LABEL_P
@@ -239,7 +196,7 @@ def apply_rules(g: Graph, k: int, roles: Mapping[int, str]) -> ChargeLedger:
         else:
             label = LABEL_R
         rows.append(VertexCharge(v, d, role, label, initial[v], initial[v] + shift[v]))
-    ledger = ChargeLedger(k, tuple(rows))
+    ledger = ChargeLedger(params, tuple(rows))
     if ledger.total_initial() != ledger.total_final():
         raise AssertionError("rules moved charge without conserving it")
     return ledger
@@ -262,9 +219,6 @@ class ChargeReport:
     heavy_class_over_residue: int
     lone_singleton_frontier: bool
 
-    def identity_checked(self) -> bool:
-        return self.identity_hypothesis
-
 
 def charge_report(g: Graph, k: int, ore_catalog_cap: int = 2) -> ChargeReport:
     """Classify, redistribute, and audit the arithmetic on one graph.
@@ -278,11 +232,12 @@ def charge_report(g: Graph, k: int, ore_catalog_cap: int = 2) -> ChargeReport:
     minimal counterexamples.
     """
     roles = classify_degree_k1(g, k, ore_catalog_cap)
-    ledger = apply_rules(g, k, roles.roles)
-    sizes = ledger.label_sizes()
-    by_label: dict[str, set[int]] = {lab: set() for lab in sizes}
+    ledger = apply_rules(g, k, roles)
+    labels = (LABEL_L, LABEL_M, LABEL_P, LABEL_Q, LABEL_R)
+    by_label: dict[str, set[int]] = {lab: set() for lab in labels}
     for r in ledger.rows:
         by_label[r.label].add(r.vertex)
+    sizes = {lab: len(members) for lab, members in by_label.items()}
     l_set, m_set = by_label[LABEL_L], by_label[LABEL_M]
     p_set, q_set = by_label[LABEL_P], by_label[LABEL_Q]
     rest = by_label[LABEL_R]
@@ -297,12 +252,11 @@ def charge_report(g: Graph, k: int, ore_catalog_cap: int = 2) -> ChargeReport:
     hypothesis = m_p == 0
     if hypothesis and direct != identity:
         raise AssertionError("edge identity failed with its hypothesis intact")
-    eps = PotentialParams.for_k(k).eps
-    delta = PotentialParams.for_k(k).delta
+    eps, delta = ledger.params.eps, ledger.params.delta
     t_val = compute_T(g, k).value
-    rho_val = rho(g, k, t_val)
+    rho_plus = rho(g, k, t_val) + delta * t_val
     total = ledger.total_initial()
-    if total != rho_val + delta * t_val:
+    if total != rho_plus:
         raise AssertionError("total charge disagrees with the potential")
     ceiling = Fraction(-2) + eps
     overs = sum(
@@ -321,7 +275,7 @@ def charge_report(g: Graph, k: int, ore_catalog_cap: int = 2) -> ChargeReport:
         identity_hypothesis=hypothesis,
         m_p_edges=m_p,
         total_charge=total,
-        rho_plus_delta_t=rho_val + delta * t_val,
+        rho_plus_delta_t=rho_plus,
         heavy_class_over_residue=overs,
         lone_singleton_frontier=frontier,
     )

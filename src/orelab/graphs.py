@@ -134,9 +134,6 @@ class Graph:
 
     # -- queries -----------------------------------------------------------
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
@@ -146,14 +143,8 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(row.bit_count() for row in self.adj))
-
     def min_degree(self) -> int:
         return min((row.bit_count() for row in self.adj), default=0)
-
-    def neighbors_mask(self, v: int) -> int:
-        return self.adj[v]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(bits_of(self.adj[v]))

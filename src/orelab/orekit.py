@@ -144,21 +144,37 @@ def tree_to_json(tree: OreTree) -> dict:
     }
 
 
+def _json_list(value, length: int | None = None) -> list:
+    if not isinstance(value, list) or length not in (None, len(value)):
+        raise TypeError("not a list of the expected length")
+    return value
+
+
 def tree_from_json(data: dict) -> OreTree:
     if not isinstance(data, dict):
         raise ValueError(f"tree node must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
+
+    def field(name: str, convert):
+        value = data[name]
+        try:
+            return convert(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"tree {kind} field {name!r} is malformed: {value!r}") from None
+
     try:
         if kind == "leaf":
-            return Leaf(int(data["k"]))
+            return Leaf(field("k", int))
         if kind == "node":
-            part = data["partition"]
             return Node(
                 tree_from_json(data["edge_side"]),
                 tree_from_json(data["split_side"]),
-                (int(data["replaced_edge"][0]), int(data["replaced_edge"][1])),
-                int(data["split_vertex"]),
-                (tuple(int(v) for v in part[0]), tuple(int(v) for v in part[1])),
+                field("replaced_edge", lambda e: tuple(map(int, _json_list(e, 2)))),
+                field("split_vertex", int),
+                field(
+                    "partition",
+                    lambda p: tuple(tuple(map(int, _json_list(h))) for h in _json_list(p, 2)),
+                ),
             )
     except KeyError as err:
         raise ValueError(f"tree {kind} is missing field {err.args[0]!r}") from None

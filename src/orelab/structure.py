@@ -1,6 +1,7 @@
 """Local structure around degree-(k-1) vertices and subset machinery:
-clusters, near-cliques, color reductions with critical extensions, and the
-weighted independence number.
+clusters, near-cliques, color reductions with critical extensions, the
+weighted independence number, and edge counts between vertex sets, taken on
+adjacency masks.
 """
 
 from __future__ import annotations
@@ -185,21 +186,6 @@ class ExtensionRecord:
     incompleteness: int
     spanning: bool
 
-    def core_size(self) -> int:
-        return len(self.core)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "r_set": sorted(self.r_set),
-            "phi": [list(p) for p in self.phi],
-            "w_vertices": list(self.w_subgraph.vertices),
-            "w_edges": sorted(map(list, self.w_subgraph.edges)),
-            "core": list(self.core),
-            "r_prime": sorted(self.r_prime),
-            "incompleteness": self.incompleteness,
-            "spanning": self.spanning,
-        }
-
 
 def build_extension(
     g: Graph, k: int, r_set: Iterable[int], phi: PartialColoring, limit: int = 6
@@ -319,11 +305,12 @@ def mic(g: Graph, max_vertices: int = 40) -> tuple[int, frozenset[int]]:
 
 
 def edge_between(g: Graph, a_set: Iterable[int], b_set: Iterable[int]) -> int:
-    """Number of edges with one endpoint in each set (each edge once)."""
+    """Number of edges with one endpoint in each set (each edge once).
+
+    Summing |N(a) & B| over a in A counts an edge inside A & B from both
+    ends, so those edges are subtracted once.
+    """
     a = frozenset(a_set)
     b = frozenset(b_set)
-    count = 0
-    for u, v in g.edges():
-        if (u in a and v in b) or (u in b and v in a):
-            count += 1
-    return count
+    b_mask = mask_of(b)
+    return sum((g.adj[v] & b_mask).bit_count() for v in a) - _induced_edge_count(g, a & b)

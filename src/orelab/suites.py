@@ -37,6 +37,11 @@ from .potential import (
 from .structure import build_extension, find_diamonds_emeralds, mic, minimum_colorings
 
 DEFAULT_SEED = 20250801
+_RANDOM_TREES = 200
+# every key any suite reads from its params
+_PARAM_KEYS = (
+    "k", "seed", "caps", "trees", "l_max", "census_max", "enum_max", "random_count", "r_sizes"
+)
 
 PASS = "pass"
 FAIL = "fail"
@@ -123,10 +128,9 @@ def _trees_from_params(params: dict) -> list[OreTree]:
         return list(trees)
     k = params["k"]
     rng = random.Random(params["seed"])
-    count = params.get("tree_count", 200)
     l_max = params.get("l_max", 3)
     return [
-        random_ore_tree(k, rng.randrange(1, l_max + 1), rng) for _ in range(count)
+        random_ore_tree(k, rng.randrange(1, l_max + 1), rng) for _ in range(_RANDOM_TREES)
     ]
 
 
@@ -544,10 +548,17 @@ def run_suite(suite_id: str, corpus=None, params: dict | None = None) -> SuiteRe
     ``params["trees"]`` and otherwise generate seeded random composition
     trees (or, for the near-clique suite, the exhaustive catalog).
     ``params["caps"]`` may set, to an integer, any cap key that some suite
-    in the registry declares; any other key or value raises ValueError.
+    in the registry declares; any other key or value raises ValueError, and
+    so does any params key other than k, seed, caps, trees, l_max,
+    census_max, enum_max, random_count and r_sizes.
     """
     p = {"k": 4, "seed": DEFAULT_SEED, "caps": {}}
     p.update(params or {})
+    for key in p:
+        if key not in _PARAM_KEYS:
+            raise ValueError(
+                f"unknown suite parameter {key!r}; expected one of {', '.join(_PARAM_KEYS)}"
+            )
     check_suite_args((suite_id,), p["caps"])
     suite = _SUITES[suite_id]
     graphs = _graphs_of(corpus)

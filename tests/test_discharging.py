@@ -5,11 +5,11 @@ reason; none of them needs to be critical, the bookkeeping is purely local.
 Catalog caps are kept at 1 for k >= 6 to stay fast.
 """
 
-import json
 from fractions import Fraction
 
 import pytest
 
+import orelab.discharging
 from orelab import (
     Graph,
     PotentialParams,
@@ -17,7 +17,6 @@ from orelab import (
     charge_report,
     classify_degree_k1,
     compute_T,
-    initial_charge,
     ore_compose,
     rho,
 )
@@ -30,11 +29,10 @@ def star(leaves: int) -> Graph:
 
 
 def test_initial_charge_values():
-    k4 = Graph.complete(4)
-    assert initial_charge(k4, 4, 0) == Fraction(12, 11)
-    hub = star(6)
-    assert initial_charge(hub, 4, 6) == Fraction(-87, 11)
-    assert initial_charge(hub, 4, 0) == Fraction(78, 11)
+    assert charge_report(Graph.complete(4), 4).ledger.rows[0].initial == Fraction(12, 11)
+    rows = charge_report(star(6), 4).ledger.rows
+    assert rows[6].initial == Fraction(-87, 11)
+    assert rows[0].initial == Fraction(78, 11)
 
 
 def test_classify_small_anchors():
@@ -53,8 +51,13 @@ def test_classify_small_anchors():
 
 
 def test_completeness_is_relative_to_the_cap():
+    # k = 4: a two-step composition has 10 vertices, so its gadgets have 9
+    # and a three-step gadget needs 12 host vertices
     assert classify_degree_k1(Graph.empty(10), 4, ore_catalog_cap=2).complete
+    assert classify_degree_k1(Graph.empty(11), 4, ore_catalog_cap=2).complete
+    assert not classify_degree_k1(Graph.empty(12), 4, ore_catalog_cap=2).complete
     assert not classify_degree_k1(Graph.empty(13), 4, ore_catalog_cap=2).complete
+    assert classify_degree_k1(Graph.empty(2), 4, ore_catalog_cap=0).complete
 
 
 def test_lone_singletons_with_silent_rules():
@@ -84,7 +87,6 @@ def test_lone_pair_skips_the_identity():
     rep = charge_report(g, 8, ore_catalog_cap=1)
     assert rep.sizes == {"L": 0, "M": 2, "P": 6, "Q": 0, "R-other": 6}
     assert rep.m_p_edges == 12 and not rep.identity_hypothesis
-    assert not rep.identity_checked()
     assert rep.lm_to_rest_edges == 0 and rep.lm_identity_value == 12
 
 
@@ -96,7 +98,7 @@ def test_structure_pays_its_near_neighbor():
     )
     rr = classify_degree_k1(g, 6, ore_catalog_cap=1)
     assert rr.roles[0] == "near" and rr.roles[1] == "structure"
-    led = apply_rules(g, 6, rr.roles)
+    led = apply_rules(g, 6, rr)
     assert led.rows[0].final - led.rows[0].initial == -5
     assert led.rows[1].final - led.rows[1].initial == 5
     assert led.total_initial() == led.total_final()
@@ -143,16 +145,18 @@ def test_wheel_labels():
     assert q_row.vertex == 5 and q_row.degree == 5
 
 
-def test_ledger_serialization_shapes():
-    led = charge_report(Graph.complete(4), 4).ledger
-    d = led.to_json_dict()
-    json.dumps(d)
-    assert d["k"] == 4 and len(d["rows"]) == 4
-    assert sorted(d["rows"][0]) == ["degree", "label", "role", "vertex", "w", "w_after"]
-    assert d["rows"][0]["w"] == "12/11"
-    rows = led.csv_rows()
-    assert rows[0] == ["vertex", "degree", "role", "label", "w", "w_after"]
-    assert len(rows) == 5 and rows[1][4] == "12/11"
+def test_clusters_are_found_once_per_report(monkeypatch):
+    calls = []
+    clusters = orelab.discharging.clusters
+
+    def counting_clusters(g, k):
+        calls.append(g.n)
+        return clusters(g, k)
+
+    monkeypatch.setattr(orelab.discharging, "clusters", counting_clusters)
+    g = ore_compose(Graph.complete(4), (0, 1), Graph.complete(4), 0, ((1,), (2, 3)))
+    charge_report(g, 4)
+    assert calls == [7]
 
 
 def test_report_is_deterministic():

@@ -153,6 +153,24 @@ def test_tree_json_rejects_malformed_input():
     del leaf_inside["split_side"]["k"]
     with pytest.raises(ValueError, match="tree leaf is missing field 'k'"):
         tree_from_json(leaf_inside)
+    with pytest.raises(ValueError, match="tree leaf field 'k' is malformed: None"):
+        tree_loads('{"kind": "leaf", "k": null}')
+    bad_values = {
+        "replaced_edge": (3, [0], [0, 1, 2], ["a", 1]),
+        "split_vertex": (None, [0]),
+        "partition": (5, [1, 2], [[1]], [[1], 2]),
+    }
+    for field, values in bad_values.items():
+        for value in values:
+            node = tree_to_json(one_step())
+            node[field] = value
+            with pytest.raises(ValueError, match=f"tree node field '{field}' is malformed"):
+                tree_from_json(node)
+    # an edge that is not in the edge side loads, and realizing it fails
+    node = tree_to_json(one_step())
+    node["replaced_edge"] = [0, 9]
+    with pytest.raises(ValueError, match="not an edge of the edge side"):
+        realize(tree_from_json(node))
     with pytest.raises(ValueError, match="nonnegative"):
         random_ore_tree(4, -1, random.Random(0))
 

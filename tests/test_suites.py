@@ -145,6 +145,13 @@ def test_caps_reject_unknown_keys_and_non_integers():
     assert result.passed and dict(result.config)["caps"] == "recognition=3"
 
 
+def test_unknown_params_key_is_rejected():
+    with pytest.raises(ValueError, match="unknown suite parameter 'random_cout'"):
+        run_suite("packing-oracle", params={"random_cout": 3})
+    with pytest.raises(ValueError, match="unknown suite parameter 'tree_count'"):
+        run_suite("t-lower", params={"tree_count": 3})
+
+
 def test_catalog_default_for_near_clique_suite():
     result = run_suite("diamond-emerald", params={"l_max": 1})
     per_vertex = [r for r in result.rows if "one vertex" in r.claim]
