@@ -111,9 +111,8 @@ def colorable(g: Graph, t: int) -> PartialColoring | None:
         return None
     witness = PartialColoring({v: raw[v] + 1 for v in range(g.n)}, max(t, 1) if g.n else t)
     # independent re-check before handing the witness out
-    for u, v in g.edges():
-        if witness.assignment[u] == witness.assignment[v]:
-            raise AssertionError("solver produced an improper coloring")
+    if not witness.is_proper(g):
+        raise AssertionError("solver produced an improper coloring")
     return witness
 
 

@@ -190,14 +190,6 @@ class Graph:
         rows[v] |= 1 << u
         return Graph._trusted(self.n, tuple(rows))
 
-    def delete_edge(self, u: int, v: int) -> "Graph":
-        if not self.has_edge(u, v):
-            raise ValueError(f"edge ({u},{v}) not present")
-        rows = list(self.adj)
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-        return Graph._trusted(self.n, tuple(rows))
-
     def delete_vertex(self, v: int) -> tuple["Graph", dict[int, int]]:
         """Remove v; survivors are renumbered densely in increasing id order."""
         if not 0 <= v < self.n:
@@ -281,8 +273,9 @@ def identify(g: Graph, x: int, y: int) -> tuple[Graph, dict[int, int]]:
 def cliques_of_size(g: Graph, size: int, cap: int | None = None) -> list[tuple[int, ...]]:
     """All vertex sets of the given size inducing a complete subgraph.
 
-    Results are sorted tuples in lexicographic order. ``cap`` bounds how many
-    cliques may be collected before the search aborts.
+    Results are sorted tuples in lexicographic order. A vertex is tried only
+    if it keeps enough candidates to finish the clique. ``cap`` bounds how
+    many cliques may be collected before the search aborts.
     """
     from .errors import SizeCapError
 
@@ -299,8 +292,9 @@ def cliques_of_size(g: Graph, size: int, cap: int | None = None) -> list[tuple[i
                 raise SizeCapError("clique enumeration", len(out), cap)
             return
         for v in bits_of(allowed):
-            higher = allowed & ~((1 << (v + 1)) - 1)
-            extend(prefix + [v], higher & g.adj[v], want - 1)
+            nxt = allowed & ~((1 << (v + 1)) - 1) & g.adj[v]
+            if nxt.bit_count() >= want - 1:
+                extend(prefix + [v], nxt, want - 1)
 
     extend([], g.full_mask(), size)
     return out
@@ -462,19 +456,16 @@ def _adjacency_bits(adj: tuple[int, ...], order: list[int]) -> int:
     return bits
 
 
-@lru_cache(maxsize=None)
-def canonical_form(g: Graph) -> CanonicalForm:
-    """Canonical form via refinement plus backtracking individualization.
+def _canonical(adj: tuple[int, ...], cells: list[list[int]]) -> tuple[int, list[int]]:
+    """Best (bits, order) over the leaves of the individualization tree
+    below the ordered partition ``cells``.
 
-    The canonical labeling maximizes the upper-triangle adjacency bit string
-    over all leaves of the individualization tree. Cells of mutual twins are
-    never branched on (any internal order yields identical bits), which keeps
-    complete and complete-multipartite graphs cheap.
+    A leaf's order maximizes the upper-triangle adjacency bit string. Cells of
+    mutual twins are never branched on (any internal order yields identical
+    bits), which keeps complete and complete-multipartite graphs cheap.
+    Refinement and individualization split cells in place, so every leaf
+    lists the members of the starting cells contiguously and in cell order.
     """
-    n = g.n
-    if n == 0:
-        return CanonicalForm(0, 0, ())
-    adj = g.adj
     best_bits = -1
     best_order: list[int] = []
 
@@ -498,8 +489,32 @@ def canonical_form(g: Graph) -> CanonicalForm:
             rest = [u for u in cell if u != v]
             search(cells[:branch] + [[v], rest] + cells[branch + 1:])
 
-    search([list(range(n))])
-    return CanonicalForm(n, best_bits, tuple(best_order))
+    search(cells)
+    return best_bits, best_order
+
+
+@lru_cache(maxsize=None)
+def canonical_form(g: Graph) -> CanonicalForm:
+    """Canonical form via refinement plus backtracking individualization,
+    starting from the one-cell partition."""
+    n = g.n
+    if n == 0:
+        return CanonicalForm(0, 0, ())
+    bits, order = _canonical(g.adj, [list(range(n))])
+    return CanonicalForm(n, bits, tuple(order))
+
+
+def _orbit_key(g: Graph, cells: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
+    """Canonical key of g under an ordered vertex partition (empty cells
+    allowed): two partitions of g get equal keys iff some automorphism of g
+    maps one onto the other cell by cell.
+
+    Equal bits make the two best leaf orders an explicit automorphism, and
+    since each leaf keeps the starting cells contiguous and in order, equal
+    cell sizes make it map cell i onto cell i.
+    """
+    bits, _ = _canonical(g.adj, [list(cell) for cell in cells if cell])
+    return tuple(len(cell) for cell in cells), bits
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:

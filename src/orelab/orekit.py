@@ -7,8 +7,9 @@ nonadjacent separating pairs; every found witness is a construction tree that
 re-realizes to the input up to isomorphism.
 
 One search, ``_decompose``, serves recognition and ``ore_decompositions``;
-the catalog composes the graphs it already holds, and the gadget catalog
-finds the key vertices once per tree.
+the catalog composes one (edge, split) pair per symmetry class of the two
+sides it already holds, and the gadget catalog finds the key vertices once
+per tree.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from functools import lru_cache
 from .errors import SizeCapError
 from .graphs import (
     Graph,
+    _orbit_key,
     bits_of,
     canonical_form,
     components,
@@ -150,6 +152,12 @@ def _json_list(value, length: int | None = None) -> list:
     return value
 
 
+def _json_int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("not a JSON integer")
+    return value
+
+
 def tree_from_json(data: dict) -> OreTree:
     if not isinstance(data, dict):
         raise ValueError(f"tree node must be a JSON object, got {type(data).__name__}")
@@ -164,16 +172,16 @@ def tree_from_json(data: dict) -> OreTree:
 
     try:
         if kind == "leaf":
-            return Leaf(field("k", int))
+            return Leaf(field("k", _json_int))
         if kind == "node":
             return Node(
                 tree_from_json(data["edge_side"]),
                 tree_from_json(data["split_side"]),
-                field("replaced_edge", lambda e: tuple(map(int, _json_list(e, 2)))),
-                field("split_vertex", int),
+                field("replaced_edge", lambda e: tuple(map(_json_int, _json_list(e, 2)))),
+                field("split_vertex", _json_int),
                 field(
                     "partition",
-                    lambda p: tuple(tuple(map(int, _json_list(h))) for h in _json_list(p, 2)),
+                    lambda p: tuple(tuple(map(_json_int, _json_list(h))) for h in _json_list(p, 2)),
                 ),
             )
     except KeyError as err:
@@ -399,28 +407,72 @@ class Gadget:
 # -- exhaustive catalogs -----------------------------------------------------
 
 
+def _composition_sides(g: Graph) -> tuple[list, list]:
+    """One representative per Aut(g) orbit of g's uses as a composition side.
+
+    Edges (x, y) are walked in sorted order, splits (z, halves) by z and then
+    by selector, and each keeps the first member of its orbit. The orbit of
+    an edge is that of the ordered partition [x], [y], rest; the orbit of a
+    split is that of [z], first half, second half, rest.
+    """
+    full = g.full_mask()
+    edges = [
+        ((x, y), [[x], [y], list(bits_of(full & ~(1 << x | 1 << y)))]) for x, y in sorted(g.edges())
+    ]
+    splits = []
+    for z in range(g.n):
+        nbrs = sorted(bits_of(g.adj[z]))
+        rest = list(bits_of(full & ~g.adj[z] & ~(1 << z)))
+        for sel in range(1, (1 << len(nbrs)) - 1):
+            halves = _halves(nbrs, sel)
+            splits.append(((z, halves), [[z], *halves, rest]))
+    return _first_per_orbit(g, edges), _first_per_orbit(g, splits)
+
+
+def _first_per_orbit(g: Graph, candidates: list) -> list:
+    """The items of (item, cells) pairs whose ordered partition is the first
+    of its Aut(g) orbit, in input order."""
+    reps: dict[tuple, object] = {}
+    for item, cells in candidates:
+        reps.setdefault(_orbit_key(g, cells), item)
+    return list(reps.values())
+
+
 @lru_cache(maxsize=None)
 def ore_catalog(k: int, max_steps: int) -> tuple[OreTree, ...]:
     """All closure members with at most max_steps compositions, one tree per
-    isomorphism class of the realization, ordered by (steps, canonical key)."""
+    isomorphism class of the realization, ordered by (steps, canonical key).
+
+    Only one (edge, split) pair per orbit of Aut(g1) x Aut(g2) is composed,
+    and the trees are the same as if every pair were. A skipped pair is
+    mapped by automorphisms of the two sides onto the pair of its orbit
+    representatives, so both compose to isomorphic graphs; and that pair
+    comes no later in the loop (edges outside, splits inside), since each
+    representative is the first of its orbit. So the first pair to reach
+    each class is always a representative pair.
+    """
     levels: list[dict[tuple, OreTree]] = [{canonical_form(Graph.complete(k)).key: Leaf(k)}]
+    sides: dict[OreTree, tuple[Graph, list, list]] = {}
+
+    def sides_of(tree: OreTree) -> tuple[Graph, list, list]:
+        if tree not in sides:
+            g = _realize(tree)
+            sides[tree] = (g, *_composition_sides(g))
+        return sides[tree]
+
     for step in range(1, max_steps + 1):
         found: dict[tuple, OreTree] = {}
         for l1 in range(step):
             l2 = step - 1 - l1
             for t1 in levels[l1].values():
-                g1 = _realize(t1)
-                edges1 = sorted(g1.edges())
+                g1, edges1, _ = sides_of(t1)
                 for t2 in levels[l2].values():
-                    g2 = _realize(t2)
+                    g2, _, splits2 = sides_of(t2)
                     for edge in edges1:
-                        for z in range(g2.n):
-                            nbrs = sorted(bits_of(g2.adj[z]))
-                            for sel in range(1, (1 << len(nbrs)) - 1):
-                                halves = _halves(nbrs, sel)
-                                key = canonical_form(ore_compose(g1, edge, g2, z, halves)).key
-                                if key not in found:
-                                    found[key] = Node(t1, t2, edge, z, halves)
+                        for z, halves in splits2:
+                            key = canonical_form(ore_compose(g1, edge, g2, z, halves)).key
+                            if key not in found:
+                                found[key] = Node(t1, t2, edge, z, halves)
         levels.append(found)
     out: list[OreTree] = []
     for level in levels:

@@ -16,7 +16,6 @@ from .coloring import (
     chromatic_number,
     color_partitions,
     find_critical_subgraphs,
-    first_coloring,
     is_k_critical,
 )
 from .errors import SizeCapError
@@ -207,13 +206,15 @@ def build_extension(
         raise ValueError("R must be a nonempty proper subset")
     reduction = color_reduce(g, r, phi)
     h = reduction.graph
-    if first_coloring(h.adj, k - 1) is not None:
-        raise AssertionError("reduced graph of a critical host must need k colors")
+    try:
+        subgraphs = find_critical_subgraphs(h, k, limit=limit)
+    except ValueError:
+        raise AssertionError("reduced graph of a critical host must need k colors") from None
     class_ids = set(reduction.class_vertex.values())
     inv_outside = {new: old for old, new in reduction.vertex_map.items()}
     r_edges = _induced_edge_count(g, r)
     records = []
-    for w in find_critical_subgraphs(h, k, limit=limit):
+    for w in subgraphs:
         core = tuple(sorted(set(w.vertices) & class_ids))
         if not core:
             raise AssertionError("critical subgraph avoids every class vertex")

@@ -31,7 +31,7 @@ from orelab import (
 )
 from orelab.census import _augment
 from orelab.cli import _read_graphs
-from orelab.graphs import bits_of, components, mask_of
+from orelab.graphs import _orbit_key, bits_of, components, mask_of
 
 
 def all_labeled_graphs(n: int):
@@ -125,7 +125,7 @@ def test_validation_rejects_bad_values():
 def test_unvalidated_edits_build_valid_graphs(g, data):
     u, v = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
     edited = [
-        g.delete_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v),
+        Graph.from_edges(g.n, [e for e in g.edges() if set(e) != {u, v}]).add_edge(u, v),
         g.delete_vertex(u)[0],
         g.induced([u, v])[0],
         identify(g, u, v)[0],
@@ -152,7 +152,7 @@ def test_edits_return_new_graphs():
     g = Graph.cycle(4)
     g2 = g.add_edge(0, 2)
     assert g2.edge_count() == 5 and g.edge_count() == 4
-    assert g2.delete_edge(0, 2) == g
+    assert g2 == Graph.from_edges(4, g.edges() + [(0, 2)])
     h, remap = g.delete_vertex(0)
     assert h.n == 3 and remap == {1: 0, 2: 1, 3: 2}
     assert h.edge_count() == 2
@@ -232,6 +232,22 @@ def test_has_clique_matches_brute_force(g, size):
     assert has_clique(g, size) == expected
 
 
+@given(kernel_graphs(), st.integers(0, 6), st.integers(0, 40))
+@settings(max_examples=150, deadline=None)
+def test_cliques_of_size_matches_brute_force(g, size, cap):
+    expected = [
+        vs
+        for vs in itertools.combinations(range(g.n), size)
+        if all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))
+    ]
+    assert cliques_of_size(g, size) == expected
+    if size and len(expected) > cap:  # the empty clique is returned without a search
+        with pytest.raises(SizeCapError):
+            cliques_of_size(g, size, cap=cap)
+    else:
+        assert cliques_of_size(g, size, cap=cap) == expected
+
+
 # -- cliques and embeddings ----------------------------------------------------
 
 
@@ -267,7 +283,7 @@ def test_canonical_form_examples():
     c5 = Graph.cycle(5)
     shuffled = c5.relabelled([2, 4, 1, 3, 0])
     assert canonical_key(c5) == canonical_key(shuffled)
-    k4_minus = Graph.complete(4).delete_edge(0, 1)
+    k4_minus = Graph.from_edges(4, Graph.complete(4).edges()[1:])  # drops 01
     assert canonical_key(k4_minus) != canonical_key(Graph.cycle(4))
     cf = canonical_form(c5)
     assert isinstance(cf, CanonicalForm)
@@ -308,6 +324,52 @@ def test_canonical_key_is_relabeling_invariant(g, rnd):
 
 
 # -- graph6 --------------------------------------------------------------------
+
+
+@st.composite
+def partitioned_graphs(draw):
+    """A graph on at most 9 vertices and an ordered partition of its vertices
+    into up to 4 cells, some possibly empty."""
+    g = draw(graphs(max_n=9))
+    count = draw(st.integers(1, 4))
+    cell_of = draw(st.lists(st.integers(0, count - 1), min_size=g.n, max_size=g.n))
+    return g, [[v for v in range(g.n) if cell_of[v] == i] for i in range(count)]
+
+
+@given(partitioned_graphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_orbit_key_matches_networkx(gp, data):
+    nx = pytest.importorskip("networkx")
+    g, cells = gp
+    perm = data.draw(st.permutations(range(g.n)))
+    h = g.relabelled(perm)
+    if data.draw(st.booleans()):
+        other = [[perm[v] for v in cell] for cell in cells]  # the image: always isomorphic
+    else:
+        cell_of = data.draw(st.lists(st.integers(0, len(cells) - 1), min_size=g.n, max_size=g.n))
+        other = [[v for v in range(g.n) if cell_of[v] == i] for i in range(len(cells))]
+
+    def colored(graph, parts):
+        out = nx.Graph()
+        out.add_nodes_from((v, {"cell": i}) for i, part in enumerate(parts) for v in part)
+        out.add_edges_from(graph.edges())
+        return out
+
+    expected = nx.is_isomorphic(
+        colored(g, cells), colored(h, other), node_match=lambda a, b: a["cell"] == b["cell"]
+    )
+    assert (_orbit_key(g, cells) == _orbit_key(h, other)) == expected
+    # the key starts with the cell sizes, empty cells included
+    assert _orbit_key(g, cells)[0] == tuple(len(cell) for cell in cells)
+
+
+def test_orbit_key_separates_edge_orientations():
+    # P3 = 0-1-2: the ordered end pair (0, 1) maps to (2, 1), never to (1, 0)
+    p3 = Graph.path(3)
+    key = lambda x, y: _orbit_key(p3, [[x], [y], [v for v in range(3) if v not in (x, y)]])
+    assert key(0, 1) == key(2, 1)
+    assert key(0, 1) != key(1, 0)
+    assert _orbit_key(p3, [[0, 1, 2]])[1] == canonical_form(p3).bits
 
 
 def test_graph6_published_format_anchors():

@@ -90,7 +90,7 @@ def test_compose_rejects_bad_arguments():
     with pytest.raises(ValueError):
         ore_compose(k4, (0, 1), k4, 0, ((1, 2), (2, 3)))  # overlapping parts
     with pytest.raises(ValueError):
-        ore_compose(k4.delete_edge(0, 1), (0, 1), k4, 0, ((1,), (2, 3)))  # non-edge
+        ore_compose(Graph.from_edges(4, k4.edges()[1:]), (0, 1), k4, 0, ((1,), (2, 3)))  # non-edge
 
 
 def test_realize_counts_and_ky_value():
@@ -155,10 +155,14 @@ def test_tree_json_rejects_malformed_input():
         tree_from_json(leaf_inside)
     with pytest.raises(ValueError, match="tree leaf field 'k' is malformed: None"):
         tree_loads('{"kind": "leaf", "k": null}')
+    # only a JSON integer that is not a boolean is a number here
+    for text in ("4.7", "4.0", "true", "false", '"5"'):
+        with pytest.raises(ValueError, match="tree leaf field 'k' is malformed"):
+            tree_loads(f'{{"kind": "leaf", "k": {text}}}')
     bad_values = {
-        "replaced_edge": (3, [0], [0, 1, 2], ["a", 1]),
-        "split_vertex": (None, [0]),
-        "partition": (5, [1, 2], [[1]], [[1], 2]),
+        "replaced_edge": (3, [0], [0, 1, 2], ["a", 1], [0, 1.0], [True, 1], [0, "1"]),
+        "split_vertex": (None, [0], 0.0, 1.5, False, "0"),
+        "partition": (5, [1, 2], [[1]], [[1], 2], [[1.0], [2, 3]], [[1], [2, True]], [["1"], [2, 3]]),
     }
     for field, values in bad_values.items():
         for value in values:
@@ -294,6 +298,49 @@ def test_catalog_sizes_and_contents():
     assert canonical_key(realize(one_step())) in keys
     for tree in ore_catalog(4, 2):
         assert is_k_ore(realize(tree), 4) is not None
+
+
+def unreduced_catalog(k: int, max_steps: int) -> tuple:
+    """The catalog loop without orbit pruning: every sorted edge of the edge
+    side with every split of every vertex of the split side."""
+    levels = [{canonical_key(Graph.complete(k)): Leaf(k)}]
+    for step in range(1, max_steps + 1):
+        found = {}
+        for l1 in range(step):
+            for t1 in levels[l1].values():
+                g1 = realize(t1)
+                for t2 in levels[step - 1 - l1].values():
+                    g2 = realize(t2)
+                    for edge in sorted(g1.edges()):
+                        for z in range(g2.n):
+                            nbrs = sorted(v for v in range(g2.n) if g2.has_edge(z, v))
+                            for sel in range(1, (1 << len(nbrs)) - 1):
+                                halves = (
+                                    tuple(v for i, v in enumerate(nbrs) if sel >> i & 1),
+                                    tuple(v for i, v in enumerate(nbrs) if not sel >> i & 1),
+                                )
+                                key = canonical_key(ore_compose(g1, edge, g2, z, halves))
+                                found.setdefault(key, Node(t1, t2, edge, z, halves))
+        levels.append(found)
+    return tuple(level[key] for level in levels for key in sorted(level))
+
+
+@pytest.mark.parametrize("k,max_steps", [(4, 2), (5, 2), (6, 1)])
+def test_catalog_matches_the_unreduced_loop(k, max_steps):
+    assert ore_catalog.__wrapped__(k, max_steps) == unreduced_catalog(k, max_steps)
+
+
+def test_catalog_composes_one_pair_per_orbit(monkeypatch):
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return ore_compose(*args)
+
+    monkeypatch.setattr(orekit, "ore_compose", counted)
+    assert len(ore_catalog.__wrapped__(6, 2)) == 51
+    assert calls <= 200  # the unreduced loop composes 28,324 pairs
 
 
 def test_gadget_catalog():

@@ -19,6 +19,7 @@ from orelab import (
     compute_T,
     compute_T_bruteforce,
     graph_classes,
+    ore_compose,
     random_graph,
 )
 
@@ -99,7 +100,18 @@ def test_deletion_monotonicity():
         assert compute_T(g.delete_vertex(v)[0], 4).value >= t - 2
         if g.edge_count():
             u, w = rng.choice(g.edges())
-            assert compute_T(g.delete_edge(u, w), 4).value >= t - 2
+            assert compute_T(Graph.from_edges(g.n, [e for e in g.edges() if e != (u, w)]), 4).value >= t - 2
+
+
+def test_one_step_composition_at_k20():
+    # n = 39 and 59 candidate cliques; a packed unit of weight costs at least
+    # (k - 1) / 2 vertices, so 4 (two disjoint K_19) is the most there can be
+    k20 = Graph.complete(20)
+    g = ore_compose(k20, (0, 1), k20, 0, (tuple(range(1, 10)), tuple(range(10, 20))))
+    assert g.n == 39
+    witness = compute_T(g, 20)
+    check_witness(g, 20, witness)
+    assert witness.value == 4 and len(witness.cliques) == 2
 
 
 def test_caps():

@@ -7,9 +7,11 @@ production code's own assertions are not trusted as tests.
 
 import itertools
 import random
+import sys
 
 import pytest
 
+import orelab.coloring
 from orelab import (
     Graph,
     PartialColoring,
@@ -230,6 +232,24 @@ def test_extension_records_replay(census4_8):
                     )
                     assert lhs <= rhs
     assert checked >= 40
+
+
+def test_build_extension_colors_the_reduction_once(monkeypatch):
+    real = orelab.coloring.first_coloring
+    calls = []
+
+    def counting(adj, t):
+        calls.append((tuple(adj), t))
+        return real(adj, t)
+
+    # count every call, wherever a module of the package binds the name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orelab") and getattr(module, "first_coloring", None) is real:
+            monkeypatch.setattr(module, "first_coloring", counting)
+    g, r, phi = wheel5(), [0, 2], PartialColoring({0: 1, 2: 1}, 3)
+    reduced = tuple(color_reduce(g, r, phi).graph.adj)
+    assert build_extension(g, 4, r, phi)
+    assert calls.count((reduced, 3)) == 1
 
 
 def test_extension_requires_critical_host():
