@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-MAX_VERTICES = 64
+from .errors import SizeCapError
+
+MAX_VERTICES = 256
 
 
 class GraphFormatError(ValueError):
@@ -65,7 +67,7 @@ def _check_order(n: int) -> None:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertex ids 0..n-1.
+    """Simple undirected graph on vertex ids 0..n-1, with n <= MAX_VERTICES.
 
     ``adj[v]`` is the neighbor set of v as a bitmask. Instances are immutable
     and hashable; edits return new graphs.
@@ -194,15 +196,7 @@ class Graph:
         """Remove v; survivors are renumbered densely in increasing id order."""
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} not in graph")
-        keep = [u for u in range(self.n) if u != v]
-        remap = {old: new for new, old in enumerate(keep)}
-        rows = []
-        for old in keep:
-            row = 0
-            for w in bits_of(self.adj[old] & ~(1 << v)):
-                row |= 1 << remap[w]
-            rows.append(row)
-        return Graph._trusted(self.n - 1, tuple(rows)), remap
+        return self.induced(u for u in range(self.n) if u != v)
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph plus the old->new renumbering map."""
@@ -270,58 +264,57 @@ def identify(g: Graph, x: int, y: int) -> tuple[Graph, dict[int, int]]:
 # -- clique and subgraph search ------------------------------------------
 
 
+def _cliques(g: Graph, size: int, visit: Callable[[tuple[int, ...]], bool]) -> bool:
+    """Hand every ``size``-vertex clique of g to ``visit``, as a sorted tuple
+    in lexicographic order, and stop with True as soon as it returns True.
+
+    Each level tries its candidates in increasing order and drops each one
+    once tried, so a vertex extends only with its later neighbours. A vertex
+    is tried only if it leaves enough candidates to finish the clique, and a
+    level ends once fewer candidates are left than the clique still needs.
+    """
+    if size < 0:
+        raise ValueError("clique size must be nonnegative")
+    adj = g.adj
+
+    def extend(prefix: tuple[int, ...], allowed: int, want: int) -> bool:
+        if want == 0:
+            return visit(prefix)
+        while allowed.bit_count() >= want:
+            low = allowed & -allowed
+            allowed ^= low
+            v = low.bit_length() - 1
+            nxt = allowed & adj[v]
+            if nxt.bit_count() >= want - 1 and extend(prefix + (v,), nxt, want - 1):
+                return True
+        return False
+
+    return extend((), g.full_mask(), size)
+
+
 def cliques_of_size(g: Graph, size: int, cap: int | None = None) -> list[tuple[int, ...]]:
     """All vertex sets of the given size inducing a complete subgraph.
 
-    Results are sorted tuples in lexicographic order. A vertex is tried only
-    if it keeps enough candidates to finish the clique. ``cap`` bounds how
+    Results are sorted tuples in lexicographic order. ``cap`` bounds how
     many cliques may be collected before the search aborts.
     """
-    from .errors import SizeCapError
-
-    if size < 0:
-        raise ValueError("clique size must be nonnegative")
     if size == 0:
         return [()]
     out: list[tuple[int, ...]] = []
 
-    def extend(prefix: list[int], allowed: int, want: int):
-        if want == 0:
-            out.append(tuple(prefix))
-            if cap is not None and len(out) > cap:
-                raise SizeCapError("clique enumeration", len(out), cap)
-            return
-        for v in bits_of(allowed):
-            nxt = allowed & ~((1 << (v + 1)) - 1) & g.adj[v]
-            if nxt.bit_count() >= want - 1:
-                extend(prefix + [v], nxt, want - 1)
+    def collect(clique: tuple[int, ...]) -> bool:
+        out.append(clique)
+        if cap is not None and len(out) > cap:
+            raise SizeCapError("clique enumeration", len(out), cap)
+        return False
 
-    extend([], g.full_mask(), size)
+    _cliques(g, size, collect)
     return out
 
 
 def has_clique(g: Graph, size: int) -> bool:
-    """Early-exit test for a complete subgraph on ``size`` vertices.
-
-    A vertex is tried only if it keeps enough candidates to finish the
-    clique; candidates are scanned by index from ``floor``, which is cheaper
-    than a bit iterator on the small graphs the census feeds it.
-    """
-    if size <= 0:
-        return True
-    adj, n = g.adj, g.n
-
-    def extend(allowed: int, want: int, floor: int) -> bool:
-        if want == 0:
-            return True
-        for v in range(floor, n):
-            if allowed >> v & 1:
-                nxt = allowed & adj[v]
-                if nxt.bit_count() >= want - 1 and extend(nxt, want - 1, v + 1):
-                    return True
-        return False
-
-    return extend(g.full_mask(), size, 0)
+    """Early-exit test for a complete subgraph on ``size`` vertices."""
+    return _cliques(g, size, lambda clique: True)
 
 
 def embeddings(pattern: Graph, host: Graph, limit: int | None = None) -> Iterator[tuple[int, ...]]:

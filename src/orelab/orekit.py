@@ -87,8 +87,11 @@ def ore_compose(
     |E| = m1 + m2 - 1 (the interiors are disjoint, no parallels arise).
     """
     x, y = xy
-    if not g1.has_edge(x, y):
-        raise ValueError(f"replaced pair ({x},{y}) is not an edge of the edge side")
+    if not (0 <= x < g1.n and 0 <= y < g1.n and g1.has_edge(x, y)):
+        raise ValueError(f"replaced pair ({x},{y}) is not an edge of the edge side on vertices 0..{g1.n - 1}")
+    outside = [w for w in (*partition[0], *partition[1]) if not 0 <= w < g2.n]
+    if outside:
+        raise ValueError(f"split half member {outside[0]} is outside the split side's 0..{g2.n - 1}")
     if not 0 <= z < g2.n:
         raise ValueError(f"split vertex {z} not in the split side")
     part1, part2 = tuple(sorted(partition[0])), tuple(sorted(partition[1]))

@@ -31,7 +31,7 @@ from orelab import (
 )
 from orelab.census import _augment
 from orelab.cli import _read_graphs
-from orelab.graphs import _orbit_key, bits_of, components, mask_of
+from orelab.graphs import MAX_VERTICES, _orbit_key, bits_of, components, mask_of
 
 
 def all_labeled_graphs(n: int):
@@ -105,15 +105,16 @@ def test_validation_rejects_bad_values():
     with pytest.raises(ValueError):
         Graph(2, (0b10, 0))  # asymmetric
     with pytest.raises(ValueError):
-        Graph(65, (0,) * 65)
+        Graph(MAX_VERTICES + 1, (0,) * (MAX_VERTICES + 1))
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
     for make in (Graph.empty, Graph.complete, lambda n: Graph.from_edges(n, [])):
-        for n in (-1, 65):
+        for n in (-1, MAX_VERTICES + 1):
             with pytest.raises(ValueError):
                 make(n)
+    assert Graph.empty(MAX_VERTICES).n == MAX_VERTICES
     with pytest.raises(ValueError):
         identify(Graph.path(3), 0, 3)
     with pytest.raises(ValueError):
@@ -259,6 +260,9 @@ def test_cliques_of_size():
     assert cliques_of_size(Graph.empty(3), 1) == [(0,), (1,), (2,)]
     with pytest.raises(SizeCapError):
         cliques_of_size(Graph.complete(10), 3, cap=5)
+    for search in (has_clique, cliques_of_size):
+        with pytest.raises(ValueError, match="nonnegative"):
+            search(k4, -1)
 
 
 def test_embeddings_counts_monomorphisms():
@@ -401,6 +405,12 @@ def test_graph6_long_form():
     enc = graph6_encode(g)
     assert enc.startswith("~")
     assert graph6_decode(enc) == g
+    big = Graph.from_edges(MAX_VERTICES, [(0, MAX_VERTICES - 1), (64, 200)])
+    assert graph6_decode(graph6_encode(big)) == big
+    n = MAX_VERTICES + 1
+    header = "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+    with pytest.raises(GraphFormatError, match="exceeds supported"):
+        graph6_decode(header)
 
 
 def test_graph6_roundtrip_on_all_small_classes():

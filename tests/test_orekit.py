@@ -91,6 +91,18 @@ def test_compose_rejects_bad_arguments():
         ore_compose(k4, (0, 1), k4, 0, ((1, 2), (2, 3)))  # overlapping parts
     with pytest.raises(ValueError):
         ore_compose(Graph.from_edges(4, k4.edges()[1:]), (0, 1), k4, 0, ((1,), (2, 3)))  # non-edge
+    # ids outside the graphs are named, not read through Python's negative indexing
+    with pytest.raises(ValueError, match=r"pair \(-1,0\) is not an edge of the edge side on vertices 0..3"):
+        ore_compose(k4, (-1, 0), k4, 0, ((1,), (2, 3)))
+    with pytest.raises(ValueError, match=r"pair \(0,4\) is not an edge of the edge side on vertices 0..3"):
+        ore_compose(k4, (0, 4), k4, 0, ((1,), (2, 3)))
+    for halves, bad in ((((-1,), (2, 3)), -1), (((1,), (2, -3)), -3), (((1,), (2, 3, 4)), 4)):
+        with pytest.raises(ValueError, match=f"split half member {bad} is outside the split side's 0..3"):
+            ore_compose(k4, (0, 1), k4, 0, halves)
+    node = tree_to_json(one_step())
+    node["replaced_edge"] = [-1, 0]
+    with pytest.raises(ValueError, match=r"pair \(-1,0\) is not an edge of the edge side on vertices 0..3"):
+        realize(tree_loads(json.dumps(node)))
 
 
 def test_realize_counts_and_ky_value():

@@ -18,7 +18,10 @@ from orelab import (
     complete_graph_T,
     compute_T,
     compute_T_bruteforce,
+    graph6_decode,
+    graph6_encode,
     graph_classes,
+    has_clique,
     ore_compose,
     random_graph,
 )
@@ -112,6 +115,18 @@ def test_one_step_composition_at_k20():
     witness = compute_T(g, 20)
     check_witness(g, 20, witness)
     assert witness.value == 4 and len(witness.cliques) == 2
+
+
+def test_one_step_composition_at_k33():
+    # the paper's regime starts at k = 33, where one step already has 65 vertices
+    k33 = Graph.complete(33)
+    g = ore_compose(k33, (0, 1), k33, 0, (tuple(range(1, 17)), tuple(range(17, 33))))
+    assert g.n == 65
+    witness = compute_T(g, 33)
+    check_witness(g, 33, witness)
+    assert witness.value == 4
+    assert has_clique(g, 32) and not has_clique(g, 33)
+    assert graph6_decode(graph6_encode(g)) == g
 
 
 def test_caps():

@@ -30,6 +30,7 @@ ALLOWED_UNUSED_METHODS = {
 }
 
 
+@lru_cache(maxsize=None)
 def _names_used(path: Path, skip_def: str | None) -> set[str]:
     """Names a file loads, ``orelab.<name>`` attributes and string constants
     (the bench lists its traced functions as strings), leaving out the body
