@@ -4,11 +4,13 @@ random graphs.
 Enumeration works level by level: every class on n vertices is some class on
 n-1 vertices plus one new vertex with an arbitrary neighbor set, so
 augmenting every class with every mask and deduplicating by canonical form
-is complete. The criticality census prunes the augmentation with elementary
-necessary conditions only (minimum degree, connectivity, no K_k above order
-k, and the Turan edge cap that K_k-freeness implies); the bounds this
-workbench is meant to verify are never used to generate, so the census
-cannot beg the question.
+is complete. Each augmented graph is keyed once, so the level keys come from
+the uncached canonical labelling. The criticality census sieves the
+augmentation with necessary conditions that follow from the definition only
+(colorability, minimum degree, connectivity, no K_k above order k, and the
+Turan edge cap that K_k-freeness implies), as bit operations on facts
+computed once per parent; the bounds this workbench is meant to verify are
+never used to generate, so the census cannot beg the question.
 """
 
 from __future__ import annotations
@@ -18,9 +20,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .coloring import is_k_critical
+from .coloring import color_partitions, is_k_critical
 from .errors import SizeCapError
-from .graphs import Graph, bits_of, canonical_key, has_clique
+from .graphs import (
+    Graph,
+    _canonical_form,
+    bits_of,
+    canonical_key,
+    cliques_of_size,
+    components,
+    has_clique,
+    mask_of,
+)
 
 ENUMERATION_CAP = 9
 
@@ -77,7 +88,7 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
     for parent in graph_classes(n - 1):
         for mask in range(1 << parent.n):
             g = _augment(parent, mask)
-            out.setdefault(canonical_key(g), g)
+            out.setdefault(_canonical_form(g).key, g)
     return tuple(out[key] for key in sorted(out))
 
 
@@ -97,46 +108,95 @@ def enumerate_graphs(n: int) -> Corpus:
 # -- criticality census --------------------------------------------------------
 
 
+def _colorable_masks(parent: Graph, k: int) -> int | None:
+    """Bit ``mask`` is set iff ``parent`` plus a new vertex adjacent to
+    ``mask`` is (k-1)-colorable; None when no such extension is k-critical,
+    whatever the mask.
+
+    The parent is skipped when it is (k-2)-colorable (the new vertex would
+    take a fresh color) or not (k-1)-colorable (it would be a
+    non-(k-1)-colorable proper subgraph, K_k included). Otherwise each of its
+    (k-1)-colorings uses every color, so the extension is colorable iff the
+    mask misses a whole class: one pass over the proper partitions marks the
+    complement of every class, and a subset closure, one shift per vertex
+    on the 2^pn-bit table, marks every submask of a marked mask. A K_k in
+    the parent, the common reason it has no partition, is found first by
+    the early-exit clique search, which costs less than an exhausted
+    partition search.
+    """
+    if has_clique(parent, k):
+        return None
+    pn = parent.n
+    full = parent.full_mask()
+    table = 0
+    for classes in color_partitions(parent, range(pn), k - 1):
+        if len(classes) < k - 1:
+            return None
+        for cls in classes:
+            table |= 1 << (full & ~mask_of(cls))
+    if not table:
+        return None
+    ones = (1 << (1 << pn)) - 1
+    for b in range(pn):
+        step = 1 << b
+        # the masks with bit b set: runs of `step` ones every 2 * step table bits
+        with_bit = (((1 << step) - 1) << step) * ones // ((1 << 2 * step) - 1)
+        table |= (table & with_bit) >> step
+    return table
+
+
 def _critical_on(n: int, k: int) -> list[Graph]:
+    """The k-critical graphs on n vertices, one per class in canonical-key
+    order, sieved as ``census_critical`` describes."""
     out: dict = {}
     for parent in graph_classes(n - 1):
         pn = parent.n
-        degs = [parent.degree(v) for v in range(pn)]
-        if any(d < k - 2 for d in degs):
+        degs = [row.bit_count() for row in parent.adj]
+        if min(degs) < k - 2:
             continue
-        forced = 0
-        for v in range(pn):
-            if degs[v] == k - 2:
-                forced |= 1 << v
-        base_m = parent.edge_count()
-        for mask in range(1 << pn):
-            if mask & forced != forced:
+        table = _colorable_masks(parent, k)
+        if table is None:
+            continue
+        forced = mask_of(v for v in range(pn) if degs[v] == k - 2)
+        comps = components(parent.adj, parent.full_mask())
+        cliques = [mask_of(c) for c in cliques_of_size(parent, k - 1)] if n > k else []
+        # Turan: a K_k-free graph on n > k vertices has at most this many edges
+        max_deg = (k - 2) * n * n // (2 * (k - 1)) - parent.edge_count() if n > k else pn
+        for mask in range(forced, 1 << pn):
+            if mask & forced != forced or table >> mask & 1:
                 continue
-            pc = mask.bit_count()
-            if pc < k - 1:
+            if not k - 1 <= mask.bit_count() <= max_deg:
                 continue
-            m = base_m + pc
-            if n > k and 2 * m * (k - 1) > (k - 2) * n * n:
+            if not all(mask & comp for comp in comps):
+                continue
+            if any(clique & mask == clique for clique in cliques):
+                continue
+            if not all(table >> (mask ^ (1 << u)) & 1 for u in bits_of(mask)):
                 continue
             g = _augment(parent, mask)
-            if not g.is_connected():
-                continue
-            if n > k and has_clique(g, k):
-                continue
-            if not is_k_critical(g, k):
-                continue
-            out.setdefault(canonical_key(g), g)
+            if is_k_critical(g, k):
+                out.setdefault(canonical_key(g), g)
     return [out[key] for key in sorted(out)]
 
 
 def census_critical(n_max: int, k: int) -> Corpus:
     """All k-critical graphs on at most n_max vertices, up to isomorphism.
 
-    Augmentation from the full (n-1)-vertex class list, pruned by facts every
-    k-critical graph satisfies for elementary reasons: minimum degree k-1
-    (so parents have minimum degree k-2 and the new vertex covers every
-    degree-(k-2) parent vertex), connectivity, and K_k-freeness above order
-    k with its Turan edge cap.
+    Augmentation from the full (n-1)-vertex class list. A k-critical graph g
+    minus any vertex v is a proper subgraph, so it is (k-1)-colorable and,
+    as v needs a color of its own, not (k-2)-colorable; parents outside that
+    band are skipped. For the others, the new vertex v's neighbor mask must:
+
+    - cover every degree-(k-2) parent vertex and have k-1 or more bits
+      (minimum degree k-1);
+    - keep the edge count under the Turan cap above order k (K_k-freeness);
+    - leave g not (k-1)-colorable, by the parent's colorable-mask table;
+    - meet every component of the parent (g is connected);
+    - contain no (k-1)-clique of the parent above order k (no K_k in g);
+    - leave g - vu (k-1)-colorable for every neighbor u of v, again by the
+      table (every edge is critical).
+
+    Survivors go to the complete test ``is_k_critical``.
     """
     if k < 3:
         raise ValueError("criticality census needs k >= 3")

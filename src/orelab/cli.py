@@ -46,6 +46,8 @@ def main():
 @click.option("--tree-out", type=click.File("w"), default=None, help="Also write composition trees as JSON lines.")
 def gen_ore(k, steps, seed, count, out, tree_out):
     """Generate random composed graphs and print them as graph6."""
+    if count < 0:
+        raise click.ClickException(f"count must be nonnegative, got {count}")
     rng = random.Random(seed)
     try:
         for _ in range(count):
@@ -63,6 +65,8 @@ def gen_ore(k, steps, seed, count, out, tree_out):
 @click.option("--cap", type=int, default=25, show_default=True, help="Vertex cap for recognition.")
 def recognize_ore(k, infile, cap):
     """Decide for each input graph whether it is a composed graph."""
+    if cap < 0:
+        raise click.ClickException(f"cap must be nonnegative, got {cap}")
     for g in _read_graphs(infile):
         try:
             witness = is_k_ore(g, k, cap=cap)

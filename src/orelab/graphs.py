@@ -175,13 +175,6 @@ class Graph:
         m = mask_of(vs)
         return all(not (self.adj[v] & m) for v in vs)
 
-    def components(self) -> list[int]:
-        """Connected components as vertex bitmasks, ordered by least vertex."""
-        return components(self.adj, self.full_mask())
-
-    def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
-
     # -- edits (all return new graphs) -------------------------------------
 
     def add_edge(self, u: int, v: int) -> "Graph":
@@ -486,15 +479,21 @@ def _canonical(adj: tuple[int, ...], cells: list[list[int]]) -> tuple[int, list[
     return best_bits, best_order
 
 
-@lru_cache(maxsize=None)
-def canonical_form(g: Graph) -> CanonicalForm:
+def _canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form via refinement plus backtracking individualization,
-    starting from the one-cell partition."""
+    starting from the one-cell partition. Uncached: bulk enumeration keys
+    each of its many graphs once, so a cache would only hold memory."""
     n = g.n
     if n == 0:
         return CanonicalForm(0, 0, ())
     bits, order = _canonical(g.adj, [list(range(n))])
     return CanonicalForm(n, bits, tuple(order))
+
+
+@lru_cache(maxsize=None)
+def canonical_form(g: Graph) -> CanonicalForm:
+    """The memoised ``_canonical_form``, for graphs that are keyed again."""
+    return _canonical_form(g)
 
 
 def _orbit_key(g: Graph, cells: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:

@@ -2,15 +2,19 @@
 
 Counts are cross-checked two independent ways: the class counts against the
 cycle-index (Burnside) formula, and the census against a direct filter of
-the full class list by the criticality test.
+the full class list by the criticality test. The census's bitwise sieve is
+also checked row for row against the per-mask filter it replaced, and its
+colorable-mask table entry by entry against the coloring solver.
 """
 
 import math
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import orelab.census
 from orelab import (
     Corpus,
     Graph,
@@ -19,11 +23,15 @@ from orelab import (
     census_critical,
     corpus_from_graphs,
     enumerate_graphs,
+    first_coloring,
     graph_classes,
+    has_clique,
     is_isomorphic,
     is_k_critical,
     random_graph,
 )
+from orelab.census import _augment, _colorable_masks, _critical_on
+from orelab.graphs import components, mask_of
 
 CLASS_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044]  # n = 0 stands for n = 1 here
 
@@ -85,6 +93,11 @@ def test_census_counts_are_frozen(census4_8, census5_8):
     for g in census5_8.graphs:
         by_n5[g.n] = by_n5.get(g.n, 0) + 1
     assert by_n5 == {5: 1, 7: 1, 8: 2}
+    for k, expected in ((3, {3: 1, 5: 1, 7: 1}), (6, {6: 1, 8: 1})):
+        by_n: dict[int, int] = {}
+        for g in census_critical(8, k).graphs:
+            by_n[g.n] = by_n.get(g.n, 0) + 1
+        assert by_n == expected, k
 
 
 def test_census_matches_definition_filter():
@@ -99,6 +112,82 @@ def test_census_matches_definition_filter():
         assert len(got) == len(expected)
         for g in expected:
             assert any(is_isomorphic(g, h) for h in got.graphs)
+
+
+def _critical_on_by_filter(n: int, k: int) -> list[Graph]:
+    """The census level as computed before the sieve: every parent with
+    every mask, each candidate built and tested on its own."""
+    out: dict = {}
+    for parent in graph_classes(n - 1):
+        pn = parent.n
+        degs = [parent.degree(v) for v in range(pn)]
+        if any(d < k - 2 for d in degs):
+            continue
+        forced = mask_of(v for v in range(pn) if degs[v] == k - 2)
+        base_m = parent.edge_count()
+        for mask in range(1 << pn):
+            if mask & forced != forced:
+                continue
+            pc = mask.bit_count()
+            if pc < k - 1:
+                continue
+            m = base_m + pc
+            if n > k and 2 * m * (k - 1) > (k - 2) * n * n:
+                continue
+            g = _augment(parent, mask)
+            if len(components(g.adj, g.full_mask())) != 1:
+                continue
+            if n > k and has_clique(g, k):
+                continue
+            if is_k_critical(g, k):
+                out.setdefault(canonical_key(g), g)
+    return [out[key] for key in sorted(out)]
+
+
+def test_sieve_matches_the_per_mask_filter():
+    for k in range(3, 7):
+        for n in range(k, 9):
+            assert _critical_on(n, k) == _critical_on_by_filter(n, k), (n, k)
+
+
+@st.composite
+def parents(draw):
+    n = draw(st.integers(1, 7))
+    pairs = list(combinations(range(n), 2))
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+@given(parents(), st.integers(3, 5))
+@example(Graph.path(4), 4)  # skipped: 2-colorable
+@example(Graph.complete(4), 4)  # skipped: contains K_4
+@example(Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]), 4)  # skipped: W_5
+@example(Graph.cycle(5), 4)
+@settings(max_examples=200, deadline=None)
+def test_colorable_mask_table_matches_the_solver(parent, k):
+    table = _colorable_masks(parent, k)
+    narrow = first_coloring(parent.adj, k - 2) is not None
+    wide = first_coloring(parent.adj, k - 1) is not None
+    if table is None:
+        assert narrow or not wide
+        return
+    assert wide and not narrow
+    assert table >> (1 << parent.n) == 0
+    for mask in range(1 << parent.n):
+        colorable = first_coloring(_augment(parent, mask).adj, k - 1) is not None
+        assert bool(table >> mask & 1) == colorable, mask
+
+
+def test_sieve_bounds_the_criticality_tests(monkeypatch):
+    calls = []
+
+    def counted(g, k):
+        calls.append(g)
+        return is_k_critical(g, k)
+
+    monkeypatch.setattr(orelab.census, "is_k_critical", counted)
+    assert len(census_critical(8, 4)) == 9
+    assert len(calls) <= 400  # the per-mask filter made 7,917
 
 
 def test_census_members_are_critical(census4_8):

@@ -53,6 +53,21 @@ def test_gen_ore_rejects_bad_k():
     assert "Error: step count must be nonnegative, got -1" in negative.output
 
 
+def test_negative_count_and_cap_fail_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the option was checked")
+
+    monkeypatch.setattr(orelab.cli, "random_ore_tree", no_work)
+    monkeypatch.setattr(orelab.cli, "is_k_ore", no_work)
+    count = invoke("gen-ore", "--k", "4", "--steps", "1", "--seed", "1", "--count", "-2")
+    assert count.exit_code == 1 and isinstance(count.exception, SystemExit)
+    assert count.output == "Error: count must be nonnegative, got -2\n"
+    k4 = graph6_encode(Graph.complete(4)) + "\n"
+    cap = invoke("recognize-ore", "--k", "4", "--cap", "-1", "--in", "-", input=k4)
+    assert cap.exit_code == 1 and isinstance(cap.exception, SystemExit)
+    assert cap.output == "Error: cap must be nonnegative, got -1\n"
+
+
 def test_low_k_and_packing_cap_are_clean_errors(monkeypatch):
     k4 = graph6_encode(Graph.complete(4)) + "\n"
     for command in ("recognize-ore", "pack", "potential"):

@@ -143,8 +143,9 @@ def test_queries():
     assert g.has_edge(0, 1) and g.has_edge(1, 0) and not g.has_edge(1, 2)
     assert g.neighbors(0) == (1, 2)
     assert g.closed_mask(0) == 0b00111
-    assert not g.is_connected()
-    assert sorted(len(c.bit_length() and [v for v in range(5) if c >> v & 1]) for c in g.components()) == [2, 3]
+    whole = components(g.adj, g.full_mask())
+    assert len(whole) == 2
+    assert sorted(len(c.bit_length() and [v for v in range(5) if c >> v & 1]) for c in whole) == [2, 3]
     assert g.is_clique([0, 1]) and not g.is_clique([0, 1, 2])
     assert g.is_independent([1, 2]) and not g.is_independent([3, 4])
 
@@ -216,11 +217,12 @@ def test_components_match_networkx(g, data):
     h.add_edges_from((u, v) for u, v in g.edges() if sub >> u & 1 and sub >> v & 1)
     expected = sorted((mask_of(c) for c in nx.connected_components(h)), key=lambda m: m & -m)
     assert components(g.adj, sub) == expected
-    assert g.components() == components(g.adj, g.full_mask())
     whole = nx.Graph()
     whole.add_nodes_from(range(g.n))
     whole.add_edges_from(g.edges())
-    assert g.is_connected() == (g.n == 0 or nx.is_connected(whole))
+    comps = components(g.adj, g.full_mask())
+    assert comps == sorted((mask_of(c) for c in nx.connected_components(whole)), key=lambda m: m & -m)
+    assert (len(comps) <= 1) == (g.n == 0 or nx.is_connected(whole))
 
 
 @given(kernel_graphs(), st.integers(0, 6))
