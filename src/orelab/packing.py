@@ -47,9 +47,15 @@ def compute_T(g: Graph, k: int, clique_cap: int = 10 ** 6) -> PackingWitness:
 
     Candidates are sorted big-cliques-first then lexicographically, and the
     include/exclude search keeps the first optimum found, so the witness is
-    deterministic. Upper bound for pruning: remaining candidate weight, capped
-    by the fractional vertex budget 2*free/(k-1) (a unit of packing weight
-    costs at least (k-1)/2 vertices once k >= 3).
+    deterministic. Pruning bound: spread each packed clique's weight evenly,
+    2/(k-1) per vertex of a (k-1)-clique and 1/(k-2) <= 2/(k-1) per vertex of
+    a (k-2)-clique. With BL the vertices of the remaining (k-1)-candidates and
+    SL those of the remaining (k-2)-candidates, the rest of the search adds at
+    most (2(k-2)|BL| + (k-1)|SL - BL|) // ((k-1)(k-2)), never more than the
+    remaining candidate weight or 2/(k-1) per unused vertex. A subtree is cut
+    only when it cannot beat the best value so far, so it cannot hold an
+    earlier optimum: the bound decides how much is searched, never which
+    witness is found.
 
     Note: cliques of order k-2 lying inside a packed (k-1)-clique are *not*
     globally prunable. Dropping them can lose optima: pack two triangles
@@ -62,47 +68,38 @@ def compute_T(g: Graph, k: int, clique_cap: int = 10 ** 6) -> PackingWitness:
     small = cliques_of_size(g, k - 2, cap=clique_cap - len(big))
     if len(big) + len(small) > clique_cap:
         raise SizeCapError("packing candidate cliques", len(big) + len(small), clique_cap)
-    if not small:
-        witness = PackingWitness(k, (), 0)
-        check_witness(g, k, witness)
-        return witness
     cand = sorted(
         [(2, cl) for cl in big] + [(1, cl) for cl in small],
         key=lambda wc: (-wc[0], wc[1]),
     )
     weights = [w for w, _ in cand]
     masks = [mask_of(cl) for _, cl in cand]
-    n = g.n
+    n_big = len(big)  # cand is big-first: indices below n_big are (k-1)-cliques
 
     best_value = -1
     best_chosen: tuple[int, ...] = ()
 
-    def bound(indices: list[int], free: int) -> int:
-        a = sum(1 for i in indices if weights[i] == 2)
-        b = len(indices) - a
-        return min(2 * a + b, (2 * free) // (k - 1))
-
-    def dfs(indices: list[int], used: int, value: int, chosen: list[int]):
+    def dfs(indices: list[int], value: int, chosen: tuple[int, ...]):
         nonlocal best_value, best_chosen
         if value > best_value:
             best_value = value
-            best_chosen = tuple(chosen)
+            best_chosen = chosen
         if not indices:
             return
-        free = n - used.bit_count()
-        if value + bound(indices, free) <= best_value:
+        big_cover = small_cover = 0
+        for i in indices:
+            if i < n_big:
+                big_cover |= masks[i]
+            else:
+                small_cover |= masks[i]
+        spread = 2 * (k - 2) * big_cover.bit_count() + (k - 1) * (small_cover & ~big_cover).bit_count()
+        if value + spread // ((k - 1) * (k - 2)) <= best_value:
             return
-        head = indices[0]
-        rest = indices[1:]
-        # include head
-        chosen.append(head)
-        dfs([i for i in rest if not masks[i] & masks[head]],
-            used | masks[head], value + weights[head], chosen)
-        chosen.pop()
-        # exclude head
-        dfs(rest, used, value, chosen)
+        head, rest = indices[0], indices[1:]
+        dfs([i for i in rest if not masks[i] & masks[head]], value + weights[head], chosen + (head,))
+        dfs(rest, value, chosen)
 
-    dfs(list(range(len(cand))), 0, 0, [])
+    dfs(list(range(len(cand))), 0, ())
     witness = PackingWitness(k, tuple(cand[i][1] for i in best_chosen), best_value)
     check_witness(g, k, witness)
     return witness

@@ -538,6 +538,8 @@ def check_suite_args(suite_ids: Iterable[str], caps: dict) -> None:
             raise ValueError(f"unknown cap key {key!r}; expected one of {', '.join(_CAP_KEYS)}")
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"cap {key!r} needs an integer value, got {value!r}")
+        if value < 0:
+            raise ValueError(f"cap {key!r} must be nonnegative, got {value}")
 
 
 def run_suite(suite_id: str, corpus=None, params: dict | None = None) -> SuiteResult:
@@ -547,10 +549,11 @@ def run_suite(suite_id: str, corpus=None, params: dict | None = None) -> SuiteRe
     suite build its documented default input. Tree-driven suites read
     ``params["trees"]`` and otherwise generate seeded random composition
     trees (or, for the near-clique suite, the exhaustive catalog).
-    ``params["caps"]`` may set, to an integer, any cap key that some suite
-    in the registry declares; any other key or value raises ValueError, and
-    so does any params key other than k, seed, caps, trees, l_max,
-    census_max, enum_max, random_count and r_sizes.
+    An empty corpus gives no rows, which is not a pass. ``params["caps"]``
+    may set, to a nonnegative integer, any cap key that some suite in the
+    registry declares; any other key or value raises ValueError, and so does
+    any params key other than k, seed, caps, trees, l_max, census_max,
+    enum_max, random_count and r_sizes.
     """
     p = {"k": 4, "seed": DEFAULT_SEED, "caps": {}}
     p.update(params or {})
@@ -568,7 +571,7 @@ def run_suite(suite_id: str, corpus=None, params: dict | None = None) -> SuiteRe
             trees = list(ore_catalog(p["k"], p.get("l_max", 2)))
         else:
             trees = _trees_from_params(p)
-    elif not graphs:
+    elif corpus is None:
         graphs = _default_graphs(suite.default, p)
     item_params = {**p, "caps": {**suite.caps, **p["caps"]}}
     rows = [

@@ -163,6 +163,9 @@ def test_verify_argument_errors():
     not_int = invoke("verify", "--suite", "ky-bound", "--census", "6", "--cap", "recognition=x")
     assert not_int.exit_code == 1 and "integer" in not_int.output
     assert not isinstance(not_int.exception, ValueError)
+    negative = invoke("verify", "--suite", "ky-equality-ore", "--census", "6", "--cap", "recognition=-3")
+    assert negative.exit_code == 1 and "nonnegative" in negative.output
+    assert not isinstance(negative.exception, ValueError)
     typo = invoke("verify", "--suite", "ky-bound", "--census", "6", "--cap", "recogniton=3")
     assert typo.exit_code == 1 and "unknown cap key 'recogniton'" in typo.output
     assert not isinstance(typo.exception, ValueError)
@@ -174,6 +177,13 @@ def test_verify_argument_errors():
     assert low_k.exit_code == 1 and "Error:" in low_k.output and "k >= 3" in low_k.output
     for result in (bad_line, over_cap, low_k):
         assert isinstance(result.exception, SystemExit)
+
+
+def test_verify_on_an_empty_census_fails():
+    # a census below k is empty; it must not fall back to the default census
+    result = invoke("verify", "--suite", "ky-bound", "--census", "-1")
+    assert result.exit_code == 1
+    assert result.output.strip() == "ky-bound: FAIL (pass=0 fail=0 skip-cap=0)"
 
 
 def test_verify_checks_arguments_before_building_the_census(monkeypatch):

@@ -3,18 +3,23 @@
 The branch-and-bound solver must agree with compute_T_bruteforce everywhere;
 the bowtie case pins down why "drop K_{k-2}s inside used K_{k-1}s" style
 shortcuts were rejected: the best packing can take a triangle from one bowtie
-lobe and only an edge from the other.
+lobe and only an edge from the other. old_compute_T keeps the search as it
+was before the vertex-weight bound; a sharper bound may only cut more
+subtrees, so the solver must still return the very same witness.
 """
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orelab import (
     Graph,
     PackingWitness,
     SizeCapError,
     check_witness,
+    cliques_of_size,
     complete_graph_T,
     compute_T,
     compute_T_bruteforce,
@@ -22,13 +27,53 @@ from orelab import (
     graph6_encode,
     graph_classes,
     has_clique,
+    mask_of,
     ore_compose,
     random_graph,
+    random_ore_tree,
+    realize,
 )
 
 
 def bowtie() -> Graph:
     return Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+
+
+def old_compute_T(g: Graph, k: int) -> PackingWitness:
+    """compute_T as it was before the vertex-weight bound: the same candidates,
+    order and include/exclude search, pruned by min(2a + b, 2*free/(k-1))."""
+    big = cliques_of_size(g, k - 1)
+    small = cliques_of_size(g, k - 2)
+    if not small:
+        return PackingWitness(k, (), 0)
+    cand = sorted([(2, cl) for cl in big] + [(1, cl) for cl in small], key=lambda wc: (-wc[0], wc[1]))
+    weights = [w for w, _ in cand]
+    masks = [mask_of(cl) for _, cl in cand]
+    best = [-1, ()]
+
+    def dfs(indices, used, value, chosen):
+        if value > best[0]:
+            best[:] = [value, tuple(chosen)]
+        if not indices:
+            return
+        a = sum(1 for i in indices if weights[i] == 2)
+        free = g.n - used.bit_count()
+        if value + min(2 * a + len(indices) - a, (2 * free) // (k - 1)) <= best[0]:
+            return
+        head, rest = indices[0], indices[1:]
+        dfs([i for i in rest if not masks[i] & masks[head]], used | masks[head],
+            value + weights[head], chosen + [head])
+        dfs(rest, used, value, chosen)
+
+    dfs(list(range(len(cand))), 0, 0, [])
+    return PackingWitness(k, tuple(cand[i][1] for i in best[1]), best[0])
+
+
+def move_one_edge(g: Graph, rng: random.Random) -> Graph:
+    edges = g.edges()
+    drop = rng.choice(edges)
+    add = rng.choice([p for p in combinations(range(g.n), 2) if not g.has_edge(*p)])
+    return Graph.from_edges(g.n, [e for e in edges if e != drop] + [add])
 
 
 def test_complete_graph_anchors():
@@ -84,7 +129,9 @@ def test_matches_bruteforce_on_all_small_classes():
     for n in range(1, 7):
         for g in graph_classes(n):
             for k in (4, 5):
-                assert compute_T(g, k).value == compute_T_bruteforce(g, k)
+                witness = compute_T(g, k)
+                assert witness == old_compute_T(g, k)
+                assert witness.value == compute_T_bruteforce(g, k)
 
 
 def test_matches_bruteforce_on_seeded_random_graphs():
@@ -127,6 +174,36 @@ def test_one_step_composition_at_k33():
     assert witness.value == 4
     assert has_clique(g, 32) and not has_clique(g, 33)
     assert graph6_decode(graph6_encode(g)) == g
+
+
+def test_witness_matches_the_old_bound_on_composed_graphs():
+    # the bound only decides which subtrees are cut, never the order of the
+    # search, so the first optimum found (the witness) must not change
+    rng = random.Random(909)
+    for k, max_steps in ((4, 6), (5, 4)):
+        for steps in range(1, max_steps + 1):
+            for _ in range(4):
+                g = realize(random_ore_tree(k, steps, rng), k)
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                for h in (g, g.relabelled(perm), move_one_edge(g, rng)):
+                    assert compute_T(h, k) == old_compute_T(h, k)
+
+
+@st.composite
+def small_graphs(draw, max_n=11):
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(n), 2))
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+@given(small_graphs(), st.integers(4, 6))
+@settings(max_examples=150, deadline=None)
+def test_matches_bruteforce_on_hypothesis_graphs(g, k):
+    witness = compute_T(g, k)
+    check_witness(g, k, witness)
+    assert witness.value == compute_T_bruteforce(g, k)
 
 
 def test_caps():

@@ -115,6 +115,17 @@ def test_census_is_the_default_corpus(suite_id):
     assert result.passed and len(result.rows) == 2  # K4 and the 6-vertex critical graph
 
 
+@pytest.mark.parametrize("suite_id", ["ky-bound", "packing-oracle", "graph6-roundtrip"])
+def test_empty_corpus_gives_no_rows(suite_id, monkeypatch):
+    def no_default(default, params):
+        raise AssertionError("an empty corpus was replaced by the default input")
+
+    monkeypatch.setattr(suites, "_default_graphs", no_default)
+    result = run_suite(suite_id, corpus=[], params={"census_max": 6})
+    assert result.rows == () and not result.passed
+    assert dict(result.config)["graphs"] == "0"
+
+
 def test_default_census_is_built_once(monkeypatch):
     calls = []
     census_critical = suites.census_critical
@@ -140,6 +151,8 @@ def test_caps_reject_unknown_keys_and_non_integers():
     for value in ("3", 2.5, True):
         with pytest.raises(ValueError, match="integer"):
             run_suite("ky-equality-ore", corpus=[], params={"caps": {"recognition": value}})
+    with pytest.raises(ValueError, match="nonnegative"):
+        run_suite("ky-equality-ore", corpus=[], params={"caps": {"recognition": -3}})
     # a key declared by another suite is accepted, so one cap map serves 'all'
     result = run_suite("ky-bound", corpus=[Graph.complete(4)], params={"caps": {"recognition": 3}})
     assert result.passed and dict(result.config)["caps"] == "recognition=3"
