@@ -7,10 +7,11 @@ augmenting every class with every mask and deduplicating by canonical form
 is complete. Each augmented graph is keyed once, so the level keys come from
 the uncached canonical labelling. The criticality census sieves the
 augmentation with necessary conditions that follow from the definition only
-(colorability, minimum degree, connectivity, no K_k above order k, and the
-Turan edge cap that K_k-freeness implies), as bit operations on facts
-computed once per parent; the bounds this workbench is meant to verify are
-never used to generate, so the census cannot beg the question.
+(colorability, minimum degree, connectivity, no K_k above order k, and
+criticality of the new vertex's edges), as bit operations on facts computed
+once per parent, and colors only the survivors with one parent edge deleted;
+the bounds this workbench is meant to verify are never used to generate, so
+the census cannot beg the question.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .coloring import color_partitions, is_k_critical
+from .coloring import _uncolorable_without, color_partitions
 from .errors import SizeCapError
 from .graphs import (
     Graph,
@@ -40,13 +41,9 @@ ENUMERATION_CAP = 9
 class Corpus:
     """A deduplicated, deterministically ordered batch of graphs."""
 
-    source: str
     graphs: tuple[Graph, ...]
-    provenance: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.graphs) != len(self.provenance):
-            raise ValueError("one provenance string per graph")
         keys = {canonical_key(g) for g in self.graphs}
         if len(keys) != len(self.graphs):
             raise ValueError("corpus contains isomorphic duplicates")
@@ -55,16 +52,12 @@ class Corpus:
         return len(self.graphs)
 
 
-def corpus_from_graphs(source: str, items: Iterable[tuple[Graph, str]]) -> Corpus:
+def corpus_from_graphs(graphs: Iterable[Graph]) -> Corpus:
+    """One graph per class, the first one given, ordered by (n, canonical key)."""
     seen: dict = {}
-    for g, prov in items:
-        seen.setdefault(canonical_key(g), (g, prov))
-    ordered = sorted(seen.items(), key=lambda kv: (kv[1][0].n, kv[0]))
-    return Corpus(
-        source,
-        tuple(g for _, (g, _) in ordered),
-        tuple(p for _, (_, p) in ordered),
-    )
+    for g in graphs:
+        seen.setdefault(canonical_key(g), g)
+    return Corpus(tuple(seen[key] for key in sorted(seen, key=lambda key: (seen[key].n, key))))
 
 
 def _augment(parent: Graph, mask: int) -> Graph:
@@ -90,19 +83,6 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
             g = _augment(parent, mask)
             out.setdefault(_canonical_form(g).key, g)
     return tuple(out[key] for key in sorted(out))
-
-
-def enumerate_graphs(n: int) -> Corpus:
-    """All isomorphism classes on exactly n vertices as a corpus.
-
-    Bounded by the built-in cap; larger orders are supported only through
-    external graph6 files (``orelab verify --in``).
-    """
-    return Corpus(
-        f"enumeration n={n}",
-        graph_classes(n),
-        tuple(f"class {i}" for i in range(len(graph_classes(n)))),
-    )
 
 
 # -- criticality census --------------------------------------------------------
@@ -160,12 +140,9 @@ def _critical_on(n: int, k: int) -> list[Graph]:
         forced = mask_of(v for v in range(pn) if degs[v] == k - 2)
         comps = components(parent.adj, parent.full_mask())
         cliques = [mask_of(c) for c in cliques_of_size(parent, k - 1)] if n > k else []
-        # Turan: a K_k-free graph on n > k vertices has at most this many edges
-        max_deg = (k - 2) * n * n // (2 * (k - 1)) - parent.edge_count() if n > k else pn
+        edges = parent.edges()
         for mask in range(forced, 1 << pn):
             if mask & forced != forced or table >> mask & 1:
-                continue
-            if not k - 1 <= mask.bit_count() <= max_deg:
                 continue
             if not all(mask & comp for comp in comps):
                 continue
@@ -174,7 +151,7 @@ def _critical_on(n: int, k: int) -> list[Graph]:
             if not all(table >> (mask ^ (1 << u)) & 1 for u in bits_of(mask)):
                 continue
             g = _augment(parent, mask)
-            if is_k_critical(g, k):
+            if all(_uncolorable_without(g.adj, u, v, k - 1) is None for u, v in edges):
                 out.setdefault(canonical_key(g), g)
     return [out[key] for key in sorted(out)]
 
@@ -187,26 +164,25 @@ def census_critical(n_max: int, k: int) -> Corpus:
     as v needs a color of its own, not (k-2)-colorable; parents outside that
     band are skipped. For the others, the new vertex v's neighbor mask must:
 
-    - cover every degree-(k-2) parent vertex and have k-1 or more bits
-      (minimum degree k-1);
-    - keep the edge count under the Turan cap above order k (K_k-freeness);
-    - leave g not (k-1)-colorable, by the parent's colorable-mask table;
+    - cover every degree-(k-2) parent vertex (minimum degree k-1);
+    - leave g not (k-1)-colorable, by the parent's colorable-mask table (a
+      mask of fewer than k-1 bits misses a color class, so v has degree
+      k-1 or more);
     - meet every component of the parent (g is connected);
-    - contain no (k-1)-clique of the parent above order k (no K_k in g);
+    - contain no (k-1)-clique of the parent above order k (no K_k in g; the
+      parent has none, so any K_k in g uses v);
     - leave g - vu (k-1)-colorable for every neighbor u of v, again by the
-      table (every edge is critical).
+      table (every edge at v is critical).
 
-    Survivors go to the complete test ``is_k_critical``.
+    What is left of criticality is that g - e is (k-1)-colorable for every
+    parent edge e; each survivor is colored once per parent edge until one
+    fails.
     """
     if k < 3:
         raise ValueError("criticality census needs k >= 3")
     if n_max > ENUMERATION_CAP:
         raise SizeCapError("criticality census order", n_max, ENUMERATION_CAP)
-    items = []
-    for n in range(k, n_max + 1):
-        for g in _critical_on(n, k):
-            items.append((g, f"census k={k} n={n}"))
-    return corpus_from_graphs(f"census k={k} n<={n_max}", items)
+    return corpus_from_graphs(g for n in range(k, n_max + 1) for g in _critical_on(n, k))
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

@@ -10,7 +10,7 @@ import sys
 
 import click
 
-from .census import census_critical, corpus_from_graphs, enumerate_graphs
+from .census import census_critical, corpus_from_graphs, graph_classes
 from .errors import SizeCapError
 from .graphs import graph6_decode, graph6_encode, to_dot
 from .orekit import is_k_ore, random_ore_tree, realize, tree_dumps
@@ -117,10 +117,10 @@ def enumerate_cmd(n, critical, k):
     """Print graph6 lines for all classes on n vertices, or the criticality
     census up to n."""
     try:
-        corpus = census_critical(n, k) if critical else enumerate_graphs(n)
+        graphs = census_critical(n, k).graphs if critical else graph_classes(n)
     except (SizeCapError, ValueError) as err:
         raise click.ClickException(str(err))
-    for g in corpus.graphs:
+    for g in graphs:
         click.echo(graph6_encode(g))
 
 
@@ -151,8 +151,7 @@ def verify_cmd(suite_id, k, infile, census_n, seed, caps, json_path, csv_path):
         check_suite_args(ids, cap_map)
         corpus = None
         if infile is not None:
-            graphs = _read_graphs(infile)
-            corpus = corpus_from_graphs("cli", ((g, f"cli:{i + 1}") for i, g in enumerate(graphs)))
+            corpus = corpus_from_graphs(_read_graphs(infile))
         elif census_n is not None:
             corpus = census_critical(census_n, k)
         params = {"k": k, "seed": seed, "caps": cap_map}

@@ -260,7 +260,11 @@ def is_k_ore(g: Graph, k: int, cap: int = DEFAULT_RECOGNITION_CAP) -> OreTree | 
     or None. Search: every decomposition has a nonadjacent overlap pair whose
     removal separates the two interiors, so candidate splits are enumerated
     from separating nonadjacent pairs and component bipartitions, recursing
-    on both sides. Results are memoized by canonical form.
+    on both sides. Results are memoized by canonical form in one
+    process-wide memo, so the witness for g is the tree built for the first
+    member of g's class that the process recognized: it always realizes to a
+    graph isomorphic to g, but its exact form depends on the calls made
+    before.
     """
     if k < 4:
         raise ValueError("recognition requires k >= 4")

@@ -37,11 +37,16 @@ from .potential import (
 from .structure import build_extension, find_diamonds_emeralds, mic, minimum_colorings
 
 DEFAULT_SEED = 20250801
-_RANDOM_TREES = 200
-# every key any suite reads from its params
-_PARAM_KEYS = (
-    "k", "seed", "caps", "trees", "l_max", "census_max", "enum_max", "random_count", "r_sizes"
-)
+_PARAM_KEYS = ("k", "seed", "caps", "trees")
+# the sizes of the default inputs
+CENSUS_MAX = 8  # criticality census order
+CLASSES_MAX = 6  # order of the enumerated graph classes
+RANDOM_GRAPHS = 500  # seeded random graphs, 1 to 10 vertices each
+MIXED_RANDOM = 100  # random graphs appended to the classes
+RANDOM_TREES = 200  # seeded random composition trees
+TREE_STEPS = 3  # most compositions in a random tree
+CATALOG_STEPS = 2  # most compositions in the exhaustive catalog
+ANCHOR_SIZES = (3, 4, 5)  # anchor set sizes of the extension suite
 
 PASS = "pass"
 FAIL = "fail"
@@ -120,18 +125,6 @@ def _walk_nodes(tree: OreTree):
         yield tree
         yield from _walk_nodes(tree.edge_side)
         yield from _walk_nodes(tree.split_side)
-
-
-def _trees_from_params(params: dict) -> list[OreTree]:
-    trees = params.get("trees")
-    if trees is not None:
-        return list(trees)
-    k = params["k"]
-    rng = random.Random(params["seed"])
-    l_max = params.get("l_max", 3)
-    return [
-        random_ore_tree(k, rng.randrange(1, l_max + 1), rng) for _ in range(_RANDOM_TREES)
-    ]
 
 
 # -- individual suites: each checks one graph or tree and returns its rows -----
@@ -309,7 +302,7 @@ def _extension_potential(g: Graph, params: dict) -> list[SuiteRow]:
     caps = params["caps"]
     g6 = graph6_encode(g)
     rows = []
-    for size in params.get("r_sizes", (3, 4, 5)):
+    for size in ANCHOR_SIZES:
         if size >= g.n:
             continue
         for r_set in combinations(range(g.n), size):
@@ -475,56 +468,52 @@ def _graph6_roundtrip(g: Graph, params: dict) -> list[SuiteRow]:
 
 class _Suite(NamedTuple):
     check: Callable  # (graph or tree, params) -> rows for that item
-    feed: str  # "graphs" or "trees"
-    default: str  # corpus used when the caller gives none
+    default: str  # input kind used when the caller gives none, see _default_input
     caps: dict[str, int]  # the cap keys the suite reads, with their defaults
 
 
 _SUITES = {
-    "ky-bound": _Suite(_ky_bound, "graphs", "census", {}),
-    "ky-equality-ore": _Suite(_ky_equality_ore, "graphs", "census", {"recognition": 25}),
-    "main2-potential": _Suite(_main2_potential, "trees", "random", {}),
-    "t-superadd": _Suite(_t_superadd, "trees", "random", {}),
-    "t-lower": _Suite(_t_lower, "trees", "random", {}),
-    "diamond-emerald": _Suite(_diamond_emerald, "trees", "catalog", {}),
+    "ky-bound": _Suite(_ky_bound, "census", {}),
+    "ky-equality-ore": _Suite(_ky_equality_ore, "census", {"recognition": 25}),
+    "main2-potential": _Suite(_main2_potential, "trees", {}),
+    "t-superadd": _Suite(_t_superadd, "trees", {}),
+    "t-lower": _Suite(_t_lower, "trees", {}),
+    "diamond-emerald": _Suite(_diamond_emerald, "catalog", {}),
     "extension-potential": _Suite(
         _extension_potential,
-        "graphs",
         "census",
         {"extensions_per_graph": 30, "colorings_per_subset": 2, "witnesses_per_reduction": 3},
     ),
-    "kernel-ineq": _Suite(_kernel_ineq, "graphs", "census", {"subset_cap": 2 ** 20}),
-    "mic-ineq": _Suite(_mic_ineq, "graphs", "census", {}),
-    "charge-identity": _Suite(_charge_identity, "graphs", "enum+random", {"gadget_steps": 2}),
-    "packing-oracle": _Suite(_packing_oracle, "graphs", "random", {}),
-    "coloring-oracle": _Suite(_coloring_oracle, "graphs", "enum", {}),
-    "graph6-roundtrip": _Suite(_graph6_roundtrip, "graphs", "enum", {}),
+    "kernel-ineq": _Suite(_kernel_ineq, "census", {"subset_cap": 2 ** 20}),
+    "mic-ineq": _Suite(_mic_ineq, "census", {}),
+    "charge-identity": _Suite(_charge_identity, "classes+random", {"gadget_steps": 2}),
+    "packing-oracle": _Suite(_packing_oracle, "random", {}),
+    "coloring-oracle": _Suite(_coloring_oracle, "classes", {}),
+    "graph6-roundtrip": _Suite(_graph6_roundtrip, "classes", {}),
 }
 
 SUITE_IDS = tuple(_SUITES)
 _CAP_KEYS = tuple(sorted({key for suite in _SUITES.values() for key in suite.caps}))
-
-
-_SIZE_PARAMS = {"census": ("census_max", 8), "enum": ("enum_max", 6), "random": ("random_count", 500)}
-
-
-def _default_graphs(kind: str, params: dict) -> tuple[Graph, ...]:
-    if kind == "enum+random":
-        return _default_graphs("enum", params) + _default_graphs(
-            "random", {"random_count": 100, **params}
-        )
-    key, default = _SIZE_PARAMS[kind]
-    return _built_corpus(kind, params["k"], params["seed"], params.get(key, default))
+_TREE_KINDS = ("trees", "catalog")
 
 
 @lru_cache(maxsize=4)
-def _built_corpus(kind: str, k: int, seed: int, size: int) -> tuple[Graph, ...]:
+def _default_input(kind: str, k: int, seed: int) -> tuple:
+    """The default graphs or trees of one kind, built once per (kind, k, seed)
+    and shared by every suite of that kind. Four entries are enough for
+    ``verify --suite all`` to build each kind once per (k, seed)."""
     if kind == "census":
-        return census_critical(size, k).graphs
-    if kind == "enum":
-        return tuple(g for n in range(1, size + 1) for g in graph_classes(n))
+        return census_critical(CENSUS_MAX, k).graphs
+    if kind == "classes":
+        return tuple(g for n in range(1, CLASSES_MAX + 1) for g in graph_classes(n))
+    if kind == "classes+random":
+        return _default_input("classes", k, seed) + _default_input("random", k, seed)[:MIXED_RANDOM]
+    if kind == "catalog":
+        return ore_catalog(k, CATALOG_STEPS)
     rng = random.Random(seed)
-    return tuple(random_graph(rng, rng.randrange(1, 11)) for _ in range(size))
+    if kind == "random":
+        return tuple(random_graph(rng, rng.randrange(1, 11)) for _ in range(RANDOM_GRAPHS))
+    return tuple(random_ore_tree(k, rng.randrange(1, TREE_STEPS + 1), rng) for _ in range(RANDOM_TREES))
 
 
 def check_suite_args(suite_ids: Iterable[str], caps: dict) -> None:
@@ -547,13 +536,13 @@ def run_suite(suite_id: str, corpus=None, params: dict | None = None) -> SuiteRe
 
     ``corpus`` may be a Corpus, an iterable of graphs, or None to let the
     suite build its documented default input. Tree-driven suites read
-    ``params["trees"]`` and otherwise generate seeded random composition
-    trees (or, for the near-clique suite, the exhaustive catalog).
-    An empty corpus gives no rows, which is not a pass. ``params["caps"]``
-    may set, to a nonnegative integer, any cap key that some suite in the
-    registry declares; any other key or value raises ValueError, and so does
-    any params key other than k, seed, caps, trees, l_max, census_max,
-    enum_max, random_count and r_sizes.
+    ``params["trees"]`` and otherwise use seeded random composition trees
+    (or, for the near-clique suite, the exhaustive catalog); a library
+    caller sizes a suite's input with a corpus or ``trees``. An empty corpus
+    gives no rows, which is not a pass. ``params["caps"]`` may set, to a
+    nonnegative integer, any cap key that some suite in the registry
+    declares; any other key or value raises ValueError, and so does any
+    params key other than k, seed, caps and trees.
     """
     p = {"k": 4, "seed": DEFAULT_SEED, "caps": {}}
     p.update(params or {})
@@ -565,18 +554,17 @@ def run_suite(suite_id: str, corpus=None, params: dict | None = None) -> SuiteRe
     check_suite_args((suite_id,), p["caps"])
     suite = _SUITES[suite_id]
     graphs = _graphs_of(corpus)
-    trees: list[OreTree] = []
-    if suite.feed == "trees":
-        if suite.default == "catalog" and "trees" not in p:
-            trees = list(ore_catalog(p["k"], p.get("l_max", 2)))
-        else:
-            trees = _trees_from_params(p)
+    trees: list | tuple = ()
+    on_trees = suite.default in _TREE_KINDS
+    if on_trees:
+        given = p.get("trees")
+        trees = _default_input(suite.default, p["k"], p["seed"]) if given is None else list(given)
     elif corpus is None:
-        graphs = _default_graphs(suite.default, p)
+        graphs = _default_input(suite.default, p["k"], p["seed"])
     item_params = {**p, "caps": {**suite.caps, **p["caps"]}}
     rows = [
         row
-        for item in (trees if suite.feed == "trees" else graphs)
+        for item in (trees if on_trees else graphs)
         for row in suite.check(item, item_params)
     ]
     rows.sort(key=lambda r: (r.graph6, r.claim, r.values))

@@ -26,6 +26,7 @@ from orelab import (
     graph_classes,
     is_k_ore,
     main_potential_bound,
+    random_graph,
     random_ore_tree,
     realize,
     rho,
@@ -160,7 +161,7 @@ def test_criterion_06_packing_size_lower_bound(tree_corpora, acceptance_log):
 def test_criterion_07_near_clique_witnesses(acceptance_log):
     total = 0
     for k in (4, 5):
-        result = run_suite("diamond-emerald", params={"k": k, "l_max": 2})
+        result = run_suite("diamond-emerald", params={"k": k})  # the two-step catalog
         counts = result.counts()
         assert result.passed and counts["fail"] == 0
         total += counts["pass"]
@@ -178,7 +179,7 @@ def test_criterion_08_oracle_equivalence(census4_9, acceptance_log):
     small = [g for g in corpus.graphs if g.n <= 8]
     cens = run_suite("packing-oracle", corpus=small)
     assert cens.passed and cens.counts()["pass"] == len(small) == 9
-    chrom = run_suite("coloring-oracle", params={"enum_max": 6})
+    chrom = run_suite("coloring-oracle")  # every class with n <= 6
     assert chrom.passed and chrom.counts() == {"pass": 208, "fail": 0, "skip-cap": 0}
     acceptance_log(
         8,
@@ -227,7 +228,9 @@ def test_criterion_11_charge_identity(census4_9, census5_9, acceptance_log):
         )
         assert result.passed and result.counts()["fail"] == 0
         assert result.counts()["pass"] == len(corpus)
-    rand = run_suite("charge-identity", params={"enum_max": 1, "random_count": 100})
+    rng = random.Random(DEFAULT_SEED)  # the default random stream
+    small = list(graph_classes(1)) + [random_graph(rng, rng.randrange(1, 11)) for _ in range(100)]
+    rand = run_suite("charge-identity", corpus=small)
     assert rand.passed and rand.counts()["pass"] == 101
     acceptance_log(
         11,

@@ -22,7 +22,6 @@ from orelab import (
     canonical_key,
     census_critical,
     corpus_from_graphs,
-    enumerate_graphs,
     first_coloring,
     graph_classes,
     has_clique,
@@ -76,10 +75,8 @@ def test_classes_are_pairwise_nonisomorphic():
             assert not is_isomorphic(a, b)
 
 
-def test_enumerate_graphs_corpus():
-    corpus = enumerate_graphs(4)
-    assert len(corpus) == 11 and corpus.source == "enumeration n=4"
-    assert corpus.provenance[0] == "class 0"
+def test_graph_classes_cap():
+    assert len(graph_classes(4)) == 11
     with pytest.raises(SizeCapError):
         graph_classes(10)
 
@@ -179,15 +176,16 @@ def test_colorable_mask_table_matches_the_solver(parent, k):
 
 
 def test_sieve_bounds_the_criticality_tests(monkeypatch):
-    calls = []
+    tested = set()  # the survivors that reach the final parent-edge checks
+    uncolorable_without = orelab.census._uncolorable_without
 
-    def counted(g, k):
-        calls.append(g)
-        return is_k_critical(g, k)
+    def counted(rows, u, v, t):
+        tested.add(tuple(rows))
+        return uncolorable_without(rows, u, v, t)
 
-    monkeypatch.setattr(orelab.census, "is_k_critical", counted)
+    monkeypatch.setattr(orelab.census, "_uncolorable_without", counted)
     assert len(census_critical(8, 4)) == 9
-    assert len(calls) <= 400  # the per-mask filter made 7,917
+    assert len(tested) <= 400  # the per-mask filter made 7,917 criticality tests
 
 
 def test_census_members_are_critical(census4_8):
@@ -202,23 +200,18 @@ def test_census_argument_errors():
         census_critical(5, 2)
 
 
-def test_corpus_rejects_mismatched_or_duplicate_rows():
+def test_corpus_rejects_duplicate_rows():
     k4 = Graph.complete(4)
-    with pytest.raises(ValueError):
-        Corpus("x", (k4,), ())
-    relabeled = k4.relabelled([1, 0, 2, 3])
-    with pytest.raises(ValueError):
-        Corpus("x", (k4, relabeled), ("a", "b"))
+    with pytest.raises(ValueError, match="isomorphic duplicates"):
+        Corpus((k4, k4.relabelled([1, 0, 2, 3])))
 
 
 def test_corpus_from_graphs_dedupes_and_orders():
-    k4 = Graph.complete(4)
-    corpus = corpus_from_graphs(
-        "mix", [(k4, "first"), (Graph.complete(3), "tri"), (k4.relabelled([1, 0, 2, 3]), "second")]
-    )
+    path = Graph.path(4)
+    corpus = corpus_from_graphs([path, Graph.complete(3), path.relabelled([1, 0, 2, 3])])
     assert len(corpus) == 2
     assert corpus.graphs[0].n == 3  # ordered by size, then canonical key
-    assert corpus.provenance[1] == "first"  # first witness of a class wins
+    assert corpus.graphs[1] is path  # first witness of a class wins
 
 
 def test_random_graph_determinism_and_extremes():

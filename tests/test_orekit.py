@@ -17,6 +17,7 @@ from orelab import (
     Node,
     SizeCapError,
     canonical_key,
+    clear_recognition_cache,
     clusters,
     gadget_catalog,
     identify,
@@ -214,6 +215,21 @@ def test_generate_and_recognize_roundtrip():
             witness = is_k_ore(g, k)
             assert witness is not None
             assert is_isomorphic(realize(witness), g)
+
+
+def test_memoized_witness_realizes_to_a_relabelled_copy():
+    # the memo is keyed by class, so h gets the tree built for g, in g's labels
+    for k, max_steps in ((4, 3), (5, 2)):
+        for i, tree in enumerate(seeded_trees(k, 6, max_steps, f"memo:{k}")):
+            g = realize(tree)
+            perm = list(range(g.n))
+            random.Random(f"memo:{k}:{i}").shuffle(perm)
+            h = g.relabelled(perm)
+            clear_recognition_cache()
+            first = is_k_ore(g, k)
+            second = is_k_ore(h, k)
+            assert second is first and first is not None
+            assert is_isomorphic(realize(second), h)
 
 
 def test_recognition_rejects_non_ore_census_graphs(census4_8):

@@ -1,10 +1,12 @@
 """End-to-end verification suites.
 
-Each suite runs here on a deliberately small corpus so the whole file stays
-fast; the acceptance tests rerun the important ones at full size.
+Each suite runs here on a deliberately small corpus or tree list so the
+whole file stays fast; the acceptance tests rerun the important ones at full
+size.
 """
 
 import json
+import random
 
 import pytest
 
@@ -17,9 +19,20 @@ from orelab import (
     Node,
     graph_classes,
     ore_catalog,
+    random_graph,
     realize,
     run_suite,
 )
+
+
+def classes_up_to(n_max: int) -> list[Graph]:
+    return [g for n in range(1, n_max + 1) for g in graph_classes(n)]
+
+
+def random_graphs(count: int) -> list[Graph]:
+    """The first graphs of the default seeded random stream."""
+    rng = random.Random(DEFAULT_SEED)
+    return [random_graph(rng, rng.randrange(1, 11)) for _ in range(count)]
 
 
 def one_step() -> Node:
@@ -37,16 +50,13 @@ SMALL_INPUTS = {
     "main2-potential": dict(params={"trees": [Leaf(4), one_step(), nested()]}),
     "t-superadd": dict(params={"trees": [one_step(), nested()]}),
     "t-lower": dict(params={"trees": [one_step(), nested()]}),
-    "diamond-emerald": dict(params={"l_max": 1}),
-    "extension-potential": dict(
-        corpus="census",
-        params={"caps": {"extensions_per_graph": 8}, "r_sizes": (3,)},
-    ),
+    "diamond-emerald": dict(params={"trees": ore_catalog(4, 1)}),
+    "extension-potential": dict(corpus="census", params={"caps": {"extensions_per_graph": 8}}),
     "kernel-ineq": dict(corpus="census"),
     "mic-ineq": dict(corpus="census"),
-    "charge-identity": dict(params={"enum_max": 4, "random_count": 5}),
-    "packing-oracle": dict(params={"random_count": 8}),
-    "coloring-oracle": dict(params={"enum_max": 5}),
+    "charge-identity": dict(corpus=classes_up_to(4) + random_graphs(5)),
+    "packing-oracle": dict(corpus=random_graphs(8)),
+    "coloring-oracle": dict(corpus=classes_up_to(5)),
     "graph6-roundtrip": dict(corpus=list(graph_classes(4))),
 }
 
@@ -104,26 +114,27 @@ def test_result_serialization_shapes():
 
 
 def test_suite_runs_are_deterministic():
-    a = run_suite("packing-oracle", params={"random_count": 6})
-    b = run_suite("packing-oracle", params={"random_count": 6})
-    assert a == b
+    a = run_suite("packing-oracle")
+    suites._default_input.cache_clear()
+    b = run_suite("packing-oracle")
+    assert a == b and len(a.rows) == suites.RANDOM_GRAPHS
 
 
 @pytest.mark.parametrize("suite_id", ["ky-bound", "ky-equality-ore"])
-def test_census_is_the_default_corpus(suite_id):
-    result = run_suite(suite_id, params={"census_max": 6})
-    assert result.passed and len(result.rows) == 2  # K4 and the 6-vertex critical graph
+def test_census_is_the_default_corpus(suite_id, census4_8):
+    result = run_suite(suite_id)
+    assert result.passed and len(result.rows) == len(census4_8) == 9
 
 
-@pytest.mark.parametrize("suite_id", ["ky-bound", "packing-oracle", "graph6-roundtrip"])
+@pytest.mark.parametrize("suite_id", ["ky-bound", "packing-oracle", "graph6-roundtrip", "diamond-emerald"])
 def test_empty_corpus_gives_no_rows(suite_id, monkeypatch):
-    def no_default(default, params):
-        raise AssertionError("an empty corpus was replaced by the default input")
+    def no_default(kind, k, seed):
+        raise AssertionError("an empty input was replaced by the default input")
 
-    monkeypatch.setattr(suites, "_default_graphs", no_default)
-    result = run_suite(suite_id, corpus=[], params={"census_max": 6})
+    monkeypatch.setattr(suites, "_default_input", no_default)
+    result = run_suite(suite_id, corpus=[], params={"trees": []})
     assert result.rows == () and not result.passed
-    assert dict(result.config)["graphs"] == "0"
+    assert dict(result.config)["graphs"] == dict(result.config)["trees"] == "0"
 
 
 def test_default_census_is_built_once(monkeypatch):
@@ -135,14 +146,35 @@ def test_default_census_is_built_once(monkeypatch):
         return census_critical(n_max, k)
 
     monkeypatch.setattr(suites, "census_critical", counting_census)
-    suites._built_corpus.cache_clear()
+    suites._default_input.cache_clear()
     try:
-        a = run_suite("ky-bound", params={"census_max": 6})
-        b = run_suite("mic-ineq", params={"census_max": 6})
+        results = {suite_id: run_suite(suite_id) for suite_id in SUITE_IDS}
+        built = suites._default_input.cache_info().misses
     finally:
-        suites._built_corpus.cache_clear()
-    assert calls == [(6, 4)]
-    assert a.passed and b.passed and len(a.rows) == len(b.rows) == 2
+        suites._default_input.cache_clear()
+    assert calls == [(suites.CENSUS_MAX, 4)]
+    # every input kind is built once over the whole run, as `verify --suite all` does
+    assert built == len({suite.default for suite in suites._SUITES.values()})
+    assert all(result.passed for result in results.values())
+    assert len(results["ky-bound"].rows) == len(results["mic-ineq"].rows) == 9
+
+
+def test_default_trees_are_built_once(monkeypatch):
+    drawn = []
+    random_ore_tree = suites.random_ore_tree
+
+    def counting_tree(k, steps, rng):
+        drawn.append(k)
+        return random_ore_tree(k, steps, rng)
+
+    monkeypatch.setattr(suites, "random_ore_tree", counting_tree)
+    suites._default_input.cache_clear()
+    try:
+        results = [run_suite(sid, params={"k": 5}) for sid in ("main2-potential", "t-superadd", "t-lower")]
+    finally:
+        suites._default_input.cache_clear()
+    assert drawn == [5] * suites.RANDOM_TREES
+    assert all(r.passed and dict(r.config)["trees"] == str(suites.RANDOM_TREES) for r in results)
 
 
 def test_caps_reject_unknown_keys_and_non_integers():
@@ -163,10 +195,20 @@ def test_unknown_params_key_is_rejected():
         run_suite("packing-oracle", params={"random_cout": 3})
     with pytest.raises(ValueError, match="unknown suite parameter 'tree_count'"):
         run_suite("t-lower", params={"tree_count": 3})
+    # input sizes are fixed; a caller sizes the input with a corpus or trees
+    for key, suite_id in (
+        ("l_max", "diamond-emerald"),
+        ("census_max", "ky-bound"),
+        ("enum_max", "coloring-oracle"),
+        ("random_count", "packing-oracle"),
+        ("r_sizes", "extension-potential"),
+    ):
+        with pytest.raises(ValueError, match=f"unknown suite parameter '{key}'"):
+            run_suite(suite_id, corpus=[], params={key: 1})
 
 
 def test_catalog_default_for_near_clique_suite():
-    result = run_suite("diamond-emerald", params={"l_max": 1})
+    result = run_suite("diamond-emerald")
     per_vertex = [r for r in result.rows if "one vertex" in r.claim]
-    assert len(per_vertex) == sum(realize(t).n for t in ore_catalog(4, 1))
-    assert result.passed
+    assert len(per_vertex) == sum(realize(t).n for t in ore_catalog(4, suites.CATALOG_STEPS))
+    assert result.passed and dict(result.config)["trees"] == str(len(ore_catalog(4, suites.CATALOG_STEPS)))
