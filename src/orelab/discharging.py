@@ -43,18 +43,6 @@ class RoleReport:
     cluster_size: dict[int, int]
 
 
-def _small_clique_members(g: Graph, k: int) -> set[int]:
-    size = k - 3
-    if size <= 1:
-        return set(range(g.n))
-    if size == 2:
-        return {v for v in range(g.n) if g.adj[v]}
-    members: set[int] = set()
-    for q in cliques_of_size(g, size):
-        members.update(q)
-    return members
-
-
 def _gadget_key_hits(g: Graph, catalog: tuple[Gadget, ...], target: set[int]) -> set[int]:
     hits: set[int] = set()
     for gadget in catalog:
@@ -87,7 +75,7 @@ def classify_degree_k1(g: Graph, k: int, ore_catalog_cap: int = 2) -> RoleReport
     cluster_list = clusters(g, k)
     cluster_of = {v: c.vertices for c in cluster_list for v in c.vertices}
 
-    in_clique = _small_clique_members(g, k)
+    in_clique = {v for q in cliques_of_size(g, k - 3) for v in q}
     # every gadget comes from a host on k + steps*(k-1) vertices, one removed
     complete = ore_catalog_cap >= max(0, (g.n + 1 - k) // (k - 1))
     catalog = gadget_catalog(k, ore_catalog_cap)

@@ -14,6 +14,11 @@ from itertools import combinations
 from .errors import SizeCapError
 from .graphs import Graph, cliques_of_size, mask_of
 
+# Most candidate cliques compute_T collects, and the most vertices
+# compute_T_bruteforce scans subsets of; past either it raises SizeCapError.
+CLIQUE_CAP = 10 ** 6
+BRUTEFORCE_MAX_VERTICES = 12
+
 
 @dataclass(frozen=True)
 class PackingWitness:
@@ -42,7 +47,7 @@ def check_witness(g: Graph, k: int, witness: PackingWitness) -> None:
         raise ValueError(f"declared value {witness.value} != recomputed {total}")
 
 
-def compute_T(g: Graph, k: int, clique_cap: int = 10 ** 6) -> PackingWitness:
+def compute_T(g: Graph, k: int) -> PackingWitness:
     """Exact packing value with a certifying witness.
 
     Candidates are sorted big-cliques-first then lexicographically, and the
@@ -64,10 +69,10 @@ def compute_T(g: Graph, k: int, clique_cap: int = 10 ** 6) -> PackingWitness:
     """
     if k < 4:
         raise ValueError("packing parameter requires k >= 4")
-    big = cliques_of_size(g, k - 1, cap=clique_cap)
-    small = cliques_of_size(g, k - 2, cap=clique_cap - len(big))
-    if len(big) + len(small) > clique_cap:
-        raise SizeCapError("packing candidate cliques", len(big) + len(small), clique_cap)
+    big = cliques_of_size(g, k - 1, cap=CLIQUE_CAP)
+    small = cliques_of_size(g, k - 2, cap=CLIQUE_CAP - len(big))
+    if len(big) + len(small) > CLIQUE_CAP:
+        raise SizeCapError("packing candidate cliques", len(big) + len(small), CLIQUE_CAP)
     cand = sorted(
         [(2, cl) for cl in big] + [(1, cl) for cl in small],
         key=lambda wc: (-wc[0], wc[1]),
@@ -105,7 +110,7 @@ def compute_T(g: Graph, k: int, clique_cap: int = 10 ** 6) -> PackingWitness:
     return witness
 
 
-def compute_T_bruteforce(g: Graph, k: int, max_vertices: int = 12) -> int:
+def compute_T_bruteforce(g: Graph, k: int) -> int:
     """Independent exhaustive packing value for small graphs.
 
     Enumerates cliques by scanning all vertex subsets of the two orders, then
@@ -114,8 +119,8 @@ def compute_T_bruteforce(g: Graph, k: int, max_vertices: int = 12) -> int:
     """
     if k < 4:
         raise ValueError("packing parameter requires k >= 4")
-    if g.n > max_vertices:
-        raise SizeCapError("brute-force packing", g.n, max_vertices)
+    if g.n > BRUTEFORCE_MAX_VERTICES:
+        raise SizeCapError("brute-force packing", g.n, BRUTEFORCE_MAX_VERTICES)
     by_low: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n)}
     for order, weight in ((k - 1, 2), (k - 2, 1)):
         if order < 1:

@@ -21,6 +21,8 @@ from .coloring import (
 from .errors import SizeCapError
 from .graphs import Graph, bits_of, cliques_of_size, mask_of
 
+MIC_MAX_VERTICES = 40
+
 
 # -- clusters ----------------------------------------------------------------
 
@@ -268,14 +270,14 @@ def minimum_colorings(g: Graph, r_set: Iterable[int], k: int, limit: int | None 
 # -- weighted independence -----------------------------------------------------
 
 
-def mic(g: Graph, max_vertices: int = 40) -> tuple[int, frozenset[int]]:
+def mic(g: Graph) -> tuple[int, frozenset[int]]:
     """Maximum total degree over independent sets, with a witness set.
 
     Exact branch and bound: vertices in decreasing-degree order, pruning with
     the remaining degree sum.
     """
-    if g.n > max_vertices:
-        raise SizeCapError("mic vertex count", g.n, max_vertices)
+    if g.n > MIC_MAX_VERTICES:
+        raise SizeCapError("mic vertex count", g.n, MIC_MAX_VERTICES)
     degs = [g.degree(v) for v in range(g.n)]
     order = sorted(range(g.n), key=lambda v: (-degs[v], v))
     best_val = -1

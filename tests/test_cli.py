@@ -1,12 +1,12 @@
 """Command-line behavior, exercised through click's test runner."""
 
 import json
-from functools import partial
 
 from click.testing import CliRunner
 
 import orelab.cli
-from orelab import Graph, compute_T, graph6_decode, graph6_encode, is_k_ore, tree_loads
+import orelab.packing
+from orelab import Graph, graph6_decode, graph6_encode, is_k_ore, tree_loads
 from orelab.cli import main
 
 
@@ -74,7 +74,7 @@ def test_low_k_and_packing_cap_are_clean_errors(monkeypatch):
         result = invoke(command, "--k", "3", "--in", "-", input=k4)
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit), command
         assert "Error:" in result.output and "k >= 4" in result.output, command
-    monkeypatch.setattr(orelab.cli, "compute_T", partial(compute_T, clique_cap=1))
+    monkeypatch.setattr(orelab.packing, "CLIQUE_CAP", 1)
     for command in ("pack", "potential"):
         result = invoke(command, "--k", "4", "--in", "-", input=k4)
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit), command

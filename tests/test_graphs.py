@@ -31,7 +31,7 @@ from orelab import (
 )
 from orelab.census import _augment
 from orelab.cli import _read_graphs
-from orelab.graphs import MAX_VERTICES, _orbit_key, bits_of, components, mask_of
+from orelab.graphs import MAX_VERTICES, _graph_of_key, _orbit_key, bits_of, components, mask_of
 
 
 def all_labeled_graphs(n: int):
@@ -277,7 +277,7 @@ def test_embeddings_counts_monomorphisms():
         for u, v in tri.edges():
             assert k4.has_edge(img[u], img[v])
     assert list(embeddings(k4, tri)) == []
-    assert len(list(embeddings(tri, k4, limit=5))) == 5
+    assert len(list(itertools.islice(embeddings(tri, k4), 5))) == 5
     # embeddings need not be induced: a path embeds into a triangle
     assert len(list(embeddings(Graph.path(3), tri))) == 6
 
@@ -294,6 +294,14 @@ def test_canonical_form_examples():
     cf = canonical_form(c5)
     assert isinstance(cf, CanonicalForm)
     assert sorted(cf.labeling) == list(range(5))
+
+
+def test_graph_of_key_rebuilds_the_class():
+    # vertex n-1-p of the rebuilt graph is the vertex at canonical position p
+    for n in range(6):
+        for g in all_labeled_graphs(n):
+            cf = canonical_form(g)
+            assert _graph_of_key(cf.key) == g.relabelled({v: n - 1 - p for p, v in enumerate(cf.labeling)})
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)])

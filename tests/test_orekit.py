@@ -16,8 +16,9 @@ from orelab import (
     Leaf,
     Node,
     SizeCapError,
+    bits_of,
+    canonical_form,
     canonical_key,
-    clear_recognition_cache,
     clusters,
     gadget_catalog,
     identify,
@@ -27,7 +28,6 @@ from orelab import (
     key_vertices,
     ore_catalog,
     ore_compose,
-    ore_decompositions,
     random_ore_tree,
     realize,
     rho_ky,
@@ -217,19 +217,27 @@ def test_generate_and_recognize_roundtrip():
             assert is_isomorphic(realize(witness), g)
 
 
-def test_memoized_witness_realizes_to_a_relabelled_copy():
-    # the memo is keyed by class, so h gets the tree built for g, in g's labels
+def test_witness_does_not_depend_on_call_order():
+    # recognition searches a member rebuilt from the canonical key, so h gets
+    # the same tree from a cold cache as after its relabelled copy g
     for k, max_steps in ((4, 3), (5, 2)):
-        for i, tree in enumerate(seeded_trees(k, 6, max_steps, f"memo:{k}")):
+        for i, tree in enumerate(seeded_trees(k, 6, max_steps, f"order:{k}")):
             g = realize(tree)
             perm = list(range(g.n))
-            random.Random(f"memo:{k}:{i}").shuffle(perm)
+            random.Random(f"order:{k}:{i}").shuffle(perm)
             h = g.relabelled(perm)
-            clear_recognition_cache()
-            first = is_k_ore(g, k)
-            second = is_k_ore(h, k)
-            assert second is first and first is not None
-            assert is_isomorphic(realize(second), h)
+            orekit._recognize_class.cache_clear()
+            canonical_form.cache_clear()
+            cold = tree_dumps(is_k_ore(h, k))
+            orekit._recognize_class.cache_clear()
+            is_k_ore(g, k)
+            assert tree_dumps(is_k_ore(h, k)) == cold
+            assert is_isomorphic(realize(tree_loads(cold)), h)
+
+
+def test_recognition_caches_are_bounded():
+    for cache in (orekit._recognize_class, canonical_form):
+        assert cache.cache_info().maxsize is not None
 
 
 def test_recognition_rejects_non_ore_census_graphs(census4_8):
@@ -248,17 +256,20 @@ def test_recognition_cap():
 
 def test_decompositions_replay():
     g = realize(one_step())
-    decs = ore_decompositions(g, 4)
+    decs = list(orekit._decompose(g, 4))
     assert decs
-    for d in decs:
-        assert not g.has_edge(d.a, d.b)
-        assert d.edge_side | d.split_side == set(range(g.n))
-        assert d.edge_side & d.split_side == {d.a, d.b}
-        eside, emap = g.induced(sorted(d.edge_side))
-        assert is_k_ore(eside.add_edge(emap[d.a], emap[d.b]), 4) is not None
-        sside, smap = g.induced(sorted(d.split_side))
-        fused, _ = identify(sside, smap[d.a], smap[d.b])
+    for a, b, split_mask, (g1, map1, t1), (g2, map2, t2) in decs:
+        edge_side, split_side = set(map1), set(map2)
+        assert not g.has_edge(a, b)
+        assert edge_side | split_side == set(range(g.n))
+        assert edge_side & split_side == {a, b}
+        assert split_side == set(bits_of(split_mask)) | {a, b}
+        eside, emap = g.induced(sorted(edge_side))
+        assert is_k_ore(eside.add_edge(emap[a], emap[b]), 4) is not None
+        sside, smap = g.induced(sorted(split_side))
+        fused, _ = identify(sside, smap[a], smap[b])
         assert is_k_ore(fused, 4) is not None
+        assert is_isomorphic(realize(t1), g1) and is_isomorphic(realize(t2), g2)
 
 
 def test_key_vertices():
@@ -269,8 +280,8 @@ def test_key_vertices():
     g = realize(tree)
     keys = key_vertices(tree)
     expected = frozenset(range(g.n))
-    for d in ore_decompositions(g, 4):
-        expected &= d.edge_side - {d.a, d.b}
+    for a, b, _, (_, map1, _), _ in orekit._decompose(g, 4):
+        expected &= set(map1) - {a, b}
     assert keys == expected
 
 
@@ -304,9 +315,9 @@ def test_gadget_catalog_from_composition():
 def test_gadget_catalog_finds_key_vertices_once_per_tree(monkeypatch):
     calls = []
 
-    def counted(tree, cap=orekit.DEFAULT_RECOGNITION_CAP):
+    def counted(tree):
         calls.append(tree)
-        return key_vertices(tree, cap)
+        return key_vertices(tree)
 
     monkeypatch.setattr(orekit, "key_vertices", counted)
     for k in (4, 5):

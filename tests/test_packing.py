@@ -14,6 +14,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import orelab.packing
 from orelab import (
     Graph,
     PackingWitness,
@@ -206,8 +207,9 @@ def test_matches_bruteforce_on_hypothesis_graphs(g, k):
     assert witness.value == compute_T_bruteforce(g, k)
 
 
-def test_caps():
+def test_caps(monkeypatch):
+    monkeypatch.setattr(orelab.packing, "CLIQUE_CAP", 10)
     with pytest.raises(SizeCapError):
-        compute_T(Graph.complete(12), 4, clique_cap=10)
+        compute_T(Graph.complete(12), 4)
     with pytest.raises(SizeCapError):
         compute_T_bruteforce(Graph.empty(13), 4)

@@ -4,7 +4,8 @@ A function exported from ``orelab``, and a public method of an exported
 class, must be used by the package itself (a suite, the CLI, another layer)
 or by the benchmark in ``bench/``. Tests do not count: code only its own
 tests call is dead weight. The few exports kept for users of the library
-are listed below, each with its reason.
+are listed below, each with its reason, and an entry that gains a caller
+must leave its list, so the lists only shrink.
 """
 
 import ast
@@ -19,7 +20,6 @@ PACKAGE = ROOT / "src" / "orelab"
 
 ALLOWED_UNUSED = {
     "tree_loads": "reads back the JSON lines that gen-ore --tree-out writes",
-    "clear_recognition_cache": "the only way to release the unbounded recognition memo",
     "colorable": "the witness-returning, re-verified form of first_coloring",
     "is_isomorphic": "the isomorphism predicate over canonical_key for library users",
 }
@@ -57,7 +57,8 @@ def _exported_functions() -> list[str]:
     return [name for name in orelab.__all__ if inspect.isfunction(getattr(orelab, name))]
 
 
-def test_every_exported_function_has_a_caller():
+def _unused_functions() -> list[str]:
+    """Exported functions that neither the package nor the bench calls."""
     sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     bench = sorted((ROOT / "bench").glob("*.py"))
     unused = []
@@ -65,14 +66,21 @@ def test_every_exported_function_has_a_caller():
         home = Path(inspect.getsourcefile(getattr(orelab, name))).resolve()
         used = any(name in _names_used(p, name if p.resolve() == home else None) for p in sources)
         used = used or any(name in _names_used(p, None) for p in bench)
-        if not used and name not in ALLOWED_UNUSED:
+        if not used:
             unused.append(name)
+    return unused
+
+
+def test_every_exported_function_has_a_caller():
+    unused = [name for name in _unused_functions() if name not in ALLOWED_UNUSED]
     assert unused == [], f"exported but called only by tests: {unused}"
 
 
 def test_allowlist_names_exported_functions():
     assert set(ALLOWED_UNUSED) <= set(_exported_functions())
     assert all(reason.strip() for reason in ALLOWED_UNUSED.values())
+    stale = sorted(set(ALLOWED_UNUSED) - set(_unused_functions()))
+    assert stale == [], f"allowlisted but called now, drop from ALLOWED_UNUSED: {stale}"
 
 
 @lru_cache(maxsize=None)
@@ -120,16 +128,21 @@ def _public_methods() -> list[tuple[type, str]]:
     return out
 
 
-def test_every_public_method_has_a_caller():
+def _unused_methods() -> list[str]:
+    """Public methods, as Class.method, that neither the package nor the
+    bench calls."""
     sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     unused = []
     for cls, attr in _public_methods():
         home = Path(inspect.getsourcefile(cls)).resolve()
         skip = (cls.__name__, attr)
-        used = any(attr in _attributes_used(p, skip if p.resolve() == home else None) for p in sources)
-        qualified = f"{cls.__name__}.{attr}"
-        if not used and qualified not in ALLOWED_UNUSED_METHODS:
-            unused.append(qualified)
+        if not any(attr in _attributes_used(p, skip if p.resolve() == home else None) for p in sources):
+            unused.append(f"{cls.__name__}.{attr}")
+    return unused
+
+
+def test_every_public_method_has_a_caller():
+    unused = [name for name in _unused_methods() if name not in ALLOWED_UNUSED_METHODS]
     assert unused == [], f"public methods called only by tests: {unused}"
 
 
@@ -137,3 +150,5 @@ def test_method_allowlist_names_public_methods():
     methods = {f"{cls.__name__}.{attr}" for cls, attr in _public_methods()}
     assert set(ALLOWED_UNUSED_METHODS) <= methods
     assert all(reason.strip() for reason in ALLOWED_UNUSED_METHODS.values())
+    stale = sorted(set(ALLOWED_UNUSED_METHODS) - set(_unused_methods()))
+    assert stale == [], f"allowlisted but called now, drop from ALLOWED_UNUSED_METHODS: {stale}"
