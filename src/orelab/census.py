@@ -4,14 +4,17 @@ random graphs.
 Enumeration works level by level: every class on n vertices is some class on
 n-1 vertices plus one new vertex with an arbitrary neighbor set, so
 augmenting every class with every mask and deduplicating by canonical form
-is complete. Each augmented graph is keyed once, so the level keys come from
-the uncached canonical labelling. The criticality census sieves the
-augmentation with necessary conditions that follow from the definition only
-(colorability, minimum degree, connectivity, no K_k above order k, and
-criticality of the new vertex's edges), as bit operations on facts computed
-once per parent, and colors only the survivors with one parent edge deleted;
-the bounds this workbench is meant to verify are never used to generate, so
-the census cannot beg the question.
+is complete. Masks in one orbit of the parent's automorphism group give
+isomorphic children, so only the least mask of each orbit is augmented, with
+generators read off the parent's own canonical search. Each augmented graph
+is keyed once, so the level keys come from the uncached canonical labelling.
+The criticality census sieves the augmentation with necessary conditions
+that follow from the definition only (colorability, minimum degree,
+connectivity, no K_k above order k, and criticality of the new vertex's
+edges), as bit operations on facts computed once per parent, and colors only
+the survivors with one parent edge deleted; the bounds this workbench is
+meant to verify are never used to generate, so the census cannot beg the
+question.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .coloring import _uncolorable_without, color_partitions
 from .errors import SizeCapError
 from .graphs import (
     Graph,
+    _automorphisms,
     _canonical_form,
     bits_of,
     canonical_key,
@@ -68,9 +72,49 @@ def _augment(parent: Graph, mask: int) -> Graph:
     return Graph._trusted(parent.n + 1, tuple(rows))
 
 
+def _orbit_minima(parent: Graph) -> list[int]:
+    """The least mask of each orbit of Aut(parent) on the new-vertex masks
+    0..2^pn-1, in increasing order, from the generators one canonical search
+    witnesses."""
+    size = 1 << parent.n
+    images = []
+    for perm in _automorphisms(parent):
+        image = [0] * size
+        for mask in range(1, size):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
+        images.append(image)
+    if not images:
+        return list(range(size))
+    seen = bytearray(size)
+    minima = []
+    for mask in range(size):
+        if seen[mask]:
+            continue
+        minima.append(mask)
+        seen[mask] = 1
+        stack = [mask]
+        while stack:
+            m = stack.pop()
+            for image in images:
+                other = image[m]
+                if not seen[other]:
+                    seen[other] = 1
+                    stack.append(other)
+    return minima
+
+
 @lru_cache(maxsize=None)
 def graph_classes(n: int) -> tuple[Graph, ...]:
-    """Every graph on n vertices, one per isomorphism class."""
+    """Every graph on n vertices, one per isomorphism class, in canonical-key
+    order; each class is represented by its first child in the loop over
+    parents (in order) and masks (increasing).
+
+    Masks in one orbit of Aut(parent) give isomorphic children, so only the
+    least mask of each orbit is labelled. That leaves every representative
+    as it was: the masks that give one class are a union of orbits, and the
+    loop meets each orbit's least mask before its other masks.
+    """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     if n > ENUMERATION_CAP:
@@ -79,7 +123,7 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
         return (Graph.empty(0),)
     out: dict = {}
     for parent in graph_classes(n - 1):
-        for mask in range(1 << parent.n):
+        for mask in _orbit_minima(parent):
             g = _augment(parent, mask)
             out.setdefault(_canonical_form(g).key, g)
     return tuple(out[key] for key in sorted(out))

@@ -441,21 +441,30 @@ def _adjacency_bits(adj: tuple[int, ...], order: list[int]) -> int:
     return bits
 
 
-def _canonical(adj: tuple[int, ...], cells: list[list[int]]) -> tuple[int, list[int]]:
-    """Best (bits, order) over the leaves of the individualization tree
-    below the ordered partition ``cells``.
+def _canonical(
+    adj: tuple[int, ...], cells: list[list[int]]
+) -> tuple[int, list[list[int]], list[list[int]]]:
+    """Best bits over the leaves of the individualization tree below the
+    ordered partition ``cells``, the orders of every leaf with those bits
+    (the first one found, the canonical order, first) and the twin cells of
+    that first leaf.
 
     A leaf's order maximizes the upper-triangle adjacency bit string. Cells of
     mutual twins are never branched on (any internal order yields identical
     bits), which keeps complete and complete-multipartite graphs cheap.
     Refinement and individualization split cells in place, so every leaf
     lists the members of the starting cells contiguously and in cell order.
+
+    The leaves and twin cells record the automorphisms the search witnesses
+    (see ``_automorphisms``): two leaves with equal bits differ by one, and
+    so do two orders of a twin cell.
     """
     best_bits = -1
-    best_order: list[int] = []
+    leaves: list[list[int]] = []
+    best_cells: list[list[int]] = []
 
     def search(cells: list[list[int]]):
-        nonlocal best_bits, best_order
+        nonlocal best_bits, leaves, best_cells
         cells = _refine(adj, cells)
         branch = None
         for i, cell in enumerate(cells):
@@ -467,7 +476,10 @@ def _canonical(adj: tuple[int, ...], cells: list[list[int]]) -> tuple[int, list[
             bits = _adjacency_bits(adj, order)
             if bits > best_bits:
                 best_bits = bits
-                best_order = order
+                leaves = [order]
+                best_cells = cells
+            elif bits == best_bits:
+                leaves.append(order)
             return
         cell = cells[branch]
         for v in cell:
@@ -475,7 +487,7 @@ def _canonical(adj: tuple[int, ...], cells: list[list[int]]) -> tuple[int, list[
             search(cells[:branch] + [[v], rest] + cells[branch + 1:])
 
     search(cells)
-    return best_bits, best_order
+    return best_bits, leaves, [cell for cell in best_cells if len(cell) > 1]
 
 
 def _canonical_form(g: Graph) -> CanonicalForm:
@@ -485,8 +497,8 @@ def _canonical_form(g: Graph) -> CanonicalForm:
     n = g.n
     if n == 0:
         return CanonicalForm(0, 0, ())
-    bits, order = _canonical(g.adj, [list(range(n))])
-    return CanonicalForm(n, bits, tuple(order))
+    bits, leaves, _ = _canonical(g.adj, [list(range(n))])
+    return CanonicalForm(n, bits, tuple(leaves[0]))
 
 
 @lru_cache(maxsize=CANONICAL_CACHE_SIZE)
@@ -520,8 +532,38 @@ def _orbit_key(g: Graph, cells: Sequence[Sequence[int]]) -> tuple[tuple[int, ...
     since each leaf keeps the starting cells contiguous and in order, equal
     cell sizes make it map cell i onto cell i.
     """
-    bits, _ = _canonical(g.adj, [list(cell) for cell in cells if cell])
+    bits, _, _ = _canonical(g.adj, [list(cell) for cell in cells if cell])
     return tuple(len(cell) for cell in cells), bits
+
+
+def _automorphisms(g: Graph) -> list[list[int]]:
+    """Generators of Aut(g) read off one canonical search, each as the list
+    of vertex images: the map from the canonical order to every other leaf
+    order with the same bits, and the swap of each consecutive pair in a
+    twin cell of the canonical leaf.
+
+    Together they generate the whole group. The search is label-invariant,
+    so an automorphism maps the canonical leaf onto a leaf it visits, up to
+    the order inside twin cells, and that leaf has the same bits. Every
+    automorphism is thus a permutation inside the canonical leaf's twin
+    cells followed by a leaf map.
+    """
+    if g.n == 0:
+        return []
+    _, leaves, twins = _canonical(g.adj, [list(range(g.n))])
+    best = leaves[0]
+    out = []
+    for order in leaves[1:]:
+        perm = [0] * g.n
+        for u, v in zip(best, order):
+            perm[u] = v
+        out.append(perm)
+    for cell in twins:
+        for u, v in zip(cell, cell[1:]):
+            perm = list(range(g.n))
+            perm[u], perm[v] = v, u
+            out.append(perm)
+    return out
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:

@@ -300,20 +300,72 @@ def _recognize_class(key: tuple[int, int], k: int) -> OreTree | None:
     return None
 
 
+def _separators(adj: tuple[int, ...], sub: int) -> int:
+    """Mask of the vertices whose removal may disconnect the subgraph
+    induced on ``sub``: its cut vertices when it is connected, all of it
+    when it is not.
+
+    One DFS from the least vertex of ``sub``. Every edge off the DFS tree
+    joins a vertex to an ancestor, so a non-root vertex u is a cut vertex
+    iff some child's subtree has no neighbour on the path above u; each
+    subtree's neighbours are one mask, or-ed up as the DFS returns. The
+    root is a cut vertex iff it has two children.
+    """
+    if not sub:
+        return 0
+    root_bit = sub & -sub
+    seen = on_path = root_bit
+    path = [root_bit.bit_length() - 1]
+    reach = [adj[path[0]]]
+    cuts = 0
+    root_children = 0
+    while path:
+        v = path[-1]
+        fresh = adj[v] & sub & ~seen
+        if fresh:
+            bit = fresh & -fresh
+            w = bit.bit_length() - 1
+            seen |= bit
+            on_path |= bit
+            path.append(w)
+            reach.append(adj[w])
+            continue
+        path.pop()
+        below = reach.pop()
+        on_path ^= 1 << v
+        if not path:
+            break
+        u = path[-1]
+        reach[-1] |= below
+        if len(path) == 1:
+            root_children += 1
+        elif not below & on_path & ~(1 << u):
+            cuts |= 1 << u
+    if seen != sub:
+        return sub
+    if root_children > 1:
+        cuts |= root_bit
+    return cuts
+
+
 def _candidate_splits(g: Graph):
     """Yield (a, b, split_interior_mask) for nonadjacent separating pairs.
 
     Both sides of the bipartition must be nonempty unions of components of
     g - {a,b}; the overlap endpoints need a neighbor in the split interior
     (positive split degrees) and no common neighbor there (a split hands
-    each neighbor of z to exactly one half).
+    each neighbor of z to exactly one half). g - {a,b} is disconnected only
+    if g - a is or b is a cut vertex of g - a, so components are scanned
+    only for those b.
     """
     full = g.full_mask()
     for a in range(g.n):
-        for b in range(a + 1, g.n):
-            if g.has_edge(a, b):
-                continue
-            rest = full & ~(1 << a) & ~(1 << b)
+        rest_a = full & ~(1 << a)
+        later = full & ~g.adj[a] & ~((2 << a) - 1)
+        if not later:
+            continue
+        for b in bits_of(_separators(g.adj, rest_a) & later):
+            rest = rest_a & ~(1 << b)
             comps = components(g.adj, rest)
             if len(comps) < 2:
                 continue

@@ -2,8 +2,10 @@
 
 Counts are cross-checked two independent ways: the class counts against the
 cycle-index (Burnside) formula, and the census against a direct filter of
-the full class list by the criticality test. The census's bitwise sieve is
-also checked row for row against the per-mask filter it replaced, and its
+the full class list by the criticality test. The class lists are checked
+line for line against the all-masks loop that labelled every child, and the
+orbit minima against a permutation brute force. The census's bitwise sieve
+is also checked row for row against the per-mask filter it replaced, and its
 colorable-mask table entry by entry against the coloring solver.
 """
 
@@ -23,16 +25,17 @@ from orelab import (
     census_critical,
     corpus_from_graphs,
     first_coloring,
+    graph6_encode,
     graph_classes,
     has_clique,
     is_isomorphic,
     is_k_critical,
     random_graph,
 )
-from orelab.census import _augment, _colorable_masks, _critical_on
-from orelab.graphs import components, mask_of
+from orelab.census import _augment, _colorable_masks, _critical_on, _orbit_minima
+from orelab.graphs import _canonical_form, bits_of, components, mask_of
 
-CLASS_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044]  # n = 0 stands for n = 1 here
+CLASS_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346]  # OEIS A000088; n = 0 stands for n = 1
 
 
 def burnside_count(n: int) -> int:
@@ -59,7 +62,8 @@ def burnside_count(n: int) -> int:
 
 
 def test_class_counts():
-    for n in range(1, 8):
+    # graph_classes(8) is cached by the census4_9 fixture of test_acceptance
+    for n in range(1, 9):
         assert len(graph_classes(n)) == CLASS_COUNTS[n]
 
 
@@ -73,6 +77,58 @@ def test_classes_are_pairwise_nonisomorphic():
     for i, a in enumerate(classes):
         for b in classes[i + 1:]:
             assert not is_isomorphic(a, b)
+
+
+def _graph_classes_by_all_masks(n: int) -> list[Graph]:
+    """The level as built before the orbit reduction: every parent of
+    ``graph_classes(n - 1)`` with every mask, each child labelled."""
+    out: dict = {}
+    for parent in graph_classes(n - 1):
+        for mask in range(1 << parent.n):
+            g = _augment(parent, mask)
+            out.setdefault(_canonical_form(g).key, g)
+    return [out[key] for key in sorted(out)]
+
+
+def test_graph_classes_match_the_all_masks_loop():
+    for n in range(1, 8):
+        expected = [graph6_encode(g) for g in _graph_classes_by_all_masks(n)]
+        assert [graph6_encode(g) for g in graph_classes(n)] == expected, n
+
+
+def test_orbit_minima_match_brute_force():
+    for n in range(6):
+        for parent in graph_classes(n):
+            autos = [
+                perm
+                for perm in permutations(range(n))
+                if all(
+                    parent.adj[perm[v]] == mask_of(perm[u] for u in bits_of(parent.adj[v]))
+                    for v in range(n)
+                )
+            ]
+            expected = [
+                mask
+                for mask in range(1 << n)
+                if all(mask_of(perm[v] for v in bits_of(mask)) >= mask for perm in autos)
+            ]
+            assert _orbit_minima(parent) == expected, graph6_encode(parent)
+
+
+def test_graph_classes_label_one_child_per_orbit(monkeypatch):
+    labelled = []
+
+    def counted(g):
+        labelled.append(g)
+        return _canonical_form(g)
+
+    monkeypatch.setattr(orelab.census, "_canonical_form", counted)
+    counts = {}
+    for n in (6, 7):
+        labelled.clear()
+        assert len(graph_classes.__wrapped__(n)) == CLASS_COUNTS[n]
+        counts[n] = len(labelled)
+    assert counts == {6: 544, 7: 5096}  # the all-masks loop labels 1,088 and 9,984
 
 
 def test_graph_classes_cap():

@@ -31,7 +31,16 @@ from orelab import (
 )
 from orelab.census import _augment
 from orelab.cli import _read_graphs
-from orelab.graphs import MAX_VERTICES, _graph_of_key, _orbit_key, bits_of, components, mask_of
+from orelab.graphs import (
+    MAX_VERTICES,
+    _automorphisms,
+    _canonical,
+    _graph_of_key,
+    _orbit_key,
+    bits_of,
+    components,
+    mask_of,
+)
 
 
 def all_labeled_graphs(n: int):
@@ -384,6 +393,78 @@ def test_orbit_key_separates_edge_orientations():
     assert key(0, 1) == key(2, 1)
     assert key(0, 1) != key(1, 0)
     assert _orbit_key(p3, [[0, 1, 2]])[1] == canonical_form(p3).bits
+
+
+def petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + spokes + inner)
+
+
+def is_automorphism(g: Graph, perm) -> bool:
+    return sorted(perm) == list(range(g.n)) and all(
+        g.adj[perm[v]] == mask_of(perm[u] for u in bits_of(g.adj[v])) for v in range(g.n)
+    )
+
+
+def group_order(n: int, generators) -> int:
+    """Size of the permutation group the generators span, by closure."""
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for gen in generators:
+                q = tuple(gen[p[v]] for v in range(n))
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return len(seen)
+
+
+def check_witnessed_automorphisms(g: Graph) -> None:
+    bits, leaves, twins = _canonical(g.adj, [list(range(g.n))])
+    assert (bits, tuple(leaves[0])) == (canonical_form(g).bits, canonical_form(g).labeling)
+    for order in leaves:
+        perm = [0] * g.n
+        for u, v in zip(leaves[0], order):
+            perm[u] = v
+        assert is_automorphism(g, perm)
+    for cell in twins:  # every pair in a twin cell may be swapped
+        for u, v in itertools.combinations(cell, 2):
+            perm = list(range(g.n))
+            perm[u], perm[v] = v, u
+            assert is_automorphism(g, perm)
+    for perm in _automorphisms(g):
+        assert is_automorphism(g, perm)
+
+
+@given(graphs(max_n=10))
+@settings(max_examples=150, deadline=None)
+def test_witnessed_automorphisms_are_automorphisms(g):
+    if g.n:
+        check_witnessed_automorphisms(g)
+
+
+def test_witnessed_automorphisms_generate_the_group():
+    k33 = Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    triangles = Graph.from_edges(
+        9, [(3 * i + a, 3 * i + b) for i in range(3) for a, b in ((0, 1), (0, 2), (1, 2))]
+    )
+    cases = [
+        (Graph.empty(7), 5040),
+        (Graph.complete(7), 5040),
+        (Graph.cycle(8), 16),
+        (k33, 72),
+        (petersen(), 120),
+        (triangles, 1296),
+    ]
+    for g, order in cases:
+        check_witnessed_automorphisms(g)
+        assert group_order(g.n, _automorphisms(g)) == order
 
 
 def test_graph6_published_format_anchors():

@@ -5,10 +5,12 @@ again and compared with the input graph up to isomorphism, and every
 decomposition is replayed through its two sides.
 """
 
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orelab import orekit
 from orelab import (
@@ -21,14 +23,17 @@ from orelab import (
     canonical_key,
     clusters,
     gadget_catalog,
+    graph_classes,
     identify,
     is_isomorphic,
     is_k_critical,
     is_k_ore,
     key_vertices,
+    mask_of,
     ore_catalog,
     ore_compose,
     random_ore_tree,
+    random_graph,
     realize,
     rho_ky,
     tree_dumps,
@@ -37,6 +42,7 @@ from orelab import (
     tree_loads,
     tree_to_json,
 )
+from orelab.graphs import components
 
 
 def one_step() -> Node:
@@ -270,6 +276,65 @@ def test_decompositions_replay():
         fused, _ = identify(sside, smap[a], smap[b])
         assert is_k_ore(fused, 4) is not None
         assert is_isomorphic(realize(t1), g1) and is_isomorphic(realize(t2), g2)
+
+
+def _candidate_splits_by_pair_scan(g: Graph):
+    """The split enumeration before the cut-vertex filter: components of
+    g - {a, b} scanned for every nonadjacent pair."""
+    full = g.full_mask()
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            if g.has_edge(a, b):
+                continue
+            comps = components(g.adj, full & ~(1 << a) & ~(1 << b))
+            if len(comps) < 2:
+                continue
+            for sel in range(1, (1 << len(comps)) - 1):
+                split_mask = 0
+                for i in range(len(comps)):
+                    if sel >> i & 1:
+                        split_mask |= comps[i]
+                if not g.adj[a] & split_mask or not g.adj[b] & split_mask:
+                    continue
+                if g.adj[a] & g.adj[b] & split_mask:
+                    continue
+                yield a, b, split_mask
+
+
+def _moved_edge(g: Graph, rng: random.Random) -> Graph:
+    """g with one edge moved to a non-edge: same order and size, and at
+    k = 4, 5 almost never composed (a near miss)."""
+    edges = g.edges()
+    non_edges = [(u, v) for u, v in itertools.combinations(range(g.n), 2) if not g.has_edge(u, v)]
+    drop = rng.choice(edges)
+    add = rng.choice(non_edges)
+    return Graph.from_edges(g.n, [e for e in edges if e != drop] + [add])
+
+
+def test_candidate_splits_match_the_pair_scan():
+    rng = random.Random("splits")
+    corpus = [g for n in range(8) for g in graph_classes(n)]
+    corpus += [random_graph(rng, rng.randrange(1, 16), rng.uniform(0.2, 1)) for _ in range(200)]
+    for k in (4, 5):
+        for tree in seeded_trees(k, 30, 4, f"splits:{k}"):
+            g = realize(tree)
+            corpus += [g, _moved_edge(g, rng)]
+    for g in corpus:
+        assert list(orekit._candidate_splits(g)) == list(_candidate_splits_by_pair_scan(g)), g
+
+
+@given(st.integers(0, 12), st.integers(0, 2**66 - 1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_separators_are_the_cut_vertices(n, edge_bits, data):
+    pairs = list(itertools.combinations(range(n), 2))
+    g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if edge_bits >> i & 1])
+    sub = data.draw(st.integers(0, g.full_mask()))
+    got = orekit._separators(g.adj, sub)
+    if len(components(g.adj, sub)) > 1:
+        assert got == sub
+    else:
+        cuts = [v for v in bits_of(sub) if len(components(g.adj, sub & ~(1 << v))) > 1]
+        assert got == mask_of(cuts)
 
 
 def test_key_vertices():
