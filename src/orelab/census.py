@@ -30,6 +30,7 @@ from .graphs import (
     Graph,
     _automorphisms,
     _canonical_form,
+    _orbit_firsts,
     bits_of,
     canonical_key,
     cliques_of_size,
@@ -84,24 +85,7 @@ def _orbit_minima(parent: Graph) -> list[int]:
             low = mask & -mask
             image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
         images.append(image)
-    if not images:
-        return list(range(size))
-    seen = bytearray(size)
-    minima = []
-    for mask in range(size):
-        if seen[mask]:
-            continue
-        minima.append(mask)
-        seen[mask] = 1
-        stack = [mask]
-        while stack:
-            m = stack.pop()
-            for image in images:
-                other = image[m]
-                if not seen[other]:
-                    seen[other] = 1
-                    stack.append(other)
-    return minima
+    return _orbit_firsts(range(size), images)
 
 
 @lru_cache(maxsize=None)

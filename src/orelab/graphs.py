@@ -441,64 +441,40 @@ def _adjacency_bits(adj: tuple[int, ...], order: list[int]) -> int:
     return bits
 
 
-def _canonical(
-    adj: tuple[int, ...], cells: list[list[int]]
-) -> tuple[int, list[list[int]], list[list[int]]]:
-    """Best bits over the leaves of the individualization tree below the
-    ordered partition ``cells``, the orders of every leaf with those bits
-    (the first one found, the canonical order, first) and the twin cells of
-    that first leaf.
+def _leaves(g: Graph) -> Iterator[tuple[int, list[int], list[list[int]]]]:
+    """The leaves of the individualization tree below the one-cell
+    partition, each as (bits, order, cells): the upper-triangle adjacency
+    bit string of the leaf order and the leaf's cells, in search order.
 
-    A leaf's order maximizes the upper-triangle adjacency bit string. Cells of
+    The canonical order is the first leaf with the most bits. Cells of
     mutual twins are never branched on (any internal order yields identical
     bits), which keeps complete and complete-multipartite graphs cheap.
-    Refinement and individualization split cells in place, so every leaf
-    lists the members of the starting cells contiguously and in cell order.
 
-    The leaves and twin cells record the automorphisms the search witnesses
-    (see ``_automorphisms``): two leaves with equal bits differ by one, and
-    so do two orders of a twin cell.
+    The search also witnesses automorphisms (see ``_automorphisms``): two
+    leaves with equal bits differ by one, and so do two orders of a twin
+    cell.
     """
-    best_bits = -1
-    leaves: list[list[int]] = []
-    best_cells: list[list[int]] = []
 
     def search(cells: list[list[int]]):
-        nonlocal best_bits, leaves, best_cells
-        cells = _refine(adj, cells)
-        branch = None
+        cells = _refine(g.adj, cells)
         for i, cell in enumerate(cells):
-            if len(cell) > 1 and not _twin_cell(adj, cells, i):
-                branch = i
-                break
-        if branch is None:
-            order = [v for cell in cells for v in cell]
-            bits = _adjacency_bits(adj, order)
-            if bits > best_bits:
-                best_bits = bits
-                leaves = [order]
-                best_cells = cells
-            elif bits == best_bits:
-                leaves.append(order)
-            return
-        cell = cells[branch]
-        for v in cell:
-            rest = [u for u in cell if u != v]
-            search(cells[:branch] + [[v], rest] + cells[branch + 1:])
+            if len(cell) > 1 and not _twin_cell(g.adj, cells, i):
+                for v in cell:
+                    rest = [u for u in cell if u != v]
+                    yield from search(cells[:i] + [[v], rest] + cells[i + 1:])
+                return
+        order = [v for cell in cells for v in cell]
+        yield _adjacency_bits(g.adj, order), order, cells
 
-    search(cells)
-    return best_bits, leaves, [cell for cell in best_cells if len(cell) > 1]
+    return search([list(range(g.n))])
 
 
 def _canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form via refinement plus backtracking individualization,
-    starting from the one-cell partition. Uncached: bulk enumeration keys
-    each of its many graphs once, so a cache would only hold memory."""
-    n = g.n
-    if n == 0:
-        return CanonicalForm(0, 0, ())
-    bits, leaves, _ = _canonical(g.adj, [list(range(n))])
-    return CanonicalForm(n, bits, tuple(leaves[0]))
+    holding only the best leaf so far. Uncached: bulk enumeration keys each
+    of its many graphs once, so a cache would only hold memory."""
+    bits, order, _ = max(_leaves(g), key=lambda leaf: leaf[0])
+    return CanonicalForm(g.n, bits, tuple(order))
 
 
 @lru_cache(maxsize=CANONICAL_CACHE_SIZE)
@@ -523,19 +499,6 @@ def _graph_of_key(key: tuple[int, int]) -> Graph:
     return Graph._trusted(n, tuple(rows))
 
 
-def _orbit_key(g: Graph, cells: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
-    """Canonical key of g under an ordered vertex partition (empty cells
-    allowed): two partitions of g get equal keys iff some automorphism of g
-    maps one onto the other cell by cell.
-
-    Equal bits make the two best leaf orders an explicit automorphism, and
-    since each leaf keeps the starting cells contiguous and in order, equal
-    cell sizes make it map cell i onto cell i.
-    """
-    bits, _, _ = _canonical(g.adj, [list(cell) for cell in cells if cell])
-    return tuple(len(cell) for cell in cells), bits
-
-
 def _automorphisms(g: Graph) -> list[list[int]]:
     """Generators of Aut(g) read off one canonical search, each as the list
     of vertex images: the map from the canonical order to every other leaf
@@ -548,22 +511,47 @@ def _automorphisms(g: Graph) -> list[list[int]]:
     automorphism is thus a permutation inside the canonical leaf's twin
     cells followed by a leaf map.
     """
-    if g.n == 0:
-        return []
-    _, leaves, twins = _canonical(g.adj, [list(range(g.n))])
-    best = leaves[0]
+    best_bits, best, best_cells, ties = -1, [], [], []
+    for bits, order, cells in _leaves(g):
+        if bits > best_bits:
+            best_bits, best, best_cells, ties = bits, order, cells, []
+        elif bits == best_bits:
+            ties.append(order)
     out = []
-    for order in leaves[1:]:
+    for order in ties:
         perm = [0] * g.n
         for u, v in zip(best, order):
             perm[u] = v
         out.append(perm)
-    for cell in twins:
+    for cell in best_cells:
         for u, v in zip(cell, cell[1:]):
             perm = list(range(g.n))
             perm[u], perm[v] = v, u
             out.append(perm)
     return out
+
+
+def _orbit_firsts(candidates: Iterable, generators: Sequence) -> list:
+    """The first candidate of each orbit of the group the generators span,
+    in input order. Each generator is an image map, ``generator[c]`` the
+    image of c; its domain holds every candidate and is closed under all
+    the generators, and may hold more than the candidates."""
+    seen = set()
+    firsts = []
+    for c in candidates:
+        if c in seen:
+            continue
+        firsts.append(c)
+        seen.add(c)
+        stack = [c]
+        while stack:
+            d = stack.pop()
+            for generator in generators:
+                e = generator[d]
+                if e not in seen:
+                    seen.add(e)
+                    stack.append(e)
+    return firsts
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:

@@ -9,9 +9,10 @@ re-realizes to the input up to isomorphism.
 One search, ``_decompose``, serves recognition and ``key_vertices``.
 Recognition searches one member of each class, rebuilt from its canonical
 key behind one bounded cache, so a witness depends only on the isomorphism
-class of its input. The catalog
-composes one (edge, split) pair per symmetry class of the two sides it
-already holds, and the gadget catalog finds the key vertices once per tree.
+class of its input. The catalog composes one (edge, split) pair per symmetry
+class of the two sides it already holds, with the orbits taken, as in the
+census, from the automorphism generators each side's canonical search
+witnesses; the gadget catalog finds the key vertices once per tree.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from functools import lru_cache
 from .errors import SizeCapError
 from .graphs import (
     Graph,
+    _automorphisms,
     _graph_of_key,
-    _orbit_key,
+    _orbit_firsts,
     bits_of,
     canonical_form,
     components,
@@ -216,6 +218,8 @@ def random_ore_tree(k: int, steps: int, rng: random.Random) -> OreTree:
         raise ValueError(f"step count must be nonnegative, got {steps}")
     if steps == 0:
         return Leaf(k)
+    if k < 3:
+        raise ValueError(f"composition needs a split vertex of degree >= 2, so k >= 3, got k={k}")
     left = rng.randrange(steps)
     right = steps - 1 - left
     t1 = random_ore_tree(k, left, rng)
@@ -449,44 +453,43 @@ class Gadget:
 
 
 def _composition_sides(g: Graph) -> tuple[list, list]:
-    """One representative per Aut(g) orbit of g's uses as a composition side.
+    """One representative per Aut(g) orbit of g's uses as a composition side,
+    from the generators that one canonical search of g witnesses.
 
     Edges (x, y) are walked in sorted order, splits (z, halves) by z and then
-    by selector, and each keeps the first member of its orbit. The orbit of
-    an edge is that of the ordered partition [x], [y], rest; the orbit of a
-    split is that of [z], first half, second half, rest.
+    by selector, and each keeps the first member of its orbit. A generator p
+    maps an edge (x, y) to the ordered pair (p[x], p[y]) and a split
+    (z, halves) to p[z] with the image of each half. An edge may map onto
+    the reverse of an edge, so the edge image maps also hold each edge's
+    reversed orientation.
     """
-    full = g.full_mask()
-    edges = [
-        ((x, y), [[x], [y], list(bits_of(full & ~(1 << x | 1 << y)))]) for x, y in sorted(g.edges())
-    ]
+    perms = _automorphisms(g)
+    edges = sorted(g.edges())
+    arcs = edges + [(y, x) for x, y in edges]
     splits = []
     for z in range(g.n):
         nbrs = sorted(bits_of(g.adj[z]))
-        rest = list(bits_of(full & ~g.adj[z] & ~(1 << z)))
-        for sel in range(1, (1 << len(nbrs)) - 1):
-            halves = _halves(nbrs, sel)
-            splits.append(((z, halves), [[z], *halves, rest]))
-    return _first_per_orbit(g, edges), _first_per_orbit(g, splits)
+        splits.extend((z, _halves(nbrs, sel)) for sel in range(1, (1 << len(nbrs)) - 1))
+    edge_images = [{(x, y): (p[x], p[y]) for x, y in arcs} for p in perms]
+    split_images = [
+        {(z, halves): (p[z], tuple(tuple(sorted(p[w] for w in half)) for half in halves)) for z, halves in splits}
+        for p in perms
+    ]
+    return _orbit_firsts(edges, edge_images), _orbit_firsts(splits, split_images)
 
 
-def _first_per_orbit(g: Graph, candidates: list) -> list:
-    """The items of (item, cells) pairs whose ordered partition is the first
-    of its Aut(g) orbit, in input order."""
-    reps: dict[tuple, object] = {}
-    for item, cells in candidates:
-        reps.setdefault(_orbit_key(g, cells), item)
-    return list(reps.values())
-
-
-@lru_cache(maxsize=None)
+# One entry per (k, max_steps): a verify sweep keys k = 4, 5, 6 and the
+# measure stream k = 4, 5, each at two steps, so neither workload evicts.
+@lru_cache(maxsize=8)
 def ore_catalog(k: int, max_steps: int) -> tuple[OreTree, ...]:
     """All closure members with at most max_steps compositions, one tree per
     isomorphism class of the realization, ordered by (steps, canonical key).
 
     Only one (edge, split) pair per orbit of Aut(g1) x Aut(g2) is composed,
-    and the trees are the same as if every pair were. A skipped pair is
-    mapped by automorphisms of the two sides onto the pair of its orbit
+    with each side's orbits taken from the automorphism generators its
+    canonical search witnesses (see ``_composition_sides``), and the trees
+    are the same as if every pair were. A skipped pair is mapped by
+    automorphisms of the two sides onto the pair of its orbit
     representatives, so both compose to isomorphic graphs; and that pair
     comes no later in the loop (edges outside, splits inside), since each
     representative is the first of its orbit. So the first pair to reach
@@ -521,7 +524,8 @@ def ore_catalog(k: int, max_steps: int) -> tuple[OreTree, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+# Keyed and bounded like ore_catalog: the same workloads key the same pairs.
+@lru_cache(maxsize=8)
 def gadget_catalog(k: int, max_steps: int) -> tuple[Gadget, ...]:
     """Every gadget obtainable from the ore_catalog, deduplicated by the
     canonical form of the stripped graph together with the canonical

@@ -46,8 +46,10 @@ def test_gen_ore_tree_sidecar(tmp_path):
 
 
 def test_gen_ore_rejects_bad_k():
-    result = invoke("gen-ore", "--k", "2", "--steps", "1", "--seed", "1")
-    assert result.exit_code != 0
+    for k in (0, 1, 2):  # a composition splits a vertex of degree >= 2, so k >= 3
+        result = invoke("gen-ore", "--k", str(k), "--steps", "1", "--seed", "1")
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), k
+        assert f"Error: composition needs a split vertex of degree >= 2, so k >= 3, got k={k}" in result.output
     negative = invoke("gen-ore", "--k", "4", "--steps", "-1", "--seed", "1")
     assert negative.exit_code == 1 and isinstance(negative.exception, SystemExit)
     assert "Error: step count must be nonnegative, got -1" in negative.output

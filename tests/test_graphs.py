@@ -34,9 +34,8 @@ from orelab.cli import _read_graphs
 from orelab.graphs import (
     MAX_VERTICES,
     _automorphisms,
-    _canonical,
     _graph_of_key,
-    _orbit_key,
+    _leaves,
     bits_of,
     components,
     mask_of,
@@ -349,52 +348,6 @@ def test_canonical_key_is_relabeling_invariant(g, rnd):
 # -- graph6 --------------------------------------------------------------------
 
 
-@st.composite
-def partitioned_graphs(draw):
-    """A graph on at most 9 vertices and an ordered partition of its vertices
-    into up to 4 cells, some possibly empty."""
-    g = draw(graphs(max_n=9))
-    count = draw(st.integers(1, 4))
-    cell_of = draw(st.lists(st.integers(0, count - 1), min_size=g.n, max_size=g.n))
-    return g, [[v for v in range(g.n) if cell_of[v] == i] for i in range(count)]
-
-
-@given(partitioned_graphs(), st.data())
-@settings(max_examples=200, deadline=None)
-def test_orbit_key_matches_networkx(gp, data):
-    nx = pytest.importorskip("networkx")
-    g, cells = gp
-    perm = data.draw(st.permutations(range(g.n)))
-    h = g.relabelled(perm)
-    if data.draw(st.booleans()):
-        other = [[perm[v] for v in cell] for cell in cells]  # the image: always isomorphic
-    else:
-        cell_of = data.draw(st.lists(st.integers(0, len(cells) - 1), min_size=g.n, max_size=g.n))
-        other = [[v for v in range(g.n) if cell_of[v] == i] for i in range(len(cells))]
-
-    def colored(graph, parts):
-        out = nx.Graph()
-        out.add_nodes_from((v, {"cell": i}) for i, part in enumerate(parts) for v in part)
-        out.add_edges_from(graph.edges())
-        return out
-
-    expected = nx.is_isomorphic(
-        colored(g, cells), colored(h, other), node_match=lambda a, b: a["cell"] == b["cell"]
-    )
-    assert (_orbit_key(g, cells) == _orbit_key(h, other)) == expected
-    # the key starts with the cell sizes, empty cells included
-    assert _orbit_key(g, cells)[0] == tuple(len(cell) for cell in cells)
-
-
-def test_orbit_key_separates_edge_orientations():
-    # P3 = 0-1-2: the ordered end pair (0, 1) maps to (2, 1), never to (1, 0)
-    p3 = Graph.path(3)
-    key = lambda x, y: _orbit_key(p3, [[x], [y], [v for v in range(3) if v not in (x, y)]])
-    assert key(0, 1) == key(2, 1)
-    assert key(0, 1) != key(1, 0)
-    assert _orbit_key(p3, [[0, 1, 2]])[1] == canonical_form(p3).bits
-
-
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
@@ -426,14 +379,17 @@ def group_order(n: int, generators) -> int:
 
 
 def check_witnessed_automorphisms(g: Graph) -> None:
-    bits, leaves, twins = _canonical(g.adj, [list(range(g.n))])
-    assert (bits, tuple(leaves[0])) == (canonical_form(g).bits, canonical_form(g).labeling)
-    for order in leaves:
+    leaves = list(_leaves(g))
+    bits = max(leaf[0] for leaf in leaves)
+    best = [(order, cells) for leaf_bits, order, cells in leaves if leaf_bits == bits]
+    first, first_cells = best[0]
+    assert (bits, tuple(first)) == (canonical_form(g).bits, canonical_form(g).labeling)
+    for order, _ in best:
         perm = [0] * g.n
-        for u, v in zip(leaves[0], order):
+        for u, v in zip(first, order):
             perm[u] = v
         assert is_automorphism(g, perm)
-    for cell in twins:  # every pair in a twin cell may be swapped
+    for cell in first_cells:  # every pair in a leaf cell is a twin pair, so may be swapped
         for u, v in itertools.combinations(cell, 2):
             perm = list(range(g.n))
             perm[u], perm[v] = v, u

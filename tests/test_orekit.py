@@ -242,7 +242,7 @@ def test_witness_does_not_depend_on_call_order():
 
 
 def test_recognition_caches_are_bounded():
-    for cache in (orekit._recognize_class, canonical_form):
+    for cache in (orekit._recognize_class, canonical_form, ore_catalog, gadget_catalog):
         assert cache.cache_info().maxsize is not None
 
 
@@ -445,6 +445,51 @@ def test_catalog_composes_one_pair_per_orbit(monkeypatch):
     monkeypatch.setattr(orekit, "ore_compose", counted)
     assert len(ore_catalog.__wrapped__(6, 2)) == 51
     assert calls <= 200  # the unreduced loop composes 28,324 pairs
+
+
+def composition_side_candidates(g: Graph) -> tuple[list, list]:
+    """Every edge (x < y) in sorted order and every split (z, (first, second))
+    by z and then by selector over z's sorted neighbours, as the catalog
+    walks them."""
+    splits = []
+    for z in range(g.n):
+        nbrs = sorted(bits_of(g.adj[z]))
+        for sel in range(1, (1 << len(nbrs)) - 1):
+            first = tuple(v for i, v in enumerate(nbrs) if sel >> i & 1)
+            second = tuple(v for i, v in enumerate(nbrs) if not sel >> i & 1)
+            splits.append((z, (first, second)))
+    return sorted(g.edges()), splits
+
+
+def test_composition_sides_keep_the_first_of_each_orbit():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    composed = [realize(t) for k in (4, 5) for t in ore_catalog(k, 1) if isinstance(t, Node)]
+    assert len(composed) == 3
+    for g in [Graph.path(3), Graph.cycle(5), Graph.complete(4), Graph.complete(5), *composed]:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        autos = list(GraphMatcher(h, h).isomorphisms_iter())
+
+        def edge_orbit(edge):
+            return {(p[edge[0]], p[edge[1]]) for p in autos}
+
+        def split_orbit(split):
+            z, halves = split
+            return {(p[z], tuple(tuple(sorted(p[w] for w in half)) for half in halves)) for p in autos}
+
+        edges, splits = orekit._composition_sides(g)
+        all_edges, all_splits = composition_side_candidates(g)
+        for kept, candidates, orbit in ((edges, all_edges, edge_orbit), (splits, all_splits, split_orbit)):
+            for c in kept:  # the first member of its orbit in input order
+                assert not orbit(c) & set(candidates[:candidates.index(c)])
+            covered = set().union(*(orbit(c) for c in kept))
+            assert set(candidates) <= covered
+        if g == Graph.path(3):
+            # (0, 1) maps to (2, 1), never to (1, 2): both orientations stay
+            assert edges == [(0, 1), (1, 2)]
 
 
 def test_gadget_catalog():
