@@ -13,7 +13,7 @@ import click
 from .census import census_critical, corpus_from_graphs, graph_classes
 from .errors import SizeCapError
 from .graphs import graph6_decode, graph6_encode, to_dot
-from .orekit import is_k_ore, random_ore_tree, realize, tree_dumps
+from .orekit import DEFAULT_RECOGNITION_CAP, is_k_ore, random_ore_tree, realize, tree_dumps
 from .packing import compute_T
 from .potential import rho, rho_ky
 from .suites import DEFAULT_SEED, SUITE_IDS, check_suite_args, run_suite
@@ -62,7 +62,7 @@ def gen_ore(k, steps, seed, count, out, tree_out):
 @main.command("recognize-ore")
 @click.option("--k", type=int, required=True)
 @click.option("--in", "infile", type=click.File("r"), required=True, help="graph6 input file.")
-@click.option("--cap", type=int, default=25, show_default=True, help="Vertex cap for recognition.")
+@click.option("--cap", type=int, default=DEFAULT_RECOGNITION_CAP, show_default=True, help="Vertex cap for recognition.")
 def recognize_ore(k, infile, cap):
     """Decide for each input graph whether it is a composed graph."""
     if cap < 0:

@@ -211,17 +211,17 @@ class Graph:
 
     def relabelled(self, perm: dict[int, int] | list[int]) -> "Graph":
         """Apply a vertex bijection old->new and return the relabelled graph."""
-        if isinstance(perm, dict):
-            lookup = perm
-        else:
-            lookup = {old: new for old, new in enumerate(perm)}
+        lookup = perm if isinstance(perm, dict) else dict(enumerate(perm))
+        vertices = set(range(self.n))
+        if set(lookup) != vertices or set(lookup.values()) != vertices:
+            raise ValueError(f"relabelling {perm!r} is not a bijection of 0..{self.n - 1}")
         rows = [0] * self.n
         for old in range(self.n):
             row = 0
             for w in bits_of(self.adj[old]):
                 row |= 1 << lookup[w]
             rows[lookup[old]] = row
-        return Graph(self.n, tuple(rows))
+        return Graph._trusted(self.n, tuple(rows))
 
 
 def identify(g: Graph, x: int, y: int) -> tuple[Graph, dict[int, int]]:
@@ -441,40 +441,69 @@ def _adjacency_bits(adj: tuple[int, ...], order: list[int]) -> int:
     return bits
 
 
-def _leaves(g: Graph) -> Iterator[tuple[int, list[int], list[list[int]]]]:
-    """The leaves of the individualization tree below the one-cell
-    partition, each as (bits, order, cells): the upper-triangle adjacency
-    bit string of the leaf order and the leaf's cells, in search order.
+def _search(g: Graph) -> tuple[CanonicalForm, list[list[int]]]:
+    """The canonical form of g and generators of Aut(g), as lists of vertex
+    images, from one individualization-refinement search. A leaf lists its
+    cells in order; its bits are the upper-triangle adjacency bit string of
+    that order, and the canonical order is the first leaf with the most bits.
+    Cells of mutual twins are never branched on (any order gives equal bits).
 
-    The canonical order is the first leaf with the most bits. Cells of
-    mutual twins are never branched on (any internal order yields identical
-    bits), which keeps complete and complete-multipartite graphs cheap.
-
-    The search also witnesses automorphisms (see ``_automorphisms``): two
-    leaves with equal bits differ by one, and so do two orders of a twin
-    cell.
+    The generators are the swaps of consecutive pairs in the first leaf's
+    twin cells and the map from the first leaf onto each later leaf with its
+    bits. Each fixes the first path down to where it was found and prunes
+    there (McKay & Piperno, *Practical graph isomorphism, II*, 2014): such a
+    later leaf ends the search below its first-path ancestor's child, and a
+    first-path node skips a child in the orbit of a child it tried. Every
+    pruned leaf is the image of one met earlier, so the first best leaf is
+    still met; every generator joins two orbits, so there are at most n - 1.
     """
+    adj = g.adj
+    first = best = []  # the orders of the first leaf and of the best leaf
+    first_bits = best_bits = -1
+    gens: list[list[int]] = []
 
-    def search(cells: list[list[int]]):
-        cells = _refine(g.adj, cells)
+    def search(cells: list[list[int]], on_first: bool) -> bool:
+        """True once a leaf below ``cells``, off the first path, has the first leaf's bits."""
+        nonlocal first, first_bits, best, best_bits
+        cells = _refine(adj, cells)
         for i, cell in enumerate(cells):
-            if len(cell) > 1 and not _twin_cell(g.adj, cells, i):
+            if len(cell) > 1 and not _twin_cell(adj, cells, i):
+                tried: list[int] = []
                 for v in cell:
-                    rest = [u for u in cell if u != v]
-                    yield from search(cells[:i] + [[v], rest] + cells[i + 1:])
-                return
+                    if on_first and tried and _orbit_firsts(tried + [v], gens)[-1] != v:
+                        continue
+                    child = cells[:i] + [[v], [u for u in cell if u != v]] + cells[i + 1:]
+                    if search(child, on_first and not tried) and not on_first:
+                        return True
+                    tried.append(v)
+                return False
         order = [v for cell in cells for v in cell]
-        yield _adjacency_bits(g.adj, order), order, cells
+        bits = _adjacency_bits(adj, order)
+        if on_first:
+            first, first_bits, best, best_bits = order, bits, order, bits
+            for u, v in [(u, v) for cell in cells if len(cell) > 1 for u, v in zip(cell, cell[1:])]:
+                perm = list(range(g.n))
+                perm[u], perm[v] = v, u
+                gens.append(perm)
+            return False
+        if bits > best_bits:
+            best_bits, best = bits, order
+        if bits == first_bits:
+            gens.append([v for _, v in sorted(zip(first, order))])
+        return bits == first_bits
 
-    return search([list(range(g.n))])
+    search([list(range(g.n))], True)
+    return CanonicalForm(g.n, best_bits, tuple(best)), gens
 
 
 def _canonical_form(g: Graph) -> CanonicalForm:
-    """Canonical form via refinement plus backtracking individualization,
-    holding only the best leaf so far. Uncached: bulk enumeration keys each
-    of its many graphs once, so a cache would only hold memory."""
-    bits, order, _ = max(_leaves(g), key=lambda leaf: leaf[0])
-    return CanonicalForm(g.n, bits, tuple(order))
+    """``_search``'s canonical form, uncached: bulk enumeration keys each graph once."""
+    return _search(g)[0]
+
+
+def _automorphisms(g: Graph) -> list[list[int]]:
+    """``_search``'s generators of Aut(g), at most n - 1 of them."""
+    return _search(g)[1]
 
 
 @lru_cache(maxsize=CANONICAL_CACHE_SIZE)
@@ -497,38 +526,6 @@ def _graph_of_key(key: tuple[int, int]) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return Graph._trusted(n, tuple(rows))
-
-
-def _automorphisms(g: Graph) -> list[list[int]]:
-    """Generators of Aut(g) read off one canonical search, each as the list
-    of vertex images: the map from the canonical order to every other leaf
-    order with the same bits, and the swap of each consecutive pair in a
-    twin cell of the canonical leaf.
-
-    Together they generate the whole group. The search is label-invariant,
-    so an automorphism maps the canonical leaf onto a leaf it visits, up to
-    the order inside twin cells, and that leaf has the same bits. Every
-    automorphism is thus a permutation inside the canonical leaf's twin
-    cells followed by a leaf map.
-    """
-    best_bits, best, best_cells, ties = -1, [], [], []
-    for bits, order, cells in _leaves(g):
-        if bits > best_bits:
-            best_bits, best, best_cells, ties = bits, order, cells, []
-        elif bits == best_bits:
-            ties.append(order)
-    out = []
-    for order in ties:
-        perm = [0] * g.n
-        for u, v in zip(best, order):
-            perm[u] = v
-        out.append(perm)
-    for cell in best_cells:
-        for u, v in zip(cell, cell[1:]):
-            perm = list(range(g.n))
-            perm[u], perm[v] = v, u
-            out.append(perm)
-    return out
 
 
 def _orbit_firsts(candidates: Iterable, generators: Sequence) -> list:

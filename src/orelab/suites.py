@@ -22,7 +22,7 @@ from .coloring import chromatic_number, edge_count_lemma_check
 from .discharging import charge_report
 from .errors import SizeCapError
 from .graphs import Graph, canonical_key, cliques_of_size, graph6_decode, graph6_encode
-from .orekit import Leaf, Node, OreTree, is_k_ore, ore_catalog, random_ore_tree, realize
+from .orekit import DEFAULT_RECOGNITION_CAP, Leaf, Node, OreTree, is_k_ore, ore_catalog, random_ore_tree, realize
 from .packing import compute_T, compute_T_bruteforce
 from .potential import (
     PotentialParams,
@@ -474,7 +474,7 @@ class _Suite(NamedTuple):
 
 _SUITES = {
     "ky-bound": _Suite(_ky_bound, "census", {}),
-    "ky-equality-ore": _Suite(_ky_equality_ore, "census", {"recognition": 25}),
+    "ky-equality-ore": _Suite(_ky_equality_ore, "census", {"recognition": DEFAULT_RECOGNITION_CAP}),
     "main2-potential": _Suite(_main2_potential, "trees", {}),
     "t-superadd": _Suite(_t_superadd, "trees", {}),
     "t-lower": _Suite(_t_lower, "trees", {}),

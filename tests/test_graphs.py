@@ -7,6 +7,7 @@ grade itself.
 
 import io
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,13 +34,18 @@ from orelab.census import _augment
 from orelab.cli import _read_graphs
 from orelab.graphs import (
     MAX_VERTICES,
+    _adjacency_bits,
     _automorphisms,
+    _canonical_form,
     _graph_of_key,
-    _leaves,
+    _refine,
+    _search,
+    _twin_cell,
     bits_of,
     components,
     mask_of,
 )
+from orelab.orekit import random_ore_tree, realize
 
 
 def all_labeled_graphs(n: int):
@@ -127,6 +133,15 @@ def test_validation_rejects_bad_values():
         identify(Graph.path(3), 0, 3)
     with pytest.raises(ValueError):
         identify(Graph.path(3), -1, 1)
+    for g, perm in (
+        (Graph.empty(3), [0, 0, 0]),  # not injective
+        (Graph.path(3), [0, 1]),  # too short
+        (Graph.path(3), [0, 1, 5]),  # image outside the vertex range
+        (Graph.path(3), [1, 1, 0]),  # not injective, on an edge
+        (Graph.path(3), {0: 1, 1: 0}),  # a vertex without an image
+    ):
+        with pytest.raises(ValueError, match="not a bijection"):
+            g.relabelled(perm)
 
 
 @given(graphs(min_n=2, max_n=8), st.data())
@@ -345,7 +360,7 @@ def test_canonical_key_is_relabeling_invariant(g, rnd):
     assert canonical_key(g) == canonical_key(g.relabelled(perm))
 
 
-# -- graph6 --------------------------------------------------------------------
+# -- automorphisms and the pruned search ---------------------------------------
 
 
 def petersen() -> Graph:
@@ -353,6 +368,25 @@ def petersen() -> Graph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return Graph.from_edges(10, outer + spokes + inner)
+
+
+def copies(g: Graph, count: int) -> Graph:
+    return Graph.from_edges(g.n * count, [(u + i * g.n, v + i * g.n) for i in range(count) for u, v in g.edges()])
+
+
+def hypercube(d: int) -> Graph:
+    return Graph.from_edges(1 << d, [(v, v | 1 << b) for v in range(1 << d) for b in range(d) if not v >> b & 1])
+
+
+def paley(q: int) -> Graph:
+    squares = {x * x % q for x in range(1, q)}
+    return Graph.from_edges(q, [(u, v) for u, v in itertools.combinations(range(q), 2) if v - u in squares])
+
+
+def kneser(m: int, r: int) -> Graph:
+    sets = [set(s) for s in itertools.combinations(range(m), r)]
+    pairs = itertools.combinations(range(len(sets)), 2)
+    return Graph.from_edges(len(sets), [(i, j) for i, j in pairs if not sets[i] & sets[j]])
 
 
 def is_automorphism(g: Graph, perm) -> bool:
@@ -378,13 +412,33 @@ def group_order(n: int, generators) -> int:
     return len(seen)
 
 
+def _reference_leaves(g: Graph):
+    """The unpruned walk: every leaf of the individualization tree below the
+    one-cell partition, as (bits, order, cells) in search order. It uses the
+    same refinement, branching cell and child order as the pruned search, so
+    its first leaf with the most bits is the canonical one."""
+
+    def search(cells):
+        cells = _refine(g.adj, cells)
+        for i, cell in enumerate(cells):
+            if len(cell) > 1 and not _twin_cell(g.adj, cells, i):
+                for v in cell:
+                    rest = [u for u in cell if u != v]
+                    yield from search(cells[:i] + [[v], rest] + cells[i + 1:])
+                return
+        order = [v for cell in cells for v in cell]
+        yield _adjacency_bits(g.adj, order), order, cells
+
+    return search([list(range(g.n))])
+
+
 def check_witnessed_automorphisms(g: Graph) -> None:
-    leaves = list(_leaves(g))
+    leaves = list(_reference_leaves(g))
     bits = max(leaf[0] for leaf in leaves)
     best = [(order, cells) for leaf_bits, order, cells in leaves if leaf_bits == bits]
     first, first_cells = best[0]
-    assert (bits, tuple(first)) == (canonical_form(g).bits, canonical_form(g).labeling)
-    for order, _ in best:
+    assert _canonical_form(g) == CanonicalForm(g.n, bits, tuple(first))
+    for order, _ in best:  # the reference's ties are the automorphisms the search may witness
         perm = [0] * g.n
         for u, v in zip(first, order):
             perm[u] = v
@@ -394,7 +448,9 @@ def check_witnessed_automorphisms(g: Graph) -> None:
             perm = list(range(g.n))
             perm[u], perm[v] = v, u
             assert is_automorphism(g, perm)
-    for perm in _automorphisms(g):
+    generators = _automorphisms(g)
+    assert len(generators) <= max(g.n - 1, 0)  # each one joins two vertex orbits
+    for perm in generators:
         assert is_automorphism(g, perm)
 
 
@@ -403,6 +459,23 @@ def check_witnessed_automorphisms(g: Graph) -> None:
 def test_witnessed_automorphisms_are_automorphisms(g):
     if g.n:
         check_witnessed_automorphisms(g)
+
+
+def test_pruned_search_matches_the_unpruned_walk_on_every_small_class():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(14)
+    for n in range(8):
+        for g in graph_classes(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = g.relabelled(perm)
+            check_witnessed_automorphisms(h)
+            if n <= 6:  # the generators span the whole group, counted by networkx
+                whole = nx.Graph()
+                whole.add_nodes_from(range(n))
+                whole.add_edges_from(h.edges())
+                count = sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(whole, whole).isomorphisms_iter())
+                assert group_order(n, _automorphisms(h)) == count
 
 
 def test_witnessed_automorphisms_generate_the_group():
@@ -417,10 +490,48 @@ def test_witnessed_automorphisms_generate_the_group():
         (k33, 72),
         (petersen(), 120),
         (triangles, 1296),
+        (copies(Graph.cycle(5), 3), 6000),
+        (hypercube(5), 3840),
     ]
     for g, order in cases:
-        check_witnessed_automorphisms(g)
-        assert group_order(g.n, _automorphisms(g)) == order
+        if g.n <= 10:  # the unpruned walk takes seconds on 3 C5 and Q5
+            check_witnessed_automorphisms(g)
+        generators = _automorphisms(g)
+        assert all(is_automorphism(g, perm) for perm in generators)
+        assert group_order(g.n, generators) == order
+
+
+def test_structured_families_key_and_generators():
+    # highly symmetric graphs, whose unpruned trees have up to millions of
+    # leaves, and composed graphs on more than 64 vertices
+    nx = pytest.importorskip("networkx")
+    family = [copies(Graph.cycle(5), c) for c in (4, 5, 8)] + [copies(petersen(), 6), hypercube(5), hypercube(6)]
+    family += [paley(q) for q in (13, 17, 29)] + [kneser(6, 2), kneser(7, 2), kneser(7, 3)]
+    family += [realize(random_ore_tree(33, s, random.Random(s))) for s in (1, 2, 3)]
+    rng = random.Random(5)
+
+    def as_nx(g: Graph):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    for g in family:
+        form, generators = _search(g)
+        assert len(generators) <= g.n - 1
+        for perm in generators:
+            assert is_automorphism(g, perm)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert _canonical_form(g.relabelled(perm)).key == form.key
+        edges = g.edges()
+        drop = rng.choice(edges)
+        add = rng.choice([p for p in itertools.combinations(range(g.n), 2) if not g.has_edge(*p)])
+        moved = Graph.from_edges(g.n, [e for e in edges if e != drop] + [add])
+        assert (_canonical_form(moved).key == form.key) == nx.is_isomorphic(as_nx(g), as_nx(moved))
+
+
+# -- graph6 --------------------------------------------------------------------
 
 
 def test_graph6_published_format_anchors():
