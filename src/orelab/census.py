@@ -213,12 +213,7 @@ def census_critical(n_max: int, k: int) -> Corpus:
     return corpus_from_graphs(g for n in range(k, n_max + 1) for g in _critical_on(n, k))
 
 
-def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
-    """Binomial random graph from a caller-owned seeded generator."""
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
-    return Graph.from_edges(n, edges)
+def random_graph(rng: random.Random, n: int) -> Graph:
+    """Binomial random graph with edge probability 1/2, from a caller-owned
+    seeded generator."""
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])

@@ -11,6 +11,7 @@ share one step: delete an edge and test (k-1)-colorability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeCapError
@@ -202,21 +203,18 @@ def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Subgraph]:
     edges = g.edges()
     found: dict[tuple[int, ...], Subgraph] = {}
 
-    def record(rows: list[int]) -> None:
+    trials = (_uncolorable_without(g.adj, u, v, k - 1) for u, v in edges)
+    for rows in chain([list(g.adj)], trials):
+        if len(found) >= limit:
+            break
+        if rows is None:
+            continue
         w = tuple(_minimalize(rows, edges, k))
         if w not in found:
             found[w] = Subgraph(
                 tuple(v for v in range(g.n) if w[v]),
                 frozenset((u, v) for u, v in edges if w[u] >> v & 1),
             )
-
-    record(list(g.adj))
-    for u, v in edges:
-        if len(found) >= limit:
-            break
-        trial = _uncolorable_without(g.adj, u, v, k - 1)
-        if trial is not None:
-            record(trial)
     return sorted(found.values(), key=lambda w: sorted(w.edges))
 
 

@@ -80,6 +80,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "adj", tuple(self.adj))
         _check_order(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count does not match vertex count")
@@ -200,28 +201,32 @@ class Graph:
         if keep and not (0 <= keep[0] and keep[-1] < self.n):
             raise ValueError("induced set outside vertex range")
         remap = {old: new for new, old in enumerate(keep)}
-        keep_mask = mask_of(keep)
-        rows = []
-        for old in keep:
-            row = 0
-            for w in bits_of(self.adj[old] & keep_mask):
-                row |= 1 << remap[w]
-            rows.append(row)
-        return Graph._trusted(len(keep), tuple(rows)), remap
+        return Graph._trusted(len(keep), _quotient(self.adj, remap, len(keep))), remap
 
-    def relabelled(self, perm: dict[int, int] | list[int]) -> "Graph":
-        """Apply a vertex bijection old->new and return the relabelled graph."""
-        lookup = perm if isinstance(perm, dict) else dict(enumerate(perm))
-        vertices = set(range(self.n))
-        if set(lookup) != vertices or set(lookup.values()) != vertices:
-            raise ValueError(f"relabelling {perm!r} is not a bijection of 0..{self.n - 1}")
-        rows = [0] * self.n
-        for old in range(self.n):
-            row = 0
-            for w in bits_of(self.adj[old]):
-                row |= 1 << lookup[w]
-            rows[lookup[old]] = row
-        return Graph._trusted(self.n, tuple(rows))
+    def relabelled(self, perm: list[int] | tuple[int, ...]) -> "Graph":
+        """Apply a vertex bijection given as the list of images, ``perm[old]``
+        the new id of old."""
+        if not isinstance(perm, (list, tuple)) or sorted(perm) != list(range(self.n)):
+            raise ValueError(f"relabelling {perm!r} is not a bijection of 0..{self.n - 1} as a list")
+        return Graph._trusted(self.n, _quotient(self.adj, dict(enumerate(perm)), self.n))
+
+
+def _quotient(adj: Sequence[int], image: dict[int, int], n: int) -> tuple[int, ...]:
+    """The rows on 0..n-1 of the graph in which each vertex v in ``image``
+    becomes ``image[v]``. Vertices missing from ``image`` are dropped and
+    vertices with one image merge; an edge inside a merged set leaves no loop.
+    """
+    keep = mask_of(image)
+    rows = [0] * n
+    for v, new in image.items():
+        row = 0
+        nbrs = adj[v] & keep
+        while nbrs:
+            low = nbrs & -nbrs
+            row |= 1 << image[low.bit_length() - 1]
+            nbrs ^= low
+        rows[new] |= row & ~(1 << new)
+    return tuple(rows)
 
 
 def identify(g: Graph, x: int, y: int) -> tuple[Graph, dict[int, int]]:
@@ -235,26 +240,9 @@ def identify(g: Graph, x: int, y: int) -> tuple[Graph, dict[int, int]]:
         raise ValueError("identify needs two distinct vertices")
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise ValueError(f"cannot identify ({x},{y}) outside 0..{g.n - 1}")
-    keep = [u for u in range(g.n) if u not in (x, y)]
-    remap = {old: new for new, old in enumerate(keep)}
-    merged = len(keep)
-    remap[x] = merged
-    remap[y] = merged
-    drop = (1 << x) | (1 << y)
-    rows = []
-    for old in keep:
-        row = 0
-        for w in bits_of(g.adj[old] & ~drop):
-            row |= 1 << remap[w]
-        if g.adj[old] & drop:
-            row |= 1 << merged
-        rows.append(row)
-    merged_row = 0
-    for w in bits_of((g.adj[x] | g.adj[y]) & ~drop):
-        row_bit = 1 << remap[w]
-        merged_row |= row_bit
-    rows.append(merged_row)
-    return Graph._trusted(g.n - 1, tuple(rows)), remap
+    remap = {old: new for new, old in enumerate(u for u in range(g.n) if u not in (x, y))}
+    remap[x] = remap[y] = g.n - 2
+    return Graph._trusted(g.n - 1, _quotient(g.adj, remap, g.n - 1)), remap
 
 
 # -- clique and subgraph search ------------------------------------------

@@ -26,6 +26,7 @@ from .errors import SizeCapError
 from .graphs import (
     Graph,
     _automorphisms,
+    _check_order,
     _graph_of_key,
     _orbit_firsts,
     bits_of,
@@ -107,19 +108,17 @@ def ore_compose(
     if mask_of(part1) | mask_of(part2) != g2.adj[z]:
         raise ValueError("split halves must partition the split vertex's neighbors")
     n1 = g1.n
-    remap = {}
-    for w in range(g2.n):
-        if w == z:
-            continue
-        remap[w] = n1 + w - (1 if w > z else 0)
-    edges = [e for e in g1.edges() if set(e) != {x, y}]
-    for u, v in g2.edges():
-        if z in (u, v):
-            continue
-        edges.append((remap[u], remap[v]))
-    edges.extend((x, remap[w]) for w in part1)
-    edges.extend((y, remap[w]) for w in part2)
-    return Graph.from_edges(n1 + g2.n - 1, edges)
+    _check_order(n1 + g2.n - 1)
+    side, remap = g2.delete_vertex(z)
+    rows = [*g1.adj, *(row << n1 for row in side.adj)]
+    rows[x] ^= 1 << y
+    rows[y] ^= 1 << x
+    for end, half in ((x, part1), (y, part2)):
+        for w in half:
+            glued = n1 + remap[w]
+            rows[end] |= 1 << glued
+            rows[glued] |= 1 << end
+    return Graph._trusted(n1 + g2.n - 1, tuple(rows))
 
 
 def realize(tree: OreTree, k: int | None = None) -> Graph:

@@ -7,7 +7,7 @@ adjacency masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import islice
 from typing import Iterable
 
 from .coloring import (
@@ -19,7 +19,7 @@ from .coloring import (
     is_k_critical,
 )
 from .errors import SizeCapError
-from .graphs import Graph, bits_of, cliques_of_size, mask_of
+from .graphs import Graph, _quotient, bits_of, cliques_of_size, mask_of
 
 MIC_MAX_VERTICES = 40
 
@@ -152,20 +152,12 @@ def color_reduce(g: Graph, r_set: Iterable[int], phi: PartialColoring) -> ColorR
     outside = [v for v in range(g.n) if v not in r]
     vertex_map = {old: new for new, old in enumerate(outside)}
     class_vertex = {c: len(outside) + i for i, c in enumerate(used)}
-    edges = set()
-    for u, w in g.edges():
-        iu, iw = u in r, w in r
-        if iu and iw:
-            continue
-        if not iu and not iw:
-            edges.add((vertex_map[u], vertex_map[w]))
-        else:
-            inside, out_v = (u, w) if iu else (w, u)
-            a, b = class_vertex[phi.assignment[inside]], vertex_map[out_v]
-            edges.add((min(a, b), max(a, b)))
-    for c1, c2 in combinations(used, 2):
-        edges.add((class_vertex[c1], class_vertex[c2]))
-    reduced = Graph.from_edges(len(outside) + len(used), sorted(edges))
+    image = {**vertex_map, **{v: class_vertex[phi.assignment[v]] for v in r}}
+    rows = list(_quotient(g.adj, image, len(outside) + len(used)))
+    clique = mask_of(class_vertex.values())
+    for c in class_vertex.values():
+        rows[c] |= clique ^ (1 << c)
+    reduced = Graph._trusted(len(rows), tuple(rows))
     return ColorReduction(reduced, vertex_map, class_vertex, r)
 
 
@@ -255,16 +247,12 @@ def minimum_colorings(g: Graph, r_set: Iterable[int], k: int, limit: int | None 
     need = chromatic_number(sub)
     if need > k - 1:
         return
-    count = 0
-    for part in color_partitions(g, r, need):
+    for part in islice(color_partitions(g, r, need), limit):
         coloring = {}
         for color_index, cls in enumerate(part, start=1):
             for v in cls:
                 coloring[v] = color_index
         yield PartialColoring(coloring, k - 1)
-        count += 1
-        if limit is not None and count >= limit:
-            return
 
 
 # -- weighted independence -----------------------------------------------------

@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from typing import Callable, Iterable, NamedTuple
+from itertools import combinations, islice
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .census import Corpus, census_critical, graph_classes, random_graph
 from .coloring import chromatic_number, edge_count_lemma_check
@@ -297,11 +297,13 @@ def _diamond_emerald(tree: OreTree, params: dict) -> list[SuiteRow]:
 
 
 def _extension_potential(g: Graph, params: dict) -> list[SuiteRow]:
-    k = params["k"]
-    par = PotentialParams.for_k(k)
     caps = params["caps"]
+    return list(islice(_extension_rows(g, params["k"], caps), caps["extensions_per_graph"]))
+
+
+def _extension_rows(g: Graph, k: int, caps: dict) -> Iterator[SuiteRow]:
+    par = PotentialParams.for_k(k)
     g6 = graph6_encode(g)
-    rows = []
     for size in ANCHOR_SIZES:
         if size >= g.n:
             continue
@@ -320,22 +322,17 @@ def _extension_potential(g: Graph, params: dict) -> list[SuiteRow]:
                             - par.delta * x
                         )
                     )
-                    rows.append(
-                        _row(
-                            g6,
-                            "extension never raises the subset potential past the drop bound",
-                            lhs <= rhs,
-                            r="+".join(map(str, r_set)),
-                            r_prime="+".join(map(str, sorted(rec.r_prime))),
-                            core=x,
-                            incompleteness=rec.incompleteness,
-                            lhs=lhs,
-                            rhs=rhs,
-                        )
+                    yield _row(
+                        g6,
+                        "extension never raises the subset potential past the drop bound",
+                        lhs <= rhs,
+                        r="+".join(map(str, r_set)),
+                        r_prime="+".join(map(str, sorted(rec.r_prime))),
+                        core=x,
+                        incompleteness=rec.incompleteness,
+                        lhs=lhs,
+                        rhs=rhs,
                     )
-                    if len(rows) >= caps["extensions_per_graph"]:
-                        return rows
-    return rows
 
 
 def _kernel_ineq(g: Graph, params: dict) -> list[SuiteRow]:

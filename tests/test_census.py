@@ -274,5 +274,7 @@ def test_random_graph_determinism_and_extremes():
     a = random_graph(random.Random(99), 12)
     b = random_graph(random.Random(99), 12)
     assert a == b and canonical_key(a) == canonical_key(b)
-    assert random_graph(random.Random(0), 8, p=0.0) == Graph.empty(8)
-    assert random_graph(random.Random(0), 8, p=1.0) == Graph.complete(8)
+    assert random_graph(random.Random(0), 0) == Graph.empty(0)
+    assert random_graph(random.Random(0), 1) == Graph.empty(1)
+    # edge probability 1/2: 780 pairs, mean 390, standard deviation about 14
+    assert 320 < random_graph(random.Random(0), 40).edge_count() < 460

@@ -38,6 +38,7 @@ from orelab.graphs import (
     _automorphisms,
     _canonical_form,
     _graph_of_key,
+    _quotient,
     _refine,
     _search,
     _twin_cell,
@@ -138,10 +139,32 @@ def test_validation_rejects_bad_values():
         (Graph.path(3), [0, 1]),  # too short
         (Graph.path(3), [0, 1, 5]),  # image outside the vertex range
         (Graph.path(3), [1, 1, 0]),  # not injective, on an edge
-        (Graph.path(3), {0: 1, 1: 0}),  # a vertex without an image
+        (Graph.path(3), {0: 1, 1: 0, 2: 2}),  # a map, not the list of images
     ):
         with pytest.raises(ValueError, match="not a bijection"):
             g.relabelled(perm)
+
+
+def test_rows_are_stored_as_a_tuple():
+    g = Graph(3, [0b010, 0b101, 0b010])
+    assert g.adj == (0b010, 0b101, 0b010) and g == Graph.path(3)
+    assert canonical_form(Graph(3, [0, 0, 0])).key == canonical_key(Graph.empty(3))
+    assert hash(Graph(3, [0, 0, 0])) == hash(Graph(3, (0, 0, 0)))
+
+
+@given(graphs(max_n=8), st.data())
+@settings(max_examples=100)
+def test_quotient_matches_the_edge_image(g, data):
+    # each edge uv with both ends kept becomes the edge image[u] image[v],
+    # unless the two ends merge
+    n = data.draw(st.integers(1, max(g.n, 1)))
+    images = data.draw(st.lists(st.none() | st.integers(0, n - 1), min_size=g.n, max_size=g.n))
+    image = {v: i for v, i in enumerate(images) if i is not None}
+    expected = Graph.from_edges(
+        n,
+        {(image[u], image[v]) for u, v in g.edges() if u in image and v in image and image[u] != image[v]},
+    )
+    assert _quotient(g.adj, image, n) == expected.adj
 
 
 @given(graphs(min_n=2, max_n=8), st.data())
@@ -324,7 +347,7 @@ def test_graph_of_key_rebuilds_the_class():
     for n in range(6):
         for g in all_labeled_graphs(n):
             cf = canonical_form(g)
-            assert _graph_of_key(cf.key) == g.relabelled({v: n - 1 - p for p, v in enumerate(cf.labeling)})
+            assert _graph_of_key(cf.key) == g.relabelled([n - 1 - cf.labeling.index(v) for v in range(n)])
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)])

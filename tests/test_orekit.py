@@ -33,7 +33,6 @@ from orelab import (
     ore_catalog,
     ore_compose,
     random_ore_tree,
-    random_graph,
     realize,
     rho_ky,
     tree_dumps,
@@ -110,6 +109,33 @@ def test_compose_rejects_bad_arguments():
     node["replaced_edge"] = [-1, 0]
     with pytest.raises(ValueError, match=r"pair \(-1,0\) is not an edge of the edge side on vertices 0..3"):
         realize(tree_loads(json.dumps(node)))
+
+
+def ore_compose_by_edges(g1: Graph, xy, g2: Graph, z: int, partition) -> Graph:
+    """The composition built as an edge list, for valid arguments: the
+    oracle for ore_compose's row construction."""
+    x, y = xy
+    n1 = g1.n
+    remap = {w: n1 + w - (1 if w > z else 0) for w in range(g2.n) if w != z}
+    edges = [e for e in g1.edges() if set(e) != {x, y}]
+    edges += [(remap[u], remap[v]) for u, v in g2.edges() if z not in (u, v)]
+    edges += [(x, remap[w]) for w in partition[0]]
+    edges += [(y, remap[w]) for w in partition[1]]
+    return Graph.from_edges(n1 + g2.n - 1, edges)
+
+
+@given(st.integers(4, 6), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=80, deadline=None)
+def test_compose_matches_the_edge_list_oracle(k, seed, data):
+    rng = random.Random(seed)
+    g1 = realize(random_ore_tree(k, rng.randrange(0, 3), rng))
+    g2 = realize(random_ore_tree(k, rng.randrange(0, 3), rng))
+    edge = data.draw(st.sampled_from(g1.edges()))
+    z = data.draw(st.integers(0, g2.n - 1))
+    nbrs = data.draw(st.permutations(g2.neighbors(z)))
+    cut = data.draw(st.integers(1, len(nbrs) - 1))
+    halves = (tuple(nbrs[:cut]), tuple(nbrs[cut:]))
+    assert ore_compose(g1, edge, g2, z, halves) == ore_compose_by_edges(g1, edge, g2, z, halves)
 
 
 def test_realize_counts_and_ky_value():
@@ -311,10 +337,14 @@ def _moved_edge(g: Graph, rng: random.Random) -> Graph:
     return Graph.from_edges(g.n, [e for e in edges if e != drop] + [add])
 
 
+def binomial_graph(rng: random.Random, n: int, p: float) -> Graph:
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
 def test_candidate_splits_match_the_pair_scan():
     rng = random.Random("splits")
     corpus = [g for n in range(8) for g in graph_classes(n)]
-    corpus += [random_graph(rng, rng.randrange(1, 16), rng.uniform(0.2, 1)) for _ in range(200)]
+    corpus += [binomial_graph(rng, rng.randrange(1, 16), rng.uniform(0.2, 1)) for _ in range(200)]
     for k in (4, 5):
         for tree in seeded_trees(k, 30, 4, f"splits:{k}"):
             g = realize(tree)

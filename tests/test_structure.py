@@ -10,6 +10,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import orelab.coloring
 from orelab import (
@@ -166,6 +167,43 @@ def test_reduce_rejects_bad_colorings():
         color_reduce(g, [0, 1], PartialColoring({0: 1}, 3))  # partial
     with pytest.raises(ValueError):
         color_reduce(g, [0, 2], PartialColoring({0: 1, 2: 2}, 3))  # 1 color suffices
+
+
+def color_reduce_by_edges(g: Graph, r_set, phi: PartialColoring) -> tuple:
+    """The reduction built as an edge list, for a valid minimum coloring:
+    the oracle for color_reduce's row construction."""
+    r = frozenset(r_set)
+    used = sorted({phi.assignment[v] for v in r})
+    outside = [v for v in range(g.n) if v not in r]
+    vertex_map = {old: new for new, old in enumerate(outside)}
+    class_vertex = {c: len(outside) + i for i, c in enumerate(used)}
+    edges = set()
+    for u, w in g.edges():
+        iu, iw = u in r, w in r
+        if iu and iw:
+            continue
+        if not iu and not iw:
+            edges.add((vertex_map[u], vertex_map[w]))
+        else:
+            inside, out_v = (u, w) if iu else (w, u)
+            a, b = class_vertex[phi.assignment[inside]], vertex_map[out_v]
+            edges.add((min(a, b), max(a, b)))
+    for c1, c2 in itertools.combinations(used, 2):
+        edges.add((class_vertex[c1], class_vertex[c2]))
+    return Graph.from_edges(len(outside) + len(used), sorted(edges)), vertex_map, class_vertex
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_reduction_matches_the_edge_list_oracle(census4_8, data):
+    g = data.draw(
+        st.sampled_from(census4_8.graphs)
+        | st.builds(lambda seed, n: random_graph(random.Random(seed), n), st.integers(0, 2**32 - 1), st.integers(1, 9))
+    )
+    r = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
+    for phi in minimum_colorings(g, r, g.n + 1, limit=3):
+        red = color_reduce(g, r, phi)
+        assert (red.graph, red.vertex_map, red.class_vertex) == color_reduce_by_edges(g, r, phi)
 
 
 def test_reduced_census_graphs_stay_uncolorable(census4_8):

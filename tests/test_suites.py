@@ -92,6 +92,14 @@ def test_failing_row_fails_the_suite():
     assert not result.passed
 
 
+@pytest.mark.parametrize("cap", ["extensions_per_graph", "colorings_per_subset", "witnesses_per_reduction"])
+def test_zero_extension_cap_gives_no_rows(cap, census4_8):
+    corpus = [g for g in census4_8.graphs if g.n <= 6]
+    assert run_suite("extension-potential", corpus=corpus).rows
+    result = run_suite("extension-potential", corpus=corpus, params={"caps": {cap: 0}})
+    assert result.rows == () and not result.passed
+
+
 def test_cap_skip_is_not_a_pass():
     big = realize(one_step())  # 7 vertices
     result = run_suite("ky-equality-ore", corpus=[big], params={"caps": {"recognition": 5}})
