@@ -5,7 +5,11 @@ check.
 Everything here is a complete search; answers are never heuristic. Witness
 colorings are re-verified against the graph before being returned. The
 criticality test and the critical-subgraph search work on adjacency rows and
-share one step: delete an edge and test (k-1)-colorability.
+share one step: delete an edge and test (k-1)-colorability. The subgraph
+search answers that step from its own witnesses where one settles it: an
+earlier coloring still proper on the rows, or an earlier critical subgraph
+the rows still contain; only the rest go to the solver. Those witnesses live
+for one call, so no store here grows without bound.
 """
 
 from __future__ import annotations
@@ -174,42 +178,58 @@ class Subgraph:
         return g, remap
 
 
-def _minimalize(rows: list[int], edges: list[tuple[int, int]], k: int) -> list[int]:
-    """Drop removable edges in one deterministic pass over ``edges``.
-
-    An edge that is not removable (its deletion makes the graph
-    (k-1)-colorable) stays non-removable as other edges are dropped, so a
-    single ordered pass reaches an edge-minimal non-(k-1)-colorable subgraph.
-    Edges already missing from ``rows`` are skipped.
-    """
-    for u, v in edges:
-        if rows[u] >> v & 1:
-            trial = _uncolorable_without(rows, u, v, k - 1)
-            if trial is not None:
-                rows = trial
-    return rows
-
-
 def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Subgraph]:
     """k-critical subgraphs of g, found by protected greedy minimalization.
 
     Requires g itself to not be (k-1)-colorable. Enumeration restarts with
     each single edge force-deleted first, which surfaces distinct minimal
     subgraphs; at most ``limit`` distinct results are returned, ordered by
-    their sorted edge lists. Subgraphs are held as adjacency rows.
+    their sorted edge lists. Each start drops, in one ordered pass, every edge
+    uv whose deletion leaves the rows not (k-1)-colorable; a kept edge stays
+    needed as others go, so one pass ends edge-minimal.
+
+    Witnesses kept for this call answer "is rows - uv (k-1)-colorable?"
+    before any search, and always as the search would:
+    - colorable, if a coloring found for some S - uv (kept under uv as class
+      masks over all vertices) is proper on the trial: a coloring of S - uv
+      colors every subgraph of S - uv;
+    - not colorable, if the trial contains a found W edge for edge: a graph
+      that contains a found W is not (k-1)-colorable.
     """
-    if first_coloring(g.adj, k - 1) is not None:
+    t = k - 1
+    if first_coloring(g.adj, t) is not None:
         raise ValueError("graph is (k-1)-colorable; no k-critical subgraph exists")
     edges = g.edges()
+    colorings: dict[tuple[int, int], list[list[int]]] = {e: [] for e in edges}
     found: dict[tuple[int, ...], Subgraph] = {}
 
-    trials = (_uncolorable_without(g.adj, u, v, k - 1) for u, v in edges)
-    for rows in chain([list(g.adj)], trials):
+    def uncolorable_without(rows: Sequence[int], u: int, v: int) -> list[int] | None:
+        trial = list(rows)
+        trial[u] &= ~(1 << v)
+        trial[v] &= ~(1 << u)
+        for classes in colorings[u, v]:
+            if not any(trial[x] & m for m in classes for x in bits_of(m)):
+                return None
+        if any(all(not a & ~b for a, b in zip(w, trial)) for w in found):
+            return trial
+        colors = first_coloring(trial, t)
+        if colors is None:
+            return trial
+        colorings[u, v].append([mask_of(x for x, c in enumerate(colors) if c == i) for i in range(t)])
+        return None
+
+    for start in chain([None], edges):
         if len(found) >= limit:
             break
+        rows = list(g.adj) if start is None else uncolorable_without(g.adj, *start)
         if rows is None:
             continue
-        w = tuple(_minimalize(rows, edges, k))
+        for u, v in edges:
+            if rows[u] >> v & 1:
+                trial = uncolorable_without(rows, u, v)
+                if trial is not None:
+                    rows = trial
+        w = tuple(rows)
         if w not in found:
             found[w] = Subgraph(
                 tuple(v for v in range(g.n) if w[v]),

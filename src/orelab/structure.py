@@ -195,6 +195,11 @@ def build_extension(
     """
     if not is_k_critical(g, k):
         raise ValueError("extensions are built over a k-critical host")
+    return _build_extension(g, k, r_set, phi, limit)
+
+
+def _build_extension(g: Graph, k: int, r_set: Iterable[int], phi: PartialColoring, limit: int):
+    """build_extension over a host already checked to be k-critical."""
     r = frozenset(r_set)
     if not r or r == set(range(g.n)):
         raise ValueError("R must be a nonempty proper subset")

@@ -34,7 +34,7 @@ from .potential import (
     rho_ky,
     rho_subset,
 )
-from .structure import build_extension, find_diamonds_emeralds, mic, minimum_colorings
+from .structure import _build_extension, build_extension, find_diamonds_emeralds, mic, minimum_colorings
 
 DEFAULT_SEED = 20250801
 _PARAM_KEYS = ("k", "seed", "caps", "trees")
@@ -304,12 +304,16 @@ def _extension_potential(g: Graph, params: dict) -> list[SuiteRow]:
 def _extension_rows(g: Graph, k: int, caps: dict) -> Iterator[SuiteRow]:
     par = PotentialParams.for_k(k)
     g6 = graph6_encode(g)
+    # the first reduction goes through the public call, which checks the host
+    build = build_extension
     for size in ANCHOR_SIZES:
         if size >= g.n:
             continue
         for r_set in combinations(range(g.n), size):
             for phi in minimum_colorings(g, r_set, k, limit=caps["colorings_per_subset"]):
-                for rec in build_extension(g, k, r_set, phi, limit=caps["witnesses_per_reduction"]):
+                records = build(g, k, r_set, phi, limit=caps["witnesses_per_reduction"])
+                build = _build_extension
+                for rec in records:
                     w_graph, _ = rec.w_subgraph.to_graph()
                     lhs = rho_subset(g, rec.r_prime, k)
                     x = len(rec.core)

@@ -5,10 +5,12 @@ with the solver's propagation or symmetry breaking.
 """
 
 import itertools
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from orelab import coloring, suites
 from orelab import (
     Graph,
     PartialColoring,
@@ -22,7 +24,9 @@ from orelab import (
     graph_classes,
     is_k_critical,
     ore_compose,
+    random_graph,
 )
+from orelab.structure import color_reduce, minimum_colorings
 
 
 def oracle_colorable(g: Graph, t: int) -> bool:
@@ -163,6 +167,111 @@ def test_find_critical_subgraphs_enumerates_several():
     twin = Graph.from_edges(8, edges)
     subs = find_critical_subgraphs(twin, 4, limit=6)
     assert {frozenset(s.vertices) for s in subs} >= {frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7})}
+
+
+# -- witness reuse in find_critical_subgraphs -----------------------------------------
+# The oracle is the search without witness stores: every "is rows - uv
+# (k-1)-colorable?" question goes to the solver. It looks the solver up on the
+# module at call time, so a counter patched in there sees both searches.
+
+
+def oracle_minimalize(rows: list[int], edges: list[tuple[int, int]], k: int) -> list[int]:
+    for u, v in edges:
+        if rows[u] >> v & 1:
+            trial = coloring._uncolorable_without(rows, u, v, k - 1)
+            if trial is not None:
+                rows = trial
+    return rows
+
+
+def oracle_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[coloring.Subgraph]:
+    if coloring.first_coloring(g.adj, k - 1) is not None:
+        raise ValueError("graph is (k-1)-colorable; no k-critical subgraph exists")
+    edges = g.edges()
+    found: dict[tuple[int, ...], coloring.Subgraph] = {}
+    trials = (coloring._uncolorable_without(g.adj, u, v, k - 1) for u, v in edges)
+    for rows in itertools.chain([list(g.adj)], trials):
+        if len(found) >= limit:
+            break
+        if rows is None:
+            continue
+        w = tuple(oracle_minimalize(rows, edges, k))
+        if w not in found:
+            found[w] = coloring.Subgraph(
+                tuple(v for v in range(g.n) if w[v]),
+                frozenset((u, v) for u, v in edges if w[u] >> v & 1),
+            )
+    return sorted(found.values(), key=lambda w: sorted(w.edges))
+
+
+def extension_reductions(graphs, k: int) -> list[Graph]:
+    """Every color reduction the extension suite builds on ``graphs``."""
+    per_subset = suites._SUITES["extension-potential"].caps["colorings_per_subset"]
+    return [
+        color_reduce(g, r, phi).graph
+        for g in graphs
+        for size in suites.ANCHOR_SIZES
+        if size < g.n
+        for r in itertools.combinations(range(g.n), size)
+        for phi in minimum_colorings(g, r, k, limit=per_subset)
+    ]
+
+
+@pytest.fixture(scope="module")
+def census_reductions(census4_8, census5_8):
+    return {
+        k: extension_reductions([g for g in census.graphs if g.n <= 7], k)
+        for k, census in ((4, census4_8), (5, census5_8))
+    }
+
+
+def searches_of(search, g: Graph, k: int, limit: int) -> tuple[list[coloring.Subgraph], int]:
+    """The search's result and how many colorings it asked the solver for."""
+    real = coloring.first_coloring
+    calls = 0
+
+    def counting(adj, t):
+        nonlocal calls
+        calls += 1
+        return real(adj, t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring, "first_coloring", counting)
+        result = search(g, k, limit)
+    return result, calls
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_critical_subgraphs_match_the_search_without_witnesses(census4_8, census5_8, census_reductions, data):
+    kind = data.draw(st.sampled_from(["reduction", "census+edges", "random"]))
+    if kind == "reduction":
+        k = data.draw(st.sampled_from([4, 5]))
+        g = data.draw(st.sampled_from(census_reductions[k]))
+    elif kind == "census+edges":
+        k, census = data.draw(st.sampled_from([(4, census4_8), (5, census5_8)]))
+        base = data.draw(st.sampled_from([g for g in census.graphs if g.n > k]))
+        missing = [(u, v) for u, v in itertools.combinations(range(base.n), 2) if not base.has_edge(u, v)]
+        extra = data.draw(st.lists(st.sampled_from(missing), min_size=1, max_size=2, unique=True))
+        g = Graph.from_edges(base.n, base.edges() + extra)
+    else:
+        g = random_graph(random.Random(data.draw(st.integers(0, 2**32 - 1))), data.draw(st.integers(1, 9)))
+        chi = chromatic_number(g)
+        assume(chi >= 3)
+        k = data.draw(st.integers(3, chi))
+    limit = data.draw(st.integers(1, 6))
+    new, new_calls = searches_of(find_critical_subgraphs, g, k, limit)
+    old, old_calls = searches_of(oracle_critical_subgraphs, g, k, limit)
+    assert new == old
+    assert new_calls <= old_calls
+
+
+def test_witnesses_save_searches_on_every_census_reduction(census_reductions):
+    for g in census_reductions[4]:
+        for limit in range(1, 7):
+            _, new_calls = searches_of(find_critical_subgraphs, g, 4, limit)
+            _, old_calls = searches_of(oracle_critical_subgraphs, g, 4, limit)
+            assert new_calls < old_calls, (g, limit)
 
 
 # -- color partitions ------------------------------------------------------------

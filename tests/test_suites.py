@@ -7,10 +7,12 @@ size.
 
 import json
 import random
+import sys
 
 import pytest
+from click.testing import CliRunner
 
-from orelab import suites
+from orelab import coloring, suites
 from orelab import (
     DEFAULT_SEED,
     SUITE_IDS,
@@ -19,10 +21,12 @@ from orelab import (
     Node,
     graph_classes,
     ore_catalog,
+    graph6_encode,
     random_graph,
     realize,
     run_suite,
 )
+from orelab.cli import main
 
 
 def classes_up_to(n_max: int) -> list[Graph]:
@@ -98,6 +102,44 @@ def test_zero_extension_cap_gives_no_rows(cap, census4_8):
     assert run_suite("extension-potential", corpus=corpus).rows
     result = run_suite("extension-potential", corpus=corpus, params={"caps": {cap: 0}})
     assert result.rows == () and not result.passed
+
+
+def c6_with_chord() -> Graph:
+    """A bipartite, so not 4-critical, host on which the extension suite
+    builds reductions: C6 plus the chord 0-3."""
+    return Graph.from_edges(6, Graph.cycle(6).edges() + [(0, 3)])
+
+
+def test_extension_suite_checks_each_host_once(monkeypatch, census4_8):
+    real = coloring.is_k_critical
+    hosts = []
+
+    def counting(g, k):
+        hosts.append(g)
+        return real(g, k)
+
+    # count every call, wherever a module of the package binds the name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orelab") and getattr(module, "is_k_critical", None) is real:
+            monkeypatch.setattr(module, "is_k_critical", counting)
+    result = run_suite("extension-potential", census4_8, {"k": 4})
+    assert result.passed
+    assert hosts == list(census4_8.graphs)
+
+
+def test_extension_suite_rejects_a_non_critical_host():
+    with pytest.raises(ValueError, match="^extensions are built over a k-critical host$"):
+        run_suite("extension-potential", [c6_with_chord()], {"k": 4})
+    result = run_suite("extension-potential", [c6_with_chord()], {"k": 4, "caps": {"extensions_per_graph": 0}})
+    assert result.rows == () and not result.passed
+
+
+def test_verify_extension_suite_on_a_non_critical_host_exits_1(tmp_path):
+    corpus = tmp_path / "host.g6"
+    corpus.write_text(graph6_encode(c6_with_chord()) + "\n")
+    result = CliRunner().invoke(main, ["verify", "--suite", "extension-potential", "--in", str(corpus), "--k", "4"])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == "Error: extensions are built over a k-critical host\n"
 
 
 def test_cap_skip_is_not_a_pass():
