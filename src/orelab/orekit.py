@@ -130,11 +130,23 @@ def realize(tree: OreTree, k: int | None = None) -> Graph:
 
 
 def _realize(tree: OreTree) -> Graph:
+    for _, g in _realized(tree):
+        pass
+    return g
+
+
+def _realized(tree: OreTree):
+    """Yield (subtree, graph) for every subtree of ``tree``, children before
+    their parent, so the last pair is the whole tree's. This is the one
+    routine that composes trees; each subtree is realized once."""
     if isinstance(tree, Leaf):
-        return Graph.complete(tree.k)
-    g1 = _realize(tree.edge_side)
-    g2 = _realize(tree.split_side)
-    return ore_compose(g1, tree.replaced_edge, g2, tree.split_vertex, tree.partition)
+        g = Graph.complete(tree.k)
+    else:
+        g1 = yield from _realized(tree.edge_side)
+        g2 = yield from _realized(tree.split_side)
+        g = ore_compose(g1, tree.replaced_edge, g2, tree.split_vertex, tree.partition)
+    yield tree, g
+    return g
 
 
 # -- JSON round trip ---------------------------------------------------------

@@ -71,34 +71,32 @@ class NearClique:
             raise ValueError("diamonds and only diamonds carry endpoints")
 
 
-def find_diamonds_emeralds(
-    g: Graph, k: int, forbidden: Iterable[int] = ()
-) -> list[NearClique]:
-    """All diamonds and emeralds vertex-disjoint from ``forbidden``.
+def find_diamonds_emeralds(g: Graph, k: int) -> list[NearClique]:
+    """All diamonds and emeralds of g.
 
     Diamond: a k-set inducing K_k minus exactly the edge between its two
     endpoints, with every interior vertex of full host degree k-1. The
     missing endpoint pair is required to be a non-edge of the host; if it
     were present the set would induce K_k outright.
     Emerald: a (k-1)-clique whose vertices all have host degree k-1.
+    A caller asking about many vertex sets lists once and keeps, for each
+    set, the entries whose ``vertices`` miss it.
     """
-    forb = mask_of(forbidden)
     out: list[NearClique] = []
     low = [v for v in range(g.n) if g.degree(v) == k - 1]
     low_mask = mask_of(low)
     for cl in cliques_of_size(g, k - 1):
         m = mask_of(cl)
-        if m & forb or m & low_mask != m:
+        if m & low_mask != m:
             continue
         out.append(NearClique("emerald", frozenset(cl), None))
     for interior in cliques_of_size(g, k - 2):
         im = mask_of(interior)
-        if im & forb or im & low_mask != im:
+        if im & low_mask != im:
             continue
         common = g.full_mask() & ~im
         for q in interior:
             common &= g.adj[q]
-        common &= ~forb
         for u in bits_of(common):
             for v in bits_of(common & ~((1 << (u + 1)) - 1)):
                 if g.has_edge(u, v):

@@ -6,6 +6,11 @@ A suite passes only if it produced at least one passing row and no failing
 row; rows skipped at a size cap are counted but never treated as passes.
 All randomness flows through one seeded generator echoed in the config, so a
 suite result is a pure function of (corpus, params).
+
+A suite computes each fact once per item: a composition tree is realized in
+one bottom-up pass, so t-superadd packs each subtree once and reads a node's
+sides from its children; a graph's near-cliques are listed once and filtered
+per forbidden set; G[R] is packed once per extension anchor set.
 """
 
 from __future__ import annotations
@@ -22,7 +27,18 @@ from .coloring import chromatic_number, edge_count_lemma_check
 from .discharging import charge_report
 from .errors import SizeCapError
 from .graphs import Graph, canonical_key, cliques_of_size, graph6_decode, graph6_encode
-from .orekit import DEFAULT_RECOGNITION_CAP, Leaf, Node, OreTree, is_k_ore, ore_catalog, random_ore_tree, realize
+from .orekit import (
+    DEFAULT_RECOGNITION_CAP,
+    Leaf,
+    Node,
+    OreTree,
+    _realized,
+    is_k_ore,
+    ore_catalog,
+    random_ore_tree,
+    realize,
+    tree_k,
+)
 from .packing import compute_T, compute_T_bruteforce
 from .potential import (
     PotentialParams,
@@ -120,13 +136,6 @@ def _graphs_of(corpus) -> list[Graph]:
     return list(corpus)
 
 
-def _walk_nodes(tree: OreTree):
-    if isinstance(tree, Node):
-        yield tree
-        yield from _walk_nodes(tree.edge_side)
-        yield from _walk_nodes(tree.split_side)
-
-
 # -- individual suites: each checks one graph or tree and returns its rows -----
 
 
@@ -210,39 +219,32 @@ def _main2_potential(tree: OreTree, params: dict) -> list[SuiteRow]:
 
 def _t_superadd(tree: OreTree, params: dict) -> list[SuiteRow]:
     k = params["k"]
+    if tree_k(tree) != k:
+        raise ValueError(f"tree is built over k={tree_k(tree)}, caller expected {k}")
     rows = []
-    for node in _walk_nodes(tree):
-        g = realize(node, k)
+    packed = []  # T of each subtree whose parent is still to come
+    for sub, g in _realized(tree):
         t = compute_T(g, k).value
-        t1 = compute_T(realize(node.edge_side, k), k).value
-        t2 = compute_T(realize(node.split_side, k), k).value
-        g6 = graph6_encode(g)
-        left_leaf = isinstance(node.edge_side, Leaf)
-        right_leaf = isinstance(node.split_side, Leaf)
-        if left_leaf and right_leaf:
-            rows.append(
-                _row(
-                    g6,
-                    "double complete composition packs exactly 4",
-                    t == 4,
-                    t=t,
-                    t1=t1,
-                    t2=t2,
+        if isinstance(sub, Node):
+            t2, t1 = packed.pop(), packed.pop()
+            g6 = graph6_encode(g)
+            leaves = isinstance(sub.edge_side, Leaf) + isinstance(sub.split_side, Leaf)
+            if leaves == 2:
+                rows.append(_row(g6, "double complete composition packs exactly 4", t == 4, t=t, t1=t1, t2=t2))
+            else:
+                drop = 2 - leaves
+                rows.append(
+                    _row(
+                        g6,
+                        "packing value is superadditive under composition",
+                        t >= t1 + t2 - drop,
+                        t=t,
+                        t1=t1,
+                        t2=t2,
+                        allowed_drop=drop,
+                    )
                 )
-            )
-            continue
-        drop = 1 if (left_leaf or right_leaf) else 2
-        rows.append(
-            _row(
-                g6,
-                "packing value is superadditive under composition",
-                t >= t1 + t2 - drop,
-                t=t,
-                t1=t1,
-                t2=t2,
-                allowed_drop=drop,
-            )
-        )
+        packed.append(t)
     return rows
 
 
@@ -269,30 +271,14 @@ def _diamond_emerald(tree: OreTree, params: dict) -> list[SuiteRow]:
     k = params["k"]
     g = realize(tree, k)
     g6 = graph6_encode(g)
-    rows = []
-    for v in range(g.n):
-        hits = find_diamonds_emeralds(g, k, forbidden=(v,))
-        rows.append(
-            _row(
-                g6,
-                "near-clique witness avoiding one vertex",
-                bool(hits),
-                forbidden=v,
-                witnesses=len(hits),
-            )
-        )
+    found = find_diamonds_emeralds(g, k)
+    forbidden = [("near-clique witness avoiding one vertex", (v,)) for v in range(g.n)]
     if g.n > k:
-        for clique in cliques_of_size(g, k - 1):
-            hits = find_diamonds_emeralds(g, k, forbidden=clique)
-            rows.append(
-                _row(
-                    g6,
-                    "near-clique witness avoiding a full clique",
-                    bool(hits),
-                    forbidden="+".join(map(str, clique)),
-                    witnesses=len(hits),
-                )
-            )
+        forbidden += [("near-clique witness avoiding a full clique", c) for c in cliques_of_size(g, k - 1)]
+    rows = []
+    for claim, forb in forbidden:
+        hits = sum(1 for nc in found if nc.vertices.isdisjoint(forb))
+        rows.append(_row(g6, claim, hits > 0, forbidden="+".join(map(str, forb)), witnesses=hits))
     return rows
 
 
@@ -310,15 +296,18 @@ def _extension_rows(g: Graph, k: int, caps: dict) -> Iterator[SuiteRow]:
         if size >= g.n:
             continue
         for r_set in combinations(range(g.n), size):
+            rho_r = None  # rho of G[R], packed at the set's first record
             for phi in minimum_colorings(g, r_set, k, limit=caps["colorings_per_subset"]):
                 records = build(g, k, r_set, phi, limit=caps["witnesses_per_reduction"])
                 build = _build_extension
                 for rec in records:
+                    if rho_r is None:
+                        rho_r = rho_subset(g, r_set, k)
                     w_graph, _ = rec.w_subgraph.to_graph()
                     lhs = rho_subset(g, rec.r_prime, k)
                     x = len(rec.core)
                     rhs = (
-                        rho_subset(g, r_set, k)
+                        rho_r
                         + rho(w_graph, k, compute_T(w_graph, k).value)
                         - (
                             complete_potential(x, k)

@@ -13,12 +13,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orelab.coloring
+import orelab.suites
 from orelab import (
     Graph,
+    NearClique,
     PartialColoring,
     PotentialParams,
     SizeCapError,
+    bits_of,
     build_extension,
+    cliques_of_size,
     clusters,
     color_reduce,
     colorable,
@@ -28,11 +32,13 @@ from orelab import (
     edge_between,
     find_diamonds_emeralds,
     is_isomorphic,
+    mask_of,
     mic,
     minimum_colorings,
     ore_catalog,
     ore_compose,
     random_graph,
+    random_ore_tree,
     realize,
     rho,
     rho_subset,
@@ -96,10 +102,16 @@ def check_near_clique(g: Graph, k: int, nc) -> None:
             assert g.has_edge(a, b) or {a, b} == {u, v}
 
 
+def avoiding(found, forbidden) -> list:
+    """The near-cliques of ``found`` whose vertex sets miss ``forbidden``."""
+    return [nc for nc in found if nc.vertices.isdisjoint(forbidden)]
+
+
 def test_emeralds_of_complete_graph():
     k4 = Graph.complete(4)
+    everything = find_diamonds_emeralds(k4, 4)
     for v in range(4):
-        found = find_diamonds_emeralds(k4, 4, forbidden=[v])
+        found = avoiding(everything, [v])
         assert found  # the emerald K_4 - v survives
         for nc in found:
             check_near_clique(k4, 4, nc)
@@ -120,8 +132,9 @@ def test_avoidance_on_small_ore_graphs():
     for k in (4, 5):
         for tree in ore_catalog(k, 1):
             g = realize(tree)
+            everything = find_diamonds_emeralds(g, k)
             for v in range(g.n):
-                found = find_diamonds_emeralds(g, k, forbidden=[v])
+                found = avoiding(everything, [v])
                 assert found
                 for nc in found:
                     check_near_clique(g, k, nc)
@@ -131,10 +144,70 @@ def test_avoidance_on_small_ore_graphs():
             for q in itertools.combinations(range(g.n), k - 1):
                 if not g.is_clique(q):
                     continue
-                found = find_diamonds_emeralds(g, k, forbidden=q)
+                found = avoiding(everything, q)
                 assert found
                 for nc in found:
                     assert not (nc.vertices & set(q))
+
+
+def near_cliques_avoiding(g: Graph, k: int, forbidden) -> list:
+    """The search that took the forbidden set as a parameter, kept as the
+    oracle for filtering the one full list: an emerald is dropped when it
+    meets the set, a diamond when its interior or an endpoint does."""
+    forb = mask_of(forbidden)
+    out = []
+    low = [v for v in range(g.n) if g.degree(v) == k - 1]
+    low_mask = mask_of(low)
+    for cl in cliques_of_size(g, k - 1):
+        m = mask_of(cl)
+        if m & forb or m & low_mask != m:
+            continue
+        out.append(NearClique("emerald", frozenset(cl), None))
+    for interior in cliques_of_size(g, k - 2):
+        im = mask_of(interior)
+        if im & forb or im & low_mask != im:
+            continue
+        common = g.full_mask() & ~im
+        for q in interior:
+            common &= g.adj[q]
+        common &= ~forb
+        for u in bits_of(common):
+            for v in bits_of(common & ~((1 << (u + 1)) - 1)):
+                if g.has_edge(u, v):
+                    continue
+                out.append(NearClique("diamond", frozenset(interior) | {u, v}, (u, v)))
+    out.sort(key=lambda d: (d.kind, sorted(d.vertices)))
+    return out
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_filtered_list_matches_the_forbidden_search(k):
+    for tree in ore_catalog(k, 2):
+        g = realize(tree)
+        everything = find_diamonds_emeralds(g, k)
+        assert everything == near_cliques_avoiding(g, k, ())
+        sets = [(v,) for v in range(g.n)] + (cliques_of_size(g, k - 1) if g.n > k else [])
+        for forbidden in sets:
+            assert avoiding(everything, forbidden) == near_cliques_avoiding(g, k, forbidden)
+        # the suite's rows count the same near-cliques as the oracle
+        rows = [dict(row.values) for row in orelab.suites._diamond_emerald(tree, {"k": k})]
+        assert {row["forbidden"]: row["witnesses"] for row in rows} == {
+            "+".join(map(str, f)): str(len(near_cliques_avoiding(g, k, f))) for f in sets
+        }
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_filtered_list_matches_on_random_vertex_sets(data):
+    k = data.draw(st.sampled_from([4, 5, 6]), label="k")
+    if data.draw(st.booleans(), label="composed"):
+        steps = data.draw(st.integers(0, 3), label="steps")
+        g = realize(random_ore_tree(k, steps, random.Random(data.draw(st.integers(0, 10 ** 6)))))
+    else:
+        g = random_graph(random.Random(data.draw(st.integers(0, 10 ** 6))), data.draw(st.integers(1, 12)))
+    forbidden = data.draw(st.sets(st.integers(0, g.n - 1)), label="forbidden")
+    everything = find_diamonds_emeralds(g, k)
+    assert avoiding(everything, forbidden) == near_cliques_avoiding(g, k, forbidden)
 
 
 # -- color reduction ---------------------------------------------------------------

@@ -8,21 +8,25 @@ size.
 import json
 import random
 import sys
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from orelab import coloring, suites
+from orelab import coloring, orekit, suites
 from orelab import (
     DEFAULT_SEED,
     SUITE_IDS,
     Graph,
     Leaf,
     Node,
+    compute_T,
     graph_classes,
     ore_catalog,
     graph6_encode,
     random_graph,
+    random_ore_tree,
     realize,
     run_suite,
 )
@@ -262,3 +266,133 @@ def test_catalog_default_for_near_clique_suite():
     per_vertex = [r for r in result.rows if "one vertex" in r.claim]
     assert len(per_vertex) == sum(realize(t).n for t in ore_catalog(4, suites.CATALOG_STEPS))
     assert result.passed and dict(result.config)["trees"] == str(len(ore_catalog(4, suites.CATALOG_STEPS)))
+
+
+# -- each suite computes a fact once per item ------------------------------------
+
+
+def walk_nodes(tree):
+    if isinstance(tree, Node):
+        yield tree
+        yield from walk_nodes(tree.edge_side)
+        yield from walk_nodes(tree.split_side)
+
+
+def t_superadd_by_node(tree, params: dict) -> list:
+    """The suite body that realized and packed every node and both of its
+    sides from the leaves, kept as the oracle for the one bottom-up pass."""
+    k = params["k"]
+    rows = []
+    for node in walk_nodes(tree):
+        g = realize(node, k)
+        t = compute_T(g, k).value
+        t1 = compute_T(realize(node.edge_side, k), k).value
+        t2 = compute_T(realize(node.split_side, k), k).value
+        g6 = graph6_encode(g)
+        left_leaf = isinstance(node.edge_side, Leaf)
+        right_leaf = isinstance(node.split_side, Leaf)
+        if left_leaf and right_leaf:
+            rows.append(suites._row(g6, "double complete composition packs exactly 4", t == 4, t=t, t1=t1, t2=t2))
+            continue
+        drop = 1 if (left_leaf or right_leaf) else 2
+        rows.append(
+            suites._row(
+                g6,
+                "packing value is superadditive under composition",
+                t >= t1 + t2 - drop,
+                t=t,
+                t1=t1,
+                t2=t2,
+                allowed_drop=drop,
+            )
+        )
+    return rows
+
+
+def subtrees(tree) -> list:
+    """Every subtree, children before their parent."""
+    if isinstance(tree, Leaf):
+        return [tree]
+    return subtrees(tree.edge_side) + subtrees(tree.split_side) + [tree]
+
+
+def row_key(row):
+    return row.graph6, row.claim, row.values
+
+
+@given(k=st.sampled_from([4, 5, 6]), steps=st.integers(1, 4), seed=st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_t_superadd_matches_the_per_node_walk(k, steps, seed):
+    tree = random_ore_tree(k, steps, random.Random(seed))
+    rows = suites._t_superadd(tree, {"k": k})
+    assert sorted(rows, key=row_key) == sorted(t_superadd_by_node(tree, {"k": k}), key=row_key)
+    assert len(rows) == steps
+
+
+def test_t_superadd_rejects_a_tree_of_another_k():
+    with pytest.raises(ValueError, match="^tree is built over k=4, caller expected 5$"):
+        run_suite("t-superadd", params={"k": 5, "trees": [nested()]})
+
+
+def counting(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` by a wrapper that records each call's
+    positional arguments; return the record."""
+    real = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_t_superadd_packs_and_composes_each_subtree_once(monkeypatch):
+    tree = nested()
+    expected = [realize(sub) for sub in subtrees(tree)]
+    packed = counting(monkeypatch, suites, "compute_T")
+    composed = counting(monkeypatch, orekit, "ore_compose")
+    result = run_suite("t-superadd", params={"trees": [tree]})
+    assert result.passed and len(result.rows) == 2
+    assert [args[0] for args in packed] == expected
+    assert len(composed) == sum(isinstance(sub, Node) for sub in subtrees(tree)) == 2
+
+
+def test_t_superadd_sweep_packs_each_subtree_once(monkeypatch):
+    packed = counting(monkeypatch, suites, "compute_T")
+    trees = 0
+    for k in (4, 5, 6):
+        params = {"k": k, "seed": 1}
+        assert run_suite("t-superadd", params=params).passed
+        trees += sum(len(subtrees(t)) for t in suites._default_input("trees", k, 1))
+    assert len(packed) == trees <= 3134
+
+
+def test_diamond_emerald_lists_each_graph_once(monkeypatch):
+    listed = counting(monkeypatch, suites, "find_diamonds_emeralds")
+    trees = ore_catalog(4, 1)
+    assert run_suite("diamond-emerald", params={"trees": trees}).passed
+    assert listed == [(realize(t), 4) for t in trees]
+    listed.clear()
+    for k in (4, 5, 6):
+        assert run_suite("diamond-emerald", params={"k": k, "seed": 1}).passed
+    assert len(listed) == sum(len(ore_catalog(k, suites.CATALOG_STEPS)) for k in (4, 5, 6)) == 85
+
+
+def test_extension_suite_packs_each_anchor_set_once(monkeypatch, census4_8):
+    calls = counting(monkeypatch, suites, "rho_subset")
+    corpus = [g for g in census4_8.graphs if g.n <= 7]
+    result = run_suite("extension-potential", corpus, {"k": 4})
+    assert result.passed
+    expected = Counter()
+    for row in result.rows:
+        values = dict(row.values)
+        expected[row.graph6, values["r_prime"]] += 1
+    anchors = {(row.graph6, dict(row.values)["r"]) for row in result.rows}
+    expected.update(anchors)
+    seen = Counter((graph6_encode(g), "+".join(map(str, sorted(s)))) for g, s, _ in calls)
+    assert seen == expected
+    # an anchor set with several records is still packed once for itself
+    per_anchor = Counter((row.graph6, dict(row.values)["r"]) for row in result.rows)
+    assert max(per_anchor.values()) > 1
