@@ -32,7 +32,18 @@ def _read_graphs(handle):
     return out
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports a library ValueError (bad input, a broken precondition, a size
+    cap) as one error line instead of a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as err:
+            raise click.ClickException(str(err)) from err
+
+
+@click.group(cls=_Main)
 def main():
     """Workbench for composed color-critical graphs and their potentials."""
 
@@ -49,14 +60,11 @@ def gen_ore(k, steps, seed, count, out, tree_out):
     if count < 0:
         raise click.ClickException(f"count must be nonnegative, got {count}")
     rng = random.Random(seed)
-    try:
-        for _ in range(count):
-            tree = random_ore_tree(k, steps, rng)
-            out.write(graph6_encode(realize(tree, k)) + "\n")
-            if tree_out is not None:
-                tree_out.write(tree_dumps(tree) + "\n")
-    except ValueError as err:
-        raise click.ClickException(str(err))
+    for _ in range(count):
+        tree = random_ore_tree(k, steps, rng)
+        out.write(graph6_encode(realize(tree, k)) + "\n")
+        if tree_out is not None:
+            tree_out.write(tree_dumps(tree) + "\n")
 
 
 @main.command("recognize-ore")
@@ -73,8 +81,6 @@ def recognize_ore(k, infile, cap):
         except SizeCapError as err:
             click.echo(f"{graph6_encode(g)}\tskip-cap\t{err}")
             continue
-        except ValueError as err:
-            raise click.ClickException(str(err))
         click.echo(f"{graph6_encode(g)}\t{'ore' if witness is not None else 'not-ore'}")
 
 
@@ -85,10 +91,7 @@ def potential_cmd(k, infile):
     """Print exact potential values for each input graph."""
     click.echo("graph6\tn\tm\tT\trho_int\trho")
     for g in _read_graphs(infile):
-        try:
-            t_val = compute_T(g, k).value
-        except ValueError as err:
-            raise click.ClickException(str(err))
+        t_val = compute_T(g, k).value
         click.echo(
             f"{graph6_encode(g)}\t{g.n}\t{g.edge_count()}\t{t_val}"
             f"\t{rho_ky(g, k)}\t{rho(g, k, t_val)}"
@@ -101,10 +104,7 @@ def potential_cmd(k, infile):
 def pack_cmd(k, infile):
     """Print the exact packing value and a witness for each input graph."""
     for g in _read_graphs(infile):
-        try:
-            witness = compute_T(g, k)
-        except ValueError as err:
-            raise click.ClickException(str(err))
+        witness = compute_T(g, k)
         parts = " ".join("+".join(map(str, c)) for c in witness.cliques) or "-"
         click.echo(f"{graph6_encode(g)}\tT={witness.value}\t{parts}")
 
@@ -116,10 +116,7 @@ def pack_cmd(k, infile):
 def enumerate_cmd(n, critical, k):
     """Print graph6 lines for all classes on n vertices, or the criticality
     census up to n."""
-    try:
-        graphs = census_critical(n, k).graphs if critical else graph_classes(n)
-    except (SizeCapError, ValueError) as err:
-        raise click.ClickException(str(err))
+    graphs = census_critical(n, k).graphs if critical else graph_classes(n)
     for g in graphs:
         click.echo(graph6_encode(g))
 
@@ -147,17 +144,14 @@ def verify_cmd(suite_id, k, infile, census_n, seed, caps, json_path, csv_path):
         except ValueError:
             raise click.ClickException(f"cap {key!r} needs an integer value, got {value!r}")
     ids = SUITE_IDS if suite_id == "all" else (suite_id,)
-    try:
-        check_suite_args(ids, cap_map)
-        corpus = None
-        if infile is not None:
-            corpus = corpus_from_graphs(_read_graphs(infile))
-        elif census_n is not None:
-            corpus = census_critical(census_n, k)
-        params = {"k": k, "seed": seed, "caps": cap_map}
-        results = [run_suite(sid, corpus, params) for sid in ids]
-    except ValueError as err:
-        raise click.ClickException(str(err))
+    check_suite_args(ids, cap_map)
+    corpus = None
+    if infile is not None:
+        corpus = corpus_from_graphs(_read_graphs(infile))
+    elif census_n is not None:
+        corpus = census_critical(census_n, k)
+    params = {"k": k, "seed": seed, "caps": cap_map}
+    results = [run_suite(sid, corpus, params) for sid in ids]
     for res in results:
         c = res.counts()
         click.echo(

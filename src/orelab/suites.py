@@ -4,6 +4,13 @@ row can be re-verified by hand.
 
 A suite passes only if it produced at least one passing row and no failing
 row; rows skipped at a size cap are counted but never treated as passes.
+``run_suite`` is the one place that turns an item's error into a row: a
+SizeCapError from any suite gives one ``skip-cap`` row for that item, and an
+AssertionError (a failed internal audit) one ``fail`` row. Either row carries
+the item's graph6 (a tree's realized root), the suite id as its claim and the
+error text as ``note``. Any other ValueError (bad input, a broken
+precondition) ends the run.
+
 All randomness flows through one seeded generator echoed in the config, so a
 suite result is a pure function of (corpus, params).
 
@@ -63,6 +70,9 @@ RANDOM_TREES = 200  # seeded random composition trees
 TREE_STEPS = 3  # most compositions in a random tree
 CATALOG_STEPS = 2  # most compositions in the exhaustive catalog
 ANCHOR_SIZES = (3, 4, 5)  # anchor set sizes of the extension suite
+# search nodes of the coloring oracle: graph classes up to 7 vertices need at
+# most 2,380, census_critical(9, 5) 4,801, K_9 125,683 and K_10 1,112,094
+ORACLE_NODE_BUDGET = 200_000
 
 PASS = "pass"
 FAIL = "fail"
@@ -156,22 +166,11 @@ def _ky_bound(g: Graph, params: dict) -> list[SuiteRow]:
 
 def _ky_equality_ore(g: Graph, params: dict) -> list[SuiteRow]:
     k = params["k"]
-    g6 = graph6_encode(g)
     target = rho_ky(g, k) == k * (k - 3)
-    try:
-        witness = is_k_ore(g, k, cap=params["caps"]["recognition"])
-    except SizeCapError as err:
-        return [
-            SuiteRow(
-                g6,
-                "integer potential is extremal exactly for composed graphs",
-                _vals(note=str(err)),
-                SKIP,
-            )
-        ]
+    witness = is_k_ore(g, k, cap=params["caps"]["recognition"])
     return [
         _row(
-            g6,
+            graph6_encode(g),
             "integer potential is extremal exactly for composed graphs",
             target == (witness is not None),
             rho_ky=rho_ky(g, k),
@@ -329,16 +328,11 @@ def _extension_rows(g: Graph, k: int, caps: dict) -> Iterator[SuiteRow]:
 
 
 def _kernel_ineq(g: Graph, params: dict) -> list[SuiteRow]:
-    g6 = graph6_encode(g)
-    claim = "independent low-degree sets meet the strict edge count bound"
-    try:
-        check = edge_count_lemma_check(g, params["k"], subset_cap=params["caps"]["subset_cap"])
-    except SizeCapError as err:
-        return [SuiteRow(g6, claim, _vals(note=str(err)), SKIP)]
+    check = edge_count_lemma_check(g, params["k"], subset_cap=params["caps"]["subset_cap"])
     return [
         _row(
-            g6,
-            claim,
+            graph6_encode(g),
+            "independent low-degree sets meet the strict edge count bound",
             check.ok,
             subsets=check.subsets_checked,
             b0=len(check.b0),
@@ -363,16 +357,11 @@ def _mic_ineq(g: Graph, params: dict) -> list[SuiteRow]:
 
 
 def _charge_identity(g: Graph, params: dict) -> list[SuiteRow]:
-    g6 = graph6_encode(g)
-    claim = "initial charge totals the potential and the rules conserve it"
-    try:
-        report = charge_report(g, params["k"], ore_catalog_cap=params["caps"]["gadget_steps"])
-    except AssertionError as err:
-        return [SuiteRow(g6, claim, _vals(note=str(err)), FAIL)]
+    report = charge_report(g, params["k"], ore_catalog_cap=params["caps"]["gadget_steps"])
     return [
         _row(
-            g6,
-            claim,
+            graph6_encode(g),
+            "initial charge totals the potential and the rules conserve it",
             report.total_charge == report.rho_plus_delta_t
             and report.ledger.total_initial() == report.ledger.total_final(),
             total=report.total_charge,
@@ -397,30 +386,28 @@ def _packing_oracle(g: Graph, params: dict) -> list[SuiteRow]:
 
 
 def _chromatic_oracle(g: Graph) -> int:
-    if g.n == 0:
-        return 0
+    """Plain backtracking over vertex order with 0, 1, 2, ... colors; past
+    ORACLE_NODE_BUDGET search nodes it raises SizeCapError."""
     nbrs = [tuple(u for u in g.neighbors(v) if u < v) for v in range(g.n)]
+    colors = [0] * g.n
+    nodes = 0
 
-    def assignable(t: int) -> bool:
-        colors = [0] * g.n
+    def rec(v: int, t: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > ORACLE_NODE_BUDGET:
+            raise SizeCapError("plain-backtracking coloring nodes", nodes, ORACLE_NODE_BUDGET)
+        if v == g.n:
+            return True
+        used = {colors[u] for u in nbrs[v]}
+        for c in range(1, t + 1):
+            if c not in used:
+                colors[v] = c
+                if rec(v + 1, t):
+                    return True
+        return False
 
-        def rec(v: int) -> bool:
-            if v == g.n:
-                return True
-            for c in range(1, t + 1):
-                if all(colors[u] != c for u in nbrs[v]):
-                    colors[v] = c
-                    if rec(v + 1):
-                        return True
-            colors[v] = 0
-            return False
-
-        return rec(0)
-
-    for t in range(1, g.n + 1):
-        if assignable(t):
-            return t
-    raise AssertionError("n colors always suffice")
+    return next(t for t in range(g.n + 1) if rec(0, t))
 
 
 def _coloring_oracle(g: Graph, params: dict) -> list[SuiteRow]:
@@ -529,7 +516,9 @@ def run_suite(suite_id: str, corpus=None, params: dict | None = None) -> SuiteRe
     ``params["trees"]`` and otherwise use seeded random composition trees
     (or, for the near-clique suite, the exhaustive catalog); a library
     caller sizes a suite's input with a corpus or ``trees``. An empty corpus
-    gives no rows, which is not a pass. ``params["caps"]`` may set, to a
+    gives no rows, which is not a pass. An item that hits a size cap or fails
+    an internal audit gives one skip-cap or fail row; any other ValueError
+    propagates. ``params["caps"]`` may set, to a
     nonnegative integer, any cap key that some suite in the registry
     declares; any other key or value raises ValueError, and so does any
     params key other than k, seed, caps and trees.
@@ -552,11 +541,16 @@ def run_suite(suite_id: str, corpus=None, params: dict | None = None) -> SuiteRe
     elif corpus is None:
         graphs = _default_input(suite.default, p["k"], p["seed"])
     item_params = {**p, "caps": {**suite.caps, **p["caps"]}}
-    rows = [
-        row
-        for item in (trees if on_trees else graphs)
-        for row in suite.check(item, item_params)
-    ]
+
+    def checked(item) -> list[SuiteRow]:
+        try:
+            return suite.check(item, item_params)
+        except (SizeCapError, AssertionError) as err:
+            g6 = graph6_encode(realize(item, p["k"]) if on_trees else item)
+            status = SKIP if isinstance(err, SizeCapError) else FAIL
+            return [SuiteRow(g6, suite_id, _vals(note=str(err)), status)]
+
+    rows = [row for item in (trees if on_trees else graphs) for row in checked(item)]
     rows.sort(key=lambda r: (r.graph6, r.claim, r.values))
     config = _vals(
         suite=suite_id,

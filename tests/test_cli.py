@@ -72,15 +72,32 @@ def test_negative_count_and_cap_fail_before_any_work(monkeypatch):
 
 def test_low_k_and_packing_cap_are_clean_errors(monkeypatch):
     k4 = graph6_encode(Graph.complete(4)) + "\n"
-    for command in ("recognize-ore", "pack", "potential"):
+    low_k = {
+        "recognize-ore": "recognition requires k >= 4",
+        "pack": "packing parameter requires k >= 4",
+        "potential": "packing parameter requires k >= 4",
+    }
+    for command, message in low_k.items():
         result = invoke(command, "--k", "3", "--in", "-", input=k4)
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit), command
-        assert "Error:" in result.output and "k >= 4" in result.output, command
+        assert result.output.splitlines()[-1] == f"Error: {message}", command
     monkeypatch.setattr(orelab.packing, "CLIQUE_CAP", 1)
     for command in ("pack", "potential"):
         result = invoke(command, "--k", "4", "--in", "-", input=k4)
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit), command
         assert "Error:" in result.output and "exceeds cap 1" in result.output, command
+
+
+def test_verify_all_reports_capped_items(tmp_path):
+    graphs = invoke("gen-ore", "--k", "4", "--steps", "3", "--seed", "1", "--count", "2")
+    assert graphs.exit_code == 0
+    report = tmp_path / "report.json"
+    result = invoke("verify", "--suite", "all", "--k", "4", "--in", "-", "--json", str(report), input=graphs.output)
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+    assert "packing-oracle: FAIL (pass=0 fail=0 skip-cap=2)" in result.output.splitlines()
+    by_suite = {entry["suite"]: entry for entry in json.loads(report.read_text())}
+    assert by_suite["packing-oracle"]["counts"] == {"pass": 0, "fail": 0, "skip-cap": 2}
+    assert all(entry["counts"]["fail"] == 0 for entry in by_suite.values())
 
 
 def test_recognize_ore():

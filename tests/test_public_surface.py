@@ -9,6 +9,7 @@ must leave its list, so the lists only shrink.
 """
 
 import ast
+import importlib
 import inspect
 from functools import lru_cache
 from pathlib import Path
@@ -152,3 +153,22 @@ def test_method_allowlist_names_public_methods():
     assert all(reason.strip() for reason in ALLOWED_UNUSED_METHODS.values())
     stale = sorted(set(ALLOWED_UNUSED_METHODS) - set(_unused_methods()))
     assert stale == [], f"allowlisted but called now, drop from ALLOWED_UNUSED_METHODS: {stale}"
+
+
+def test_traced_benchmark_targets_exist():
+    """bench/spans.py wraps its TARGETS by name and patches
+    Graph.__post_init__; a rename in the package must not break the trace."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    ]
+    missing = [
+        f"{layer}.{attr}"
+        for layer, attrs in targets.items()
+        for attr in attrs
+        if not hasattr(importlib.import_module(f"orelab.{layer}"), attr)
+    ]
+    assert missing == [], f"bench/spans.py traces names the package lacks: {missing}"
+    assert "__post_init__" in vars(orelab.Graph)

@@ -8,6 +8,7 @@ size.
 import json
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -152,6 +153,53 @@ def test_cap_skip_is_not_a_pass():
     assert result.counts() == {"pass": 0, "fail": 0, "skip-cap": 1}
     assert not result.passed
     assert result.rows[0].status == "skip-cap"
+
+
+def test_capped_item_gives_one_skip_row_and_the_rest_still_run():
+    big = Graph.cycle(13)  # one vertex past the brute-force packing cap
+    result = run_suite("packing-oracle", corpus=[big, Graph.complete(4)])
+    assert result.counts() == {"pass": 1, "fail": 0, "skip-cap": 1}
+    (skipped,) = [r for r in result.rows if r.status == "skip-cap"]
+    assert skipped.graph6 == graph6_encode(big) and skipped.claim == "packing-oracle"
+    assert skipped.values == (("note", "brute-force packing: requested 13 exceeds cap 12"),)
+
+
+def test_mic_over_its_vertex_cap_is_a_skip_row():
+    result = run_suite("mic-ineq", corpus=[Graph.cycle(41)])
+    assert result.counts() == {"pass": 0, "fail": 0, "skip-cap": 1}
+    assert result.rows[0].values == (("note", "mic vertex count: requested 41 exceeds cap 40"),)
+
+
+def test_coloring_oracle_is_bounded():
+    start = time.perf_counter()
+    result = run_suite("coloring-oracle", corpus=[Graph.complete(11)])
+    assert time.perf_counter() - start < 1.0
+    assert [r.status for r in result.rows] == ["skip-cap"]
+    assert "exceeds cap 200000" in dict(result.rows[0].values)["note"]
+    assert suites._chromatic_oracle(Graph.complete(9)) == 9  # within the budget
+
+
+def audit_fails(*args, **kwargs):
+    raise AssertionError("audit tripped")
+
+
+def test_failed_audit_is_a_fail_row_per_item(monkeypatch):
+    monkeypatch.setattr(suites, "compute_T", audit_fails)
+    trees = [one_step(), nested(), Leaf(4)]  # a leaf gives no t-lower row
+    result = run_suite("t-lower", params={"trees": trees})
+    assert result.counts() == {"pass": 0, "fail": 2, "skip-cap": 0}
+    assert {r.graph6 for r in result.rows} == {graph6_encode(realize(t)) for t in trees[:2]}
+    assert {(r.claim, r.values) for r in result.rows} == {("t-lower", (("note", "audit tripped"),))}
+
+
+def test_verify_reports_a_failed_audit_and_exits_1(monkeypatch, tmp_path):
+    monkeypatch.setattr(suites, "compute_T", audit_fails)
+    report = tmp_path / "report.json"
+    result = CliRunner().invoke(main, ["verify", "--suite", "t-lower", "--json", str(report)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    data = json.loads(report.read_text())
+    assert data["counts"]["fail"] > 0 and data["counts"]["pass"] == 0
+    assert result.output.startswith("t-lower: FAIL (pass=0 fail=")
 
 
 def test_result_serialization_shapes():
