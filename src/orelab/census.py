@@ -28,9 +28,8 @@ from .coloring import _uncolorable_without, color_partitions
 from .errors import SizeCapError
 from .graphs import (
     Graph,
-    _automorphisms,
-    _canonical_form,
     _orbit_firsts,
+    _search,
     bits_of,
     canonical_key,
     cliques_of_size,
@@ -79,7 +78,7 @@ def _orbit_minima(parent: Graph) -> list[int]:
     witnesses."""
     size = 1 << parent.n
     images = []
-    for perm in _automorphisms(parent):
+    for perm in _search(parent)[1]:
         image = [0] * size
         for mask in range(1, size):
             low = mask & -mask
@@ -109,7 +108,7 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
     for parent in graph_classes(n - 1):
         for mask in _orbit_minima(parent):
             g = _augment(parent, mask)
-            out.setdefault(_canonical_form(g).key, g)
+            out.setdefault(_search(g)[0].key, g)
     return tuple(out[key] for key in sorted(out))
 
 

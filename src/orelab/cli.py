@@ -4,6 +4,7 @@ graph6, one graph per line."""
 
 from __future__ import annotations
 
+import csv
 import json
 import random
 import sys
@@ -164,9 +165,9 @@ def verify_cmd(suite_id, k, infile, census_n, seed, caps, json_path, csv_path):
             json.dump(payload[0] if len(payload) == 1 else payload, fh, indent=2)
     if csv_path:
         with open(csv_path, "w") as fh:
+            writer = csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n")
             for res in results:
-                for row in res.csv_rows():
-                    fh.write(",".join('"' + cell.replace('"', '""') + '"' for cell in row) + "\n")
+                writer.writerows(res.csv_rows())
     if not all(r.passed for r in results):
         sys.exit(1)
 

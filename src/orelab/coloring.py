@@ -2,14 +2,15 @@
 criticality, critical-subgraph extraction, and the degree-class edge-count
 check.
 
-Everything here is a complete search; answers are never heuristic. Witness
-colorings are re-verified against the graph before being returned. The
+Everything here is a complete search; answers are never heuristic. The
 criticality test and the critical-subgraph search work on adjacency rows and
 share one step: delete an edge and test (k-1)-colorability. The subgraph
 search answers that step from its own witnesses where one settles it: an
 earlier coloring still proper on the rows, or an earlier critical subgraph
 the rows still contain; only the rest go to the solver. Those witnesses live
-for one call, so no store here grows without bound.
+for one call, so no store here grows without bound. Other layers take a
+coloring of a vertex set as a partition into independent color classes,
+one per color-permutation orbit (``color_partitions``).
 """
 
 from __future__ import annotations
@@ -20,30 +21,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeCapError
 from .graphs import Graph, bits_of, components, mask_of
-
-
-@dataclass
-class PartialColoring:
-    """Vertex -> color map with colors drawn from 1..palette.
-
-    The assignment need not be total on the host graph; properness is checked
-    on demand against whichever graph the coloring is applied to.
-    """
-
-    assignment: dict[int, int]
-    palette: int
-
-    def is_proper(self, g: Graph) -> bool:
-        for v, c in self.assignment.items():
-            if not 1 <= c <= self.palette:
-                return False
-            for u in bits_of(g.adj[v]):
-                if self.assignment.get(u) == c:
-                    return False
-        return True
-
-    def is_total_on(self, vertices: Iterable[int]) -> bool:
-        return all(v in self.assignment for v in vertices)
 
 
 # -- core exact solver -------------------------------------------------------
@@ -107,18 +84,6 @@ def _color_component(adj: Sequence[int], comp: int, t: int, colors: list[int]) -
         return False
 
     return rec(0)
-
-
-def colorable(g: Graph, t: int) -> PartialColoring | None:
-    """A verified proper t-coloring of all of g, or None if none exists."""
-    raw = first_coloring(g.adj, t)
-    if raw is None:
-        return None
-    witness = PartialColoring({v: raw[v] + 1 for v in range(g.n)}, max(t, 1) if g.n else t)
-    # independent re-check before handing the witness out
-    if not witness.is_proper(g):
-        raise AssertionError("solver produced an improper coloring")
-    return witness
 
 
 def chromatic_number(g: Graph) -> int:

@@ -484,20 +484,11 @@ def _search(g: Graph) -> tuple[CanonicalForm, list[list[int]]]:
     return CanonicalForm(g.n, best_bits, tuple(best)), gens
 
 
-def _canonical_form(g: Graph) -> CanonicalForm:
-    """``_search``'s canonical form, uncached: bulk enumeration keys each graph once."""
-    return _search(g)[0]
-
-
-def _automorphisms(g: Graph) -> list[list[int]]:
-    """``_search``'s generators of Aut(g), at most n - 1 of them."""
-    return _search(g)[1]
-
-
 @lru_cache(maxsize=CANONICAL_CACHE_SIZE)
 def canonical_form(g: Graph) -> CanonicalForm:
-    """The memoised ``_canonical_form``, for graphs that are keyed again."""
-    return _canonical_form(g)
+    """The memoised canonical form of ``_search``, for graphs that are keyed
+    again; bulk enumeration calls ``_search`` and keys each graph once."""
+    return _search(g)[0]
 
 
 def _graph_of_key(key: tuple[int, int]) -> Graph:

@@ -25,10 +25,10 @@ from functools import lru_cache
 from .errors import SizeCapError
 from .graphs import (
     Graph,
-    _automorphisms,
     _check_order,
     _graph_of_key,
     _orbit_firsts,
+    _search,
     bits_of,
     canonical_form,
     components,
@@ -126,10 +126,6 @@ def realize(tree: OreTree, k: int | None = None) -> Graph:
     actual = tree_k(tree)
     if k is not None and k != actual:
         raise ValueError(f"tree is built over k={actual}, caller expected {k}")
-    return _realize(tree)
-
-
-def _realize(tree: OreTree) -> Graph:
     for _, g in _realized(tree):
         pass
     return g
@@ -235,8 +231,8 @@ def random_ore_tree(k: int, steps: int, rng: random.Random) -> OreTree:
     right = steps - 1 - left
     t1 = random_ore_tree(k, left, rng)
     t2 = random_ore_tree(k, right, rng)
-    g1 = _realize(t1)
-    g2 = _realize(t2)
+    g1 = realize(t1)
+    g2 = realize(t2)
     edge = rng.choice(sorted(g1.edges()))
     z = rng.randrange(g2.n)
     nbrs = sorted(bits_of(g2.adj[z]))
@@ -307,8 +303,8 @@ def _recognize_class(key: tuple[int, int], k: int) -> OreTree | None:
     g = _graph_of_key(key)
     for a, b, split_mask, (g1, map1, t1), (g2, map2, t2) in _decompose(g, k):
         # express labels in the realizations so the witness is self-contained
-        inv1 = {v: u for u, v in isomorphism(_realize(t1), g1).items()}
-        inv2 = {v: u for u, v in isomorphism(_realize(t2), g2).items()}
+        inv1 = {v: u for u, v in isomorphism(realize(t1), g1).items()}
+        inv2 = {v: u for u, v in isomorphism(realize(t2), g2).items()}
         part_a = tuple(sorted(inv2[map2[w]] for w in bits_of(g.adj[a] & split_mask)))
         part_b = tuple(sorted(inv2[map2[w]] for w in bits_of(g.adj[b] & split_mask)))
         return Node(t1, t2, (inv1[map1[a]], inv1[map1[b]]), inv2[map2[a]], (part_a, part_b))
@@ -427,7 +423,7 @@ def key_vertices(tree: OreTree) -> frozenset[int]:
     For K_k there are no decompositions at all, so every vertex qualifies.
     """
     k = tree_k(tree)
-    g = _realize(tree)
+    g = realize(tree)
     if g.n > DEFAULT_RECOGNITION_CAP:
         raise SizeCapError("key-vertex vertex count", g.n, DEFAULT_RECOGNITION_CAP)
     if g.n == k:
@@ -474,7 +470,7 @@ def _composition_sides(g: Graph) -> tuple[list, list]:
     the reverse of an edge, so the edge image maps also hold each edge's
     reversed orientation.
     """
-    perms = _automorphisms(g)
+    perms = _search(g)[1]
     edges = sorted(g.edges())
     arcs = edges + [(y, x) for x, y in edges]
     splits = []
@@ -511,7 +507,7 @@ def ore_catalog(k: int, max_steps: int) -> tuple[OreTree, ...]:
 
     def sides_of(tree: OreTree) -> tuple[Graph, list, list]:
         if tree not in sides:
-            g = _realize(tree)
+            g = realize(tree)
             sides[tree] = (g, *_composition_sides(g))
         return sides[tree]
 
@@ -549,7 +545,7 @@ def gadget_catalog(k: int, max_steps: int) -> tuple[Gadget, ...]:
     out: list[Gadget] = []
     seen: set[tuple] = set()
     for tree in ore_catalog(k, max_steps):
-        g = _realize(tree)
+        g = realize(tree)
         keys = key_vertices(tree)
         eligible = {v for c in clusters(g, k) if len(c.vertices) >= 2 for v in c.vertices}
         for x in sorted(eligible):

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .coloring import (
-    PartialColoring,
     Subgraph,
     chromatic_number,
     color_partitions,
@@ -116,53 +115,52 @@ class ColorReduction:
     """The quotient graph formed by collapsing each color class of a minimum
     coloring of G[R] to one vertex, with a clique on the class vertices.
 
-    ``vertex_map`` renumbers the outside (non-R) vertices; ``class_vertex``
-    names the vertex carrying each color class.
+    ``vertex_map`` renumbers the outside (non-R) vertices 0..n_out-1; class i
+    of the coloring is vertex n_out + i.
     """
 
     graph: Graph
     vertex_map: dict[int, int]
-    class_vertex: dict[int, int]
     r_set: frozenset[int]
 
 
-def color_reduce(g: Graph, r_set: Iterable[int], phi: PartialColoring) -> ColorReduction:
-    """Collapse color classes of R and join the class vertices into a clique.
+def color_reduce(g: Graph, classes: Sequence[Sequence[int]]) -> ColorReduction:
+    """Collapse the color classes of R and join the class vertices into a
+    clique.
 
-    phi must be proper and total on G[R] and use exactly chi(G[R]) distinct
-    colors. Outside vertices come first (in increasing original id), class
-    vertices follow in increasing color order.
+    R is the union of ``classes``, which must be nonempty, pairwise disjoint
+    and independent, and exactly chi(G[R]) in number. Outside vertices come
+    first (in increasing original id), class vertices follow in class order.
     """
-    r = frozenset(r_set)
-    if not r <= set(range(g.n)):
+    r = [v for cls in classes for v in cls]
+    if not all(0 <= v < g.n for v in r):
         raise ValueError("R contains ids outside the graph")
-    if not phi.is_total_on(r):
-        raise ValueError("coloring must assign every vertex of R")
-    sub, submap = g.induced(r)
-    sub_phi = {submap[v]: phi.assignment[v] for v in r}
-    for u, w in sub.edges():
-        if sub_phi[u] == sub_phi[w]:
-            raise ValueError("coloring is not proper on G[R]")
-    used = sorted({phi.assignment[v] for v in r})
-    need = chromatic_number(sub)
-    if len(used) != need:
-        raise ValueError(f"coloring uses {len(used)} colors; minimum is {need}")
-    outside = [v for v in range(g.n) if v not in r]
+    if not all(classes) or len(set(r)) != len(r):
+        raise ValueError("color classes must be nonempty and pairwise disjoint")
+    for cls in classes:
+        m = mask_of(cls)
+        if any(g.adj[v] & m for v in cls):
+            raise ValueError("a color class is not independent in G[R]")
+    need = chromatic_number(g.induced(r)[0])
+    if len(classes) != need:
+        raise ValueError(f"coloring uses {len(classes)} colors; minimum is {need}")
+    r_set = frozenset(r)
+    outside = [v for v in range(g.n) if v not in r_set]
+    n_out = len(outside)
     vertex_map = {old: new for new, old in enumerate(outside)}
-    class_vertex = {c: len(outside) + i for i, c in enumerate(used)}
-    image = {**vertex_map, **{v: class_vertex[phi.assignment[v]] for v in r}}
-    rows = list(_quotient(g.adj, image, len(outside) + len(used)))
-    clique = mask_of(class_vertex.values())
-    for c in class_vertex.values():
+    image = {**vertex_map, **{v: n_out + i for i, cls in enumerate(classes) for v in cls}}
+    rows = list(_quotient(g.adj, image, n_out + len(classes)))
+    clique = ((1 << len(classes)) - 1) << n_out
+    for c in range(n_out, len(rows)):
         rows[c] |= clique ^ (1 << c)
-    reduced = Graph._trusted(len(rows), tuple(rows))
-    return ColorReduction(reduced, vertex_map, class_vertex, r)
+    return ColorReduction(Graph._trusted(len(rows), tuple(rows)), vertex_map, r_set)
 
 
 @dataclass(frozen=True)
 class ExtensionRecord:
     """One critical extension of a subset R.
 
+    ``phi`` pairs each vertex of R with its class index + 1;
     ``w_subgraph`` lives in the reduced graph's ids; ``core`` is the set of
     class vertices W touches; ``r_prime`` is the extended subset back in the
     host graph's ids. ``incompleteness`` counts how far the edge bookkeeping
@@ -179,9 +177,12 @@ class ExtensionRecord:
 
 
 def build_extension(
-    g: Graph, k: int, r_set: Iterable[int], phi: PartialColoring, limit: int = 6
-) -> list[ExtensionRecord]:
-    """Critical extensions of R under phi in a k-critical host.
+    g: Graph, k: int, colorings: Iterable[Sequence[Sequence[int]]], limit: int = 6
+) -> Iterator[ExtensionRecord]:
+    """Critical extensions in a k-critical host, coloring by coloring: each
+    coloring is a list of color classes whose union is R, and it gives at
+    most ``limit`` records. The host is checked once, before the first
+    record.
 
     The reduced graph of a k-critical host is never (k-1)-colorable, so it
     holds k-critical subgraphs W; each W meets the class-vertex clique, and
@@ -193,48 +194,39 @@ def build_extension(
     """
     if not is_k_critical(g, k):
         raise ValueError("extensions are built over a k-critical host")
-    return _build_extension(g, k, r_set, phi, limit)
-
-
-def _build_extension(g: Graph, k: int, r_set: Iterable[int], phi: PartialColoring, limit: int):
-    """build_extension over a host already checked to be k-critical."""
-    r = frozenset(r_set)
-    if not r or r == set(range(g.n)):
-        raise ValueError("R must be a nonempty proper subset")
-    reduction = color_reduce(g, r, phi)
-    h = reduction.graph
-    try:
-        subgraphs = find_critical_subgraphs(h, k, limit=limit)
-    except ValueError:
-        raise AssertionError("reduced graph of a critical host must need k colors") from None
-    class_ids = set(reduction.class_vertex.values())
-    inv_outside = {new: old for old, new in reduction.vertex_map.items()}
-    r_edges = _induced_edge_count(g, r)
-    records = []
-    for w in subgraphs:
-        core = tuple(sorted(set(w.vertices) & class_ids))
-        if not core:
-            raise AssertionError("critical subgraph avoids every class vertex")
-        back = [inv_outside[v] for v in w.vertices if v not in class_ids]
-        r_prime = r | set(back)
-        x = len(core)
-        i = _induced_edge_count(g, r_prime) - (
-            r_edges + len(w.edges) - x * (x - 1) // 2
-        )
-        if i < 0:
-            raise AssertionError("incompleteness came out negative")
-        records.append(
-            ExtensionRecord(
+    for classes in colorings:
+        reduction = color_reduce(g, classes)
+        r = reduction.r_set
+        if not r or len(r) == g.n:
+            raise ValueError("R must be a nonempty proper subset")
+        try:
+            subgraphs = find_critical_subgraphs(reduction.graph, k, limit=limit)
+        except ValueError:
+            raise AssertionError("reduced graph of a critical host must need k colors") from None
+        outside = sorted(reduction.vertex_map)
+        n_out = len(outside)
+        phi = tuple(sorted((v, i) for i, cls in enumerate(classes, start=1) for v in cls))
+        r_edges = _induced_edge_count(g, r)
+        for w in subgraphs:
+            core = tuple(v for v in w.vertices if v >= n_out)
+            if not core:
+                raise AssertionError("critical subgraph avoids every class vertex")
+            r_prime = r.union(outside[v] for v in w.vertices if v < n_out)
+            x = len(core)
+            i = _induced_edge_count(g, r_prime) - (
+                r_edges + len(w.edges) - x * (x - 1) // 2
+            )
+            if i < 0:
+                raise AssertionError("incompleteness came out negative")
+            yield ExtensionRecord(
                 r_set=r,
-                phi=tuple(sorted((v, phi.assignment[v]) for v in r)),
+                phi=phi,
                 w_subgraph=w,
                 core=core,
-                r_prime=frozenset(r_prime),
+                r_prime=r_prime,
                 incompleteness=i,
-                spanning=r_prime == set(range(g.n)),
+                spanning=len(r_prime) == g.n,
             )
-        )
-    return records
 
 
 def _induced_edge_count(g: Graph, vertices: frozenset[int]) -> int:
@@ -242,20 +234,17 @@ def _induced_edge_count(g: Graph, vertices: frozenset[int]) -> int:
     return sum((g.adj[v] & m).bit_count() for v in vertices) // 2
 
 
-def minimum_colorings(g: Graph, r_set: Iterable[int], k: int, limit: int | None = None):
-    """Yield minimum proper colorings of G[R] as PartialColorings with colors
-    1..chi, one per color-permutation class, capped at ``limit``."""
+def minimum_colorings(
+    g: Graph, r_set: Iterable[int], k: int, limit: int | None = None
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield minimum proper colorings of G[R] as partitions of R into
+    chi(G[R]) color classes, one per color-permutation class, capped at
+    ``limit``; none when G[R] needs more than k-1 colors."""
     r = sorted(set(r_set))
-    sub, submap = g.induced(r)
-    need = chromatic_number(sub)
+    need = chromatic_number(g.induced(r)[0])
     if need > k - 1:
         return
-    for part in islice(color_partitions(g, r, need), limit):
-        coloring = {}
-        for color_index, cls in enumerate(part, start=1):
-            for v in cls:
-                coloring[v] = color_index
-        yield PartialColoring(coloring, k - 1)
+    yield from islice(color_partitions(g, r, need), limit)
 
 
 # -- weighted independence -----------------------------------------------------

@@ -57,7 +57,7 @@ from .potential import (
     rho_ky,
     rho_subset,
 )
-from .structure import _build_extension, build_extension, find_diamonds_emeralds, mic, minimum_colorings
+from .structure import build_extension, find_diamonds_emeralds, mic, minimum_colorings
 
 DEFAULT_SEED = 20250801
 _PARAM_KEYS = ("k", "seed", "caps", "trees")
@@ -289,42 +289,40 @@ def _extension_potential(g: Graph, params: dict) -> list[SuiteRow]:
 def _extension_rows(g: Graph, k: int, caps: dict) -> Iterator[SuiteRow]:
     par = PotentialParams.for_k(k)
     g6 = graph6_encode(g)
-    # the first reduction goes through the public call, which checks the host
-    build = build_extension
-    for size in ANCHOR_SIZES:
-        if size >= g.n:
-            continue
-        for r_set in combinations(range(g.n), size):
-            rho_r = None  # rho of G[R], packed at the set's first record
-            for phi in minimum_colorings(g, r_set, k, limit=caps["colorings_per_subset"]):
-                records = build(g, k, r_set, phi, limit=caps["witnesses_per_reduction"])
-                build = _build_extension
-                for rec in records:
-                    if rho_r is None:
-                        rho_r = rho_subset(g, r_set, k)
-                    w_graph, _ = rec.w_subgraph.to_graph()
-                    lhs = rho_subset(g, rec.r_prime, k)
-                    x = len(rec.core)
-                    rhs = (
-                        rho_r
-                        + rho(w_graph, k, compute_T(w_graph, k).value)
-                        - (
-                            complete_potential(x, k)
-                            + par.delta * complete_graph_T(x, k)
-                            - par.delta * x
-                        )
-                    )
-                    yield _row(
-                        g6,
-                        "extension never raises the subset potential past the drop bound",
-                        lhs <= rhs,
-                        r="+".join(map(str, r_set)),
-                        r_prime="+".join(map(str, sorted(rec.r_prime))),
-                        core=x,
-                        incompleteness=rec.incompleteness,
-                        lhs=lhs,
-                        rhs=rhs,
-                    )
+    colorings = (
+        classes
+        for size in ANCHOR_SIZES
+        if size < g.n
+        for r_set in combinations(range(g.n), size)
+        for classes in minimum_colorings(g, r_set, k, limit=caps["colorings_per_subset"])
+    )
+    r_set = rho_r = None  # the anchor set and rho of G[R], packed at its first record
+    for rec in build_extension(g, k, colorings, limit=caps["witnesses_per_reduction"]):
+        if rec.r_set != r_set:
+            r_set, rho_r = rec.r_set, rho_subset(g, rec.r_set, k)
+        w_graph, _ = rec.w_subgraph.to_graph()
+        lhs = rho_subset(g, rec.r_prime, k)
+        x = len(rec.core)
+        rhs = (
+            rho_r
+            + rho(w_graph, k, compute_T(w_graph, k).value)
+            - (
+                complete_potential(x, k)
+                + par.delta * complete_graph_T(x, k)
+                - par.delta * x
+            )
+        )
+        yield _row(
+            g6,
+            "extension never raises the subset potential past the drop bound",
+            lhs <= rhs,
+            r="+".join(map(str, sorted(r_set))),
+            r_prime="+".join(map(str, sorted(rec.r_prime))),
+            core=x,
+            incompleteness=rec.incompleteness,
+            lhs=lhs,
+            rhs=rhs,
+        )
 
 
 def _kernel_ineq(g: Graph, params: dict) -> list[SuiteRow]:

@@ -5,6 +5,7 @@ with the solver's propagation or symmetry breaking.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -13,14 +14,13 @@ from hypothesis import assume, given, settings, strategies as st
 from orelab import coloring, suites
 from orelab import (
     Graph,
-    PartialColoring,
     SizeCapError,
     chromatic_number,
     color_partitions,
-    colorable,
     edge_count_lemma_check,
     edge_between,
     find_critical_subgraphs,
+    first_coloring,
     graph_classes,
     is_k_critical,
     ore_compose,
@@ -54,22 +54,40 @@ def wheel5() -> Graph:
     return Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
 
 
-# -- colorable / chromatic_number ----------------------------------------------
+# -- colorings / chromatic_number ----------------------------------------------
+
+
+def oracle_coloring_count(g: Graph, t: int) -> int:
+    return sum(
+        all(assign[u] != assign[v] for u, v in g.edges()) for assign in itertools.product(range(t), repeat=g.n)
+    )
+
+
+def check_coloring(g: Graph, t: int) -> None:
+    """For g with chromatic number t: first_coloring finds a proper
+    t-coloring, and the partitions into at most t classes are the colorings
+    up to color permutation, each once."""
+    colors = first_coloring(g.adj, t)
+    assert colors is not None and all(0 <= c < t for c in colors)
+    assert all(colors[u] != colors[v] for u, v in g.edges())
+    parts = list(color_partitions(g, range(g.n), t))
+    for part in parts:
+        assert len(part) == t and sorted(v for cls in part for v in cls) == list(range(g.n))
+        assert all(g.is_independent(cls) for cls in part)
+    assert len(set(parts)) == len(parts) == oracle_coloring_count(g, t) // math.factorial(t)
 
 
 def test_colorable_odd_cycle():
     c5 = Graph.cycle(5)
-    assert colorable(c5, 2) is None
-    phi = colorable(c5, 3)
-    assert phi is not None and phi.is_proper(c5) and phi.is_total_on(range(5))
-    assert set(phi.assignment.values()) <= {1, 2, 3}
+    assert first_coloring(c5.adj, 2) is None
+    assert list(color_partitions(c5, range(5), 2)) == []
+    check_coloring(c5, 3)
 
 
 def test_colorable_petersen():
     p = petersen()
-    assert colorable(p, 2) is None
-    phi = colorable(p, 3)
-    assert phi is not None and phi.is_proper(p)
+    assert first_coloring(p.adj, 2) is None
+    check_coloring(p, 3)
 
 
 def test_chromatic_anchors():
@@ -135,7 +153,7 @@ def test_critical_graphs_are_vertex_critical_and_well_connected(census4_8):
         assert g.min_degree() >= 3
         for v in range(g.n):
             h, _ = g.delete_vertex(v)
-            assert colorable(h, 3) is not None
+            assert first_coloring(h.adj, 3) is not None
         # every proper nonempty subset sends at least k-1 edges outside
         for size in range(1, g.n):
             for subset in itertools.combinations(range(g.n), size):
@@ -208,12 +226,12 @@ def extension_reductions(graphs, k: int) -> list[Graph]:
     """Every color reduction the extension suite builds on ``graphs``."""
     per_subset = suites._SUITES["extension-potential"].caps["colorings_per_subset"]
     return [
-        color_reduce(g, r, phi).graph
+        color_reduce(g, classes).graph
         for g in graphs
         for size in suites.ANCHOR_SIZES
         if size < g.n
         for r in itertools.combinations(range(g.n), size)
-        for phi in minimum_colorings(g, r, k, limit=per_subset)
+        for classes in minimum_colorings(g, r, k, limit=per_subset)
     ]
 
 

@@ -129,21 +129,22 @@ def _charge_lines(g, k: int, cap: int = 2) -> list[str]:
 def _extension_lines(g, k: int) -> list[str]:
     # the extension-potential suite's limits: 2 colorings, 3 witnesses
     lines = []
-    for r_set in combinations(range(g.n), 3):
-        for phi in minimum_colorings(g, r_set, k, limit=2):
-            for rec in build_extension(g, k, r_set, phi, limit=3):
-                record = {
-                    "graph6": graph6_encode(g),
-                    "r_set": sorted(rec.r_set),
-                    "phi": [list(p) for p in rec.phi],
-                    "w_vertices": list(rec.w_subgraph.vertices),
-                    "w_edges": sorted(map(list, rec.w_subgraph.edges)),
-                    "core": list(rec.core),
-                    "r_prime": sorted(rec.r_prime),
-                    "incompleteness": rec.incompleteness,
-                    "spanning": rec.spanning,
-                }
-                lines.append(json.dumps(record, sort_keys=True))
+    colorings = (
+        classes for r_set in combinations(range(g.n), 3) for classes in minimum_colorings(g, r_set, k, limit=2)
+    )
+    for rec in build_extension(g, k, colorings, limit=3):
+        record = {
+            "graph6": graph6_encode(g),
+            "r_set": sorted(rec.r_set),
+            "phi": [list(p) for p in rec.phi],
+            "w_vertices": list(rec.w_subgraph.vertices),
+            "w_edges": sorted(map(list, rec.w_subgraph.edges)),
+            "core": list(rec.core),
+            "r_prime": sorted(rec.r_prime),
+            "incompleteness": rec.incompleteness,
+            "spanning": rec.spanning,
+        }
+        lines.append(json.dumps(record, sort_keys=True))
     return lines
 
 

@@ -21,7 +21,6 @@ PACKAGE = ROOT / "src" / "orelab"
 
 ALLOWED_UNUSED = {
     "tree_loads": "reads back the JSON lines that gen-ore --tree-out writes",
-    "colorable": "the witness-returning, re-verified form of first_coloring",
     "is_isomorphic": "the isomorphism predicate over canonical_key for library users",
 }
 
@@ -155,20 +154,39 @@ def test_method_allowlist_names_public_methods():
     assert stale == [], f"allowlisted but called now, drop from ALLOWED_UNUSED_METHODS: {stale}"
 
 
-def test_traced_benchmark_targets_exist():
-    """bench/spans.py wraps its TARGETS by name and patches
-    Graph.__post_init__; a rename in the package must not break the trace."""
+def _traced_targets() -> dict[str, list[str]]:
+    """bench/spans.py's TARGETS, read from its source: layer -> names."""
     tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
     (targets,) = [
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
     ]
+    return targets
+
+
+def test_traced_benchmark_targets_exist():
+    """bench/spans.py wraps its TARGETS by name and patches
+    Graph.__post_init__; a rename in the package must not break the trace."""
     missing = [
         f"{layer}.{attr}"
-        for layer, attrs in targets.items()
+        for layer, attrs in _traced_targets().items()
         for attr in attrs
         if not hasattr(importlib.import_module(f"orelab.{layer}"), attr)
     ]
     assert missing == [], f"bench/spans.py traces names the package lacks: {missing}"
     assert "__post_init__" in vars(orelab.Graph)
+
+
+def test_traced_names_have_no_private_twin():
+    """A traced function is the one way into its work: a private ``_<name>``
+    beside a traced ``<name>`` would let callers run that work outside the
+    span the benchmark records."""
+    traced = {attr for attrs in _traced_targets().values() for attr in attrs}
+    twins = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[:1] == "_" and node.name[1:] in traced
+    ]
+    assert twins == [], f"private twins of traced functions: {twins}"

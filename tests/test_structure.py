@@ -17,7 +17,6 @@ import orelab.suites
 from orelab import (
     Graph,
     NearClique,
-    PartialColoring,
     PotentialParams,
     SizeCapError,
     bits_of,
@@ -25,12 +24,12 @@ from orelab import (
     cliques_of_size,
     clusters,
     color_reduce,
-    colorable,
     complete_graph_T,
     complete_potential,
     compute_T,
     edge_between,
     find_diamonds_emeralds,
+    first_coloring,
     is_isomorphic,
     mask_of,
     mic,
@@ -213,57 +212,67 @@ def test_filtered_list_matches_on_random_vertex_sets(data):
 # -- color reduction ---------------------------------------------------------------
 
 
+def class_vertices(red) -> range:
+    return range(len(red.vertex_map), red.graph.n)
+
+
 def test_reduce_clique_with_injective_coloring_is_identity():
     k4 = Graph.complete(4)
-    red = color_reduce(k4, [0, 1, 2], PartialColoring({0: 1, 1: 2, 2: 3}, 3))
+    red = color_reduce(k4, ((0,), (1,), (2,)))
     assert is_isomorphic(red.graph, k4)
+    assert red.r_set == {0, 1, 2} and red.vertex_map == {3: 0}
     # class vertices are pairwise adjacent
-    cv = list(red.class_vertex.values())
-    for a, b in itertools.combinations(cv, 2):
+    for a, b in itertools.combinations(class_vertices(red), 2):
         assert red.graph.has_edge(a, b)
 
 
 def test_reduce_independent_pair():
     g = Graph.from_edges(4, [(0, 2), (1, 3), (2, 3)])
-    red = color_reduce(g, [0, 1], PartialColoring({0: 1, 1: 1}, 3))
+    red = color_reduce(g, ((0, 1),))
     assert red.graph.n == 3
-    x = red.class_vertex[1]
+    (x,) = class_vertices(red)
     merged_nbrs = {red.vertex_map[2], red.vertex_map[3]}
     assert set(red.graph.neighbors(x)) == merged_nbrs
 
 
 def test_reduce_rejects_bad_colorings():
     g = Graph.path(3)
-    with pytest.raises(ValueError):
-        color_reduce(g, [0, 1], PartialColoring({0: 1, 1: 1}, 3))  # improper on the edge
-    with pytest.raises(ValueError):
-        color_reduce(g, [0, 1], PartialColoring({0: 1}, 3))  # partial
-    with pytest.raises(ValueError):
-        color_reduce(g, [0, 2], PartialColoring({0: 1, 2: 2}, 3))  # 1 color suffices
+    bad = [
+        (((0,), (3,)), "outside the graph"),
+        (((0,), (-1,)), "outside the graph"),
+        (((0,), ()), "nonempty and pairwise disjoint"),
+        (((0,), (1,), (0,)), "nonempty and pairwise disjoint"),
+        (((0, 2), (1, 2)), "nonempty and pairwise disjoint"),
+        (((0, 1),), "not independent"),  # improper on the edge
+        (((0,), (2,)), "minimum is 1"),  # 1 color suffices
+        (((0,), (1,), (2,)), "minimum is 2"),
+    ]
+    for classes, message in bad:
+        with pytest.raises(ValueError, match=message):
+            color_reduce(g, classes)
 
 
-def color_reduce_by_edges(g: Graph, r_set, phi: PartialColoring) -> tuple:
+def color_reduce_by_edges(g: Graph, classes) -> tuple:
     """The reduction built as an edge list, for a valid minimum coloring:
     the oracle for color_reduce's row construction."""
-    r = frozenset(r_set)
-    used = sorted({phi.assignment[v] for v in r})
-    outside = [v for v in range(g.n) if v not in r]
+    color = {v: i for i, cls in enumerate(classes) for v in cls}
+    outside = [v for v in range(g.n) if v not in color]
     vertex_map = {old: new for new, old in enumerate(outside)}
-    class_vertex = {c: len(outside) + i for i, c in enumerate(used)}
+    class_vertex = [len(outside) + i for i in range(len(classes))]
     edges = set()
     for u, w in g.edges():
-        iu, iw = u in r, w in r
+        iu, iw = u in color, w in color
         if iu and iw:
             continue
         if not iu and not iw:
             edges.add((vertex_map[u], vertex_map[w]))
         else:
             inside, out_v = (u, w) if iu else (w, u)
-            a, b = class_vertex[phi.assignment[inside]], vertex_map[out_v]
+            a, b = class_vertex[color[inside]], vertex_map[out_v]
             edges.add((min(a, b), max(a, b)))
-    for c1, c2 in itertools.combinations(used, 2):
-        edges.add((class_vertex[c1], class_vertex[c2]))
-    return Graph.from_edges(len(outside) + len(used), sorted(edges)), vertex_map, class_vertex
+    for c1, c2 in itertools.combinations(class_vertex, 2):
+        edges.add((c1, c2))
+    return Graph.from_edges(len(outside) + len(classes), sorted(edges)), vertex_map
 
 
 @given(st.data())
@@ -274,9 +283,10 @@ def test_reduction_matches_the_edge_list_oracle(census4_8, data):
         | st.builds(lambda seed, n: random_graph(random.Random(seed), n), st.integers(0, 2**32 - 1), st.integers(1, 9))
     )
     r = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
-    for phi in minimum_colorings(g, r, g.n + 1, limit=3):
-        red = color_reduce(g, r, phi)
-        assert (red.graph, red.vertex_map, red.class_vertex) == color_reduce_by_edges(g, r, phi)
+    for classes in minimum_colorings(g, r, g.n + 1, limit=3):
+        red = color_reduce(g, classes)
+        assert red.r_set == r
+        assert (red.graph, red.vertex_map) == color_reduce_by_edges(g, classes)
 
 
 def test_reduced_census_graphs_stay_uncolorable(census4_8):
@@ -288,11 +298,11 @@ def test_reduced_census_graphs_stay_uncolorable(census4_8):
         g = rng.choice(graphs)
         size = rng.randrange(2, 5)
         r = rng.sample(range(g.n), size)
-        phi = next(iter(minimum_colorings(g, r, 4)), None)
-        if phi is None:
+        classes = next(iter(minimum_colorings(g, r, 4)), None)
+        if classes is None:
             continue
-        red = color_reduce(g, r, phi)
-        assert colorable(red.graph, 3) is None
+        red = color_reduce(g, classes)
+        assert first_coloring(red.graph.adj, 3) is None
         samples += 1
 
 
@@ -309,9 +319,7 @@ def replay_incompleteness(g: Graph, rec) -> int:
 
 def test_extension_on_complete_graph_is_complete_and_spanning():
     k4 = Graph.complete(4)
-    recs = build_extension(k4, 4, [0], PartialColoring({0: 1}, 3))
-    assert len(recs) == 1
-    rec = recs[0]
+    (rec,) = build_extension(k4, 4, [((0,),)])
     assert len(rec.core) == 1 and rec.incompleteness == 0 and rec.spanning
     assert rec.r_prime == frozenset(range(4))
 
@@ -325,47 +333,87 @@ def test_extension_records_replay(census4_8):
             continue
         for _ in range(12):
             r = rng.sample(range(g.n), rng.randrange(2, 4))
-            for phi in minimum_colorings(g, r, 4, limit=2):
-                for rec in build_extension(g, 4, r, phi, limit=4):
-                    checked += 1
-                    assert rec.incompleteness == replay_incompleteness(g, rec) >= 0
-                    assert len(rec.core) >= 1
-                    assert frozenset(r) <= rec.r_prime
-                    assert rec.spanning == (rec.r_prime == frozenset(range(g.n)))
-                    # potential drop under extension
-                    x = len(rec.core)
-                    w_graph, _ = rec.w_subgraph.to_graph()
-                    lhs = rho_subset(g, rec.r_prime, 4)
-                    rhs = (
-                        rho_subset(g, r, 4)
-                        + rho(w_graph, 4, compute_T(w_graph, 4).value)
-                        - (complete_potential(x, 4) + p.delta * complete_graph_T(x, 4) - p.delta * x)
-                    )
-                    assert lhs <= rhs
+            for rec in build_extension(g, 4, minimum_colorings(g, r, 4, limit=2), limit=4):
+                checked += 1
+                assert rec.r_set == frozenset(r)
+                assert rec.incompleteness == replay_incompleteness(g, rec) >= 0
+                assert len(rec.core) >= 1
+                assert frozenset(r) <= rec.r_prime
+                assert rec.spanning == (rec.r_prime == frozenset(range(g.n)))
+                # potential drop under extension
+                x = len(rec.core)
+                w_graph, _ = rec.w_subgraph.to_graph()
+                lhs = rho_subset(g, rec.r_prime, 4)
+                rhs = (
+                    rho_subset(g, r, 4)
+                    + rho(w_graph, 4, compute_T(w_graph, 4).value)
+                    - (complete_potential(x, 4) + p.delta * complete_graph_T(x, 4) - p.delta * x)
+                )
+                assert lhs <= rhs
     assert checked >= 40
 
 
-def test_build_extension_colors_the_reduction_once(monkeypatch):
-    real = orelab.coloring.first_coloring
+def count_calls(monkeypatch, attr: str, record) -> list:
+    """Calls of ``orelab.coloring.<attr>``, wherever a module of the
+    package binds the name; ``record`` maps a call's arguments to the entry
+    kept for it."""
+    real = getattr(orelab.coloring, attr)
     calls = []
 
-    def counting(adj, t):
-        calls.append((tuple(adj), t))
-        return real(adj, t)
+    def counting(*args):
+        calls.append(record(*args))
+        return real(*args)
 
-    # count every call, wherever a module of the package binds the name
     for name, module in list(sys.modules.items()):
-        if name.startswith("orelab") and getattr(module, "first_coloring", None) is real:
-            monkeypatch.setattr(module, "first_coloring", counting)
-    g, r, phi = wheel5(), [0, 2], PartialColoring({0: 1, 2: 1}, 3)
-    reduced = tuple(color_reduce(g, r, phi).graph.adj)
-    assert build_extension(g, 4, r, phi)
+        if name.startswith("orelab") and getattr(module, attr, None) is real:
+            monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_build_extension_colors_the_reduction_once(monkeypatch):
+    calls = count_calls(monkeypatch, "first_coloring", lambda adj, t: (tuple(adj), t))
+    g, classes = wheel5(), ((0, 2),)
+    reduced = tuple(color_reduce(g, classes).graph.adj)
+    assert list(build_extension(g, 4, [classes]))
     assert calls.count((reduced, 3)) == 1
 
 
+def test_build_extension_checks_the_host_once_over_many_colorings(monkeypatch):
+    hosts = count_calls(monkeypatch, "is_k_critical", lambda g, k: (g, k))
+    g = wheel5()
+    colorings = (classes for r in itertools.combinations(range(g.n), 3) for classes in minimum_colorings(g, r, 4))
+    records = build_extension(g, 4, colorings, limit=2)
+    assert hosts == []  # nothing runs before the first record is asked for
+    records = list(records)
+    assert hosts == [(g, 4)]
+    assert len({rec.r_set for rec in records}) == 20
+    # the same records as one call per coloring
+    one_by_one = [
+        rec
+        for r in itertools.combinations(range(g.n), 3)
+        for classes in minimum_colorings(g, r, 4)
+        for rec in build_extension(g, 4, [classes], limit=2)
+    ]
+    assert records == one_by_one
+
+
+def test_extension_phi_numbers_the_classes_from_one():
+    g = wheel5()
+    (rec,) = build_extension(g, 4, [((0, 2), (1,))], limit=1)
+    assert rec.phi == ((0, 1), (1, 2), (2, 1))
+    assert rec.r_set == {0, 1, 2} and set(rec.core) <= {3, 4}
+
+
 def test_extension_requires_critical_host():
-    with pytest.raises(ValueError):
-        build_extension(Graph.cycle(6), 4, [0], PartialColoring({0: 1}, 3))
+    with pytest.raises(ValueError, match="^extensions are built over a k-critical host$"):
+        list(build_extension(Graph.cycle(6), 4, []))
+
+
+def test_extension_requires_a_nonempty_proper_subset():
+    g = wheel5()
+    for classes in [(), ((0, 2), (1, 3), (4,), (5,))]:
+        with pytest.raises(ValueError, match="nonempty proper subset"):
+            list(build_extension(g, 4, [classes]))
 
 
 # -- mic and edge counts ---------------------------------------------------------------
