@@ -130,26 +130,15 @@ def _uncolorable_without(rows: Sequence[int], u: int, v: int, t: int) -> list[in
 # -- critical subgraph extraction --------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subgraph:
-    """A subgraph of some host graph, recorded in the host's vertex ids."""
-
-    vertices: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
-
-    def to_graph(self) -> tuple[Graph, dict[int, int]]:
-        remap = {old: new for new, old in enumerate(self.vertices)}
-        g = Graph.from_edges(len(self.vertices), [(remap[u], remap[v]) for u, v in self.edges])
-        return g, remap
-
-
-def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Subgraph]:
+def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Graph]:
     """k-critical subgraphs of g, found by protected greedy minimalization.
 
-    Requires g itself to not be (k-1)-colorable. Enumeration restarts with
+    Requires g itself to not be (k-1)-colorable. Each W comes back as a graph
+    on g's vertex ids in which every vertex outside W is isolated, so W is
+    ``W.induced`` of its non-isolated vertices. Enumeration restarts with
     each single edge force-deleted first, which surfaces distinct minimal
     subgraphs; at most ``limit`` distinct results are returned, ordered by
-    their sorted edge lists. Each start drops, in one ordered pass, every edge
+    their edge lists. Each start drops, in one ordered pass, every edge
     uv whose deletion leaves the rows not (k-1)-colorable; a kept edge stays
     needed as others go, so one pass ends edge-minimal.
 
@@ -166,7 +155,7 @@ def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Subgraph]:
         raise ValueError("graph is (k-1)-colorable; no k-critical subgraph exists")
     edges = g.edges()
     colorings: dict[tuple[int, int], list[list[int]]] = {e: [] for e in edges}
-    found: dict[tuple[int, ...], Subgraph] = {}
+    found: set[tuple[int, ...]] = set()
 
     def uncolorable_without(rows: Sequence[int], u: int, v: int) -> list[int] | None:
         trial = list(rows)
@@ -194,13 +183,8 @@ def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Subgraph]:
                 trial = uncolorable_without(rows, u, v)
                 if trial is not None:
                     rows = trial
-        w = tuple(rows)
-        if w not in found:
-            found[w] = Subgraph(
-                tuple(v for v in range(g.n) if w[v]),
-                frozenset((u, v) for u, v in edges if w[u] >> v & 1),
-            )
-    return sorted(found.values(), key=lambda w: sorted(w.edges))
+        found.add(tuple(rows))
+    return sorted((Graph._trusted(g.n, w) for w in found), key=Graph.edges)
 
 
 # -- proper partitions (colorings up to color permutation) -------------------

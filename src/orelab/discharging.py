@@ -73,7 +73,7 @@ def classify_degree_k1(g: Graph, k: int, ore_catalog_cap: int = 2) -> RoleReport
     low = {v for v in range(g.n) if g.degree(v) == k - 1}
     roles: dict[int, str] = {v: ROLE_OTHER for v in range(g.n)}
     cluster_list = clusters(g, k)
-    cluster_of = {v: c.vertices for c in cluster_list for v in c.vertices}
+    cluster_of = {v: c for c in cluster_list for v in c}
 
     in_clique = {v for q in cliques_of_size(g, k - 3) for v in q}
     # every gadget comes from a host on k + steps*(k-1) vertices, one removed
@@ -85,9 +85,9 @@ def classify_degree_k1(g: Graph, k: int, ore_catalog_cap: int = 2) -> RoleReport
     structure = {v for v in low if v in in_clique or v in key_hits}
     promoted: set[int] = set()
     for c in cluster_list:
-        if c.vertices & structure and not c.vertices <= structure:
-            promoted |= c.vertices - structure
-            structure |= c.vertices
+        if c & structure and not c <= structure:
+            promoted |= c - structure
+            structure |= c
 
     for v in low:
         if v in structure:

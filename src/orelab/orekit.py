@@ -547,7 +547,7 @@ def gadget_catalog(k: int, max_steps: int) -> tuple[Gadget, ...]:
     for tree in ore_catalog(k, max_steps):
         g = realize(tree)
         keys = key_vertices(tree)
-        eligible = {v for c in clusters(g, k) if len(c.vertices) >= 2 for v in c.vertices}
+        eligible = {v for c in clusters(g, k) if len(c) >= 2 for v in c}
         for x in sorted(eligible):
             stripped, remap = g.delete_vertex(x)
             kept_keys = frozenset(remap[v] for v in keys if v != x)

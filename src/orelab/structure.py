@@ -11,10 +11,10 @@ from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .coloring import (
-    Subgraph,
     chromatic_number,
     color_partitions,
     find_critical_subgraphs,
+    first_coloring,
     is_k_critical,
 )
 from .errors import SizeCapError
@@ -26,29 +26,19 @@ MIC_MAX_VERTICES = 40
 # -- clusters ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """A maximal set of degree-(k-1) vertices sharing one closed neighborhood.
+def clusters(g: Graph, k: int) -> list[frozenset[int]]:
+    """The maximal sets of degree-(k-1) vertices sharing one closed
+    neighborhood, ordered by least member.
 
     Members are pairwise adjacent (each lies in the other's closed
     neighborhood), so a cluster is a clique of mutually cloned vertices.
     """
-
-    vertices: frozenset[int]
-    closed_neighborhood: frozenset[int]
-
-
-def clusters(g: Graph, k: int) -> list[Cluster]:
     groups: dict[int, list[int]] = {}
     for v in range(g.n):
         if g.degree(v) == k - 1:
             groups.setdefault(g.closed_mask(v), []).append(v)
-    out = [
-        Cluster(frozenset(vs), frozenset(bits_of(m)))
-        for m, vs in groups.items()
-    ]
-    out.sort(key=lambda c: min(c.vertices))
-    return out
+    # a group opens at its least member, so insertion order is that order
+    return [frozenset(vs) for vs in groups.values()]
 
 
 # -- diamonds and emeralds ---------------------------------------------------
@@ -110,27 +100,14 @@ def find_diamonds_emeralds(g: Graph, k: int) -> list[NearClique]:
 # -- color reduction and critical extensions ---------------------------------
 
 
-@dataclass(frozen=True)
-class ColorReduction:
-    """The quotient graph formed by collapsing each color class of a minimum
-    coloring of G[R] to one vertex, with a clique on the class vertices.
-
-    ``vertex_map`` renumbers the outside (non-R) vertices 0..n_out-1; class i
-    of the coloring is vertex n_out + i.
-    """
-
-    graph: Graph
-    vertex_map: dict[int, int]
-    r_set: frozenset[int]
-
-
-def color_reduce(g: Graph, classes: Sequence[Sequence[int]]) -> ColorReduction:
-    """Collapse the color classes of R and join the class vertices into a
-    clique.
+def color_reduce(g: Graph, classes: Sequence[Sequence[int]]) -> Graph:
+    """The quotient of g that collapses each color class of R to one vertex,
+    with a clique on the class vertices.
 
     R is the union of ``classes``, which must be nonempty, pairwise disjoint
-    and independent, and exactly chi(G[R]) in number. Outside vertices come
-    first (in increasing original id), class vertices follow in class order.
+    and independent, and exactly chi(G[R]) in number. The n_out outside
+    vertices come first as 0..n_out-1 (in increasing original id); class i
+    is vertex n_out + i.
     """
     r = [v for cls in classes for v in cls]
     if not all(0 <= v < g.n for v in r):
@@ -141,19 +118,20 @@ def color_reduce(g: Graph, classes: Sequence[Sequence[int]]) -> ColorReduction:
         m = mask_of(cls)
         if any(g.adj[v] & m for v in cls):
             raise ValueError("a color class is not independent in G[R]")
-    need = chromatic_number(g.induced(r)[0])
-    if len(classes) != need:
-        raise ValueError(f"coloring uses {len(classes)} colors; minimum is {need}")
+    if classes:
+        g_r = g.induced(r)[0]
+        if first_coloring(g_r.adj, len(classes) - 1) is not None:
+            raise ValueError(f"coloring uses {len(classes)} colors; minimum is {chromatic_number(g_r)}")
     r_set = frozenset(r)
     outside = [v for v in range(g.n) if v not in r_set]
     n_out = len(outside)
-    vertex_map = {old: new for new, old in enumerate(outside)}
-    image = {**vertex_map, **{v: n_out + i for i, cls in enumerate(classes) for v in cls}}
+    image = {old: new for new, old in enumerate(outside)}
+    image.update((v, n_out + i) for i, cls in enumerate(classes) for v in cls)
     rows = list(_quotient(g.adj, image, n_out + len(classes)))
     clique = ((1 << len(classes)) - 1) << n_out
     for c in range(n_out, len(rows)):
         rows[c] |= clique ^ (1 << c)
-    return ColorReduction(Graph._trusted(len(rows), tuple(rows)), vertex_map, r_set)
+    return Graph._trusted(len(rows), tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -161,15 +139,16 @@ class ExtensionRecord:
     """One critical extension of a subset R.
 
     ``phi`` pairs each vertex of R with its class index + 1;
-    ``w_subgraph`` lives in the reduced graph's ids; ``core`` is the set of
-    class vertices W touches; ``r_prime`` is the extended subset back in the
-    host graph's ids. ``incompleteness`` counts how far the edge bookkeeping
-    identity falls short of equality (always >= 0).
+    ``w_subgraph`` is W as a graph on the reduced graph's ids, every vertex
+    outside W isolated; ``core`` is the set of class vertices W touches;
+    ``r_prime`` is the extended subset back in the host graph's ids.
+    ``incompleteness`` counts how far the edge bookkeeping identity falls
+    short of equality (always >= 0).
     """
 
     r_set: frozenset[int]
     phi: tuple[tuple[int, int], ...]
-    w_subgraph: Subgraph
+    w_subgraph: Graph
     core: tuple[int, ...]
     r_prime: frozenset[int]
     incompleteness: int
@@ -195,26 +174,26 @@ def build_extension(
     if not is_k_critical(g, k):
         raise ValueError("extensions are built over a k-critical host")
     for classes in colorings:
-        reduction = color_reduce(g, classes)
-        r = reduction.r_set
+        reduced = color_reduce(g, classes)
+        r = frozenset(v for cls in classes for v in cls)
         if not r or len(r) == g.n:
             raise ValueError("R must be a nonempty proper subset")
         try:
-            subgraphs = find_critical_subgraphs(reduction.graph, k, limit=limit)
+            subgraphs = find_critical_subgraphs(reduced, k, limit=limit)
         except ValueError:
             raise AssertionError("reduced graph of a critical host must need k colors") from None
-        outside = sorted(reduction.vertex_map)
+        outside = [v for v in range(g.n) if v not in r]
         n_out = len(outside)
         phi = tuple(sorted((v, i) for i, cls in enumerate(classes, start=1) for v in cls))
         r_edges = _induced_edge_count(g, r)
         for w in subgraphs:
-            core = tuple(v for v in w.vertices if v >= n_out)
+            core = tuple(v for v in range(n_out, w.n) if w.adj[v])
             if not core:
                 raise AssertionError("critical subgraph avoids every class vertex")
-            r_prime = r.union(outside[v] for v in w.vertices if v < n_out)
+            r_prime = r.union(outside[v] for v in range(n_out) if w.adj[v])
             x = len(core)
             i = _induced_edge_count(g, r_prime) - (
-                r_edges + len(w.edges) - x * (x - 1) // 2
+                r_edges + w.edge_count() - x * (x - 1) // 2
             )
             if i < 0:
                 raise AssertionError("incompleteness came out negative")

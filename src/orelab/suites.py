@@ -300,7 +300,8 @@ def _extension_rows(g: Graph, k: int, caps: dict) -> Iterator[SuiteRow]:
     for rec in build_extension(g, k, colorings, limit=caps["witnesses_per_reduction"]):
         if rec.r_set != r_set:
             r_set, rho_r = rec.r_set, rho_subset(g, rec.r_set, k)
-        w_graph, _ = rec.w_subgraph.to_graph()
+        w = rec.w_subgraph
+        w_graph, _ = w.induced(v for v in range(w.n) if w.adj[v])
         lhs = rho_subset(g, rec.r_prime, k)
         x = len(rec.core)
         rhs = (

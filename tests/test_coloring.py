@@ -161,17 +161,22 @@ def test_critical_graphs_are_vertex_critical_and_well_connected(census4_8):
                 assert edge_between(g, subset, rest) >= 3
 
 
+def vertices_of(w: Graph) -> list[int]:
+    """The vertices of a subgraph kept on its host's ids: the non-isolated ones."""
+    return [v for v in range(w.n) if w.adj[v]]
+
+
 def test_find_critical_subgraphs():
     w5 = wheel5()
     subs = find_critical_subgraphs(w5, 4)
-    assert len(subs) == 1 and set(subs[0].vertices) == set(range(6))
+    assert len(subs) == 1 and set(vertices_of(subs[0])) == set(range(6))
     pendant = Graph.from_edges(5, Graph.complete(4).edges() + [(0, 4)])
     subs = find_critical_subgraphs(pendant, 4)
     assert len(subs) == 1
-    sub_graph, _ = subs[0].to_graph()
+    sub_graph, _ = subs[0].induced(vertices_of(subs[0]))
     assert is_k_critical(sub_graph, 4)
-    assert set(subs[0].vertices) == {0, 1, 2, 3}
-    for u, v in subs[0].edges:
+    assert set(vertices_of(subs[0])) == {0, 1, 2, 3}
+    for u, v in subs[0].edges():
         assert pendant.has_edge(u, v)
     # 3-colorable hosts hold no 4-critical subgraph; asking is a caller bug
     with pytest.raises(ValueError):
@@ -184,7 +189,7 @@ def test_find_critical_subgraphs_enumerates_several():
     edges += [(u + 4, v + 4) for u, v in Graph.complete(4).edges()]
     twin = Graph.from_edges(8, edges)
     subs = find_critical_subgraphs(twin, 4, limit=6)
-    assert {frozenset(s.vertices) for s in subs} >= {frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7})}
+    assert {frozenset(vertices_of(s)) for s in subs} >= {frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7})}
 
 
 # -- witness reuse in find_critical_subgraphs -----------------------------------------
@@ -202,11 +207,11 @@ def oracle_minimalize(rows: list[int], edges: list[tuple[int, int]], k: int) -> 
     return rows
 
 
-def oracle_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[coloring.Subgraph]:
+def oracle_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Graph]:
     if coloring.first_coloring(g.adj, k - 1) is not None:
         raise ValueError("graph is (k-1)-colorable; no k-critical subgraph exists")
     edges = g.edges()
-    found: dict[tuple[int, ...], coloring.Subgraph] = {}
+    found: dict[tuple[int, ...], Graph] = {}
     trials = (coloring._uncolorable_without(g.adj, u, v, k - 1) for u, v in edges)
     for rows in itertools.chain([list(g.adj)], trials):
         if len(found) >= limit:
@@ -215,18 +220,15 @@ def oracle_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[coloring
             continue
         w = tuple(oracle_minimalize(rows, edges, k))
         if w not in found:
-            found[w] = coloring.Subgraph(
-                tuple(v for v in range(g.n) if w[v]),
-                frozenset((u, v) for u, v in edges if w[u] >> v & 1),
-            )
-    return sorted(found.values(), key=lambda w: sorted(w.edges))
+            found[w] = Graph(g.n, w)
+    return sorted(found.values(), key=lambda w: sorted(w.edges()))
 
 
 def extension_reductions(graphs, k: int) -> list[Graph]:
     """Every color reduction the extension suite builds on ``graphs``."""
     per_subset = suites._SUITES["extension-potential"].caps["colorings_per_subset"]
     return [
-        color_reduce(g, classes).graph
+        color_reduce(g, classes)
         for g in graphs
         for size in suites.ANCHOR_SIZES
         if size < g.n
@@ -243,7 +245,7 @@ def census_reductions(census4_8, census5_8):
     }
 
 
-def searches_of(search, g: Graph, k: int, limit: int) -> tuple[list[coloring.Subgraph], int]:
+def searches_of(search, g: Graph, k: int, limit: int) -> tuple[list[Graph], int]:
     """The search's result and how many colorings it asked the solver for."""
     real = coloring.first_coloring
     calls = 0
@@ -290,6 +292,23 @@ def test_witnesses_save_searches_on_every_census_reduction(census_reductions):
             _, new_calls = searches_of(find_critical_subgraphs, g, 4, limit)
             _, old_calls = searches_of(oracle_critical_subgraphs, g, 4, limit)
             assert new_calls < old_calls, (g, limit)
+
+
+def test_critical_subgraphs_meet_the_definition_on_every_census_reduction(census_reductions):
+    # checked against the definition, not against another minimalization
+    critical: dict[Graph, bool] = {}
+    for k, reductions in census_reductions.items():
+        for g in reductions:
+            for limit in range(1, 7):
+                subs = find_critical_subgraphs(g, k, limit)
+                assert 1 <= len(subs) <= limit and len(set(subs)) == len(subs)
+                for w in subs:
+                    assert all(not w.adj[v] & ~g.adj[v] for v in range(g.n)), "an edge outside the host"
+                    assert w.n == g.n, "W is not on the host's ids"
+                    inner, _ = w.induced(vertices_of(w))
+                    if inner not in critical:
+                        critical[inner] = is_k_critical(inner, k)
+                    assert critical[inner], (g, limit, w)
 
 
 # -- color partitions ------------------------------------------------------------

@@ -137,8 +137,8 @@ def _extension_lines(g, k: int) -> list[str]:
             "graph6": graph6_encode(g),
             "r_set": sorted(rec.r_set),
             "phi": [list(p) for p in rec.phi],
-            "w_vertices": list(rec.w_subgraph.vertices),
-            "w_edges": sorted(map(list, rec.w_subgraph.edges)),
+            "w_vertices": [v for v in range(rec.w_subgraph.n) if rec.w_subgraph.adj[v]],
+            "w_edges": sorted(map(list, rec.w_subgraph.edges())),
             "core": list(rec.core),
             "r_prime": sorted(rec.r_prime),
             "incompleteness": rec.incompleteness,

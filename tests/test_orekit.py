@@ -399,7 +399,7 @@ def test_gadget_catalog_from_composition():
     assert gadgets
     for gadget in gadgets:
         host, x = realize(gadget.tree), gadget.deleted_vertex
-        eligible = {v for c in clusters(host, 4) if len(c.vertices) >= 2 for v in c.vertices}
+        eligible = {v for c in clusters(host, 4) if len(c) >= 2 for v in c}
         assert x in eligible and eligible != set(range(host.n))
         stripped, remap = host.delete_vertex(x)
         assert gadget.graph == stripped and gadget.graph.n == 6

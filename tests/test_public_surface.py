@@ -190,3 +190,25 @@ def test_traced_names_have_no_private_twin():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[:1] == "_" and node.name[1:] in traced
     ]
     assert twins == [], f"private twins of traced functions: {twins}"
+
+
+EDGE_LIST_BUILDERS = {"graphs.Graph.cycle", "graphs.Graph.path", "census.random_graph"}
+
+
+def test_graphs_are_built_from_edge_lists_only_at_the_source():
+    """Every derived graph (induced, merged, relabelled, composed, reduced,
+    a found subgraph) comes from rows through the one row-quotient kernel;
+    only the constructors that start from nothing take an edge list."""
+    callers = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "from_edges":
+            callers.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert set(callers) <= EDGE_LIST_BUILDERS, f"edge-list builds outside the sources: {sorted(set(callers) - EDGE_LIST_BUILDERS)}"

@@ -63,13 +63,12 @@ def planted_diamond() -> Graph:
 
 def test_clusters_on_complete_graph():
     cs = clusters(Graph.complete(4), 4)
-    assert len(cs) == 1 and cs[0].vertices == frozenset(range(4))
-    assert cs[0].closed_neighborhood == frozenset(range(4))
+    assert len(cs) == 1 and cs[0] == frozenset(range(4))
 
 
 def test_clusters_on_cycle():
     cs = clusters(Graph.cycle(5), 3)
-    assert len(cs) == 5 and all(len(c.vertices) == 1 for c in cs)
+    assert len(cs) == 5 and all(len(c) == 1 for c in cs)
 
 
 def test_clusters_match_pairwise_oracle():
@@ -81,7 +80,7 @@ def test_clusters_match_pairwise_oracle():
             u for u in low if g.closed_mask(u) == g.closed_mask(v)
         )
         expected.add(members)
-    assert {c.vertices for c in clusters(g, 4)} == expected
+    assert set(clusters(g, 4)) == expected
 
 
 # -- diamonds and emeralds ------------------------------------------------------
@@ -212,27 +211,37 @@ def test_filtered_list_matches_on_random_vertex_sets(data):
 # -- color reduction ---------------------------------------------------------------
 
 
-def class_vertices(red) -> range:
-    return range(len(red.vertex_map), red.graph.n)
+def outside_ids(g: Graph, classes) -> dict[int, int]:
+    """Where color_reduce puts the vertices outside R: 0..n_out-1 in
+    increasing original id."""
+    r = {v for cls in classes for v in cls}
+    return {old: new for new, old in enumerate(v for v in range(g.n) if v not in r)}
+
+
+def class_vertices(g: Graph, classes) -> range:
+    n_out = len(outside_ids(g, classes))
+    return range(n_out, n_out + len(classes))
 
 
 def test_reduce_clique_with_injective_coloring_is_identity():
     k4 = Graph.complete(4)
-    red = color_reduce(k4, ((0,), (1,), (2,)))
-    assert is_isomorphic(red.graph, k4)
-    assert red.r_set == {0, 1, 2} and red.vertex_map == {3: 0}
+    classes = ((0,), (1,), (2,))
+    red = color_reduce(k4, classes)
+    assert is_isomorphic(red, k4)
+    assert outside_ids(k4, classes) == {3: 0}
     # class vertices are pairwise adjacent
-    for a, b in itertools.combinations(class_vertices(red), 2):
-        assert red.graph.has_edge(a, b)
+    for a, b in itertools.combinations(class_vertices(k4, classes), 2):
+        assert red.has_edge(a, b)
 
 
 def test_reduce_independent_pair():
     g = Graph.from_edges(4, [(0, 2), (1, 3), (2, 3)])
-    red = color_reduce(g, ((0, 1),))
-    assert red.graph.n == 3
-    (x,) = class_vertices(red)
-    merged_nbrs = {red.vertex_map[2], red.vertex_map[3]}
-    assert set(red.graph.neighbors(x)) == merged_nbrs
+    classes = ((0, 1),)
+    red = color_reduce(g, classes)
+    assert red.n == 3
+    (x,) = class_vertices(g, classes)
+    merged_nbrs = {outside_ids(g, classes)[2], outside_ids(g, classes)[3]}
+    assert set(red.neighbors(x)) == merged_nbrs
 
 
 def test_reduce_rejects_bad_colorings():
@@ -252,7 +261,18 @@ def test_reduce_rejects_bad_colorings():
             color_reduce(g, classes)
 
 
-def color_reduce_by_edges(g: Graph, classes) -> tuple:
+def test_reduce_checks_a_minimum_coloring_without_chromatic_number(monkeypatch):
+    # one (c-1)-colorability question settles a coloring with c classes;
+    # chi(G[R]) is computed only to word a rejection
+    g = wheel5()
+    colorings = [classes for r in itertools.combinations(range(g.n), 3) for classes in minimum_colorings(g, r, 4)]
+    calls = count_calls(monkeypatch, "chromatic_number", lambda h: h)
+    for classes in colorings:
+        color_reduce(g, classes)
+    assert colorings and calls == []
+
+
+def color_reduce_by_edges(g: Graph, classes) -> Graph:
     """The reduction built as an edge list, for a valid minimum coloring:
     the oracle for color_reduce's row construction."""
     color = {v: i for i, cls in enumerate(classes) for v in cls}
@@ -272,7 +292,7 @@ def color_reduce_by_edges(g: Graph, classes) -> tuple:
             edges.add((min(a, b), max(a, b)))
     for c1, c2 in itertools.combinations(class_vertex, 2):
         edges.add((c1, c2))
-    return Graph.from_edges(len(outside) + len(classes), sorted(edges)), vertex_map
+    return Graph.from_edges(len(outside) + len(classes), sorted(edges))
 
 
 @given(st.data())
@@ -284,9 +304,8 @@ def test_reduction_matches_the_edge_list_oracle(census4_8, data):
     )
     r = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
     for classes in minimum_colorings(g, r, g.n + 1, limit=3):
-        red = color_reduce(g, classes)
-        assert red.r_set == r
-        assert (red.graph, red.vertex_map) == color_reduce_by_edges(g, classes)
+        assert {v for cls in classes for v in cls} == r
+        assert color_reduce(g, classes) == color_reduce_by_edges(g, classes)
 
 
 def test_reduced_census_graphs_stay_uncolorable(census4_8):
@@ -302,7 +321,7 @@ def test_reduced_census_graphs_stay_uncolorable(census4_8):
         if classes is None:
             continue
         red = color_reduce(g, classes)
-        assert first_coloring(red.graph.adj, 3) is None
+        assert first_coloring(red.adj, 3) is None
         samples += 1
 
 
@@ -312,7 +331,7 @@ def test_reduced_census_graphs_stay_uncolorable(census4_8):
 def replay_incompleteness(g: Graph, rec) -> int:
     r_edges = g.induced(sorted(rec.r_set))[0].edge_count()
     rp_edges = g.induced(sorted(rec.r_prime))[0].edge_count()
-    w_edges = len(rec.w_subgraph.edges)
+    w_edges = rec.w_subgraph.edge_count()
     x = len(rec.core)
     return rp_edges - (r_edges + w_edges - x * (x - 1) // 2)
 
@@ -342,7 +361,8 @@ def test_extension_records_replay(census4_8):
                 assert rec.spanning == (rec.r_prime == frozenset(range(g.n)))
                 # potential drop under extension
                 x = len(rec.core)
-                w_graph, _ = rec.w_subgraph.to_graph()
+                w = rec.w_subgraph
+                w_graph, _ = w.induced(v for v in range(w.n) if w.adj[v])
                 lhs = rho_subset(g, rec.r_prime, 4)
                 rhs = (
                     rho_subset(g, r, 4)
@@ -373,7 +393,7 @@ def count_calls(monkeypatch, attr: str, record) -> list:
 def test_build_extension_colors_the_reduction_once(monkeypatch):
     calls = count_calls(monkeypatch, "first_coloring", lambda adj, t: (tuple(adj), t))
     g, classes = wheel5(), ((0, 2),)
-    reduced = tuple(color_reduce(g, classes).graph.adj)
+    reduced = tuple(color_reduce(g, classes).adj)
     assert list(build_extension(g, 4, [classes]))
     assert calls.count((reduced, 3)) == 1
 
