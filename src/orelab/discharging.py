@@ -3,10 +3,10 @@ vertices, the two redistribution rules, class sizes, and the exact edge and
 charge identities that tie redistribution back to the potential.
 
 Roles and rules are evaluated on any host graph; facts that hold only for
-minimal counterexamples are reported as observations, never asserted. One
-report derives each per-graph fact once: classification finds the clusters
-and fetches the gadget catalog, the rules read cluster sizes from the role
-report, and the ledger carries the potential parameters to the audit.
+minimal counterexamples are never asserted. One report derives each
+per-graph fact once: classification finds the clusters and fetches the
+gadget catalog, the rules read the cluster sizes it returns, and the report
+audits the charge rows against the potential and a packing.
 """
 
 from __future__ import annotations
@@ -26,23 +26,6 @@ ROLE_LONE = "lone"
 ROLE_OTHER = "not-deg-(k-1)"
 
 
-@dataclass(frozen=True)
-class RoleReport:
-    """Role of every vertex, plus how trustworthy the structure test was.
-
-    ``complete`` is True when the gadget catalog covered every size that
-    could embed into the host, so no vertex can be under-labeled. ``promoted``
-    lists vertices relabeled structure to keep labels cluster-constant.
-    ``cluster_size`` maps each degree-(k-1) vertex to the size of its cluster.
-    """
-
-    roles: dict[int, str]
-    complete: bool
-    catalog_size: int
-    promoted: frozenset[int]
-    cluster_size: dict[int, int]
-
-
 def _gadget_key_hits(g: Graph, catalog: tuple[Gadget, ...], target: set[int]) -> set[int]:
     hits: set[int] = set()
     for gadget in catalog:
@@ -55,8 +38,11 @@ def _gadget_key_hits(g: Graph, catalog: tuple[Gadget, ...], target: set[int]) ->
     return hits
 
 
-def classify_degree_k1(g: Graph, k: int, ore_catalog_cap: int = 2) -> RoleReport:
-    """Label each degree-(k-1) vertex structure, near, or lone.
+def classify_degree_k1(
+    g: Graph, k: int, ore_catalog_cap: int = 2
+) -> tuple[dict[int, str], dict[int, int]]:
+    """Label each degree-(k-1) vertex structure, near, or lone; return the
+    role of every vertex and the cluster size of each degree-(k-1) vertex.
 
     structure: a key vertex of an embedded gadget, or a member of some
     K_{k-3} subgraph. near: not structure, with a degree-(k-1) neighbor in a
@@ -64,8 +50,8 @@ def classify_degree_k1(g: Graph, k: int, ore_catalog_cap: int = 2) -> RoleReport
     its own cluster. Other vertices get the placeholder role.
 
     Gadgets are drawn from the exhaustive catalog with at most
-    ``ore_catalog_cap`` compositions; ``complete`` reports whether that cap
-    already covers every gadget small enough to embed. Labels are made
+    ``ore_catalog_cap`` compositions, so a host too large for the cap may
+    have structure vertices labeled near or lone. Labels are made
     cluster-constant by promoting a mixed cluster to structure.
     """
     if k < 4:
@@ -76,17 +62,13 @@ def classify_degree_k1(g: Graph, k: int, ore_catalog_cap: int = 2) -> RoleReport
     cluster_of = {v: c for c in cluster_list for v in c}
 
     in_clique = {v for q in cliques_of_size(g, k - 3) for v in q}
-    # every gadget comes from a host on k + steps*(k-1) vertices, one removed
-    complete = ore_catalog_cap >= max(0, (g.n + 1 - k) // (k - 1))
     catalog = gadget_catalog(k, ore_catalog_cap)
     key_targets = {v for v in low if v not in in_clique}
     key_hits = _gadget_key_hits(g, catalog, key_targets) if key_targets else set()
 
     structure = {v for v in low if v in in_clique or v in key_hits}
-    promoted: set[int] = set()
     for c in cluster_list:
-        if c & structure and not c <= structure:
-            promoted |= c - structure
+        if c & structure:
             structure |= c
 
     for v in low:
@@ -99,8 +81,7 @@ def classify_degree_k1(g: Graph, k: int, ore_catalog_cap: int = 2) -> RoleReport
             raise AssertionError(
                 "a lone cluster this large is itself a clique witness"
             )
-    cluster_size = {v: len(members) for v, members in cluster_of.items()}
-    return RoleReport(roles, complete, len(catalog), frozenset(promoted), cluster_size)
+    return roles, {v: len(members) for v, members in cluster_of.items()}
 
 
 LABEL_L = "L"
@@ -113,27 +94,15 @@ LABEL_R = "R-other"
 @dataclass(frozen=True)
 class VertexCharge:
     vertex: int
-    degree: int
-    role: str
     label: str
     initial: Fraction
     final: Fraction
 
 
-@dataclass(frozen=True)
-class ChargeLedger:
-    params: PotentialParams
-    rows: tuple[VertexCharge, ...]
-
-    def total_initial(self) -> Fraction:
-        return sum((r.initial for r in self.rows), Fraction(0))
-
-    def total_final(self) -> Fraction:
-        return sum((r.final for r in self.rows), Fraction(0))
-
-
-def apply_rules(g: Graph, k: int, report: RoleReport) -> ChargeLedger:
-    """Run both redistribution rules and return the per-vertex ledger.
+def apply_rules(
+    g: Graph, k: int, roles: dict[int, str], cluster_size: dict[int, int]
+) -> tuple[VertexCharge, ...]:
+    """Run both redistribution rules and return one charge row per vertex.
 
     Every vertex v starts with (k-2)(k+1) + eps - d(v)(k-1). Rule one: each
     vertex of degree d >= k+2 keeps exactly -2+eps and sends (k-d)(k-1)/d
@@ -141,9 +110,8 @@ def apply_rules(g: Graph, k: int, report: RoleReport) -> ChargeLedger:
     split equally over its near-vertex neighbors; with no near neighbor
     nothing moves, the only reading that conserves charge.
     """
-    params = PotentialParams.for_k(k)
-    roles = report.roles
-    base = (k - 2) * (k + 1) + params.eps
+    eps = PotentialParams.for_k(k).eps
+    base = (k - 2) * (k + 1) + eps
     initial = {v: base - g.degree(v) * (k - 1) for v in range(g.n)}
     shift: dict[int, Fraction] = {v: Fraction(0) for v in range(g.n)}
     for v in range(g.n):
@@ -156,7 +124,7 @@ def apply_rules(g: Graph, k: int, report: RoleReport) -> ChargeLedger:
                 shift[u] += per_edge
             # the residue rule is about what the sender keeps, before any
             # charge it receives back from other senders
-            if initial[v] - sent_total != -2 + params.eps:
+            if initial[v] - sent_total != -2 + eps:
                 raise AssertionError("sender residue is off")
     for v in range(g.n):
         if roles[v] != ROLE_STRUCTURE:
@@ -172,10 +140,9 @@ def apply_rules(g: Graph, k: int, report: RoleReport) -> ChargeLedger:
     rows = []
     for v in range(g.n):
         d = g.degree(v)
-        role = roles[v]
-        if role == ROLE_LONE and report.cluster_size[v] == 1:
+        if roles[v] == ROLE_LONE and cluster_size[v] == 1:
             label = LABEL_L
-        elif role == ROLE_LONE and report.cluster_size[v] == 2:
+        elif roles[v] == ROLE_LONE and cluster_size[v] == 2:
             label = LABEL_M
         elif d == k:
             label = LABEL_P
@@ -183,29 +150,21 @@ def apply_rules(g: Graph, k: int, report: RoleReport) -> ChargeLedger:
             label = LABEL_Q
         else:
             label = LABEL_R
-        rows.append(VertexCharge(v, d, role, label, initial[v], initial[v] + shift[v]))
-    ledger = ChargeLedger(params, tuple(rows))
-    if ledger.total_initial() != ledger.total_final():
+        rows.append(VertexCharge(v, label, initial[v], initial[v] + shift[v]))
+    if sum(r.initial for r in rows) != sum(r.final for r in rows):
         raise AssertionError("rules moved charge without conserving it")
-    return ledger
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
 class ChargeReport:
-    """Class sizes, the boundary-edge identity, and observational columns."""
+    """Class sizes, whether the boundary-edge identity applied, and the total
+    charge beside the potential it must equal."""
 
-    k: int
-    ledger: ChargeLedger
-    roles: RoleReport
     sizes: dict[str, int]
-    lm_to_rest_edges: int
-    lm_identity_value: int
     identity_hypothesis: bool
-    m_p_edges: int
     total_charge: Fraction
     rho_plus_delta_t: Fraction
-    heavy_class_over_residue: int
-    lone_singleton_frontier: bool
 
 
 def charge_report(g: Graph, k: int, ore_catalog_cap: int = 2) -> ChargeReport:
@@ -214,18 +173,14 @@ def charge_report(g: Graph, k: int, ore_catalog_cap: int = 2) -> ChargeReport:
     The boundary-edge identity e(L+M, rest) = (k-1)|L| - e(L, P+Q)
     + (k-2)|M| - e(M, Q) is compared against direct counting whenever its
     hypothesis (no M vertex adjacent to a P vertex) holds; a violated
-    hypothesis skips the comparison, it does not fail it. Observational
-    columns record how many rest-class vertices exceed the -2+eps ceiling
-    and whether |L|+|P| clears n(1 - eps/2); both are theorems only for
-    minimal counterexamples.
+    hypothesis skips the comparison, it does not fail it. The total initial
+    charge must equal rho + delta*T.
     """
-    roles = classify_degree_k1(g, k, ore_catalog_cap)
-    ledger = apply_rules(g, k, roles)
+    rows = apply_rules(g, k, *classify_degree_k1(g, k, ore_catalog_cap))
     labels = (LABEL_L, LABEL_M, LABEL_P, LABEL_Q, LABEL_R)
     by_label: dict[str, set[int]] = {lab: set() for lab in labels}
-    for r in ledger.rows:
+    for r in rows:
         by_label[r.label].add(r.vertex)
-    sizes = {lab: len(members) for lab, members in by_label.items()}
     l_set, m_set = by_label[LABEL_L], by_label[LABEL_M]
     p_set, q_set = by_label[LABEL_P], by_label[LABEL_Q]
     rest = by_label[LABEL_R]
@@ -236,34 +191,17 @@ def charge_report(g: Graph, k: int, ore_catalog_cap: int = 2) -> ChargeReport:
         + (k - 2) * len(m_set)
         - edge_between(g, m_set, q_set)
     )
-    m_p = edge_between(g, m_set, p_set)
-    hypothesis = m_p == 0
+    hypothesis = edge_between(g, m_set, p_set) == 0
     if hypothesis and direct != identity:
         raise AssertionError("edge identity failed with its hypothesis intact")
-    eps, delta = ledger.params.eps, ledger.params.delta
     t_val = compute_T(g, k).value
-    rho_plus = rho(g, k, t_val) + delta * t_val
-    total = ledger.total_initial()
+    rho_plus = rho(g, k, t_val) + PotentialParams.for_k(k).delta * t_val
+    total = sum((r.initial for r in rows), Fraction(0))
     if total != rho_plus:
         raise AssertionError("total charge disagrees with the potential")
-    ceiling = Fraction(-2) + eps
-    overs = sum(
-        1
-        for r in ledger.rows
-        if r.label == LABEL_R and r.final > ceiling
-    )
-    frontier = len(l_set) + len(p_set) > g.n * (1 - eps / 2)
     return ChargeReport(
-        k=k,
-        ledger=ledger,
-        roles=roles,
-        sizes=sizes,
-        lm_to_rest_edges=direct,
-        lm_identity_value=identity,
+        sizes={lab: len(members) for lab, members in by_label.items()},
         identity_hypothesis=hypothesis,
-        m_p_edges=m_p,
         total_charge=total,
         rho_plus_delta_t=rho_plus,
-        heavy_class_over_residue=overs,
-        lone_singleton_frontier=frontier,
     )

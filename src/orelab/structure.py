@@ -138,21 +138,20 @@ def color_reduce(g: Graph, classes: Sequence[Sequence[int]]) -> Graph:
 class ExtensionRecord:
     """One critical extension of a subset R.
 
-    ``phi`` pairs each vertex of R with its class index + 1;
-    ``w_subgraph`` is W as a graph on the reduced graph's ids, every vertex
-    outside W isolated; ``core`` is the set of class vertices W touches;
-    ``r_prime`` is the extended subset back in the host graph's ids.
+    ``r_set`` is R, the union of the coloring's classes, and class i is
+    vertex n_out + i of the reduced graph; ``w_subgraph`` is W as a graph on
+    the reduced graph's ids, every vertex outside W isolated; ``core`` is the
+    set of class vertices W touches; ``r_prime`` is the extended subset back
+    in the host graph's ids, spanning when it has every host vertex.
     ``incompleteness`` counts how far the edge bookkeeping identity falls
     short of equality (always >= 0).
     """
 
     r_set: frozenset[int]
-    phi: tuple[tuple[int, int], ...]
     w_subgraph: Graph
     core: tuple[int, ...]
     r_prime: frozenset[int]
     incompleteness: int
-    spanning: bool
 
 
 def build_extension(
@@ -184,7 +183,6 @@ def build_extension(
             raise AssertionError("reduced graph of a critical host must need k colors") from None
         outside = [v for v in range(g.n) if v not in r]
         n_out = len(outside)
-        phi = tuple(sorted((v, i) for i, cls in enumerate(classes, start=1) for v in cls))
         r_edges = _induced_edge_count(g, r)
         for w in subgraphs:
             core = tuple(v for v in range(n_out, w.n) if w.adj[v])
@@ -199,12 +197,10 @@ def build_extension(
                 raise AssertionError("incompleteness came out negative")
             yield ExtensionRecord(
                 r_set=r,
-                phi=phi,
                 w_subgraph=w,
                 core=core,
                 r_prime=r_prime,
                 incompleteness=i,
-                spanning=len(r_prime) == g.n,
             )
 
 

@@ -1,8 +1,10 @@
-"""Acceptance gate: thirteen numbered criteria, one test each.
+"""Acceptance gate: thirteen numbered criteria, one test each, then the tree
+suites at the paper's k (33, 36 and 40).
 
-Every test records a single human-readable pass line through the
+Every criterion records a single human-readable pass line through the
 ``acceptance_log`` fixture; the conftest summary hook prints them all after
-the run. Criterion 13 is a documented substitution, see its docstring.
+the run. Criterion 13 is a documented substitution, see its docstring. The
+runs at the paper's k write ``artifacts/t_growth.csv``.
 """
 
 import csv
@@ -294,3 +296,43 @@ def test_criterion_13_observational_rho_report(census4_9, census5_9, acceptance_
         f"{out.relative_to(ARTIFACTS.parent)} ({over} exceed the asymptotic "
         f"gap value, as expected at small k)",
     )
+
+
+PAPER_KS = (33, 36, 40)
+
+
+def paper_tree(k: int, steps: int) -> Node:
+    return random_ore_tree(k, steps, random.Random(steps))
+
+
+@pytest.mark.parametrize("k", PAPER_KS)
+@pytest.mark.parametrize("suite_id", ["main2-potential", "t-lower", "t-superadd"])
+def test_tree_suites_at_the_papers_k(suite_id, k):
+    """The paper's theorem needs k >= 33; the suites over composition trees
+    run there on seeded trees of 1, 2 and 3 steps."""
+    result = run_suite(suite_id, params={"k": k, "trees": [paper_tree(k, steps) for steps in (1, 2, 3)]})
+    counts = result.counts()
+    assert result.passed and counts["fail"] == counts["skip-cap"] == 0 and counts["pass"] >= 3
+
+
+def test_packing_grows_with_n_at_the_papers_k():
+    """T(G) on seeded composed graphs up to the 256-vertex cap, beside the
+    t-lower bound 2 + (n-1)/(k-1) that it meets or beats: the packing of a
+    composed graph grows at least linearly with n. Written to
+    artifacts/t_growth.csv."""
+    rows = []
+    for k, max_steps in ((33, 6), (40, 5)):
+        for steps in range(1, max_steps + 1):
+            g = realize(paper_tree(k, steps), k)
+            t_val = compute_T(g, k).value
+            bound = 2 + Fraction(g.n - 1, k - 1)
+            assert t_val >= bound
+            rows.append(
+                {"k": k, "steps": steps, "n": g.n, "T": t_val, "T/n": f"{t_val / g.n:.4f}", "t_lower_bound": str(bound)}
+            )
+    assert [r["T"] for r in rows if r["k"] == 33] == [4, 5, 6, 8, 8, 11]
+    ARTIFACTS.mkdir(exist_ok=True)
+    with (ARTIFACTS / "t_growth.csv").open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)

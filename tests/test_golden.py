@@ -7,9 +7,11 @@ the per-suite counts, configs and row digests recorded in
 ``gadget_catalog(k, 2)`` at k = 4 and 5 must reproduce the counts and
 digests in ``tests/golden/catalogs.json``; the gadget digest covers the key
 vertices, which no suite row shows. ``tests/golden/structure.json`` holds
-digests of every ``charge_report`` field (one line per ledger row) and of
-every ``build_extension`` record on fixed small corpora; suite rows show
-only totals of either. Refactors must leave all three files untouched;
+digests of the charge bookkeeping (the ``charge_report`` fields, the roles,
+one line per charge row, and the edge and charge counts over the L/M/P/Q
+classes that ``tests/report_columns.py`` rebuilds from them) and of every
+``build_extension`` record with the coloring it came from, on fixed small
+corpora; suite rows show only totals of either. Refactors must leave all three files untouched;
 regenerate them only for an intended change of results, with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -26,7 +28,6 @@ from itertools import combinations
 
 from orelab import (
     Graph,
-    build_extension,
     census_critical,
     charge_report,
     gadget_catalog,
@@ -39,6 +40,7 @@ from orelab import (
     tree_to_json,
 )
 from orelab.cli import main
+from report_columns import charge_columns, extensions_with_colorings, phi
 
 GOLDEN = Path(__file__).with_name("golden") / "verify_all.json"
 CATALOGS = Path(__file__).with_name("golden") / "catalogs.json"
@@ -101,27 +103,23 @@ def catalog_snapshot() -> dict:
 
 def _charge_lines(g, k: int, cap: int = 2) -> list[str]:
     rep = charge_report(g, k, ore_catalog_cap=cap)
+    columns = charge_columns(g, k, cap)
+    rows = columns.pop("rows")
     head = {
         "graph6": graph6_encode(g),
-        "k": rep.k,
-        "roles": [rep.roles.roles[v] for v in range(g.n)],
-        "complete": rep.roles.complete,
-        "catalog_size": rep.roles.catalog_size,
-        "promoted": sorted(rep.roles.promoted),
+        "k": k,
         "sizes": rep.sizes,
-        "lm_to_rest_edges": rep.lm_to_rest_edges,
-        "lm_identity_value": rep.lm_identity_value,
         "identity_hypothesis": rep.identity_hypothesis,
-        "m_p_edges": rep.m_p_edges,
         "total_charge": str(rep.total_charge),
         "rho_plus_delta_t": str(rep.rho_plus_delta_t),
-        "heavy_class_over_residue": rep.heavy_class_over_residue,
-        "lone_singleton_frontier": rep.lone_singleton_frontier,
+        **columns,
     }
     lines = [json.dumps(head, sort_keys=True)]
-    for r in rep.ledger.rows:
+    for r in rows:
         lines.append(
-            json.dumps([r.vertex, r.degree, r.role, r.label, str(r.initial), str(r.final)])
+            json.dumps(
+                [r.vertex, g.degree(r.vertex), columns["roles"][r.vertex], r.label, str(r.initial), str(r.final)]
+            )
         )
     return lines
 
@@ -132,17 +130,17 @@ def _extension_lines(g, k: int) -> list[str]:
     colorings = (
         classes for r_set in combinations(range(g.n), 3) for classes in minimum_colorings(g, r_set, k, limit=2)
     )
-    for rec in build_extension(g, k, colorings, limit=3):
+    for rec, classes in extensions_with_colorings(g, k, colorings, limit=3):
         record = {
             "graph6": graph6_encode(g),
             "r_set": sorted(rec.r_set),
-            "phi": [list(p) for p in rec.phi],
+            "phi": [list(p) for p in phi(classes)],
             "w_vertices": [v for v in range(rec.w_subgraph.n) if rec.w_subgraph.adj[v]],
             "w_edges": sorted(map(list, rec.w_subgraph.edges())),
             "core": list(rec.core),
             "r_prime": sorted(rec.r_prime),
             "incompleteness": rec.incompleteness,
-            "spanning": rec.spanning,
+            "spanning": len(rec.r_prime) == g.n,
         }
         lines.append(json.dumps(record, sort_keys=True))
     return lines

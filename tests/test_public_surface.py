@@ -1,14 +1,15 @@
 """The public surface stays as small as the workbench needs.
 
-A function exported from ``orelab``, and a public method of an exported
-class, must be used by the package itself (a suite, the CLI, another layer)
-or by the benchmark in ``bench/``. Tests do not count: code only its own
-tests call is dead weight. The few exports kept for users of the library
-are listed below, each with its reason, and an entry that gains a caller
-must leave its list, so the lists only shrink.
+A function exported from ``orelab``, a public method of an exported class
+and a field of an exported dataclass must be used by the package itself (a
+suite, the CLI, another layer) or by the benchmark in ``bench/``. Tests do
+not count: code only its own tests call or read is dead weight. The few
+exceptions are listed below, each with its reason, and an entry that gains
+a caller or reader must leave its list, so the lists only shrink.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from functools import lru_cache
@@ -152,6 +153,55 @@ def test_method_allowlist_names_public_methods():
     assert all(reason.strip() for reason in ALLOWED_UNUSED_METHODS.values())
     stale = sorted(set(ALLOWED_UNUSED_METHODS) - set(_unused_methods()))
     assert stale == [], f"allowlisted but called now, drop from ALLOWED_UNUSED_METHODS: {stale}"
+
+
+ALLOWED_UNUSED_FIELDS = {
+    "Gadget.tree": "the composition tree a gadget comes from; tests/golden/catalogs.json digests it",
+    "Gadget.deleted_vertex": "the vertex deleted from the realized tree; tests/golden/catalogs.json digests it",
+}
+
+
+@lru_cache(maxsize=None)
+def _fields_read(path: Path) -> set[str]:
+    """Attribute names a file reads as ``x.name``; assignments and string
+    constants do not count."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _dataclass_fields() -> list[str]:
+    return [
+        f"{name}.{field.name}"
+        for name in orelab.__all__
+        if dataclasses.is_dataclass(cls := getattr(orelab, name)) and cls.__module__.startswith("orelab")
+        for field in dataclasses.fields(cls)
+    ]
+
+
+def _unread_fields() -> list[str]:
+    """Fields of exported dataclasses, as Class.field, that neither the
+    package nor the bench reads."""
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    read = set().union(*(_fields_read(p) for p in sources))
+    return [name for name in _dataclass_fields() if name.split(".")[1] not in read]
+
+
+def test_every_dataclass_field_is_read():
+    """A field only tests read is carried by every record for nothing; the
+    value can be rebuilt where a test needs it. Like the method audit, this
+    matches by name, so a field counts as read when any ``x.<field>`` is."""
+    unread = [name for name in _unread_fields() if name not in ALLOWED_UNUSED_FIELDS]
+    assert unread == [], f"dataclass fields read only by tests: {unread}"
+
+
+def test_field_allowlist_names_unread_fields():
+    assert set(ALLOWED_UNUSED_FIELDS) <= set(_dataclass_fields())
+    assert all(reason.strip() for reason in ALLOWED_UNUSED_FIELDS.values())
+    stale = sorted(set(ALLOWED_UNUSED_FIELDS) - set(_unread_fields()))
+    assert stale == [], f"allowlisted but read now, drop from ALLOWED_UNUSED_FIELDS: {stale}"
 
 
 def _traced_targets() -> dict[str, list[str]]:

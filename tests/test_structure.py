@@ -42,6 +42,7 @@ from orelab import (
     rho,
     rho_subset,
 )
+from report_columns import extensions_with_colorings, phi
 
 
 def wheel5() -> Graph:
@@ -339,8 +340,8 @@ def replay_incompleteness(g: Graph, rec) -> int:
 def test_extension_on_complete_graph_is_complete_and_spanning():
     k4 = Graph.complete(4)
     (rec,) = build_extension(k4, 4, [((0,),)])
-    assert len(rec.core) == 1 and rec.incompleteness == 0 and rec.spanning
-    assert rec.r_prime == frozenset(range(4))
+    assert len(rec.core) == 1 and rec.incompleteness == 0
+    assert rec.r_prime == frozenset(range(4))  # spanning
 
 
 def test_extension_records_replay(census4_8):
@@ -358,7 +359,7 @@ def test_extension_records_replay(census4_8):
                 assert rec.incompleteness == replay_incompleteness(g, rec) >= 0
                 assert len(rec.core) >= 1
                 assert frozenset(r) <= rec.r_prime
-                assert rec.spanning == (rec.r_prime == frozenset(range(g.n)))
+                assert rec.r_prime <= frozenset(range(g.n))
                 # potential drop under extension
                 x = len(rec.core)
                 w = rec.w_subgraph
@@ -419,8 +420,8 @@ def test_build_extension_checks_the_host_once_over_many_colorings(monkeypatch):
 
 def test_extension_phi_numbers_the_classes_from_one():
     g = wheel5()
-    (rec,) = build_extension(g, 4, [((0, 2), (1,))], limit=1)
-    assert rec.phi == ((0, 1), (1, 2), (2, 1))
+    ((rec, classes),) = extensions_with_colorings(g, 4, [((0, 2), (1,))], limit=1)
+    assert phi(classes) == ((0, 1), (1, 2), (2, 1))
     assert rec.r_set == {0, 1, 2} and set(rec.core) <= {3, 4}
 
 

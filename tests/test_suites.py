@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from orelab import coloring, orekit, suites
+from orelab import coloring, discharging, orekit, suites
 from orelab import (
     DEFAULT_SEED,
     SUITE_IDS,
@@ -29,6 +29,7 @@ from orelab import (
     random_graph,
     random_ore_tree,
     realize,
+    rho,
     run_suite,
 )
 from orelab.cli import main
@@ -200,6 +201,24 @@ def test_verify_reports_a_failed_audit_and_exits_1(monkeypatch, tmp_path):
     data = json.loads(report.read_text())
     assert data["counts"]["fail"] > 0 and data["counts"]["pass"] == 0
     assert result.output.startswith("t-lower: FAIL (pass=0 fail=")
+
+
+def test_failed_charge_audit_reaches_the_report(monkeypatch, tmp_path):
+    """charge-identity rows compare the two totals charge_report returns;
+    a broken audit inside it must still end as fail rows and exit 1. A wrong
+    packing value cancels in rho + delta*T, so the potential is made wrong."""
+    monkeypatch.setattr(discharging, "rho", lambda g, k, t_value: rho(g, k, t_value) + 1)
+    corpus = classes_up_to(3)
+    result = run_suite("charge-identity", corpus=corpus)
+    assert result.counts() == {"pass": 0, "fail": len(corpus), "skip-cap": 0}
+    assert {(r.claim, r.values) for r in result.rows} == {
+        ("charge-identity", (("note", "total charge disagrees with the potential"),))
+    }
+    report = tmp_path / "report.json"
+    cli = CliRunner().invoke(main, ["verify", "--suite", "charge-identity", "--json", str(report)])
+    assert cli.exit_code == 1 and isinstance(cli.exception, SystemExit)
+    assert json.loads(report.read_text())["counts"]["pass"] == 0
+    assert cli.output.startswith("charge-identity: FAIL (pass=0 fail=")
 
 
 def test_result_serialization_shapes():
