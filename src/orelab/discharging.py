@@ -6,7 +6,7 @@ Roles and rules are evaluated on any host graph; facts that hold only for
 minimal counterexamples are never asserted. One report derives each
 per-graph fact once: classification finds the clusters and fetches the
 gadget catalog, the rules read the cluster sizes it returns, and the report
-audits the charge rows against the potential and a packing.
+audits the charge rows against the potential.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .graphs import Graph, cliques_of_size, embeddings
 from .orekit import Gadget, gadget_catalog
-from .packing import compute_T
 from .potential import PotentialParams, rho
 from .structure import clusters, edge_between
 
@@ -93,7 +92,6 @@ LABEL_R = "R-other"
 
 @dataclass(frozen=True)
 class VertexCharge:
-    vertex: int
     label: str
     initial: Fraction
     final: Fraction
@@ -102,7 +100,8 @@ class VertexCharge:
 def apply_rules(
     g: Graph, k: int, roles: dict[int, str], cluster_size: dict[int, int]
 ) -> tuple[VertexCharge, ...]:
-    """Run both redistribution rules and return one charge row per vertex.
+    """Run both redistribution rules and return one charge row per vertex,
+    in vertex order: ``rows[v]`` is the row of v.
 
     Every vertex v starts with (k-2)(k+1) + eps - d(v)(k-1). Rule one: each
     vertex of degree d >= k+2 keeps exactly -2+eps and sends (k-d)(k-1)/d
@@ -150,7 +149,7 @@ def apply_rules(
             label = LABEL_Q
         else:
             label = LABEL_R
-        rows.append(VertexCharge(v, label, initial[v], initial[v] + shift[v]))
+        rows.append(VertexCharge(label, initial[v], initial[v] + shift[v]))
     if sum(r.initial for r in rows) != sum(r.final for r in rows):
         raise AssertionError("rules moved charge without conserving it")
     return tuple(rows)
@@ -174,13 +173,14 @@ def charge_report(g: Graph, k: int, ore_catalog_cap: int = 2) -> ChargeReport:
     + (k-2)|M| - e(M, Q) is compared against direct counting whenever its
     hypothesis (no M vertex adjacent to a P vertex) holds; a violated
     hypothesis skips the comparison, it does not fail it. The total initial
-    charge must equal rho + delta*T.
+    charge must equal rho + delta*T, which is ((k-2)(k+1) + eps)n - 2(k-1)m
+    whatever T is, so no packing is computed.
     """
     rows = apply_rules(g, k, *classify_degree_k1(g, k, ore_catalog_cap))
     labels = (LABEL_L, LABEL_M, LABEL_P, LABEL_Q, LABEL_R)
     by_label: dict[str, set[int]] = {lab: set() for lab in labels}
-    for r in rows:
-        by_label[r.label].add(r.vertex)
+    for v, r in enumerate(rows):
+        by_label[r.label].add(v)
     l_set, m_set = by_label[LABEL_L], by_label[LABEL_M]
     p_set, q_set = by_label[LABEL_P], by_label[LABEL_Q]
     rest = by_label[LABEL_R]
@@ -194,8 +194,8 @@ def charge_report(g: Graph, k: int, ore_catalog_cap: int = 2) -> ChargeReport:
     hypothesis = edge_between(g, m_set, p_set) == 0
     if hypothesis and direct != identity:
         raise AssertionError("edge identity failed with its hypothesis intact")
-    t_val = compute_T(g, k).value
-    rho_plus = rho(g, k, t_val) + PotentialParams.for_k(k).delta * t_val
+    # rho + delta*T does not depend on T, so T = 0 gives it without a packing
+    rho_plus = rho(g, k, 0)
     total = sum((r.initial for r in rows), Fraction(0))
     if total != rho_plus:
         raise AssertionError("total charge disagrees with the potential")

@@ -12,6 +12,3 @@ class SizeCapError(ValueError):
 
     def __init__(self, what: str, requested: int, cap: int):
         super().__init__(f"{what}: requested {requested} exceeds cap {cap}")
-        self.what = what
-        self.requested = requested
-        self.cap = cap

@@ -449,7 +449,6 @@ class Gadget:
     of H surviving in those ids.
     """
 
-    k: int
     tree: OreTree
     deleted_vertex: int
     graph: Graph
@@ -556,5 +555,5 @@ def gadget_catalog(k: int, max_steps: int) -> tuple[Gadget, ...]:
             sig = (cf.key, frozenset(pos[v] for v in kept_keys))
             if sig not in seen:
                 seen.add(sig)
-                out.append(Gadget(k, tree, x, stripped, kept_keys))
+                out.append(Gadget(tree, x, stripped, kept_keys))
     return tuple(out)

@@ -24,7 +24,6 @@ BRUTEFORCE_MAX_VERTICES = 12
 class PackingWitness:
     """A vertex-disjoint family of (k-1)- and (k-2)-cliques with its value."""
 
-    k: int
     cliques: tuple[tuple[int, ...], ...]
     value: int
 
@@ -105,7 +104,7 @@ def compute_T(g: Graph, k: int) -> PackingWitness:
         dfs(rest, value, chosen)
 
     dfs(list(range(len(cand))), 0, ())
-    witness = PackingWitness(k, tuple(cand[i][1] for i in best_chosen), best_value)
+    witness = PackingWitness(tuple(cand[i][1] for i in best_chosen), best_value)
     check_witness(g, k, witness)
     return witness
 

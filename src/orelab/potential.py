@@ -21,7 +21,6 @@ from .packing import compute_T
 class PotentialParams:
     """The pair (eps, delta) attached to a color count k >= 4."""
 
-    k: int
     eps: Fraction
     delta: Fraction
 
@@ -33,7 +32,7 @@ class PotentialParams:
         delta = (k - 1) * eps
         if not eps <= 1:
             raise AssertionError("eps must not exceed 1")
-        return PotentialParams(k, eps, delta)
+        return PotentialParams(eps, delta)
 
 
 def rho_ky(g: Graph, k: int) -> int:

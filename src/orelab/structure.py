@@ -44,41 +44,27 @@ def clusters(g: Graph, k: int) -> list[frozenset[int]]:
 # -- diamonds and emeralds ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NearClique:
-    """A diamond (K_k minus one edge, interior pinned to degree k-1) or an
-    emerald (K_{k-1} with every vertex of host degree k-1)."""
-
-    kind: str  # "diamond" | "emerald"
-    vertices: frozenset[int]
-    endpoints: tuple[int, int] | None
-
-    def __post_init__(self):
-        if self.kind not in ("diamond", "emerald"):
-            raise ValueError(f"unknown near-clique kind {self.kind!r}")
-        if (self.kind == "diamond") != (self.endpoints is not None):
-            raise ValueError("diamonds and only diamonds carry endpoints")
-
-
-def find_diamonds_emeralds(g: Graph, k: int) -> list[NearClique]:
-    """All diamonds and emeralds of g.
+def find_diamonds_emeralds(g: Graph, k: int) -> list[frozenset[int]]:
+    """The vertex sets of all diamonds and emeralds of g: diamonds first,
+    then emeralds, each kind in order of its sorted vertex list.
 
     Diamond: a k-set inducing K_k minus exactly the edge between its two
     endpoints, with every interior vertex of full host degree k-1. The
     missing endpoint pair is required to be a non-edge of the host; if it
-    were present the set would induce K_k outright.
+    were present the set would induce K_k outright. The endpoints are the
+    set's one non-adjacent pair, so the set alone determines them.
     Emerald: a (k-1)-clique whose vertices all have host degree k-1.
     A caller asking about many vertex sets lists once and keeps, for each
-    set, the entries whose ``vertices`` miss it.
+    set, the entries that miss it.
     """
-    out: list[NearClique] = []
+    out: list[frozenset[int]] = []
     low = [v for v in range(g.n) if g.degree(v) == k - 1]
     low_mask = mask_of(low)
     for cl in cliques_of_size(g, k - 1):
         m = mask_of(cl)
         if m & low_mask != m:
             continue
-        out.append(NearClique("emerald", frozenset(cl), None))
+        out.append(frozenset(cl))
     for interior in cliques_of_size(g, k - 2):
         im = mask_of(interior)
         if im & low_mask != im:
@@ -90,10 +76,9 @@ def find_diamonds_emeralds(g: Graph, k: int) -> list[NearClique]:
             for v in bits_of(common & ~((1 << (u + 1)) - 1)):
                 if g.has_edge(u, v):
                     continue
-                out.append(
-                    NearClique("diamond", frozenset(interior) | {u, v}, (u, v))
-                )
-    out.sort(key=lambda d: (d.kind, sorted(d.vertices)))
+                out.append(frozenset(interior) | {u, v})
+    # a diamond has k vertices and an emerald k-1
+    out.sort(key=lambda s: (-len(s), sorted(s)))
     return out
 
 

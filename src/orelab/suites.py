@@ -276,7 +276,7 @@ def _diamond_emerald(tree: OreTree, params: dict) -> list[SuiteRow]:
         forbidden += [("near-clique witness avoiding a full clique", c) for c in cliques_of_size(g, k - 1)]
     rows = []
     for claim, forb in forbidden:
-        hits = sum(1 for nc in found if nc.vertices.isdisjoint(forb))
+        hits = sum(1 for vertices in found if vertices.isdisjoint(forb))
         rows.append(_row(g6, claim, hits > 0, forbidden="+".join(map(str, forb)), witnesses=hits))
     return rows
 

@@ -38,7 +38,7 @@ def charge_columns(g, k: int, cap: int = 2) -> dict:
     cluster; the frontier compares |L| + |P| with n(1 - eps/2)."""
     roles, cluster_size = classify_degree_k1(g, k, cap)
     rows = apply_rules(g, k, roles, cluster_size)
-    by_label = {lab: {r.vertex for r in rows if r.label == lab} for lab in ("L", "M", "P", "Q", "R-other")}
+    by_label = {lab: {v for v, r in enumerate(rows) if r.label == lab} for lab in ("L", "M", "P", "Q", "R-other")}
     l_set, m_set, p_set, q_set = (by_label[lab] for lab in "LMPQ")
     catalog = gadget_catalog(k, cap)
     structure = {v for v, role in roles.items() if role == "structure"}

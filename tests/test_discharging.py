@@ -5,6 +5,7 @@ reason; none of them needs to be critical, the bookkeeping is purely local.
 Catalog caps are kept at 1 for k >= 6 to stay fast.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from orelab import (
     charge_report,
     classify_degree_k1,
     compute_T,
+    graph_classes,
     ore_compose,
     rho,
 )
@@ -101,10 +103,10 @@ def test_high_degree_sender_keeps_exact_residue():
     g = star(6)
     rep = charge_report(g, 4)
     columns = charge_columns(g, 4)
-    hub = next(r for r in columns["rows"] if r.vertex == 6)
+    hub = next(r for v, r in enumerate(columns["rows"]) if v == 6)
     assert hub.final == Fraction(-21, 11) == -2 + EPS4
-    for r in columns["rows"]:
-        if r.vertex != 6:
+    for v, r in enumerate(columns["rows"]):
+        if v != 6:
             assert r.final == r.initial - 1 == Fraction(67, 11)
     assert columns["heavy_class_over_residue"] == 6
     assert rep.sizes == {"L": 0, "M": 0, "P": 0, "Q": 0, "R-other": 7}
@@ -132,12 +134,36 @@ def test_total_charge_equals_potential_plus_packing(census4_8):
         assert rep.identity_hypothesis or charge_columns(g, 4)["m_p_edges"] > 0
 
 
+def test_charge_report_does_no_packing(monkeypatch, census4_8):
+    """rho + delta*T is ((k-2)(k+1) + eps)n - 2(k-1)m whatever T is, so the
+    report needs no packing: with compute_T raising in every orelab module
+    that holds it, the report still succeeds, and its total still equals
+    rho + delta*T for the T packed beforehand."""
+    graphs = [g for n in range(1, 7) for g in graph_classes(n)] + list(census4_8.graphs)
+    packed = [compute_T(g, 4).value for g in graphs]
+
+    def no_packing(g, k):
+        raise AssertionError("charge_report packed a graph")
+
+    holders = [
+        name
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "orelab" and hasattr(module, "compute_T")
+    ]
+    assert {"orelab", "orelab.packing", "orelab.potential", "orelab.suites"} <= set(holders)
+    for name in holders:
+        monkeypatch.setattr(sys.modules[name], "compute_T", no_packing)
+    delta = PotentialParams.for_k(4).delta
+    for g, t in zip(graphs, packed):
+        assert charge_report(g, 4).total_charge == rho(g, 4, t) + delta * t
+
+
 def test_wheel_labels():
     w5 = Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
     rep = charge_report(w5, 4)
     assert rep.sizes == {"L": 0, "M": 0, "P": 0, "Q": 1, "R-other": 5}
-    q_row = next(r for r in charge_rows(w5, 4) if r.label == "Q")
-    assert q_row.vertex == 5 and w5.degree(q_row.vertex) == 5
+    q_vertex = next(v for v, r in enumerate(charge_rows(w5, 4)) if r.label == "Q")
+    assert q_vertex == 5 and w5.degree(q_vertex) == 5
 
 
 def test_clusters_are_found_once_per_report(monkeypatch):

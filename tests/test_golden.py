@@ -115,11 +115,9 @@ def _charge_lines(g, k: int, cap: int = 2) -> list[str]:
         **columns,
     }
     lines = [json.dumps(head, sort_keys=True)]
-    for r in rows:
+    for v, r in enumerate(rows):
         lines.append(
-            json.dumps(
-                [r.vertex, g.degree(r.vertex), columns["roles"][r.vertex], r.label, str(r.initial), str(r.final)]
-            )
+            json.dumps([v, g.degree(v), columns["roles"][v], r.label, str(r.initial), str(r.final)])
         )
     return lines
 

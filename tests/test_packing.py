@@ -46,7 +46,7 @@ def old_compute_T(g: Graph, k: int) -> PackingWitness:
     big = cliques_of_size(g, k - 1)
     small = cliques_of_size(g, k - 2)
     if not small:
-        return PackingWitness(k, (), 0)
+        return PackingWitness((), 0)
     cand = sorted([(2, cl) for cl in big] + [(1, cl) for cl in small], key=lambda wc: (-wc[0], wc[1]))
     weights = [w for w, _ in cand]
     masks = [mask_of(cl) for _, cl in cand]
@@ -67,7 +67,7 @@ def old_compute_T(g: Graph, k: int) -> PackingWitness:
         dfs(rest, used, value, chosen)
 
     dfs(list(range(len(cand))), 0, 0, [])
-    return PackingWitness(k, tuple(cand[i][1] for i in best[1]), best[0])
+    return PackingWitness(tuple(cand[i][1] for i in best[1]), best[0])
 
 
 def move_one_edge(g: Graph, rng: random.Random) -> Graph:
@@ -116,14 +116,14 @@ def test_witness_structure_and_independent_check(census4_8):
 def test_check_witness_rejects_tampering():
     k4 = Graph.complete(4)
     with pytest.raises(ValueError):
-        check_witness(k4, 4, PackingWitness(4, ((0, 1, 2), (2, 3)), 3))  # overlap
+        check_witness(k4, 4, PackingWitness(((0, 1, 2), (2, 3)), 3))  # overlap
     with pytest.raises(ValueError):
-        check_witness(k4, 4, PackingWitness(4, ((0, 1, 2, 3),), 2))  # wrong order
+        check_witness(k4, 4, PackingWitness(((0, 1, 2, 3),), 2))  # wrong order
     with pytest.raises(ValueError):
-        check_witness(k4, 4, PackingWitness(4, ((0, 1, 2),), 1))  # wrong value
+        check_witness(k4, 4, PackingWitness(((0, 1, 2),), 1))  # wrong value
     c4 = Graph.cycle(4)
     with pytest.raises(ValueError):
-        check_witness(c4, 4, PackingWitness(4, ((0, 1, 2),), 2))  # not a clique
+        check_witness(c4, 4, PackingWitness(((0, 1, 2),), 2))  # not a clique
 
 
 def test_matches_bruteforce_on_all_small_classes():

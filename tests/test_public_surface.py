@@ -1,17 +1,19 @@
 """The public surface stays as small as the workbench needs.
 
-A function exported from ``orelab``, a public method of an exported class
-and a field of an exported dataclass must be used by the package itself (a
-suite, the CLI, another layer) or by the benchmark in ``bench/``. Tests do
-not count: code only its own tests call or read is dead weight. The few
-exceptions are listed below, each with its reason, and an entry that gains
-a caller or reader must leave its list, so the lists only shrink.
+A function exported from ``orelab``, a public method of an exported class,
+a field of an exported dataclass and an attribute an exported exception
+sets must be used by the package itself (a suite, the CLI, another layer)
+or by the benchmark in ``bench/``. Tests do not count: code only its own
+tests call or read is dead weight. The few exceptions are listed below,
+each with its reason, and an entry that gains a caller or reader must leave
+its list, so the lists only shrink.
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import textwrap
 from functools import lru_cache
 from pathlib import Path
 
@@ -23,6 +25,7 @@ PACKAGE = ROOT / "src" / "orelab"
 ALLOWED_UNUSED = {
     "tree_loads": "reads back the JSON lines that gen-ore --tree-out writes",
     "is_isomorphic": "the isomorphism predicate over canonical_key for library users",
+    "eps_edge_bound": "the paper's main edge bound; ROADMAP item 3's eps-bound suite will call it",
 }
 
 ALLOWED_UNUSED_METHODS = {
@@ -33,9 +36,11 @@ ALLOWED_UNUSED_METHODS = {
 
 @lru_cache(maxsize=None)
 def _names_used(path: Path, skip_def: str | None) -> set[str]:
-    """Names a file loads, ``orelab.<name>`` attributes and string constants
-    (the bench lists its traced functions as strings), leaving out the body
-    of the function ``skip_def`` so recursion does not count as a use."""
+    """Names a file loads and ``orelab.<name>`` attributes, leaving out the
+    body of the function ``skip_def`` so recursion does not count as a use.
+    String constants do not count: bench/spans.py names the functions it
+    traces, which is not a call, and test_traced_benchmark_targets_exist
+    guards those names."""
     found: set[str] = set()
 
     def visit(node):
@@ -45,8 +50,6 @@ def _names_used(path: Path, skip_def: str | None) -> set[str]:
             found.add(node.id)
         elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "orelab":
             found.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found.add(node.value)
         for child in ast.iter_child_nodes(node):
             visit(child)
 
@@ -158,6 +161,11 @@ def test_method_allowlist_names_public_methods():
 ALLOWED_UNUSED_FIELDS = {
     "Gadget.tree": "the composition tree a gadget comes from; tests/golden/catalogs.json digests it",
     "Gadget.deleted_vertex": "the vertex deleted from the realized tree; tests/golden/catalogs.json digests it",
+    "GraphFormatError.offset": "gives library callers the byte offset of the failure in bad graph6 input",
+}
+
+SHARED_FIELD_NAMES = {
+    "n": "Graph.n and CanonicalForm.n are both the vertex count of one graph",
 }
 
 
@@ -181,27 +189,68 @@ def _dataclass_fields() -> list[str]:
     ]
 
 
+def _exception_attributes() -> list[str]:
+    """Attributes, as Class.attr, that an exported exception's own
+    ``__init__`` sets on ``self``."""
+    out = []
+    for name in orelab.__all__:
+        cls = getattr(orelab, name)
+        if not (inspect.isclass(cls) and issubclass(cls, BaseException) and "__init__" in vars(cls)):
+            continue
+        init = ast.parse(textwrap.dedent(inspect.getsource(cls.__init__)))
+        out += [
+            f"{name}.{node.attr}"
+            for node in ast.walk(init)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and getattr(node.value, "id", None) == "self"
+        ]
+    return out
+
+
+def _record_fields() -> list[str]:
+    return _dataclass_fields() + _exception_attributes()
+
+
 def _unread_fields() -> list[str]:
-    """Fields of exported dataclasses, as Class.field, that neither the
-    package nor the bench reads."""
+    """Fields of exported dataclasses and attributes of exported exceptions,
+    as Class.field, that neither the package nor the bench reads."""
     sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     read = set().union(*(_fields_read(p) for p in sources))
-    return [name for name in _dataclass_fields() if name.split(".")[1] not in read]
+    return [name for name in _record_fields() if name.split(".")[1] not in read]
 
 
 def test_every_dataclass_field_is_read():
     """A field only tests read is carried by every record for nothing; the
-    value can be rebuilt where a test needs it. Like the method audit, this
-    matches by name, so a field counts as read when any ``x.<field>`` is."""
+    value can be rebuilt where a test needs it; the same holds for an
+    attribute an exception sets. Like the method audit, this matches by
+    name, so a field counts as read when any ``x.<field>`` is."""
     unread = [name for name in _unread_fields() if name not in ALLOWED_UNUSED_FIELDS]
-    assert unread == [], f"dataclass fields read only by tests: {unread}"
+    assert unread == [], f"record fields read only by tests: {unread}"
 
 
 def test_field_allowlist_names_unread_fields():
-    assert set(ALLOWED_UNUSED_FIELDS) <= set(_dataclass_fields())
+    assert set(ALLOWED_UNUSED_FIELDS) <= set(_record_fields())
     assert all(reason.strip() for reason in ALLOWED_UNUSED_FIELDS.values())
     stale = sorted(set(ALLOWED_UNUSED_FIELDS) - set(_unread_fields()))
     assert stale == [], f"allowlisted but read now, drop from ALLOWED_UNUSED_FIELDS: {stale}"
+
+
+def test_no_two_exported_dataclasses_share_a_field_name():
+    """The field audit matches by name, so a field that shares its name with
+    a read field of another class passes it unread. Distinct names keep the
+    audit exact; a shared name is allowed only where both fields mean the
+    same thing."""
+    owners: dict[str, list[str]] = {}
+    for name in _dataclass_fields():
+        cls, field = name.split(".")
+        owners.setdefault(field, []).append(cls)
+    shared = {field: classes for field, classes in owners.items() if len(classes) > 1}
+    unexplained = {field: classes for field, classes in shared.items() if field not in SHARED_FIELD_NAMES}
+    assert unexplained == {}, f"field names shared across dataclasses: {unexplained}"
+    assert all(reason.strip() for reason in SHARED_FIELD_NAMES.values())
+    stale = sorted(set(SHARED_FIELD_NAMES) - set(shared))
+    assert stale == [], f"no longer shared, drop from SHARED_FIELD_NAMES: {stale}"
 
 
 def _traced_targets() -> dict[str, list[str]]:

@@ -16,7 +16,6 @@ import orelab.coloring
 import orelab.suites
 from orelab import (
     Graph,
-    NearClique,
     PotentialParams,
     SizeCapError,
     bits_of,
@@ -87,23 +86,26 @@ def test_clusters_match_pairwise_oracle():
 # -- diamonds and emeralds ------------------------------------------------------
 
 
-def check_near_clique(g: Graph, k: int, nc) -> None:
-    vs = sorted(nc.vertices)
-    if nc.kind == "emerald":
-        assert len(vs) == k - 1 and g.is_clique(vs)
+def check_near_clique(g: Graph, k: int, nc: frozenset[int]) -> None:
+    """The kind follows from the size (an emerald has k-1 vertices, a
+    diamond k), and a diamond's endpoints are its one non-edge."""
+    vs = sorted(nc)
+    assert len(vs) in (k - 1, k)
+    if len(vs) == k - 1:
+        assert g.is_clique(vs)
         assert all(g.degree(v) == k - 1 for v in vs)
     else:
-        u, v = nc.endpoints
+        ((u, v),) = [(a, b) for a, b in itertools.combinations(vs, 2) if not g.has_edge(a, b)]
         assert not g.has_edge(u, v)
-        interior = nc.vertices - {u, v}
-        assert len(nc.vertices) == k and all(g.degree(w) == k - 1 for w in interior)
+        interior = nc - {u, v}
+        assert len(nc) == k and all(g.degree(w) == k - 1 for w in interior)
         for a, b in itertools.combinations(vs, 2):
             assert g.has_edge(a, b) or {a, b} == {u, v}
 
 
 def avoiding(found, forbidden) -> list:
     """The near-cliques of ``found`` whose vertex sets miss ``forbidden``."""
-    return [nc for nc in found if nc.vertices.isdisjoint(forbidden)]
+    return [nc for nc in found if nc.isdisjoint(forbidden)]
 
 
 def test_emeralds_of_complete_graph():
@@ -114,7 +116,7 @@ def test_emeralds_of_complete_graph():
         assert found  # the emerald K_4 - v survives
         for nc in found:
             check_near_clique(k4, 4, nc)
-            assert v not in nc.vertices
+            assert v not in nc
 
 
 def test_wheel_has_no_diamonds_or_emeralds():
@@ -122,8 +124,11 @@ def test_wheel_has_no_diamonds_or_emeralds():
 
 
 def test_planted_diamond_found():
-    found = find_diamonds_emeralds(planted_diamond(), 4)
-    assert any(nc.kind == "diamond" and nc.endpoints == (0, 1) for nc in found)
+    g = planted_diamond()
+    found = find_diamonds_emeralds(g, 4)
+    assert frozenset({0, 1, 2, 3}) in found
+    # a diamond, with endpoints (0, 1): the 4-set's one non-edge
+    assert [(a, b) for a, b in itertools.combinations(range(4), 2) if not g.has_edge(a, b)] == [(0, 1)]
 
 
 def test_avoidance_on_small_ore_graphs():
@@ -137,7 +142,7 @@ def test_avoidance_on_small_ore_graphs():
                 assert found
                 for nc in found:
                     check_near_clique(g, k, nc)
-                    assert v not in nc.vertices
+                    assert v not in nc
             if g.n == k:
                 continue
             for q in itertools.combinations(range(g.n), k - 1):
@@ -146,7 +151,7 @@ def test_avoidance_on_small_ore_graphs():
                 found = avoiding(everything, q)
                 assert found
                 for nc in found:
-                    assert not (nc.vertices & set(q))
+                    assert not (nc & set(q))
 
 
 def near_cliques_avoiding(g: Graph, k: int, forbidden) -> list:
@@ -161,7 +166,7 @@ def near_cliques_avoiding(g: Graph, k: int, forbidden) -> list:
         m = mask_of(cl)
         if m & forb or m & low_mask != m:
             continue
-        out.append(NearClique("emerald", frozenset(cl), None))
+        out.append(frozenset(cl))
     for interior in cliques_of_size(g, k - 2):
         im = mask_of(interior)
         if im & forb or im & low_mask != im:
@@ -174,8 +179,9 @@ def near_cliques_avoiding(g: Graph, k: int, forbidden) -> list:
             for v in bits_of(common & ~((1 << (u + 1)) - 1)):
                 if g.has_edge(u, v):
                     continue
-                out.append(NearClique("diamond", frozenset(interior) | {u, v}, (u, v)))
-    out.sort(key=lambda d: (d.kind, sorted(d.vertices)))
+                out.append(frozenset(interior) | {u, v})
+    # diamonds (k vertices) first, then emeralds, each by sorted vertex list
+    out.sort(key=lambda d: (-len(d), sorted(d)))
     return out
 
 
