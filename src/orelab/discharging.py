@@ -5,8 +5,9 @@ charge identities that tie redistribution back to the potential.
 Roles and rules are evaluated on any host graph; facts that hold only for
 minimal counterexamples are never asserted. One report derives each
 per-graph fact once: classification finds the clusters and fetches the
-gadget catalog, the rules read the cluster sizes it returns, and the report
-audits the charge rows against the potential.
+gadget catalog only when some degree-(k-1) vertex lies in no K_{k-3}, the
+rules read the cluster sizes it returns, and the report audits the charge
+rows against the potential.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ def classify_degree_k1(
     cluster_of = {v: c for c in cluster_list for v in c}
 
     in_clique = {v for q in cliques_of_size(g, k - 3) for v in q}
-    catalog = gadget_catalog(k, ore_catalog_cap)
     key_targets = {v for v in low if v not in in_clique}
-    key_hits = _gadget_key_hits(g, catalog, key_targets) if key_targets else set()
+    # a vertex in some K_{k-3} never reads the catalog, so build it only for the rest
+    key_hits = _gadget_key_hits(g, gadget_catalog(k, ore_catalog_cap), key_targets) if key_targets else set()
 
     structure = {v for v in low if v in in_clique or v in key_hits}
     for c in cluster_list:

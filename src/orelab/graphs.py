@@ -73,7 +73,7 @@ class Graph:
     """Simple undirected graph on vertex ids 0..n-1, with n <= MAX_VERTICES.
 
     ``adj[v]`` is the neighbor set of v as a bitmask. Instances are immutable
-    and hashable; edits return new graphs.
+    and hashable; induced and relabelled graphs are new instances.
     """
 
     n: int
@@ -179,21 +179,7 @@ class Graph:
         m = mask_of(vs)
         return all(not (self.adj[v] & m) for v in vs)
 
-    # -- edits (all return new graphs) -------------------------------------
-
-    def add_edge(self, u: int, v: int) -> "Graph":
-        if u == v or self.has_edge(u, v):
-            raise ValueError(f"cannot add edge ({u},{v})")
-        rows = list(self.adj)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        return Graph._trusted(self.n, tuple(rows))
-
-    def delete_vertex(self, v: int) -> tuple["Graph", dict[int, int]]:
-        """Remove v; survivors are renumbered densely in increasing id order."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} not in graph")
-        return self.induced(u for u in range(self.n) if u != v)
+    # -- derived graphs ----------------------------------------------------
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph plus the old->new renumbering map."""
@@ -227,22 +213,6 @@ def _quotient(adj: Sequence[int], image: dict[int, int], n: int) -> tuple[int, .
             nbrs ^= low
         rows[new] |= row & ~(1 << new)
     return tuple(rows)
-
-
-def identify(g: Graph, x: int, y: int) -> tuple[Graph, dict[int, int]]:
-    """Merge x and y into one vertex (neighbor union, parallels collapsed).
-
-    Survivors keep their relative order with dense ids 0..n-3; the merged
-    vertex takes the final id n-2. The returned map sends every original
-    vertex (x and y included) to its new id.
-    """
-    if x == y:
-        raise ValueError("identify needs two distinct vertices")
-    if not (0 <= x < g.n and 0 <= y < g.n):
-        raise ValueError(f"cannot identify ({x},{y}) outside 0..{g.n - 1}")
-    remap = {old: new for new, old in enumerate(u for u in range(g.n) if u not in (x, y))}
-    remap[x] = remap[y] = g.n - 2
-    return Graph._trusted(g.n - 1, _quotient(g.adj, remap, g.n - 1)), remap
 
 
 # -- clique and subgraph search ------------------------------------------
@@ -440,28 +410,34 @@ def _search(g: Graph) -> tuple[CanonicalForm, list[list[int]]]:
     twin cells and the map from the first leaf onto each later leaf with its
     bits. Each fixes the first path down to where it was found and prunes
     there (McKay & Piperno, *Practical graph isomorphism, II*, 2014): such a
-    later leaf ends the search below its first-path ancestor's child, and a
-    first-path node skips a child in the orbit of a child it tried. Every
-    pruned leaf is the image of one met earlier, so the first best leaf is
-    still met; every generator joins two orbits, so there are at most n - 1.
+    later leaf ends the search below its first-path ancestor's child, and
+    every node skips a child in the orbit of a child it tried under the
+    generators that fix its path, the individualized vertices above it (on
+    the first path, all of them). Every pruned leaf is the image of one met
+    earlier, so the first best leaf and the first leaf with the first leaf's
+    bits below each child are still met; every generator joins two orbits,
+    so there are at most n - 1.
     """
     adj = g.adj
     first = best = []  # the orders of the first leaf and of the best leaf
     first_bits = best_bits = -1
     gens: list[list[int]] = []
 
-    def search(cells: list[list[int]], on_first: bool) -> bool:
+    def search(cells: list[list[int]], path: list[int], on_first: bool) -> bool:
         """True once a leaf below ``cells``, off the first path, has the first leaf's bits."""
         nonlocal first, first_bits, best, best_bits
         cells = _refine(adj, cells)
         for i, cell in enumerate(cells):
             if len(cell) > 1 and not _twin_cell(adj, cells, i):
+                # gens grows below this node only on the first path, where
+                # every generator fixes the path
+                stab = gens if on_first else [p for p in gens if all(p[u] == u for u in path)]
                 tried: list[int] = []
                 for v in cell:
-                    if on_first and tried and _orbit_firsts(tried + [v], gens)[-1] != v:
+                    if tried and stab and _orbit_firsts(tried + [v], stab)[-1] != v:
                         continue
                     child = cells[:i] + [[v], [u for u in cell if u != v]] + cells[i + 1:]
-                    if search(child, on_first and not tried) and not on_first:
+                    if search(child, path + [v], on_first and not tried) and not on_first:
                         return True
                     tried.append(v)
                 return False
@@ -480,7 +456,7 @@ def _search(g: Graph) -> tuple[CanonicalForm, list[list[int]]]:
             gens.append([v for _, v in sorted(zip(first, order))])
         return bits == first_bits
 
-    search([list(range(g.n))], True)
+    search([list(range(g.n))], [], True)
     return CanonicalForm(g.n, best_bits, tuple(best)), gens
 
 
@@ -532,10 +508,6 @@ def _orbit_firsts(candidates: Iterable, generators: Sequence) -> list:
 
 def canonical_key(g: Graph) -> tuple[int, int]:
     return canonical_form(g).key
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    return canonical_key(g) == canonical_key(h)
 
 
 def isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:

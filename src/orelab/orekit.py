@@ -28,11 +28,11 @@ from .graphs import (
     _check_order,
     _graph_of_key,
     _orbit_firsts,
+    _quotient,
     _search,
     bits_of,
     canonical_form,
     components,
-    identify,
     isomorphism,
     mask_of,
 )
@@ -86,7 +86,7 @@ def ore_compose(
     z: int,
     partition: tuple[tuple[int, ...], tuple[int, ...]],
 ) -> Graph:
-    """Compose: delete edge xy from g1, split z of g2, identify the halves.
+    """Compose: delete edge xy from g1, split z of g2, glue the halves to x and y.
 
     Result ids: g1's vertices keep their ids; g2's vertices other than z
     follow in increasing original order. So |V| = n1 + n2 - 1 and
@@ -109,7 +109,7 @@ def ore_compose(
         raise ValueError("split halves must partition the split vertex's neighbors")
     n1 = g1.n
     _check_order(n1 + g2.n - 1)
-    side, remap = g2.delete_vertex(z)
+    side, remap = g2.induced(v for v in range(g2.n) if v != z)
     rows = [*g1.adj, *(row << n1 for row in side.adj)]
     rows[x] ^= 1 << y
     rows[y] ^= 1 << x
@@ -398,21 +398,25 @@ def _decompose(g: Graph, k: int):
 
     g1 drops the split interior and restores the replaced edge ab; g2 keeps
     the split interior plus the pair and merges the pair back into z. Each
-    map sends the kept host vertices to their ids in that side, and t1, t2
-    are the recognized trees. The split side is built only once the edge
-    side is recognized.
+    side is one quotient of g: map1 numbers the vertices outside the split
+    interior in order, and map2 numbers the split interior in order and
+    sends a and b both to the last id. t1 and t2 are the recognized trees.
+    The split side is built only once the edge side is recognized.
     """
     for a, b, split_mask in _candidate_splits(g):
-        g1, map1 = g.induced(bits_of(g.full_mask() & ~split_mask))
-        g1 = g1.add_edge(map1[a], map1[b])
+        map1 = {v: i for i, v in enumerate(bits_of(g.full_mask() & ~split_mask))}
+        rows = list(_quotient(g.adj, map1, len(map1)))
+        rows[map1[a]] |= 1 << map1[b]
+        rows[map1[b]] |= 1 << map1[a]
+        g1 = Graph._trusted(len(map1), tuple(rows))
         t1 = _recognize(g1, k)
         if t1 is None:
             continue
-        sub2, sub_map = g.induced(bits_of(split_mask | (1 << a) | (1 << b)))
-        g2, idmap = identify(sub2, sub_map[a], sub_map[b])
+        z = split_mask.bit_count()
+        map2 = {v: i for i, v in enumerate(bits_of(split_mask))} | {a: z, b: z}
+        g2 = Graph._trusted(z + 1, _quotient(g.adj, map2, z + 1))
         t2 = _recognize(g2, k)
         if t2 is not None:
-            map2 = {v: idmap[i] for v, i in sub_map.items()}
             yield a, b, split_mask, (g1, map1, t1), (g2, map2, t2)
 
 
@@ -548,7 +552,7 @@ def gadget_catalog(k: int, max_steps: int) -> tuple[Gadget, ...]:
         keys = key_vertices(tree)
         eligible = {v for c in clusters(g, k) if len(c) >= 2 for v in c}
         for x in sorted(eligible):
-            stripped, remap = g.delete_vertex(x)
+            stripped, remap = g.induced(v for v in range(g.n) if v != x)
             kept_keys = frozenset(remap[v] for v in keys if v != x)
             cf = canonical_form(stripped)
             pos = {v: i for i, v in enumerate(cf.labeling)}

@@ -315,6 +315,16 @@ def test_tree_suites_at_the_papers_k(suite_id, k):
     assert result.passed and counts["fail"] == counts["skip-cap"] == 0 and counts["pass"] >= 3
 
 
+@pytest.mark.parametrize("k", PAPER_KS)
+def test_charge_identity_at_the_papers_k(k):
+    """The charge audit on seeded composed graphs of 1, 2 and 3 steps: every
+    degree-(k-1) vertex lies in a K_{k-3}, so no gadget catalog is built."""
+    graphs = [realize(paper_tree(k, steps), k) for steps in (1, 2, 3)]
+    result = run_suite("charge-identity", corpus=graphs, params={"k": k})
+    counts = result.counts()
+    assert result.passed and counts["fail"] == counts["skip-cap"] == 0 and counts["pass"] == 3
+
+
 def test_packing_grows_with_n_at_the_papers_k():
     """T(G) on seeded composed graphs up to the 256-vertex cap, beside the
     t-lower bound 2 + (n-1)/(k-1) that it meets or beats: the packing of a

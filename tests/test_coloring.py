@@ -139,7 +139,7 @@ def test_is_k_critical_matches_definition_on_small_classes():
                         for u, v in g.edges()
                     )
                     and all(
-                        oracle_chromatic(g.delete_vertex(v)[0]) <= k - 1
+                        oracle_chromatic(g.induced(u for u in range(g.n) if u != v)[0]) <= k - 1
                         for v in range(g.n)
                     )
                 )
@@ -152,7 +152,7 @@ def test_critical_graphs_are_vertex_critical_and_well_connected(census4_8):
             continue
         assert g.min_degree() >= 3
         for v in range(g.n):
-            h, _ = g.delete_vertex(v)
+            h, _ = g.induced(u for u in range(g.n) if u != v)
             assert first_coloring(h.adj, 3) is not None
         # every proper nonempty subset sends at least k-1 edges outside
         for size in range(1, g.n):

@@ -5,6 +5,7 @@ reason; none of them needs to be critical, the bookkeeping is purely local.
 Catalog caps are kept at 1 for k >= 6 to stay fast.
 """
 
+import random
 import sys
 from fractions import Fraction
 
@@ -20,6 +21,8 @@ from orelab import (
     compute_T,
     graph_classes,
     ore_compose,
+    random_ore_tree,
+    realize,
     rho,
 )
 from report_columns import charge_columns, charge_rows
@@ -156,6 +159,31 @@ def test_charge_report_does_no_packing(monkeypatch, census4_8):
     delta = PotentialParams.for_k(4).delta
     for g, t in zip(graphs, packed):
         assert charge_report(g, 4).total_charge == rho(g, 4, t) + delta * t
+
+
+def test_catalog_is_built_only_for_vertices_in_no_small_clique(monkeypatch, census4_8, census5_8):
+    """A degree-(k-1) vertex in some K_{k-3} never reads the gadget catalog,
+    and on these hosts every one lies in such a clique: with gadget_catalog
+    raising in every orelab module that holds it, each report still
+    succeeds. Building the catalog first exceeds the recognition cap at
+    k = 10 and runs for minutes at k = 14."""
+
+    def no_catalog(k, max_steps):
+        raise AssertionError("charge_report built the gadget catalog")
+
+    holders = [
+        name
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "orelab" and hasattr(module, "gadget_catalog")
+    ]
+    assert {"orelab", "orelab.orekit", "orelab.discharging"} <= set(holders)
+    for name in holders:
+        monkeypatch.setattr(sys.modules[name], "gadget_catalog", no_catalog)
+    hosts = [(4, g) for g in census4_8.graphs] + [(5, g) for g in census5_8.graphs]
+    hosts += [(k, realize(random_ore_tree(k, s, random.Random(s)))) for k in (6, 8, 10, 14) for s in (1, 2, 3)]
+    for k, g in hosts:
+        rep = charge_report(g, k)
+        assert rep.total_charge == rep.rho_plus_delta_t and sum(rep.sizes.values()) == g.n
 
 
 def test_wheel_labels():

@@ -24,8 +24,6 @@ from orelab import (
     clusters,
     gadget_catalog,
     graph_classes,
-    identify,
-    is_isomorphic,
     is_k_critical,
     is_k_ore,
     key_vertices,
@@ -246,7 +244,7 @@ def test_generate_and_recognize_roundtrip():
             g = realize(tree)
             witness = is_k_ore(g, k)
             assert witness is not None
-            assert is_isomorphic(realize(witness), g)
+            assert canonical_key(realize(witness)) == canonical_key(g)
 
 
 def test_witness_does_not_depend_on_call_order():
@@ -264,7 +262,7 @@ def test_witness_does_not_depend_on_call_order():
             orekit._recognize_class.cache_clear()
             is_k_ore(g, k)
             assert tree_dumps(is_k_ore(h, k)) == cold
-            assert is_isomorphic(realize(tree_loads(cold)), h)
+            assert canonical_key(realize(tree_loads(cold))) == canonical_key(h)
 
 
 def test_recognition_caches_are_bounded():
@@ -287,7 +285,13 @@ def test_recognition_cap():
 
 
 def test_decompositions_replay():
+    # networkx rebuilds both sides: the edge side adds ab back to g minus the
+    # split interior, the split side contracts b into a
+    nx = pytest.importorskip("networkx")
     g = realize(one_step())
+    whole = nx.Graph()
+    whole.add_nodes_from(range(g.n))
+    whole.add_edges_from(g.edges())
     decs = list(orekit._decompose(g, 4))
     assert decs
     for a, b, split_mask, (g1, map1, t1), (g2, map2, t2) in decs:
@@ -296,12 +300,48 @@ def test_decompositions_replay():
         assert edge_side | split_side == set(range(g.n))
         assert edge_side & split_side == {a, b}
         assert split_side == set(bits_of(split_mask)) | {a, b}
-        eside, emap = g.induced(sorted(edge_side))
-        assert is_k_ore(eside.add_edge(emap[a], emap[b]), 4) is not None
-        sside, smap = g.induced(sorted(split_side))
-        fused, _ = identify(sside, smap[a], smap[b])
-        assert is_k_ore(fused, 4) is not None
-        assert is_isomorphic(realize(t1), g1) and is_isomorphic(realize(t2), g2)
+        eside = whole.subgraph(edge_side).copy()
+        eside.add_edge(a, b)
+        sside = nx.contracted_nodes(whole.subgraph(split_side), a, b, self_loops=False)
+        for side, h, side_map in ((eside, g1, map1), (sside, g2, map2)):
+            assert h.n == side.number_of_nodes() and h.edge_count() == side.number_of_edges()
+            assert all(h.has_edge(side_map[u], side_map[v]) for u, v in side.edges())
+            assert is_k_ore(h, 4) is not None
+        assert canonical_key(realize(t1)) == canonical_key(g1)
+        assert canonical_key(realize(t2)) == canonical_key(g2)
+
+
+def _sides_by_edge_lists(g: Graph, a: int, b: int, split_mask: int):
+    """Both sides of a split, built as an induced subgraph followed by adding
+    the edge ab, and as an induced subgraph followed by merging a and b into
+    its last id with the other vertices kept in order, from edge lists."""
+    outside = [v for v in range(g.n) if not split_mask >> v & 1]
+    map1 = {v: i for i, v in enumerate(outside)}
+    edges1 = [(map1[u], map1[v]) for u, v in g.edges() if u in map1 and v in map1]
+    g1 = Graph.from_edges(len(outside), edges1 + [(map1[a], map1[b])])
+    inside = sorted(set(bits_of(split_mask)) | {a, b})
+    sub_map = {v: i for i, v in enumerate(inside)}
+    x, y = sub_map[a], sub_map[b]
+    merged = {old: new for new, old in enumerate(u for u in range(len(inside)) if u not in (x, y))}
+    merged[x] = merged[y] = len(inside) - 2
+    map2 = {v: merged[i] for v, i in sub_map.items()}
+    edges2 = {(map2[u], map2[v]) for u, v in g.edges() if u in map2 and v in map2 and map2[u] != map2[v]}
+    return (g1, map1), (Graph.from_edges(len(inside) - 1, edges2), map2)
+
+
+def test_decompose_sides_match_the_edge_list_construction(monkeypatch):
+    # every candidate split reaches both sides when every side is recognized
+    monkeypatch.setattr(orekit, "_recognize", lambda g, k: Leaf(k))
+    for k in (4, 5):
+        trees = ore_catalog(k, 2)
+        count = 0
+        for tree in trees:
+            g = realize(tree)
+            for a, b, split_mask, (g1, map1, _), (g2, map2, _) in orekit._decompose(g, k):
+                assert ((g1, map1), (g2, map2)) == _sides_by_edge_lists(g, a, b, split_mask)
+                count += 1
+        assert count == sum(1 for tree in trees for _ in orekit._candidate_splits(realize(tree)))
+        assert count > len(trees)
 
 
 def _candidate_splits_by_pair_scan(g: Graph):
@@ -395,13 +435,13 @@ def test_gadget_catalog_from_composition():
     # a gadget deletes a vertex of a cluster of size >= 2 and keeps the
     # surviving key vertices of its host
     g = realize(one_step())
-    gadgets = [gd for gd in gadget_catalog(4, 1) if is_isomorphic(realize(gd.tree), g)]
+    gadgets = [gd for gd in gadget_catalog(4, 1) if canonical_key(realize(gd.tree)) == canonical_key(g)]
     assert gadgets
     for gadget in gadgets:
         host, x = realize(gadget.tree), gadget.deleted_vertex
         eligible = {v for c in clusters(host, 4) if len(c) >= 2 for v in c}
         assert x in eligible and eligible != set(range(host.n))
-        stripped, remap = host.delete_vertex(x)
+        stripped, remap = host.induced(v for v in range(host.n) if v != x)
         assert gadget.graph == stripped and gadget.graph.n == 6
         keys = key_vertices(gadget.tree)
         assert gadget.key_vertices == frozenset(remap[v] for v in keys if v != x)

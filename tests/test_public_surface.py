@@ -24,7 +24,6 @@ PACKAGE = ROOT / "src" / "orelab"
 
 ALLOWED_UNUSED = {
     "tree_loads": "reads back the JSON lines that gen-ore --tree-out writes",
-    "is_isomorphic": "the isomorphism predicate over canonical_key for library users",
     "eps_edge_bound": "the paper's main edge bound; ROADMAP item 3's eps-bound suite will call it",
 }
 

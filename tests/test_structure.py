@@ -20,6 +20,7 @@ from orelab import (
     SizeCapError,
     bits_of,
     build_extension,
+    canonical_key,
     cliques_of_size,
     clusters,
     color_reduce,
@@ -29,7 +30,6 @@ from orelab import (
     edge_between,
     find_diamonds_emeralds,
     first_coloring,
-    is_isomorphic,
     mask_of,
     mic,
     minimum_colorings,
@@ -234,7 +234,7 @@ def test_reduce_clique_with_injective_coloring_is_identity():
     k4 = Graph.complete(4)
     classes = ((0,), (1,), (2,))
     red = color_reduce(k4, classes)
-    assert is_isomorphic(red, k4)
+    assert canonical_key(red) == canonical_key(k4)
     assert outside_ids(k4, classes) == {3: 0}
     # class vertices are pairwise adjacent
     for a, b in itertools.combinations(class_vertices(k4, classes), 2):
