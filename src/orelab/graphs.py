@@ -338,34 +338,49 @@ class CanonicalForm:
         return (self.n, self.bits)
 
 
-def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
-    """1-WL refinement of an ordered partition until stable.
+def _refine(adj: tuple[int, ...], cells: list[list[int]], splitters: list[int]) -> list[list[int]]:
+    """1-WL refinement of an ordered partition until stable, counting only
+    against the cells that just split (McKay, *Practical graph isomorphism*,
+    1981).
 
-    Cells split by their members' neighbor counts into every current cell;
-    sub-cells are ordered by sorted signature, which keeps the refinement
-    label-invariant.
+    A round splits each cell by its members' tuple of neighbor counts into
+    the round's splitters (vertex masks in partition order) and orders the
+    sub-cells by that tuple, which keeps the refinement label-invariant. The
+    next round's splitters are the pieces of every cell that split, less the
+    last piece of each; the refinement stops when a round splits nothing.
+
+    Precondition: two members of one input cell that agree on their counts
+    into every splitter agree on their count into every input cell. Then
+    each round starts with every cell's members agreeing on their count into
+    every cell of the round before, so counts into an unsplit cell, and into
+    the last piece of a split one (the cell's count less its other pieces'),
+    are equal within a cell and change neither a split nor the lexicographic
+    order of the sub-cells. The result is the partition a rescan against
+    every cell gives, in the same order, whenever the input splitters order
+    each cell as its counts into all input cells do. Dropping the largest
+    piece instead of the last, as Hopcroft does, would change that order.
     """
-    while True:
-        masks = [mask_of(cell) for cell in cells]
+    while splitters:
         new_cells: list[list[int]] = []
-        changed = False
+        next_splitters: list[int] = []
+        one = splitters[0] if len(splitters) == 1 else None
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            sig: dict[tuple[int, ...], list[int]] = {}
+            sig: dict[int | tuple[int, ...], list[int]] = {}
             for v in cell:
-                key = tuple((adj[v] & m).bit_count() for m in masks)
+                row = adj[v]
+                key = (row & one).bit_count() if one is not None else tuple((row & m).bit_count() for m in splitters)
                 sig.setdefault(key, []).append(v)
             if len(sig) == 1:
                 new_cells.append(cell)
-            else:
-                changed = True
-                for key in sorted(sig):
-                    new_cells.append(sig[key])
-        cells = new_cells
-        if not changed:
-            return cells
+                continue
+            pieces = [sig[key] for key in sorted(sig)]
+            new_cells += pieces
+            next_splitters += [mask_of(piece) for piece in pieces[:-1]]
+        cells, splitters = new_cells, next_splitters
+    return cells
 
 
 def _twin_cell(adj: tuple[int, ...], cells: list[list[int]], idx: int) -> bool:
@@ -405,6 +420,10 @@ def _search(g: Graph) -> tuple[CanonicalForm, list[list[int]]]:
     cells in order; its bits are the upper-triangle adjacency bit string of
     that order, and the canonical order is the first leaf with the most bits.
     Cells of mutual twins are never branched on (any order gives equal bits).
+    The root refines against the whole vertex set (its counts are degrees)
+    and a child against its individualized vertex alone: the parent's cells
+    are stable, so a count into the rest of the split cell is the count into
+    the whole cell less the adjacency to that vertex.
 
     The generators are the swaps of consecutive pairs in the first leaf's
     twin cells and the map from the first leaf onto each later leaf with its
@@ -426,7 +445,7 @@ def _search(g: Graph) -> tuple[CanonicalForm, list[list[int]]]:
     def search(cells: list[list[int]], path: list[int], on_first: bool) -> bool:
         """True once a leaf below ``cells``, off the first path, has the first leaf's bits."""
         nonlocal first, first_bits, best, best_bits
-        cells = _refine(adj, cells)
+        cells = _refine(adj, cells, [1 << path[-1]] if path else [g.full_mask()])
         for i, cell in enumerate(cells):
             if len(cell) > 1 and not _twin_cell(adj, cells, i):
                 # gens grows below this node only on the first path, where

@@ -545,6 +545,13 @@ def gadget_catalog(k: int, max_steps: int) -> tuple[Gadget, ...]:
     that keeps x away from every overlap pair, which is what makes the
     leftover graph useful as a pattern.
     """
+    # An s-step member has k + s(k - 1) vertices (K_k is the only member for
+    # k < 3) and key_vertices refuses one over its cap: refuse the first
+    # before building the catalog.
+    for steps in range(max(max_steps, 0) + 1 if k >= 3 else 1):
+        n = k + steps * (k - 1)
+        if n > DEFAULT_RECOGNITION_CAP:
+            raise SizeCapError("key-vertex vertex count", n, DEFAULT_RECOGNITION_CAP)
     out: list[Gadget] = []
     seen: set[tuple] = set()
     for tree in ore_catalog(k, max_steps):

@@ -28,7 +28,7 @@ from orelab import (
     isomorphism,
     to_dot,
 )
-from orelab.census import _augment
+from orelab.census import _augment, random_graph
 from orelab.cli import _read_graphs
 from orelab.graphs import (
     MAX_VERTICES,
@@ -402,14 +402,76 @@ def group_order(n: int, generators) -> int:
     return len(seen)
 
 
+def _rescan_refine(adj, cells):
+    """The oracle for ``_refine``: each round splits every cell by its
+    members' neighbor counts into every current cell, ordering the sub-cells
+    by the tuple of counts, until a round splits nothing."""
+    while True:
+        masks = [mask_of(cell) for cell in cells]
+        new_cells = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            sig = {}
+            for v in cell:
+                key = tuple((adj[v] & m).bit_count() for m in masks)
+                sig.setdefault(key, []).append(v)
+            if len(sig) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                for key in sorted(sig):
+                    new_cells.append(sig[key])
+        cells = new_cells
+        if not changed:
+            return cells
+
+
+@st.composite
+def refinement_graphs(draw):
+    """Every class on at most 7 vertices, random graphs on at most 24,
+    seeded Ore trees at k = 4..6 and the cycle families, relabelled."""
+    source = draw(st.sampled_from(["class", "random", "ore", "cycles"]))
+    if source == "class":
+        g = draw(st.sampled_from(graph_classes(draw(st.integers(0, 7)))))
+    elif source == "random":
+        g = random_graph(random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(0, 24)))
+    elif source == "ore":
+        k, steps, seed = draw(st.integers(4, 6)), draw(st.integers(1, 3)), draw(st.integers(0, 99))
+        g = realize(random_ore_tree(k, steps, random.Random(seed)))
+    else:
+        g = cycle_family(*draw(st.sampled_from(CYCLE_FAMILIES)))[0]
+    return g.relabelled(draw(st.permutations(range(g.n))))
+
+
+@given(refinement_graphs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_splitter_refinement_matches_the_full_rescan(g, data):
+    order = data.draw(st.permutations(range(g.n)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, g.n - 1)))) if g.n > 1 else []
+    bounds = [0] + cuts + [g.n]
+    cells = [order[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
+    # any ordered partition, with every cell a splitter
+    assert _refine(g.adj, cells, [mask_of(cell) for cell in cells]) == _rescan_refine(g.adj, cells)
+    # a stable partition with one vertex individualized, as the search's children
+    stable = _rescan_refine(g.adj, cells)
+    choices = [(i, v) for i, cell in enumerate(stable) if len(cell) > 1 for v in cell]
+    if choices:
+        i, v = data.draw(st.sampled_from(choices))
+        child = stable[:i] + [[v], [u for u in stable[i] if u != v]] + stable[i + 1:]
+        assert _refine(g.adj, child, [1 << v]) == _rescan_refine(g.adj, child)
+
+
 def _reference_leaves(g: Graph):
     """The unpruned walk: every leaf of the individualization tree below the
-    one-cell partition, as (bits, order, cells) in search order. It uses the
-    same refinement, branching cell and child order as the pruned search, so
-    its first leaf with the most bits is the canonical one."""
+    one-cell partition, as (bits, order, cells) in search order. It refines
+    with the full rescan and uses the pruned search's branching cell and
+    child order, so its first leaf with the most bits is the canonical one."""
 
     def search(cells):
-        cells = _refine(g.adj, cells)
+        cells = _rescan_refine(g.adj, cells)
         for i, cell in enumerate(cells):
             if len(cell) > 1 and not _twin_cell(g.adj, cells, i):
                 for v in cell:
@@ -528,12 +590,12 @@ def test_cycle_families_need_few_refinements(monkeypatch):
     # refinements on 3 C5 plus a C15, and minutes on 4 C5 plus a C20
     calls = 0
 
-    def counted(adj, cells):
+    def counted(adj, cells, splitters):
         nonlocal calls
         calls += 1
         if calls > 500:
             raise AssertionError("more than 500 refinements")
-        return _refine(adj, cells)
+        return _refine(adj, cells, splitters)
 
     monkeypatch.setattr("orelab.graphs._refine", counted)
     for spec in CYCLE_FAMILIES:

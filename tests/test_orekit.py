@@ -462,6 +462,18 @@ def test_gadget_catalog_finds_key_vertices_once_per_tree(monkeypatch):
         assert fresh == gadget_catalog(k, 2)
 
 
+@pytest.mark.parametrize("k,max_steps,n", [(10, 2, 28), (9, 3, 33), (26, 0, 26)])
+def test_gadget_catalog_refuses_an_oversized_catalog_before_building_it(monkeypatch, k, max_steps, n):
+    # n is the vertex count of the first catalog member over key_vertices' cap
+    def unbuilt(k, max_steps):
+        raise AssertionError("ore_catalog was built")
+
+    monkeypatch.setattr(orekit, "ore_catalog", unbuilt)
+    with pytest.raises(SizeCapError) as err:
+        gadget_catalog.__wrapped__(k, max_steps)
+    assert str(err.value) == f"key-vertex vertex count: requested {n} exceeds cap 25"
+
+
 def test_catalog_sizes_and_contents():
     assert len(ore_catalog(4, 0)) == 1
     cat1 = ore_catalog(4, 1)
