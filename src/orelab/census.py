@@ -8,13 +8,17 @@ is complete. Masks in one orbit of the parent's automorphism group give
 isomorphic children, so only the least mask of each orbit is augmented, with
 generators read off the parent's own canonical search. Each augmented graph
 is keyed once, so the level keys come from the uncached canonical labelling.
-The criticality census sieves the augmentation with necessary conditions
-that follow from the definition only (colorability, minimum degree,
-connectivity, no K_k above order k, and criticality of the new vertex's
-edges), as bit operations on facts computed once per parent, and colors only
-the survivors with one parent edge deleted; the bounds this workbench is
-meant to verify are never used to generate, so the census cannot beg the
-question.
+A level can be bounded by minimum degree and colorability, which every
+parent inherits (less one degree), so a bounded level grows only from the
+bounded level below and labels only the children that meet both bounds.
+The criticality census reads only the parents a k-critical graph can have
+(minimum degree k-2, (k-1)-colorable), sieves their augmentation with
+necessary conditions that follow from the definition only (colorability,
+minimum degree, connectivity, no K_k above order k, and criticality of the
+new vertex's edges), as bit operations on facts computed once per parent,
+and colors only the survivors with one parent edge deleted; the bounds this
+workbench is meant to verify are never used to generate, so the census
+cannot beg the question.
 """
 
 from __future__ import annotations
@@ -87,11 +91,25 @@ def _orbit_minima(parent: Graph) -> list[int]:
     return _orbit_firsts(range(size), images)
 
 
-@lru_cache(maxsize=None)
-def graph_classes(n: int) -> tuple[Graph, ...]:
-    """Every graph on n vertices, one per isomorphism class, in canonical-key
-    order; each class is represented by its first child in the loop over
-    parents (in order) and masks (increasing).
+def _bound(name: str, value: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def graph_classes(n: int, min_degree: int = 0, colors: int | None = None) -> tuple[Graph, ...]:
+    """Every graph on n vertices with minimum degree at least ``min_degree``
+    that is ``colors``-colorable (None: any number of colors), one per
+    isomorphism class, in canonical-key order; each class is represented by
+    its first child in the loop over parents (in order) and masks
+    (increasing), so a bounded list is the full list filtered.
+
+    Both bounds are inherited by the parents: a graph minus a vertex is
+    still ``colors``-colorable and has minimum degree at least
+    ``min_degree - 1``. So every child of a wanted class comes from a parent
+    in the bounded list one order down, the loop meets the wanted children
+    in the unbounded loop's order, and each wanted class keeps its
+    representative.
 
     Masks in one orbit of Aut(parent) give isomorphic children, so only the
     least mask of each orbit is labelled. That leaves every representative
@@ -102,11 +120,33 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
         raise ValueError("vertex count must be nonnegative")
     if n > ENUMERATION_CAP:
         raise SizeCapError("built-in enumeration order", n, ENUMERATION_CAP)
+    min_degree = _bound("min_degree", min_degree)
+    colors = n if colors is None else _bound("colors", colors)
+    # no vertex has degree n and every graph on n vertices is n-colorable,
+    # so the capped bounds name the same level and the cache stays finite
+    return _classes(n, min(min_degree, n + 1), min(colors, n))
+
+
+@lru_cache(maxsize=None)
+def _classes(n: int, d: int, t: int) -> tuple[Graph, ...]:
+    """``graph_classes(n, d, t)`` for d <= n + 1 and t <= n, from the parents
+    ``_classes(n - 1, max(d - 1, 0), min(t, n - 1))``. A mask is labelled
+    only if the new vertex gets degree d or more and covers every parent
+    vertex of degree d - 1, and, when t < n, only if the child is
+    t-colorable by the parent's colorable-mask table."""
     if n == 0:
-        return (Graph.empty(0),)
+        return () if d else (Graph.empty(0),)
+    if t == 0:
+        return ()
     out: dict = {}
-    for parent in graph_classes(n - 1):
+    for parent in _classes(n - 1, max(d - 1, 0), min(t, n - 1)):
+        low = mask_of(v for v, row in enumerate(parent.adj) if row.bit_count() == d - 1)
+        table = _colorable_masks(parent, t + 1) if t < n else None
         for mask in _orbit_minima(parent):
+            if mask.bit_count() < d or mask & low != low:
+                continue
+            if table is not None and not table >> mask & 1:
+                continue
             g = _augment(parent, mask)
             out.setdefault(_search(g)[0].key, g)
     return tuple(out[key] for key in sorted(out))
@@ -118,7 +158,8 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
 def _colorable_masks(parent: Graph, k: int) -> int | None:
     """Bit ``mask`` is set iff ``parent`` plus a new vertex adjacent to
     ``mask`` is (k-1)-colorable; None when no such extension is k-critical,
-    whatever the mask.
+    whatever the mask. For a (k-1)-colorable parent, None means that every
+    extension is (k-1)-colorable, which the bounded enumeration reads.
 
     The parent is skipped when it is (k-2)-colorable (the new vertex would
     take a fresh color) or not (k-1)-colorable (it would be a
@@ -156,15 +197,12 @@ def _critical_on(n: int, k: int) -> list[Graph]:
     """The k-critical graphs on n vertices, one per class in canonical-key
     order, sieved as ``census_critical`` describes."""
     out: dict = {}
-    for parent in graph_classes(n - 1):
+    for parent in graph_classes(n - 1, k - 2, k - 1):
         pn = parent.n
-        degs = [row.bit_count() for row in parent.adj]
-        if min(degs) < k - 2:
-            continue
         table = _colorable_masks(parent, k)
         if table is None:
             continue
-        forced = mask_of(v for v in range(pn) if degs[v] == k - 2)
+        forced = mask_of(v for v, row in enumerate(parent.adj) if row.bit_count() == k - 2)
         comps = components(parent.adj, parent.full_mask())
         cliques = [mask_of(c) for c in cliques_of_size(parent, k - 1)] if n > k else []
         edges = parent.edges()
@@ -186,10 +224,13 @@ def _critical_on(n: int, k: int) -> list[Graph]:
 def census_critical(n_max: int, k: int) -> Corpus:
     """All k-critical graphs on at most n_max vertices, up to isomorphism.
 
-    Augmentation from the full (n-1)-vertex class list. A k-critical graph g
-    minus any vertex v is a proper subgraph, so it is (k-1)-colorable and,
-    as v needs a color of its own, not (k-2)-colorable; parents outside that
-    band are skipped. For the others, the new vertex v's neighbor mask must:
+    Augmentation from the (n-1)-vertex classes of minimum degree k-2 or more
+    that are (k-1)-colorable, ``graph_classes(n - 1, k - 2, k - 1)``. A
+    k-critical graph g has minimum degree k-1, and g minus any vertex v is a
+    proper subgraph, so it is (k-1)-colorable with minimum degree k-2 or
+    more and, as v needs a color of its own, not (k-2)-colorable; parents
+    outside that band are skipped. For the others, the new vertex v's
+    neighbor mask must:
 
     - cover every degree-(k-2) parent vertex (minimum degree k-1);
     - leave g not (k-1)-colorable, by the parent's colorable-mask table (a

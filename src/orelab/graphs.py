@@ -383,23 +383,22 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]], splitters: list[int]) 
     return cells
 
 
-def _twin_cell(adj: tuple[int, ...], cells: list[list[int]], idx: int) -> bool:
-    """True if every pair inside cells[idx] is a (true or false) twin.
+def _twin_cell(adj: tuple[int, ...], masks: list[int], idx: int) -> bool:
+    """True if every pair inside the cell ``masks[idx]`` is a (true or false)
+    twin; ``masks`` are the vertex masks of the partition's cells.
 
     Under a stable refinement it suffices to inspect one member: a cell whose
     member sees each other cell completely or not at all, and whose interior
     is complete or empty, consists of mutually interchangeable vertices.
     """
-    cell = cells[idx]
-    if len(cell) == 1:
+    cell = masks[idx]
+    low = cell & -cell
+    if cell == low:
         return True
-    v0 = cell[0]
-    for j, other in enumerate(cells):
-        cnt = (adj[v0] & mask_of(other)).bit_count()
-        if j == idx:
-            if cnt not in (0, len(cell) - 1):
-                return False
-        elif cnt not in (0, len(other)):
+    row = adj[low.bit_length() - 1]
+    for m in masks:
+        seen = row & m
+        if seen and seen != m & ~low:
             return False
     return True
 
@@ -446,8 +445,9 @@ def _search(g: Graph) -> tuple[CanonicalForm, list[list[int]]]:
         """True once a leaf below ``cells``, off the first path, has the first leaf's bits."""
         nonlocal first, first_bits, best, best_bits
         cells = _refine(adj, cells, [1 << path[-1]] if path else [g.full_mask()])
+        masks = [mask_of(cell) for cell in cells] if len(cells) < g.n else []
         for i, cell in enumerate(cells):
-            if len(cell) > 1 and not _twin_cell(adj, cells, i):
+            if len(cell) > 1 and not _twin_cell(adj, masks, i):
                 # gens grows below this node only on the first path, where
                 # every generator fixes the path
                 stab = gens if on_first else [p for p in gens if all(p[u] == u for u in path)]

@@ -1,5 +1,6 @@
 """Acceptance gate: thirteen numbered criteria, one test each, then the tree
-suites at the paper's k (33, 36 and 40).
+suites at the paper's k (33, 36 and 40). The labelled graphs of the order-9
+censuses that the criteria read are locked by digest.
 
 Every criterion records a single human-readable pass line through the
 ``acceptance_log`` fixture; the conftest summary hook prints them all after
@@ -8,6 +9,7 @@ runs at the paper's k write ``artifacts/t_growth.csv``.
 """
 
 import csv
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -84,6 +86,19 @@ def test_criterion_01_edge_bound_on_census(census4_9, acceptance_log):
         f"edge bound holds on all {counts['pass']} census graphs (k=4, n<=9), "
         f"0 violations, {elapsed:.1f}s",
     )
+
+
+# sha256 of the census's graph6 lines, in corpus order, joined by newlines
+CENSUS_9_DIGESTS = {
+    4: "35f9cb897176729203eeb738724802d51ec92ad015a4f564854627e2af101724",
+    5: "d85b5dbbf5f02d8ed3ccd6ce10f59ea400fd9dec1ba9d1182d088b6d385af6cf",
+}
+
+
+def test_order_nine_census_representatives_are_frozen(census4_9, census5_9):
+    for k, (corpus, _) in ((4, census4_9), (5, census5_9)):
+        lines = "\n".join(graph6_encode(g) for g in corpus.graphs)
+        assert hashlib.sha256(lines.encode()).hexdigest() == CENSUS_9_DIGESTS[k], k
 
 
 def test_criterion_02_extremal_iff_recognized(census4_9, acceptance_log):

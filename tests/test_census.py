@@ -3,10 +3,12 @@
 Counts are cross-checked two independent ways: the class counts against the
 cycle-index (Burnside) formula, and the census against a direct filter of
 the full class list by the criticality test. The class lists are checked
-line for line against the all-masks loop that labelled every child, and the
-orbit minima against a permutation brute force. The census's bitwise sieve
-is also checked row for row against the per-mask filter it replaced, and its
-colorable-mask table entry by entry against the coloring solver.
+line for line against the all-masks loop that labelled every child, the
+bounded lists against the full list filtered by minimum degree and
+colorability, and the orbit minima against a permutation brute force. The
+census's bitwise sieve is also checked row for row against the per-mask
+filter it replaced, and its colorable-mask table entry by entry against the
+coloring solver.
 """
 
 import math
@@ -31,8 +33,9 @@ from orelab import (
     is_k_critical,
     random_graph,
 )
-from orelab.census import _augment, _colorable_masks, _critical_on, _orbit_minima
+from orelab.census import _augment, _classes, _colorable_masks, _critical_on, _orbit_minima
 from orelab.graphs import _search, bits_of, components, mask_of
+from test_coloring import oracle_colorable
 
 CLASS_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346]  # OEIS A000088; n = 0 stands for n = 1
 
@@ -61,7 +64,7 @@ def burnside_count(n: int) -> int:
 
 
 def test_class_counts():
-    # graph_classes(8) is cached by the census4_9 fixture of test_acceptance
+    # builds graph_classes(8): the census reads only the bounded levels
     for n in range(1, 9):
         assert len(graph_classes(n)) == CLASS_COUNTS[n]
 
@@ -125,11 +128,44 @@ def test_graph_classes_label_one_child_per_orbit(monkeypatch):
     counts = {}
     for n in (6, 7):
         labelled.clear()
-        assert len(graph_classes.__wrapped__(n)) == CLASS_COUNTS[n]
+        assert len(_classes.__wrapped__(n, 0, n)) == CLASS_COUNTS[n]
         # the searches on the n - 1 vertex parents give their automorphisms
         assert sum(h.n == n - 1 for h in labelled) == CLASS_COUNTS[n - 1]
         counts[n] = sum(h.n == n for h in labelled)
     assert counts == {6: 544, 7: 5096}  # the all-masks loop labels 1,088 and 9,984
+    # the census's top parent level at k = 4: minimum degree 2, 3-colorable
+    labelled.clear()
+    assert len(_classes.__wrapped__(7, 2, 3)) == 270
+    assert sum(h.n == 7 for h in labelled) == 1332  # the full level labels 5,096
+
+
+def _bounded_by_filter(n: int, d: int, t: int, oracle=None) -> list[str]:
+    colorable = oracle or (lambda g, t: first_coloring(g.adj, t) is not None)
+    return [graph6_encode(g) for g in graph_classes(n) if g.min_degree() >= d and colorable(g, t)]
+
+
+def test_bounded_levels_are_the_filtered_full_levels():
+    for n in range(8):
+        for d in range(n + 2):
+            for t in range(n + 1):
+                got = [graph6_encode(g) for g in graph_classes(n, d, t)]
+                assert got == _bounded_by_filter(n, d, t), (n, d, t)
+                if n <= 5:
+                    assert got == _bounded_by_filter(n, d, t, oracle_colorable), (n, d, t)
+    for d, t, count in ((2, 3, 3016), (3, 4, 2191)):
+        got = [graph6_encode(g) for g in graph_classes(8, d, t)]
+        assert len(got) == count
+        assert got == _bounded_by_filter(8, d, t), (d, t)
+    # bounds past n name the unbounded level
+    assert graph_classes(5, 0, 9) is graph_classes(5)
+    assert graph_classes(5, 7) == graph_classes(5, 6) == ()
+
+
+@pytest.mark.parametrize("args", [(-1,), (True,), (0, -2), (0, 2.5), (0, False), ("2",)])
+def test_graph_classes_rejects_bad_bounds(args):
+    name = "min_degree" if len(args) == 1 else "colors"
+    with pytest.raises(ValueError, match=name):
+        graph_classes(4, *args)
 
 
 def test_graph_classes_cap():

@@ -472,8 +472,9 @@ def _reference_leaves(g: Graph):
 
     def search(cells):
         cells = _rescan_refine(g.adj, cells)
+        masks = [mask_of(cell) for cell in cells]
         for i, cell in enumerate(cells):
-            if len(cell) > 1 and not _twin_cell(g.adj, cells, i):
+            if len(cell) > 1 and not _twin_cell(g.adj, masks, i):
                 for v in cell:
                     rest = [u for u in cell if u != v]
                     yield from search(cells[:i] + [[v], rest] + cells[i + 1:])
