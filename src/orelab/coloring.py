@@ -3,6 +3,10 @@ criticality, critical-subgraph extraction, and the degree-class edge-count
 check.
 
 Everything here is a complete search; answers are never heuristic. The
+decision procedure shrinks the graph by two exact reductions, peeling
+low-degree vertices and merging pairs that a clique forces to share a color,
+stops at a clique one larger than the palette, backtracks only on the core
+that is left, and checks on the input rows every coloring it returns. The
 criticality test and the critical-subgraph search work on adjacency rows and
 share one step: delete an edge and test (k-1)-colorability. The subgraph
 search answers that step from its own witnesses where one settles it: an
@@ -20,70 +24,167 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeCapError
-from .graphs import Graph, bits_of, components, mask_of
+from .graphs import Graph, bits_of, components, has_clique, mask_of
 
 
 # -- core exact solver -------------------------------------------------------
 
 
 def first_coloring(adj: Sequence[int], t: int) -> list[int] | None:
-    """One proper coloring with colors 0..t-1, or None.
+    """One proper coloring of the rows with colors 0..t-1, or None.
 
-    Exact backtracking: saturation-first vertex choice, per-component search,
-    and the usual symmetry break that a new color may only be introduced as
-    the next unused one.
+    Exact in both directions. Two reductions, each keeping t-colorability,
+    repeat until neither applies:
+    - peel: a vertex with fewer than t live neighbors is colored last, with
+      a color its neighbors leave free (Szekeres & Wilf 1968);
+    - forced merge: nonadjacent x and y with a (t-1)-clique among their
+      common live neighbors share a color in every t-coloring, so y merges
+      into x, and x stands for the class of both.
+    A (t+1)-clique on the core that is left means no coloring. Otherwise
+    saturation-first backtracking colors each component of the core; every
+    merged class takes its representative's color, and the peeled classes,
+    in reverse peel order, the least color that no colored neighbor of a
+    member uses. The coloring is checked on ``adj`` before it is returned.
     """
     n = len(adj)
-    colors = [-1] * n
     if n == 0:
-        return colors
+        return []
     if t <= 0:
         return None
-    full = (1 << n) - 1
-    for comp in components(adj, full):
-        if not _color_component(adj, comp, t, colors):
+    rows = list(adj)
+    members = [1 << v for v in range(n)]
+    live = (1 << n) - 1
+    peeled: list[int] = []
+    merged = True
+    while merged:
+        live = _peel(rows, live, t, peeled)
+        merged = False
+        for x in bits_of(live):
+            if not live >> x & 1:
+                continue
+            for y in bits_of(live & ~rows[x] & ~((2 << x) - 1)):
+                if not live >> y & 1 or rows[x] >> y & 1:
+                    continue
+                common = rows[x] & rows[y] & live
+                if common.bit_count() < t - 1 or not has_clique(_restricted(rows, common), t - 1):
+                    continue
+                rows[x] |= rows[y]
+                for w in bits_of(rows[y]):
+                    rows[w] = rows[w] & ~(1 << y) | 1 << x
+                members[x] |= members[y]
+                live = _peel(rows, live ^ 1 << y, t, peeled)
+                merged = True
+                if not live >> x & 1:
+                    break
+    if live and has_clique(_restricted(rows, live), t + 1):
+        return None
+    colors = [-1] * n
+    for comp in components(rows, live):
+        if not _color_component(rows, comp, t, colors):
             return None
+    classes = [0] * t
+    for v in bits_of(live):
+        classes[colors[v]] |= members[v]
+    for v in reversed(peeled):
+        near = 0
+        for u in bits_of(members[v]):
+            near |= adj[u]
+        for c in range(t):
+            if not classes[c] & near:
+                classes[c] |= members[v]
+                break
+    return _checked(adj, classes)
+
+
+def _peel(rows: list[int], live: int, t: int, peeled: list[int]) -> int:
+    """Drop every live vertex with fewer than t live neighbors, to a
+    fixpoint; the dropped ones are appended to ``peeled`` in order."""
+    dropped = True
+    while dropped:
+        dropped = False
+        for v in bits_of(live):
+            if (rows[v] & live).bit_count() < t:
+                live ^= 1 << v
+                peeled.append(v)
+                dropped = True
+    return live
+
+
+def _restricted(rows: Sequence[int], sub: int) -> Graph:
+    """The rows' subgraph induced on ``sub``, on the same ids; the other
+    vertices are isolated."""
+    out = [0] * len(rows)
+    for v in bits_of(sub):
+        out[v] = rows[v] & sub
+    return Graph._trusted(len(rows), tuple(out))
+
+
+def _checked(adj: Sequence[int], classes: list[int]) -> list[int]:
+    """The coloring with color classes ``classes``, after checking that they
+    partition the vertices into independent sets of ``adj``."""
+    colors = [-1] * len(adj)
+    for c, cls in enumerate(classes):
+        for v in bits_of(cls):
+            if adj[v] & cls or colors[v] != -1:
+                raise AssertionError(f"color class {c} is not independent or overlaps another")
+            colors[v] = c
+    if -1 in colors:
+        raise AssertionError(f"vertex {colors.index(-1)} left uncolored")
     return colors
 
 
 def _color_component(adj: Sequence[int], comp: int, t: int, colors: list[int]) -> bool:
-    verts = list(bits_of(comp))
-    if t >= len(verts):
-        for c, v in enumerate(verts):
-            colors[v] = c
-        return True
+    """Backtracking over the vertices of ``comp``: the next vertex has the
+    most colors forbidden, then the most neighbors in ``comp``, then the
+    least id, and a new color may only be the next unused one."""
+    # the choice key: saturation above degree in comp above 511 - v
+    static = [0] * len(adj)
+    for v in bits_of(comp):
+        static[v] = (adj[v] & comp).bit_count() << 9 | (511 - v)
     forbid = [0] * len(adj)
-    uncolored = set(verts)
+    marked = [0] * t
 
-    def rec(used: int) -> bool:
+    def rec(uncolored: int, used: int) -> bool:
         if not uncolored:
             return True
-        v = max(
-            uncolored,
-            key=lambda u: (forbid[u].bit_count(), (adj[u] & comp).bit_count(), -u),
-        )
-        limit = min(t, used + 1)
-        avail = ~forbid[v] & ((1 << limit) - 1)
+        best = -1
+        rest = uncolored
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            key = forbid[u].bit_count() << 18 | static[u]
+            if key > best:
+                best, v = key, u
+        avail = ~forbid[v] & ((1 << min(t, used + 1)) - 1)
         if not avail:
             return False
-        uncolored.remove(v)
-        for c in bits_of(avail):
-            bit = 1 << c
+        uncolored ^= 1 << v
+        nbrs = adj[v] & uncolored
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            c = bit.bit_length() - 1
             colors[v] = c
-            touched = []
-            for u in bits_of(adj[v] & comp):
-                if u in uncolored and not forbid[u] & bit:
-                    forbid[u] |= bit
-                    touched.append(u)
-            if rec(max(used, c + 1)):
+            fresh = nbrs & ~marked[c]
+            marked[c] |= fresh
+            rest = fresh
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                forbid[low.bit_length() - 1] |= bit
+            if rec(uncolored, max(used, c + 1)):
                 return True
-            for u in touched:
-                forbid[u] ^= bit
+            marked[c] ^= fresh
+            rest = fresh
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                forbid[low.bit_length() - 1] ^= bit
         colors[v] = -1
-        uncolored.add(v)
         return False
 
-    return rec(0)
+    return rec(comp, 0)
 
 
 def chromatic_number(g: Graph) -> int:
@@ -149,6 +250,14 @@ def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Graph]:
       colors every subgraph of S - uv;
     - not colorable, if the trial contains a found W edge for edge: a graph
       that contains a found W is not (k-1)-colorable.
+
+    A start edge e outside W0, the subgraph found from g itself, is skipped:
+    the pass from g - e returns W0. Edge by edge before e, the pass from g
+    deletes f iff the pass from g - e does, since when it deletes f the rows
+    less f still contain W0 (so do the rows less e and f), and when it keeps
+    f the rows less f are colorable (so are the rows less e and f). At e's
+    own turn the pass from g deletes e, as the rows less e still contain W0,
+    and from there on the two passes hold the same rows.
     """
     t = k - 1
     if first_coloring(g.adj, t) is not None:
@@ -172,9 +281,12 @@ def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Graph]:
         colorings[u, v].append([mask_of(x for x, c in enumerate(colors) if c == i) for i in range(t)])
         return None
 
+    first: tuple[int, ...] = ()
     for start in chain([None], edges):
         if len(found) >= limit:
             break
+        if start is not None and not first[start[0]] >> start[1] & 1:
+            continue
         rows = list(g.adj) if start is None else uncolorable_without(g.adj, *start)
         if rows is None:
             continue
@@ -184,6 +296,7 @@ def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Graph]:
                 if trial is not None:
                     rows = trial
         found.add(tuple(rows))
+        first = first or tuple(rows)
     return sorted((Graph._trusted(g.n, w) for w in found), key=Graph.edges)
 
 

@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .coloring import first_coloring
 from .errors import SizeCapError
 from .graphs import (
     Graph,
@@ -269,11 +270,16 @@ def is_k_ore(g: Graph, k: int, cap: int = DEFAULT_RECOGNITION_CAP) -> OreTree | 
     """Recognize membership in the composition closure of {K_k}.
 
     Returns a construction tree that re-realizes to a graph isomorphic to g,
-    or None. Search: every decomposition has a nonadjacent overlap pair whose
-    removal separates the two interiors, so candidate splits are enumerated
-    from separating nonadjacent pairs and component bipartitions, recursing
-    on both sides. The search runs on one member of g's class, rebuilt from
-    its canonical key, so the witness is a function of g's isomorphism class
+    or None. A (k-1)-colorable g is refused first, before any labelling:
+    every closure member is k-critical. That filter runs here only, not on
+    the two sides of every candidate split, where it would cost more than
+    the split search it saves.
+
+    Search: every decomposition has a nonadjacent overlap pair whose removal
+    separates the two interiors, so candidate splits are enumerated from
+    separating nonadjacent pairs and component bipartitions, recursing on
+    both sides. The search runs on one member of g's class, rebuilt from its
+    canonical key, so the witness is a function of g's isomorphism class
     alone: every relabelling of g gets the same tree, whatever was
     recognized before.
     """
@@ -281,6 +287,9 @@ def is_k_ore(g: Graph, k: int, cap: int = DEFAULT_RECOGNITION_CAP) -> OreTree | 
         raise ValueError("recognition requires k >= 4")
     if g.n > cap:
         raise SizeCapError("recognition vertex count", g.n, cap)
+    # every closure member is k-critical, so none is (k-1)-colorable
+    if first_coloring(g.adj, k - 1) is not None:
+        return None
     return _recognize(g, k)
 
 

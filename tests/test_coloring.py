@@ -1,7 +1,9 @@
 """Coloring solver checks against assignment-enumeration oracles.
 
-The oracle here tries every map V -> {1..t} directly, so it shares no code
-with the solver's propagation or symmetry breaking.
+One oracle tries every map V -> {1..t} directly, so it shares no code with
+the solver's propagation or symmetry breaking. The other is plain
+saturation-first backtracking on the whole graph, with no reduction, which
+reaches the graphs too large to enumerate.
 """
 
 import itertools
@@ -11,10 +13,11 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from orelab import coloring, suites
+from orelab import coloring, graphs, suites
 from orelab import (
     Graph,
     SizeCapError,
+    census_critical,
     chromatic_number,
     color_partitions,
     edge_count_lemma_check,
@@ -25,7 +28,10 @@ from orelab import (
     is_k_critical,
     ore_compose,
     random_graph,
+    random_ore_tree,
+    realize,
 )
+from orelab.graphs import bits_of, components
 from orelab.structure import color_reduce, minimum_colorings
 
 
@@ -52,6 +58,151 @@ def petersen() -> Graph:
 
 def wheel5() -> Graph:
     return Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
+
+
+# -- first_coloring against plain backtracking ------------------------------------
+
+
+def oracle_first_coloring(adj, t: int) -> list[int] | None:
+    """Saturation-first backtracking over each component, with no peeling
+    and no merging."""
+    n = len(adj)
+    colors = [-1] * n
+    if n == 0:
+        return colors
+    if t <= 0:
+        return None
+    for comp in components(adj, (1 << n) - 1):
+        if not oracle_color_component(adj, comp, t, colors):
+            return None
+    return colors
+
+
+def oracle_color_component(adj, comp: int, t: int, colors: list[int]) -> bool:
+    verts = list(bits_of(comp))
+    if t >= len(verts):
+        for c, v in enumerate(verts):
+            colors[v] = c
+        return True
+    forbid = [0] * len(adj)
+    uncolored = set(verts)
+
+    def rec(used: int) -> bool:
+        if not uncolored:
+            return True
+        v = max(uncolored, key=lambda u: (forbid[u].bit_count(), (adj[u] & comp).bit_count(), -u))
+        avail = ~forbid[v] & ((1 << min(t, used + 1)) - 1)
+        if not avail:
+            return False
+        uncolored.remove(v)
+        for c in bits_of(avail):
+            bit = 1 << c
+            colors[v] = c
+            touched = []
+            for u in bits_of(adj[v] & comp):
+                if u in uncolored and not forbid[u] & bit:
+                    forbid[u] |= bit
+                    touched.append(u)
+            if rec(max(used, c + 1)):
+                return True
+            for u in touched:
+                forbid[u] ^= bit
+        colors[v] = -1
+        uncolored.add(v)
+        return False
+
+    return rec(0)
+
+
+def agrees_with_oracle(g: Graph, t: int) -> bool:
+    """first_coloring finds a coloring iff the oracle does, and what it
+    returns is a proper coloring of g with colors 0..t-1."""
+    colors = first_coloring(g.adj, t)
+    if colors is not None:
+        assert len(colors) == g.n and all(0 <= c < t for c in colors)
+        assert all(colors[u] != colors[v] for u, v in g.edges())
+    return (colors is None) == (oracle_first_coloring(g.adj, t) is None)
+
+
+def small_and_random_checks() -> list[tuple[Graph, int]]:
+    """Every class with 1..7 vertices and 2,000 seeded random graphs on
+    2..14 vertices, each at t = 1..5."""
+    rng = random.Random("first_coloring")
+    corpus = [g for n in range(1, 8) for g in graph_classes(n)]
+    corpus += [random_graph(rng, rng.randint(2, 14)) for _ in range(2000)]
+    return [(g, t) for g in corpus for t in range(1, 6)]
+
+
+def composed_checks() -> list[tuple[Graph, int]]:
+    """Seeded composed graphs with k = 4, 5, 6 and 1..3 steps, each whole
+    and with one edge deleted, at t = k - 1."""
+    rng = random.Random("composed")
+    out = []
+    for k in (4, 5, 6):
+        for _ in range(8):
+            g = realize(random_ore_tree(k, rng.randrange(1, 4), rng))
+            cut = rng.choice(g.edges())
+            out += [(g, k - 1), (Graph.from_edges(g.n, [e for e in g.edges() if e != cut]), k - 1)]
+    return out
+
+
+def test_first_coloring_matches_plain_backtracking():
+    checks = small_and_random_checks()
+    assert len(checks) == 16260
+    for g, t in checks:
+        assert agrees_with_oracle(g, t), (g, t)
+
+
+def test_first_coloring_matches_plain_backtracking_on_composed_graphs():
+    checks = composed_checks()
+    for g, t in checks:
+        assert agrees_with_oracle(g, t), (g, t)
+    # the whole graphs are refuted and every one with a deleted edge colored
+    assert [first_coloring(g.adj, t) is None for g, t in checks] == [True, False] * (len(checks) // 2)
+
+
+def test_an_unforced_merge_fails_the_differential(monkeypatch):
+    # a mutant that merges every gated pair, clique or not
+    real = graphs.has_clique
+    checks = small_and_random_checks()
+    for t in (3, 4, 5):
+        monkeypatch.setattr(coloring, "has_clique", lambda g, size: size < t or real(g, size))
+        assert not all(agrees_with_oracle(g, t) for g, s in checks if s == t), t
+
+
+def test_first_coloring_never_returns_an_unchecked_coloring(monkeypatch):
+    with pytest.raises(AssertionError):
+        coloring._checked(Graph.path(2).adj, [0b11, 0])
+    with pytest.raises(AssertionError):
+        coloring._checked(Graph.path(3).adj, [0b101, 0])
+    # a mutant that peels vertices of degree t as well cannot lift K_3 to a
+    # 2-coloring, and says so instead of returning one
+    real = coloring._peel
+    monkeypatch.setattr(coloring, "_peel", lambda rows, live, t, peeled: real(rows, live, t + 1, peeled))
+    with pytest.raises(AssertionError):
+        first_coloring(Graph.complete(3).adj, 2)
+
+
+@pytest.mark.parametrize("k", [8, 10])
+def test_reductions_leave_no_backtracking_on_composed_trees(monkeypatch, k):
+    g = realize(random_ore_tree(k, 3, random.Random(3)))
+    real = coloring._color_component
+    calls = []
+
+    def counted(adj, comp, t, colors):
+        calls.append(comp)
+        return real(adj, comp, t, colors)
+
+    monkeypatch.setattr(coloring, "_color_component", counted)
+    assert first_coloring(g.adj, k - 1) is None
+    assert is_k_critical(g, k)
+    assert calls == []
+
+
+def test_criticality_at_the_papers_k():
+    g = realize(random_ore_tree(33, 1, random.Random(1)))
+    assert g.n == 65
+    assert is_k_critical(g, 33) is True
 
 
 # -- colorings / chromatic_number ----------------------------------------------
@@ -292,6 +443,15 @@ def test_witnesses_save_searches_on_every_census_reduction(census_reductions):
             _, new_calls = searches_of(find_critical_subgraphs, g, 4, limit)
             _, old_calls = searches_of(oracle_critical_subgraphs, g, 4, limit)
             assert new_calls < old_calls, (g, limit)
+
+
+def test_skipped_starts_lose_no_subgraph(census4_8, census5_8):
+    # with no limit the oracle minimalizes from g and from every g - e that
+    # is still not (k-1)-colorable, so each start skipped must give W0 back
+    for k, census in ((4, census4_8), (5, census5_8), (6, census_critical(8, 6))):
+        for g in extension_reductions(list(census.graphs), k):
+            every = g.edge_count() + 1
+            assert find_critical_subgraphs(g, k, every) == oracle_critical_subgraphs(g, k, every), (k, g)
 
 
 def test_critical_subgraphs_meet_the_definition_on_every_census_reduction(census_reductions):

@@ -12,7 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orelab import orekit
+from orelab import graphs, orekit
 from orelab import (
     Graph,
     Leaf,
@@ -22,6 +22,7 @@ from orelab import (
     canonical_form,
     canonical_key,
     clusters,
+    first_coloring,
     gadget_catalog,
     graph_classes,
     is_k_critical,
@@ -279,9 +280,66 @@ def test_recognition_rejects_non_ore_census_graphs(census4_8):
             assert rho_ky(g, 4) == 4
 
 
-def test_recognition_cap():
+def test_recognition_cap(monkeypatch):
+    def uncolored(adj, t):
+        raise AssertionError("colored before the cap check")
+
+    monkeypatch.setattr(orekit, "first_coloring", uncolored)
     with pytest.raises(SizeCapError):
         is_k_ore(Graph.path(30), 4, cap=25)
+
+
+def near_miss(g: Graph, k: int, rng: random.Random) -> Graph | None:
+    """g with one edge moved so that the order, the size and minimum degree
+    k - 1 are kept and a proper (k-1)-coloring exists, checked here edge by
+    edge; None if no move is found."""
+    edges = g.edges()
+    for _ in range(400):
+        drop = rng.choice(edges)
+        x, y = rng.sample(range(g.n), 2)
+        if g.has_edge(x, y):
+            continue
+        h = Graph.from_edges(g.n, [e for e in edges if e != drop] + [(x, y)])
+        colors = first_coloring(h.adj, k - 1) if h.min_degree() >= k - 1 else None
+        if colors is not None:
+            assert all(0 <= c < k - 1 for c in colors) and all(colors[u] != colors[v] for u, v in h.edges())
+            return h
+    return None
+
+
+def test_colorable_near_misses_are_refused_before_labelling(monkeypatch):
+    rng = random.Random("near misses")
+    misses = []
+    for k in (4, 5):
+        for tree in seeded_trees(k, 30, 4, f"near:{k}"):
+            h = near_miss(realize(tree), k, rng)
+            if h is not None and len(misses) < 20 * (k - 3):
+                misses.append((h, k))
+    assert len(misses) == 40
+    orekit._recognize_class.cache_clear()
+    canonical_form.cache_clear()
+    real = orekit._search
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    for module in (orekit, graphs):  # the modules on the recognition path that bind it
+        monkeypatch.setattr(module, "_search", counted)
+    assert all(is_k_ore(h, k) is None for h, k in misses)
+    assert calls == []
+    # the split search refuses them as well
+    assert all(orekit._recognize(h, k) is None for h, k in misses)
+
+
+def test_filtered_witnesses_are_the_split_search_witnesses():
+    for k in (4, 5):
+        for tree in seeded_trees(k, 20, 4, f"filtered:{k}"):
+            g = realize(tree)
+            witness = is_k_ore(g, k)
+            assert witness is not None
+            assert tree_dumps(witness) == tree_dumps(orekit._recognize(g, k))
 
 
 def test_decompositions_replay():
