@@ -218,9 +218,11 @@ def _quotient(adj: Sequence[int], image: dict[int, int], n: int) -> tuple[int, .
 # -- clique and subgraph search ------------------------------------------
 
 
-def _cliques(g: Graph, size: int, visit: Callable[[tuple[int, ...]], bool]) -> bool:
+def _cliques(g: Graph, size: int, visit: Callable[[tuple[int, ...], int], bool]) -> bool:
     """Hand every ``size``-vertex clique of g to ``visit``, as a sorted tuple
-    in lexicographic order, and stop with True as soon as it returns True.
+    in lexicographic order with the mask of its later common neighbours (the
+    vertices above its last one adjacent to all of it), and stop with True
+    as soon as ``visit`` returns True.
 
     Each level tries its candidates in increasing order and drops each one
     once tried, so a vertex extends only with its later neighbours. A vertex
@@ -233,7 +235,7 @@ def _cliques(g: Graph, size: int, visit: Callable[[tuple[int, ...]], bool]) -> b
 
     def extend(prefix: tuple[int, ...], allowed: int, want: int) -> bool:
         if want == 0:
-            return visit(prefix)
+            return visit(prefix, allowed)
         while allowed.bit_count() >= want:
             low = allowed & -allowed
             allowed ^= low
@@ -256,7 +258,7 @@ def cliques_of_size(g: Graph, size: int, cap: int | None = None) -> list[tuple[i
         return [()]
     out: list[tuple[int, ...]] = []
 
-    def collect(clique: tuple[int, ...]) -> bool:
+    def collect(clique: tuple[int, ...], later: int) -> bool:
         out.append(clique)
         if cap is not None and len(out) > cap:
             raise SizeCapError("clique enumeration", len(out), cap)
@@ -268,7 +270,7 @@ def cliques_of_size(g: Graph, size: int, cap: int | None = None) -> list[tuple[i
 
 def has_clique(g: Graph, size: int) -> bool:
     """Early-exit test for a complete subgraph on ``size`` vertices."""
-    return _cliques(g, size, lambda clique: True)
+    return _cliques(g, size, lambda clique, later: True)
 
 
 def embeddings(pattern: Graph, host: Graph) -> Iterator[tuple[int, ...]]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import SizeCapError
-from .graphs import Graph, cliques_of_size, mask_of
+from .graphs import Graph, _cliques, bits_of, mask_of
 
 # Most candidate cliques compute_T collects, and the most vertices
 # compute_T_bruteforce scans subsets of; past either it raises SizeCapError.
@@ -68,14 +68,20 @@ def compute_T(g: Graph, k: int) -> PackingWitness:
     """
     if k < 4:
         raise ValueError("packing parameter requires k >= 4")
-    big = cliques_of_size(g, k - 1, cap=CLIQUE_CAP)
-    small = cliques_of_size(g, k - 2, cap=CLIQUE_CAP - len(big))
-    if len(big) + len(small) > CLIQUE_CAP:
-        raise SizeCapError("packing candidate cliques", len(big) + len(small), CLIQUE_CAP)
-    cand = sorted(
-        [(2, cl) for cl in big] + [(1, cl) for cl in small],
-        key=lambda wc: (-wc[0], wc[1]),
-    )
+    big: list[tuple[int, ...]] = []
+    small: list[tuple[int, ...]] = []
+
+    def collect(clique: tuple[int, ...], later: int) -> bool:
+        # each (k-1)-clique is a (k-2)-clique and one later common neighbour,
+        # so both lists come out of one search in lexicographic order
+        small.append(clique)
+        big.extend(clique + (v,) for v in bits_of(later))
+        if len(big) + len(small) > CLIQUE_CAP:
+            raise SizeCapError("packing candidate cliques", len(big) + len(small), CLIQUE_CAP)
+        return False
+
+    _cliques(g, k - 2, collect)
+    cand = [(2, cl) for cl in big] + [(1, cl) for cl in small]
     weights = [w for w, _ in cand]
     masks = [mask_of(cl) for _, cl in cand]
     n_big = len(big)  # cand is big-first: indices below n_big are (k-1)-cliques

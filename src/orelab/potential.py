@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil
 from typing import Iterable
 
@@ -25,6 +26,7 @@ class PotentialParams:
     delta: Fraction
 
     @staticmethod
+    @lru_cache(maxsize=16)  # one entry per k; a verify sweep asks about three
     def for_k(k: int) -> "PotentialParams":
         if k < 4:
             raise ValueError("potential parameters require k >= 4")

@@ -15,9 +15,10 @@ All randomness flows through one seeded generator echoed in the config, so a
 suite result is a pure function of (corpus, params).
 
 A suite computes each fact once per item: a composition tree is realized in
-one bottom-up pass, so t-superadd packs each subtree once and reads a node's
-sides from its children; a graph's near-cliques are listed once and filtered
-per forbidden set; G[R] is packed once per extension anchor set.
+one bottom-up pass and each of its distinct subtree graphs packed once, into
+one record that main2-potential, t-superadd and t-lower share over a sweep; a
+graph's near-cliques are listed once and filtered per forbidden set; the
+extension suite packs each distinct R, R' and W once per host graph.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .graphs import Graph, canonical_key, cliques_of_size, graph6_decode, graph6
 from .orekit import (
     DEFAULT_RECOGNITION_CAP,
     Leaf,
-    Node,
     OreTree,
     _realized,
     is_k_ore,
@@ -56,6 +56,7 @@ from .potential import (
     rho,
     rho_ky,
     rho_subset,
+    rho_value,
 )
 from .structure import build_extension, find_diamonds_emeralds, mic, minimum_colorings
 
@@ -70,6 +71,9 @@ RANDOM_TREES = 200  # seeded random composition trees
 TREE_STEPS = 3  # most compositions in a random tree
 CATALOG_STEPS = 2  # most compositions in the exhaustive catalog
 ANCHOR_SIZES = (3, 4, 5)  # anchor set sizes of the extension suite
+# trees whose subtree records _tree_record keeps: the default trees of one
+# (k, seed) fit, so the three tree suites of one verify run share them
+TREE_RECORDS = 256
 # search nodes of the coloring oracle: graph classes up to 7 vertices need at
 # most 2,380, census_critical(9, 5) 4,801, K_9 125,683 and K_10 1,112,094
 ORACLE_NODE_BUDGET = 200_000
@@ -180,35 +184,75 @@ def _ky_equality_ore(g: Graph, params: dict) -> list[SuiteRow]:
     ]
 
 
+class _Subtree(NamedTuple):
+    """One subtree of a composition tree, as the tree suites read it."""
+
+    graph6: str
+    n: int
+    m: int
+    packed: int | SizeCapError | AssertionError  # T, or the error its packing raised
+
+    @property
+    def t(self) -> int:
+        """The packing value; raises the size cap or failed audit its
+        packing hit, for run_suite to turn into a row."""
+        if isinstance(self.packed, Exception):
+            raise self.packed.with_traceback(None)
+        return self.packed
+
+
+@lru_cache(maxsize=TREE_RECORDS)
+def _tree_record(tree: OreTree, k: int) -> tuple[_Subtree, ...]:
+    """Every subtree of ``tree``, children before their parent, realized and
+    composed once; each distinct subtree graph is packed once. A size cap or
+    failed audit while packing one subtree is kept in its entry, so only the
+    rows that read that subtree's T skip or fail."""
+    actual = tree_k(tree)
+    if actual != k:
+        raise ValueError(f"tree is built over k={actual}, caller expected {k}")
+    seen: dict[Graph, _Subtree] = {}
+    record = []
+    for _, g in _realized(tree):
+        if g not in seen:
+            try:
+                t = compute_T(g, k).value
+            except (SizeCapError, AssertionError) as err:
+                # dropping the traceback keeps the search's frames, and the
+                # clique lists in them, out of the cache
+                t = err.with_traceback(None)
+            seen[g] = _Subtree(graph6_encode(g), g.n, g.edge_count(), t)
+        record.append(seen[g])
+    return tuple(record)
+
+
 def _main2_potential(tree: OreTree, params: dict) -> list[SuiteRow]:
     k = params["k"]
-    g = realize(tree, k)
-    t_val = compute_T(g, k).value
-    value = rho(g, k, t_val)
-    g6 = graph6_encode(g)
+    root = _tree_record(tree, k)[-1]
+    t = root.t
+    value = rho_value(root.n, root.m, t, k)
     if isinstance(tree, Leaf):
         par = PotentialParams.for_k(k)
         expect = Fraction(k * (k - 3)) + k * par.eps - 2 * par.delta
         return [
             _row(
-                g6,
+                root.graph6,
                 "complete graph hits its exact potential value",
                 value == expect,
-                n=g.n,
-                t=t_val,
+                n=root.n,
+                t=t,
                 rho=value,
                 expected=expect,
             )
         ]
-    bound = main_potential_bound(g.n, k)
+    bound = main_potential_bound(root.n, k)
     return [
         _row(
-            g6,
+            root.graph6,
             "composed graph stays under the potential bound",
             value <= bound,
-            n=g.n,
-            m=g.edge_count(),
-            t=t_val,
+            n=root.n,
+            m=root.m,
+            t=t,
             rho=value,
             bound=bound,
             equality=value == bound,
@@ -218,23 +262,23 @@ def _main2_potential(tree: OreTree, params: dict) -> list[SuiteRow]:
 
 def _t_superadd(tree: OreTree, params: dict) -> list[SuiteRow]:
     k = params["k"]
-    if tree_k(tree) != k:
-        raise ValueError(f"tree is built over k={tree_k(tree)}, caller expected {k}")
     rows = []
-    packed = []  # T of each subtree whose parent is still to come
-    for sub, g in _realized(tree):
-        t = compute_T(g, k).value
-        if isinstance(sub, Node):
-            t2, t1 = packed.pop(), packed.pop()
-            g6 = graph6_encode(g)
-            leaves = isinstance(sub.edge_side, Leaf) + isinstance(sub.split_side, Leaf)
+    waiting = []  # subtrees whose parent is still to come
+    for sub in _tree_record(tree, k):
+        t = sub.t
+        # a leaf is K_k and a composed graph has at least 2k - 1 vertices, so
+        # an entry with more than k is a node, whose sides were the last two
+        if sub.n > k:
+            side2, side1 = waiting.pop(), waiting.pop()
+            t1, t2 = side1.t, side2.t
+            leaves = (side1.n == k) + (side2.n == k)
             if leaves == 2:
-                rows.append(_row(g6, "double complete composition packs exactly 4", t == 4, t=t, t1=t1, t2=t2))
+                rows.append(_row(sub.graph6, "double complete composition packs exactly 4", t == 4, t=t, t1=t1, t2=t2))
             else:
                 drop = 2 - leaves
                 rows.append(
                     _row(
-                        g6,
+                        sub.graph6,
                         "packing value is superadditive under composition",
                         t >= t1 + t2 - drop,
                         t=t,
@@ -243,24 +287,23 @@ def _t_superadd(tree: OreTree, params: dict) -> list[SuiteRow]:
                         allowed_drop=drop,
                     )
                 )
-        packed.append(t)
+        waiting.append(sub)
     return rows
 
 
 def _t_lower(tree: OreTree, params: dict) -> list[SuiteRow]:
+    k = params["k"]
+    root = _tree_record(tree, k)[-1]  # read for a leaf too: it checks the tree's k
     if isinstance(tree, Leaf):
         return []
-    k = params["k"]
-    g = realize(tree, k)
-    t = compute_T(g, k).value
-    bound = Fraction(2) + Fraction(g.n - 1, k - 1)
+    bound = Fraction(2) + Fraction(root.n - 1, k - 1)
     return [
         _row(
-            graph6_encode(g),
+            root.graph6,
             "composed graph packing value clears the size bound",
-            Fraction(t) >= bound,
-            n=g.n,
-            t=t,
+            Fraction(root.t) >= bound,
+            n=root.n,
+            t=root.t,
             bound=bound,
         )
     ]
@@ -296,17 +339,23 @@ def _extension_rows(g: Graph, k: int, caps: dict) -> Iterator[SuiteRow]:
         for r_set in combinations(range(g.n), size)
         for classes in minimum_colorings(g, r_set, k, limit=caps["colorings_per_subset"])
     )
-    r_set = rho_r = None  # the anchor set and rho of G[R], packed at its first record
+    # rho of each vertex set (an anchor set R or an extension R') and of each
+    # W met so far, so each distinct one is packed once per host graph
+    subset_rho: dict[frozenset[int], Fraction] = {}
+    w_rho: dict[Graph, Fraction] = {}
     for rec in build_extension(g, k, colorings, limit=caps["witnesses_per_reduction"]):
-        if rec.r_set != r_set:
-            r_set, rho_r = rec.r_set, rho_subset(g, rec.r_set, k)
+        for subset in (rec.r_set, rec.r_prime):
+            if subset not in subset_rho:
+                subset_rho[subset] = rho_subset(g, subset, k)
         w = rec.w_subgraph
         w_graph, _ = w.induced(v for v in range(w.n) if w.adj[v])
-        lhs = rho_subset(g, rec.r_prime, k)
+        if w_graph not in w_rho:
+            w_rho[w_graph] = rho(w_graph, k, compute_T(w_graph, k).value)
+        lhs = subset_rho[rec.r_prime]
         x = len(rec.core)
         rhs = (
-            rho_r
-            + rho(w_graph, k, compute_T(w_graph, k).value)
+            subset_rho[rec.r_set]
+            + w_rho[w_graph]
             - (
                 complete_potential(x, k)
                 + par.delta * complete_graph_T(x, k)
@@ -317,7 +366,7 @@ def _extension_rows(g: Graph, k: int, caps: dict) -> Iterator[SuiteRow]:
             g6,
             "extension never raises the subset potential past the drop bound",
             lhs <= rhs,
-            r="+".join(map(str, sorted(r_set))),
+            r="+".join(map(str, sorted(rec.r_set))),
             r_prime="+".join(map(str, sorted(rec.r_prime))),
             core=x,
             incompleteness=rec.incompleteness,

@@ -1,6 +1,6 @@
 import pytest
 
-from orelab import census_critical
+from orelab import census_critical, suites
 
 ACCEPTANCE_LINES: list[tuple[int, str]] = []
 
@@ -13,6 +13,16 @@ def census4_8():
 @pytest.fixture(scope="session")
 def census5_8():
     return census_critical(8, 5)
+
+
+@pytest.fixture(autouse=True)
+def cold_tree_records():
+    """The tree suites keep each tree's packed subtrees for later runs; a test
+    that patches the packer or its cap must not read records another test
+    built, so every test starts and ends with none."""
+    suites._tree_record.cache_clear()
+    yield
+    suites._tree_record.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -33,6 +33,7 @@ from orelab.cli import _read_graphs
 from orelab.graphs import (
     MAX_VERTICES,
     _adjacency_bits,
+    _cliques,
     _graph_of_key,
     _quotient,
     _refine,
@@ -244,6 +245,22 @@ def test_cliques_of_size_matches_brute_force(g, size, cap):
             cliques_of_size(g, size, cap=cap)
     else:
         assert cliques_of_size(g, size, cap=cap) == expected
+
+
+@given(kernel_graphs(), st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_clique_search_hands_each_clique_its_later_common_neighbours(g, size):
+    seen = []
+
+    def visit(clique, later):
+        seen.append((clique, later))
+        return False
+
+    _cliques(g, size, visit)
+    assert [clique for clique, _ in seen] == cliques_of_size(g, size)
+    for clique, later in seen:
+        common = [v for v in range(clique[-1] + 1, g.n) if all(g.has_edge(u, v) for u in clique)]
+        assert later == mask_of(common)
 
 
 # -- cliques and embeddings ----------------------------------------------------

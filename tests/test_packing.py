@@ -5,10 +5,13 @@ the bowtie case pins down why "drop K_{k-2}s inside used K_{k-1}s" style
 shortcuts were rejected: the best packing can take a triangle from one bowtie
 lobe and only an edge from the other. old_compute_T keeps the search as it
 was before the vertex-weight bound; a sharper bound may only cut more
-subtrees, so the solver must still return the very same witness.
+subtrees, so the solver must still return the very same witness. It also
+lists its candidates with two clique searches, one per order, so it checks
+the solver's one-pass listing as well.
 """
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -19,6 +22,7 @@ from orelab import (
     Graph,
     PackingWitness,
     SizeCapError,
+    census_critical,
     check_witness,
     cliques_of_size,
     complete_graph_T,
@@ -211,5 +215,53 @@ def test_caps(monkeypatch):
     monkeypatch.setattr(orelab.packing, "CLIQUE_CAP", 10)
     with pytest.raises(SizeCapError):
         compute_T(Graph.complete(12), 4)
+    # K_4 at k = 4 has 6 edges and 4 triangles: exactly the cap passes
+    assert compute_T(Graph.complete(4), 4).value == 2
+    monkeypatch.setattr(orelab.packing, "CLIQUE_CAP", 9)
+    # neither order alone exceeds 9, the two together do
+    with pytest.raises(SizeCapError, match="requested 10 exceeds cap 9"):
+        compute_T(Graph.complete(4), 4)
+    # K_{3,4} has 12 edges and no triangle: the (k-2)-cliques alone exceed 9
+    k34 = Graph.from_edges(7, [(a, b) for a in range(3) for b in range(3, 7)])
+    assert not has_clique(k34, 3)
+    with pytest.raises(SizeCapError, match="requested 10 exceeds cap 9"):
+        compute_T(k34, 4)
     with pytest.raises(SizeCapError):
         compute_T_bruteforce(Graph.empty(13), 4)
+
+
+def k33_one_step() -> Graph:
+    k33 = Graph.complete(33)
+    return ore_compose(k33, (0, 1), k33, 0, (tuple(range(1, 17)), tuple(range(17, 33))))
+
+
+@lru_cache(maxsize=None)
+def listing_inputs() -> tuple[tuple[Graph, int], ...]:
+    """(graph, k): every class with n <= 7 at k = 4, 5, 6; the order-8
+    census at its k = 4, 5, 6; seeded composed graphs with 1 to 4 steps at
+    k = 4, 5, 6, each with a near miss; the k = 33 one-step graph."""
+    rng = random.Random(27)
+    out = [(g, k) for n in range(1, 8) for g in graph_classes(n) for k in (4, 5, 6)]
+    out += [(g, k) for k in (4, 5, 6) for g in census_critical(8, k).graphs]
+    for k in (4, 5, 6):
+        for steps in range(1, 5):
+            for _ in range(3):
+                g = realize(random_ore_tree(k, steps, rng), k)
+                out += [(g, k), (move_one_edge(g, rng), k)]
+    out.append((k33_one_step(), 33))
+    return tuple(out)
+
+
+def test_one_pass_listing_on_every_structured_input():
+    for g, k in listing_inputs():
+        assert compute_T(g, k) == old_compute_T(g, k)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_one_pass_listing_ignores_vertex_labels(data):
+    # a relabelling changes the listing order and so may change the witness,
+    # never the agreement with the two-pass listing
+    g, k = data.draw(st.sampled_from(listing_inputs()))
+    h = g.relabelled(data.draw(st.permutations(range(g.n))))
+    assert compute_T(h, k) == old_compute_T(h, k)

@@ -49,6 +49,17 @@ def test_params():
         assert p.eps <= 1
 
 
+def test_params_are_built_once_per_k():
+    PotentialParams.for_k.cache_clear()
+    first = [PotentialParams.for_k(k) for k in (4, 5, 6)]
+    again = [PotentialParams.for_k(k) for k in (4, 5, 6, 4)]
+    assert all(a is b for a, b in zip(first + first[:1], again))
+    assert PotentialParams.for_k.cache_info().misses == 3
+    for _ in range(2):  # a refused k is refused on every call
+        with pytest.raises(ValueError, match="require k >= 4"):
+            PotentialParams.for_k(3)
+
+
 def test_rho_ky_anchors():
     assert rho_ky(Graph.complete(4), 4) == 4
     assert rho_ky(wheel5(), 4) == 0

@@ -15,13 +15,15 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from orelab import coloring, discharging, orekit, suites
+from orelab import coloring, discharging, orekit, packing, suites
 from orelab import (
     DEFAULT_SEED,
     SUITE_IDS,
     Graph,
     Leaf,
     Node,
+    SizeCapError,
+    cliques_of_size,
     compute_T,
     graph_classes,
     ore_catalog,
@@ -31,6 +33,7 @@ from orelab import (
     realize,
     rho,
     run_suite,
+    tree_k,
 )
 from orelab.cli import main
 
@@ -415,25 +418,89 @@ def counting(monkeypatch, module, name: str) -> list:
     return calls
 
 
+def distinct_subtree_graphs(tree) -> list[Graph]:
+    """The distinct graphs of the subtrees, in order of first appearance."""
+    return list(dict.fromkeys(realize(sub) for sub in subtrees(tree)))
+
+
 def test_t_superadd_packs_and_composes_each_subtree_once(monkeypatch):
-    tree = nested()
-    expected = [realize(sub) for sub in subtrees(tree)]
+    tree = nested()  # its three leaves are one graph, K_4
+    expected = distinct_subtree_graphs(tree)
     packed = counting(monkeypatch, suites, "compute_T")
     composed = counting(monkeypatch, orekit, "ore_compose")
     result = run_suite("t-superadd", params={"trees": [tree]})
     assert result.passed and len(result.rows) == 2
-    assert [args[0] for args in packed] == expected
+    assert [args[0] for args in packed] == expected and len(expected) == 3
     assert len(composed) == sum(isinstance(sub, Node) for sub in subtrees(tree)) == 2
 
 
 def test_t_superadd_sweep_packs_each_subtree_once(monkeypatch):
     packed = counting(monkeypatch, suites, "compute_T")
-    trees = 0
+    graphs = 0
     for k in (4, 5, 6):
         params = {"k": k, "seed": 1}
         assert run_suite("t-superadd", params=params).passed
-        trees += sum(len(subtrees(t)) for t in suites._default_input("trees", k, 1))
-    assert len(packed) == trees <= 3134
+        trees = dict.fromkeys(suites._default_input("trees", k, 1))
+        graphs += sum(len(distinct_subtree_graphs(t)) for t in trees)
+    assert len(packed) == graphs == 1846
+
+
+TREE_SUITES = ("main2-potential", "t-superadd", "t-lower")
+
+
+def test_tree_suites_share_one_record_per_tree(monkeypatch):
+    """Over a sweep the three tree suites compose each node once and pack
+    each distinct subtree graph once, whichever suite comes first. The
+    records start and end cold (see conftest.py), and hold no graph."""
+    trees = {k: list(dict.fromkeys(suites._default_input("trees", k, 1))) for k in (4, 5, 6)}
+    expected = [g for k in trees for t in trees[k] for g in distinct_subtree_graphs(t)]
+    nodes = sum(isinstance(sub, Node) for k in trees for t in trees[k] for sub in subtrees(t))
+    packed = counting(monkeypatch, suites, "compute_T")
+    composed = counting(monkeypatch, orekit, "ore_compose")
+    for k in trees:
+        assert all(run_suite(sid, params={"k": k, "seed": 1}).passed for sid in TREE_SUITES)
+        record = suites._tree_record(trees[k][0], k)
+        assert not any(isinstance(field, Graph) for sub in record for field in sub)
+    assert [args[0] for args in packed] == expected
+    assert len(composed) == nodes
+
+
+def test_a_capped_subtree_skips_only_the_rows_that_read_it(monkeypatch):
+    """At k = 6 this one-step graph has 18 candidate cliques and K_6 has 21.
+    With the cap at 18 only t-superadd, which reads the sides' T, skips the
+    tree; the rows that read the root's T do not change."""
+    k = 6
+    tree = Node(Leaf(k), Leaf(k), (0, 1), 0, ((1, 2), (3, 4, 5)))
+
+    def candidates(g: Graph) -> int:
+        return len(cliques_of_size(g, k - 1)) + len(cliques_of_size(g, k - 2))
+
+    assert candidates(realize(tree)) == 18 < candidates(Graph.complete(k)) == 21
+    params = {"k": k, "trees": [tree, Leaf(k)]}
+    uncapped = {sid: run_suite(sid, params=params) for sid in TREE_SUITES}
+    suites._tree_record.cache_clear()
+    monkeypatch.setattr(packing, "CLIQUE_CAP", 18)
+    leaf = suites._tree_record(tree, k)[0]
+    assert isinstance(leaf.packed, SizeCapError) and leaf.packed.__traceback__ is None
+    capped = {sid: run_suite(sid, params=params) for sid in TREE_SUITES}
+    leaf_g6 = graph6_encode(Graph.complete(k))
+    root_g6 = graph6_encode(realize(tree))
+    assert capped["t-lower"] == uncapped["t-lower"] and capped["t-lower"].passed
+    main2 = {row.graph6: row for row in capped["main2-potential"].rows}
+    assert main2[root_g6] in uncapped["main2-potential"].rows and main2[root_g6].status == "pass"
+    assert main2[leaf_g6].status == "skip-cap"
+    superadd = capped["t-superadd"].rows
+    assert {row.graph6 for row in superadd} == {root_g6, leaf_g6}
+    assert all(row.status == "skip-cap" for row in superadd)
+    assert all("packing candidate cliques" in row.values[0][1] for row in superadd)
+    assert all("exceeds cap 18" in row.values[0][1] for row in superadd)
+
+
+@pytest.mark.parametrize("suite_id", TREE_SUITES)
+def test_tree_suites_reject_a_tree_of_another_k(suite_id):
+    for tree, k in ((Leaf(5), 4), (nested(), 5)):
+        with pytest.raises(ValueError, match=f"^tree is built over k={tree_k(tree)}, caller expected {k}$"):
+            run_suite(suite_id, params={"k": k, "trees": [tree]})
 
 
 def test_diamond_emerald_lists_each_graph_once(monkeypatch):
@@ -448,18 +515,23 @@ def test_diamond_emerald_lists_each_graph_once(monkeypatch):
 
 
 def test_extension_suite_packs_each_anchor_set_once(monkeypatch, census4_8):
+    """Each distinct vertex set, an anchor set R or an extension R', is packed
+    once per host graph, and so is each distinct W."""
     calls = counting(monkeypatch, suites, "rho_subset")
+    packed_w = counting(monkeypatch, suites, "compute_T")
     corpus = [g for g in census4_8.graphs if g.n <= 7]
-    result = run_suite("extension-potential", corpus, {"k": 4})
-    assert result.passed
-    expected = Counter()
-    for row in result.rows:
-        values = dict(row.values)
-        expected[row.graph6, values["r_prime"]] += 1
-    anchors = {(row.graph6, dict(row.values)["r"]) for row in result.rows}
-    expected.update(anchors)
+    rows = []
+    for g in corpus:
+        packed_w.clear()
+        result = run_suite("extension-potential", [g], {"k": 4})
+        assert result.passed
+        rows += result.rows
+        w_graphs = [args[0] for args in packed_w]
+        assert len(set(w_graphs)) == len(w_graphs) < len(result.rows)
+    expected = {(row.graph6, dict(row.values)[key]) for row in rows for key in ("r", "r_prime")}
     seen = Counter((graph6_encode(g), "+".join(map(str, sorted(s)))) for g, s, _ in calls)
-    assert seen == expected
-    # an anchor set with several records is still packed once for itself
-    per_anchor = Counter((row.graph6, dict(row.values)["r"]) for row in result.rows)
-    assert max(per_anchor.values()) > 1
+    assert set(seen) == expected and max(seen.values()) == 1
+    # an anchor set or extension with several records is still packed once
+    for key in ("r", "r_prime"):
+        per_set = Counter((row.graph6, dict(row.values)[key]) for row in rows)
+        assert max(per_set.values()) > 1
