@@ -181,7 +181,7 @@ def _colorable_masks(parent: Graph, k: int) -> int | None:
         if len(classes) < k - 1:
             return None
         for cls in classes:
-            table |= 1 << (full & ~mask_of(cls))
+            table |= 1 << (full ^ cls)
     if not table:
         return None
     ones = (1 << (1 << pn)) - 1

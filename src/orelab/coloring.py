@@ -9,12 +9,13 @@ stops at a clique one larger than the palette, backtracks only on the core
 that is left, and checks on the input rows every coloring it returns. The
 criticality test and the critical-subgraph search work on adjacency rows and
 share one step: delete an edge and test (k-1)-colorability. The subgraph
-search answers that step from its own witnesses where one settles it: an
-earlier coloring still proper on the rows, or an earlier critical subgraph
-the rows still contain; only the rest go to the solver. Those witnesses live
-for one call, so no store here grows without bound. Other layers take a
-coloring of a vertex set as a partition into independent color classes,
-one per color-permutation orbit (``color_partitions``).
+search answers that step without the solver when an earlier coloring is
+still proper on the rows; those colorings live for one call, so no store
+here grows without bound.
+
+A coloring has one form here and in every layer that takes one: a sequence
+of color classes, each a vertex bitmask. ``first_coloring`` returns one,
+and ``color_partitions`` yields one per color-permutation orbit.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .graphs import Graph, bits_of, components, has_clique, mask_of
 
 
 def first_coloring(adj: Sequence[int], t: int) -> list[int] | None:
-    """One proper coloring of the rows with colors 0..t-1, or None.
+    """One proper coloring of the rows with colors 0..t-1, as its t color
+    classes (vertex masks, possibly empty), or None.
 
     Exact in both directions. Two reductions, each keeping t-colorability,
     repeat until neither applies:
@@ -48,7 +50,7 @@ def first_coloring(adj: Sequence[int], t: int) -> list[int] | None:
     """
     n = len(adj)
     if n == 0:
-        return []
+        return [0] * max(t, 0)
     if t <= 0:
         return None
     rows = list(adj)
@@ -78,13 +80,13 @@ def first_coloring(adj: Sequence[int], t: int) -> list[int] | None:
                     break
     if live and has_clique(_restricted(rows, live), t + 1):
         return None
-    colors = [-1] * n
-    for comp in components(rows, live):
-        if not _color_component(rows, comp, t, colors):
-            return None
     classes = [0] * t
-    for v in bits_of(live):
-        classes[colors[v]] |= members[v]
+    for comp in components(rows, live):
+        if not _color_component(rows, comp, t, classes):
+            return None
+    for c, cls in enumerate(classes):
+        for v in bits_of(cls):
+            classes[c] |= members[v]
     for v in reversed(peeled):
         near = 0
         for u in bits_of(members[v]):
@@ -120,23 +122,24 @@ def _restricted(rows: Sequence[int], sub: int) -> Graph:
 
 
 def _checked(adj: Sequence[int], classes: list[int]) -> list[int]:
-    """The coloring with color classes ``classes``, after checking that they
-    partition the vertices into independent sets of ``adj``."""
-    colors = [-1] * len(adj)
+    """``classes``, after checking that they partition the vertices into
+    independent sets of ``adj``."""
+    full = (1 << len(adj)) - 1
+    seen = 0
     for c, cls in enumerate(classes):
-        for v in bits_of(cls):
-            if adj[v] & cls or colors[v] != -1:
-                raise AssertionError(f"color class {c} is not independent or overlaps another")
-            colors[v] = c
-    if -1 in colors:
-        raise AssertionError(f"vertex {colors.index(-1)} left uncolored")
-    return colors
+        if cls & (seen | ~full) or any(adj[v] & cls for v in bits_of(cls)):
+            raise AssertionError(f"color class {c} is not independent, overlaps another or leaves the graph")
+        seen |= cls
+    if seen != full:
+        raise AssertionError(f"vertex {(full & ~seen).bit_length() - 1} left uncolored")
+    return classes
 
 
-def _color_component(adj: Sequence[int], comp: int, t: int, colors: list[int]) -> bool:
-    """Backtracking over the vertices of ``comp``: the next vertex has the
-    most colors forbidden, then the most neighbors in ``comp``, then the
-    least id, and a new color may only be the next unused one."""
+def _color_component(adj: Sequence[int], comp: int, t: int, classes: list[int]) -> bool:
+    """Backtracking over the vertices of ``comp``, which join the color
+    classes ``classes`` on success: the next vertex has the most colors
+    forbidden, then the most neighbors in ``comp``, then the least id, and
+    a new color may only be the next unused one."""
     # the choice key: saturation above degree in comp above 511 - v
     static = [0] * len(adj)
     for v in bits_of(comp):
@@ -159,13 +162,14 @@ def _color_component(adj: Sequence[int], comp: int, t: int, colors: list[int]) -
         avail = ~forbid[v] & ((1 << min(t, used + 1)) - 1)
         if not avail:
             return False
-        uncolored ^= 1 << v
+        vbit = 1 << v
+        uncolored ^= vbit
         nbrs = adj[v] & uncolored
         while avail:
             bit = avail & -avail
             avail ^= bit
             c = bit.bit_length() - 1
-            colors[v] = c
+            classes[c] |= vbit
             fresh = nbrs & ~marked[c]
             marked[c] |= fresh
             rest = fresh
@@ -181,7 +185,7 @@ def _color_component(adj: Sequence[int], comp: int, t: int, colors: list[int]) -
                 low = rest & -rest
                 rest ^= low
                 forbid[low.bit_length() - 1] ^= bit
-        colors[v] = -1
+            classes[c] ^= vbit
         return False
 
     return rec(comp, 0)
@@ -243,13 +247,10 @@ def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Graph]:
     uv whose deletion leaves the rows not (k-1)-colorable; a kept edge stays
     needed as others go, so one pass ends edge-minimal.
 
-    Witnesses kept for this call answer "is rows - uv (k-1)-colorable?"
-    before any search, and always as the search would:
-    - colorable, if a coloring found for some S - uv (kept under uv as class
-      masks over all vertices) is proper on the trial: a coloring of S - uv
-      colors every subgraph of S - uv;
-    - not colorable, if the trial contains a found W edge for edge: a graph
-      that contains a found W is not (k-1)-colorable.
+    Each coloring found for some S - uv is kept for this call under uv, as
+    the solver returns it. A later trial on which a kept coloring is still
+    proper is answered colorable without a search, as the search would
+    answer it: a coloring of S - uv colors every subgraph of S - uv.
 
     A start edge e outside W0, the subgraph found from g itself, is skipped:
     the pass from g - e returns W0. Edge by edge before e, the pass from g
@@ -273,12 +274,10 @@ def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Graph]:
         for classes in colorings[u, v]:
             if not any(trial[x] & m for m in classes for x in bits_of(m)):
                 return None
-        if any(all(not a & ~b for a, b in zip(w, trial)) for w in found):
+        classes = first_coloring(trial, t)
+        if classes is None:
             return trial
-        colors = first_coloring(trial, t)
-        if colors is None:
-            return trial
-        colorings[u, v].append([mask_of(x for x, c in enumerate(colors) if c == i) for i in range(t)])
+        colorings[u, v].append(classes)
         return None
 
     first: tuple[int, ...] = ()
@@ -303,38 +302,32 @@ def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Graph]:
 # -- proper partitions (colorings up to color permutation) -------------------
 
 
-def color_partitions(
-    g: Graph, vertices: Iterable[int], max_classes: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All partitions of ``vertices`` into <= max_classes independent classes.
+def color_partitions(g: Graph, vertices: Iterable[int], max_classes: int) -> Iterator[tuple[int, ...]]:
+    """All partitions of ``vertices`` into <= max_classes independent
+    classes, each class a vertex mask, in the order the classes open.
 
     Exactly one representative per color-permutation orbit is produced
     (restricted-growth enumeration: a vertex may open a new class only after
     all earlier classes were tried).
     """
     verts = sorted(vertices)
-    classes: list[list[int]] = []
-    masks: list[int] = []
+    classes: list[int] = []
 
-    def rec(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    def rec(i: int) -> Iterator[tuple[int, ...]]:
         if i == len(verts):
-            yield tuple(tuple(c) for c in classes)
+            yield tuple(classes)
             return
         v = verts[i]
         bit = 1 << v
         for ci in range(len(classes)):
-            if not masks[ci] & g.adj[v]:
-                classes[ci].append(v)
-                masks[ci] |= bit
+            if not classes[ci] & g.adj[v]:
+                classes[ci] |= bit
                 yield from rec(i + 1)
-                classes[ci].pop()
-                masks[ci] ^= bit
+                classes[ci] ^= bit
         if len(classes) < max_classes:
-            classes.append([v])
-            masks.append(bit)
+            classes.append(bit)
             yield from rec(i + 1)
             classes.pop()
-            masks.pop()
 
     yield from rec(0)
 

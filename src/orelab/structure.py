@@ -18,7 +18,7 @@ from .coloring import (
     is_k_critical,
 )
 from .errors import SizeCapError
-from .graphs import Graph, _quotient, bits_of, cliques_of_size, mask_of
+from .graphs import Graph, _cliques, _quotient, bits_of, mask_of
 
 MIC_MAX_VERTICES = 40
 
@@ -54,29 +54,28 @@ def find_diamonds_emeralds(g: Graph, k: int) -> list[frozenset[int]]:
     were present the set would induce K_k outright. The endpoints are the
     set's one non-adjacent pair, so the set alone determines them.
     Emerald: a (k-1)-clique whose vertices all have host degree k-1.
+    Both come from one pass over the low (k-2)-cliques: a diamond adds a
+    non-adjacent pair of common neighbours, an emerald one low vertex after
+    the clique's last that is adjacent to all of it.
     A caller asking about many vertex sets lists once and keeps, for each
     set, the entries that miss it.
     """
     out: list[frozenset[int]] = []
-    low = [v for v in range(g.n) if g.degree(v) == k - 1]
-    low_mask = mask_of(low)
-    for cl in cliques_of_size(g, k - 1):
-        m = mask_of(cl)
-        if m & low_mask != m:
-            continue
-        out.append(frozenset(cl))
-    for interior in cliques_of_size(g, k - 2):
+    low = mask_of(v for v in range(g.n) if g.degree(v) == k - 1)
+
+    def visit(interior: tuple[int, ...], later: int) -> bool:
         im = mask_of(interior)
-        if im & low_mask != im:
-            continue
+        if im & low != im:
+            return False
+        out.extend(frozenset(interior + (v,)) for v in bits_of(later & low))
         common = g.full_mask() & ~im
         for q in interior:
             common &= g.adj[q]
         for u in bits_of(common):
-            for v in bits_of(common & ~((1 << (u + 1)) - 1)):
-                if g.has_edge(u, v):
-                    continue
-                out.append(frozenset(interior) | {u, v})
+            out.extend(frozenset(interior + (u, v)) for v in bits_of(common & ~g.adj[u] & ~((2 << u) - 1)))
+        return False
+
+    _cliques(g, k - 2, visit)
     # a diamond has k vertices and an emerald k-1
     out.sort(key=lambda s: (-len(s), sorted(s)))
     return out
@@ -85,33 +84,32 @@ def find_diamonds_emeralds(g: Graph, k: int) -> list[frozenset[int]]:
 # -- color reduction and critical extensions ---------------------------------
 
 
-def color_reduce(g: Graph, classes: Sequence[Sequence[int]]) -> Graph:
+def color_reduce(g: Graph, classes: Sequence[int]) -> Graph:
     """The quotient of g that collapses each color class of R to one vertex,
     with a clique on the class vertices.
 
-    R is the union of ``classes``, which must be nonempty, pairwise disjoint
-    and independent, and exactly chi(G[R]) in number. The n_out outside
-    vertices come first as 0..n_out-1 (in increasing original id); class i
-    is vertex n_out + i.
+    R is the union of ``classes``, vertex masks that must be nonempty,
+    pairwise disjoint and independent, and exactly chi(G[R]) in number. The
+    n_out outside vertices come first as 0..n_out-1 (in increasing original
+    id); class i is vertex n_out + i.
     """
-    r = [v for cls in classes for v in cls]
-    if not all(0 <= v < g.n for v in r):
+    # checked before any bits_of, which never ends on a negative mask
+    if any(cls < 0 or cls >> g.n for cls in classes):
         raise ValueError("R contains ids outside the graph")
-    if not all(classes) or len(set(r)) != len(r):
-        raise ValueError("color classes must be nonempty and pairwise disjoint")
+    r = 0
     for cls in classes:
-        m = mask_of(cls)
-        if any(g.adj[v] & m for v in cls):
-            raise ValueError("a color class is not independent in G[R]")
+        if not cls or cls & r:
+            raise ValueError("color classes must be nonempty and pairwise disjoint")
+        r |= cls
+    if any(g.adj[v] & cls for cls in classes for v in bits_of(cls)):
+        raise ValueError("a color class is not independent in G[R]")
     if classes:
-        g_r = g.induced(r)[0]
+        g_r = g.induced(bits_of(r))[0]
         if first_coloring(g_r.adj, len(classes) - 1) is not None:
             raise ValueError(f"coloring uses {len(classes)} colors; minimum is {chromatic_number(g_r)}")
-    r_set = frozenset(r)
-    outside = [v for v in range(g.n) if v not in r_set]
-    n_out = len(outside)
-    image = {old: new for new, old in enumerate(outside)}
-    image.update((v, n_out + i) for i, cls in enumerate(classes) for v in cls)
+    image = {old: new for new, old in enumerate(bits_of(g.full_mask() & ~r))}
+    n_out = len(image)
+    image.update((v, n_out + i) for i, cls in enumerate(classes) for v in bits_of(cls))
     rows = list(_quotient(g.adj, image, n_out + len(classes)))
     clique = ((1 << len(classes)) - 1) << n_out
     for c in range(n_out, len(rows)):
@@ -140,12 +138,12 @@ class ExtensionRecord:
 
 
 def build_extension(
-    g: Graph, k: int, colorings: Iterable[Sequence[Sequence[int]]], limit: int = 6
+    g: Graph, k: int, colorings: Iterable[Sequence[int]], limit: int = 6
 ) -> Iterator[ExtensionRecord]:
     """Critical extensions in a k-critical host, coloring by coloring: each
-    coloring is a list of color classes whose union is R, and it gives at
-    most ``limit`` records. The host is checked once, before the first
-    record.
+    coloring is a sequence of color classes, vertex masks whose union is R,
+    and it gives at most ``limit`` records. The host is checked once, before
+    the first record.
 
     The reduced graph of a k-critical host is never (k-1)-colorable, so it
     holds k-critical subgraphs W; each W meets the class-vertex clique, and
@@ -159,14 +157,15 @@ def build_extension(
         raise ValueError("extensions are built over a k-critical host")
     for classes in colorings:
         reduced = color_reduce(g, classes)
-        r = frozenset(v for cls in classes for v in cls)
-        if not r or len(r) == g.n:
+        r_mask = sum(classes)  # the classes are disjoint: their sum is their union
+        if not r_mask or r_mask == g.full_mask():
             raise ValueError("R must be a nonempty proper subset")
         try:
             subgraphs = find_critical_subgraphs(reduced, k, limit=limit)
         except ValueError:
             raise AssertionError("reduced graph of a critical host must need k colors") from None
-        outside = [v for v in range(g.n) if v not in r]
+        r = frozenset(bits_of(r_mask))
+        outside = list(bits_of(g.full_mask() & ~r_mask))
         n_out = len(outside)
         r_edges = _induced_edge_count(g, r)
         for w in subgraphs:
@@ -196,10 +195,10 @@ def _induced_edge_count(g: Graph, vertices: frozenset[int]) -> int:
 
 def minimum_colorings(
     g: Graph, r_set: Iterable[int], k: int, limit: int | None = None
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+) -> Iterator[tuple[int, ...]]:
     """Yield minimum proper colorings of G[R] as partitions of R into
-    chi(G[R]) color classes, one per color-permutation class, capped at
-    ``limit``; none when G[R] needs more than k-1 colors."""
+    chi(G[R]) color classes (vertex masks), one per color-permutation class,
+    capped at ``limit``; none when G[R] needs more than k-1 colors."""
     r = sorted(set(r_set))
     need = chromatic_number(g.induced(r)[0])
     if need > k - 1:

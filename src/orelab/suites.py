@@ -53,7 +53,6 @@ from .potential import (
     complete_potential,
     ky_edge_bound,
     main_potential_bound,
-    rho,
     rho_ky,
     rho_subset,
     rho_value,
@@ -231,8 +230,7 @@ def _main2_potential(tree: OreTree, params: dict) -> list[SuiteRow]:
     t = root.t
     value = rho_value(root.n, root.m, t, k)
     if isinstance(tree, Leaf):
-        par = PotentialParams.for_k(k)
-        expect = Fraction(k * (k - 3)) + k * par.eps - 2 * par.delta
+        expect = complete_potential(k, k)
         return [
             _row(
                 root.graph6,
@@ -339,23 +337,23 @@ def _extension_rows(g: Graph, k: int, caps: dict) -> Iterator[SuiteRow]:
         for r_set in combinations(range(g.n), size)
         for classes in minimum_colorings(g, r_set, k, limit=caps["colorings_per_subset"])
     )
-    # rho of each vertex set (an anchor set R or an extension R') and of each
-    # W met so far, so each distinct one is packed once per host graph
-    subset_rho: dict[frozenset[int], Fraction] = {}
-    w_rho: dict[Graph, Fraction] = {}
+    # rho of each induced graph met so far (G[R], G[R'] or W), so each
+    # distinct one is packed once per host graph
+    rhos: dict[Graph, Fraction] = {}
+
+    def rho_of(host: Graph, subset) -> Fraction:
+        sub, _ = host.induced(subset)
+        if sub not in rhos:
+            rhos[sub] = rho_subset(host, subset, k)
+        return rhos[sub]
+
     for rec in build_extension(g, k, colorings, limit=caps["witnesses_per_reduction"]):
-        for subset in (rec.r_set, rec.r_prime):
-            if subset not in subset_rho:
-                subset_rho[subset] = rho_subset(g, subset, k)
+        rho_r, lhs = rho_of(g, rec.r_set), rho_of(g, rec.r_prime)
         w = rec.w_subgraph
-        w_graph, _ = w.induced(v for v in range(w.n) if w.adj[v])
-        if w_graph not in w_rho:
-            w_rho[w_graph] = rho(w_graph, k, compute_T(w_graph, k).value)
-        lhs = subset_rho[rec.r_prime]
         x = len(rec.core)
         rhs = (
-            subset_rho[rec.r_set]
-            + w_rho[w_graph]
+            rho_r
+            + rho_of(w, [v for v in range(w.n) if w.adj[v]])
             - (
                 complete_potential(x, k)
                 + par.delta * complete_graph_T(x, k)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from orelab import (
     PotentialParams,
     apply_rules,
+    bits_of,
     build_extension,
     classify_degree_k1,
     cliques_of_size,
@@ -65,8 +66,9 @@ def charge_columns(g, k: int, cap: int = 2) -> dict:
 
 
 def phi(classes) -> tuple[tuple[int, int], ...]:
-    """Each vertex of R paired with its class index + 1."""
-    return tuple(sorted((v, i) for i, cls in enumerate(classes, start=1) for v in cls))
+    """Each vertex of R paired with its class index + 1; ``classes`` are
+    vertex masks."""
+    return tuple(sorted((v, i) for i, cls in enumerate(classes, start=1) for v in bits_of(cls)))
 
 
 def extensions_with_colorings(g, k: int, colorings, limit: int = 6):

@@ -114,14 +114,24 @@ def oracle_color_component(adj, comp: int, t: int, colors: list[int]) -> bool:
     return rec(0)
 
 
+def is_proper_coloring(g: Graph, classes, t: int) -> bool:
+    """``classes`` are t vertex masks that partition g's vertices into
+    independent sets (a class may be empty)."""
+    members = sorted(v for cls in classes for v in bits_of(cls))
+    return (
+        len(classes) == t
+        and members == list(range(g.n))
+        and all(g.is_independent(bits_of(cls)) for cls in classes)
+    )
+
+
 def agrees_with_oracle(g: Graph, t: int) -> bool:
     """first_coloring finds a coloring iff the oracle does, and what it
-    returns is a proper coloring of g with colors 0..t-1."""
-    colors = first_coloring(g.adj, t)
-    if colors is not None:
-        assert len(colors) == g.n and all(0 <= c < t for c in colors)
-        assert all(colors[u] != colors[v] for u, v in g.edges())
-    return (colors is None) == (oracle_first_coloring(g.adj, t) is None)
+    returns is a proper coloring of g with t color classes."""
+    classes = first_coloring(g.adj, t)
+    if classes is not None:
+        assert is_proper_coloring(g, classes, t)
+    return (classes is None) == (oracle_first_coloring(g.adj, t) is None)
 
 
 def small_and_random_checks() -> list[tuple[Graph, int]]:
@@ -170,11 +180,30 @@ def test_an_unforced_merge_fails_the_differential(monkeypatch):
         assert not all(agrees_with_oracle(g, t) for g, s in checks if s == t), t
 
 
+def test_first_coloring_returns_t_classes_covering_every_vertex():
+    for g in [Graph.empty(0), Graph.empty(3), Graph.path(4), Graph.cycle(5), petersen(), wheel5()]:
+        for t in range(chromatic_number(g), chromatic_number(g) + 3):
+            assert is_proper_coloring(g, first_coloring(g.adj, t), t), (g, t)
+    # more colors than vertices leave classes empty
+    assert sorted(first_coloring(Graph.empty(2).adj, 4)) == [0, 0, 0, 0b11]
+    assert first_coloring(Graph.empty(0).adj, 3) == [0, 0, 0]
+    assert first_coloring(Graph.empty(0).adj, 0) == []
+    assert first_coloring(Graph.empty(1).adj, 0) is None
+
+
+@pytest.mark.parametrize(
+    "classes",
+    [[0b101, 0b001, 0b010], [0b011, 0b100], [0b101, 0], [0b101, 0b1010], [0b101, -0b110]],
+    ids=["overlapping", "not-independent", "uncovered", "outside", "negative"],
+)
+def test_checked_refuses_classes_that_are_not_a_coloring(classes):
+    # a coloring of the path 0-1-2 passes, an empty class included
+    assert coloring._checked(Graph.path(3).adj, [0b101, 0b010, 0]) == [0b101, 0b010, 0]
+    with pytest.raises(AssertionError):
+        coloring._checked(Graph.path(3).adj, classes)
+
+
 def test_first_coloring_never_returns_an_unchecked_coloring(monkeypatch):
-    with pytest.raises(AssertionError):
-        coloring._checked(Graph.path(2).adj, [0b11, 0])
-    with pytest.raises(AssertionError):
-        coloring._checked(Graph.path(3).adj, [0b101, 0])
     # a mutant that peels vertices of degree t as well cannot lift K_3 to a
     # 2-coloring, and says so instead of returning one
     real = coloring._peel
@@ -189,9 +218,9 @@ def test_reductions_leave_no_backtracking_on_composed_trees(monkeypatch, k):
     real = coloring._color_component
     calls = []
 
-    def counted(adj, comp, t, colors):
+    def counted(adj, comp, t, classes):
         calls.append(comp)
-        return real(adj, comp, t, colors)
+        return real(adj, comp, t, classes)
 
     monkeypatch.setattr(coloring, "_color_component", counted)
     assert first_coloring(g.adj, k - 1) is None
@@ -218,13 +247,11 @@ def check_coloring(g: Graph, t: int) -> None:
     """For g with chromatic number t: first_coloring finds a proper
     t-coloring, and the partitions into at most t classes are the colorings
     up to color permutation, each once."""
-    colors = first_coloring(g.adj, t)
-    assert colors is not None and all(0 <= c < t for c in colors)
-    assert all(colors[u] != colors[v] for u, v in g.edges())
+    classes = first_coloring(g.adj, t)
+    assert classes is not None and is_proper_coloring(g, classes, t)
     parts = list(color_partitions(g, range(g.n), t))
     for part in parts:
-        assert len(part) == t and sorted(v for cls in part for v in cls) == list(range(g.n))
-        assert all(g.is_independent(cls) for cls in part)
+        assert is_proper_coloring(g, part, t) and all(part)
     assert len(set(parts)) == len(parts) == oracle_coloring_count(g, t) // math.factorial(t)
 
 
@@ -480,8 +507,9 @@ def test_color_partitions_independent_and_clique():
     assert len(list(color_partitions(Graph.complete(3), [0, 1, 2], 3))) == 1
     assert list(color_partitions(Graph.complete(3), [0, 1, 2], 2)) == []
     for part in color_partitions(Graph.cycle(4), [0, 1, 2, 3], 3):
-        for cls in part:
-            assert Graph.cycle(4).is_independent(cls)
+        assert is_proper_coloring(Graph.cycle(4), part, len(part)) and all(part)
+    # the classes of a vertex subset open in the order of their least member
+    assert list(color_partitions(Graph.path(4), [1, 2, 3], 2)) == [(0b1010, 0b0100)]
 
 
 # -- low-vertex edge-count lemma --------------------------------------------------

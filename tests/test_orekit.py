@@ -300,9 +300,10 @@ def near_miss(g: Graph, k: int, rng: random.Random) -> Graph | None:
         if g.has_edge(x, y):
             continue
         h = Graph.from_edges(g.n, [e for e in edges if e != drop] + [(x, y)])
-        colors = first_coloring(h.adj, k - 1) if h.min_degree() >= k - 1 else None
-        if colors is not None:
-            assert all(0 <= c < k - 1 for c in colors) and all(colors[u] != colors[v] for u, v in h.edges())
+        classes = first_coloring(h.adj, k - 1) if h.min_degree() >= k - 1 else None
+        if classes is not None:
+            assert len(classes) == k - 1 and sorted(v for cls in classes for v in bits_of(cls)) == list(range(h.n))
+            assert all(h.is_independent(bits_of(cls)) for cls in classes)
             return h
     return None
 

@@ -30,6 +30,7 @@ from orelab import (
     edge_between,
     find_diamonds_emeralds,
     first_coloring,
+    graph_classes,
     mask_of,
     mic,
     minimum_colorings,
@@ -185,6 +186,26 @@ def near_cliques_avoiding(g: Graph, k: int, forbidden) -> list:
     return out
 
 
+def test_one_clique_pass_matches_the_two_searches(census4_8, census5_8):
+    """The near-clique list from one pass over the low (k-2)-cliques is the
+    list the two clique searches, (k-1)-cliques for emeralds and
+    (k-2)-cliques for diamond interiors, give: here with no vertex set
+    avoided, over the catalogs and censuses at k = 4..6, every class with at
+    most 6 vertices at k = 3..5, and seeded composed graphs up to k = 33."""
+    checks = [(realize(tree), k) for k in (4, 5, 6) for tree in ore_catalog(k, 2)]
+    checks += [(g, k) for k, census in ((4, census4_8), (5, census5_8)) for g in census.graphs]
+    checks += [(g, k) for k in (3, 4, 5) for n in range(7) for g in graph_classes(n)]
+    rng = random.Random("one clique pass")
+    checks += [(realize(random_ore_tree(k, rng.randrange(1, 4), rng)), k) for k in (7, 10, 20, 33)]
+    kinds = set()
+    for g, k in checks:
+        found = find_diamonds_emeralds(g, k)
+        assert found == near_cliques_avoiding(g, k, ()), (k, g)
+        kinds.update((k, len(s) == k) for s in found)
+    # diamonds (k vertices) and emeralds (k - 1) both occur at every small k
+    assert {(k, diamond) for k in (3, 4, 5, 6) for diamond in (True, False)} <= kinds
+
+
 @pytest.mark.parametrize("k", [4, 5, 6])
 def test_filtered_list_matches_the_forbidden_search(k):
     for tree in ore_catalog(k, 2):
@@ -221,7 +242,7 @@ def test_filtered_list_matches_on_random_vertex_sets(data):
 def outside_ids(g: Graph, classes) -> dict[int, int]:
     """Where color_reduce puts the vertices outside R: 0..n_out-1 in
     increasing original id."""
-    r = {v for cls in classes for v in cls}
+    r = {v for cls in classes for v in bits_of(cls)}
     return {old: new for new, old in enumerate(v for v in range(g.n) if v not in r)}
 
 
@@ -232,7 +253,7 @@ def class_vertices(g: Graph, classes) -> range:
 
 def test_reduce_clique_with_injective_coloring_is_identity():
     k4 = Graph.complete(4)
-    classes = ((0,), (1,), (2,))
+    classes = (0b001, 0b010, 0b100)
     red = color_reduce(k4, classes)
     assert canonical_key(red) == canonical_key(k4)
     assert outside_ids(k4, classes) == {3: 0}
@@ -243,7 +264,7 @@ def test_reduce_clique_with_injective_coloring_is_identity():
 
 def test_reduce_independent_pair():
     g = Graph.from_edges(4, [(0, 2), (1, 3), (2, 3)])
-    classes = ((0, 1),)
+    classes = (0b11,)
     red = color_reduce(g, classes)
     assert red.n == 3
     (x,) = class_vertices(g, classes)
@@ -254,14 +275,15 @@ def test_reduce_independent_pair():
 def test_reduce_rejects_bad_colorings():
     g = Graph.path(3)
     bad = [
-        (((0,), (3,)), "outside the graph"),
-        (((0,), (-1,)), "outside the graph"),
-        (((0,), ()), "nonempty and pairwise disjoint"),
-        (((0,), (1,), (0,)), "nonempty and pairwise disjoint"),
-        (((0, 2), (1, 2)), "nonempty and pairwise disjoint"),
-        (((0, 1),), "not independent"),  # improper on the edge
-        (((0,), (2,)), "minimum is 1"),  # 1 color suffices
-        (((0,), (1,), (2,)), "minimum is 2"),
+        ((0b1, 0b1000), "outside the graph"),
+        ((0b1, -0b10), "outside the graph"),  # refused before any bit is read
+        ((0b1, -1), "outside the graph"),
+        ((0b1, 0), "nonempty and pairwise disjoint"),
+        ((0b1, 0b10, 0b1), "nonempty and pairwise disjoint"),
+        ((0b101, 0b110), "nonempty and pairwise disjoint"),
+        ((0b11,), "not independent"),  # improper on the edge
+        ((0b1, 0b100), "minimum is 1"),  # 1 color suffices
+        ((0b1, 0b10, 0b100), "minimum is 2"),
     ]
     for classes, message in bad:
         with pytest.raises(ValueError, match=message):
@@ -282,7 +304,7 @@ def test_reduce_checks_a_minimum_coloring_without_chromatic_number(monkeypatch):
 def color_reduce_by_edges(g: Graph, classes) -> Graph:
     """The reduction built as an edge list, for a valid minimum coloring:
     the oracle for color_reduce's row construction."""
-    color = {v: i for i, cls in enumerate(classes) for v in cls}
+    color = {v: i for i, cls in enumerate(classes) for v in bits_of(cls)}
     outside = [v for v in range(g.n) if v not in color]
     vertex_map = {old: new for new, old in enumerate(outside)}
     class_vertex = [len(outside) + i for i in range(len(classes))]
@@ -311,7 +333,7 @@ def test_reduction_matches_the_edge_list_oracle(census4_8, data):
     )
     r = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
     for classes in minimum_colorings(g, r, g.n + 1, limit=3):
-        assert {v for cls in classes for v in cls} == r
+        assert {v for cls in classes for v in bits_of(cls)} == r
         assert color_reduce(g, classes) == color_reduce_by_edges(g, classes)
 
 
@@ -345,7 +367,7 @@ def replay_incompleteness(g: Graph, rec) -> int:
 
 def test_extension_on_complete_graph_is_complete_and_spanning():
     k4 = Graph.complete(4)
-    (rec,) = build_extension(k4, 4, [((0,),)])
+    (rec,) = build_extension(k4, 4, [(0b1,)])
     assert len(rec.core) == 1 and rec.incompleteness == 0
     assert rec.r_prime == frozenset(range(4))  # spanning
 
@@ -399,7 +421,7 @@ def count_calls(monkeypatch, attr: str, record) -> list:
 
 def test_build_extension_colors_the_reduction_once(monkeypatch):
     calls = count_calls(monkeypatch, "first_coloring", lambda adj, t: (tuple(adj), t))
-    g, classes = wheel5(), ((0, 2),)
+    g, classes = wheel5(), (0b101,)
     reduced = tuple(color_reduce(g, classes).adj)
     assert list(build_extension(g, 4, [classes]))
     assert calls.count((reduced, 3)) == 1
@@ -426,7 +448,7 @@ def test_build_extension_checks_the_host_once_over_many_colorings(monkeypatch):
 
 def test_extension_phi_numbers_the_classes_from_one():
     g = wheel5()
-    ((rec, classes),) = extensions_with_colorings(g, 4, [((0, 2), (1,))], limit=1)
+    ((rec, classes),) = extensions_with_colorings(g, 4, [(0b101, 0b10)], limit=1)
     assert phi(classes) == ((0, 1), (1, 2), (2, 1))
     assert rec.r_set == {0, 1, 2} and set(rec.core) <= {3, 4}
 
@@ -438,7 +460,7 @@ def test_extension_requires_critical_host():
 
 def test_extension_requires_a_nonempty_proper_subset():
     g = wheel5()
-    for classes in [(), ((0, 2), (1, 3), (4,), (5,))]:
+    for classes in [(), (0b101, 0b1010, 0b10000, 0b100000)]:
         with pytest.raises(ValueError, match="nonempty proper subset"):
             list(build_extension(g, 4, [classes]))
 

@@ -9,13 +9,13 @@ import json
 import random
 import sys
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from orelab import coloring, discharging, orekit, packing, suites
+from orelab import coloring, discharging, orekit, packing, potential, suites
 from orelab import (
     DEFAULT_SEED,
     SUITE_IDS,
@@ -514,23 +514,33 @@ def test_diamond_emerald_lists_each_graph_once(monkeypatch):
     assert len(listed) == sum(len(ore_catalog(k, suites.CATALOG_STEPS)) for k in (4, 5, 6)) == 85
 
 
-def test_extension_suite_packs_each_anchor_set_once(monkeypatch, census4_8):
-    """Each distinct vertex set, an anchor set R or an extension R', is packed
-    once per host graph, and so is each distinct W."""
+def test_extension_suite_packs_each_induced_graph_once(monkeypatch, census4_8):
+    """Each distinct induced graph, a G[R], a G[R'] or a W, is packed once
+    per host graph, however many vertex sets or records give it."""
     calls = counting(monkeypatch, suites, "rho_subset")
-    packed_w = counting(monkeypatch, suites, "compute_T")
+    packed = counting(monkeypatch, potential, "compute_T")
     corpus = [g for g in census4_8.graphs if g.n <= 7]
     rows = []
+    merged = 0
     for g in corpus:
-        packed_w.clear()
+        calls.clear()
+        packed.clear()
         result = run_suite("extension-potential", [g], {"k": 4})
         assert result.passed
         rows += result.rows
-        w_graphs = [args[0] for args in packed_w]
-        assert len(set(w_graphs)) == len(w_graphs) < len(result.rows)
-    expected = {(row.graph6, dict(row.values)[key]) for row in rows for key in ("r", "r_prime")}
-    seen = Counter((graph6_encode(g), "+".join(map(str, sorted(s)))) for g, s, _ in calls)
-    assert set(seen) == expected and max(seen.values()) == 1
+        graphs = [args[0] for args in packed]
+        assert graphs == [host.induced(subset)[0] for host, subset, _ in calls]
+        assert len(set(graphs)) == len(graphs) < len(result.rows)
+        # the vertex sets the rows read, by the graph they induce
+        sets_of = defaultdict(set)
+        for row in result.rows:
+            for key in ("r", "r_prime"):
+                subset = frozenset(map(int, dict(row.values)[key].split("+")))
+                sets_of[g.induced(subset)[0]].add(subset)
+        assert set(sets_of) <= set(graphs)
+        merged += sum(len(sets) - 1 for sets in sets_of.values())
+    # distinct vertex sets that induce one graph share its packing
+    assert merged > 0
     # an anchor set or extension with several records is still packed once
     for key in ("r", "r_prime"):
         per_set = Counter((row.graph6, dict(row.values)[key]) for row in rows)
