@@ -5,13 +5,15 @@ check.
 Everything here is a complete search; answers are never heuristic. The
 decision procedure shrinks the graph by two exact reductions, peeling
 low-degree vertices and merging pairs that a clique forces to share a color,
-stops at a clique one larger than the palette, backtracks only on the core
-that is left, and checks on the input rows every coloring it returns. The
-criticality test and the critical-subgraph search work on adjacency rows and
-share one step: delete an edge and test (k-1)-colorability. The subgraph
-search answers that step without the solver when an earlier coloring is
-still proper on the rows; those colorings live for one call, so no store
-here grows without bound.
+stops at a clique one larger than the palette, and branches on the core's
+nonadjacent pair with the most common neighbors (merged, else joined by an
+edge), reducing again on each side near the vertices the branch changed;
+it checks on the input rows every coloring it returns. The criticality test
+and the critical-subgraph search work on adjacency rows and share one step:
+delete an edge and test (k-1)-colorability. The subgraph search answers
+that step without the solver when an earlier coloring is still proper on
+the rows; those colorings live for one call, so no store here grows
+without bound.
 
 A coloring has one form here and in every layer that takes one: a sequence
 of color classes, each a vertex bitmask. ``first_coloring`` returns one,
@@ -25,7 +27,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeCapError
-from .graphs import Graph, bits_of, components, has_clique, mask_of
+from .graphs import Graph, bits_of, has_clique, mask_of
 
 
 # -- core exact solver -------------------------------------------------------
@@ -43,10 +45,15 @@ def first_coloring(adj: Sequence[int], t: int) -> list[int] | None:
       common live neighbors share a color in every t-coloring, so y merges
       into x, and x stands for the class of both.
     A (t+1)-clique on the core that is left means no coloring. Otherwise
-    saturation-first backtracking colors each component of the core; every
-    merged class takes its representative's color, and the peeled classes,
-    in reverse peel order, the least color that no colored neighbor of a
-    member uses. The coloring is checked on ``adj`` before it is returned.
+    the core's nonadjacent pair x < y with the most common live neighbors
+    (the least such pair on a tie) is a Zykov branch (Zykov 1949): the core
+    is t-colorable iff it is so with y merged into x or with the edge xy
+    added. The merge side is tried first, on copies; the edge side goes on
+    in place. Each side reduces again and stops at a (t+1)-clique, until
+    every vertex is peeled or merged. Every merged class then takes the
+    color of its representative: the peeled vertices, in reverse peel
+    order, take the least color that no colored neighbor of a member uses.
+    The coloring is checked on ``adj`` before it is returned.
     """
     n = len(adj)
     if n == 0:
@@ -55,8 +62,58 @@ def first_coloring(adj: Sequence[int], t: int) -> list[int] | None:
         return None
     rows = list(adj)
     members = [1 << v for v in range(n)]
-    live = (1 << n) - 1
     peeled: list[int] = []
+    live = _reduce(rows, members, (1 << n) - 1, t, peeled)
+    if live and has_clique(_restricted(rows, live), t + 1):
+        return None
+    classes = _branch(adj, rows, members, live, t, peeled)
+    return None if classes is None else _checked(adj, classes)
+
+
+def _branch(
+    adj: Sequence[int], rows: list[int], members: list[int], live: int, t: int, peeled: list[int]
+) -> list[int] | None:
+    """The color classes of ``adj`` that this branch finds, or None.
+
+    ``rows``, ``members`` and ``peeled`` belong to the branch, which changes
+    them; no forced merge and no (t+1)-clique is left among its ``live``
+    vertices. Only the merge side of a Zykov branch recurses, and each
+    level has one live vertex fewer, so the depth stays below the vertex
+    count.
+    """
+    while live:
+        pair = _zykov_pair(rows, live)
+        if pair is None:
+            # a clique whose vertices have t or more neighbors each
+            return None
+        x, y = pair
+        merged_rows, merged_members, merged_peeled = list(rows), list(members), list(peeled)
+        _merge(merged_rows, merged_members, x, y)
+        merged_live = _settle(merged_rows, merged_members, live ^ 1 << y, t, merged_peeled, [x])
+        if merged_live is not None:
+            classes = _branch(adj, merged_rows, merged_members, merged_live, t, merged_peeled)
+            if classes is not None:
+                return classes
+        rows[x] |= 1 << y
+        rows[y] |= 1 << x
+        live = _settle(rows, members, live, t, peeled, [x, y])
+        if live is None:
+            return None
+    classes = [0] * t
+    for v in reversed(peeled):
+        near = 0
+        for u in bits_of(members[v]):
+            near |= adj[u]
+        for c in range(t):
+            if not classes[c] & near:
+                classes[c] |= members[v]
+                break
+    return classes
+
+
+def _reduce(rows: list[int], members: list[int], live: int, t: int, peeled: list[int]) -> int:
+    """Peel and make forced merges until neither applies; the live vertices
+    that are left."""
     merged = True
     while merged:
         live = _peel(rows, live, t, peeled)
@@ -70,32 +127,91 @@ def first_coloring(adj: Sequence[int], t: int) -> list[int] | None:
                 common = rows[x] & rows[y] & live
                 if common.bit_count() < t - 1 or not has_clique(_restricted(rows, common), t - 1):
                     continue
-                rows[x] |= rows[y]
-                for w in bits_of(rows[y]):
-                    rows[w] = rows[w] & ~(1 << y) | 1 << x
-                members[x] |= members[y]
+                _merge(rows, members, x, y)
                 live = _peel(rows, live ^ 1 << y, t, peeled)
                 merged = True
                 if not live >> x & 1:
                     break
-    if live and has_clique(_restricted(rows, live), t + 1):
-        return None
-    classes = [0] * t
-    for comp in components(rows, live):
-        if not _color_component(rows, comp, t, classes):
+    return live
+
+
+def _settle(
+    rows: list[int], members: list[int], live: int, t: int, peeled: list[int], changed: list[int]
+) -> int | None:
+    """``_reduce`` after the rows of the ``changed`` vertices gained
+    neighbors, scanning only where that can matter; the live vertices that
+    are left, or None once a (t+1)-clique appears.
+
+    A forced merge or a (t+1)-clique that a new edge at d makes has d on it
+    or on the pair's common clique, so d's live neighbors hold a
+    (t-1)-clique; a d whose neighbors hold none is done at once. A forced
+    merge changes the vertex it keeps, which is scanned in its turn.
+    """
+    live = _peel(rows, live, t, peeled)
+    while changed:
+        d = changed.pop()
+        if not live >> d & 1:
+            continue
+        near = rows[d] & live
+        if near.bit_count() < t - 1 or not has_clique(_restricted(rows, near), t - 1):
+            continue
+        if has_clique(_restricted(rows, near), t):
             return None
-    for c, cls in enumerate(classes):
-        for v in bits_of(cls):
-            classes[c] |= members[v]
-    for v in reversed(peeled):
-        near = 0
-        for u in bits_of(members[v]):
-            near |= adj[u]
-        for c in range(t):
-            if not classes[c] & near:
-                classes[c] |= members[v]
-                break
-    return _checked(adj, classes)
+        pair = _forced_pair(rows, live, t, d, near)
+        if pair is None:
+            continue
+        x, y = pair
+        _merge(rows, members, x, y)
+        live = _peel(rows, live ^ 1 << y, t, peeled)
+        changed.append(x)
+        if d not in (x, y):
+            # d may be on more forced pairs than the first one found
+            changed.append(d)
+    return live
+
+
+def _forced_pair(rows: Sequence[int], live: int, t: int, d: int, near: int) -> tuple[int, int] | None:
+    """A forced pair x < y with d one of the pair or on its common
+    (t-1)-clique, or None; ``near`` is d's live neighbors."""
+    for b in bits_of(live & ~near & ~(1 << d)):
+        common = near & rows[b]
+        if common.bit_count() >= t - 1 and has_clique(_restricted(rows, common), t - 1):
+            return (d, b) if d < b else (b, d)
+    for a in bits_of(near):
+        around = rows[a] & near
+        if around.bit_count() < t - 2:
+            continue
+        for b in bits_of(near & ~rows[a] & ~((2 << a) - 1)):
+            common = around & rows[b]
+            if common.bit_count() >= t - 2 and has_clique(_restricted(rows, common), t - 2):
+                return a, b
+    return None
+
+
+def _merge(rows: list[int], members: list[int], x: int, y: int) -> None:
+    """Merge y into x: x takes y's neighbors and members."""
+    rows[x] |= rows[y]
+    for w in bits_of(rows[y]):
+        rows[w] = rows[w] & ~(1 << y) | 1 << x
+    members[x] |= members[y]
+
+
+def _zykov_pair(rows: Sequence[int], live: int) -> tuple[int, int] | None:
+    """The nonadjacent live pair x < y with the most common live neighbors
+    (the least pair on a tie), or None if the live vertices are a clique."""
+    most, pair = -1, None
+    for x in bits_of(live):
+        row = rows[x] & live
+        if row.bit_count() <= most:
+            # no pair of x's has more common neighbors
+            continue
+        for y in bits_of(live & ~rows[x] & ~((2 << x) - 1)):
+            common = (row & rows[y]).bit_count()
+            if common > most:
+                most, pair = common, (x, y)
+                if most == row.bit_count():
+                    break
+    return pair
 
 
 def _peel(rows: list[int], live: int, t: int, peeled: list[int]) -> int:
@@ -133,62 +249,6 @@ def _checked(adj: Sequence[int], classes: list[int]) -> list[int]:
     if seen != full:
         raise AssertionError(f"vertex {(full & ~seen).bit_length() - 1} left uncolored")
     return classes
-
-
-def _color_component(adj: Sequence[int], comp: int, t: int, classes: list[int]) -> bool:
-    """Backtracking over the vertices of ``comp``, which join the color
-    classes ``classes`` on success: the next vertex has the most colors
-    forbidden, then the most neighbors in ``comp``, then the least id, and
-    a new color may only be the next unused one."""
-    # the choice key: saturation above degree in comp above 511 - v
-    static = [0] * len(adj)
-    for v in bits_of(comp):
-        static[v] = (adj[v] & comp).bit_count() << 9 | (511 - v)
-    forbid = [0] * len(adj)
-    marked = [0] * t
-
-    def rec(uncolored: int, used: int) -> bool:
-        if not uncolored:
-            return True
-        best = -1
-        rest = uncolored
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            key = forbid[u].bit_count() << 18 | static[u]
-            if key > best:
-                best, v = key, u
-        avail = ~forbid[v] & ((1 << min(t, used + 1)) - 1)
-        if not avail:
-            return False
-        vbit = 1 << v
-        uncolored ^= vbit
-        nbrs = adj[v] & uncolored
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            c = bit.bit_length() - 1
-            classes[c] |= vbit
-            fresh = nbrs & ~marked[c]
-            marked[c] |= fresh
-            rest = fresh
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                forbid[low.bit_length() - 1] |= bit
-            if rec(uncolored, max(used, c + 1)):
-                return True
-            marked[c] ^= fresh
-            rest = fresh
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                forbid[low.bit_length() - 1] ^= bit
-            classes[c] ^= vbit
-        return False
-
-    return rec(comp, 0)
 
 
 def chromatic_number(g: Graph) -> int:

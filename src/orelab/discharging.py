@@ -12,8 +12,11 @@ rows against the potential.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import Iterable
 
 from .graphs import Graph, cliques_of_size, embeddings
 from .orekit import Gadget, gadget_catalog
@@ -109,37 +112,47 @@ def apply_rules(
     along each edge. Rule two: each structure vertex sends a total of -(k-1)
     split equally over its near-vertex neighbors; with no near neighbor
     nothing moves, the only reading that conserves charge.
+
+    Charges are kept as integers over one common denominator, eps's times
+    the lcm of every count a rule divides by, so every transfer is exact;
+    both audits run on those integers, and each distinct charge becomes one
+    ``Fraction``, shared by the rows that hold it.
     """
     eps = PotentialParams.for_k(k).eps
-    base = (k - 2) * (k + 1) + eps
-    initial = {v: base - g.degree(v) * (k - 1) for v in range(g.n)}
-    shift: dict[int, Fraction] = {v: Fraction(0) for v in range(g.n)}
+    degree = [g.degree(v) for v in range(g.n)]
+    senders = [v for v in range(g.n) if degree[v] >= k + 2]
+    payers = {}
     for v in range(g.n):
-        d = g.degree(v)
-        if d >= k + 2:
-            sent_total = Fraction((k - d) * (k - 1))
-            shift[v] -= sent_total
-            per_edge = sent_total / d
-            for u in g.neighbors(v):
-                shift[u] += per_edge
-            # the residue rule is about what the sender keeps, before any
-            # charge it receives back from other senders
-            if initial[v] - sent_total != -2 + eps:
-                raise AssertionError("sender residue is off")
-    for v in range(g.n):
-        if roles[v] != ROLE_STRUCTURE:
-            continue
-        near = [u for u in g.neighbors(v) if roles[u] == ROLE_NEAR]
-        if not near:
-            continue
-        sent_total = Fraction(-(k - 1))
-        shift[v] -= sent_total
+        if roles[v] == ROLE_STRUCTURE:
+            near = [u for u in g.neighbors(v) if roles[u] == ROLE_NEAR]
+            if near:
+                payers[v] = near
+    scale = lcm(*(degree[v] for v in senders), *(len(near) for near in payers.values()))
+    den = eps.denominator * scale
+    base = (k - 2) * (k + 1) * den + eps.numerator * scale
+    initial = [base - d * (k - 1) * den for d in degree]
+    final = initial[:]
+    for v in senders:
+        sent = (k - degree[v]) * (k - 1) * den
+        # the residue rule is about what the sender keeps, before any
+        # charge it receives back from other senders
+        if initial[v] - sent != -2 * den + eps.numerator * scale:
+            raise AssertionError("sender residue is off")
+        final[v] -= sent
+        per_edge = sent // degree[v]
+        for u in g.neighbors(v):
+            final[u] += per_edge
+    for v, near in payers.items():
+        sent = -(k - 1) * den
+        final[v] -= sent
         for u in near:
-            shift[u] += sent_total / len(near)
-
+            final[u] += sent // len(near)
+    if sum(initial) != sum(final):
+        raise AssertionError("rules moved charge without conserving it")
+    charge = {units: Fraction(units, den) for units in {*initial, *final}}
     rows = []
     for v in range(g.n):
-        d = g.degree(v)
+        d = degree[v]
         if roles[v] == ROLE_LONE and cluster_size[v] == 1:
             label = LABEL_L
         elif roles[v] == ROLE_LONE and cluster_size[v] == 2:
@@ -150,9 +163,7 @@ def apply_rules(
             label = LABEL_Q
         else:
             label = LABEL_R
-        rows.append(VertexCharge(label, initial[v], initial[v] + shift[v]))
-    if sum(r.initial for r in rows) != sum(r.final for r in rows):
-        raise AssertionError("rules moved charge without conserving it")
+        rows.append(VertexCharge(label, charge[initial[v]], charge[final[v]]))
     return tuple(rows)
 
 
@@ -165,6 +176,11 @@ class ChargeReport:
     identity_hypothesis: bool
     total_charge: Fraction
     rho_plus_delta_t: Fraction
+
+
+def _total(charges: Iterable[Fraction]) -> Fraction:
+    """The sum of ``charges``, one product per distinct value."""
+    return sum((charge * count for charge, count in Counter(charges).items()), Fraction(0))
 
 
 def charge_report(g: Graph, k: int, ore_catalog_cap: int = 2) -> ChargeReport:
@@ -197,7 +213,7 @@ def charge_report(g: Graph, k: int, ore_catalog_cap: int = 2) -> ChargeReport:
         raise AssertionError("edge identity failed with its hypothesis intact")
     # rho + delta*T does not depend on T, so T = 0 gives it without a packing
     rho_plus = rho(g, k, 0)
-    total = sum((r.initial for r in rows), Fraction(0))
+    total = _total(r.initial for r in rows)
     if total != rho_plus:
         raise AssertionError("total charge disagrees with the potential")
     return ChargeReport(

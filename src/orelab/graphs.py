@@ -616,7 +616,8 @@ def graph6_decode(text: str | bytes) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             idx += 1
-    return Graph(n, tuple(rows))
+    # symmetric and loop-free as built, with n checked above
+    return Graph._trusted(n, tuple(rows))
 
 
 def to_dot(g: Graph) -> str:

@@ -6,9 +6,12 @@ saturation-first backtracking on the whole graph, with no reduction, which
 reaches the graphs too large to enumerate.
 """
 
+import inspect
 import itertools
 import math
 import random
+import sys
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -143,6 +146,11 @@ def small_and_random_checks() -> list[tuple[Graph, int]]:
     return [(g, t) for g in corpus for t in range(1, 6)]
 
 
+def without_an_edge(g: Graph, rng: random.Random) -> Graph:
+    cut = rng.choice(g.edges())
+    return Graph.from_edges(g.n, [e for e in g.edges() if e != cut])
+
+
 def composed_checks() -> list[tuple[Graph, int]]:
     """Seeded composed graphs with k = 4, 5, 6 and 1..3 steps, each whole
     and with one edge deleted, at t = k - 1."""
@@ -151,9 +159,112 @@ def composed_checks() -> list[tuple[Graph, int]]:
     for k in (4, 5, 6):
         for _ in range(8):
             g = realize(random_ore_tree(k, rng.randrange(1, 4), rng))
-            cut = rng.choice(g.edges())
-            out += [(g, k - 1), (Graph.from_edges(g.n, [e for e in g.edges() if e != cut]), k - 1)]
+            out += [(g, k - 1), (without_an_edge(g, rng), k - 1)]
     return out
+
+
+def dirac_join(k: int) -> Graph:
+    """K_(k-3) joined to C5 (Dirac 1952), k-critical on k + 2 vertices: the
+    cycle is 0..4 and the clique 5..k+1."""
+    cycle = [(i, (i + 1) % 5) for i in range(5)]
+    return Graph.from_edges(k + 2, cycle + [(u, v) for u in range(5, k + 2) for v in range(u)])
+
+
+def dirac_chain(k: int, steps: int, rng: random.Random) -> Graph:
+    """``steps`` Ore compositions of dirac_join(k) onto a growing chain, each
+    at a random edge of the chain and a random split of a random vertex."""
+    g = dirac_join(k)
+    for _ in range(steps):
+        d = dirac_join(k)
+        z = rng.randrange(d.n)
+        nbrs = list(bits_of(d.adj[z]))
+        rng.shuffle(nbrs)
+        cut = rng.randrange(1, len(nbrs))
+        g = ore_compose(g, rng.choice(g.edges()), d, z, (tuple(nbrs[:cut]), tuple(nbrs[cut:])))
+    return g
+
+
+def dirac_checks() -> list[tuple[Graph, int]]:
+    """Dirac chains with k = 4, 5 and 0..3 steps and with k = 6 and 0..2
+    steps (the oracle takes seconds on some at 3), each whole and with one
+    edge deleted, at t = k - 1."""
+    rng = random.Random("dirac")
+    out = []
+    for k in (4, 5, 6):
+        for steps in range(4 if k < 6 else 3):
+            for _ in range(3):
+                g = dirac_chain(k, steps, rng)
+                out += [(g, k - 1), (without_an_edge(g, rng), k - 1)]
+    return out
+
+
+def dense_checks() -> list[tuple[Graph, int]]:
+    """Seeded random graphs on 8..16 vertices with edge density 1/2 and 3/4,
+    at t = 3..6 and 4..8: near their chromatic numbers, where cores keep
+    pairs with many common neighbors."""
+    rng = random.Random("dense")
+    out = []
+    for _ in range(150):
+        n = rng.randint(8, 16)
+        half = random_graph(rng, n)
+        out += [(half, t) for t in range(3, 7)]
+        dense = Graph.from_edges(n, half.edges() + random_graph(rng, n).edges())
+        out += [(dense, t) for t in range(4, 9)]
+    return out
+
+
+def branches_taken(checks) -> int:
+    """How many of the checks take at least one Zykov branch."""
+    real = coloring._zykov_pair
+    fired = False
+
+    def watched(rows, live):
+        nonlocal fired
+        pair = real(rows, live)
+        fired = fired or pair is not None
+        return pair
+
+    taken = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring, "_zykov_pair", watched)
+        for g, t in checks:
+            fired = False
+            first_coloring(g.adj, t)
+            taken += fired
+    return taken
+
+
+def mutate(monkeypatch, name: str, old: str, new: str) -> None:
+    """Replace ``name`` in the coloring module by a copy of its source with
+    ``old`` turned into ``new``; its recursive calls reach the copy."""
+    source = inspect.getsource(getattr(coloring, name))
+    assert old in source
+    namespace = dict(vars(coloring))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(coloring, name, namespace[name])
+
+
+def survives(checks) -> bool:
+    """Whether a mutant agrees with the oracle on every check; a coloring
+    that ``_checked`` refuses counts as a disagreement."""
+    try:
+        return all(agrees_with_oracle(g, t) for g, t in checks)
+    except AssertionError:
+        return False
+
+
+def branch_choices(monkeypatch) -> list[int]:
+    """The live vertex sets that a Zykov pair is chosen from from now on:
+    one per branch, none where the reductions alone settle a question."""
+    real = coloring._zykov_pair
+    calls = []
+
+    def counted(rows, live):
+        calls.append(live)
+        return real(rows, live)
+
+    monkeypatch.setattr(coloring, "_zykov_pair", counted)
+    return calls
 
 
 def test_first_coloring_matches_plain_backtracking():
@@ -169,6 +280,78 @@ def test_first_coloring_matches_plain_backtracking_on_composed_graphs():
         assert agrees_with_oracle(g, t), (g, t)
     # the whole graphs are refuted and every one with a deleted edge colored
     assert [first_coloring(g.adj, t) is None for g, t in checks] == [True, False] * (len(checks) // 2)
+
+
+def test_first_coloring_matches_plain_backtracking_on_dirac_chains():
+    checks = dirac_checks()
+    for g, t in checks:
+        assert agrees_with_oracle(g, t), (g, t)
+    assert [first_coloring(g.adj, t) is None for g, t in checks] == [True, False] * (len(checks) // 2)
+    assert branches_taken(checks) > len(checks) // 10
+
+
+def test_first_coloring_matches_plain_backtracking_where_the_branch_fires():
+    checks = dense_checks()
+    for g, t in checks:
+        assert agrees_with_oracle(g, t), (g, t)
+    assert branches_taken(checks) > len(checks) // 10
+
+
+def test_each_branch_step_ends_at_the_full_reductions_fixpoint(monkeypatch):
+    # _settle scans only near the changed vertices; a full peel and
+    # forced-merge pass afterwards must find nothing left to do
+    real = coloring._settle
+    settled = 0
+
+    def checked(rows, members, live, t, peeled, changed):
+        nonlocal settled
+        out = real(rows, members, live, t, peeled, changed)
+        if out is not None:
+            settled += 1
+            again_rows, again_members, again_peeled = list(rows), list(members), list(peeled)
+            assert coloring._reduce(again_rows, again_members, out, t, again_peeled) == out
+            assert (again_rows, again_members, again_peeled) == (rows, members, peeled)
+        return out
+
+    monkeypatch.setattr(coloring, "_settle", checked)
+    for g, t in dirac_checks() + dense_checks():
+        first_coloring(g.adj, t)
+    assert settled > 200
+
+
+def test_a_branch_without_its_edge_side_fails_the_differential(monkeypatch):
+    # a mutant that answers "no coloring" once the merge side fails
+    mutate(monkeypatch, "_branch", "rows[x] |= 1 << y\n        rows[y] |= 1 << x\n", "return None\n")
+    assert not survives(dirac_checks() + dense_checks())
+
+
+def test_a_branch_on_an_adjacent_pair_fails_the_differential(monkeypatch):
+    # merging adjacent vertices is unsound, and adding their edge changes
+    # nothing, so the mutant may also loop: a bound on its pair choices stops it
+    mutate(monkeypatch, "_zykov_pair", "live & ~rows[x] &", "live & rows[x] &")
+    mutant = coloring._zykov_pair
+    choices = 0
+
+    def bounded(rows, live):
+        nonlocal choices
+        choices += 1
+        assert choices < 100_000, "the mutant loops"
+        return mutant(rows, live)
+
+    monkeypatch.setattr(coloring, "_zykov_pair", bounded)
+    assert not survives(dirac_checks() + dense_checks())
+
+
+def test_first_coloring_matches_plain_backtracking_on_random_graphs_of_order_28():
+    # the branch fires near the chromatic number here; branching alone
+    # answers the 30 questions in about 0.05 s on a 2-core host, as fast as
+    # the saturation-first backtracking it replaced
+    start = time.process_time()
+    for s in range(6):
+        g = random_graph(random.Random(s), 28)
+        for t in range(4, 9):
+            assert agrees_with_oracle(g, t), (s, t)
+    print(f"30 questions on G(28, 1/2) and their oracle answers: {time.process_time() - start:.2f} s")
 
 
 def test_an_unforced_merge_fails_the_differential(monkeypatch):
@@ -215,17 +398,82 @@ def test_first_coloring_never_returns_an_unchecked_coloring(monkeypatch):
 @pytest.mark.parametrize("k", [8, 10])
 def test_reductions_leave_no_backtracking_on_composed_trees(monkeypatch, k):
     g = realize(random_ore_tree(k, 3, random.Random(3)))
-    real = coloring._color_component
-    calls = []
-
-    def counted(adj, comp, t, classes):
-        calls.append(comp)
-        return real(adj, comp, t, classes)
-
-    monkeypatch.setattr(coloring, "_color_component", counted)
+    calls = branch_choices(monkeypatch)
     assert first_coloring(g.adj, k - 1) is None
     assert is_k_critical(g, k)
     assert calls == []
+
+
+def test_branching_refutes_seeded_k5_trees_in_few_choices(monkeypatch):
+    # peeling and forced merges alone left cores on 11 of these 160, which
+    # the backtracking that branching replaced then had to refute
+    trees = [realize(random_ore_tree(5, s, random.Random(seed))) for s in range(1, 5) for seed in range(40)]
+    calls = branch_choices(monkeypatch)
+    assert all(first_coloring(g.adj, 4) is None for g in trees)
+    assert len(calls) <= len(trees) // 8
+
+
+def test_criticality_of_a_dirac_chain_at_k_10(monkeypatch):
+    # backtracking on the cores did not finish in 30 s; with branching the
+    # 182 colorability questions take a few hundred branch nodes
+    g = dirac_chain(10, 2, random.Random(0))
+    assert g.n == 34
+    real = coloring._branch
+    nodes = 0
+
+    def counted(*args):
+        nonlocal nodes
+        nodes += 1
+        return real(*args)
+
+    monkeypatch.setattr(coloring, "_branch", counted)
+    assert is_k_critical(g, 10) is True
+    assert nodes <= 2 * (g.edge_count() + 1)
+
+
+def test_a_dense_bipartite_core_rescans_only_where_merges_change_it(monkeypatch):
+    # K_(40,40) at t = 3: no pair is forced and every merge side succeeds,
+    # so 38 merges nest. The first reduction tests each same-side pair for
+    # a forced merge once; after each merge only the changed vertex's
+    # neighbors are tested, which hold no edge. Rescanning every pair at
+    # every level took about 60,000 clique tests here.
+    m = 40
+    g = Graph.from_edges(2 * m, [(a, m + b) for a in range(m) for b in range(m)])
+    real = coloring.has_clique
+    tests = 0
+
+    def counted(h, size):
+        nonlocal tests
+        tests += 1
+        return real(h, size)
+
+    monkeypatch.setattr(coloring, "has_clique", counted)
+    assert is_proper_coloring(g, first_coloring(g.adj, 3), 3)
+    assert tests <= 2 * math.comb(m, 2) + 2 * g.n
+
+
+def test_deep_branching_stays_under_the_default_recursion_limit(monkeypatch):
+    # 42 disjoint K_{3,3} at t = 3: no pair is forced, every same-side pair
+    # has 3 common neighbors, and each merge side succeeds, so the merges
+    # nest one level per copy
+    k33 = [(a, b) for a in range(3) for b in range(3, 6)]
+    g = Graph.from_edges(252, [(u + 6 * j, v + 6 * j) for j in range(42) for u, v in k33])
+    real = coloring._branch
+    depth = deepest = 0
+
+    def counted(*args):
+        nonlocal depth, deepest
+        depth += 1
+        deepest = max(deepest, depth)
+        try:
+            return real(*args)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(coloring, "_branch", counted)
+    assert sys.getrecursionlimit() == 1000
+    assert is_proper_coloring(g, first_coloring(g.adj, 3), 3)
+    assert deepest == 43
 
 
 def test_criticality_at_the_papers_k():

@@ -15,12 +15,14 @@ import orelab.discharging
 from orelab import (
     Graph,
     PotentialParams,
+    VertexCharge,
     apply_rules,
     charge_report,
     classify_degree_k1,
     compute_T,
     graph_classes,
     ore_compose,
+    random_graph,
     random_ore_tree,
     realize,
     rho,
@@ -100,6 +102,70 @@ def test_structure_pays_its_near_neighbor():
     assert rows[0].final - rows[0].initial == -5
     assert rows[1].final - rows[1].initial == 5
     assert sum(r.initial for r in rows) == sum(r.final for r in rows)
+
+
+def oracle_apply_rules(
+    g: Graph, k: int, roles: dict[int, str], cluster_size: dict[int, int]
+) -> tuple[VertexCharge, ...]:
+    """Both rules in Fraction arithmetic, one transfer at a time, with both
+    audits."""
+    eps = PotentialParams.for_k(k).eps
+    base = (k - 2) * (k + 1) + eps
+    initial = {v: base - g.degree(v) * (k - 1) for v in range(g.n)}
+    shift: dict[int, Fraction] = {v: Fraction(0) for v in range(g.n)}
+    for v in range(g.n):
+        d = g.degree(v)
+        if d >= k + 2:
+            sent_total = Fraction((k - d) * (k - 1))
+            shift[v] -= sent_total
+            per_edge = sent_total / d
+            for u in g.neighbors(v):
+                shift[u] += per_edge
+            assert initial[v] - sent_total == -2 + eps, "sender residue is off"
+    for v in range(g.n):
+        if roles[v] != "structure":
+            continue
+        near = [u for u in g.neighbors(v) if roles[u] == "near"]
+        if not near:
+            continue
+        sent_total = Fraction(-(k - 1))
+        shift[v] -= sent_total
+        for u in near:
+            shift[u] += sent_total / len(near)
+    rows = []
+    for v in range(g.n):
+        d = g.degree(v)
+        if roles[v] == "lone" and cluster_size[v] == 1:
+            label = "L"
+        elif roles[v] == "lone" and cluster_size[v] == 2:
+            label = "M"
+        elif d == k:
+            label = "P"
+        elif d == k + 1:
+            label = "Q"
+        else:
+            label = "R-other"
+        rows.append(VertexCharge(label, initial[v], initial[v] + shift[v]))
+    assert sum(r.initial for r in rows) == sum(r.final for r in rows), "rules moved charge without conserving it"
+    return tuple(rows)
+
+
+def test_integer_ledger_matches_fraction_arithmetic():
+    # random roles and cluster sizes on random hosts: high-degree senders
+    # and structure-to-near transfers come together, which no measure
+    # stream graph has; rows are compared as their printed values
+    rng = random.Random("ledger")
+    moves = senders = 0
+    for _ in range(400):
+        k = rng.randint(4, 9)
+        g = random_graph(rng, rng.randint(1, 2 * k + 4))
+        roles = {v: rng.choice(["structure", "near", "lone", "not-deg-(k-1)"]) for v in range(g.n)}
+        cluster_size = {v: rng.randint(1, 3) for v in range(g.n) if roles[v] != "not-deg-(k-1)"}
+        rows = apply_rules(g, k, roles, cluster_size)
+        assert [str(r) for r in rows] == [str(r) for r in oracle_apply_rules(g, k, roles, cluster_size)], (g, k)
+        senders += any(g.degree(v) >= k + 2 for v in range(g.n))
+        moves += any(roles[v] == "structure" and roles[u] == "near" for v in range(g.n) for u in g.neighbors(v))
+    assert senders > 100 and moves > 100
 
 
 def test_high_degree_sender_keeps_exact_residue():

@@ -675,9 +675,14 @@ def test_graph6_long_form():
 
 
 def test_graph6_roundtrip_on_all_small_classes():
-    for n in range(1, 7):
-        for g in graph_classes(n):
-            assert graph6_decode(graph6_encode(g)) == g
+    # decoding skips validation, so each decoded graph also passes it
+    rng = random.Random("graph6")
+    corpus = [g for n in range(1, 8) for g in graph_classes(n)]
+    corpus += [random_graph(rng, rng.randint(0, 70)) for _ in range(200)]
+    for g in corpus:
+        decoded = graph6_decode(graph6_encode(g))
+        assert decoded == g == Graph(decoded.n, decoded.adj)
+        assert type(decoded.adj) is tuple
 
 
 def test_graph6_header_prefix_and_line_reader():
