@@ -7,8 +7,10 @@ decision procedure shrinks the graph by two exact reductions, peeling
 low-degree vertices and merging pairs that a clique forces to share a color,
 stops at a clique one larger than the palette, and branches on the core's
 nonadjacent pair with the most common neighbors (merged, else joined by an
-edge), reducing again on each side near the vertices the branch changed;
-it checks on the input rows every coloring it returns. The criticality test
+edge). One routine runs the reductions, from every vertex at the root and
+from the vertices a branch changed on each of its sides, and tests each
+candidate clique on the rows inside a vertex mask. Every coloring the
+procedure returns is checked on the input rows. The criticality test
 and the critical-subgraph search work on adjacency rows and share one step:
 delete an edge and test (k-1)-colorability. The subgraph search answers
 that step without the solver when an earlier coloring is still proper on
@@ -27,7 +29,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeCapError
-from .graphs import Graph, bits_of, has_clique, mask_of
+from .graphs import Graph, _cliques, bits_of, mask_of
 
 
 # -- core exact solver -------------------------------------------------------
@@ -44,12 +46,13 @@ def first_coloring(adj: Sequence[int], t: int) -> list[int] | None:
     - forced merge: nonadjacent x and y with a (t-1)-clique among their
       common live neighbors share a color in every t-coloring, so y merges
       into x, and x stands for the class of both.
-    A (t+1)-clique on the core that is left means no coloring. Otherwise
-    the core's nonadjacent pair x < y with the most common live neighbors
-    (the least such pair on a tie) is a Zykov branch (Zykov 1949): the core
-    is t-colorable iff it is so with y merged into x or with the edge xy
+    The reductions start from every vertex, least first, and stop at a
+    (t+1)-clique, which means no coloring. On the core that is left, the
+    nonadjacent pair x < y with the most common live neighbors (the least
+    such pair on a tie) is a Zykov branch (Zykov 1949): the core is
+    t-colorable iff it is so with y merged into x or with the edge xy
     added. The merge side is tried first, on copies; the edge side goes on
-    in place. Each side reduces again and stops at a (t+1)-clique, until
+    in place. Each side reduces again from the vertices it changed, until
     every vertex is peeled or merged. Every merged class then takes the
     color of its representative: the peeled vertices, in reverse peel
     order, take the least color that no colored neighbor of a member uses.
@@ -63,8 +66,8 @@ def first_coloring(adj: Sequence[int], t: int) -> list[int] | None:
     rows = list(adj)
     members = [1 << v for v in range(n)]
     peeled: list[int] = []
-    live = _reduce(rows, members, (1 << n) - 1, t, peeled)
-    if live and has_clique(_restricted(rows, live), t + 1):
+    live = _settle(rows, members, (1 << n) - 1, t, peeled, list(range(n - 1, -1, -1)))
+    if live is None:
         return None
     classes = _branch(adj, rows, members, live, t, peeled)
     return None if classes is None else _checked(adj, classes)
@@ -111,41 +114,19 @@ def _branch(
     return classes
 
 
-def _reduce(rows: list[int], members: list[int], live: int, t: int, peeled: list[int]) -> int:
-    """Peel and make forced merges until neither applies; the live vertices
-    that are left."""
-    merged = True
-    while merged:
-        live = _peel(rows, live, t, peeled)
-        merged = False
-        for x in bits_of(live):
-            if not live >> x & 1:
-                continue
-            for y in bits_of(live & ~rows[x] & ~((2 << x) - 1)):
-                if not live >> y & 1 or rows[x] >> y & 1:
-                    continue
-                common = rows[x] & rows[y] & live
-                if common.bit_count() < t - 1 or not has_clique(_restricted(rows, common), t - 1):
-                    continue
-                _merge(rows, members, x, y)
-                live = _peel(rows, live ^ 1 << y, t, peeled)
-                merged = True
-                if not live >> x & 1:
-                    break
-    return live
-
-
 def _settle(
     rows: list[int], members: list[int], live: int, t: int, peeled: list[int], changed: list[int]
 ) -> int | None:
-    """``_reduce`` after the rows of the ``changed`` vertices gained
-    neighbors, scanning only where that can matter; the live vertices that
-    are left, or None once a (t+1)-clique appears.
+    """Peel and make forced merges until neither applies, scanning the
+    ``changed`` vertices, the last one first; the live vertices that are
+    left, or None once a (t+1)-clique appears.
 
-    A forced merge or a (t+1)-clique that a new edge at d makes has d on it
-    or on the pair's common clique, so d's live neighbors hold a
-    (t-1)-clique; a d whose neighbors hold none is done at once. A forced
-    merge changes the vertex it keeps, which is scanned in its turn.
+    Each forced pair and (t+1)-clique must have a changed vertex d on it
+    or on the pair's common clique: the root marks every vertex, and a
+    branch side the vertices whose rows gained neighbors. Then d's live
+    neighbors hold a (t-1)-clique; a d whose neighbors hold none is done
+    at once. A forced merge changes the vertex it keeps, which is scanned
+    in its turn.
     """
     live = _peel(rows, live, t, peeled)
     while changed:
@@ -153,9 +134,9 @@ def _settle(
         if not live >> d & 1:
             continue
         near = rows[d] & live
-        if near.bit_count() < t - 1 or not has_clique(_restricted(rows, near), t - 1):
+        if near.bit_count() < t - 1 or not _cliques(rows, near, t - 1, _stop):
             continue
-        if has_clique(_restricted(rows, near), t):
+        if _cliques(rows, near, t, _stop):
             return None
         pair = _forced_pair(rows, live, t, d, near)
         if pair is None:
@@ -175,7 +156,7 @@ def _forced_pair(rows: Sequence[int], live: int, t: int, d: int, near: int) -> t
     (t-1)-clique, or None; ``near`` is d's live neighbors."""
     for b in bits_of(live & ~near & ~(1 << d)):
         common = near & rows[b]
-        if common.bit_count() >= t - 1 and has_clique(_restricted(rows, common), t - 1):
+        if common.bit_count() >= t - 1 and _cliques(rows, common, t - 1, _stop):
             return (d, b) if d < b else (b, d)
     for a in bits_of(near):
         around = rows[a] & near
@@ -183,7 +164,7 @@ def _forced_pair(rows: Sequence[int], live: int, t: int, d: int, near: int) -> t
             continue
         for b in bits_of(near & ~rows[a] & ~((2 << a) - 1)):
             common = around & rows[b]
-            if common.bit_count() >= t - 2 and has_clique(_restricted(rows, common), t - 2):
+            if common.bit_count() >= t - 2 and _cliques(rows, common, t - 2, _stop):
                 return a, b
     return None
 
@@ -228,13 +209,9 @@ def _peel(rows: list[int], live: int, t: int, peeled: list[int]) -> int:
     return live
 
 
-def _restricted(rows: Sequence[int], sub: int) -> Graph:
-    """The rows' subgraph induced on ``sub``, on the same ids; the other
-    vertices are isolated."""
-    out = [0] * len(rows)
-    for v in bits_of(sub):
-        out[v] = rows[v] & sub
-    return Graph._trusted(len(rows), tuple(out))
+def _stop(clique: tuple[int, ...], later: int) -> bool:
+    """Stop a clique search at the first clique it finds."""
+    return True
 
 
 def _checked(adj: Sequence[int], classes: list[int]) -> list[int]:

@@ -218,11 +218,15 @@ def _quotient(adj: Sequence[int], image: dict[int, int], n: int) -> tuple[int, .
 # -- clique and subgraph search ------------------------------------------
 
 
-def _cliques(g: Graph, size: int, visit: Callable[[tuple[int, ...], int], bool]) -> bool:
-    """Hand every ``size``-vertex clique of g to ``visit``, as a sorted tuple
-    in lexicographic order with the mask of its later common neighbours (the
-    vertices above its last one adjacent to all of it), and stop with True
-    as soon as ``visit`` returns True.
+def _cliques(
+    adj: Sequence[int], within: int, size: int, visit: Callable[[tuple[int, ...], int], bool]
+) -> bool:
+    """Hand every ``size``-vertex clique of the rows ``adj`` inside the
+    vertex mask ``within`` to ``visit``, as a sorted tuple in lexicographic
+    order with the mask of its later common neighbours in ``within`` (the
+    vertices there above its last one adjacent to all of it), and stop with
+    True as soon as ``visit`` returns True. Every candidate set is
+    ``within`` intersected with rows, so the search never leaves it.
 
     Each level tries its candidates in increasing order and drops each one
     once tried, so a vertex extends only with its later neighbours. A vertex
@@ -231,7 +235,6 @@ def _cliques(g: Graph, size: int, visit: Callable[[tuple[int, ...], int], bool])
     """
     if size < 0:
         raise ValueError("clique size must be nonnegative")
-    adj = g.adj
 
     def extend(prefix: tuple[int, ...], allowed: int, want: int) -> bool:
         if want == 0:
@@ -245,7 +248,7 @@ def _cliques(g: Graph, size: int, visit: Callable[[tuple[int, ...], int], bool])
                 return True
         return False
 
-    return extend((), g.full_mask(), size)
+    return extend((), within, size)
 
 
 def cliques_of_size(g: Graph, size: int, cap: int | None = None) -> list[tuple[int, ...]]:
@@ -264,13 +267,13 @@ def cliques_of_size(g: Graph, size: int, cap: int | None = None) -> list[tuple[i
             raise SizeCapError("clique enumeration", len(out), cap)
         return False
 
-    _cliques(g, size, collect)
+    _cliques(g.adj, g.full_mask(), size, collect)
     return out
 
 
 def has_clique(g: Graph, size: int) -> bool:
     """Early-exit test for a complete subgraph on ``size`` vertices."""
-    return _cliques(g, size, lambda clique, later: True)
+    return _cliques(g.adj, g.full_mask(), size, lambda clique, later: True)
 
 
 def embeddings(pattern: Graph, host: Graph) -> Iterator[tuple[int, ...]]:

@@ -80,7 +80,7 @@ def compute_T(g: Graph, k: int) -> PackingWitness:
             raise SizeCapError("packing candidate cliques", len(big) + len(small), CLIQUE_CAP)
         return False
 
-    _cliques(g, k - 2, collect)
+    _cliques(g.adj, g.full_mask(), k - 2, collect)
     cand = [(2, cl) for cl in big] + [(1, cl) for cl in small]
     weights = [w for w, _ in cand]
     masks = [mask_of(cl) for _, cl in cand]

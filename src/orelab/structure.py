@@ -75,7 +75,7 @@ def find_diamonds_emeralds(g: Graph, k: int) -> list[frozenset[int]]:
             out.extend(frozenset(interior + (u, v)) for v in bits_of(common & ~g.adj[u] & ~((2 << u) - 1)))
         return False
 
-    _cliques(g, k - 2, visit)
+    _cliques(g.adj, g.full_mask(), k - 2, visit)
     # a diamond has k vertices and an emerald k-1
     out.sort(key=lambda s: (-len(s), sorted(s)))
     return out

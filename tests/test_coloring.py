@@ -297,26 +297,56 @@ def test_first_coloring_matches_plain_backtracking_where_the_branch_fires():
     assert branches_taken(checks) > len(checks) // 10
 
 
+def full_reduction(rows, members, live: int, t: int, peeled) -> int:
+    """Peel and make forced merges, testing every live pair in every pass,
+    until neither applies; the live vertices that are left. The oracle for
+    ``_settle``, which scans only from the vertices it is given."""
+    merged = True
+    while merged:
+        live = coloring._peel(rows, live, t, peeled)
+        merged = False
+        for x in bits_of(live):
+            if not live >> x & 1:
+                continue
+            for y in bits_of(live & ~rows[x] & ~((2 << x) - 1)):
+                if not live >> y & 1 or rows[x] >> y & 1:
+                    continue
+                common = rows[x] & rows[y] & live
+                if not graphs._cliques(rows, common, t - 1, lambda clique, later: True):
+                    continue
+                coloring._merge(rows, members, x, y)
+                live = coloring._peel(rows, live ^ 1 << y, t, peeled)
+                merged = True
+                if not live >> x & 1:
+                    break
+    return live
+
+
 def test_each_branch_step_ends_at_the_full_reductions_fixpoint(monkeypatch):
-    # _settle scans only near the changed vertices; a full peel and
+    # _settle scans only from the vertices it is given, every vertex at the
+    # root and the changed ones on a branch side; a full peel and
     # forced-merge pass afterwards must find nothing left to do
     real = coloring._settle
-    settled = 0
+    roots = sides = 0
 
     def checked(rows, members, live, t, peeled, changed):
-        nonlocal settled
+        nonlocal roots, sides
+        root = len(changed) == len(rows)
+        roots += root
         out = real(rows, members, live, t, peeled, changed)
         if out is not None:
-            settled += 1
+            sides += not root
             again_rows, again_members, again_peeled = list(rows), list(members), list(peeled)
-            assert coloring._reduce(again_rows, again_members, out, t, again_peeled) == out
+            assert full_reduction(again_rows, again_members, out, t, again_peeled) == out
             assert (again_rows, again_members, again_peeled) == (rows, members, peeled)
         return out
 
     monkeypatch.setattr(coloring, "_settle", checked)
-    for g, t in dirac_checks() + dense_checks():
+    checks = composed_checks() + dirac_checks() + dense_checks()
+    for g, t in checks:
         first_coloring(g.adj, t)
-    assert settled > 200
+    assert roots == len(checks)
+    assert sides > 200
 
 
 def test_a_branch_without_its_edge_side_fails_the_differential(monkeypatch):
@@ -356,10 +386,12 @@ def test_first_coloring_matches_plain_backtracking_on_random_graphs_of_order_28(
 
 def test_an_unforced_merge_fails_the_differential(monkeypatch):
     # a mutant that merges every gated pair, clique or not
-    real = graphs.has_clique
+    real = graphs._cliques
     checks = small_and_random_checks()
     for t in (3, 4, 5):
-        monkeypatch.setattr(coloring, "has_clique", lambda g, size: size < t or real(g, size))
+        monkeypatch.setattr(
+            coloring, "_cliques", lambda adj, within, size, visit: size < t or real(adj, within, size, visit)
+        )
         assert not all(agrees_with_oracle(g, t) for g, s in checks if s == t), t
 
 
@@ -432,24 +464,25 @@ def test_criticality_of_a_dirac_chain_at_k_10(monkeypatch):
 
 
 def test_a_dense_bipartite_core_rescans_only_where_merges_change_it(monkeypatch):
-    # K_(40,40) at t = 3: no pair is forced and every merge side succeeds,
-    # so 38 merges nest. The first reduction tests each same-side pair for
-    # a forced merge once; after each merge only the changed vertex's
-    # neighbors are tested, which hold no edge. Rescanning every pair at
-    # every level took about 60,000 clique tests here.
-    m = 40
-    g = Graph.from_edges(2 * m, [(a, m + b) for a in range(m) for b in range(m)])
-    real = coloring.has_clique
+    # K_(m,m) at t = 3: no pair is forced and every merge side succeeds,
+    # so m - 2 merges nest. The root tests each vertex's neighbors once, and
+    # after each merge only the changed vertex's neighbors are tested; they
+    # hold no edge, so no pair is ever tested, where every same-side pair
+    # would take C(m, 2) tests at each level.
+    real = coloring._cliques
     tests = 0
 
-    def counted(h, size):
+    def counted(adj, within, size, visit):
         nonlocal tests
         tests += 1
-        return real(h, size)
+        return real(adj, within, size, visit)
 
-    monkeypatch.setattr(coloring, "has_clique", counted)
-    assert is_proper_coloring(g, first_coloring(g.adj, 3), 3)
-    assert tests <= 2 * math.comb(m, 2) + 2 * g.n
+    monkeypatch.setattr(coloring, "_cliques", counted)
+    for m in (40, 100):
+        g = Graph.from_edges(2 * m, [(a, m + b) for a in range(m) for b in range(m)])
+        tests = 0
+        assert is_proper_coloring(g, first_coloring(g.adj, 3), 3)
+        assert tests <= 3 * g.n, m
 
 
 def test_deep_branching_stays_under_the_default_recursion_limit(monkeypatch):

@@ -221,14 +221,19 @@ def test_components_match_networkx(g, data):
     assert (len(comps) <= 1) == (g.n == 0 or nx.is_connected(whole))
 
 
-@given(kernel_graphs(), st.integers(0, 6))
+@given(kernel_graphs(), st.integers(0, 6), st.data())
 @settings(max_examples=150, deadline=None)
-def test_has_clique_matches_brute_force(g, size):
-    expected = any(
-        all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))
-        for vs in itertools.combinations(range(g.n), size)
-    )
-    assert has_clique(g, size) == expected
+def test_has_clique_matches_brute_force(g, size, data):
+    within = data.draw(st.integers(0, g.full_mask()), label="within")
+
+    def expected(inside):
+        return any(
+            all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))
+            for vs in itertools.combinations(inside, size)
+        )
+
+    assert has_clique(g, size) == expected(range(g.n))
+    assert _cliques(g.adj, within, size, lambda clique, later: True) == expected(bits_of(within))
 
 
 @given(kernel_graphs(), st.integers(0, 6), st.integers(0, 40))
@@ -247,19 +252,23 @@ def test_cliques_of_size_matches_brute_force(g, size, cap):
         assert cliques_of_size(g, size, cap=cap) == expected
 
 
-@given(kernel_graphs(), st.integers(1, 6))
+@given(kernel_graphs(), st.integers(1, 6), st.data())
 @settings(max_examples=150, deadline=None)
-def test_clique_search_hands_each_clique_its_later_common_neighbours(g, size):
+def test_clique_search_hands_each_clique_its_later_common_neighbours(g, size, data):
+    within = data.draw(st.integers(0, g.full_mask()), label="within")
+    inside = list(bits_of(within))
     seen = []
 
     def visit(clique, later):
         seen.append((clique, later))
         return False
 
-    _cliques(g, size, visit)
-    assert [clique for clique, _ in seen] == cliques_of_size(g, size)
+    _cliques(g.adj, within, size, visit)
+    assert [clique for clique, _ in seen] == [
+        vs for vs in itertools.combinations(inside, size) if all(g.has_edge(*e) for e in itertools.combinations(vs, 2))
+    ]
     for clique, later in seen:
-        common = [v for v in range(clique[-1] + 1, g.n) if all(g.has_edge(u, v) for u in clique)]
+        common = [v for v in inside if v > clique[-1] and all(g.has_edge(u, v) for u in clique)]
         assert later == mask_of(common)
 
 

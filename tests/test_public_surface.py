@@ -24,7 +24,7 @@ PACKAGE = ROOT / "src" / "orelab"
 
 ALLOWED_UNUSED = {
     "tree_loads": "reads back the JSON lines that gen-ore --tree-out writes",
-    "eps_edge_bound": "the paper's main edge bound; ROADMAP item 3's eps-bound suite will call it",
+    "eps_edge_bound": "the paper's main edge bound; ROADMAP item 5's eps-bound suite will call it",
 }
 
 ALLOWED_UNUSED_METHODS = {
