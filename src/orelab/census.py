@@ -6,17 +6,23 @@ n-1 vertices plus one new vertex with an arbitrary neighbor set, so
 augmenting every class with every mask and deduplicating by canonical form
 is complete. Masks in one orbit of the parent's automorphism group give
 isomorphic children, so only the least mask of each orbit is augmented, with
-generators read off the parent's own canonical search. Each augmented graph
-is keyed once, so the level keys come from the uncached canonical labelling.
+generators kept from the canonical search that labelled the parent as a
+child, so each graph is searched once. Each augmented graph is keyed once,
+so the level keys come from the uncached canonical labelling.
 A level can be bounded by minimum degree and colorability, which every
 parent inherits (less one degree), so a bounded level grows only from the
 bounded level below and labels only the children that meet both bounds.
 The criticality census reads only the parents a k-critical graph can have
-(minimum degree k-2, (k-1)-colorable), sieves their augmentation with
+(minimum degree k-2, (k-1)-colorable) and sieves their augmentation with
 necessary conditions that follow from the definition only (colorability,
 minimum degree, connectivity, no K_k above order k, and criticality of the
-new vertex's edges), as bit operations on facts computed once per parent,
-and colors only the survivors with one parent edge deleted; the bounds this
+new vertex's edges). The sieve is a whole-table one: each condition is a
+2^pn-bit table over the new vertex's masks, built from facts computed once
+per parent by closing single bits upward or downward, one shift per vertex,
+and the survivors are the set bits of their intersection. Only the
+survivors are colored with one parent edge deleted, and a coloring found
+for a parent edge is kept for that parent: a later survivor whose mask
+misses one of its classes is colorable without the solver. The bounds this
 workbench is meant to verify are never used to generate, so the census
 cannot beg the question.
 """
@@ -26,9 +32,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .coloring import _uncolorable_without, color_partitions
+from .coloring import color_partitions, first_coloring
 from .errors import SizeCapError
 from .graphs import (
     Graph,
@@ -76,13 +82,12 @@ def _augment(parent: Graph, mask: int) -> Graph:
     return Graph._trusted(parent.n + 1, tuple(rows))
 
 
-def _orbit_minima(parent: Graph) -> list[int]:
+def _orbit_minima(parent: Graph, generators: Sequence[Sequence[int]]) -> list[int]:
     """The least mask of each orbit of Aut(parent) on the new-vertex masks
-    0..2^pn-1, in increasing order, from the generators one canonical search
-    witnesses."""
+    0..2^pn-1, in increasing order, from ``generators`` of Aut(parent)."""
     size = 1 << parent.n
     images = []
-    for perm in _search(parent)[1]:
+    for perm in generators:
         image = [0] * size
         for mask in range(1, size):
             low = mask & -mask
@@ -114,7 +119,9 @@ def graph_classes(n: int, min_degree: int = 0, colors: int | None = None) -> tup
     Masks in one orbit of Aut(parent) give isomorphic children, so only the
     least mask of each orbit is labelled. That leaves every representative
     as it was: the masks that give one class are a union of orbits, and the
-    loop meets each orbit's least mask before its other masks.
+    loop meets each orbit's least mask before its other masks. The orbits
+    come from the generators that labelling the parent as a child one level
+    down witnessed, so no parent is searched twice.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -124,35 +131,60 @@ def graph_classes(n: int, min_degree: int = 0, colors: int | None = None) -> tup
     colors = n if colors is None else _bound("colors", colors)
     # no vertex has degree n and every graph on n vertices is n-colorable,
     # so the capped bounds name the same level and the cache stays finite
-    return _classes(n, min(min_degree, n + 1), min(colors, n))
+    return _classes(n, min(min_degree, n + 1), min(colors, n))[0]
 
 
 @lru_cache(maxsize=None)
-def _classes(n: int, d: int, t: int) -> tuple[Graph, ...]:
+def _classes(n: int, d: int, t: int) -> tuple[tuple[Graph, ...], tuple[tuple[tuple[int, ...], ...], ...]]:
     """``graph_classes(n, d, t)`` for d <= n + 1 and t <= n, from the parents
-    ``_classes(n - 1, max(d - 1, 0), min(t, n - 1))``. A mask is labelled
+    ``_classes(n - 1, max(d - 1, 0), min(t, n - 1))``, and side by side with
+    it the generators of each class's Aut that the search labelling its
+    representative witnessed, for the level above. A mask is labelled
     only if the new vertex gets degree d or more and covers every parent
     vertex of degree d - 1, and, when t < n, only if the child is
     t-colorable by the parent's colorable-mask table."""
     if n == 0:
-        return () if d else (Graph.empty(0),)
+        return ((), ()) if d else ((Graph.empty(0),), ((),))
     if t == 0:
-        return ()
+        return (), ()
     out: dict = {}
-    for parent in _classes(n - 1, max(d - 1, 0), min(t, n - 1)):
+    for parent, generators in zip(*_classes(n - 1, max(d - 1, 0), min(t, n - 1))):
         low = mask_of(v for v, row in enumerate(parent.adj) if row.bit_count() == d - 1)
         table = _colorable_masks(parent, t + 1) if t < n else None
-        for mask in _orbit_minima(parent):
+        for mask in _orbit_minima(parent, generators):
             if mask.bit_count() < d or mask & low != low:
                 continue
             if table is not None and not table >> mask & 1:
                 continue
             g = _augment(parent, mask)
-            out.setdefault(_search(g)[0].key, g)
-    return tuple(out[key] for key in sorted(out))
+            form, gens = _search(g)
+            out.setdefault(form.key, (g, gens))
+    keys = sorted(out)
+    # tuples all through: the cache hands the same value to every caller
+    return tuple(out[key][0] for key in keys), tuple(tuple(map(tuple, out[key][1])) for key in keys)
 
 
 # -- criticality census --------------------------------------------------------
+
+
+def _columns(pn: int) -> list[tuple[int, int]]:
+    """For each vertex b of a parent on pn vertices, the pair (1 << b, the
+    2^pn-bit table of the masks with bit b set): runs of 1 << b ones every
+    2 << b table bits."""
+    ones = (1 << (1 << pn)) - 1
+    out = []
+    for b in range(pn):
+        step = 1 << b
+        out.append((step, (((1 << step) - 1) << step) * ones // ((1 << 2 * step) - 1)))
+    return out
+
+
+def _closure(table: int, columns: list[tuple[int, int]], up: bool) -> int:
+    """The 2^pn-bit ``table`` closed upward (each supermask of a set mask
+    set) or downward (each submask), one shift per vertex of ``columns``."""
+    for step, with_bit in columns:
+        table |= (table & ~with_bit) << step if up else (table & with_bit) >> step
+    return table
 
 
 def _colorable_masks(parent: Graph, k: int) -> int | None:
@@ -166,57 +198,98 @@ def _colorable_masks(parent: Graph, k: int) -> int | None:
     non-(k-1)-colorable proper subgraph, K_k included). Otherwise each of its
     (k-1)-colorings uses every color, so the extension is colorable iff the
     mask misses a whole class: one pass over the proper partitions marks the
-    complement of every class, and a subset closure, one shift per vertex
-    on the 2^pn-bit table, marks every submask of a marked mask. A K_k in
-    the parent, the common reason it has no partition, is found first by
-    the early-exit clique search, which costs less than an exhausted
-    partition search.
+    complement of every class, and a downward closure marks every submask
+    of a marked mask. A K_k in the parent, the common reason it has no
+    partition, is found first by the early-exit clique search, which costs
+    less than an exhausted partition search.
     """
     if has_clique(parent, k):
         return None
-    pn = parent.n
     full = parent.full_mask()
     table = 0
-    for classes in color_partitions(parent, range(pn), k - 1):
+    for classes in color_partitions(parent, range(parent.n), k - 1):
         if len(classes) < k - 1:
             return None
         for cls in classes:
             table |= 1 << (full ^ cls)
     if not table:
         return None
-    ones = (1 << (1 << pn)) - 1
-    for b in range(pn):
-        step = 1 << b
-        # the masks with bit b set: runs of `step` ones every 2 * step table bits
-        with_bit = (((1 << step) - 1) << step) * ones // ((1 << 2 * step) - 1)
-        table |= (table & with_bit) >> step
-    return table
+    return _closure(table, _columns(parent.n), up=False)
+
+
+def _colorable_without(rows: Sequence[int], u: int, v: int, mask: int, kept: list[int], t: int) -> bool:
+    """Whether ``rows``, a parent plus a last vertex adjacent to ``mask``,
+    is t-colorable with the parent edge uv deleted.
+
+    ``kept`` holds the classes, cut to the parent's vertices, of every
+    coloring found so far for the parent less uv plus some new vertex; each
+    one colors the parent less uv. If a kept class misses ``mask``, the new
+    vertex takes its color. Otherwise the solver decides, and the classes
+    of a coloring it finds are kept.
+    """
+    if any(not cls & mask for cls in kept):
+        return True
+    trial = list(rows)
+    trial[u] &= ~(1 << v)
+    trial[v] &= ~(1 << u)
+    classes = first_coloring(trial, t)
+    if classes is None:
+        return False
+    parent = (1 << (len(rows) - 1)) - 1
+    kept.extend(cls & parent for cls in classes)
+    return True
+
+
+def _survivors(parent: Graph, n: int, k: int, table: int) -> int:
+    """The masks of ``parent`` that pass the sieve ``census_critical``
+    describes, as one 2^pn-bit table built by whole-table bit operations
+    from the parent's colorable-mask ``table``: the upward closure of bit
+    ``forced`` less ``table``, less the downward closure of each component's
+    complement, less (above order k) the upward closure of the (k-1)-clique
+    bits, and, for each vertex bit b, only the masks with b whose mask less
+    b is in ``table``."""
+    full = parent.full_mask()
+    columns = _columns(parent.n)
+    forced = mask_of(v for v, row in enumerate(parent.adj) if row.bit_count() == k - 2)
+    keep = _closure(1 << forced, columns, up=True) & ~table
+    for comp in components(parent.adj, full):
+        keep &= ~_closure(1 << (full & ~comp), columns, up=False)
+    if n > k:
+        cliques = 0
+        for clique in cliques_of_size(parent, k - 1):
+            cliques |= 1 << mask_of(clique)
+        keep &= ~_closure(cliques, columns, up=True)
+    for step, with_bit in columns:
+        keep &= ~with_bit | (table & ~with_bit) << step
+    return keep
 
 
 def _critical_on(n: int, k: int) -> list[Graph]:
     """The k-critical graphs on n vertices, one per class in canonical-key
-    order, sieved as ``census_critical`` describes."""
+    order, sieved as ``census_critical`` describes.
+
+    Each parent's survivors come from a whole-table sieve, one 2^pn-bit
+    table (see ``_survivors``), whose set bits are walked least first, the
+    order of a loop over the masks. Each survivor is then asked, parent
+    edge by parent edge, whether g - e is (k-1)-colorable; a coloring kept
+    for e answers when one of its classes misses the survivor's mask, and
+    the solver otherwise (see ``_colorable_without``). The kept colorings
+    live for one parent.
+    """
     out: dict = {}
     for parent in graph_classes(n - 1, k - 2, k - 1):
-        pn = parent.n
         table = _colorable_masks(parent, k)
         if table is None:
             continue
-        forced = mask_of(v for v, row in enumerate(parent.adj) if row.bit_count() == k - 2)
-        comps = components(parent.adj, parent.full_mask())
-        cliques = [mask_of(c) for c in cliques_of_size(parent, k - 1)] if n > k else []
+        keep = _survivors(parent, n, k, table)
         edges = parent.edges()
-        for mask in range(forced, 1 << pn):
-            if mask & forced != forced or table >> mask & 1:
-                continue
-            if not all(mask & comp for comp in comps):
-                continue
-            if any(clique & mask == clique for clique in cliques):
-                continue
-            if not all(table >> (mask ^ (1 << u)) & 1 for u in bits_of(mask)):
-                continue
+        kept: dict = {e: [] for e in edges}
+        while keep:
+            low = keep & -keep
+            keep ^= low
+            mask = low.bit_length() - 1
             g = _augment(parent, mask)
-            if all(_uncolorable_without(g.adj, u, v, k - 1) is None for u, v in edges):
+            if all(_colorable_without(g.adj, u, v, mask, kept[u, v], k - 1) for u, v in edges):
                 out.setdefault(canonical_key(g), g)
     return [out[key] for key in sorted(out)]
 
@@ -242,9 +315,15 @@ def census_critical(n_max: int, k: int) -> Corpus:
     - leave g - vu (k-1)-colorable for every neighbor u of v, again by the
       table (every edge at v is critical).
 
-    What is left of criticality is that g - e is (k-1)-colorable for every
-    parent edge e; each survivor is colored once per parent edge until one
-    fails.
+    Each condition is one 2^pn-bit table per parent, so the survivors are
+    found by whole-table bit operations, not mask by mask (see
+    ``_survivors``). What is left of criticality is that g - e is
+    (k-1)-colorable for every parent edge e, asked of each survivor edge by
+    edge until one fails. A coloring of the parent less e plus some earlier
+    survivor's vertex colors the parent less e; if one of its classes
+    misses the new survivor's mask, the new vertex takes that color, and
+    only otherwise is the solver run. Those colorings are kept per parent
+    edge for one parent.
     """
     if k < 3:
         raise ValueError("criticality census needs k >= 3")

@@ -352,7 +352,15 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]], splitters: list[int]) 
     the round's splitters (vertex masks in partition order) and orders the
     sub-cells by that tuple, which keeps the refinement label-invariant. The
     next round's splitters are the pieces of every cell that split, less the
-    last piece of each; the refinement stops when a round splits nothing.
+    last piece of each, each one's mask built as its cell splits; the
+    refinement stops when a round splits nothing. An empty cell (the
+    0-vertex graph's one cell) has no piece and is dropped.
+
+    The tuple is keyed as one int, its counts in fixed 9-bit fields with the
+    first splitter's most significant. A count is at most n - 1 < 2^9, and
+    every key of a round has one field per splitter, so comparing two keys
+    as ints compares their tuples lexicographically: the cells and their
+    order are those the tuples give.
 
     Precondition: two members of one input cell that agree on their counts
     into every splitter agree on their count into every input cell. Then
@@ -373,17 +381,29 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]], splitters: list[int]) 
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            sig: dict[int | tuple[int, ...], list[int]] = {}
+            sig: dict[int, list[int]] = {}
             for v in cell:
                 row = adj[v]
-                key = (row & one).bit_count() if one is not None else tuple((row & m).bit_count() for m in splitters)
-                sig.setdefault(key, []).append(v)
+                if one is None:
+                    key = 0
+                    for m in splitters:
+                        key = key << 9 | (row & m).bit_count()
+                else:
+                    key = (row & one).bit_count()
+                if key in sig:
+                    sig[key].append(v)
+                else:
+                    sig[key] = [v]
             if len(sig) == 1:
                 new_cells.append(cell)
                 continue
             pieces = [sig[key] for key in sorted(sig)]
             new_cells += pieces
-            next_splitters += [mask_of(piece) for piece in pieces[:-1]]
+            for piece in pieces[:-1]:
+                splitter = 0
+                for v in piece:
+                    splitter |= 1 << v
+                next_splitters.append(splitter)
         cells, splitters = new_cells, next_splitters
     return cells
 

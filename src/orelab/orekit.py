@@ -21,6 +21,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .coloring import first_coloring
 from .errors import SizeCapError
@@ -480,21 +481,30 @@ def _composition_sides(g: Graph) -> tuple[list, list]:
     maps an edge (x, y) to the ordered pair (p[x], p[y]) and a split
     (z, halves) to p[z] with the image of each half. An edge may map onto
     the reverse of an edge, so the edge image maps also hold each edge's
-    reversed orientation.
+    reversed orientation. A split is coded as (z, mask of its first half),
+    which fixes the second half, and indexed by its place in the walk; the
+    images of z's first halves are built as z's selectors are, one bit at a
+    time, so each split's image is one lookup.
     """
     perms = _search(g)[1]
     edges = sorted(g.edges())
     arcs = edges + [(y, x) for x, y in edges]
-    splits = []
-    for z in range(g.n):
-        nbrs = sorted(bits_of(g.adj[z]))
-        splits.extend((z, _halves(nbrs, sel)) for sel in range(1, (1 << len(nbrs)) - 1))
+
+    def firsts(z: int, image: Sequence[int]) -> list[int]:
+        """The images under ``image`` of the first halves of z's splits, in
+        selector order (bit i of a selector is z's i-th neighbor)."""
+        out = [0]
+        for v in bits_of(g.adj[z]):
+            out += [mask | 1 << image[v] for mask in out]
+        return out[1:-1]
+
+    splits = [(z, first) for z in range(g.n) for first in firsts(z, range(g.n))]
+    index = {split: i for i, split in enumerate(splits)}
     edge_images = [{(x, y): (p[x], p[y]) for x, y in arcs} for p in perms]
-    split_images = [
-        {(z, halves): (p[z], tuple(tuple(sorted(p[w] for w in half)) for half in halves)) for z, halves in splits}
-        for p in perms
-    ]
-    return _orbit_firsts(edges, edge_images), _orbit_firsts(splits, split_images)
+    split_images = [[index[p[z], first] for z in range(g.n) for first in firsts(z, p)] for p in perms]
+    kept = [splits[i] for i in _orbit_firsts(range(len(splits)), split_images)]
+    halves = [(z, (tuple(bits_of(first)), tuple(bits_of(g.adj[z] & ~first)))) for z, first in kept]
+    return _orbit_firsts(edges, edge_images), halves
 
 
 # One entry per (k, max_steps): a verify sweep keys k = 4, 5, 6 and the

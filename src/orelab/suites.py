@@ -15,8 +15,9 @@ All randomness flows through one seeded generator echoed in the config, so a
 suite result is a pure function of (corpus, params).
 
 A suite computes each fact once per item: a composition tree is realized in
-one bottom-up pass and each of its distinct subtree graphs packed once, into
-one record that main2-potential, t-superadd and t-lower share over a sweep; a
+one bottom-up pass and each of its distinct subtree graphs packed once (K_k
+once per k), into one record that main2-potential, t-superadd and t-lower
+share over a sweep; a
 graph's near-cliques are listed once and filtered per forbidden set; the
 extension suite packs each distinct R, R' and W once per host graph.
 """
@@ -203,13 +204,16 @@ class _Subtree(NamedTuple):
 @lru_cache(maxsize=TREE_RECORDS)
 def _tree_record(tree: OreTree, k: int) -> tuple[_Subtree, ...]:
     """Every subtree of ``tree``, children before their parent, realized and
-    composed once; each distinct subtree graph is packed once. A size cap or
+    composed once; each distinct subtree graph is packed once, and K_k once
+    per k: a composed tree starts from the leaf's own record. A size cap or
     failed audit while packing one subtree is kept in its entry, so only the
     rows that read that subtree's T skip or fail."""
     actual = tree_k(tree)
     if actual != k:
         raise ValueError(f"tree is built over k={actual}, caller expected {k}")
     seen: dict[Graph, _Subtree] = {}
+    if not isinstance(tree, Leaf):
+        seen[Graph.complete(k)] = _tree_record(Leaf(k), k)[0]
     record = []
     for _, g in _realized(tree):
         if g not in seen:

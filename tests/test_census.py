@@ -7,24 +7,28 @@ line for line against the all-masks loop that labelled every child, the
 bounded lists against the full list filtered by minimum degree and
 colorability, and the orbit minima against a permutation brute force. The
 census's bitwise sieve is also checked row for row against the per-mask
-filter it replaced, and its colorable-mask table entry by entry against the
-coloring solver.
+filter it replaced, its colorable-mask table entry by entry against the
+coloring solver, and its kept parent-edge colorings answer by answer against
+the solver too.
 """
 
 import math
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import orelab.census
+import orelab.coloring
 from orelab import (
     Corpus,
     Graph,
     SizeCapError,
     canonical_key,
     census_critical,
+    cliques_of_size,
     corpus_from_graphs,
     first_coloring,
     graph6_encode,
@@ -33,7 +37,15 @@ from orelab import (
     is_k_critical,
     random_graph,
 )
-from orelab.census import _augment, _classes, _colorable_masks, _critical_on, _orbit_minima
+from orelab.census import (
+    _augment,
+    _classes,
+    _colorable_masks,
+    _colorable_without,
+    _critical_on,
+    _orbit_minima,
+    _survivors,
+)
 from orelab.graphs import _search, bits_of, components, mask_of
 from test_coloring import oracle_colorable
 
@@ -100,7 +112,9 @@ def test_graph_classes_match_the_all_masks_loop():
 
 def test_orbit_minima_match_brute_force():
     for n in range(6):
-        for parent in graph_classes(n):
+        for parent, generators in zip(*_classes(n, 0, n)):
+            # the generators kept from the representative's own labelling
+            assert list(map(list, generators)) == _search(parent)[1]
             autos = [
                 perm
                 for perm in permutations(range(n))
@@ -114,7 +128,7 @@ def test_orbit_minima_match_brute_force():
                 for mask in range(1 << n)
                 if all(mask_of(perm[v] for v in bits_of(mask)) >= mask for perm in autos)
             ]
-            assert _orbit_minima(parent) == expected, graph6_encode(parent)
+            assert _orbit_minima(parent, generators) == expected, graph6_encode(parent)
 
 
 def test_graph_classes_label_one_child_per_orbit(monkeypatch):
@@ -128,14 +142,14 @@ def test_graph_classes_label_one_child_per_orbit(monkeypatch):
     counts = {}
     for n in (6, 7):
         labelled.clear()
-        assert len(_classes.__wrapped__(n, 0, n)) == CLASS_COUNTS[n]
-        # the searches on the n - 1 vertex parents give their automorphisms
-        assert sum(h.n == n - 1 for h in labelled) == CLASS_COUNTS[n - 1]
+        assert len(_classes.__wrapped__(n, 0, n)[0]) == CLASS_COUNTS[n]
+        # no parent is searched again: its automorphisms come from its labelling
+        assert sum(h.n == n - 1 for h in labelled) == 0
         counts[n] = sum(h.n == n for h in labelled)
     assert counts == {6: 544, 7: 5096}  # the all-masks loop labels 1,088 and 9,984
     # the census's top parent level at k = 4: minimum degree 2, 3-colorable
     labelled.clear()
-    assert len(_classes.__wrapped__(7, 2, 3)) == 270
+    assert len(_classes.__wrapped__(7, 2, 3)[0]) == 270
     assert sum(h.n == 7 for h in labelled) == 1332  # the full level labels 5,096
 
 
@@ -240,6 +254,32 @@ def test_sieve_matches_the_per_mask_filter():
             assert _critical_on(n, k) == _critical_on_by_filter(n, k), (n, k)
 
 
+def test_survivor_table_matches_the_per_mask_conditions():
+    """The whole-table sieve against the per-mask loop it replaced. Up to
+    order 8 the other conditions leave no mask that misses a component;
+    at k = 3 order 9 has one."""
+    for k in range(3, 7):
+        for n in range(k, 10 if k == 3 else 9):
+            for parent in graph_classes(n - 1, k - 2, k - 1):
+                table = _colorable_masks(parent, k)
+                if table is None:
+                    continue
+                forced = mask_of(v for v in range(parent.n) if parent.degree(v) == k - 2)
+                comps = components(parent.adj, parent.full_mask())
+                cliques = [mask_of(c) for c in cliques_of_size(parent, k - 1)] if n > k else []
+                expected = 0
+                for mask in range(1 << parent.n):
+                    if (
+                        mask & forced == forced
+                        and not table >> mask & 1
+                        and all(mask & comp for comp in comps)
+                        and not any(clique & mask == clique for clique in cliques)
+                        and all(table >> (mask ^ (1 << u)) & 1 for u in bits_of(mask))
+                    ):
+                        expected |= 1 << mask
+                assert _survivors(parent, n, k, table) == expected, (n, k, graph6_encode(parent))
+
+
 @st.composite
 def parents(draw):
     n = draw(st.integers(1, 7))
@@ -270,15 +310,60 @@ def test_colorable_mask_table_matches_the_solver(parent, k):
 
 def test_sieve_bounds_the_criticality_tests(monkeypatch):
     tested = set()  # the survivors that reach the final parent-edge checks
-    uncolorable_without = orelab.census._uncolorable_without
+    colorable_without = orelab.census._colorable_without
 
-    def counted(rows, u, v, t):
+    def counted(rows, u, v, mask, kept, t):
         tested.add(tuple(rows))
-        return uncolorable_without(rows, u, v, t)
+        return colorable_without(rows, u, v, mask, kept, t)
 
-    monkeypatch.setattr(orelab.census, "_uncolorable_without", counted)
+    monkeypatch.setattr(orelab.census, "_colorable_without", counted)
     assert len(census_critical(8, 4)) == 9
     assert len(tested) <= 400  # the per-mask filter made 7,917 criticality tests
+
+
+@given(parents(), st.integers(2, 4), st.lists(st.integers(0, 127), max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_kept_parent_edge_colorings_answer_as_the_solver(parent, t, masks):
+    kept = {e: [] for e in parent.edges()}
+    for mask in masks:
+        mask &= parent.full_mask()
+        rows = _augment(parent, mask).adj
+        for u, v in parent.edges():
+            trial = list(rows)
+            trial[u] &= ~(1 << v)
+            trial[v] &= ~(1 << u)
+            expected = first_coloring(trial, t) is not None
+            assert _colorable_without(rows, u, v, mask, kept[u, v], t) == expected, (mask, u, v)
+
+
+def test_cold_census_labels_each_child_once_and_reuses_colorings(monkeypatch):
+    searched = []
+    search = orelab.census._search
+
+    def counted_search(g):
+        searched.append(g)
+        return search(g)
+
+    real = orelab.coloring.first_coloring
+    colorings = 0
+
+    def counted_coloring(rows, t):
+        nonlocal colorings
+        colorings += 1
+        return real(rows, t)
+
+    monkeypatch.setattr(orelab.census, "_search", counted_search)
+    # count every call, wherever a module of the package binds the name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orelab") and getattr(module, "first_coloring", None) is real:
+            monkeypatch.setattr(module, "first_coloring", counted_coloring)
+    _classes.cache_clear()
+    assert len(census_critical(8, 4)) == 9
+    # one search per labelled child, none on a parent for its generators:
+    # searching the parents again made 2,168 searches of 1,987 graphs
+    assert len(searched) == len({id(g) for g in searched}) == 1986
+    assert all(g.n for g in searched)  # the 0-vertex parent is never searched
+    assert colorings <= 667  # 892 without the kept parent-edge colorings
 
 
 def test_census_members_are_critical(census4_8):

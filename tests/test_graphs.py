@@ -35,6 +35,7 @@ from orelab.graphs import (
     _adjacency_bits,
     _cliques,
     _graph_of_key,
+    _orbit_firsts,
     _quotient,
     _refine,
     _search,
@@ -641,6 +642,100 @@ def test_cycle_families_need_few_refinements(monkeypatch):
                         stack.append(perm[u])
             found.add(frozenset(orbit))
         assert found == orbits, spec
+
+
+def _tuple_refine(adj, cells, splitters):
+    """The oracle for ``_refine``'s integer keys: the same splitter
+    refinement with each vertex keyed by the tuple of its counts."""
+    while splitters:
+        new_cells = []
+        next_splitters = []
+        one = splitters[0] if len(splitters) == 1 else None
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            sig = {}
+            for v in cell:
+                row = adj[v]
+                key = (row & one).bit_count() if one is not None else tuple((row & m).bit_count() for m in splitters)
+                sig.setdefault(key, []).append(v)
+            if len(sig) == 1:
+                new_cells.append(cell)
+                continue
+            pieces = [sig[key] for key in sorted(sig)]
+            new_cells += pieces
+            next_splitters += [mask_of(piece) for piece in pieces[:-1]]
+        cells, splitters = new_cells, next_splitters
+    return cells
+
+
+def _tuple_search(g: Graph):
+    """The oracle for ``_search``: the same pruned search over
+    ``_tuple_refine``, returning (key, labeling, generators)."""
+    adj = g.adj
+    first = best = []
+    first_bits = best_bits = -1
+    gens = []
+
+    def search(cells, path, on_first):
+        nonlocal first, first_bits, best, best_bits
+        cells = _tuple_refine(adj, cells, [1 << path[-1]] if path else [g.full_mask()])
+        masks = [mask_of(cell) for cell in cells] if len(cells) < g.n else []
+        for i, cell in enumerate(cells):
+            if len(cell) > 1 and not _twin_cell(adj, masks, i):
+                stab = gens if on_first else [p for p in gens if all(p[u] == u for u in path)]
+                tried = []
+                for v in cell:
+                    if tried and stab and _orbit_firsts(tried + [v], stab)[-1] != v:
+                        continue
+                    child = cells[:i] + [[v], [u for u in cell if u != v]] + cells[i + 1:]
+                    if search(child, path + [v], on_first and not tried) and not on_first:
+                        return True
+                    tried.append(v)
+                return False
+        order = [v for cell in cells for v in cell]
+        bits = _adjacency_bits(adj, order)
+        if on_first:
+            first, first_bits, best, best_bits = order, bits, order, bits
+            for u, v in [(u, v) for cell in cells if len(cell) > 1 for u, v in zip(cell, cell[1:])]:
+                perm = list(range(g.n))
+                perm[u], perm[v] = v, u
+                gens.append(perm)
+            return False
+        if bits > best_bits:
+            best_bits, best = bits, order
+        if bits == first_bits:
+            gens.append([v for _, v in sorted(zip(first, order))])
+        return bits == first_bits
+
+    search([list(range(g.n))], [], True)
+    return (g.n, best_bits), tuple(best), gens
+
+
+def check_labelling_oracle(g: Graph) -> None:
+    form, generators = _search(g)
+    assert (form.key, form.labeling, generators) == _tuple_search(g)
+
+
+def test_integer_keys_label_every_small_class_as_tuples():
+    check_labelling_oracle(Graph.empty(0))
+    for n in range(8):
+        for g in graph_classes(n):
+            check_labelling_oracle(g)
+
+
+def test_integer_keys_label_the_cycle_families_as_tuples():
+    short, long = copies(Graph.cycle(5), 3), Graph.cycle(15)
+    for g in (copies(Graph.cycle(5), 4), disjoint_union(short, long), disjoint_union(long, short)):
+        check_labelling_oracle(g)
+
+
+@given(st.integers(0, 40), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=100, deadline=None)
+def test_integer_keys_label_random_graphs_as_tuples(n, seed, data):
+    g = random_graph(random.Random(seed), n)
+    check_labelling_oracle(g.relabelled(data.draw(st.permutations(range(n)))))
 
 
 # -- graph6 --------------------------------------------------------------------

@@ -441,19 +441,26 @@ def test_t_superadd_sweep_packs_each_subtree_once(monkeypatch):
         params = {"k": k, "seed": 1}
         assert run_suite("t-superadd", params=params).passed
         trees = dict.fromkeys(suites._default_input("trees", k, 1))
-        graphs += sum(len(distinct_subtree_graphs(t)) for t in trees)
-    assert len(packed) == graphs == 1846
+        # K_k, a subtree of every tree, is packed once per k
+        graphs += 1 + sum(len(distinct_subtree_graphs(t)) - 1 for t in trees)
+    assert len(packed) == graphs == 1259  # 1,846 with K_k packed once per tree
 
 
 TREE_SUITES = ("main2-potential", "t-superadd", "t-lower")
 
 
 def test_tree_suites_share_one_record_per_tree(monkeypatch):
-    """Over a sweep the three tree suites compose each node once and pack
-    each distinct subtree graph once, whichever suite comes first. The
-    records start and end cold (see conftest.py), and hold no graph."""
+    """Over a sweep the three tree suites compose each node once, pack K_k
+    once per k, first, and each other distinct subtree graph once per tree,
+    whichever suite comes first. The records start and end cold (see
+    conftest.py), and hold no graph."""
     trees = {k: list(dict.fromkeys(suites._default_input("trees", k, 1))) for k in (4, 5, 6)}
-    expected = [g for k in trees for t in trees[k] for g in distinct_subtree_graphs(t)]
+    expected = [
+        g
+        for k in trees
+        for g in [Graph.complete(k)]
+        + [h for t in trees[k] for h in distinct_subtree_graphs(t) if h != Graph.complete(k)]
+    ]
     nodes = sum(isinstance(sub, Node) for k in trees for t in trees[k] for sub in subtrees(t))
     packed = counting(monkeypatch, suites, "compute_T")
     composed = counting(monkeypatch, orekit, "ore_compose")
