@@ -13,18 +13,19 @@ A level can be bounded by minimum degree and colorability, which every
 parent inherits (less one degree), so a bounded level grows only from the
 bounded level below and labels only the children that meet both bounds.
 The criticality census reads only the parents a k-critical graph can have
-(minimum degree k-2, (k-1)-colorable) and sieves their augmentation with
-necessary conditions that follow from the definition only (colorability,
-minimum degree, connectivity, no K_k above order k, and criticality of the
-new vertex's edges). The sieve is a whole-table one: each condition is a
-2^pn-bit table over the new vertex's masks, built from facts computed once
-per parent by closing single bits upward or downward, one shift per vertex,
-and the survivors are the set bits of their intersection. Only the
-survivors are colored with one parent edge deleted, and a coloring found
-for a parent edge is kept for that parent: a later survivor whose mask
-misses one of its classes is colorable without the solver. The bounds this
-workbench is meant to verify are never used to generate, so the census
-cannot beg the question.
+(minimum degree k-2, (k-1)-colorable), grows one chain of bounded levels for
+its top parent level and filters each lower parent level from that chain,
+and sieves their augmentation with necessary conditions that follow from
+the definition only (colorability, minimum degree, connectivity, no K_k
+above order k, and criticality of the new vertex's edges). The sieve is a
+whole-table one: each condition is a 2^pn-bit table over the new vertex's
+masks, built from facts computed once per parent by closing single bits
+upward or downward, one shift per vertex, and the survivors are the set
+bits of their intersection. Only the survivors are colored with one parent
+edge deleted, and a coloring found for a parent edge is kept for that
+parent: a later survivor whose mask misses one of its classes is colorable
+without the solver. The bounds this workbench is meant to verify are never
+used to generate, so the census cannot beg the question.
 """
 
 from __future__ import annotations
@@ -264,9 +265,10 @@ def _survivors(parent: Graph, n: int, k: int, table: int) -> int:
     return keep
 
 
-def _critical_on(n: int, k: int) -> list[Graph]:
+def _critical_on(parents: Iterable[Graph], n: int, k: int) -> list[Graph]:
     """The k-critical graphs on n vertices, one per class in canonical-key
-    order, sieved as ``census_critical`` describes.
+    order, sieved as ``census_critical`` describes; ``parents`` are the
+    classes of ``graph_classes(n - 1, k - 2, k - 1)``, in their order.
 
     Each parent's survivors come from a whole-table sieve, one 2^pn-bit
     table (see ``_survivors``), whose set bits are walked least first, the
@@ -277,7 +279,7 @@ def _critical_on(n: int, k: int) -> list[Graph]:
     live for one parent.
     """
     out: dict = {}
-    for parent in graph_classes(n - 1, k - 2, k - 1):
+    for parent in parents:
         table = _colorable_masks(parent, k)
         if table is None:
             continue
@@ -324,12 +326,27 @@ def census_critical(n_max: int, k: int) -> Corpus:
     misses the new survivor's mask, the new vertex takes that color, and
     only otherwise is the solver run. Those colorings are kept per parent
     edge for one parent.
+
+    Only the top parent level, ``graph_classes(n_max - 1, k - 2, k - 1)``,
+    grows its own chain of bounded levels; the lower parent levels are read
+    off that chain (see ``_parents``).
     """
     if k < 3:
         raise ValueError("criticality census needs k >= 3")
     if n_max > ENUMERATION_CAP:
         raise SizeCapError("criticality census order", n_max, ENUMERATION_CAP)
-    return corpus_from_graphs(g for n in range(k, n_max + 1) for g in _critical_on(n, k))
+    return corpus_from_graphs(
+        g for n in range(k, n_max + 1) for g in _critical_on(_parents(n - 1, n_max - 1, k), n, k)
+    )
+
+
+def _parents(m: int, top: int, k: int) -> list[Graph]:
+    """``graph_classes(m, k - 2, k - 1)`` for m <= top, read off the chain
+    of bounded levels that ``graph_classes(top, k - 2, k - 1)`` grows from:
+    its level at order m has minimum degree k - 2 - (top - m) or more, and
+    a bounded level is the full level filtered, so filtering it to minimum
+    degree k - 2 gives the same classes, representatives and order."""
+    return [p for p in graph_classes(m, max(k - 2 - top + m, 0), k - 1) if p.min_degree() >= k - 2]
 
 
 def random_graph(rng: random.Random, n: int) -> Graph:

@@ -13,9 +13,9 @@ candidate clique on the rows inside a vertex mask. Every coloring the
 procedure returns is checked on the input rows. The criticality test
 and the critical-subgraph search work on adjacency rows and share one step:
 delete an edge and test (k-1)-colorability. The subgraph search answers
-that step without the solver when an earlier coloring is still proper on
-the rows; those colorings live for one call, so no store here grows
-without bound.
+that step without the solver when the edge has an end outside the rows'
+(k-1)-core, or when an earlier coloring is still proper on the rows; those
+colorings live for one call, so no store here grows without bound.
 
 A coloring has one form here and in every layer that takes one: a sequence
 of color classes, each a vertex bitmask. ``first_coloring`` returns one,
@@ -289,6 +289,16 @@ def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Graph]:
     proper is answered colorable without a search, as the search would
     answer it: a coloring of S - uv colors every subgraph of S - uv.
 
+    An edge with an end outside the (k-1)-core of the current rows, what
+    peeling every vertex of fewer than k-1 neighbors leaves, is deleted
+    without a question, as the solver would delete it: the core keeps its
+    minimum degree with uv gone, so the rows less uv have the same core,
+    and a graph is (k-1)-colorable iff its core is (a peeled vertex takes
+    a color its fewer than k-1 neighbors leave free). The core is peeled
+    again after each deletion the solver allows; a deletion off the core
+    leaves it as it was. No kept coloring is lost: none is proper on rows
+    that are not colorable, and the solver stores only colorings it finds.
+
     A start edge e outside W0, the subgraph found from g itself, is skipped:
     the pass from g - e returns W0. Edge by edge before e, the pass from g
     deletes f iff the pass from g - e does, since when it deletes f the rows
@@ -326,11 +336,19 @@ def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Graph]:
         rows = list(g.adj) if start is None else uncolorable_without(g.adj, *start)
         if rows is None:
             continue
+        core = _peel(rows, (1 << g.n) - 1, t, [])
         for u, v in edges:
-            if rows[u] >> v & 1:
-                trial = uncolorable_without(rows, u, v)
-                if trial is not None:
-                    rows = trial
+            if not rows[u] >> v & 1:
+                continue
+            if core & (1 << u | 1 << v) != 1 << u | 1 << v:
+                # off the core: the rows less uv keep the core
+                rows[u] &= ~(1 << v)
+                rows[v] &= ~(1 << u)
+                continue
+            trial = uncolorable_without(rows, u, v)
+            if trial is not None:
+                rows = trial
+                core = _peel(rows, core, t, [])
         found.add(tuple(rows))
         first = first or tuple(rows)
     return sorted((Graph._trusted(g.n, w) for w in found), key=Graph.edges)

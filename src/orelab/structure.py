@@ -152,18 +152,25 @@ def build_extension(
     |E(G[R])| + |E(W)| - |E(K_|X|)|; double-covered quotient edges, missing
     clique edges, and parallel boundary edges can only push the left side up,
     so i >= 0 is asserted.
+
+    Distinct colorings often reduce to one graph, so the critical subgraphs
+    of each distinct reduced graph are searched once per call, that is per
+    host, and kept until the last record is yielded.
     """
     if not is_k_critical(g, k):
         raise ValueError("extensions are built over a k-critical host")
+    searched: dict[Graph, list[Graph]] = {}
     for classes in colorings:
         reduced = color_reduce(g, classes)
         r_mask = sum(classes)  # the classes are disjoint: their sum is their union
         if not r_mask or r_mask == g.full_mask():
             raise ValueError("R must be a nonempty proper subset")
-        try:
-            subgraphs = find_critical_subgraphs(reduced, k, limit=limit)
-        except ValueError:
-            raise AssertionError("reduced graph of a critical host must need k colors") from None
+        if reduced not in searched:
+            try:
+                searched[reduced] = find_critical_subgraphs(reduced, k, limit=limit)
+            except ValueError:
+                raise AssertionError("reduced graph of a critical host must need k colors") from None
+        subgraphs = searched[reduced]
         r = frozenset(bits_of(r_mask))
         outside = list(bits_of(g.full_mask() & ~r_mask))
         n_out = len(outside)

@@ -14,12 +14,13 @@ precondition) ends the run.
 All randomness flows through one seeded generator echoed in the config, so a
 suite result is a pure function of (corpus, params).
 
-A suite computes each fact once per item: a composition tree is realized in
-one bottom-up pass and each of its distinct subtree graphs packed once (K_k
-once per k), into one record that main2-potential, t-superadd and t-lower
-share over a sweep; a
+A suite computes each fact once per item, or once per sweep where items
+share it: a composition tree is realized in one bottom-up pass into one
+record that main2-potential, t-superadd and t-lower share over a sweep, and
+each distinct subtree graph is packed once per (k, seed) over all trees; a
 graph's near-cliques are listed once and filtered per forbidden set; the
-extension suite packs each distinct R, R' and W once per host graph.
+extension suite searches each distinct color reduction for critical
+subgraphs once, and packs each distinct R, R' and W once, per host graph.
 """
 
 from __future__ import annotations
@@ -74,6 +75,10 @@ ANCHOR_SIZES = (3, 4, 5)  # anchor set sizes of the extension suite
 # trees whose subtree records _tree_record keeps: the default trees of one
 # (k, seed) fit, so the three tree suites of one verify run share them
 TREE_RECORDS = 256
+# subtree packings the tree suites keep: the default trees of one (k, seed)
+# have at most 1 + RANDOM_TREES * TREE_STEPS distinct subtree graphs (K_k and
+# one per composition), so they fit
+SUBTREE_PACKINGS = 1024
 # search nodes of the coloring oracle: graph classes up to 7 vertices need at
 # most 2,380, census_critical(9, 5) 4,801, K_9 125,683 and K_10 1,112,094
 ORACLE_NODE_BUDGET = 200_000
@@ -201,29 +206,47 @@ class _Subtree(NamedTuple):
         return self.packed
 
 
+# T, or the error its packing raised, of each subtree graph the tree suites
+# packed, keyed by (graph6, k), oldest first; _packed keeps at most
+# SUBTREE_PACKINGS
+_PACKINGS: dict[tuple[str, int], int | SizeCapError | AssertionError] = {}
+
+
+def _packed(g: Graph, g6: str, k: int) -> int | SizeCapError | AssertionError:
+    """The packing value of ``g``, whose graph6 is ``g6``, or the size cap
+    or failed audit its packing raised, packed once while the store keeps
+    it; a full store drops its oldest entry."""
+    key = (g6, k)
+    if key not in _PACKINGS:
+        try:
+            t = compute_T(g, k).value
+        except (SizeCapError, AssertionError) as err:
+            # dropping the traceback keeps the search's frames, and the
+            # clique lists in them, out of the store
+            t = err.with_traceback(None)
+        if len(_PACKINGS) >= SUBTREE_PACKINGS:
+            del _PACKINGS[next(iter(_PACKINGS))]
+        _PACKINGS[key] = t
+    return _PACKINGS[key]
+
+
 @lru_cache(maxsize=TREE_RECORDS)
 def _tree_record(tree: OreTree, k: int) -> tuple[_Subtree, ...]:
     """Every subtree of ``tree``, children before their parent, realized and
-    composed once; each distinct subtree graph is packed once, and K_k once
-    per k: a composed tree starts from the leaf's own record. A size cap or
-    failed audit while packing one subtree is kept in its entry, so only the
-    rows that read that subtree's T skip or fail."""
+    composed once. Each distinct subtree graph is packed once per k over
+    all trees while ``_packed`` keeps it: a subtree graph that several
+    trees share, K_k in each of them, reads the packing of the first. A
+    size cap or failed audit while packing one subtree is kept in its
+    entry, so only the rows that read that subtree's T skip or fail."""
     actual = tree_k(tree)
     if actual != k:
         raise ValueError(f"tree is built over k={actual}, caller expected {k}")
     seen: dict[Graph, _Subtree] = {}
-    if not isinstance(tree, Leaf):
-        seen[Graph.complete(k)] = _tree_record(Leaf(k), k)[0]
     record = []
     for _, g in _realized(tree):
         if g not in seen:
-            try:
-                t = compute_T(g, k).value
-            except (SizeCapError, AssertionError) as err:
-                # dropping the traceback keeps the search's frames, and the
-                # clique lists in them, out of the cache
-                t = err.with_traceback(None)
-            seen[g] = _Subtree(graph6_encode(g), g.n, g.edge_count(), t)
+            g6 = graph6_encode(g)
+            seen[g] = _Subtree(g6, g.n, g.edge_count(), _packed(g, g6, k))
         record.append(seen[g])
     return tuple(record)
 

@@ -15,14 +15,23 @@ def census5_8():
     return census_critical(8, 5)
 
 
+def clear_suite_stores() -> None:
+    """Empty every store of orelab.suites: the tree records, the subtree
+    packings and the default inputs."""
+    suites._tree_record.cache_clear()
+    suites._PACKINGS.clear()
+    suites._default_input.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def cold_tree_records():
-    """The tree suites keep each tree's packed subtrees for later runs; a test
-    that patches the packer or its cap must not read records another test
-    built, so every test starts and ends with none."""
-    suites._tree_record.cache_clear()
+    """The tree suites keep each tree's record and each subtree graph's
+    packing for later runs; a test that patches the packer or its cap must
+    not read what another test stored, so every test starts and ends with
+    no stored record, packing or default input."""
+    clear_suite_stores()
     yield
-    suites._tree_record.cache_clear()
+    clear_suite_stores()
 
 
 @pytest.fixture(scope="session")

@@ -44,6 +44,7 @@ from orelab.census import (
     _colorable_without,
     _critical_on,
     _orbit_minima,
+    _parents,
     _survivors,
 )
 from orelab.graphs import _search, bits_of, components, mask_of
@@ -251,7 +252,19 @@ def _critical_on_by_filter(n: int, k: int) -> list[Graph]:
 def test_sieve_matches_the_per_mask_filter():
     for k in range(3, 7):
         for n in range(k, 9):
-            assert _critical_on(n, k) == _critical_on_by_filter(n, k), (n, k)
+            parents = graph_classes(n - 1, k - 2, k - 1)
+            assert _critical_on(parents, n, k) == _critical_on_by_filter(n, k), (n, k)
+
+
+def test_parent_levels_filtered_from_one_chain_are_the_bounded_levels():
+    """The census reads each lower parent level off the chain below its
+    top parent level: the same classes, representatives and order as the
+    bounded level itself."""
+    for k in range(3, 7):
+        for top in range(k - 1, 9):
+            for m in range(k - 1, top + 1):
+                got = [graph6_encode(g) for g in _parents(m, top, k)]
+                assert got == [graph6_encode(g) for g in graph_classes(m, k - 2, k - 1)], (k, top, m)
 
 
 def test_survivor_table_matches_the_per_mask_conditions():
@@ -359,11 +372,13 @@ def test_cold_census_labels_each_child_once_and_reuses_colorings(monkeypatch):
             monkeypatch.setattr(module, "first_coloring", counted_coloring)
     _classes.cache_clear()
     assert len(census_critical(8, 4)) == 9
-    # one search per labelled child, none on a parent for its generators:
-    # searching the parents again made 2,168 searches of 1,987 graphs
-    assert len(searched) == len({id(g) for g in searched}) == 1986
+    # one search per labelled child, none on a parent for its generators
+    # (searching the parents again made 2,168 searches of 1,987 graphs), and
+    # one chain of bounded levels (a chain per parent level made 1,986)
+    assert len(searched) == len({id(g) for g in searched}) == 1766
     assert all(g.n for g in searched)  # the 0-vertex parent is never searched
-    assert colorings <= 667  # 892 without the kept parent-edge colorings
+    assert _classes.cache_info().currsize == 8  # 16 with a chain per parent level
+    assert colorings == 667  # 892 without the kept parent-edge colorings
 
 
 def test_census_members_are_critical(census4_8):

@@ -716,6 +716,10 @@ def searches_of(search, g: Graph, k: int, limit: int) -> tuple[list[Graph], int]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coloring, "first_coloring", counting)
+        if search.__globals__ is not vars(coloring):
+            # a mutant made by mutate() reads the solver from its own
+            # namespace (patching the module's twice would undo wrongly)
+            mp.setitem(search.__globals__, "first_coloring", counting)
         result = search(g, k, limit)
     return result, calls
 
@@ -751,6 +755,51 @@ def test_witnesses_save_searches_on_every_census_reduction(census_reductions):
             _, new_calls = searches_of(find_critical_subgraphs, g, 4, limit)
             _, old_calls = searches_of(oracle_critical_subgraphs, g, 4, limit)
             assert new_calls < old_calls, (g, limit)
+
+
+def reduction_checks(census_reductions, k: int) -> list[tuple[Graph, int, int]]:
+    """(g, k, limit) for every census reduction at k and limit 1..6."""
+    return [(g, k, limit) for g in census_reductions[k] for limit in range(1, 7)]
+
+
+def dirac_core_checks() -> list[tuple[Graph, int, int]]:
+    """(g, k, 6) for the Dirac chains that are not (k-1)-colorable, each as
+    it is and with one edge added between non-neighbours, which the pass
+    deletes, so the core is peeled again."""
+    rng = random.Random("core")
+    checks = []
+    for g, t in dirac_checks():
+        if first_coloring(g.adj, t) is None:
+            missing = [(u, v) for u, v in itertools.combinations(range(g.n), 2) if not g.has_edge(u, v)]
+            checks += [(g, t + 1, 6), (Graph.from_edges(g.n, g.edges() + [rng.choice(missing)]), t + 1, 6)]
+    return checks
+
+
+def matches_the_search_without_witnesses(checks) -> bool:
+    search = coloring.find_critical_subgraphs  # a mutant patched in is read
+    return all(search(g, k, limit) == oracle_critical_subgraphs(g, k, limit) for g, k, limit in checks)
+
+
+def test_core_deletions_match_the_search_without_witnesses(census_reductions, monkeypatch):
+    """An edge off the (k-1)-core is deleted without a question, and the
+    subgraphs found are still those of the search that asks every question;
+    on the k = 4 reductions that takes fewer questions than asking, and
+    fewer than the witnesses alone. A mutant that skips the question for
+    edges of the (k-1)-core too, by peeling to the k-core, fails."""
+    fours = reduction_checks(census_reductions, 4)
+    others = reduction_checks(census_reductions, 5) + dirac_core_checks()
+    with_rule = 0
+    for g, k, limit in fours:
+        found, calls = searches_of(find_critical_subgraphs, g, k, limit)
+        expected, asked = searches_of(oracle_critical_subgraphs, g, k, limit)
+        assert found == expected and calls < asked, (g, limit)
+        with_rule += calls
+    assert matches_the_search_without_witnesses(others)
+    mutate(monkeypatch, "find_critical_subgraphs", "if core & (1 << u | 1 << v) != 1 << u | 1 << v:", "if False:")
+    assert with_rule < sum(searches_of(coloring.find_critical_subgraphs, g, k, limit)[1] for g, k, limit in fours)
+    monkeypatch.undo()
+    mutate(monkeypatch, "find_critical_subgraphs", ", t, [])", ", t + 1, [])")
+    assert not matches_the_search_without_witnesses(fours + others)
 
 
 def test_skipped_starts_lose_no_subgraph(census4_8, census5_8):

@@ -311,3 +311,39 @@ def test_graphs_are_built_from_edge_lists_only_at_the_source():
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     assert set(callers) <= EDGE_LIST_BUILDERS, f"edge-list builds outside the sources: {sorted(set(callers) - EDGE_LIST_BUILDERS)}"
+
+
+# module-level values of orelab.suites that are tables, not stores
+SUITES_TABLES = {"_SUITES"}
+
+
+def test_suite_stores_start_empty():
+    """Every lru_cache and every module-level dict, list or set that
+    orelab.suites defines is empty once the autouse fixture in conftest.py
+    has run, also after a run that fills them, so no test reads a record, a
+    packing or an input another test stored; and every lru_cache there is
+    bounded (ROADMAP aim 3)."""
+    from conftest import clear_suite_stores
+    from orelab import suites
+
+    caches = [
+        value
+        for value in vars(suites).values()
+        if hasattr(value, "cache_info") and value.__module__ == suites.__name__
+    ]
+    stores = [
+        value
+        for name, value in vars(suites).items()
+        if isinstance(value, (dict, list, set)) and name not in SUITES_TABLES and not name.startswith("__")
+    ]
+    assert len(caches) == 2 and len(stores) == 1  # _tree_record, _default_input; _PACKINGS
+    assert all(cache.cache_info().maxsize for cache in caches)
+
+    def empty() -> bool:
+        return all(cache.cache_info().currsize == 0 for cache in caches) and not any(stores)
+
+    assert empty()
+    assert suites.run_suite("t-lower", params={"k": 4, "seed": 1}).passed
+    assert not empty()
+    clear_suite_stores()
+    assert empty()

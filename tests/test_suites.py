@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from orelab import coloring, discharging, orekit, packing, potential, suites
+from orelab import coloring, discharging, orekit, packing, potential, structure, suites
 from orelab import (
     DEFAULT_SEED,
     SUITE_IDS,
@@ -434,33 +434,35 @@ def test_t_superadd_packs_and_composes_each_subtree_once(monkeypatch):
     assert len(composed) == sum(isinstance(sub, Node) for sub in subtrees(tree)) == 2
 
 
+def distinct_sweep_graphs(trees) -> list[Graph]:
+    """The distinct subtree graphs of all ``trees``, in order of first
+    appearance."""
+    return list(dict.fromkeys(g for t in trees for g in distinct_subtree_graphs(t)))
+
+
 def test_t_superadd_sweep_packs_each_subtree_once(monkeypatch):
     packed = counting(monkeypatch, suites, "compute_T")
     graphs = 0
     for k in (4, 5, 6):
         params = {"k": k, "seed": 1}
         assert run_suite("t-superadd", params=params).passed
-        trees = dict.fromkeys(suites._default_input("trees", k, 1))
-        # K_k, a subtree of every tree, is packed once per k
-        graphs += 1 + sum(len(distinct_subtree_graphs(t)) - 1 for t in trees)
-    assert len(packed) == graphs == 1259  # 1,846 with K_k packed once per tree
+        # a subtree graph that several trees share, K_k in each, is packed once per k
+        graphs += len(distinct_sweep_graphs(suites._default_input("trees", k, 1)))
+    # 1,259 with each graph packed once per tree (K_k once per k), 1,846
+    # with K_k packed once per tree too
+    assert len(packed) == graphs == 914
 
 
 TREE_SUITES = ("main2-potential", "t-superadd", "t-lower")
 
 
 def test_tree_suites_share_one_record_per_tree(monkeypatch):
-    """Over a sweep the three tree suites compose each node once, pack K_k
-    once per k, first, and each other distinct subtree graph once per tree,
-    whichever suite comes first. The records start and end cold (see
-    conftest.py), and hold no graph."""
+    """Over a sweep the three tree suites compose each node once and pack
+    each distinct subtree graph once per k, in the order the first suite
+    meets them, whichever trees share it. The records and packings start
+    and end cold (see conftest.py), and hold no graph."""
     trees = {k: list(dict.fromkeys(suites._default_input("trees", k, 1))) for k in (4, 5, 6)}
-    expected = [
-        g
-        for k in trees
-        for g in [Graph.complete(k)]
-        + [h for t in trees[k] for h in distinct_subtree_graphs(t) if h != Graph.complete(k)]
-    ]
+    expected = [g for k in trees for g in distinct_sweep_graphs(trees[k])]
     nodes = sum(isinstance(sub, Node) for k in trees for t in trees[k] for sub in subtrees(t))
     packed = counting(monkeypatch, suites, "compute_T")
     composed = counting(monkeypatch, orekit, "ore_compose")
@@ -470,6 +472,32 @@ def test_tree_suites_share_one_record_per_tree(monkeypatch):
         assert not any(isinstance(field, Graph) for sub in record for field in sub)
     assert [args[0] for args in packed] == expected
     assert len(composed) == nodes
+    # keyed by (graph6, k), each holding T
+    assert len(suites._PACKINGS) == len(expected)
+    assert all(type(g6) is str and type(t) is int for (g6, _), t in suites._PACKINGS.items())
+
+
+def test_subtree_packings_stay_within_their_bound(monkeypatch):
+    """The store drops its oldest packing when full, and a tree whose
+    packing was dropped is packed again to the same rows (ROADMAP aim 3)."""
+    trees = list(dict.fromkeys(suites._default_input("trees", 5, 1)))[:40]
+    params = {"k": 5, "trees": trees}
+    expected = {sid: run_suite(sid, params=params) for sid in TREE_SUITES}
+    assert len(suites._PACKINGS) == len(distinct_sweep_graphs(trees)) > 8
+    suites._tree_record.cache_clear()
+    suites._PACKINGS.clear()
+    monkeypatch.setattr(suites, "SUBTREE_PACKINGS", 8)
+    sizes = []
+    packing_of = suites._packed
+
+    def watched(g, g6, k):
+        t = packing_of(g, g6, k)
+        sizes.append(len(suites._PACKINGS))
+        return t
+
+    monkeypatch.setattr(suites, "_packed", watched)
+    assert {sid: run_suite(sid, params=params) for sid in TREE_SUITES} == expected
+    assert max(sizes) == 8
 
 
 def test_a_capped_subtree_skips_only_the_rows_that_read_it(monkeypatch):
@@ -486,6 +514,7 @@ def test_a_capped_subtree_skips_only_the_rows_that_read_it(monkeypatch):
     params = {"k": k, "trees": [tree, Leaf(k)]}
     uncapped = {sid: run_suite(sid, params=params) for sid in TREE_SUITES}
     suites._tree_record.cache_clear()
+    suites._PACKINGS.clear()
     monkeypatch.setattr(packing, "CLIQUE_CAP", 18)
     leaf = suites._tree_record(tree, k)[0]
     assert isinstance(leaf.packed, SizeCapError) and leaf.packed.__traceback__ is None
@@ -519,6 +548,36 @@ def test_diamond_emerald_lists_each_graph_once(monkeypatch):
     for k in (4, 5, 6):
         assert run_suite("diamond-emerald", params={"k": k, "seed": 1}).passed
     assert len(listed) == sum(len(ore_catalog(k, suites.CATALOG_STEPS)) for k in (4, 5, 6)) == 85
+
+
+def test_extension_suite_searches_each_reduction_once_per_host(monkeypatch):
+    """Distinct colorings of one host that reduce to one graph share one
+    critical-subgraph search: over the seed-1 sweep the 391 reductions
+    are 239 distinct graphs per host."""
+    hosts = []  # per host: [the reductions built, the graphs searched]
+    build, reduce, search = structure.build_extension, structure.color_reduce, structure.find_critical_subgraphs
+
+    def per_host(*args, **kwargs):
+        hosts.append(([], []))
+        yield from build(*args, **kwargs)
+
+    def reduced(*args):
+        hosts[-1][0].append(reduce(*args))
+        return hosts[-1][0][-1]
+
+    def searched(g, *args, **kwargs):
+        hosts[-1][1].append(g)
+        return search(g, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "build_extension", per_host)
+    monkeypatch.setattr(structure, "color_reduce", reduced)
+    monkeypatch.setattr(structure, "find_critical_subgraphs", searched)
+    for k in (4, 5, 6):
+        assert run_suite("extension-potential", params={"k": k, "seed": 1}).passed
+    assert len(hosts) == sum(len(suites._default_input("census", k, 1)) for k in (4, 5, 6))
+    assert all(graphs == list(dict.fromkeys(reductions)) for reductions, graphs in hosts)
+    assert sum(len(reductions) for reductions, _ in hosts) == 391
+    assert sum(len(graphs) for _, graphs in hosts) == 239
 
 
 def test_extension_suite_packs_each_induced_graph_once(monkeypatch, census4_8):
