@@ -21,11 +21,11 @@ above order k, and criticality of the new vertex's edges). The sieve is a
 whole-table one: each condition is a 2^pn-bit table over the new vertex's
 masks, built from facts computed once per parent by closing single bits
 upward or downward, one shift per vertex, and the survivors are the set
-bits of their intersection. Only the survivors are colored with one parent
-edge deleted, and a coloring found for a parent edge is kept for that
-parent: a later survivor whose mask misses one of its classes is colorable
-without the solver. The bounds this workbench is meant to verify are never
-used to generate, so the census cannot beg the question.
+bits of their intersection. The last condition, that every parent edge is
+critical, is one more table per parent edge, the colorable-mask table of
+the parent less that edge, so the census never calls the coloring solver.
+The bounds this workbench is meant to verify are never used to generate,
+so the census cannot beg the question.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .coloring import color_partitions, first_coloring
+from .coloring import color_partitions
 from .errors import SizeCapError
 from .graphs import (
     Graph,
@@ -45,7 +45,6 @@ from .graphs import (
     canonical_key,
     cliques_of_size,
     components,
-    has_clique,
     mask_of,
 )
 
@@ -189,23 +188,17 @@ def _closure(table: int, columns: list[tuple[int, int]], up: bool) -> int:
 
 
 def _colorable_masks(parent: Graph, k: int) -> int | None:
-    """Bit ``mask`` is set iff ``parent`` plus a new vertex adjacent to
-    ``mask`` is (k-1)-colorable; None when no such extension is k-critical,
-    whatever the mask. For a (k-1)-colorable parent, None means that every
-    extension is (k-1)-colorable, which the bounded enumeration reads.
+    """None iff ``parent`` is (k-2)-colorable: then every extension is
+    (k-1)-colorable, as the new vertex takes a fresh color. Otherwise the
+    2^pn-bit table whose bit ``mask`` is set iff ``parent`` plus a new
+    vertex adjacent to ``mask`` is (k-1)-colorable; it is 0 iff ``parent``
+    is not (k-1)-colorable.
 
-    The parent is skipped when it is (k-2)-colorable (the new vertex would
-    take a fresh color) or not (k-1)-colorable (it would be a
-    non-(k-1)-colorable proper subgraph, K_k included). Otherwise each of its
-    (k-1)-colorings uses every color, so the extension is colorable iff the
-    mask misses a whole class: one pass over the proper partitions marks the
-    complement of every class, and a downward closure marks every submask
-    of a marked mask. A K_k in the parent, the common reason it has no
-    partition, is found first by the early-exit clique search, which costs
-    less than an exhausted partition search.
+    Each (k-1)-coloring of such a parent uses every color, so the extension
+    is colorable iff the mask misses a whole class: one pass over the proper
+    partitions marks the complement of every class, and a downward closure
+    marks every submask of a marked mask.
     """
-    if has_clique(parent, k):
-        return None
     full = parent.full_mask()
     table = 0
     for classes in color_partitions(parent, range(parent.n), k - 1):
@@ -213,32 +206,7 @@ def _colorable_masks(parent: Graph, k: int) -> int | None:
             return None
         for cls in classes:
             table |= 1 << (full ^ cls)
-    if not table:
-        return None
     return _closure(table, _columns(parent.n), up=False)
-
-
-def _colorable_without(rows: Sequence[int], u: int, v: int, mask: int, kept: list[int], t: int) -> bool:
-    """Whether ``rows``, a parent plus a last vertex adjacent to ``mask``,
-    is t-colorable with the parent edge uv deleted.
-
-    ``kept`` holds the classes, cut to the parent's vertices, of every
-    coloring found so far for the parent less uv plus some new vertex; each
-    one colors the parent less uv. If a kept class misses ``mask``, the new
-    vertex takes its color. Otherwise the solver decides, and the classes
-    of a coloring it finds are kept.
-    """
-    if any(not cls & mask for cls in kept):
-        return True
-    trial = list(rows)
-    trial[u] &= ~(1 << v)
-    trial[v] &= ~(1 << u)
-    classes = first_coloring(trial, t)
-    if classes is None:
-        return False
-    parent = (1 << (len(rows) - 1)) - 1
-    kept.extend(cls & parent for cls in classes)
-    return True
 
 
 def _survivors(parent: Graph, n: int, k: int, table: int) -> int:
@@ -270,13 +238,10 @@ def _critical_on(parents: Iterable[Graph], n: int, k: int) -> list[Graph]:
     order, sieved as ``census_critical`` describes; ``parents`` are the
     classes of ``graph_classes(n - 1, k - 2, k - 1)``, in their order.
 
-    Each parent's survivors come from a whole-table sieve, one 2^pn-bit
-    table (see ``_survivors``), whose set bits are walked least first, the
-    order of a loop over the masks. Each survivor is then asked, parent
-    edge by parent edge, whether g - e is (k-1)-colorable; a coloring kept
-    for e answers when one of its classes misses the survivor's mask, and
-    the solver otherwise (see ``_colorable_without``). The kept colorings
-    live for one parent.
+    Each parent's survivors are one 2^pn-bit table (see ``_survivors``),
+    cut by the colorable-mask table of the parent less each parent edge in
+    turn until none is left, and the set bits of what remains are read
+    least first, the order of a loop over the masks.
     """
     out: dict = {}
     for parent in parents:
@@ -284,15 +249,20 @@ def _critical_on(parents: Iterable[Graph], n: int, k: int) -> list[Graph]:
         if table is None:
             continue
         keep = _survivors(parent, n, k, table)
-        edges = parent.edges()
-        kept: dict = {e: [] for e in edges}
+        for u, v in parent.edges():
+            if not keep:
+                break
+            rows = list(parent.adj)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            without = _colorable_masks(Graph._trusted(parent.n, tuple(rows)), k)
+            if without is not None:
+                keep &= without
         while keep:
             low = keep & -keep
             keep ^= low
-            mask = low.bit_length() - 1
-            g = _augment(parent, mask)
-            if all(_colorable_without(g.adj, u, v, mask, kept[u, v], k - 1) for u, v in edges):
-                out.setdefault(canonical_key(g), g)
+            g = _augment(parent, low.bit_length() - 1)
+            out.setdefault(canonical_key(g), g)
     return [out[key] for key in sorted(out)]
 
 
@@ -320,12 +290,11 @@ def census_critical(n_max: int, k: int) -> Corpus:
     Each condition is one 2^pn-bit table per parent, so the survivors are
     found by whole-table bit operations, not mask by mask (see
     ``_survivors``). What is left of criticality is that g - e is
-    (k-1)-colorable for every parent edge e, asked of each survivor edge by
-    edge until one fails. A coloring of the parent less e plus some earlier
-    survivor's vertex colors the parent less e; if one of its classes
-    misses the new survivor's mask, the new vertex takes that color, and
-    only otherwise is the solver run. Those colorings are kept per parent
-    edge for one parent.
+    (k-1)-colorable for every parent edge e, and that is a table too: the
+    colorable-mask table of the parent less e, which keeps every mask when
+    the parent less e is (k-2)-colorable. The survivors are cut by these
+    tables edge by edge until none is left, and every mask that remains
+    gives a k-critical graph.
 
     Only the top parent level, ``graph_classes(n_max - 1, k - 2, k - 1)``,
     grows its own chain of bounded levels; the lower parent levels are read

@@ -271,11 +271,6 @@ def cliques_of_size(g: Graph, size: int, cap: int | None = None) -> list[tuple[i
     return out
 
 
-def has_clique(g: Graph, size: int) -> bool:
-    """Early-exit test for a complete subgraph on ``size`` vertices."""
-    return _cliques(g.adj, g.full_mask(), size, lambda clique, later: True)
-
-
 def embeddings(pattern: Graph, host: Graph) -> Iterator[tuple[int, ...]]:
     """Subgraph monomorphisms pattern -> host (edges preserved, injective).
 

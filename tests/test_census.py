@@ -7,9 +7,9 @@ line for line against the all-masks loop that labelled every child, the
 bounded lists against the full list filtered by minimum degree and
 colorability, and the orbit minima against a permutation brute force. The
 census's bitwise sieve is also checked row for row against the per-mask
-filter it replaced, its colorable-mask table entry by entry against the
-coloring solver, and its kept parent-edge colorings answer by answer against
-the solver too.
+filter it replaced, and its colorable-mask table entry by entry against the
+coloring solver, on parents and on parents less one edge, the two kinds of
+graph the census builds tables of.
 """
 
 import math
@@ -33,7 +33,6 @@ from orelab import (
     first_coloring,
     graph6_encode,
     graph_classes,
-    has_clique,
     is_k_critical,
     random_graph,
 )
@@ -41,7 +40,6 @@ from orelab.census import (
     _augment,
     _classes,
     _colorable_masks,
-    _colorable_without,
     _critical_on,
     _orbit_minima,
     _parents,
@@ -242,7 +240,7 @@ def _critical_on_by_filter(n: int, k: int) -> list[Graph]:
             g = _augment(parent, mask)
             if len(components(g.adj, g.full_mask())) != 1:
                 continue
-            if n > k and has_clique(g, k):
+            if n > k and cliques_of_size(g, k):
                 continue
             if is_k_critical(g, k):
                 out.setdefault(canonical_key(g), g)
@@ -302,54 +300,49 @@ def parents(draw):
 
 
 @given(parents(), st.integers(3, 5))
-@example(Graph.path(4), 4)  # skipped: 2-colorable
-@example(Graph.complete(4), 4)  # skipped: contains K_4
-@example(Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]), 4)  # skipped: W_5
+@example(Graph.path(4), 4)  # None: 2-colorable
+@example(Graph.complete(4), 4)  # 0: contains K_4
+@example(Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]), 4)  # 0: W_5
 @example(Graph.cycle(5), 4)
 @settings(max_examples=200, deadline=None)
 def test_colorable_mask_table_matches_the_solver(parent, k):
-    table = _colorable_masks(parent, k)
-    narrow = first_coloring(parent.adj, k - 2) is not None
-    wide = first_coloring(parent.adj, k - 1) is not None
-    if table is None:
-        assert narrow or not wide
-        return
-    assert wide and not narrow
-    assert table >> (1 << parent.n) == 0
-    for mask in range(1 << parent.n):
-        colorable = first_coloring(_augment(parent, mask).adj, k - 1) is not None
-        assert bool(table >> mask & 1) == colorable, mask
+    """The table of the drawn parent and of the parent less each of its
+    edges, which are the parent-edge tables of the census."""
+    edges = parent.edges()
+    for g in [parent] + [Graph.from_edges(parent.n, edges[:i] + edges[i + 1:]) for i in range(len(edges))]:
+        table = _colorable_masks(g, k)
+        narrow = first_coloring(g.adj, k - 2) is not None
+        assert (table is None) == narrow
+        if narrow:
+            continue
+        assert (table == 0) == (first_coloring(g.adj, k - 1) is None)
+        assert table >> (1 << g.n) == 0
+        for mask in range(1 << g.n):
+            colorable = first_coloring(_augment(g, mask).adj, k - 1) is not None
+            assert bool(table >> mask & 1) == colorable, (graph6_encode(g), mask)
 
 
 def test_sieve_bounds_the_criticality_tests(monkeypatch):
-    tested = set()  # the survivors that reach the final parent-edge checks
-    colorable_without = orelab.census._colorable_without
+    assert len(census_critical(8, 4)) == 9  # grows the parent levels
+    parents = {id(p) for m in range(3, 8) for p in _parents(m, 7, 4)}
+    tables = []  # the graphs the census builds a colorable-mask table of
+    colorable_masks = orelab.census._colorable_masks
 
-    def counted(rows, u, v, mask, kept, t):
-        tested.add(tuple(rows))
-        return colorable_without(rows, u, v, mask, kept, t)
+    def counted(g, k):
+        tables.append(g)
+        return colorable_masks(g, k)
 
-    monkeypatch.setattr(orelab.census, "_colorable_without", counted)
+    monkeypatch.setattr(orelab.census, "_colorable_masks", counted)
     assert len(census_critical(8, 4)) == 9
-    assert len(tested) <= 400  # the per-mask filter made 7,917 criticality tests
+    edge_tables = [g for g in tables if id(g) not in parents]
+    assert len(tables) - len(edge_tables) == len(parents) == 321
+    # the cut stops once no survivor is left: a table for every edge of
+    # every parent with a table would be 3,243 (the census builds 467), and
+    # the per-mask filter made 7,917 criticality tests
+    assert len(edge_tables) <= 500
 
 
-@given(parents(), st.integers(2, 4), st.lists(st.integers(0, 127), max_size=12))
-@settings(max_examples=150, deadline=None)
-def test_kept_parent_edge_colorings_answer_as_the_solver(parent, t, masks):
-    kept = {e: [] for e in parent.edges()}
-    for mask in masks:
-        mask &= parent.full_mask()
-        rows = _augment(parent, mask).adj
-        for u, v in parent.edges():
-            trial = list(rows)
-            trial[u] &= ~(1 << v)
-            trial[v] &= ~(1 << u)
-            expected = first_coloring(trial, t) is not None
-            assert _colorable_without(rows, u, v, mask, kept[u, v], t) == expected, (mask, u, v)
-
-
-def test_cold_census_labels_each_child_once_and_reuses_colorings(monkeypatch):
+def test_cold_census_labels_each_child_once_and_never_calls_the_solver(monkeypatch):
     searched = []
     search = orelab.census._search
 
@@ -378,7 +371,7 @@ def test_cold_census_labels_each_child_once_and_reuses_colorings(monkeypatch):
     assert len(searched) == len({id(g) for g in searched}) == 1766
     assert all(g.n for g in searched)  # the 0-vertex parent is never searched
     assert _classes.cache_info().currsize == 8  # 16 with a chain per parent level
-    assert colorings == 667  # 892 without the kept parent-edge colorings
+    assert colorings == 0  # criticality is read off colorable-mask tables
 
 
 def test_census_members_are_critical(census4_8):

@@ -24,7 +24,6 @@ from orelab import (
     graph6_decode,
     graph6_encode,
     graph_classes,
-    has_clique,
     isomorphism,
     to_dot,
 )
@@ -224,7 +223,7 @@ def test_components_match_networkx(g, data):
 
 @given(kernel_graphs(), st.integers(0, 6), st.data())
 @settings(max_examples=150, deadline=None)
-def test_has_clique_matches_brute_force(g, size, data):
+def test_early_exit_clique_search_matches_brute_force(g, size, data):
     within = data.draw(st.integers(0, g.full_mask()), label="within")
 
     def expected(inside):
@@ -233,8 +232,8 @@ def test_has_clique_matches_brute_force(g, size, data):
             for vs in itertools.combinations(inside, size)
         )
 
-    assert has_clique(g, size) == expected(range(g.n))
-    assert _cliques(g.adj, within, size, lambda clique, later: True) == expected(bits_of(within))
+    for inside in (g.full_mask(), within):
+        assert _cliques(g.adj, inside, size, lambda clique, later: True) == expected(bits_of(inside))
 
 
 @given(kernel_graphs(), st.integers(0, 6), st.integers(0, 40))
@@ -280,13 +279,12 @@ def test_cliques_of_size():
     k4 = Graph.complete(4)
     assert len(cliques_of_size(k4, 3)) == 4
     assert cliques_of_size(k4, 5) == []
-    assert has_clique(k4, 4) and not has_clique(k4, 5)
+    assert cliques_of_size(k4, 4) == [(0, 1, 2, 3)]
     assert cliques_of_size(Graph.empty(3), 1) == [(0,), (1,), (2,)]
     with pytest.raises(SizeCapError):
         cliques_of_size(Graph.complete(10), 3, cap=5)
-    for search in (has_clique, cliques_of_size):
-        with pytest.raises(ValueError, match="nonnegative"):
-            search(k4, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        cliques_of_size(k4, -1)
 
 
 def test_embeddings_counts_monomorphisms():

@@ -31,7 +31,6 @@ from orelab import (
     graph6_decode,
     graph6_encode,
     graph_classes,
-    has_clique,
     mask_of,
     ore_compose,
     random_graph,
@@ -177,7 +176,7 @@ def test_one_step_composition_at_k33():
     witness = compute_T(g, 33)
     check_witness(g, 33, witness)
     assert witness.value == 4
-    assert has_clique(g, 32) and not has_clique(g, 33)
+    assert cliques_of_size(g, 32) and not cliques_of_size(g, 33)
     assert graph6_decode(graph6_encode(g)) == g
 
 
@@ -223,7 +222,7 @@ def test_caps(monkeypatch):
         compute_T(Graph.complete(4), 4)
     # K_{3,4} has 12 edges and no triangle: the (k-2)-cliques alone exceed 9
     k34 = Graph.from_edges(7, [(a, b) for a in range(3) for b in range(3, 7)])
-    assert not has_clique(k34, 3)
+    assert not cliques_of_size(k34, 3)
     with pytest.raises(SizeCapError, match="requested 10 exceeds cap 9"):
         compute_T(k34, 4)
     with pytest.raises(SizeCapError):
