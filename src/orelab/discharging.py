@@ -6,19 +6,18 @@ Roles and rules are evaluated on any host graph; facts that hold only for
 minimal counterexamples are never asserted. One report derives each
 per-graph fact once: classification finds the clusters and fetches the
 gadget catalog only when some degree-(k-1) vertex lies in no K_{k-3}, the
-rules read the cluster sizes it returns, and the report audits the charge
-rows against the potential.
+rules read the cluster sizes it returns, and the report audits the charges
+against the potential. Charges are integers over one denominator; the
+report builds a Fraction only for the values it returns.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
 
-from .graphs import Graph, cliques_of_size, embeddings
+from .graphs import Graph, _cliques, bits_of, embeddings, mask_of
 from .orekit import Gadget, gadget_catalog
 from .potential import PotentialParams, rho
 from .structure import clusters, edge_between
@@ -29,14 +28,16 @@ ROLE_LONE = "lone"
 ROLE_OTHER = "not-deg-(k-1)"
 
 
-def _gadget_key_hits(g: Graph, catalog: tuple[Gadget, ...], target: set[int]) -> set[int]:
-    hits: set[int] = set()
+def _gadget_key_hits(g: Graph, catalog: tuple[Gadget, ...], target: int) -> int:
+    """The mask of vertices that are key vertices of some embedded gadget,
+    complete once it covers the mask ``target``."""
+    hits = 0
     for gadget in catalog:
         if gadget.graph.n > g.n or not gadget.key_vertices:
             continue
         for image in embeddings(gadget.graph, g):
-            hits.update(image[v] for v in gadget.key_vertices)
-            if target <= hits:
+            hits |= mask_of(image[v] for v in gadget.key_vertices)
+            if not target & ~hits:
                 return hits
     return hits
 
@@ -59,53 +60,60 @@ def classify_degree_k1(
     """
     if k < 4:
         raise ValueError("classification needs k >= 4")
-    low = {v for v in range(g.n) if g.degree(v) == k - 1}
-    roles: dict[int, str] = {v: ROLE_OTHER for v in range(g.n)}
-    cluster_list = clusters(g, k)
-    cluster_of = {v: c for c in cluster_list for v in c}
+    low = mask_of(v for v, row in enumerate(g.adj) if row.bit_count() == k - 1)
+    # v lies in a K_{k-3} exactly when its neighbourhood holds a K_{k-4};
+    # every vertex of the first one found lies in that K_{k-3} as well
+    in_clique = 0
 
-    in_clique = {v for q in cliques_of_size(g, k - 3) for v in q}
-    key_targets = {v for v in low if v not in in_clique}
+    def cover(clique: int, later: int) -> bool:
+        nonlocal in_clique
+        in_clique |= clique
+        return True
+
+    for v in bits_of(low):
+        if not in_clique >> v & 1 and _cliques(g.adj, g.adj[v], k - 4, cover):
+            in_clique |= 1 << v
+    key_targets = low & ~in_clique
     # a vertex in some K_{k-3} never reads the catalog, so build it only for the rest
-    key_hits = _gadget_key_hits(g, gadget_catalog(k, ore_catalog_cap), key_targets) if key_targets else set()
+    key_hits = _gadget_key_hits(g, gadget_catalog(k, ore_catalog_cap), key_targets) if key_targets else 0
+    structure = low & (in_clique | key_hits)
 
-    structure = {v for v in low if v in in_clique or v in key_hits}
-    for c in cluster_list:
-        if c & structure:
-            structure |= c
+    roles: dict[int, str] = dict.fromkeys(range(g.n), ROLE_OTHER)
+    cluster_size: dict[int, int] = {}
+    for members in clusters(g, k):
+        c = mask_of(members)
+        for v in members:
+            cluster_size[v] = len(members)
+            if c & structure:  # a cluster with one structure vertex is promoted whole
+                roles[v] = ROLE_STRUCTURE
+            elif g.adj[v] & low & ~c:
+                roles[v] = ROLE_NEAR
+            elif len(members) > k - 4:
+                raise AssertionError("a lone cluster this large is itself a clique witness")
+            else:
+                roles[v] = ROLE_LONE
+    return roles, cluster_size
 
-    for v in low:
-        if v in structure:
-            roles[v] = ROLE_STRUCTURE
-            continue
-        outside = [u for u in g.neighbors(v) if u in low and u not in cluster_of[v]]
-        roles[v] = ROLE_NEAR if outside else ROLE_LONE
-        if roles[v] == ROLE_LONE and len(cluster_of[v]) > k - 4:
-            raise AssertionError(
-                "a lone cluster this large is itself a clique witness"
-            )
-    return roles, {v: len(members) for v, members in cluster_of.items()}
 
-
-LABEL_L = "L"
-LABEL_M = "M"
-LABEL_P = "P"
-LABEL_Q = "Q"
-LABEL_R = "R-other"
+LABELS = ("L", "M", "P", "Q", "R-other")
 
 
 @dataclass(frozen=True)
-class VertexCharge:
-    label: str
-    initial: Fraction
-    final: Fraction
+class ChargeLedger:
+    """The rules' outcome in vertex order: each vertex's label and its
+    charge before and after the rules, as integers over ``den``."""
+
+    labels: tuple[str, ...]
+    initial: tuple[int, ...]
+    final: tuple[int, ...]
+    den: int
 
 
 def apply_rules(
     g: Graph, k: int, roles: dict[int, str], cluster_size: dict[int, int]
-) -> tuple[VertexCharge, ...]:
-    """Run both redistribution rules and return one charge row per vertex,
-    in vertex order: ``rows[v]`` is the row of v.
+) -> ChargeLedger:
+    """Run both redistribution rules and return the ledger of every vertex,
+    in vertex order: ``labels[v]``, ``initial[v]`` and ``final[v]`` are v's.
 
     Every vertex v starts with (k-2)(k+1) + eps - d(v)(k-1). Rule one: each
     vertex of degree d >= k+2 keeps exactly -2+eps and sends (k-d)(k-1)/d
@@ -113,21 +121,18 @@ def apply_rules(
     split equally over its near-vertex neighbors; with no near neighbor
     nothing moves, the only reading that conserves charge.
 
-    Charges are kept as integers over one common denominator, eps's times
-    the lcm of every count a rule divides by, so every transfer is exact;
-    both audits run on those integers, and each distinct charge becomes one
-    ``Fraction``, shared by the rows that hold it.
+    Charges are integers over one common denominator ``den``, eps's times
+    the lcm of every count a rule divides by, so every transfer is exact and
+    both audits run on integers; charge c stands for ``Fraction(c, den)``.
     """
     eps = PotentialParams.for_k(k).eps
-    degree = [g.degree(v) for v in range(g.n)]
-    senders = [v for v in range(g.n) if degree[v] >= k + 2]
-    payers = {}
-    for v in range(g.n):
-        if roles[v] == ROLE_STRUCTURE:
-            near = [u for u in g.neighbors(v) if roles[u] == ROLE_NEAR]
-            if near:
-                payers[v] = near
-    scale = lcm(*(degree[v] for v in senders), *(len(near) for near in payers.values()))
+    adj = g.adj
+    degree = [row.bit_count() for row in adj]
+    senders = [v for v, d in enumerate(degree) if d >= k + 2]
+    near = mask_of(v for v, role in roles.items() if role == ROLE_NEAR)
+    # each structure vertex with a near neighbour, and the mask of those it pays
+    payers = {v: adj[v] & near for v, role in roles.items() if role == ROLE_STRUCTURE and adj[v] & near}
+    scale = lcm(*(degree[v] for v in senders), *(paid.bit_count() for paid in payers.values()))
     den = eps.denominator * scale
     base = (k - 2) * (k + 1) * den + eps.numerator * scale
     initial = [base - d * (k - 1) * den for d in degree]
@@ -140,31 +145,25 @@ def apply_rules(
             raise AssertionError("sender residue is off")
         final[v] -= sent
         per_edge = sent // degree[v]
-        for u in g.neighbors(v):
+        for u in bits_of(adj[v]):
             final[u] += per_edge
-    for v, near in payers.items():
+    for v, paid in payers.items():
         sent = -(k - 1) * den
         final[v] -= sent
-        for u in near:
-            final[u] += sent // len(near)
+        share = sent // paid.bit_count()
+        for u in bits_of(paid):
+            final[u] += share
     if sum(initial) != sum(final):
         raise AssertionError("rules moved charge without conserving it")
-    charge = {units: Fraction(units, den) for units in {*initial, *final}}
-    rows = []
-    for v in range(g.n):
-        d = degree[v]
-        if roles[v] == ROLE_LONE and cluster_size[v] == 1:
-            label = LABEL_L
-        elif roles[v] == ROLE_LONE and cluster_size[v] == 2:
-            label = LABEL_M
-        elif d == k:
-            label = LABEL_P
-        elif d == k + 1:
-            label = LABEL_Q
-        else:
-            label = LABEL_R
-        rows.append(VertexCharge(label, charge[initial[v]], charge[final[v]]))
-    return tuple(rows)
+    # L and M are lone vertices in clusters of one and two; P and Q have
+    # degree k and k+1; everything else is R
+    lone = {1: "L", 2: "M"}
+    by_degree = {k: "P", k + 1: "Q"}
+    labels = tuple(
+        lone[cluster_size[v]] if roles[v] == ROLE_LONE and cluster_size[v] in lone else by_degree.get(d, "R-other")
+        for v, d in enumerate(degree)
+    )
+    return ChargeLedger(labels, tuple(initial), tuple(final), den)
 
 
 @dataclass(frozen=True)
@@ -178,11 +177,6 @@ class ChargeReport:
     rho_plus_delta_t: Fraction
 
 
-def _total(charges: Iterable[Fraction]) -> Fraction:
-    """The sum of ``charges``, one product per distinct value."""
-    return sum((charge * count for charge, count in Counter(charges).items()), Fraction(0))
-
-
 def charge_report(g: Graph, k: int, ore_catalog_cap: int = 2) -> ChargeReport:
     """Classify, redistribute, and audit the arithmetic on one graph.
 
@@ -193,14 +187,11 @@ def charge_report(g: Graph, k: int, ore_catalog_cap: int = 2) -> ChargeReport:
     charge must equal rho + delta*T, which is ((k-2)(k+1) + eps)n - 2(k-1)m
     whatever T is, so no packing is computed.
     """
-    rows = apply_rules(g, k, *classify_degree_k1(g, k, ore_catalog_cap))
-    labels = (LABEL_L, LABEL_M, LABEL_P, LABEL_Q, LABEL_R)
-    by_label: dict[str, set[int]] = {lab: set() for lab in labels}
-    for v, r in enumerate(rows):
-        by_label[r.label].add(v)
-    l_set, m_set = by_label[LABEL_L], by_label[LABEL_M]
-    p_set, q_set = by_label[LABEL_P], by_label[LABEL_Q]
-    rest = by_label[LABEL_R]
+    ledger = apply_rules(g, k, *classify_degree_k1(g, k, ore_catalog_cap))
+    by_label: dict[str, set[int]] = {lab: set() for lab in LABELS}
+    for v, lab in enumerate(ledger.labels):
+        by_label[lab].add(v)
+    l_set, m_set, p_set, q_set, rest = by_label.values()
     direct = edge_between(g, l_set | m_set, rest)
     identity = (
         (k - 1) * len(l_set)
@@ -213,7 +204,7 @@ def charge_report(g: Graph, k: int, ore_catalog_cap: int = 2) -> ChargeReport:
         raise AssertionError("edge identity failed with its hypothesis intact")
     # rho + delta*T does not depend on T, so T = 0 gives it without a packing
     rho_plus = rho(g, k, 0)
-    total = _total(r.initial for r in rows)
+    total = Fraction(sum(ledger.initial), ledger.den)
     if total != rho_plus:
         raise AssertionError("total charge disagrees with the potential")
     return ChargeReport(

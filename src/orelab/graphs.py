@@ -8,6 +8,7 @@ the old->new map alongside the new graph.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -219,14 +220,15 @@ def _quotient(adj: Sequence[int], image: dict[int, int], n: int) -> tuple[int, .
 
 
 def _cliques(
-    adj: Sequence[int], within: int, size: int, visit: Callable[[tuple[int, ...], int], bool]
+    adj: Sequence[int], within: int, size: int, visit: Callable[[int, int], bool]
 ) -> bool:
     """Hand every ``size``-vertex clique of the rows ``adj`` inside the
-    vertex mask ``within`` to ``visit``, as a sorted tuple in lexicographic
-    order with the mask of its later common neighbours in ``within`` (the
-    vertices there above its last one adjacent to all of it), and stop with
-    True as soon as ``visit`` returns True. Every candidate set is
-    ``within`` intersected with rows, so the search never leaves it.
+    vertex mask ``within`` to ``visit`` as a vertex mask, in lexicographic
+    order of the sorted cliques, with the mask of its later common
+    neighbours in ``within`` (the vertices there above its last one adjacent
+    to all of it), and stop with True as soon as ``visit`` returns True.
+    Every candidate set is ``within`` intersected with rows, so the search
+    never leaves it.
 
     Each level tries its candidates in increasing order and drops each one
     once tried, so a vertex extends only with its later neighbours. A vertex
@@ -236,7 +238,7 @@ def _cliques(
     if size < 0:
         raise ValueError("clique size must be nonnegative")
 
-    def extend(prefix: tuple[int, ...], allowed: int, want: int) -> bool:
+    def extend(prefix: int, allowed: int, want: int) -> bool:
         if want == 0:
             return visit(prefix, allowed)
         while allowed.bit_count() >= want:
@@ -244,11 +246,14 @@ def _cliques(
             allowed ^= low
             v = low.bit_length() - 1
             nxt = allowed & adj[v]
-            if nxt.bit_count() >= want - 1 and extend(prefix + (v,), nxt, want - 1):
+            if want == 1:  # the last vertex: hand the clique over without a call
+                if visit(prefix | low, nxt):
+                    return True
+            elif nxt.bit_count() >= want - 1 and extend(prefix | low, nxt, want - 1):
                 return True
         return False
 
-    return extend((), within, size)
+    return extend(0, within, size)
 
 
 def cliques_of_size(g: Graph, size: int, cap: int | None = None) -> list[tuple[int, ...]]:
@@ -261,8 +266,8 @@ def cliques_of_size(g: Graph, size: int, cap: int | None = None) -> list[tuple[i
         return [()]
     out: list[tuple[int, ...]] = []
 
-    def collect(clique: tuple[int, ...], later: int) -> bool:
-        out.append(clique)
+    def collect(clique: int, later: int) -> bool:
+        out.append(tuple(bits_of(clique)))
         if cap is not None and len(out) > cap:
             raise SizeCapError("clique enumeration", len(out), cap)
         return False
@@ -561,31 +566,34 @@ def isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
 
 
 def graph6_encode(g: Graph) -> str:
-    """Encode in graph6 (short form for n <= 62, 4-byte form above)."""
+    """Encode in graph6 (short form for n <= 62, 4-byte form above): the
+    bit string, folded into one int, is written six bits to a byte."""
     n = g.n
-    if n <= 62:
-        head = [n + 63]
-    else:
-        head = [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    bits: list[int] = []
+    head = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+    stream = nbits = 0
     for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            bits.append(col >> i & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for p in range(0, len(bits), 6):
-        x = 0
-        for b in bits[p:p + 6]:
-            x = (x << 1) | b
-        body.append(x + 63)
-    return "".join(chr(c) for c in head + body)
+        # bit t of ``stream`` is bit t of the string: column j's bits i < j
+        stream |= (g.adj[j] & ((1 << j) - 1)) << nbits
+        nbits += j
+    nbytes = (nbits + 5) // 6
+    # reversed, the string reads first bit highest, and the zero fill pads it
+    groups = int(format(stream, f"0{6 * nbytes}b")[::-1], 2) if nbytes else 0
+    body = bytearray(nbytes)
+    for p in range(nbytes - 1, -1, -1):
+        body[p] = (groups & 63) + 63
+        groups >>= 6
+    return head + body.decode()
+
+
+_OUTSIDE_GRAPH6 = re.compile("[^?-~]")  # bytes 63..126 are '?'..'~'
+_SIX_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
 
 
 def graph6_decode(text: str | bytes) -> Graph:
     """Decode one graph6 line; malformed input raises GraphFormatError with
-    the byte offset of the fault."""
+    the byte offset of the fault. The bit string is folded into one int,
+    string bit t as bit t: the padding lies above the last column, and each
+    column j is the next j bits, the vertices i < j adjacent to j."""
     if isinstance(text, bytes):
         try:
             text = text.decode("ascii")
@@ -596,44 +604,40 @@ def graph6_decode(text: str | bytes) -> Graph:
         text = text[len(">>graph6<<"):]
     if not text:
         raise GraphFormatError("empty graph6 input", 0)
-    data = [ord(c) for c in text]
-    for i, c in enumerate(data):
-        if not 63 <= c <= 126:
-            raise GraphFormatError(f"byte {c!r} outside graph6 range 63..126", i)
-    pos = 0
-    if data[0] == 126:
-        if len(data) >= 2 and data[1] == 126:
+    bad = _OUTSIDE_GRAPH6.search(text)
+    if bad:
+        raise GraphFormatError(f"byte {ord(bad.group())!r} outside graph6 range 63..126", bad.start())
+    if text[0] == "~":
+        if text[1:2] == "~":
             raise GraphFormatError("8-byte vertex-count form not supported", 1)
-        if len(data) < 4:
-            raise GraphFormatError("truncated vertex count", len(data))
-        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        if len(text) < 4:
+            raise GraphFormatError("truncated vertex count", len(text))
+        n = int(text[1:4].translate(_SIX_BITS), 2)
         pos = 4
     else:
-        n = data[0] - 63
+        n = ord(text[0]) - 63
         pos = 1
     if n > MAX_VERTICES:
         raise GraphFormatError(f"vertex count {n} exceeds supported {MAX_VERTICES}", 0)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(data) - pos < nbytes:
-        raise GraphFormatError("truncated adjacency data", len(data))
-    if len(data) - pos > nbytes:
+    if len(text) - pos < nbytes:
+        raise GraphFormatError("truncated adjacency data", len(text))
+    if len(text) - pos > nbytes:
         raise GraphFormatError("trailing data after adjacency bits", pos + nbytes)
-    bits: list[int] = []
-    for c in data[pos:]:
-        x = c - 63
-        bits.extend((x >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
-    for i in range(nbits, len(bits)):
-        if bits[i]:
-            raise GraphFormatError("nonzero padding bit", pos + i // 6)
+    stream = int(text[pos:].translate(_SIX_BITS)[::-1] or "0", 2)
+    if stream >> nbits:
+        # fewer than six padding bits, so all of them sit in the last byte
+        raise GraphFormatError("nonzero padding bit", len(text) - 1)
     rows = [0] * n
-    idx = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
+        col = stream & ((1 << j) - 1)
+        stream >>= j
+        rows[j] = col
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= 1 << j
+            col ^= low
     # symmetric and loop-free as built, with n checked above
     return Graph._trusted(n, tuple(rows))
 

@@ -9,7 +9,8 @@ small graphs for cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import or_
 
 from .errors import SizeCapError
 from .graphs import Graph, _cliques, bits_of, mask_of
@@ -68,49 +69,52 @@ def compute_T(g: Graph, k: int) -> PackingWitness:
     """
     if k < 4:
         raise ValueError("packing parameter requires k >= 4")
-    big: list[tuple[int, ...]] = []
-    small: list[tuple[int, ...]] = []
+    big: list[int] = []
+    small: list[int] = []
 
-    def collect(clique: tuple[int, ...], later: int) -> bool:
+    def collect(clique: int, later: int) -> bool:
         # each (k-1)-clique is a (k-2)-clique and one later common neighbour,
         # so both lists come out of one search in lexicographic order
         small.append(clique)
-        big.extend(clique + (v,) for v in bits_of(later))
+        while later:
+            low = later & -later
+            big.append(clique | low)
+            later ^= low
         if len(big) + len(small) > CLIQUE_CAP:
             raise SizeCapError("packing candidate cliques", len(big) + len(small), CLIQUE_CAP)
         return False
 
     _cliques(g.adj, g.full_mask(), k - 2, collect)
-    cand = [(2, cl) for cl in big] + [(1, cl) for cl in small]
-    weights = [w for w, _ in cand]
-    masks = [mask_of(cl) for _, cl in cand]
-    n_big = len(big)  # cand is big-first: indices below n_big are (k-1)-cliques
-
     best_value = -1
     best_chosen: tuple[int, ...] = ()
 
-    def dfs(indices: list[int], value: int, chosen: tuple[int, ...]):
+    def dfs(bigs: list[int], smalls: list[int], value: int, chosen: tuple[int, ...]):
+        # Packs each candidate in turn, big ones first; moving on excludes
+        # it, so the loops walk the exclusion chain, step j bounded by
+        # covers[-1 - j], the union of the candidates from j on, all from one
+        # backward pass; a step among the big ones keeps every small one.
         nonlocal best_value, best_chosen
         if value > best_value:
             best_value = value
             best_chosen = chosen
-        if not indices:
-            return
-        big_cover = small_cover = 0
-        for i in indices:
-            if i < n_big:
-                big_cover |= masks[i]
-            else:
-                small_cover |= masks[i]
-        spread = 2 * (k - 2) * big_cover.bit_count() + (k - 1) * (small_cover & ~big_cover).bit_count()
-        if value + spread // ((k - 1) * (k - 2)) <= best_value:
-            return
-        head, rest = indices[0], indices[1:]
-        dfs([i for i in rest if not masks[i] & masks[head]], value + weights[head], chosen + (head,))
-        dfs(rest, value, chosen)
+        small_covers = list(accumulate(reversed(smalls), or_))
+        small_union = small_covers[-1] if smalls else 0
+        big_covers = list(accumulate(reversed(bigs), or_))
+        for j, head in enumerate(bigs):
+            cover = big_covers[-1 - j]
+            spread = 2 * (k - 2) * cover.bit_count() + (k - 1) * (small_union & ~cover).bit_count()
+            if value + spread // ((k - 1) * (k - 2)) <= best_value:
+                return
+            later_bigs = [m for m in bigs[j + 1:] if not m & head]
+            dfs(later_bigs, [m for m in smalls if not m & head], value + 2, chosen + (head,))
+        for j, head in enumerate(smalls):
+            # (k-1)|SL| // ((k-1)(k-2)), with no big candidate left
+            if value + small_covers[-1 - j].bit_count() // (k - 2) <= best_value:
+                return
+            dfs([], [m for m in smalls[j + 1:] if not m & head], value + 1, chosen + (head,))
 
-    dfs(list(range(len(cand))), 0, ())
-    witness = PackingWitness(tuple(cand[i][1] for i in best_chosen), best_value)
+    dfs(big, small, 0, ())
+    witness = PackingWitness(tuple(tuple(bits_of(m)) for m in best_chosen), best_value)
     check_witness(g, k, witness)
     return witness
 

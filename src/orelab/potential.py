@@ -3,7 +3,8 @@
 Two potentials appear: the classical one, rho_ky(G) = (k-2)(k+1)|V| -
 2(k-1)|E|, and the packing-corrected one, rho(G) = ((k-2)(k+1)+eps)|V| -
 2(k-1)|E| - delta*T(G) with eps = 4/(k^3 - 2k^2 + 3k) and delta = (k-1)*eps.
-All arithmetic is fractions.Fraction; no floats anywhere in a comparison.
+Each rational value is one integer over eps's denominator, made a Fraction
+once; no floats anywhere in a comparison.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil
 from typing import Iterable
 
 from .graphs import Graph
@@ -46,8 +46,9 @@ def rho_ky(g: Graph, k: int) -> int:
 
 def rho_value(n: int, m: int, t_value: int, k: int) -> Fraction:
     """Packing-corrected potential from raw counts (n, m, T)."""
-    p = PotentialParams.for_k(k)
-    return ((k - 2) * (k + 1) + p.eps) * n - Fraction(2 * (k - 1) * m) - p.delta * t_value
+    eps = PotentialParams.for_k(k).eps
+    a, b = eps.numerator, eps.denominator
+    return Fraction(((k - 2) * (k + 1) * b + a) * n - 2 * (k - 1) * m * b - (k - 1) * a * t_value, b)
 
 
 def rho(g: Graph, k: int, t_value: int) -> Fraction:
@@ -89,34 +90,32 @@ def ky_edge_bound(n: int, k: int) -> int:
         raise ValueError("edge bound requires k >= 4")
     if n < k:
         raise ValueError(f"edge bound needs n >= k, got n={n}, k={k}")
-    value = (Fraction(k, 2) - Fraction(1, k - 1)) * n - Fraction(k * (k - 3), 2 * (k - 1))
-    return ceil(value)
+    return -((k * (k - 3) - (k * (k - 1) - 2) * n) // (2 * (k - 1)))
 
 
 def eps_edge_bound(n: int, k: int, t_value: int) -> Fraction:
     """Packing-corrected lower edge bound, returned as an exact rational.
 
     The formula is ((k-2)(k+1)+eps)n - k(k-3) + 2*delta - k*eps - delta*T,
-    all over 2(k-1). Callers may take the ceiling since edge counts are
-    integers; the raw rational is returned unrounded.
+    all over 2(k-1), where the eps terms add up to (k - 2 - (k-1)T)eps.
+    Callers may take the ceiling since edge counts are integers; the raw
+    rational is returned unrounded.
     """
     if k < 4:
         raise ValueError("edge bound requires k >= 4")
     if n < k:
         raise ValueError(f"edge bound needs n >= k, got n={n}, k={k}")
-    p = PotentialParams.for_k(k)
-    numer = (
-        ((k - 2) * (k + 1) + p.eps) * n
-        - k * (k - 3)
-        + 2 * p.delta
-        - k * p.eps
-        - p.delta * t_value
-    )
-    return numer / (2 * (k - 1))
+    eps = PotentialParams.for_k(k).eps
+    a, b = eps.numerator, eps.denominator
+    numer = ((k - 2) * (k + 1) * b + a) * n - k * (k - 3) * b + (k - 2 - (k - 1) * t_value) * a
+    return Fraction(numer, 2 * (k - 1) * b)
 
 
 def main_potential_bound(n: int, k: int) -> Fraction:
     """Upper bound k(k-3) + n*eps - (2 + (n-1)/(k-1))*delta for the potential
-    of a composed graph on n vertices (valid once the graph is not K_k)."""
-    p = PotentialParams.for_k(k)
-    return k * (k - 3) + n * p.eps - (2 + Fraction(n - 1, k - 1)) * p.delta
+    of a composed graph on n vertices (valid once the graph is not K_k).
+    With delta = (k-1)eps the terms in n cancel, leaving k(k-3) - (2k-3)eps
+    for every n."""
+    eps = PotentialParams.for_k(k).eps
+    a, b = eps.numerator, eps.denominator
+    return Fraction(k * (k - 3) * b - (2 * k - 3) * a, b)

@@ -34,8 +34,8 @@ def clusters(g: Graph, k: int) -> list[frozenset[int]]:
     neighborhood), so a cluster is a clique of mutually cloned vertices.
     """
     groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        if g.degree(v) == k - 1:
+    for v, row in enumerate(g.adj):
+        if row.bit_count() == k - 1:
             groups.setdefault(g.closed_mask(v), []).append(v)
     # a group opens at its least member, so insertion order is that order
     return [frozenset(vs) for vs in groups.values()]
@@ -63,10 +63,10 @@ def find_diamonds_emeralds(g: Graph, k: int) -> list[frozenset[int]]:
     out: list[frozenset[int]] = []
     low = mask_of(v for v in range(g.n) if g.degree(v) == k - 1)
 
-    def visit(interior: tuple[int, ...], later: int) -> bool:
-        im = mask_of(interior)
+    def visit(im: int, later: int) -> bool:
         if im & low != im:
             return False
+        interior = tuple(bits_of(im))
         out.extend(frozenset(interior + (v,)) for v in bits_of(later & low))
         common = g.full_mask() & ~im
         for q in interior:

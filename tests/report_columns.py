@@ -3,7 +3,8 @@ from what the library does return.
 
 ``charge_report`` returns class sizes, the identity hypothesis and the two
 sides of the charge identity; the per-vertex rows, roles and edge counts
-behind them come from ``classify_degree_k1`` and ``apply_rules``. An
+behind them come from ``classify_degree_k1`` and ``apply_rules``, whose
+ledger holds each charge as an integer over one denominator. An
 ``ExtensionRecord`` does not repeat the coloring it was built from; its
 vertex-to-class numbering is read from the classes. ``tests/test_golden.py``
 digests these values and ``tests/test_discharging.py`` asserts on them.
@@ -11,6 +12,7 @@ digests these values and ``tests/test_discharging.py`` asserts on them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from orelab import (
@@ -22,13 +24,31 @@ from orelab import (
     cliques_of_size,
     edge_between,
     gadget_catalog,
+    mask_of,
 )
 from orelab.discharging import _gadget_key_hits
 
 
-def charge_rows(g, k: int, cap: int = 2):
+@dataclass(frozen=True)
+class ChargeRow:
+    """One vertex's label and its exact charge before and after the rules."""
+
+    label: str
+    initial: Fraction
+    final: Fraction
+
+
+def rows_of(ledger) -> tuple[ChargeRow, ...]:
+    """The ledger of ``apply_rules`` as one row per vertex, in vertex order."""
+    return tuple(
+        ChargeRow(label, Fraction(initial, ledger.den), Fraction(final, ledger.den))
+        for label, initial, final in zip(ledger.labels, ledger.initial, ledger.final)
+    )
+
+
+def charge_rows(g, k: int, cap: int = 2) -> tuple[ChargeRow, ...]:
     """The per-vertex charge rows, as ``charge_report`` computes them."""
-    return apply_rules(g, k, *classify_degree_k1(g, k, cap))
+    return rows_of(apply_rules(g, k, *classify_degree_k1(g, k, cap)))
 
 
 def charge_columns(g, k: int, cap: int = 2) -> dict:
@@ -38,7 +58,7 @@ def charge_columns(g, k: int, cap: int = 2) -> dict:
     a K_(k-3) nor a gadget key vertex, so they were promoted with their
     cluster; the frontier compares |L| + |P| with n(1 - eps/2)."""
     roles, cluster_size = classify_degree_k1(g, k, cap)
-    rows = apply_rules(g, k, roles, cluster_size)
+    rows = rows_of(apply_rules(g, k, roles, cluster_size))
     by_label = {lab: {v for v, r in enumerate(rows) if r.label == lab} for lab in ("L", "M", "P", "Q", "R-other")}
     l_set, m_set, p_set, q_set = (by_label[lab] for lab in "LMPQ")
     catalog = gadget_catalog(k, cap)
@@ -51,7 +71,7 @@ def charge_columns(g, k: int, cap: int = 2) -> dict:
         # every gadget comes from a host on k + steps*(k-1) vertices, one removed
         "complete": cap >= max(0, (g.n + 1 - k) // (k - 1)),
         "catalog_size": len(catalog),
-        "promoted": sorted(targets - _gadget_key_hits(g, catalog, targets)) if targets else [],
+        "promoted": sorted(targets - set(bits_of(_gadget_key_hits(g, catalog, mask_of(targets))))) if targets else [],
         "lm_to_rest_edges": edge_between(g, l_set | m_set, by_label["R-other"]),
         "lm_identity_value": (
             (k - 1) * len(l_set)

@@ -11,12 +11,14 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 import orelab.discharging
+import orelab.potential
 from orelab import (
     Graph,
     PotentialParams,
-    VertexCharge,
     apply_rules,
+    census_critical,
     charge_report,
     classify_degree_k1,
     compute_T,
@@ -26,8 +28,9 @@ from orelab import (
     random_ore_tree,
     realize,
     rho,
+    suites,
 )
-from report_columns import charge_columns, charge_rows
+from report_columns import ChargeRow, charge_columns, charge_rows, rows_of
 
 EPS4 = Fraction(1, 11)
 
@@ -98,7 +101,7 @@ def test_structure_pays_its_near_neighbor():
     )
     roles, cluster_size = classify_degree_k1(g, 6, ore_catalog_cap=1)
     assert roles[0] == "near" and roles[1] == "structure"
-    rows = apply_rules(g, 6, roles, cluster_size)
+    rows = rows_of(apply_rules(g, 6, roles, cluster_size))
     assert rows[0].final - rows[0].initial == -5
     assert rows[1].final - rows[1].initial == 5
     assert sum(r.initial for r in rows) == sum(r.final for r in rows)
@@ -106,7 +109,7 @@ def test_structure_pays_its_near_neighbor():
 
 def oracle_apply_rules(
     g: Graph, k: int, roles: dict[int, str], cluster_size: dict[int, int]
-) -> tuple[VertexCharge, ...]:
+) -> tuple[ChargeRow, ...]:
     """Both rules in Fraction arithmetic, one transfer at a time, with both
     audits."""
     eps = PotentialParams.for_k(k).eps
@@ -145,7 +148,7 @@ def oracle_apply_rules(
             label = "Q"
         else:
             label = "R-other"
-        rows.append(VertexCharge(label, initial[v], initial[v] + shift[v]))
+        rows.append(ChargeRow(label, initial[v], initial[v] + shift[v]))
     assert sum(r.initial for r in rows) == sum(r.final for r in rows), "rules moved charge without conserving it"
     return tuple(rows)
 
@@ -161,11 +164,74 @@ def test_integer_ledger_matches_fraction_arithmetic():
         g = random_graph(rng, rng.randint(1, 2 * k + 4))
         roles = {v: rng.choice(["structure", "near", "lone", "not-deg-(k-1)"]) for v in range(g.n)}
         cluster_size = {v: rng.randint(1, 3) for v in range(g.n) if roles[v] != "not-deg-(k-1)"}
-        rows = apply_rules(g, k, roles, cluster_size)
+        rows = rows_of(apply_rules(g, k, roles, cluster_size))
         assert [str(r) for r in rows] == [str(r) for r in oracle_apply_rules(g, k, roles, cluster_size)], (g, k)
         senders += any(g.degree(v) >= k + 2 for v in range(g.n))
         moves += any(roles[v] == "structure" and roles[u] == "near" for v in range(g.n) for u in g.neighbors(v))
     assert senders > 100 and moves > 100
+
+
+def moved_edge(g: Graph, rng: random.Random) -> Graph:
+    """g with one edge moved to a non-edge: the same order and size."""
+    edges = g.edges()
+    drop = rng.choice(edges)
+    add = rng.choice([(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)])
+    return Graph.from_edges(g.n, [e for e in edges if e != drop] + [add])
+
+
+def oracle_hosts() -> list[tuple[Graph, int]]:
+    """(host, k): the order-8 census at k = 4, 5, 6, the charge-identity
+    suite's classes+random corpus at k = 4 and 5, seeded composed graphs
+    with 1 to 4 steps at k = 4 and 5, each with a moved-edge near miss, and
+    one 1-step composed graph at k = 33."""
+    hosts = [(g, k) for k in (4, 5, 6) for g in census_critical(8, k).graphs]
+    hosts += [(g, k) for k in (4, 5) for g in suites._default_input("classes+random", k, 1)]
+    rng = random.Random("charge oracle")
+    for k in (4, 5):
+        for steps in range(1, 5):
+            for _ in range(3):
+                g = realize(random_ore_tree(k, steps, rng), k)
+                hosts += [(g, k), (moved_edge(g, rng), k)]
+    hosts.append((realize(random_ore_tree(33, 1, rng), 33), 33))
+    return hosts
+
+
+def test_ledger_matches_the_row_oracle():
+    """Roles, charge rows (as printed) and whole reports agree with the
+    set-based classification, the per-vertex Fraction rows and their
+    fraction sum on every oracle host."""
+    for g, k in oracle_hosts():
+        roles = classify_degree_k1(g, k)
+        assert roles == oracles.classify_degree_k1(g, k), (g, k)
+        assert [str(r) for r in charge_rows(g, k)] == [str(r) for r in oracles.apply_rules(g, k, *roles)], (g, k)
+        rep = charge_report(g, k)
+        want = oracles.charge_report(g, k)
+        assert list(rep.sizes.items()) == list(want["sizes"].items()), (g, k)
+        assert rep.identity_hypothesis == want["identity_hypothesis"], (g, k)
+        assert str(rep.total_charge) == str(want["total_charge"]), (g, k)
+        assert str(rep.rho_plus_delta_t) == str(want["rho_plus_delta_t"]), (g, k)
+
+
+def test_charge_report_builds_one_fraction_per_reported_value(monkeypatch):
+    """A warm report builds the total and rho as Fractions and nothing
+    else: the count of Fraction calls in the discharging and potential
+    modules does not grow with the host."""
+    counts = []
+    for steps in (1, 4):
+        g = realize(random_ore_tree(5, steps, random.Random(steps)), 5)
+        charge_report(g, 5)  # warm: the gadget catalog and eps are built
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return Fraction(*args)
+
+        for module in (orelab.discharging, orelab.potential):
+            monkeypatch.setattr(module, "Fraction", counting)
+        charge_report(g, 5)
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2, counts
 
 
 def test_high_degree_sender_keeps_exact_residue():

@@ -12,6 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from orelab import (
     CanonicalForm,
     Graph,
@@ -260,7 +261,7 @@ def test_clique_search_hands_each_clique_its_later_common_neighbours(g, size, da
     seen = []
 
     def visit(clique, later):
-        seen.append((clique, later))
+        seen.append((tuple(bits_of(clique)), later))
         return False
 
     _cliques(g.adj, within, size, visit)
@@ -785,6 +786,73 @@ def test_graph6_roundtrip_on_all_small_classes():
         decoded = graph6_decode(graph6_encode(g))
         assert decoded == g == Graph(decoded.n, decoded.adj)
         assert type(decoded.adj) is tuple
+
+
+@st.composite
+def graph6_graphs(draw):
+    """Seeded random graphs on 0..MAX_VERTICES vertices, weighted toward
+    both sides of the 62/63 header boundary and the small orders."""
+    n = draw(st.one_of(st.integers(0, 12), st.integers(58, 68), st.integers(0, MAX_VERTICES)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    p = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def _decoded(text):
+    """The decoded graph, or the error's message and offset."""
+    try:
+        return graph6_decode(text)
+    except GraphFormatError as exc:
+        return str(exc), exc.offset
+
+
+def _oracle_decoded(text):
+    try:
+        return oracles.graph6_decode(text)
+    except GraphFormatError as exc:
+        return str(exc), exc.offset
+
+
+@given(graph6_graphs())
+@settings(max_examples=150, deadline=None)
+def test_graph6_matches_the_bitwise_codec(g):
+    line = graph6_encode(g)
+    assert line == oracles.graph6_encode(g)
+    assert graph6_decode(line) == oracles.graph6_decode(line) == g
+
+
+@given(graph6_graphs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_graph6_faults_match_the_bitwise_codec(g, data):
+    """Truncated, padded, retyped and re-headed lines raise the same
+    message at the same offset as the bitwise decoder, or decode alike."""
+    line = graph6_encode(g)
+    i = data.draw(st.integers(0, len(line)))
+    c = chr(data.draw(st.sampled_from([0, 10, 32, 62, 63, 64, 100, 126, 127, 200, 955])))
+    bad = data.draw(
+        st.sampled_from(
+            [
+                line[:i],
+                line[:i] + c + line[i:],
+                line[:i] + c + line[i + 1:],
+                line + c,
+                line[:-1] + chr(ord(line[-1]) | 1) if len(line) > 1 else line,
+                "~" + line,
+                "~~" + line,
+                ">>graph6<<" + line[:i],
+            ]
+        )
+    )
+    assert _decoded(bad) == _oracle_decoded(bad), bad
+    raw = bad.encode("utf-8")
+    assert _decoded(raw) == _oracle_decoded(raw), raw
+
+
+def test_graph6_fault_messages_and_offsets():
+    faults = ["", "D?", "D?{{", "D\x1f{", "~~????", "B~", "A`", "~?", "~?@~", "D?\xe9", "\x7f", "~?A?"]
+    for bad in faults + [b"D\xff{"]:
+        got, want = _decoded(bad), _oracle_decoded(bad)
+        assert isinstance(got, tuple) and got == want, bad
 
 
 def test_graph6_header_prefix_and_line_reader():

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from orelab import (
     Graph,
     PotentialParams,
@@ -171,3 +172,19 @@ def test_main_bound_equality_structure():
 def test_ky_equality_iff_ore_on_census(census4_8):
     for g in census4_8.graphs:
         assert (rho_ky(g, 4) == 4) == (is_k_ore(g, 4) is not None)
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8, 33, 40])
+def test_integer_numerators_match_the_fraction_chains(k):
+    """rho_value, main_potential_bound and the two edge bounds, each one
+    integer numerator, agree with their term-by-term Fraction forms on a
+    grid."""
+    for n in (0, 1, k - 1, k, 2 * k - 1, 3 * k + 5, 257):
+        assert str(main_potential_bound(n, k)) == str(oracles.main_potential_bound(n, k))
+        if n >= k:
+            assert ky_edge_bound(n, k) == oracles.ky_edge_bound(n, k)
+        for t in (0, 1, 2, n // (k - 2) + 1, 5 * n):
+            if n >= k:
+                assert str(eps_edge_bound(n, k, t)) == str(oracles.eps_edge_bound(n, k, t)), (n, t)
+            for m in (0, 1, n, n * (n - 1) // 2):
+                assert str(rho_value(n, m, t, k)) == str(oracles.rho_value(n, m, t, k)), (n, m, t)

@@ -161,7 +161,7 @@ ALLOWED_UNUSED_FIELDS = {
     "Gadget.tree": "the composition tree a gadget comes from; tests/golden/catalogs.json digests it",
     "Gadget.deleted_vertex": "the vertex deleted from the realized tree; tests/golden/catalogs.json digests it",
     "GraphFormatError.offset": "gives library callers the byte offset of the failure in bad graph6 input",
-    "VertexCharge.final": "the charge a vertex ends with after the rules; tests/golden/structure.json digests it",
+    "ChargeLedger.final": "the charges the vertices end with after the rules; tests/golden/structure.json digests them",
 }
 
 SHARED_FIELD_NAMES = {
