@@ -188,18 +188,18 @@ def charge_report(g: Graph, k: int, ore_catalog_cap: int = 2) -> ChargeReport:
     whatever T is, so no packing is computed.
     """
     ledger = apply_rules(g, k, *classify_degree_k1(g, k, ore_catalog_cap))
-    by_label: dict[str, set[int]] = {lab: set() for lab in LABELS}
+    by_label = dict.fromkeys(LABELS, 0)  # each label's vertex mask
     for v, lab in enumerate(ledger.labels):
-        by_label[lab].add(v)
-    l_set, m_set, p_set, q_set, rest = by_label.values()
-    direct = edge_between(g, l_set | m_set, rest)
+        by_label[lab] |= 1 << v
+    l_mask, m_mask, p_mask, q_mask, rest = by_label.values()
+    direct = edge_between(g, l_mask | m_mask, rest)
     identity = (
-        (k - 1) * len(l_set)
-        - edge_between(g, l_set, p_set | q_set)
-        + (k - 2) * len(m_set)
-        - edge_between(g, m_set, q_set)
+        (k - 1) * l_mask.bit_count()
+        - edge_between(g, l_mask, p_mask | q_mask)
+        + (k - 2) * m_mask.bit_count()
+        - edge_between(g, m_mask, q_mask)
     )
-    hypothesis = edge_between(g, m_set, p_set) == 0
+    hypothesis = edge_between(g, m_mask, p_mask) == 0
     if hypothesis and direct != identity:
         raise AssertionError("edge identity failed with its hypothesis intact")
     # rho + delta*T does not depend on T, so T = 0 gives it without a packing
@@ -208,7 +208,7 @@ def charge_report(g: Graph, k: int, ore_catalog_cap: int = 2) -> ChargeReport:
     if total != rho_plus:
         raise AssertionError("total charge disagrees with the potential")
     return ChargeReport(
-        sizes={lab: len(members) for lab, members in by_label.items()},
+        sizes={lab: mask.bit_count() for lab, mask in by_label.items()},
         identity_hypothesis=hypothesis,
         total_charge=total,
         rho_plus_delta_t=rho_plus,

@@ -174,12 +174,12 @@ def build_extension(
         r = frozenset(bits_of(r_mask))
         outside = list(bits_of(g.full_mask() & ~r_mask))
         n_out = len(outside)
-        r_edges = _induced_edge_count(g, r)
+        r_edges = _induced_edge_count(g, r_mask)
         for w in subgraphs:
             core = tuple(v for v in range(n_out, w.n) if w.adj[v])
             if not core:
                 raise AssertionError("critical subgraph avoids every class vertex")
-            r_prime = r.union(outside[v] for v in range(n_out) if w.adj[v])
+            r_prime = r_mask | mask_of(outside[v] for v in range(n_out) if w.adj[v])
             x = len(core)
             i = _induced_edge_count(g, r_prime) - (
                 r_edges + w.edge_count() - x * (x - 1) // 2
@@ -190,14 +190,14 @@ def build_extension(
                 r_set=r,
                 w_subgraph=w,
                 core=core,
-                r_prime=r_prime,
+                r_prime=frozenset(bits_of(r_prime)),
                 incompleteness=i,
             )
 
 
-def _induced_edge_count(g: Graph, vertices: frozenset[int]) -> int:
-    m = mask_of(vertices)
-    return sum((g.adj[v] & m).bit_count() for v in vertices) // 2
+def _induced_edge_count(g: Graph, mask: int) -> int:
+    """The number of edges with both ends in the vertex mask ``mask``."""
+    return sum((g.adj[v] & mask).bit_count() for v in bits_of(mask)) // 2
 
 
 def minimum_colorings(
@@ -253,13 +253,14 @@ def mic(g: Graph) -> tuple[int, frozenset[int]]:
 # -- subset bookkeeping ---------------------------------------------------------
 
 
-def edge_between(g: Graph, a_set: Iterable[int], b_set: Iterable[int]) -> int:
-    """Number of edges with one endpoint in each set (each edge once).
+def edge_between(g: Graph, a: int, b: int) -> int:
+    """Number of edges with one endpoint in each of the vertex masks ``a``
+    and ``b`` (each edge once).
 
-    Summing |N(a) & B| over a in A counts an edge inside A & B from both
+    Summing |N(v) & b| over v in a counts an edge inside a & b from both
     ends, so those edges are subtracted once.
     """
-    a = frozenset(a_set)
-    b = frozenset(b_set)
-    b_mask = mask_of(b)
-    return sum((g.adj[v] & b_mask).bit_count() for v in a) - _induced_edge_count(g, a & b)
+    # checked before any bits_of, which never ends on a negative mask
+    if a < 0 or b < 0 or (a | b) >> g.n:
+        raise ValueError("vertex masks must lie within the graph")
+    return sum((g.adj[v] & b).bit_count() for v in bits_of(a)) - _induced_edge_count(g, a & b)

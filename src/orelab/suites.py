@@ -15,12 +15,12 @@ All randomness flows through one seeded generator echoed in the config, so a
 suite result is a pure function of (corpus, params).
 
 A suite computes each fact once per item, or once per sweep where items
-share it: a composition tree is realized in one bottom-up pass into one
-record that main2-potential, t-superadd and t-lower share over a sweep, and
-each distinct subtree graph is packed once per (k, seed) over all trees; a
-graph's near-cliques are listed once and filtered per forbidden set; the
-extension suite searches each distinct color reduction for critical
-subgraphs once, and packs each distinct R, R' and W once, per host graph.
+share it: the trees of one (k, seed) are realized bottom-up into one record
+per tree, which main2-potential, t-superadd and t-lower share, and each
+distinct subtree graph among them is packed once; a graph's near-cliques
+are listed once and filtered per forbidden set; the extension suite
+searches each distinct color reduction for critical subgraphs once, and
+packs each distinct R, R' and W once, per host graph.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .errors import SizeCapError
 from .graphs import Graph, canonical_key, cliques_of_size, graph6_decode, graph6_encode
 from .orekit import (
     DEFAULT_RECOGNITION_CAP,
-    Leaf,
     OreTree,
     _realized,
     is_k_ore,
@@ -72,13 +71,6 @@ RANDOM_TREES = 200  # seeded random composition trees
 TREE_STEPS = 3  # most compositions in a random tree
 CATALOG_STEPS = 2  # most compositions in the exhaustive catalog
 ANCHOR_SIZES = (3, 4, 5)  # anchor set sizes of the extension suite
-# trees whose subtree records _tree_record keeps: the default trees of one
-# (k, seed) fit, so the three tree suites of one verify run share them
-TREE_RECORDS = 256
-# subtree packings the tree suites keep: the default trees of one (k, seed)
-# have at most 1 + RANDOM_TREES * TREE_STEPS distinct subtree graphs (K_k and
-# one per composition), so they fit
-SUBTREE_PACKINGS = 1024
 # search nodes of the coloring oracle: graph classes up to 7 vertices need at
 # most 2,380, census_critical(9, 5) 4,801, K_9 125,683 and K_10 1,112,094
 ORACLE_NODE_BUDGET = 200_000
@@ -206,57 +198,45 @@ class _Subtree(NamedTuple):
         return self.packed
 
 
-# T, or the error its packing raised, of each subtree graph the tree suites
-# packed, keyed by (graph6, k), oldest first; _packed keeps at most
-# SUBTREE_PACKINGS
-_PACKINGS: dict[tuple[str, int], int | SizeCapError | AssertionError] = {}
+@lru_cache(maxsize=1)
+def _tree_records(trees: tuple, k: int) -> tuple[tuple[_Subtree, ...], ...]:
+    """One record per tree of ``trees``: every subtree, children before
+    their parent, realized and composed once per distinct tree. Each
+    distinct subtree graph is packed once per call: a subtree graph that
+    several trees share, K_k in each of them, reads the packing of the
+    first. A size cap or failed audit while packing one subtree is kept in
+    its entry, so only the rows that read that subtree's T skip or fail.
+    The three tree suites sit next to each other in ``_SUITES``, so one
+    kept call serves all three."""
+    packed: dict[Graph, _Subtree] = {}
+    records: dict[OreTree, tuple[_Subtree, ...]] = {}
+    for tree in trees:
+        if tree in records:
+            continue
+        actual = tree_k(tree)
+        if actual != k:
+            raise ValueError(f"tree is built over k={actual}, caller expected {k}")
+        record = []
+        for _, g in _realized(tree):
+            if g not in packed:
+                try:
+                    t = compute_T(g, k).value
+                except (SizeCapError, AssertionError) as err:
+                    # dropping the traceback keeps the search's frames, and
+                    # the clique lists in them, out of the kept records
+                    t = err.with_traceback(None)
+                packed[g] = _Subtree(graph6_encode(g), g.n, g.edge_count(), t)
+            record.append(packed[g])
+        records[tree] = tuple(record)
+    return tuple(records[tree] for tree in trees)
 
 
-def _packed(g: Graph, g6: str, k: int) -> int | SizeCapError | AssertionError:
-    """The packing value of ``g``, whose graph6 is ``g6``, or the size cap
-    or failed audit its packing raised, packed once while the store keeps
-    it; a full store drops its oldest entry."""
-    key = (g6, k)
-    if key not in _PACKINGS:
-        try:
-            t = compute_T(g, k).value
-        except (SizeCapError, AssertionError) as err:
-            # dropping the traceback keeps the search's frames, and the
-            # clique lists in them, out of the store
-            t = err.with_traceback(None)
-        if len(_PACKINGS) >= SUBTREE_PACKINGS:
-            del _PACKINGS[next(iter(_PACKINGS))]
-        _PACKINGS[key] = t
-    return _PACKINGS[key]
-
-
-@lru_cache(maxsize=TREE_RECORDS)
-def _tree_record(tree: OreTree, k: int) -> tuple[_Subtree, ...]:
-    """Every subtree of ``tree``, children before their parent, realized and
-    composed once. Each distinct subtree graph is packed once per k over
-    all trees while ``_packed`` keeps it: a subtree graph that several
-    trees share, K_k in each of them, reads the packing of the first. A
-    size cap or failed audit while packing one subtree is kept in its
-    entry, so only the rows that read that subtree's T skip or fail."""
-    actual = tree_k(tree)
-    if actual != k:
-        raise ValueError(f"tree is built over k={actual}, caller expected {k}")
-    seen: dict[Graph, _Subtree] = {}
-    record = []
-    for _, g in _realized(tree):
-        if g not in seen:
-            g6 = graph6_encode(g)
-            seen[g] = _Subtree(g6, g.n, g.edge_count(), _packed(g, g6, k))
-        record.append(seen[g])
-    return tuple(record)
-
-
-def _main2_potential(tree: OreTree, params: dict) -> list[SuiteRow]:
+def _main2_potential(record: tuple[_Subtree, ...], params: dict) -> list[SuiteRow]:
     k = params["k"]
-    root = _tree_record(tree, k)[-1]
+    root = record[-1]
     t = root.t
     value = rho_value(root.n, root.m, t, k)
-    if isinstance(tree, Leaf):
+    if len(record) == 1:  # a leaf, K_k
         expect = complete_potential(k, k)
         return [
             _row(
@@ -285,11 +265,11 @@ def _main2_potential(tree: OreTree, params: dict) -> list[SuiteRow]:
     ]
 
 
-def _t_superadd(tree: OreTree, params: dict) -> list[SuiteRow]:
+def _t_superadd(record: tuple[_Subtree, ...], params: dict) -> list[SuiteRow]:
     k = params["k"]
     rows = []
     waiting = []  # subtrees whose parent is still to come
-    for sub in _tree_record(tree, k):
+    for sub in record:
         t = sub.t
         # a leaf is K_k and a composed graph has at least 2k - 1 vertices, so
         # an entry with more than k is a node, whose sides were the last two
@@ -316,11 +296,11 @@ def _t_superadd(tree: OreTree, params: dict) -> list[SuiteRow]:
     return rows
 
 
-def _t_lower(tree: OreTree, params: dict) -> list[SuiteRow]:
+def _t_lower(record: tuple[_Subtree, ...], params: dict) -> list[SuiteRow]:
     k = params["k"]
-    root = _tree_record(tree, k)[-1]  # read for a leaf too: it checks the tree's k
-    if isinstance(tree, Leaf):
+    if len(record) == 1:  # a leaf, K_k
         return []
+    root = record[-1]
     bound = Fraction(2) + Fraction(root.n - 1, k - 1)
     return [
         _row(
@@ -516,7 +496,7 @@ def _graph6_roundtrip(g: Graph, params: dict) -> list[SuiteRow]:
 
 
 class _Suite(NamedTuple):
-    check: Callable  # (graph or tree, params) -> rows for that item
+    check: Callable  # (graph, tree or tree record, params) -> rows for that item
     default: str  # input kind used when the caller gives none, see _default_input
     caps: dict[str, int]  # the cap keys the suite reads, with their defaults
 
@@ -587,13 +567,16 @@ def run_suite(suite_id: str, corpus=None, params: dict | None = None) -> SuiteRe
     suite build its documented default input. Tree-driven suites read
     ``params["trees"]`` and otherwise use seeded random composition trees
     (or, for the near-clique suite, the exhaustive catalog); a library
-    caller sizes a suite's input with a corpus or ``trees``. An empty corpus
-    gives no rows, which is not a pass. An item that hits a size cap or fails
-    an internal audit gives one skip-cap or fail row; any other ValueError
-    propagates. ``params["caps"]`` may set, to a
-    nonnegative integer, any cap key that some suite in the registry
-    declares; any other key or value raises ValueError, and so does any
-    params key other than k, seed, caps and trees.
+    caller sizes a suite's input with a corpus or ``trees``. The three tree
+    suites check one record per tree, built by ``_tree_records`` and kept
+    for the last trees and k asked for, so running them one after another
+    realizes and packs those trees once. An empty corpus gives no rows,
+    which is not a pass. An item that hits a size cap or fails an internal
+    audit gives one skip-cap or fail row, named by the graph6 of the graph
+    or the tree's root; any other ValueError propagates. ``params["caps"]``
+    may set, to a nonnegative integer, any cap key that some suite in the
+    registry declares; any other key or value raises ValueError, and so
+    does any params key other than k, seed, caps and trees.
     """
     p = {"k": 4, "seed": DEFAULT_SEED, "caps": {}}
     p.update(params or {})
@@ -604,25 +587,30 @@ def run_suite(suite_id: str, corpus=None, params: dict | None = None) -> SuiteRe
             )
     check_suite_args((suite_id,), p["caps"])
     suite = _SUITES[suite_id]
-    graphs = _graphs_of(corpus)
-    trees: list | tuple = ()
+    graphs = items = _graphs_of(corpus)
+    trees: tuple = ()
     on_trees = suite.default in _TREE_KINDS
+    on_records = suite.default == "trees"
     if on_trees:
         given = p.get("trees")
-        trees = _default_input(suite.default, p["k"], p["seed"]) if given is None else list(given)
+        trees = _default_input(suite.default, p["k"], p["seed"]) if given is None else tuple(given)
+        items = _tree_records(trees, p["k"]) if on_records else trees
     elif corpus is None:
-        graphs = _default_input(suite.default, p["k"], p["seed"])
+        graphs = items = _default_input(suite.default, p["k"], p["seed"])
     item_params = {**p, "caps": {**suite.caps, **p["caps"]}}
 
     def checked(item) -> list[SuiteRow]:
         try:
             return suite.check(item, item_params)
         except (SizeCapError, AssertionError) as err:
-            g6 = graph6_encode(realize(item, p["k"]) if on_trees else item)
+            if on_records:
+                g6 = item[-1].graph6  # the root's
+            else:
+                g6 = graph6_encode(realize(item, p["k"]) if on_trees else item)
             status = SKIP if isinstance(err, SizeCapError) else FAIL
             return [SuiteRow(g6, suite_id, _vals(note=str(err)), status)]
 
-    rows = [row for item in (trees if on_trees else graphs) for row in checked(item)]
+    rows = [row for item in items for row in checked(item)]
     rows.sort(key=lambda r: (r.graph6, r.claim, r.values))
     config = _vals(
         suite=suite_id,

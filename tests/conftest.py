@@ -15,20 +15,28 @@ def census5_8():
     return census_critical(8, 5)
 
 
+def suite_caches() -> list:
+    """Every lru_cache that orelab.suites defines, found by its cache_info,
+    so a cache added there later is cleared too."""
+    return [
+        value
+        for value in vars(suites).values()
+        if hasattr(value, "cache_info") and value.__module__ == suites.__name__
+    ]
+
+
 def clear_suite_stores() -> None:
-    """Empty every store of orelab.suites: the tree records, the subtree
-    packings and the default inputs."""
-    suites._tree_record.cache_clear()
-    suites._PACKINGS.clear()
-    suites._default_input.cache_clear()
+    """Empty every store of orelab.suites: each of its lru_caches."""
+    for cache in suite_caches():
+        cache.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def cold_tree_records():
-    """The tree suites keep each tree's record and each subtree graph's
-    packing for later runs; a test that patches the packer or its cap must
-    not read what another test stored, so every test starts and ends with
-    no stored record, packing or default input."""
+    """The tree suites keep the records of the last trees they read, each
+    subtree graph's packing among them; a test that patches the packer or
+    its cap must not read what another test stored, so every test starts
+    and ends with no stored record or default input."""
     clear_suite_stores()
     yield
     clear_suite_stores()

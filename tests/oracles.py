@@ -22,7 +22,6 @@ from orelab import (
     check_witness,
     cliques_of_size,
     clusters,
-    edge_between,
     embeddings,
     gadget_catalog,
 )
@@ -30,6 +29,11 @@ from orelab.graphs import MAX_VERTICES, GraphFormatError, mask_of
 from report_columns import ChargeRow
 
 # -- discharging ---------------------------------------------------------------
+
+
+def edge_between(g: Graph, a: set[int], b: set[int]) -> int:
+    """Edges with one end in each set, each edge once, counted edge by edge."""
+    return sum(1 for u, v in g.edges() if (u in a and v in b) or (u in b and v in a))
 
 
 def gadget_key_hits(g: Graph, catalog, target: set[int]) -> set[int]:

@@ -59,8 +59,8 @@ def charge_columns(g, k: int, cap: int = 2) -> dict:
     cluster; the frontier compares |L| + |P| with n(1 - eps/2)."""
     roles, cluster_size = classify_degree_k1(g, k, cap)
     rows = rows_of(apply_rules(g, k, roles, cluster_size))
-    by_label = {lab: {v for v, r in enumerate(rows) if r.label == lab} for lab in ("L", "M", "P", "Q", "R-other")}
-    l_set, m_set, p_set, q_set = (by_label[lab] for lab in "LMPQ")
+    by_label = {lab: mask_of(v for v, r in enumerate(rows) if r.label == lab) for lab in ("L", "M", "P", "Q", "R-other")}
+    l_mask, m_mask, p_mask, q_mask = (by_label[lab] for lab in "LMPQ")
     catalog = gadget_catalog(k, cap)
     structure = {v for v, role in roles.items() if role == "structure"}
     targets = structure - {v for q in cliques_of_size(g, k - 3) for v in q}
@@ -72,16 +72,16 @@ def charge_columns(g, k: int, cap: int = 2) -> dict:
         "complete": cap >= max(0, (g.n + 1 - k) // (k - 1)),
         "catalog_size": len(catalog),
         "promoted": sorted(targets - set(bits_of(_gadget_key_hits(g, catalog, mask_of(targets))))) if targets else [],
-        "lm_to_rest_edges": edge_between(g, l_set | m_set, by_label["R-other"]),
+        "lm_to_rest_edges": edge_between(g, l_mask | m_mask, by_label["R-other"]),
         "lm_identity_value": (
-            (k - 1) * len(l_set)
-            - edge_between(g, l_set, p_set | q_set)
-            + (k - 2) * len(m_set)
-            - edge_between(g, m_set, q_set)
+            (k - 1) * l_mask.bit_count()
+            - edge_between(g, l_mask, p_mask | q_mask)
+            + (k - 2) * m_mask.bit_count()
+            - edge_between(g, m_mask, q_mask)
         ),
-        "m_p_edges": edge_between(g, m_set, p_set),
+        "m_p_edges": edge_between(g, m_mask, p_mask),
         "heavy_class_over_residue": sum(1 for r in rows if r.label == "R-other" and r.final > Fraction(-2) + eps),
-        "lone_singleton_frontier": len(l_set) + len(p_set) > g.n * (1 - eps / 2),
+        "lone_singleton_frontier": (l_mask | p_mask).bit_count() > g.n * (1 - eps / 2),
     }
 
 

@@ -34,7 +34,7 @@ from orelab import (
     random_ore_tree,
     realize,
 )
-from orelab.graphs import bits_of, components
+from orelab.graphs import bits_of, components, mask_of
 from orelab.structure import color_reduce, minimum_colorings
 
 
@@ -616,8 +616,8 @@ def test_critical_graphs_are_vertex_critical_and_well_connected(census4_8):
         # every proper nonempty subset sends at least k-1 edges outside
         for size in range(1, g.n):
             for subset in itertools.combinations(range(g.n), size):
-                rest = set(range(g.n)) - set(subset)
-                assert edge_between(g, subset, rest) >= 3
+                mask = mask_of(subset)
+                assert edge_between(g, mask, g.full_mask() & ~mask) >= 3
 
 
 def vertices_of(w: Graph) -> list[int]:

@@ -318,29 +318,26 @@ SUITES_TABLES = {"_SUITES"}
 
 
 def test_suite_stores_start_empty():
-    """Every lru_cache and every module-level dict, list or set that
-    orelab.suites defines is empty once the autouse fixture in conftest.py
-    has run, also after a run that fills them, so no test reads a record, a
-    packing or an input another test stored; and every lru_cache there is
-    bounded (ROADMAP aim 3)."""
-    from conftest import clear_suite_stores
+    """orelab.suites defines no module-level dict, list or set besides its
+    tables, and exactly two lru_caches, both bounded (ROADMAP aim 3); each
+    is empty once the autouse fixture in conftest.py has run, also after a
+    run that fills them, so no test reads a record or an input another test
+    stored."""
+    from conftest import clear_suite_stores, suite_caches
     from orelab import suites
 
-    caches = [
-        value
-        for value in vars(suites).values()
-        if hasattr(value, "cache_info") and value.__module__ == suites.__name__
-    ]
+    caches = suite_caches()
     stores = [
-        value
+        name
         for name, value in vars(suites).items()
         if isinstance(value, (dict, list, set)) and name not in SUITES_TABLES and not name.startswith("__")
     ]
-    assert len(caches) == 2 and len(stores) == 1  # _tree_record, _default_input; _PACKINGS
+    assert stores == []
+    assert sorted(cache.__name__ for cache in caches) == ["_default_input", "_tree_records"]
     assert all(cache.cache_info().maxsize for cache in caches)
 
     def empty() -> bool:
-        return all(cache.cache_info().currsize == 0 for cache in caches) and not any(stores)
+        return all(cache.cache_info().currsize == 0 for cache in caches)
 
     assert empty()
     assert suites.run_suite("t-lower", params={"k": 4, "seed": 1}).passed

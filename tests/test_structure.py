@@ -506,14 +506,14 @@ def test_kierstead_rabern_inequality_on_census(census4_8, census5_8):
 
 def test_boundary_and_edge_between():
     k4 = Graph.complete(4)
-    assert edge_between(k4, [0], [1, 2]) == 2
+    assert edge_between(k4, 0b1, 0b110) == 2
     rng = random.Random(5)
     for _ in range(25):
         g = random_graph(rng, rng.randrange(2, 9))
         vs = list(range(g.n))
         rng.shuffle(vs)
         cut = rng.randrange(1, g.n)
-        a, b = vs[:cut], vs[cut:]
+        a, b = mask_of(vs[:cut]), mask_of(vs[cut:])
         assert edge_between(g, a, b) == edge_between(g, b, a)
         # overlapping sets count each edge with one end in each set once
         a = set(rng.sample(range(g.n), rng.randrange(g.n + 1)))
@@ -521,4 +521,10 @@ def test_boundary_and_edge_between():
         direct = sum(
             1 for u, v in g.edges() if (u in a and v in b) or (u in b and v in a)
         )
-        assert edge_between(g, a, b) == edge_between(g, b, a) == direct
+        assert edge_between(g, mask_of(a), mask_of(b)) == edge_between(g, mask_of(b), mask_of(a)) == direct
+
+
+@pytest.mark.parametrize("a, b", [(-1, 1), (1, -2), (1 << 4, 1), (1, 1 << 4)])
+def test_edge_between_rejects_masks_outside_the_graph(a, b):
+    with pytest.raises(ValueError, match="^vertex masks must lie within the graph$"):
+        edge_between(Graph.complete(4), a, b)

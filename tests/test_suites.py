@@ -394,7 +394,7 @@ def row_key(row):
 @settings(max_examples=60, deadline=None)
 def test_t_superadd_matches_the_per_node_walk(k, steps, seed):
     tree = random_ore_tree(k, steps, random.Random(seed))
-    rows = suites._t_superadd(tree, {"k": k})
+    rows = suites._t_superadd(suites._tree_records((tree,), k)[0], {"k": k})
     assert sorted(rows, key=row_key) == sorted(t_superadd_by_node(tree, {"k": k}), key=row_key)
     assert len(rows) == steps
 
@@ -459,45 +459,45 @@ TREE_SUITES = ("main2-potential", "t-superadd", "t-lower")
 def test_tree_suites_share_one_record_per_tree(monkeypatch):
     """Over a sweep the three tree suites compose each node once and pack
     each distinct subtree graph once per k, in the order the first suite
-    meets them, whichever trees share it. The records and packings start
-    and end cold (see conftest.py), and hold no graph."""
+    meets them, whichever trees share it: one record list is built per k.
+    The records start and end cold (see conftest.py), and hold no graph."""
     trees = {k: list(dict.fromkeys(suites._default_input("trees", k, 1))) for k in (4, 5, 6)}
-    expected = [g for k in trees for g in distinct_sweep_graphs(trees[k])]
+    graphs = {k: distinct_sweep_graphs(trees[k]) for k in trees}
+    expected = [g for k in trees for g in graphs[k]]
     nodes = sum(isinstance(sub, Node) for k in trees for t in trees[k] for sub in subtrees(t))
     packed = counting(monkeypatch, suites, "compute_T")
     composed = counting(monkeypatch, orekit, "ore_compose")
     for k in trees:
         assert all(run_suite(sid, params={"k": k, "seed": 1}).passed for sid in TREE_SUITES)
-        record = suites._tree_record(trees[k][0], k)
-        assert not any(isinstance(field, Graph) for sub in record for field in sub)
+        records = suites._tree_records(suites._default_input("trees", k, 1), k)
+        assert not any(isinstance(field, Graph) for record in records for sub in record for field in sub)
+        # one entry per distinct subtree graph, each holding its graph6 and T
+        entries = {sub.graph6: sub for record in records for sub in record}
+        assert len(entries) == len(graphs[k])
+        assert all(type(g6) is str and type(sub.packed) is int for g6, sub in entries.items())
     assert [args[0] for args in packed] == expected
     assert len(composed) == nodes
-    # keyed by (graph6, k), each holding T
-    assert len(suites._PACKINGS) == len(expected)
-    assert all(type(g6) is str and type(t) is int for (g6, _), t in suites._PACKINGS.items())
+    assert suites._tree_records.cache_info().misses == len(trees)
 
 
-def test_subtree_packings_stay_within_their_bound(monkeypatch):
-    """The store drops its oldest packing when full, and a tree whose
-    packing was dropped is packed again to the same rows (ROADMAP aim 3)."""
-    trees = list(dict.fromkeys(suites._default_input("trees", 5, 1)))[:40]
-    params = {"k": 5, "trees": trees}
-    expected = {sid: run_suite(sid, params=params) for sid in TREE_SUITES}
-    assert len(suites._PACKINGS) == len(distinct_sweep_graphs(trees)) > 8
-    suites._tree_record.cache_clear()
-    suites._PACKINGS.clear()
-    monkeypatch.setattr(suites, "SUBTREE_PACKINGS", 8)
-    sizes = []
-    packing_of = suites._packed
-
-    def watched(g, g6, k):
-        t = packing_of(g, g6, k)
-        sizes.append(len(suites._PACKINGS))
-        return t
-
-    monkeypatch.setattr(suites, "_packed", watched)
-    assert {sid: run_suite(sid, params=params) for sid in TREE_SUITES} == expected
-    assert max(sizes) == 8
+def test_tree_suites_share_one_record_list_for_given_trees(monkeypatch):
+    """The three tree suites run one after another on one caller-given
+    list, a tree repeated in it, realize and pack the list once: one
+    compute_T per distinct subtree graph and one ore_compose per node of
+    each distinct tree, and one row set per listed tree."""
+    rng = random.Random(3)
+    trees = [Leaf(5)] + [random_ore_tree(5, steps, rng) for steps in (1, 2, 3, 3)]
+    trees += trees[1:3]
+    distinct = list(dict.fromkeys(trees))
+    graphs = distinct_sweep_graphs(distinct)
+    nodes = sum(isinstance(sub, Node) for t in distinct for sub in subtrees(t))
+    packed = counting(monkeypatch, suites, "compute_T")
+    composed = counting(monkeypatch, orekit, "ore_compose")
+    results = {sid: run_suite(sid, params={"k": 5, "trees": trees}) for sid in TREE_SUITES}
+    assert all(result.passed for result in results.values())
+    assert len(results["main2-potential"].rows) == len(trees)
+    assert [args[0] for args in packed] == graphs
+    assert len(composed) == nodes
 
 
 def test_a_capped_subtree_skips_only_the_rows_that_read_it(monkeypatch):
@@ -513,10 +513,9 @@ def test_a_capped_subtree_skips_only_the_rows_that_read_it(monkeypatch):
     assert candidates(realize(tree)) == 18 < candidates(Graph.complete(k)) == 21
     params = {"k": k, "trees": [tree, Leaf(k)]}
     uncapped = {sid: run_suite(sid, params=params) for sid in TREE_SUITES}
-    suites._tree_record.cache_clear()
-    suites._PACKINGS.clear()
+    suites._tree_records.cache_clear()
     monkeypatch.setattr(packing, "CLIQUE_CAP", 18)
-    leaf = suites._tree_record(tree, k)[0]
+    leaf = suites._tree_records((tree, Leaf(k)), k)[0][0]
     assert isinstance(leaf.packed, SizeCapError) and leaf.packed.__traceback__ is None
     capped = {sid: run_suite(sid, params=params) for sid in TREE_SUITES}
     leaf_g6 = graph6_encode(Graph.complete(k))
