@@ -24,6 +24,10 @@ upward or downward, one shift per vertex, and the survivors are the set
 bits of their intersection. The last condition, that every parent edge is
 critical, is one more table per parent edge, the colorable-mask table of
 the parent less that edge, so the census never calls the coloring solver.
+Every table comes from one walk over proper partitions in a max-adjacency
+order of the parent, and a parent-edge table walks only the partitions
+that put the edge's ends in one class, as the parent's own table holds the
+rest.
 The bounds this workbench is meant to verify are never used to generate,
 so the census cannot beg the question.
 """
@@ -35,7 +39,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .coloring import color_partitions
 from .errors import SizeCapError
 from .graphs import (
     Graph,
@@ -148,9 +151,10 @@ def _classes(n: int, d: int, t: int) -> tuple[tuple[Graph, ...], tuple[tuple[tup
     if t == 0:
         return (), ()
     out: dict = {}
+    columns = _columns(n - 1)
     for parent, generators in zip(*_classes(n - 1, max(d - 1, 0), min(t, n - 1))):
         low = mask_of(v for v, row in enumerate(parent.adj) if row.bit_count() == d - 1)
-        table = _colorable_masks(parent, t + 1) if t < n else None
+        table = _colorable_masks(parent, t + 1, _adjacency_order(parent), columns) if t < n else None
         for mask in _orbit_minima(parent, generators):
             if mask.bit_count() < d or mask & low != low:
                 continue
@@ -187,7 +191,52 @@ def _closure(table: int, columns: list[tuple[int, int]], up: bool) -> int:
     return table
 
 
-def _colorable_masks(parent: Graph, k: int) -> int | None:
+def _adjacency_order(g: Graph) -> list[int]:
+    """The vertices of g in max-adjacency order: next the unplaced vertex
+    with the most placed neighbors, then the one of higher degree, then
+    the lower index."""
+    rest = sorted(range(g.n), key=lambda u: -g.adj[u].bit_count())
+    placed = [0] * g.n
+    order = []
+    while rest:
+        # the first of the most, and ``rest`` is in tie-break order
+        v = max(rest, key=placed.__getitem__)
+        rest.remove(v)
+        order.append(v)
+        for w in rest:
+            placed[w] += g.adj[v] >> w & 1
+    return order
+
+
+def _walk(items: list[tuple[int, int]], i: int, classes: list[int], t: int, full: int, marks: int) -> int | None:
+    """``marks`` with bit ``full ^ cls`` set for each class cls of every
+    partition of the items from the i-th on, added to ``classes``, into at
+    most t independent classes; None at the first such partition with
+    fewer than t classes. An item is (its vertex bits, their neighbors).
+    Each partition is met once: an item opens a new class only after it
+    has tried every open one."""
+    if i == len(items):
+        if len(classes) < t:
+            return None
+        for cls in classes:
+            marks |= 1 << (full ^ cls)
+        return marks
+    bits, row = items[i]
+    for c, cls in enumerate(classes):
+        if not cls & row:
+            classes[c] = cls | bits
+            marks = _walk(items, i + 1, classes, t, full, marks)
+            classes[c] = cls
+            if marks is None:
+                return None
+    if len(classes) < t:
+        classes.append(bits)
+        marks = _walk(items, i + 1, classes, t, full, marks)
+        classes.pop()
+    return marks
+
+
+def _colorable_masks(parent: Graph, k: int, order: list[int], columns: list[tuple[int, int]]) -> int | None:
     """None iff ``parent`` is (k-2)-colorable: then every extension is
     (k-1)-colorable, as the new vertex takes a fresh color. Otherwise the
     2^pn-bit table whose bit ``mask`` is set iff ``parent`` plus a new
@@ -195,30 +244,48 @@ def _colorable_masks(parent: Graph, k: int) -> int | None:
     is not (k-1)-colorable.
 
     Each (k-1)-coloring of such a parent uses every color, so the extension
-    is colorable iff the mask misses a whole class: one pass over the proper
-    partitions marks the complement of every class, and a downward closure
-    marks every submask of a marked mask.
+    is colorable iff the mask misses a whole class: one walk over the
+    proper partitions, placing the vertices in ``order`` (the set of
+    partitions is the same in any order; ``_adjacency_order`` meets
+    conflicts early), marks the complement of every class, and a downward
+    closure by the parent's ``columns`` marks every submask of a marked
+    mask.
     """
-    full = parent.full_mask()
-    table = 0
-    for classes in color_partitions(parent, range(parent.n), k - 1):
-        if len(classes) < k - 1:
-            return None
-        for cls in classes:
-            table |= 1 << (full ^ cls)
-    return _closure(table, _columns(parent.n), up=False)
+    marks = _walk([(1 << v, parent.adj[v]) for v in order], 0, [], k - 1, parent.full_mask(), 0)
+    return None if marks is None else _closure(marks, columns, up=False)
 
 
-def _survivors(parent: Graph, n: int, k: int, table: int) -> int:
+def _merged_masks(
+    parent: Graph, k: int, order: list[int], columns: list[tuple[int, int]], u: int, v: int
+) -> int | None:
+    """For an edge uv of a parent that is not (k-2)-colorable: None iff
+    ``parent`` less uv is (k-2)-colorable, otherwise the table that, joined
+    with the parent's own table, is the colorable-mask table of ``parent``
+    less uv.
+
+    A proper partition of the parent less uv either parts u and v, and then
+    it is a proper partition of the parent, whose classes the parent's
+    table has marked, or puts them in one class. Only the latter are
+    walked, in the parent's ``order`` with u and v placed as one item where
+    the earlier of the two stands: the partitions of the parent with u and
+    v contracted.
+    """
+    later = max(u, v, key=order.index)
+    pair = (1 << u | 1 << v, parent.adj[u] | parent.adj[v])
+    items = [pair if w in (u, v) else (1 << w, parent.adj[w]) for w in order if w != later]
+    marks = _walk(items, 0, [], k - 1, parent.full_mask(), 0)
+    return None if marks is None else _closure(marks, columns, up=False)
+
+
+def _survivors(parent: Graph, n: int, k: int, table: int, columns: list[tuple[int, int]]) -> int:
     """The masks of ``parent`` that pass the sieve ``census_critical``
     describes, as one 2^pn-bit table built by whole-table bit operations
     from the parent's colorable-mask ``table``: the upward closure of bit
     ``forced`` less ``table``, less the downward closure of each component's
     complement, less (above order k) the upward closure of the (k-1)-clique
     bits, and, for each vertex bit b, only the masks with b whose mask less
-    b is in ``table``."""
+    b is in ``table``. ``columns`` is ``_columns(parent.n)``."""
     full = parent.full_mask()
-    columns = _columns(parent.n)
     forced = mask_of(v for v, row in enumerate(parent.adj) if row.bit_count() == k - 2)
     keep = _closure(1 << forced, columns, up=True) & ~table
     for comp in components(parent.adj, full):
@@ -239,25 +306,29 @@ def _critical_on(parents: Iterable[Graph], n: int, k: int) -> list[Graph]:
     classes of ``graph_classes(n - 1, k - 2, k - 1)``, in their order.
 
     Each parent's survivors are one 2^pn-bit table (see ``_survivors``),
-    cut by the colorable-mask table of the parent less each parent edge in
-    turn until none is left, and the set bits of what remains are read
-    least first, the order of a loop over the masks.
+    cut by the colorable-mask table of the parent less each parent edge uv
+    in turn until none is left, and the set bits of what remains are read
+    least first, the order of a loop over the masks. That table is the
+    parent's own table joined with ``_merged_masks``, which walks only the
+    partitions that put u and v in one class, in the parent's order, so no
+    graph is built for the parent less uv. No survivor is in the parent's
+    own table, so the cut is by ``_merged_masks`` alone. The vertex columns
+    are built once per order and the walk order once per parent.
     """
     out: dict = {}
+    columns = _columns(n - 1)
     for parent in parents:
-        table = _colorable_masks(parent, k)
+        order = _adjacency_order(parent)
+        table = _colorable_masks(parent, k, order, columns)
         if table is None:
             continue
-        keep = _survivors(parent, n, k, table)
+        keep = _survivors(parent, n, k, table, columns)
         for u, v in parent.edges():
             if not keep:
                 break
-            rows = list(parent.adj)
-            rows[u] ^= 1 << v
-            rows[v] ^= 1 << u
-            without = _colorable_masks(Graph._trusted(parent.n, tuple(rows)), k)
-            if without is not None:
-                keep &= without
+            merged = _merged_masks(parent, k, order, columns, u, v)
+            if merged is not None:
+                keep &= merged
         while keep:
             low = keep & -keep
             keep ^= low
@@ -294,7 +365,9 @@ def census_critical(n_max: int, k: int) -> Corpus:
     colorable-mask table of the parent less e, which keeps every mask when
     the parent less e is (k-2)-colorable. The survivors are cut by these
     tables edge by edge until none is left, and every mask that remains
-    gives a k-critical graph.
+    gives a k-critical graph. A partition of the parent less e = uv parts u
+    and v, and is then one of the parent's own, or puts them in one class,
+    so each edge's table walks only the latter (see ``_merged_masks``).
 
     Only the top parent level, ``graph_classes(n_max - 1, k - 2, k - 1)``,
     grows its own chain of bounded levels; the lower parent levels are read

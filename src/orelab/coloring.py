@@ -12,10 +12,12 @@ from the vertices a branch changed on each of its sides, and tests each
 candidate clique on the rows inside a vertex mask. Every coloring the
 procedure returns is checked on the input rows. The criticality test
 and the critical-subgraph search work on adjacency rows and share one step:
-delete an edge and test (k-1)-colorability. The subgraph search answers
-that step without the solver when the edge has an end outside the rows'
-(k-1)-core, or when an earlier coloring is still proper on the rows; those
-colorings live for one call, so no store here grows without bound.
+delete an edge and test (k-1)-colorability. The criticality test takes
+that step once per orbit of the automorphism group on the edges. The
+subgraph search answers that step without the solver when the edge has an
+end outside the rows' (k-1)-core, or when an earlier coloring is still
+proper on the rows; those colorings live for one call, so no store here
+grows without bound.
 
 A coloring has one form here and in every layer that takes one: a sequence
 of color classes, each a vertex bitmask. ``first_coloring`` returns one,
@@ -29,7 +31,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeCapError
-from .graphs import Graph, _cliques, bits_of, mask_of
+from .graphs import Graph, _cliques, _orbit_firsts, _search, bits_of, mask_of
 
 
 # -- core exact solver -------------------------------------------------------
@@ -245,6 +247,13 @@ def is_k_critical(g: Graph, k: int) -> bool:
     proper subgraph sits inside some g-e. A vertex of degree < k-1 would let
     a (k-1)-coloring of g minus that vertex extend to g, so the min-degree
     check below is a sound fast rejection.
+
+    An automorphism p of g maps g-e onto g-p(e), so one edge per orbit of
+    Aut(g) on the edges answers for its whole orbit: the first edge of each
+    orbit, in edge order, under the generators that labelling g witnessed,
+    each mapping edge uv to the edge p[u]p[v]. Generators that span less
+    than Aut(g) give smaller orbits and so more questions, never a wrong
+    answer.
     """
     if k < 2:
         raise ValueError("criticality is defined here for k >= 2")
@@ -254,8 +263,11 @@ def is_k_critical(g: Graph, k: int) -> bool:
         return False
     if first_coloring(g.adj, k - 1) is not None:
         return False
-    for u, v in g.edges():
-        if _uncolorable_without(g.adj, u, v, k - 1) is not None:
+    edges = g.edges()
+    index = {e: i for i, e in enumerate(edges)}
+    images = [[index[(p[u], p[v]) if p[u] < p[v] else (p[v], p[u])] for u, v in edges] for p in _search(g)[1]]
+    for i in _orbit_firsts(range(len(edges)), images):
+        if _uncolorable_without(g.adj, *edges[i], k - 1) is not None:
             return False
     return True
 

@@ -4,8 +4,10 @@ Each function below is the straightforward form of a library routine that
 now computes on machine integers and vertex masks: charge rows with one
 ``Fraction`` per distinct charge, added up as fractions; the packing
 search on clique tuples with one cover pass per exclusion step; the graph6
-codec bit by bit; and the potentials as chains of ``Fraction`` operations.
-The tests compare the library against them value for value.
+codec bit by bit; the potentials as chains of ``Fraction`` operations; and
+criticality with one colorability question per edge, where the library asks
+one per edge orbit. The tests compare the library against them value for
+value.
 """
 
 from __future__ import annotations
@@ -23,10 +25,28 @@ from orelab import (
     cliques_of_size,
     clusters,
     embeddings,
+    first_coloring,
     gadget_catalog,
 )
 from orelab.graphs import MAX_VERTICES, GraphFormatError, mask_of
 from report_columns import ChargeRow
+
+# -- criticality ---------------------------------------------------------------
+
+
+def is_k_critical(g: Graph, k: int) -> bool:
+    """Not (k-1)-colorable, minimum degree k-1 or more, and (k-1)-colorable
+    less each edge, asked edge by edge."""
+    if g.n == 0 or g.min_degree() < k - 1 or first_coloring(g.adj, k - 1) is not None:
+        return False
+    for u, v in g.edges():
+        rows = list(g.adj)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        if first_coloring(rows, k - 1) is None:
+            return False
+    return True
+
 
 # -- discharging ---------------------------------------------------------------
 

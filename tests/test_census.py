@@ -9,7 +9,10 @@ colorability, and the orbit minima against a permutation brute force. The
 census's bitwise sieve is also checked row for row against the per-mask
 filter it replaced, and its colorable-mask table entry by entry against the
 coloring solver, on parents and on parents less one edge, the two kinds of
-graph the census builds tables of.
+graph the census builds tables of, the latter both walked on their own and
+as the census builds them, from the parent's table and the partitions that
+put the edge's ends in one class. Relabelling a parent or walking it in
+another order must leave its tables as they are, up to the relabelling.
 """
 
 import math
@@ -37,10 +40,13 @@ from orelab import (
     random_graph,
 )
 from orelab.census import (
+    _adjacency_order,
     _augment,
     _classes,
     _colorable_masks,
+    _columns,
     _critical_on,
+    _merged_masks,
     _orbit_minima,
     _parents,
     _survivors,
@@ -265,6 +271,19 @@ def test_parent_levels_filtered_from_one_chain_are_the_bounded_levels():
                 assert got == [graph6_encode(g) for g in graph_classes(m, k - 2, k - 1)], (k, top, m)
 
 
+def table_of(g: Graph, k: int) -> int | None:
+    """The colorable-mask table of g, walked in its max-adjacency order."""
+    return _colorable_masks(g, k, _adjacency_order(g), _columns(g.n))
+
+
+def solver_table(g: Graph, k: int) -> int | None:
+    """The colorable-mask table of g from the coloring solver, mask by mask:
+    None if g is (k-2)-colorable."""
+    if first_coloring(g.adj, k - 2) is not None:
+        return None
+    return sum(1 << mask for mask in range(1 << g.n) if first_coloring(_augment(g, mask).adj, k - 1) is not None)
+
+
 def test_survivor_table_matches_the_per_mask_conditions():
     """The whole-table sieve against the per-mask loop it replaced. Up to
     order 8 the other conditions leave no mask that misses a component;
@@ -272,7 +291,7 @@ def test_survivor_table_matches_the_per_mask_conditions():
     for k in range(3, 7):
         for n in range(k, 10 if k == 3 else 9):
             for parent in graph_classes(n - 1, k - 2, k - 1):
-                table = _colorable_masks(parent, k)
+                table = table_of(parent, k)
                 if table is None:
                     continue
                 forced = mask_of(v for v in range(parent.n) if parent.degree(v) == k - 2)
@@ -288,7 +307,7 @@ def test_survivor_table_matches_the_per_mask_conditions():
                         and all(table >> (mask ^ (1 << u)) & 1 for u in bits_of(mask))
                     ):
                         expected |= 1 << mask
-                assert _survivors(parent, n, k, table) == expected, (n, k, graph6_encode(parent))
+                assert _survivors(parent, n, k, table, _columns(parent.n)) == expected, (n, k, graph6_encode(parent))
 
 
 @st.composite
@@ -307,39 +326,86 @@ def parents(draw):
 @settings(max_examples=200, deadline=None)
 def test_colorable_mask_table_matches_the_solver(parent, k):
     """The table of the drawn parent and of the parent less each of its
-    edges, which are the parent-edge tables of the census."""
+    edges uv, each walked on its own, and the parent-edge tables as the
+    census builds them: the parent's table joined with the walk of the
+    partitions that put u and v in one class, or None."""
     edges = parent.edges()
-    for g in [parent] + [Graph.from_edges(parent.n, edges[:i] + edges[i + 1:]) for i in range(len(edges))]:
-        table = _colorable_masks(g, k)
-        narrow = first_coloring(g.adj, k - 2) is not None
-        assert (table is None) == narrow
-        if narrow:
-            continue
-        assert (table == 0) == (first_coloring(g.adj, k - 1) is None)
-        assert table >> (1 << g.n) == 0
-        for mask in range(1 << g.n):
-            colorable = first_coloring(_augment(g, mask).adj, k - 1) is not None
-            assert bool(table >> mask & 1) == colorable, (graph6_encode(g), mask)
+    order, columns = _adjacency_order(parent), _columns(parent.n)
+    table = _colorable_masks(parent, k, order, columns)
+    assert table == solver_table(parent, k), graph6_encode(parent)
+    if table is not None:
+        assert (table == 0) == (first_coloring(parent.adj, k - 1) is None)
+    for i, (u, v) in enumerate(edges):
+        g = Graph.from_edges(parent.n, edges[:i] + edges[i + 1:])
+        expected = solver_table(g, k)
+        assert table_of(g, k) == expected, (graph6_encode(g), k)
+        if table is not None:
+            merged = _merged_masks(parent, k, order, columns, u, v)
+            assert (merged is None) == (expected is None)
+            assert merged is None or table | merged == expected, (graph6_encode(parent), u, v, k)
+
+
+@given(parents(), st.integers(3, 5), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_relabelling_a_parent_permutes_its_tables(parent, k, rng):
+    """The walk meets the same partitions in any vertex order, so a
+    relabelled parent's tables are its tables with every mask relabelled,
+    and a walk in any other order gives the same tables."""
+    perm = rng.sample(range(parent.n), parent.n)
+    image = Graph.from_edges(parent.n, [(perm[u], perm[v]) for u, v in parent.edges()])
+    columns = _columns(parent.n)
+    order, image_order, other = _adjacency_order(parent), _adjacency_order(image), rng.sample(range(parent.n), parent.n)
+
+    def relabelled(table: int | None) -> int | None:
+        return None if table is None else sum(1 << mask_of(perm[v] for v in bits_of(mask)) for mask in bits_of(table))
+
+    table = _colorable_masks(parent, k, order, columns)
+    assert _colorable_masks(image, k, image_order, columns) == relabelled(table)
+    assert _colorable_masks(parent, k, other, columns) == table
+    if table is None:
+        return
+    for u, v in parent.edges():
+        merged = _merged_masks(parent, k, order, columns, u, v)
+        assert _merged_masks(image, k, image_order, columns, perm[u], perm[v]) == relabelled(merged)
+        assert _merged_masks(parent, k, other, columns, u, v) == merged
 
 
 def test_sieve_bounds_the_criticality_tests(monkeypatch):
     assert len(census_critical(8, 4)) == 9  # grows the parent levels
-    parents = {id(p) for m in range(3, 8) for p in _parents(m, 7, 4)}
-    tables = []  # the graphs the census builds a colorable-mask table of
-    colorable_masks = orelab.census._colorable_masks
+    parents = [p for m in range(3, 8) for p in _parents(m, 7, 4)]
+    walked, merged, nodes = [], [], 0
+    census = orelab.census
+    colorable_masks, merged_masks, walk = census._colorable_masks, census._merged_masks, census._walk
 
-    def counted(g, k):
-        tables.append(g)
-        return colorable_masks(g, k)
+    def counted(parent, k, order, columns):
+        walked.append(parent)
+        return colorable_masks(parent, k, order, columns)
 
-    monkeypatch.setattr(orelab.census, "_colorable_masks", counted)
+    def counted_merged(parent, k, order, columns, u, v):
+        merged.append((parent, u, v))
+        return merged_masks(parent, k, order, columns, u, v)
+
+    def counted_walk(*args):
+        nonlocal nodes
+        nodes += 1
+        return walk(*args)
+
+    monkeypatch.setattr(census, "_colorable_masks", counted)
+    monkeypatch.setattr(census, "_merged_masks", counted_merged)
+    monkeypatch.setattr(census, "_walk", counted_walk)
     assert len(census_critical(8, 4)) == 9
-    edge_tables = [g for g in tables if id(g) not in parents]
-    assert len(tables) - len(edge_tables) == len(parents) == 321
-    # the cut stops once no survivor is left: a table for every edge of
-    # every parent with a table would be 3,243 (the census builds 467), and
+    # one walk per parent, and no graph built for a parent less an edge
+    assert [id(p) for p in walked] == [id(p) for p in parents] and len(parents) == 321
+    assert all(id(p) in {id(q) for q in parents} for p, _, _ in merged)
+    # the cut stops once no survivor is left: a walk for every edge of
+    # every parent with a table would be 3,243 (the census makes 467), and
     # the per-mask filter made 7,917 criticality tests
-    assert len(edge_tables) <= 500
+    assert len(merged) == 467
+    # the walks run in each parent's max-adjacency order and a merged walk
+    # places the edge's ends as one item: 7,880 nodes in all, where walking
+    # each parent, and each parent less the edge in full, in plain vertex
+    # order took 27,640
+    assert nodes == 7880
 
 
 def test_cold_census_labels_each_child_once_and_never_calls_the_solver(monkeypatch):

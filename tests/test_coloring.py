@@ -3,7 +3,9 @@
 One oracle tries every map V -> {1..t} directly, so it shares no code with
 the solver's propagation or symmetry breaking. The other is plain
 saturation-first backtracking on the whole graph, with no reduction, which
-reaches the graphs too large to enumerate.
+reaches the graphs too large to enumerate. The criticality test, which asks
+one colorability question per edge orbit, is checked against the per-edge
+loop of ``tests/oracles.py``.
 """
 
 import inspect
@@ -13,6 +15,7 @@ import random
 import sys
 import time
 
+import oracles
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -27,6 +30,7 @@ from orelab import (
     edge_between,
     find_critical_subgraphs,
     first_coloring,
+    graph6_encode,
     graph_classes,
     is_k_critical,
     ore_compose,
@@ -603,6 +607,59 @@ def test_is_k_critical_matches_definition_on_small_classes():
                     )
                 )
                 assert is_k_critical(g, k) == expected
+
+
+def edge_orbit_inputs() -> list[tuple[Graph, int]]:
+    """Criticality questions for the edge-orbit test: the census at
+    k = 4, 5, 6, every class on up to 6 vertices at k = 3..5 (among them
+    graphs whose edges differ in criticality, where skipping an edge can
+    change the verdict), 1-step seeded trees with k <= 8 and Dirac chains
+    with k <= 6."""
+    out = [(g, k) for k in (4, 5, 6) for g in census_critical(8, k).graphs]
+    out += [(g, k) for n in range(1, 7) for g in graph_classes(n) for k in (3, 4, 5)]
+    out += [(realize(random_ore_tree(k, 1, random.Random(seed))), k) for k in range(3, 9) for seed in range(3)]
+    out += [(dirac_chain(k, steps, random.Random(steps)), k) for k in (4, 5, 6) for steps in (1, 2)]
+    return out
+
+
+def test_edge_orbits_give_the_per_edge_verdict():
+    for g, k in edge_orbit_inputs():
+        assert is_k_critical(g, k) == oracles.is_k_critical(g, k), (graph6_encode(g), k)
+
+
+def test_a_map_that_is_not_an_automorphism_fails_the_comparison(monkeypatch):
+    """K_4 less the edge 23 at k = 3: only its first edge, 01, is critical.
+    The map [0, 2, 1, 1] sends edges to edges but is no automorphism. As
+    one more generator it sends 01 onto 02, which the automorphisms (swap
+    0 and 1, swap 2 and 3) send onto every other edge, so only 01 is asked
+    and the verdict turns; the per-edge oracle must catch that. (A
+    permutation that is no automorphism sends some edge onto a non-edge,
+    which has no index.)"""
+    diamond = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    assert is_k_critical(diamond, 3) is oracles.is_k_critical(diamond, 3) is False
+    search = coloring._search
+
+    def with_a_fold(g):
+        form, generators = search(g)
+        return form, generators + [[0, 2, 1, 1]]
+
+    monkeypatch.setattr(coloring, "_search", with_a_fold)
+    assert is_k_critical(diamond, 3) != oracles.is_k_critical(diamond, 3)
+
+
+def test_criticality_asks_one_question_per_edge_orbit(monkeypatch):
+    g = realize(random_ore_tree(10, 3, random.Random(3)))
+    asked = []
+    real = coloring._uncolorable_without
+
+    def counted(rows, u, v, t):
+        asked.append((u, v))
+        return real(rows, u, v, t)
+
+    monkeypatch.setattr(coloring, "_uncolorable_without", counted)
+    assert is_k_critical(g, 10)
+    # one question per edge was 177
+    assert g.edge_count() == 177 and len(asked) == 35
 
 
 def test_critical_graphs_are_vertex_critical_and_well_connected(census4_8):

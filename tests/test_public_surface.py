@@ -344,3 +344,20 @@ def test_suite_stores_start_empty():
     assert not empty()
     clear_suite_stores()
     assert empty()
+
+
+def test_census_imports_nothing_from_coloring():
+    """The census reads colorability off its own partition walks, so it
+    sits below the coloring layer: ``orelab.census`` imports nothing from
+    ``orelab.coloring``, by any form of import."""
+    names = []
+    for node in ast.walk(ast.parse((PACKAGE / "census.py").read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names += [module] + [f"{module.rstrip('.')}.{alias.name}" for alias in node.names]
+    assert [name for name in names if name.lstrip(".").removeprefix("orelab.") == "coloring"] == []
+    census = importlib.import_module("orelab.census")
+    from_coloring = [name for name, value in vars(census).items() if getattr(value, "__module__", None) == "orelab.coloring"]
+    assert from_coloring == []
