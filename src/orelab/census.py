@@ -375,6 +375,8 @@ def census_critical(n_max: int, k: int) -> Corpus:
     """
     if k < 3:
         raise ValueError("criticality census needs k >= 3")
+    if n_max < 0:
+        raise ValueError("vertex count must be nonnegative")
     if n_max > ENUMERATION_CAP:
         raise SizeCapError("criticality census order", n_max, ENUMERATION_CAP)
     return corpus_from_graphs(

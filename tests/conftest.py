@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from orelab import census_critical, suites
@@ -40,6 +42,31 @@ def cold_tree_records():
     clear_suite_stores()
     yield
     clear_suite_stores()
+
+
+@pytest.fixture
+def calls_to(monkeypatch):
+    """``calls_to(module, name)`` wraps ``module.name`` for the test and
+    returns the list that each call's positional arguments are appended to;
+    with ``everywhere=True`` every orelab module that binds the same
+    function is patched too."""
+
+    def wrap(module, name: str, everywhere: bool = False) -> list[tuple]:
+        real = getattr(module, name)
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        holders = [module]
+        if everywhere:
+            holders = [m for key, m in list(sys.modules.items()) if key.startswith("orelab") and getattr(m, name, None) is real]
+        for holder in holders:
+            monkeypatch.setattr(holder, name, recording)
+        return calls
+
+    return wrap
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,6 @@ import pytest
 from orelab import (
     DEFAULT_SEED,
     Graph,
-    Leaf,
     Node,
     PotentialParams,
     census_critical,
@@ -37,14 +36,11 @@ from orelab import (
     run_suite,
 )
 from orelab.packing import compute_T_bruteforce
+from sample_graphs import one_step
 
 ARTIFACTS = Path(__file__).resolve().parent.parent / "artifacts"
 
 TREE_KS = (4, 5, 6)
-
-
-def one_step(k: int) -> Node:
-    return Node(Leaf(k), Leaf(k), (0, 1), 0, ((1,), tuple(range(2, k))))
 
 
 @pytest.fixture(scope="module")

@@ -15,14 +15,13 @@ put the edge's ends in one class. Relabelling a parent or walking it in
 another order must leave its tables as they are, up to the relabelling.
 """
 
-import math
 import random
-import sys
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 import orelab.census
 import orelab.coloring
 from orelab import (
@@ -41,7 +40,6 @@ from orelab import (
 )
 from orelab.census import (
     _adjacency_order,
-    _augment,
     _classes,
     _colorable_masks,
     _columns,
@@ -52,32 +50,9 @@ from orelab.census import (
     _survivors,
 )
 from orelab.graphs import _search, bits_of, components, mask_of
-from test_coloring import oracle_colorable
+from sample_graphs import graphs, wheel5
 
 CLASS_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346]  # OEIS A000088; n = 0 stands for n = 1
-
-
-def burnside_count(n: int) -> int:
-    """Number of graphs on n unlabeled vertices via the permutation action
-    on vertex pairs: average of 2^(pair cycles) over all of S_n."""
-    total = 0
-    for perm in permutations(range(n)):
-        pairs = {}
-        for u in range(n):
-            for v in range(u + 1, n):
-                pairs[(u, v)] = tuple(sorted((perm[u], perm[v])))
-        seen = set()
-        cycles = 0
-        for start in pairs:
-            if start in seen:
-                continue
-            cycles += 1
-            cur = start
-            while cur not in seen:
-                seen.add(cur)
-                cur = pairs[cur]
-        total += 2 ** cycles
-    return total // math.factorial(n)
 
 
 def test_class_counts():
@@ -88,7 +63,7 @@ def test_class_counts():
 
 def test_class_counts_match_burnside():
     for n in range(1, 7):
-        assert len(graph_classes(n)) == burnside_count(n)
+        assert len(graph_classes(n)) == oracles.burnside_count(n)
 
 
 def test_classes_are_pairwise_nonisomorphic():
@@ -98,20 +73,9 @@ def test_classes_are_pairwise_nonisomorphic():
             assert canonical_key(a) != canonical_key(b)
 
 
-def _graph_classes_by_all_masks(n: int) -> list[Graph]:
-    """The level as built before the orbit reduction: every parent of
-    ``graph_classes(n - 1)`` with every mask, each child labelled."""
-    out: dict = {}
-    for parent in graph_classes(n - 1):
-        for mask in range(1 << parent.n):
-            g = _augment(parent, mask)
-            out.setdefault(_search(g)[0].key, g)
-    return [out[key] for key in sorted(out)]
-
-
 def test_graph_classes_match_the_all_masks_loop():
     for n in range(1, 8):
-        expected = [graph6_encode(g) for g in _graph_classes_by_all_masks(n)]
+        expected = [graph6_encode(g) for g in oracles.classes_by_all_masks(n)]
         assert [graph6_encode(g) for g in graph_classes(n)] == expected, n
 
 
@@ -136,26 +100,20 @@ def test_orbit_minima_match_brute_force():
             assert _orbit_minima(parent, generators) == expected, graph6_encode(parent)
 
 
-def test_graph_classes_label_one_child_per_orbit(monkeypatch):
-    labelled = []
-
-    def counted(g):
-        labelled.append(g)
-        return _search(g)
-
-    monkeypatch.setattr(orelab.census, "_search", counted)
+def test_graph_classes_label_one_child_per_orbit(calls_to):
+    labelled = calls_to(orelab.census, "_search")
     counts = {}
     for n in (6, 7):
         labelled.clear()
         assert len(_classes.__wrapped__(n, 0, n)[0]) == CLASS_COUNTS[n]
         # no parent is searched again: its automorphisms come from its labelling
-        assert sum(h.n == n - 1 for h in labelled) == 0
-        counts[n] = sum(h.n == n for h in labelled)
+        assert sum(h.n == n - 1 for (h,) in labelled) == 0
+        counts[n] = sum(h.n == n for (h,) in labelled)
     assert counts == {6: 544, 7: 5096}  # the all-masks loop labels 1,088 and 9,984
     # the census's top parent level at k = 4: minimum degree 2, 3-colorable
     labelled.clear()
     assert len(_classes.__wrapped__(7, 2, 3)[0]) == 270
-    assert sum(h.n == 7 for h in labelled) == 1332  # the full level labels 5,096
+    assert sum(h.n == 7 for (h,) in labelled) == 1332  # the full level labels 5,096
 
 
 def _bounded_by_filter(n: int, d: int, t: int, oracle=None) -> list[str]:
@@ -170,7 +128,7 @@ def test_bounded_levels_are_the_filtered_full_levels():
                 got = [graph6_encode(g) for g in graph_classes(n, d, t)]
                 assert got == _bounded_by_filter(n, d, t), (n, d, t)
                 if n <= 5:
-                    assert got == _bounded_by_filter(n, d, t, oracle_colorable), (n, d, t)
+                    assert got == _bounded_by_filter(n, d, t, lambda g, t: oracles.colorings(g, t, limit=1)), (n, d, t)
     for d, t, count in ((2, 3, 3016), (3, 4, 2191)):
         got = [graph6_encode(g) for g in graph_classes(8, d, t)]
         assert len(got) == count
@@ -223,41 +181,11 @@ def test_census_matches_definition_filter():
             assert canonical_key(g) in {canonical_key(h) for h in got.graphs}
 
 
-def _critical_on_by_filter(n: int, k: int) -> list[Graph]:
-    """The census level as computed before the sieve: every parent with
-    every mask, each candidate built and tested on its own."""
-    out: dict = {}
-    for parent in graph_classes(n - 1):
-        pn = parent.n
-        degs = [parent.degree(v) for v in range(pn)]
-        if any(d < k - 2 for d in degs):
-            continue
-        forced = mask_of(v for v in range(pn) if degs[v] == k - 2)
-        base_m = parent.edge_count()
-        for mask in range(1 << pn):
-            if mask & forced != forced:
-                continue
-            pc = mask.bit_count()
-            if pc < k - 1:
-                continue
-            m = base_m + pc
-            if n > k and 2 * m * (k - 1) > (k - 2) * n * n:
-                continue
-            g = _augment(parent, mask)
-            if len(components(g.adj, g.full_mask())) != 1:
-                continue
-            if n > k and cliques_of_size(g, k):
-                continue
-            if is_k_critical(g, k):
-                out.setdefault(canonical_key(g), g)
-    return [out[key] for key in sorted(out)]
-
-
 def test_sieve_matches_the_per_mask_filter():
     for k in range(3, 7):
         for n in range(k, 9):
             parents = graph_classes(n - 1, k - 2, k - 1)
-            assert _critical_on(parents, n, k) == _critical_on_by_filter(n, k), (n, k)
+            assert _critical_on(parents, n, k) == oracles.critical_on_by_filter(n, k), (n, k)
 
 
 def test_parent_levels_filtered_from_one_chain_are_the_bounded_levels():
@@ -274,14 +202,6 @@ def test_parent_levels_filtered_from_one_chain_are_the_bounded_levels():
 def table_of(g: Graph, k: int) -> int | None:
     """The colorable-mask table of g, walked in its max-adjacency order."""
     return _colorable_masks(g, k, _adjacency_order(g), _columns(g.n))
-
-
-def solver_table(g: Graph, k: int) -> int | None:
-    """The colorable-mask table of g from the coloring solver, mask by mask:
-    None if g is (k-2)-colorable."""
-    if first_coloring(g.adj, k - 2) is not None:
-        return None
-    return sum(1 << mask for mask in range(1 << g.n) if first_coloring(_augment(g, mask).adj, k - 1) is not None)
 
 
 def test_survivor_table_matches_the_per_mask_conditions():
@@ -310,18 +230,10 @@ def test_survivor_table_matches_the_per_mask_conditions():
                 assert _survivors(parent, n, k, table, _columns(parent.n)) == expected, (n, k, graph6_encode(parent))
 
 
-@st.composite
-def parents(draw):
-    n = draw(st.integers(1, 7))
-    pairs = list(combinations(range(n), 2))
-    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
-    return Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-
-
-@given(parents(), st.integers(3, 5))
+@given(graphs(min_n=1, max_n=7), st.integers(3, 5))
 @example(Graph.path(4), 4)  # None: 2-colorable
 @example(Graph.complete(4), 4)  # 0: contains K_4
-@example(Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]), 4)  # 0: W_5
+@example(wheel5(), 4)  # 0: W_5
 @example(Graph.cycle(5), 4)
 @settings(max_examples=200, deadline=None)
 def test_colorable_mask_table_matches_the_solver(parent, k):
@@ -332,12 +244,12 @@ def test_colorable_mask_table_matches_the_solver(parent, k):
     edges = parent.edges()
     order, columns = _adjacency_order(parent), _columns(parent.n)
     table = _colorable_masks(parent, k, order, columns)
-    assert table == solver_table(parent, k), graph6_encode(parent)
+    assert table == oracles.solver_table(parent, k), graph6_encode(parent)
     if table is not None:
         assert (table == 0) == (first_coloring(parent.adj, k - 1) is None)
     for i, (u, v) in enumerate(edges):
         g = Graph.from_edges(parent.n, edges[:i] + edges[i + 1:])
-        expected = solver_table(g, k)
+        expected = oracles.solver_table(g, k)
         assert table_of(g, k) == expected, (graph6_encode(g), k)
         if table is not None:
             merged = _merged_masks(parent, k, order, columns, u, v)
@@ -345,7 +257,7 @@ def test_colorable_mask_table_matches_the_solver(parent, k):
             assert merged is None or table | merged == expected, (graph6_encode(parent), u, v, k)
 
 
-@given(parents(), st.integers(3, 5), st.randoms(use_true_random=False))
+@given(graphs(min_n=1, max_n=7), st.integers(3, 5), st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
 def test_relabelling_a_parent_permutes_its_tables(parent, k, rng):
     """The walk meets the same partitions in any vertex order, so a
@@ -370,33 +282,17 @@ def test_relabelling_a_parent_permutes_its_tables(parent, k, rng):
         assert _merged_masks(parent, k, other, columns, u, v) == merged
 
 
-def test_sieve_bounds_the_criticality_tests(monkeypatch):
+def test_sieve_bounds_the_criticality_tests(calls_to):
     assert len(census_critical(8, 4)) == 9  # grows the parent levels
     parents = [p for m in range(3, 8) for p in _parents(m, 7, 4)]
-    walked, merged, nodes = [], [], 0
     census = orelab.census
-    colorable_masks, merged_masks, walk = census._colorable_masks, census._merged_masks, census._walk
-
-    def counted(parent, k, order, columns):
-        walked.append(parent)
-        return colorable_masks(parent, k, order, columns)
-
-    def counted_merged(parent, k, order, columns, u, v):
-        merged.append((parent, u, v))
-        return merged_masks(parent, k, order, columns, u, v)
-
-    def counted_walk(*args):
-        nonlocal nodes
-        nodes += 1
-        return walk(*args)
-
-    monkeypatch.setattr(census, "_colorable_masks", counted)
-    monkeypatch.setattr(census, "_merged_masks", counted_merged)
-    monkeypatch.setattr(census, "_walk", counted_walk)
+    walked = calls_to(census, "_colorable_masks")
+    merged = calls_to(census, "_merged_masks")
+    nodes = calls_to(census, "_walk")
     assert len(census_critical(8, 4)) == 9
     # one walk per parent, and no graph built for a parent less an edge
-    assert [id(p) for p in walked] == [id(p) for p in parents] and len(parents) == 321
-    assert all(id(p) in {id(q) for q in parents} for p, _, _ in merged)
+    assert [id(args[0]) for args in walked] == [id(p) for p in parents] and len(parents) == 321
+    assert all(id(args[0]) in {id(q) for q in parents} for args in merged)
     # the cut stops once no survivor is left: a walk for every edge of
     # every parent with a table would be 3,243 (the census makes 467), and
     # the per-mask filter made 7,917 criticality tests
@@ -405,39 +301,22 @@ def test_sieve_bounds_the_criticality_tests(monkeypatch):
     # places the edge's ends as one item: 7,880 nodes in all, where walking
     # each parent, and each parent less the edge in full, in plain vertex
     # order took 27,640
-    assert nodes == 7880
+    assert len(nodes) == 7880
 
 
-def test_cold_census_labels_each_child_once_and_never_calls_the_solver(monkeypatch):
-    searched = []
-    search = orelab.census._search
-
-    def counted_search(g):
-        searched.append(g)
-        return search(g)
-
-    real = orelab.coloring.first_coloring
-    colorings = 0
-
-    def counted_coloring(rows, t):
-        nonlocal colorings
-        colorings += 1
-        return real(rows, t)
-
-    monkeypatch.setattr(orelab.census, "_search", counted_search)
+def test_cold_census_labels_each_child_once_and_never_calls_the_solver(calls_to):
+    searched = calls_to(orelab.census, "_search")
     # count every call, wherever a module of the package binds the name
-    for name, module in list(sys.modules.items()):
-        if name.startswith("orelab") and getattr(module, "first_coloring", None) is real:
-            monkeypatch.setattr(module, "first_coloring", counted_coloring)
+    colorings = calls_to(orelab.coloring, "first_coloring", everywhere=True)
     _classes.cache_clear()
     assert len(census_critical(8, 4)) == 9
     # one search per labelled child, none on a parent for its generators
     # (searching the parents again made 2,168 searches of 1,987 graphs), and
     # one chain of bounded levels (a chain per parent level made 1,986)
-    assert len(searched) == len({id(g) for g in searched}) == 1766
-    assert all(g.n for g in searched)  # the 0-vertex parent is never searched
+    assert len(searched) == len({id(g) for (g,) in searched}) == 1766
+    assert all(g.n for (g,) in searched)  # the 0-vertex parent is never searched
     assert _classes.cache_info().currsize == 8  # 16 with a chain per parent level
-    assert colorings == 0  # criticality is read off colorable-mask tables
+    assert colorings == []  # criticality is read off colorable-mask tables
 
 
 def test_census_members_are_critical(census4_8):
@@ -450,6 +329,8 @@ def test_census_argument_errors():
         census_critical(10, 4)
     with pytest.raises(ValueError):
         census_critical(5, 2)
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        census_critical(-1, 4)
 
 
 def test_corpus_rejects_duplicate_rows():

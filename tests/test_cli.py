@@ -144,6 +144,9 @@ def test_enumerate_classes_and_census():
     assert all(graph6_decode(line).n in (4, 6, 7) for line in lines)
     over = invoke("enumerate", "--n", "12")
     assert over.exit_code != 0 and "cap" in over.output.lower()
+    for flags in ((), ("--critical",)):
+        negative = invoke("enumerate", "--n", "-1", *flags)
+        assert negative.exit_code == 1 and negative.output == "Error: vertex count must be nonnegative\n", flags
 
 
 def test_verify_pass_and_artifacts(tmp_path):
@@ -200,7 +203,7 @@ def test_verify_argument_errors():
 
 def test_verify_on_an_empty_census_fails():
     # a census below k is empty; it must not fall back to the default census
-    result = invoke("verify", "--suite", "ky-bound", "--census", "-1")
+    result = invoke("verify", "--suite", "ky-bound", "--census", "3")
     assert result.exit_code == 1
     assert result.output.strip() == "ky-bound: FAIL (pass=0 fail=0 skip-cap=0)"
 

@@ -1,11 +1,11 @@
-"""Coloring solver checks against assignment-enumeration oracles.
+"""Coloring solver checks against the oracles of ``tests/oracles.py``.
 
-One oracle tries every map V -> {1..t} directly, so it shares no code with
-the solver's propagation or symmetry breaking. The other is plain
-saturation-first backtracking on the whole graph, with no reduction, which
-reaches the graphs too large to enumerate. The criticality test, which asks
-one colorability question per edge orbit, is checked against the per-edge
-loop of ``tests/oracles.py``.
+``colorings`` tries every map V -> {0..t-1} directly, so it shares no code
+with the solver's propagation or symmetry breaking. ``backtrack_coloring``
+is plain saturation-first backtracking on each component, with no
+reduction, which reaches the graphs too large to enumerate. The criticality
+test, which asks one colorability question per edge orbit, is checked
+against the per-edge loop ``is_k_critical``.
 """
 
 import inspect
@@ -38,87 +38,12 @@ from orelab import (
     random_ore_tree,
     realize,
 )
-from orelab.graphs import bits_of, components, mask_of
+from orelab.graphs import bits_of, mask_of
 from orelab.structure import color_reduce, minimum_colorings
-
-
-def oracle_colorable(g: Graph, t: int) -> bool:
-    for assign in itertools.product(range(t), repeat=g.n):
-        if all(assign[u] != assign[v] for u, v in g.edges()):
-            return True
-    return g.n == 0
-
-
-def oracle_chromatic(g: Graph) -> int:
-    t = 0
-    while not oracle_colorable(g, t):
-        t += 1
-    return t
-
-
-def petersen() -> Graph:
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    edges += [(i, 5 + i) for i in range(5)]
-    return Graph.from_edges(10, edges)
-
-
-def wheel5() -> Graph:
-    return Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
+from sample_graphs import fused_k4, petersen, wheel5
 
 
 # -- first_coloring against plain backtracking ------------------------------------
-
-
-def oracle_first_coloring(adj, t: int) -> list[int] | None:
-    """Saturation-first backtracking over each component, with no peeling
-    and no merging."""
-    n = len(adj)
-    colors = [-1] * n
-    if n == 0:
-        return colors
-    if t <= 0:
-        return None
-    for comp in components(adj, (1 << n) - 1):
-        if not oracle_color_component(adj, comp, t, colors):
-            return None
-    return colors
-
-
-def oracle_color_component(adj, comp: int, t: int, colors: list[int]) -> bool:
-    verts = list(bits_of(comp))
-    if t >= len(verts):
-        for c, v in enumerate(verts):
-            colors[v] = c
-        return True
-    forbid = [0] * len(adj)
-    uncolored = set(verts)
-
-    def rec(used: int) -> bool:
-        if not uncolored:
-            return True
-        v = max(uncolored, key=lambda u: (forbid[u].bit_count(), (adj[u] & comp).bit_count(), -u))
-        avail = ~forbid[v] & ((1 << min(t, used + 1)) - 1)
-        if not avail:
-            return False
-        uncolored.remove(v)
-        for c in bits_of(avail):
-            bit = 1 << c
-            colors[v] = c
-            touched = []
-            for u in bits_of(adj[v] & comp):
-                if u in uncolored and not forbid[u] & bit:
-                    forbid[u] |= bit
-                    touched.append(u)
-            if rec(max(used, c + 1)):
-                return True
-            for u in touched:
-                forbid[u] ^= bit
-        colors[v] = -1
-        uncolored.add(v)
-        return False
-
-    return rec(0)
 
 
 def is_proper_coloring(g: Graph, classes, t: int) -> bool:
@@ -138,7 +63,7 @@ def agrees_with_oracle(g: Graph, t: int) -> bool:
     classes = first_coloring(g.adj, t)
     if classes is not None:
         assert is_proper_coloring(g, classes, t)
-    return (classes is None) == (oracle_first_coloring(g.adj, t) is None)
+    return (classes is None) == (oracles.backtrack_coloring(g.adj, t) is None)
 
 
 def small_and_random_checks() -> list[tuple[Graph, int]]:
@@ -257,20 +182,6 @@ def survives(checks) -> bool:
         return False
 
 
-def branch_choices(monkeypatch) -> list[int]:
-    """The live vertex sets that a Zykov pair is chosen from from now on:
-    one per branch, none where the reductions alone settle a question."""
-    real = coloring._zykov_pair
-    calls = []
-
-    def counted(rows, live):
-        calls.append(live)
-        return real(rows, live)
-
-    monkeypatch.setattr(coloring, "_zykov_pair", counted)
-    return calls
-
-
 def test_first_coloring_matches_plain_backtracking():
     checks = small_and_random_checks()
     assert len(checks) == 16260
@@ -301,31 +212,6 @@ def test_first_coloring_matches_plain_backtracking_where_the_branch_fires():
     assert branches_taken(checks) > len(checks) // 10
 
 
-def full_reduction(rows, members, live: int, t: int, peeled) -> int:
-    """Peel and make forced merges, testing every live pair in every pass,
-    until neither applies; the live vertices that are left. The oracle for
-    ``_settle``, which scans only from the vertices it is given."""
-    merged = True
-    while merged:
-        live = coloring._peel(rows, live, t, peeled)
-        merged = False
-        for x in bits_of(live):
-            if not live >> x & 1:
-                continue
-            for y in bits_of(live & ~rows[x] & ~((2 << x) - 1)):
-                if not live >> y & 1 or rows[x] >> y & 1:
-                    continue
-                common = rows[x] & rows[y] & live
-                if not graphs._cliques(rows, common, t - 1, lambda clique, later: True):
-                    continue
-                coloring._merge(rows, members, x, y)
-                live = coloring._peel(rows, live ^ 1 << y, t, peeled)
-                merged = True
-                if not live >> x & 1:
-                    break
-    return live
-
-
 def test_each_branch_step_ends_at_the_full_reductions_fixpoint(monkeypatch):
     # _settle scans only from the vertices it is given, every vertex at the
     # root and the changed ones on a branch side; a full peel and
@@ -341,7 +227,7 @@ def test_each_branch_step_ends_at_the_full_reductions_fixpoint(monkeypatch):
         if out is not None:
             sides += not root
             again_rows, again_members, again_peeled = list(rows), list(members), list(peeled)
-            assert full_reduction(again_rows, again_members, out, t, again_peeled) == out
+            assert oracles.full_reduction(again_rows, again_members, out, t, again_peeled) == out
             assert (again_rows, again_members, again_peeled) == (rows, members, peeled)
         return out
 
@@ -432,61 +318,47 @@ def test_first_coloring_never_returns_an_unchecked_coloring(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [8, 10])
-def test_reductions_leave_no_backtracking_on_composed_trees(monkeypatch, k):
+def test_reductions_leave_no_backtracking_on_composed_trees(calls_to, k):
+    # a Zykov pair is chosen once per branch, never where the reductions
+    # alone settle a question
     g = realize(random_ore_tree(k, 3, random.Random(3)))
-    calls = branch_choices(monkeypatch)
+    calls = calls_to(coloring, "_zykov_pair")
     assert first_coloring(g.adj, k - 1) is None
     assert is_k_critical(g, k)
     assert calls == []
 
 
-def test_branching_refutes_seeded_k5_trees_in_few_choices(monkeypatch):
+def test_branching_refutes_seeded_k5_trees_in_few_choices(calls_to):
     # peeling and forced merges alone left cores on 11 of these 160, which
     # the backtracking that branching replaced then had to refute
     trees = [realize(random_ore_tree(5, s, random.Random(seed))) for s in range(1, 5) for seed in range(40)]
-    calls = branch_choices(monkeypatch)
+    calls = calls_to(coloring, "_zykov_pair")
     assert all(first_coloring(g.adj, 4) is None for g in trees)
     assert len(calls) <= len(trees) // 8
 
 
-def test_criticality_of_a_dirac_chain_at_k_10(monkeypatch):
+def test_criticality_of_a_dirac_chain_at_k_10(calls_to):
     # backtracking on the cores did not finish in 30 s; with branching the
     # 182 colorability questions take a few hundred branch nodes
     g = dirac_chain(10, 2, random.Random(0))
     assert g.n == 34
-    real = coloring._branch
-    nodes = 0
-
-    def counted(*args):
-        nonlocal nodes
-        nodes += 1
-        return real(*args)
-
-    monkeypatch.setattr(coloring, "_branch", counted)
+    nodes = calls_to(coloring, "_branch")
     assert is_k_critical(g, 10) is True
-    assert nodes <= 2 * (g.edge_count() + 1)
+    assert len(nodes) <= 2 * (g.edge_count() + 1)
 
 
-def test_a_dense_bipartite_core_rescans_only_where_merges_change_it(monkeypatch):
+def test_a_dense_bipartite_core_rescans_only_where_merges_change_it(calls_to):
     # K_(m,m) at t = 3: no pair is forced and every merge side succeeds,
     # so m - 2 merges nest. The root tests each vertex's neighbors once, and
     # after each merge only the changed vertex's neighbors are tested; they
     # hold no edge, so no pair is ever tested, where every same-side pair
     # would take C(m, 2) tests at each level.
-    real = coloring._cliques
-    tests = 0
-
-    def counted(adj, within, size, visit):
-        nonlocal tests
-        tests += 1
-        return real(adj, within, size, visit)
-
-    monkeypatch.setattr(coloring, "_cliques", counted)
+    tests = calls_to(coloring, "_cliques")
     for m in (40, 100):
         g = Graph.from_edges(2 * m, [(a, m + b) for a in range(m) for b in range(m)])
-        tests = 0
+        tests.clear()
         assert is_proper_coloring(g, first_coloring(g.adj, 3), 3)
-        assert tests <= 3 * g.n, m
+        assert len(tests) <= 3 * g.n, m
 
 
 def test_deep_branching_stays_under_the_default_recursion_limit(monkeypatch):
@@ -522,12 +394,6 @@ def test_criticality_at_the_papers_k():
 # -- colorings / chromatic_number ----------------------------------------------
 
 
-def oracle_coloring_count(g: Graph, t: int) -> int:
-    return sum(
-        all(assign[u] != assign[v] for u, v in g.edges()) for assign in itertools.product(range(t), repeat=g.n)
-    )
-
-
 def check_coloring(g: Graph, t: int) -> None:
     """For g with chromatic number t: first_coloring finds a proper
     t-coloring, and the partitions into at most t classes are the colorings
@@ -537,7 +403,7 @@ def check_coloring(g: Graph, t: int) -> None:
     parts = list(color_partitions(g, range(g.n), t))
     for part in parts:
         assert is_proper_coloring(g, part, t) and all(part)
-    assert len(set(parts)) == len(parts) == oracle_coloring_count(g, t) // math.factorial(t)
+    assert len(set(parts)) == len(parts) == oracles.colorings(g, t) // math.factorial(t)
 
 
 def test_colorable_odd_cycle():
@@ -558,14 +424,14 @@ def test_chromatic_anchors():
     assert chromatic_number(Graph.cycle(5)) == 3
     assert chromatic_number(Graph.empty(0)) == 0
     assert chromatic_number(Graph.empty(5)) == 1
-    fused = ore_compose(Graph.complete(4), (0, 1), Graph.complete(4), 0, ((1,), (2, 3)))
+    fused = fused_k4()
     assert chromatic_number(fused) == 4
 
 
 def test_chromatic_matches_assignment_oracle_on_all_small_classes():
     for n in range(1, 6):
         for g in graph_classes(n):
-            assert chromatic_number(g) == oracle_chromatic(g)
+            assert chromatic_number(g) == oracles.chromatic_number(g)
 
 
 @given(st.integers(3, 9))
@@ -584,7 +450,7 @@ def test_is_k_critical_anchors():
     assert is_k_critical(Graph.cycle(7), 3)
     assert not is_k_critical(Graph.cycle(6), 3)
     assert is_k_critical(wheel5(), 4)
-    fused = ore_compose(Graph.complete(4), (0, 1), Graph.complete(4), 0, ((1,), (2, 3)))
+    fused = fused_k4()
     assert is_k_critical(fused, 4)
 
 
@@ -593,16 +459,16 @@ def test_is_k_critical_matches_definition_on_small_classes():
     # single edge and single vertex deletions cover all maximal proper subgraphs
     for n in range(1, 6):
         for g in graph_classes(n):
-            chi = oracle_chromatic(g)
+            chi = oracles.chromatic_number(g)
             for k in (3, 4):
                 expected = (
                     chi == k
                     and all(
-                        oracle_chromatic(Graph.from_edges(g.n, [e for e in g.edges() if e != (u, v)])) <= k - 1
+                        oracles.chromatic_number(Graph.from_edges(g.n, [e for e in g.edges() if e != (u, v)])) <= k - 1
                         for u, v in g.edges()
                     )
                     and all(
-                        oracle_chromatic(g.induced(u for u in range(g.n) if u != v)[0]) <= k - 1
+                        oracles.chromatic_number(g.induced(u for u in range(g.n) if u != v)[0]) <= k - 1
                         for v in range(g.n)
                     )
                 )
@@ -647,16 +513,9 @@ def test_a_map_that_is_not_an_automorphism_fails_the_comparison(monkeypatch):
     assert is_k_critical(diamond, 3) != oracles.is_k_critical(diamond, 3)
 
 
-def test_criticality_asks_one_question_per_edge_orbit(monkeypatch):
+def test_criticality_asks_one_question_per_edge_orbit(calls_to):
     g = realize(random_ore_tree(10, 3, random.Random(3)))
-    asked = []
-    real = coloring._uncolorable_without
-
-    def counted(rows, u, v, t):
-        asked.append((u, v))
-        return real(rows, u, v, t)
-
-    monkeypatch.setattr(coloring, "_uncolorable_without", counted)
+    asked = calls_to(coloring, "_uncolorable_without")
     assert is_k_critical(g, 10)
     # one question per edge was 177
     assert g.edge_count() == 177 and len(asked) == 35
@@ -709,35 +568,7 @@ def test_find_critical_subgraphs_enumerates_several():
 
 
 # -- witness reuse in find_critical_subgraphs -----------------------------------------
-# The oracle is the search without witness stores: every "is rows - uv
-# (k-1)-colorable?" question goes to the solver. It looks the solver up on the
-# module at call time, so a counter patched in there sees both searches.
-
-
-def oracle_minimalize(rows: list[int], edges: list[tuple[int, int]], k: int) -> list[int]:
-    for u, v in edges:
-        if rows[u] >> v & 1:
-            trial = coloring._uncolorable_without(rows, u, v, k - 1)
-            if trial is not None:
-                rows = trial
-    return rows
-
-
-def oracle_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Graph]:
-    if coloring.first_coloring(g.adj, k - 1) is not None:
-        raise ValueError("graph is (k-1)-colorable; no k-critical subgraph exists")
-    edges = g.edges()
-    found: dict[tuple[int, ...], Graph] = {}
-    trials = (coloring._uncolorable_without(g.adj, u, v, k - 1) for u, v in edges)
-    for rows in itertools.chain([list(g.adj)], trials):
-        if len(found) >= limit:
-            break
-        if rows is None:
-            continue
-        w = tuple(oracle_minimalize(rows, edges, k))
-        if w not in found:
-            found[w] = Graph(g.n, w)
-    return sorted(found.values(), key=lambda w: sorted(w.edges()))
+# The oracle is ``oracles.critical_subgraphs``, the search without witness stores.
 
 
 def extension_reductions(graphs, k: int) -> list[Graph]:
@@ -773,7 +604,7 @@ def searches_of(search, g: Graph, k: int, limit: int) -> tuple[list[Graph], int]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coloring, "first_coloring", counting)
-        if search.__globals__ is not vars(coloring):
+        if search.__module__ == coloring.__name__ and search.__globals__ is not vars(coloring):
             # a mutant made by mutate() reads the solver from its own
             # namespace (patching the module's twice would undo wrongly)
             mp.setitem(search.__globals__, "first_coloring", counting)
@@ -801,17 +632,9 @@ def test_critical_subgraphs_match_the_search_without_witnesses(census4_8, census
         k = data.draw(st.integers(3, chi))
     limit = data.draw(st.integers(1, 6))
     new, new_calls = searches_of(find_critical_subgraphs, g, k, limit)
-    old, old_calls = searches_of(oracle_critical_subgraphs, g, k, limit)
+    old, old_calls = searches_of(oracles.critical_subgraphs, g, k, limit)
     assert new == old
     assert new_calls <= old_calls
-
-
-def test_witnesses_save_searches_on_every_census_reduction(census_reductions):
-    for g in census_reductions[4]:
-        for limit in range(1, 7):
-            _, new_calls = searches_of(find_critical_subgraphs, g, 4, limit)
-            _, old_calls = searches_of(oracle_critical_subgraphs, g, 4, limit)
-            assert new_calls < old_calls, (g, limit)
 
 
 def reduction_checks(census_reductions, k: int) -> list[tuple[Graph, int, int]]:
@@ -834,7 +657,7 @@ def dirac_core_checks() -> list[tuple[Graph, int, int]]:
 
 def matches_the_search_without_witnesses(checks) -> bool:
     search = coloring.find_critical_subgraphs  # a mutant patched in is read
-    return all(search(g, k, limit) == oracle_critical_subgraphs(g, k, limit) for g, k, limit in checks)
+    return all(search(g, k, limit) == oracles.critical_subgraphs(g, k, limit) for g, k, limit in checks)
 
 
 def test_core_deletions_match_the_search_without_witnesses(census_reductions, monkeypatch):
@@ -848,7 +671,7 @@ def test_core_deletions_match_the_search_without_witnesses(census_reductions, mo
     with_rule = 0
     for g, k, limit in fours:
         found, calls = searches_of(find_critical_subgraphs, g, k, limit)
-        expected, asked = searches_of(oracle_critical_subgraphs, g, k, limit)
+        expected, asked = searches_of(oracles.critical_subgraphs, g, k, limit)
         assert found == expected and calls < asked, (g, limit)
         with_rule += calls
     assert matches_the_search_without_witnesses(others)
@@ -865,7 +688,7 @@ def test_skipped_starts_lose_no_subgraph(census4_8, census5_8):
     for k, census in ((4, census4_8), (5, census5_8), (6, census_critical(8, 6))):
         for g in extension_reductions(list(census.graphs), k):
             every = g.edge_count() + 1
-            assert find_critical_subgraphs(g, k, every) == oracle_critical_subgraphs(g, k, every), (k, g)
+            assert find_critical_subgraphs(g, k, every) == oracles.critical_subgraphs(g, k, every), (k, g)
 
 
 def test_critical_subgraphs_meet_the_definition_on_every_census_reduction(census_reductions):
@@ -910,7 +733,7 @@ def test_edge_count_lemma_on_k4():
 
 
 def test_edge_count_lemma_on_composition():
-    fused = ore_compose(Graph.complete(4), (0, 1), Graph.complete(4), 0, ((1,), (2, 3)))
+    fused = fused_k4()
     assert edge_count_lemma_check(fused, 4).ok
 
 

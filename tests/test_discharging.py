@@ -23,14 +23,14 @@ from orelab import (
     classify_degree_k1,
     compute_T,
     graph_classes,
-    ore_compose,
     random_graph,
     random_ore_tree,
     realize,
     rho,
     suites,
 )
-from report_columns import ChargeRow, charge_columns, charge_rows, rows_of
+from report_columns import charge_columns, charge_rows, rows_of
+from sample_graphs import fused_k4, moved_edge, wheel5
 
 EPS4 = Fraction(1, 11)
 
@@ -51,7 +51,7 @@ def test_classify_small_anchors():
         roles, cluster_size = classify_degree_k1(g, k)
         assert all(role == "structure" for role in roles.values())
         assert set(cluster_size.values()) == {k}
-    w5 = Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
+    w5 = wheel5()
     roles, cluster_size = classify_degree_k1(w5, 4)
     assert all(roles[v] == "structure" for v in range(5))
     assert roles[5] == "not-deg-(k-1)"
@@ -107,52 +107,6 @@ def test_structure_pays_its_near_neighbor():
     assert sum(r.initial for r in rows) == sum(r.final for r in rows)
 
 
-def oracle_apply_rules(
-    g: Graph, k: int, roles: dict[int, str], cluster_size: dict[int, int]
-) -> tuple[ChargeRow, ...]:
-    """Both rules in Fraction arithmetic, one transfer at a time, with both
-    audits."""
-    eps = PotentialParams.for_k(k).eps
-    base = (k - 2) * (k + 1) + eps
-    initial = {v: base - g.degree(v) * (k - 1) for v in range(g.n)}
-    shift: dict[int, Fraction] = {v: Fraction(0) for v in range(g.n)}
-    for v in range(g.n):
-        d = g.degree(v)
-        if d >= k + 2:
-            sent_total = Fraction((k - d) * (k - 1))
-            shift[v] -= sent_total
-            per_edge = sent_total / d
-            for u in g.neighbors(v):
-                shift[u] += per_edge
-            assert initial[v] - sent_total == -2 + eps, "sender residue is off"
-    for v in range(g.n):
-        if roles[v] != "structure":
-            continue
-        near = [u for u in g.neighbors(v) if roles[u] == "near"]
-        if not near:
-            continue
-        sent_total = Fraction(-(k - 1))
-        shift[v] -= sent_total
-        for u in near:
-            shift[u] += sent_total / len(near)
-    rows = []
-    for v in range(g.n):
-        d = g.degree(v)
-        if roles[v] == "lone" and cluster_size[v] == 1:
-            label = "L"
-        elif roles[v] == "lone" and cluster_size[v] == 2:
-            label = "M"
-        elif d == k:
-            label = "P"
-        elif d == k + 1:
-            label = "Q"
-        else:
-            label = "R-other"
-        rows.append(ChargeRow(label, initial[v], initial[v] + shift[v]))
-    assert sum(r.initial for r in rows) == sum(r.final for r in rows), "rules moved charge without conserving it"
-    return tuple(rows)
-
-
 def test_integer_ledger_matches_fraction_arithmetic():
     # random roles and cluster sizes on random hosts: high-degree senders
     # and structure-to-near transfers come together, which no measure
@@ -165,18 +119,10 @@ def test_integer_ledger_matches_fraction_arithmetic():
         roles = {v: rng.choice(["structure", "near", "lone", "not-deg-(k-1)"]) for v in range(g.n)}
         cluster_size = {v: rng.randint(1, 3) for v in range(g.n) if roles[v] != "not-deg-(k-1)"}
         rows = rows_of(apply_rules(g, k, roles, cluster_size))
-        assert [str(r) for r in rows] == [str(r) for r in oracle_apply_rules(g, k, roles, cluster_size)], (g, k)
+        assert [str(r) for r in rows] == [str(r) for r in oracles.apply_rules(g, k, roles, cluster_size)], (g, k)
         senders += any(g.degree(v) >= k + 2 for v in range(g.n))
         moves += any(roles[v] == "structure" and roles[u] == "near" for v in range(g.n) for u in g.neighbors(v))
     assert senders > 100 and moves > 100
-
-
-def moved_edge(g: Graph, rng: random.Random) -> Graph:
-    """g with one edge moved to a non-edge: the same order and size."""
-    edges = g.edges()
-    drop = rng.choice(edges)
-    add = rng.choice([(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)])
-    return Graph.from_edges(g.n, [e for e in edges if e != drop] + [add])
 
 
 def oracle_hosts() -> list[tuple[Graph, int]]:
@@ -319,29 +265,21 @@ def test_catalog_is_built_only_for_vertices_in_no_small_clique(monkeypatch, cens
 
 
 def test_wheel_labels():
-    w5 = Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
+    w5 = wheel5()
     rep = charge_report(w5, 4)
     assert rep.sizes == {"L": 0, "M": 0, "P": 0, "Q": 1, "R-other": 5}
     q_vertex = next(v for v, r in enumerate(charge_rows(w5, 4)) if r.label == "Q")
     assert q_vertex == 5 and w5.degree(q_vertex) == 5
 
 
-def test_clusters_are_found_once_per_report(monkeypatch):
-    calls = []
-    clusters = orelab.discharging.clusters
-
-    def counting_clusters(g, k):
-        calls.append(g.n)
-        return clusters(g, k)
-
-    monkeypatch.setattr(orelab.discharging, "clusters", counting_clusters)
-    g = ore_compose(Graph.complete(4), (0, 1), Graph.complete(4), 0, ((1,), (2, 3)))
-    charge_report(g, 4)
-    assert calls == [7]
+def test_clusters_are_found_once_per_report(calls_to):
+    calls = calls_to(orelab.discharging, "clusters")
+    charge_report(fused_k4(), 4)
+    assert [g.n for g, _ in calls] == [7]
 
 
 def test_report_is_deterministic():
-    g = ore_compose(Graph.complete(4), (0, 1), Graph.complete(4), 0, ((1,), (2, 3)))
+    g = fused_k4()
     a = charge_report(g, 4)
     b = charge_report(g, 4)
     assert a == b

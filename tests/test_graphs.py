@@ -32,44 +32,23 @@ from orelab.census import _augment, random_graph
 from orelab.cli import _read_graphs
 from orelab.graphs import (
     MAX_VERTICES,
-    _adjacency_bits,
     _cliques,
     _graph_of_key,
-    _orbit_firsts,
     _quotient,
     _refine,
     _search,
-    _twin_cell,
     bits_of,
     components,
     mask_of,
 )
 from orelab.orekit import random_ore_tree, realize
+from sample_graphs import graphs, petersen
 
 
 def all_labeled_graphs(n: int):
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-
-
-def brute_class_id(g: Graph) -> frozenset:
-    """Smallest edge set reachable by relabeling; a true isomorphism invariant."""
-    best = None
-    for perm in itertools.permutations(range(g.n)):
-        edges = frozenset(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges())
-        key = tuple(sorted(edges))
-        if best is None or key < best[0]:
-            best = (key, edges)
-    return best[1]
-
-
-@st.composite
-def graphs(draw, min_n=0, max_n=8):
-    n = draw(st.integers(min_n, max_n))
-    pairs = list(itertools.combinations(range(n), 2))
-    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
-    return Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -330,7 +309,7 @@ def test_canonical_classes_match_permutation_brute_force(n, expected):
     by_brute: dict[frozenset, set] = {}
     by_key: dict[tuple, set] = {}
     for i, g in enumerate(all_labeled_graphs(n)):
-        by_brute.setdefault(brute_class_id(g), set()).add(i)
+        by_brute.setdefault(oracles.class_id(g), set()).add(i)
         by_key.setdefault(canonical_key(g), set()).add(i)
     assert len(by_brute) == expected
     # same partition of the labeled graphs, not merely the same class count
@@ -359,13 +338,6 @@ def test_canonical_key_is_relabeling_invariant(g, rnd):
 
 
 # -- automorphisms and the pruned search ---------------------------------------
-
-
-def petersen() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph.from_edges(10, outer + spokes + inner)
 
 
 def copies(g: Graph, count: int) -> Graph:
@@ -428,42 +400,15 @@ def group_order(n: int, generators) -> int:
     return len(seen)
 
 
-def _rescan_refine(adj, cells):
-    """The oracle for ``_refine``: each round splits every cell by its
-    members' neighbor counts into every current cell, ordering the sub-cells
-    by the tuple of counts, until a round splits nothing."""
-    while True:
-        masks = [mask_of(cell) for cell in cells]
-        new_cells = []
-        changed = False
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            sig = {}
-            for v in cell:
-                key = tuple((adj[v] & m).bit_count() for m in masks)
-                sig.setdefault(key, []).append(v)
-            if len(sig) == 1:
-                new_cells.append(cell)
-            else:
-                changed = True
-                for key in sorted(sig):
-                    new_cells.append(sig[key])
-        cells = new_cells
-        if not changed:
-            return cells
-
-
 @st.composite
 def refinement_graphs(draw):
-    """Every class on at most 7 vertices, random graphs on at most 24,
+    """Every class on at most 7 vertices, random graphs on at most 40,
     seeded Ore trees at k = 4..6 and the cycle families, relabelled."""
     source = draw(st.sampled_from(["class", "random", "ore", "cycles"]))
     if source == "class":
         g = draw(st.sampled_from(graph_classes(draw(st.integers(0, 7)))))
     elif source == "random":
-        g = random_graph(random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(0, 24)))
+        g = random_graph(random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(0, 40)))
     elif source == "ore":
         k, steps, seed = draw(st.integers(4, 6)), draw(st.integers(1, 3)), draw(st.integers(0, 99))
         g = realize(random_ore_tree(k, steps, random.Random(seed)))
@@ -480,39 +425,31 @@ def test_splitter_refinement_matches_the_full_rescan(g, data):
     bounds = [0] + cuts + [g.n]
     cells = [order[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
     # any ordered partition, with every cell a splitter
-    assert _refine(g.adj, cells, [mask_of(cell) for cell in cells]) == _rescan_refine(g.adj, cells)
+    assert _refine(g.adj, cells, [mask_of(cell) for cell in cells]) == oracles.rescan_refine(g.adj, cells)
     # a stable partition with one vertex individualized, as the search's children
-    stable = _rescan_refine(g.adj, cells)
+    stable = oracles.rescan_refine(g.adj, cells)
     choices = [(i, v) for i, cell in enumerate(stable) if len(cell) > 1 for v in cell]
     if choices:
         i, v = data.draw(st.sampled_from(choices))
         child = stable[:i] + [[v], [u for u in stable[i] if u != v]] + stable[i + 1:]
-        assert _refine(g.adj, child, [1 << v]) == _rescan_refine(g.adj, child)
+        assert _refine(g.adj, child, [1 << v]) == oracles.rescan_refine(g.adj, child)
 
 
-def _reference_leaves(g: Graph):
-    """The unpruned walk: every leaf of the individualization tree below the
-    one-cell partition, as (bits, order, cells) in search order. It refines
-    with the full rescan and uses the pruned search's branching cell and
-    child order, so its first leaf with the most bits is the canonical one."""
-
-    def search(cells):
-        cells = _rescan_refine(g.adj, cells)
-        masks = [mask_of(cell) for cell in cells]
-        for i, cell in enumerate(cells):
-            if len(cell) > 1 and not _twin_cell(g.adj, masks, i):
-                for v in cell:
-                    rest = [u for u in cell if u != v]
-                    yield from search(cells[:i] + [[v], rest] + cells[i + 1:])
-                return
-        order = [v for cell in cells for v in cell]
-        yield _adjacency_bits(g.adj, order), order, cells
-
-    return search([list(range(g.n))])
+def test_splitter_refinement_matches_the_full_rescan_past_15_neighbours():
+    # a vertex of G(n, 1/2) with n up to 40 has more than 15 neighbours in a
+    # large cell, so a key whose fields were too narrow for a count would
+    # merge or misorder cells that the rescan keeps apart
+    rng = random.Random("wide refinement")
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(25, 40))
+        order = rng.sample(range(g.n), g.n)
+        bounds = [0] + sorted(rng.sample(range(1, g.n), rng.randint(1, 4))) + [g.n]
+        cells = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+        assert _refine(g.adj, cells, [mask_of(cell) for cell in cells]) == oracles.rescan_refine(g.adj, cells)
 
 
 def check_witnessed_automorphisms(g: Graph) -> None:
-    leaves = list(_reference_leaves(g))
+    leaves = list(oracles.search_leaves(g))
     bits = max(leaf[0] for leaf in leaves)
     best = [(order, cells) for leaf_bits, order, cells in leaves if leaf_bits == bits]
     first, first_cells = best[0]
@@ -643,100 +580,6 @@ def test_cycle_families_need_few_refinements(monkeypatch):
         assert found == orbits, spec
 
 
-def _tuple_refine(adj, cells, splitters):
-    """The oracle for ``_refine``'s integer keys: the same splitter
-    refinement with each vertex keyed by the tuple of its counts."""
-    while splitters:
-        new_cells = []
-        next_splitters = []
-        one = splitters[0] if len(splitters) == 1 else None
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            sig = {}
-            for v in cell:
-                row = adj[v]
-                key = (row & one).bit_count() if one is not None else tuple((row & m).bit_count() for m in splitters)
-                sig.setdefault(key, []).append(v)
-            if len(sig) == 1:
-                new_cells.append(cell)
-                continue
-            pieces = [sig[key] for key in sorted(sig)]
-            new_cells += pieces
-            next_splitters += [mask_of(piece) for piece in pieces[:-1]]
-        cells, splitters = new_cells, next_splitters
-    return cells
-
-
-def _tuple_search(g: Graph):
-    """The oracle for ``_search``: the same pruned search over
-    ``_tuple_refine``, returning (key, labeling, generators)."""
-    adj = g.adj
-    first = best = []
-    first_bits = best_bits = -1
-    gens = []
-
-    def search(cells, path, on_first):
-        nonlocal first, first_bits, best, best_bits
-        cells = _tuple_refine(adj, cells, [1 << path[-1]] if path else [g.full_mask()])
-        masks = [mask_of(cell) for cell in cells] if len(cells) < g.n else []
-        for i, cell in enumerate(cells):
-            if len(cell) > 1 and not _twin_cell(adj, masks, i):
-                stab = gens if on_first else [p for p in gens if all(p[u] == u for u in path)]
-                tried = []
-                for v in cell:
-                    if tried and stab and _orbit_firsts(tried + [v], stab)[-1] != v:
-                        continue
-                    child = cells[:i] + [[v], [u for u in cell if u != v]] + cells[i + 1:]
-                    if search(child, path + [v], on_first and not tried) and not on_first:
-                        return True
-                    tried.append(v)
-                return False
-        order = [v for cell in cells for v in cell]
-        bits = _adjacency_bits(adj, order)
-        if on_first:
-            first, first_bits, best, best_bits = order, bits, order, bits
-            for u, v in [(u, v) for cell in cells if len(cell) > 1 for u, v in zip(cell, cell[1:])]:
-                perm = list(range(g.n))
-                perm[u], perm[v] = v, u
-                gens.append(perm)
-            return False
-        if bits > best_bits:
-            best_bits, best = bits, order
-        if bits == first_bits:
-            gens.append([v for _, v in sorted(zip(first, order))])
-        return bits == first_bits
-
-    search([list(range(g.n))], [], True)
-    return (g.n, best_bits), tuple(best), gens
-
-
-def check_labelling_oracle(g: Graph) -> None:
-    form, generators = _search(g)
-    assert (form.key, form.labeling, generators) == _tuple_search(g)
-
-
-def test_integer_keys_label_every_small_class_as_tuples():
-    check_labelling_oracle(Graph.empty(0))
-    for n in range(8):
-        for g in graph_classes(n):
-            check_labelling_oracle(g)
-
-
-def test_integer_keys_label_the_cycle_families_as_tuples():
-    short, long = copies(Graph.cycle(5), 3), Graph.cycle(15)
-    for g in (copies(Graph.cycle(5), 4), disjoint_union(short, long), disjoint_union(long, short)):
-        check_labelling_oracle(g)
-
-
-@given(st.integers(0, 40), st.integers(0, 2**32 - 1), st.data())
-@settings(max_examples=100, deadline=None)
-def test_integer_keys_label_random_graphs_as_tuples(n, seed, data):
-    g = random_graph(random.Random(seed), n)
-    check_labelling_oracle(g.relabelled(data.draw(st.permutations(range(n)))))
-
-
 # -- graph6 --------------------------------------------------------------------
 
 
@@ -745,22 +588,6 @@ def test_graph6_published_format_anchors():
     star = graph6_decode("D?{")
     assert star == Graph.from_edges(5, [(0, 4), (1, 4), (2, 4), (3, 4)])
     assert graph6_encode(star) == "D?{"
-
-
-def test_graph6_errors_carry_offsets():
-    with pytest.raises(GraphFormatError) as exc:
-        graph6_decode("")
-    assert exc.value.offset == 0
-    with pytest.raises(GraphFormatError):
-        graph6_decode("D?")  # truncated adjacency bytes
-    with pytest.raises(GraphFormatError):
-        graph6_decode("D?{{")  # trailing data
-    with pytest.raises(GraphFormatError):
-        graph6_decode("D\x1f{")  # byte below 63
-    with pytest.raises(GraphFormatError):
-        graph6_decode("~~????")  # 8-byte count form
-    with pytest.raises(GraphFormatError):
-        graph6_decode("B~")  # n=3 leaves three padding bits, all set here
     assert graph6_decode("C~") == Graph.complete(4)  # n=4 fills the byte exactly
 
 
@@ -798,17 +625,10 @@ def graph6_graphs(draw):
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
-def _decoded(text):
+def _decoded(text, decode=graph6_decode):
     """The decoded graph, or the error's message and offset."""
     try:
-        return graph6_decode(text)
-    except GraphFormatError as exc:
-        return str(exc), exc.offset
-
-
-def _oracle_decoded(text):
-    try:
-        return oracles.graph6_decode(text)
+        return decode(text)
     except GraphFormatError as exc:
         return str(exc), exc.offset
 
@@ -843,15 +663,21 @@ def test_graph6_faults_match_the_bitwise_codec(g, data):
             ]
         )
     )
-    assert _decoded(bad) == _oracle_decoded(bad), bad
+    assert _decoded(bad) == _decoded(bad, oracles.graph6_decode), bad
     raw = bad.encode("utf-8")
-    assert _decoded(raw) == _oracle_decoded(raw), raw
+    assert _decoded(raw) == _decoded(raw, oracles.graph6_decode), raw
+
+
+def test_graph6_errors_carry_offsets():
+    # empty, truncated, trailing data, byte below 63, 8-byte count, set padding bits
+    for bad in ["", "D?", "D?{{", "D\x1f{", "~~????", "B~"]:
+        got, want = _decoded(bad), _decoded(bad, oracles.graph6_decode)
+        assert isinstance(got, tuple) and got == want, bad
 
 
 def test_graph6_fault_messages_and_offsets():
-    faults = ["", "D?", "D?{{", "D\x1f{", "~~????", "B~", "A`", "~?", "~?@~", "D?\xe9", "\x7f", "~?A?"]
-    for bad in faults + [b"D\xff{"]:
-        got, want = _decoded(bad), _oracle_decoded(bad)
+    for bad in ["A`", "~?", "~?@~", "D?\xe9", "\x7f", "~?A?", b"D\xff{"]:
+        got, want = _decoded(bad), _decoded(bad, oracles.graph6_decode)
         assert isinstance(got, tuple) and got == want, bad
 
 
@@ -873,12 +699,6 @@ def test_graph6_agrees_with_networkx():
             assert {tuple(sorted(e)) for e in theirs.edges} == set(g.edges())
             back = nx.to_graph6_bytes(theirs, header=False).strip().decode()
             assert graph6_decode(back) == g
-
-
-@given(graphs(max_n=40))
-@settings(max_examples=100, deadline=None)
-def test_graph6_roundtrip_random(g):
-    assert graph6_decode(graph6_encode(g)) == g
 
 
 def test_to_dot_lists_every_vertex_and_edge():

@@ -12,6 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from orelab import graphs, orekit
 from orelab import (
     Graph,
@@ -41,14 +42,7 @@ from orelab import (
     tree_to_json,
 )
 from orelab.graphs import components
-
-
-def one_step() -> Node:
-    return Node(Leaf(4), Leaf(4), (0, 1), 0, ((1,), (2, 3)))
-
-
-def wheel5() -> Graph:
-    return Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
+from sample_graphs import fused_k4, moved_edge, one_step, wheel5
 
 
 def steps(tree) -> int:
@@ -67,7 +61,7 @@ def seeded_trees(k: int, count: int, max_steps: int, seed: str):
 
 
 def test_compose_counts():
-    g = ore_compose(Graph.complete(4), (0, 1), Graph.complete(4), 0, ((1,), (2, 3)))
+    g = fused_k4()
     assert g.n == 7 and g.edge_count() == 11
 
 
@@ -110,19 +104,6 @@ def test_compose_rejects_bad_arguments():
         realize(tree_loads(json.dumps(node)))
 
 
-def ore_compose_by_edges(g1: Graph, xy, g2: Graph, z: int, partition) -> Graph:
-    """The composition built as an edge list, for valid arguments: the
-    oracle for ore_compose's row construction."""
-    x, y = xy
-    n1 = g1.n
-    remap = {w: n1 + w - (1 if w > z else 0) for w in range(g2.n) if w != z}
-    edges = [e for e in g1.edges() if set(e) != {x, y}]
-    edges += [(remap[u], remap[v]) for u, v in g2.edges() if z not in (u, v)]
-    edges += [(x, remap[w]) for w in partition[0]]
-    edges += [(y, remap[w]) for w in partition[1]]
-    return Graph.from_edges(n1 + g2.n - 1, edges)
-
-
 @given(st.integers(4, 6), st.integers(0, 2**32 - 1), st.data())
 @settings(max_examples=80, deadline=None)
 def test_compose_matches_the_edge_list_oracle(k, seed, data):
@@ -134,7 +115,7 @@ def test_compose_matches_the_edge_list_oracle(k, seed, data):
     nbrs = data.draw(st.permutations(g2.neighbors(z)))
     cut = data.draw(st.integers(1, len(nbrs) - 1))
     halves = (tuple(nbrs[:cut]), tuple(nbrs[cut:]))
-    assert ore_compose(g1, edge, g2, z, halves) == ore_compose_by_edges(g1, edge, g2, z, halves)
+    assert ore_compose(g1, edge, g2, z, halves) == oracles.compose_by_edges(g1, edge, g2, z, halves)
 
 
 def test_realize_counts_and_ky_value():
@@ -370,24 +351,6 @@ def test_decompositions_replay():
         assert canonical_key(realize(t2)) == canonical_key(g2)
 
 
-def _sides_by_edge_lists(g: Graph, a: int, b: int, split_mask: int):
-    """Both sides of a split, built as an induced subgraph followed by adding
-    the edge ab, and as an induced subgraph followed by merging a and b into
-    its last id with the other vertices kept in order, from edge lists."""
-    outside = [v for v in range(g.n) if not split_mask >> v & 1]
-    map1 = {v: i for i, v in enumerate(outside)}
-    edges1 = [(map1[u], map1[v]) for u, v in g.edges() if u in map1 and v in map1]
-    g1 = Graph.from_edges(len(outside), edges1 + [(map1[a], map1[b])])
-    inside = sorted(set(bits_of(split_mask)) | {a, b})
-    sub_map = {v: i for i, v in enumerate(inside)}
-    x, y = sub_map[a], sub_map[b]
-    merged = {old: new for new, old in enumerate(u for u in range(len(inside)) if u not in (x, y))}
-    merged[x] = merged[y] = len(inside) - 2
-    map2 = {v: merged[i] for v, i in sub_map.items()}
-    edges2 = {(map2[u], map2[v]) for u, v in g.edges() if u in map2 and v in map2 and map2[u] != map2[v]}
-    return (g1, map1), (Graph.from_edges(len(inside) - 1, edges2), map2)
-
-
 def test_decompose_sides_match_the_edge_list_construction(monkeypatch):
     # every candidate split reaches both sides when every side is recognized
     monkeypatch.setattr(orekit, "_recognize", lambda g, k: Leaf(k))
@@ -397,43 +360,10 @@ def test_decompose_sides_match_the_edge_list_construction(monkeypatch):
         for tree in trees:
             g = realize(tree)
             for a, b, split_mask, (g1, map1, _), (g2, map2, _) in orekit._decompose(g, k):
-                assert ((g1, map1), (g2, map2)) == _sides_by_edge_lists(g, a, b, split_mask)
+                assert ((g1, map1), (g2, map2)) == oracles.sides_by_edge_lists(g, a, b, split_mask)
                 count += 1
         assert count == sum(1 for tree in trees for _ in orekit._candidate_splits(realize(tree)))
         assert count > len(trees)
-
-
-def _candidate_splits_by_pair_scan(g: Graph):
-    """The split enumeration before the cut-vertex filter: components of
-    g - {a, b} scanned for every nonadjacent pair."""
-    full = g.full_mask()
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            if g.has_edge(a, b):
-                continue
-            comps = components(g.adj, full & ~(1 << a) & ~(1 << b))
-            if len(comps) < 2:
-                continue
-            for sel in range(1, (1 << len(comps)) - 1):
-                split_mask = 0
-                for i in range(len(comps)):
-                    if sel >> i & 1:
-                        split_mask |= comps[i]
-                if not g.adj[a] & split_mask or not g.adj[b] & split_mask:
-                    continue
-                if g.adj[a] & g.adj[b] & split_mask:
-                    continue
-                yield a, b, split_mask
-
-
-def _moved_edge(g: Graph, rng: random.Random) -> Graph:
-    """g with one edge moved to a non-edge: same order and size, and at
-    k = 4, 5 almost never composed (a near miss)."""
-    edges = g.edges()
-    non_edges = [(u, v) for u, v in itertools.combinations(range(g.n), 2) if not g.has_edge(u, v)]
-    drop = rng.choice(edges)
-    add = rng.choice(non_edges)
-    return Graph.from_edges(g.n, [e for e in edges if e != drop] + [add])
 
 
 def binomial_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -447,9 +377,9 @@ def test_candidate_splits_match_the_pair_scan():
     for k in (4, 5):
         for tree in seeded_trees(k, 30, 4, f"splits:{k}"):
             g = realize(tree)
-            corpus += [g, _moved_edge(g, rng)]
+            corpus += [g, moved_edge(g, rng)]
     for g in corpus:
-        assert list(orekit._candidate_splits(g)) == list(_candidate_splits_by_pair_scan(g)), g
+        assert list(orekit._candidate_splits(g)) == list(oracles.candidate_splits_by_pair_scan(g)), g
 
 
 @given(st.integers(0, 12), st.integers(0, 2**66 - 1), st.data())
@@ -506,18 +436,12 @@ def test_gadget_catalog_from_composition():
         assert gadget.key_vertices == frozenset(remap[v] for v in keys if v != x)
 
 
-def test_gadget_catalog_finds_key_vertices_once_per_tree(monkeypatch):
-    calls = []
-
-    def counted(tree):
-        calls.append(tree)
-        return key_vertices(tree)
-
-    monkeypatch.setattr(orekit, "key_vertices", counted)
+def test_gadget_catalog_finds_key_vertices_once_per_tree(calls_to):
+    calls = calls_to(orekit, "key_vertices")
     for k in (4, 5):
         calls.clear()
         fresh = gadget_catalog.__wrapped__(k, 2)
-        assert calls == list(ore_catalog(k, 2))
+        assert [tree for (tree,) in calls] == list(ore_catalog(k, 2))
         assert fresh == gadget_catalog(k, 2)
 
 
@@ -545,47 +469,15 @@ def test_catalog_sizes_and_contents():
         assert is_k_ore(realize(tree), 4) is not None
 
 
-def unreduced_catalog(k: int, max_steps: int) -> tuple:
-    """The catalog loop without orbit pruning: every sorted edge of the edge
-    side with every split of every vertex of the split side."""
-    levels = [{canonical_key(Graph.complete(k)): Leaf(k)}]
-    for step in range(1, max_steps + 1):
-        found = {}
-        for l1 in range(step):
-            for t1 in levels[l1].values():
-                g1 = realize(t1)
-                for t2 in levels[step - 1 - l1].values():
-                    g2 = realize(t2)
-                    for edge in sorted(g1.edges()):
-                        for z in range(g2.n):
-                            nbrs = sorted(v for v in range(g2.n) if g2.has_edge(z, v))
-                            for sel in range(1, (1 << len(nbrs)) - 1):
-                                halves = (
-                                    tuple(v for i, v in enumerate(nbrs) if sel >> i & 1),
-                                    tuple(v for i, v in enumerate(nbrs) if not sel >> i & 1),
-                                )
-                                key = canonical_key(ore_compose(g1, edge, g2, z, halves))
-                                found.setdefault(key, Node(t1, t2, edge, z, halves))
-        levels.append(found)
-    return tuple(level[key] for level in levels for key in sorted(level))
-
-
 @pytest.mark.parametrize("k,max_steps", [(4, 2), (5, 2), (6, 1)])
 def test_catalog_matches_the_unreduced_loop(k, max_steps):
-    assert ore_catalog.__wrapped__(k, max_steps) == unreduced_catalog(k, max_steps)
+    assert ore_catalog.__wrapped__(k, max_steps) == oracles.unreduced_catalog(k, max_steps)
 
 
-def test_catalog_composes_one_pair_per_orbit(monkeypatch):
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return ore_compose(*args)
-
-    monkeypatch.setattr(orekit, "ore_compose", counted)
+def test_catalog_composes_one_pair_per_orbit(calls_to):
+    calls = calls_to(orekit, "ore_compose")
     assert len(ore_catalog.__wrapped__(6, 2)) == 51
-    assert calls <= 200  # the unreduced loop composes 28,324 pairs
+    assert len(calls) <= 200  # the unreduced loop composes 28,324 pairs
 
 
 def composition_side_candidates(g: Graph) -> tuple[list, list]:

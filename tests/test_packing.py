@@ -3,16 +3,15 @@
 The branch-and-bound solver must agree with compute_T_bruteforce everywhere;
 the bowtie case pins down why "drop K_{k-2}s inside used K_{k-1}s" style
 shortcuts were rejected: the best packing can take a triangle from one bowtie
-lobe and only an edge from the other. old_compute_T keeps the search as it
-was before the vertex-weight bound; a sharper bound may only cut more
-subtrees, so the solver must still return the very same witness. It also
-lists its candidates with two clique searches, one per order, so it checks
-the solver's one-pass listing as well.
+lobe and only an edge from the other. ``tests/oracles.compute_T`` keeps the
+search on clique tuples with a weaker bound; a sharper bound may only cut
+more subtrees, so the solver must still return the very same witness. It
+also lists its candidates with two clique searches, one per order, so it
+checks the solver's one-pass listing as well.
 """
 
 import random
 from functools import lru_cache
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,53 +31,16 @@ from orelab import (
     graph6_decode,
     graph6_encode,
     graph_classes,
-    mask_of,
     ore_compose,
     random_graph,
     random_ore_tree,
     realize,
 )
+from sample_graphs import graphs, moved_edge
 
 
 def bowtie() -> Graph:
     return Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
-
-
-def old_compute_T(g: Graph, k: int) -> PackingWitness:
-    """compute_T as it was before the vertex-weight bound: the same candidates,
-    order and include/exclude search, pruned by min(2a + b, 2*free/(k-1))."""
-    big = cliques_of_size(g, k - 1)
-    small = cliques_of_size(g, k - 2)
-    if not small:
-        return PackingWitness((), 0)
-    cand = sorted([(2, cl) for cl in big] + [(1, cl) for cl in small], key=lambda wc: (-wc[0], wc[1]))
-    weights = [w for w, _ in cand]
-    masks = [mask_of(cl) for _, cl in cand]
-    best = [-1, ()]
-
-    def dfs(indices, used, value, chosen):
-        if value > best[0]:
-            best[:] = [value, tuple(chosen)]
-        if not indices:
-            return
-        a = sum(1 for i in indices if weights[i] == 2)
-        free = g.n - used.bit_count()
-        if value + min(2 * a + len(indices) - a, (2 * free) // (k - 1)) <= best[0]:
-            return
-        head, rest = indices[0], indices[1:]
-        dfs([i for i in rest if not masks[i] & masks[head]], used | masks[head],
-            value + weights[head], chosen + [head])
-        dfs(rest, used, value, chosen)
-
-    dfs(list(range(len(cand))), 0, 0, [])
-    return PackingWitness(tuple(cand[i][1] for i in best[1]), best[0])
-
-
-def move_one_edge(g: Graph, rng: random.Random) -> Graph:
-    edges = g.edges()
-    drop = rng.choice(edges)
-    add = rng.choice([p for p in combinations(range(g.n), 2) if not g.has_edge(*p)])
-    return Graph.from_edges(g.n, [e for e in edges if e != drop] + [add])
 
 
 def test_complete_graph_anchors():
@@ -134,9 +96,7 @@ def test_matches_bruteforce_on_all_small_classes():
     for n in range(1, 7):
         for g in graph_classes(n):
             for k in (4, 5):
-                witness = compute_T(g, k)
-                assert witness == old_compute_T(g, k)
-                assert witness.value == compute_T_bruteforce(g, k)
+                assert compute_T(g, k).value == compute_T_bruteforce(g, k)
 
 
 def test_matches_bruteforce_on_seeded_random_graphs():
@@ -171,8 +131,7 @@ def test_one_step_composition_at_k20():
 
 def test_one_step_composition_at_k33():
     # the paper's regime starts at k = 33, where one step already has 65 vertices
-    k33 = Graph.complete(33)
-    g = ore_compose(k33, (0, 1), k33, 0, (tuple(range(1, 17)), tuple(range(17, 33))))
+    g = k33_one_step()
     assert g.n == 65
     witness = compute_T(g, 33)
     check_witness(g, 33, witness)
@@ -181,29 +140,7 @@ def test_one_step_composition_at_k33():
     assert graph6_decode(graph6_encode(g)) == g
 
 
-def test_witness_matches_the_old_bound_on_composed_graphs():
-    # the bound only decides which subtrees are cut, never the order of the
-    # search, so the first optimum found (the witness) must not change
-    rng = random.Random(909)
-    for k, max_steps in ((4, 6), (5, 4)):
-        for steps in range(1, max_steps + 1):
-            for _ in range(4):
-                g = realize(random_ore_tree(k, steps, rng), k)
-                perm = list(range(g.n))
-                rng.shuffle(perm)
-                for h in (g, g.relabelled(perm), move_one_edge(g, rng)):
-                    assert compute_T(h, k) == old_compute_T(h, k)
-
-
-@st.composite
-def small_graphs(draw, max_n=11):
-    n = draw(st.integers(1, max_n))
-    pairs = list(combinations(range(n), 2))
-    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
-    return Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-
-
-@given(small_graphs(), st.integers(4, 6))
+@given(graphs(min_n=1, max_n=11), st.integers(4, 6))
 @settings(max_examples=150, deadline=None)
 def test_matches_bruteforce_on_hypothesis_graphs(g, k):
     witness = compute_T(g, k)
@@ -236,25 +173,54 @@ def k33_one_step() -> Graph:
 
 
 @lru_cache(maxsize=None)
-def listing_inputs() -> tuple[tuple[Graph, int], ...]:
-    """(graph, k): every class with n <= 7 at k = 4, 5, 6; the order-8
-    census at its k = 4, 5, 6; seeded composed graphs with 1 to 4 steps at
-    k = 4, 5, 6, each with a near miss; the k = 33 one-step graph."""
+def tuple_oracle_inputs() -> dict[str, tuple[tuple[Graph, int], ...]]:
+    """(graph, k) in three seeded draws: "drawn" (classes n <= 7, random
+    graphs n <= 12, composed graphs at k = 4..8 and 33 with near misses),
+    "structured" (the order-8 census at k = 4..6, composed graphs with near
+    misses, the k = 33 one-step graph), "relabelled" (composed, k = 4, 5)."""
+    rng = random.Random("packing oracle")
+    drawn = [(g, k) for n in range(1, 8) for g in graph_classes(n) for k in (4, 5, 6)]
+    drawn += [(random_graph(rng, rng.randint(1, 12)), rng.randint(4, 6)) for _ in range(300)]
+    for k, max_steps in ((4, 6), (5, 4), (6, 3), (7, 2), (8, 2), (33, 1)):
+        for steps in range(1, max_steps + 1):
+            for _ in range(2):
+                g = realize(random_ore_tree(k, steps, rng), k)
+                drawn += [(g, k), (moved_edge(g, rng), k)]
+    structured = [(g, k) for k in (4, 5, 6) for g in census_critical(8, k).graphs]
     rng = random.Random(27)
-    out = [(g, k) for n in range(1, 8) for g in graph_classes(n) for k in (4, 5, 6)]
-    out += [(g, k) for k in (4, 5, 6) for g in census_critical(8, k).graphs]
     for k in (4, 5, 6):
         for steps in range(1, 5):
             for _ in range(3):
                 g = realize(random_ore_tree(k, steps, rng), k)
-                out += [(g, k), (move_one_edge(g, rng), k)]
-    out.append((k33_one_step(), 33))
-    return tuple(out)
+                structured += [(g, k), (moved_edge(g, rng), k)]
+    structured.append((k33_one_step(), 33))
+    rng = random.Random(909)
+    relabelled = []
+    for k, max_steps in ((4, 6), (5, 4)):
+        for steps in range(1, max_steps + 1):
+            for _ in range(4):
+                g = realize(random_ore_tree(k, steps, rng), k)
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                relabelled += [(g, k), (g.relabelled(perm), k), (moved_edge(g, rng), k)]
+    return {"drawn": tuple(drawn), "structured": tuple(structured), "relabelled": tuple(relabelled)}
+
+
+def test_witness_matches_the_tuple_oracle():
+    # the mask search keeps the tuple search's order: value and cliques agree
+    for g, k in tuple_oracle_inputs()["drawn"]:
+        assert compute_T(g, k) == oracles.compute_T(g, k), (g, k)
 
 
 def test_one_pass_listing_on_every_structured_input():
-    for g, k in listing_inputs():
-        assert compute_T(g, k) == old_compute_T(g, k)
+    for g, k in tuple_oracle_inputs()["structured"]:
+        assert compute_T(g, k) == oracles.compute_T(g, k), (g, k)
+
+
+def test_witness_matches_the_old_bound_on_composed_graphs():
+    # the tuple copy's cover bound cuts other subtrees, never the first optimum
+    for g, k in tuple_oracle_inputs()["relabelled"]:
+        assert compute_T(g, k) == oracles.compute_T(g, k), (g, k)
 
 
 @given(st.data())
@@ -262,23 +228,6 @@ def test_one_pass_listing_on_every_structured_input():
 def test_one_pass_listing_ignores_vertex_labels(data):
     # a relabelling changes the listing order and so may change the witness,
     # never the agreement with the two-pass listing
-    g, k = data.draw(st.sampled_from(listing_inputs()))
+    g, k = data.draw(st.sampled_from(sum(tuple_oracle_inputs().values(), ())))
     h = g.relabelled(data.draw(st.permutations(range(g.n))))
-    assert compute_T(h, k) == old_compute_T(h, k)
-
-
-def test_witness_matches_the_tuple_oracle():
-    """The mask search keeps the tuple search's order, so value and
-    cliques agree: on every class with n <= 7 at k = 4, 5, 6, on seeded
-    random graphs with n <= 12, and on seeded composed graphs at k = 4..8
-    and 33."""
-    rng = random.Random("packing oracle")
-    inputs = [(g, k) for n in range(1, 8) for g in graph_classes(n) for k in (4, 5, 6)]
-    inputs += [(random_graph(rng, rng.randint(1, 12)), rng.randint(4, 6)) for _ in range(300)]
-    for k, max_steps in ((4, 6), (5, 4), (6, 3), (7, 2), (8, 2), (33, 1)):
-        for steps in range(1, max_steps + 1):
-            for _ in range(2):
-                g = realize(random_ore_tree(k, steps, rng), k)
-                inputs += [(g, k), (move_one_edge(g, rng), k)]
-    for g, k in inputs:
-        assert compute_T(g, k) == oracles.compute_T(g, k), (g, k)
+    assert compute_T(h, k) == oracles.compute_T(h, k)

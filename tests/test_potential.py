@@ -21,21 +21,13 @@ from orelab import (
     ky_edge_bound,
     main_potential_bound,
     ore_catalog,
-    ore_compose,
     realize,
     rho,
     rho_ky,
     rho_subset,
     rho_value,
 )
-
-
-def fused_k4() -> Graph:
-    return ore_compose(Graph.complete(4), (0, 1), Graph.complete(4), 0, ((1,), (2, 3)))
-
-
-def wheel5() -> Graph:
-    return Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
+from sample_graphs import fused_k4, wheel5
 
 
 def test_params():

@@ -361,3 +361,22 @@ def test_census_imports_nothing_from_coloring():
     census = importlib.import_module("orelab.census")
     from_coloring = [name for name, value in vars(census).items() if getattr(value, "__module__", None) == "orelab.coloring"]
     assert from_coloring == []
+
+
+def test_no_test_module_imports_another():
+    """Shared test code lives in helper modules such as ``oracles`` and
+    ``sample_graphs``; no ``tests/test_*.py`` imports another test module,
+    by any form of import, so each reference has one home."""
+    tests = Path(__file__).resolve().parent
+    test_modules = {path.stem for path in tests.glob("test_*.py")}
+    found = []
+    for path in sorted(tests.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if set(name.split(".")) & test_modules]
+    assert found == []

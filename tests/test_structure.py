@@ -12,6 +12,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import orelab.coloring
 import orelab.suites
 from orelab import (
@@ -35,7 +36,6 @@ from orelab import (
     mic,
     minimum_colorings,
     ore_catalog,
-    ore_compose,
     random_graph,
     random_ore_tree,
     realize,
@@ -43,14 +43,7 @@ from orelab import (
     rho_subset,
 )
 from report_columns import extensions_with_colorings, phi
-
-
-def wheel5() -> Graph:
-    return Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
-
-
-def fused_k4() -> Graph:
-    return ore_compose(Graph.complete(4), (0, 1), Graph.complete(4), 0, ((1,), (2, 3)))
+from sample_graphs import fused_k4, wheel5
 
 
 def planted_diamond() -> Graph:
@@ -155,37 +148,6 @@ def test_avoidance_on_small_ore_graphs():
                     assert not (nc & set(q))
 
 
-def near_cliques_avoiding(g: Graph, k: int, forbidden) -> list:
-    """The search that took the forbidden set as a parameter, kept as the
-    oracle for filtering the one full list: an emerald is dropped when it
-    meets the set, a diamond when its interior or an endpoint does."""
-    forb = mask_of(forbidden)
-    out = []
-    low = [v for v in range(g.n) if g.degree(v) == k - 1]
-    low_mask = mask_of(low)
-    for cl in cliques_of_size(g, k - 1):
-        m = mask_of(cl)
-        if m & forb or m & low_mask != m:
-            continue
-        out.append(frozenset(cl))
-    for interior in cliques_of_size(g, k - 2):
-        im = mask_of(interior)
-        if im & forb or im & low_mask != im:
-            continue
-        common = g.full_mask() & ~im
-        for q in interior:
-            common &= g.adj[q]
-        common &= ~forb
-        for u in bits_of(common):
-            for v in bits_of(common & ~((1 << (u + 1)) - 1)):
-                if g.has_edge(u, v):
-                    continue
-                out.append(frozenset(interior) | {u, v})
-    # diamonds (k vertices) first, then emeralds, each by sorted vertex list
-    out.sort(key=lambda d: (-len(d), sorted(d)))
-    return out
-
-
 def test_one_clique_pass_matches_the_two_searches(census4_8, census5_8):
     """The near-clique list from one pass over the low (k-2)-cliques is the
     list the two clique searches, (k-1)-cliques for emeralds and
@@ -200,7 +162,7 @@ def test_one_clique_pass_matches_the_two_searches(census4_8, census5_8):
     kinds = set()
     for g, k in checks:
         found = find_diamonds_emeralds(g, k)
-        assert found == near_cliques_avoiding(g, k, ()), (k, g)
+        assert found == oracles.near_cliques_avoiding(g, k, ()), (k, g)
         kinds.update((k, len(s) == k) for s in found)
     # diamonds (k vertices) and emeralds (k - 1) both occur at every small k
     assert {(k, diamond) for k in (3, 4, 5, 6) for diamond in (True, False)} <= kinds
@@ -211,14 +173,14 @@ def test_filtered_list_matches_the_forbidden_search(k):
     for tree in ore_catalog(k, 2):
         g = realize(tree)
         everything = find_diamonds_emeralds(g, k)
-        assert everything == near_cliques_avoiding(g, k, ())
+        assert everything == oracles.near_cliques_avoiding(g, k, ())
         sets = [(v,) for v in range(g.n)] + (cliques_of_size(g, k - 1) if g.n > k else [])
         for forbidden in sets:
-            assert avoiding(everything, forbidden) == near_cliques_avoiding(g, k, forbidden)
+            assert avoiding(everything, forbidden) == oracles.near_cliques_avoiding(g, k, forbidden)
         # the suite's rows count the same near-cliques as the oracle
         rows = [dict(row.values) for row in orelab.suites._diamond_emerald(tree, {"k": k})]
         assert {row["forbidden"]: row["witnesses"] for row in rows} == {
-            "+".join(map(str, f)): str(len(near_cliques_avoiding(g, k, f))) for f in sets
+            "+".join(map(str, f)): str(len(oracles.near_cliques_avoiding(g, k, f))) for f in sets
         }
 
 
@@ -233,7 +195,7 @@ def test_filtered_list_matches_on_random_vertex_sets(data):
         g = random_graph(random.Random(data.draw(st.integers(0, 10 ** 6))), data.draw(st.integers(1, 12)))
     forbidden = data.draw(st.sets(st.integers(0, g.n - 1)), label="forbidden")
     everything = find_diamonds_emeralds(g, k)
-    assert avoiding(everything, forbidden) == near_cliques_avoiding(g, k, forbidden)
+    assert avoiding(everything, forbidden) == oracles.near_cliques_avoiding(g, k, forbidden)
 
 
 # -- color reduction ---------------------------------------------------------------
@@ -301,29 +263,6 @@ def test_reduce_checks_a_minimum_coloring_without_chromatic_number(monkeypatch):
     assert colorings and calls == []
 
 
-def color_reduce_by_edges(g: Graph, classes) -> Graph:
-    """The reduction built as an edge list, for a valid minimum coloring:
-    the oracle for color_reduce's row construction."""
-    color = {v: i for i, cls in enumerate(classes) for v in bits_of(cls)}
-    outside = [v for v in range(g.n) if v not in color]
-    vertex_map = {old: new for new, old in enumerate(outside)}
-    class_vertex = [len(outside) + i for i in range(len(classes))]
-    edges = set()
-    for u, w in g.edges():
-        iu, iw = u in color, w in color
-        if iu and iw:
-            continue
-        if not iu and not iw:
-            edges.add((vertex_map[u], vertex_map[w]))
-        else:
-            inside, out_v = (u, w) if iu else (w, u)
-            a, b = class_vertex[color[inside]], vertex_map[out_v]
-            edges.add((min(a, b), max(a, b)))
-    for c1, c2 in itertools.combinations(class_vertex, 2):
-        edges.add((c1, c2))
-    return Graph.from_edges(len(outside) + len(classes), sorted(edges))
-
-
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_reduction_matches_the_edge_list_oracle(census4_8, data):
@@ -334,7 +273,7 @@ def test_reduction_matches_the_edge_list_oracle(census4_8, data):
     r = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
     for classes in minimum_colorings(g, r, g.n + 1, limit=3):
         assert {v for cls in classes for v in bits_of(cls)} == r
-        assert color_reduce(g, classes) == color_reduce_by_edges(g, classes)
+        assert color_reduce(g, classes) == oracles.color_reduce_by_edges(g, classes)
 
 
 def test_reduced_census_graphs_stay_uncolorable(census4_8):
@@ -518,9 +457,7 @@ def test_boundary_and_edge_between():
         # overlapping sets count each edge with one end in each set once
         a = set(rng.sample(range(g.n), rng.randrange(g.n + 1)))
         b = set(rng.sample(range(g.n), rng.randrange(g.n + 1)))
-        direct = sum(
-            1 for u, v in g.edges() if (u in a and v in b) or (u in b and v in a)
-        )
+        direct = oracles.edge_between(g, a, b)
         assert edge_between(g, mask_of(a), mask_of(b)) == edge_between(g, mask_of(b), mask_of(a)) == direct
 
 

@@ -7,7 +7,6 @@ size.
 
 import json
 import random
-import sys
 import time
 from collections import Counter, defaultdict
 
@@ -15,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from orelab import coloring, discharging, orekit, packing, potential, structure, suites
 from orelab import (
     DEFAULT_SEED,
@@ -24,7 +24,6 @@ from orelab import (
     Node,
     SizeCapError,
     cliques_of_size,
-    compute_T,
     graph_classes,
     ore_catalog,
     graph6_encode,
@@ -36,6 +35,7 @@ from orelab import (
     tree_k,
 )
 from orelab.cli import main
+from sample_graphs import one_step
 
 
 def classes_up_to(n_max: int) -> list[Graph]:
@@ -46,10 +46,6 @@ def random_graphs(count: int) -> list[Graph]:
     """The first graphs of the default seeded random stream."""
     rng = random.Random(DEFAULT_SEED)
     return [random_graph(rng, rng.randrange(1, 11)) for _ in range(count)]
-
-
-def one_step() -> Node:
-    return Node(Leaf(4), Leaf(4), (0, 1), 0, ((1,), (2, 3)))
 
 
 def nested() -> Node:
@@ -119,21 +115,12 @@ def c6_with_chord() -> Graph:
     return Graph.from_edges(6, Graph.cycle(6).edges() + [(0, 3)])
 
 
-def test_extension_suite_checks_each_host_once(monkeypatch, census4_8):
-    real = coloring.is_k_critical
-    hosts = []
-
-    def counting(g, k):
-        hosts.append(g)
-        return real(g, k)
-
+def test_extension_suite_checks_each_host_once(calls_to, census4_8):
     # count every call, wherever a module of the package binds the name
-    for name, module in list(sys.modules.items()):
-        if name.startswith("orelab") and getattr(module, "is_k_critical", None) is real:
-            monkeypatch.setattr(module, "is_k_critical", counting)
+    hosts = calls_to(coloring, "is_k_critical", everywhere=True)
     result = run_suite("extension-potential", census4_8, {"k": 4})
     assert result.passed
-    assert hosts == list(census4_8.graphs)
+    assert [g for g, _ in hosts] == list(census4_8.graphs)
 
 
 def test_extension_suite_rejects_a_non_critical_host():
@@ -261,15 +248,8 @@ def test_empty_corpus_gives_no_rows(suite_id, monkeypatch):
     assert dict(result.config)["graphs"] == dict(result.config)["trees"] == "0"
 
 
-def test_default_census_is_built_once(monkeypatch):
-    calls = []
-    census_critical = suites.census_critical
-
-    def counting_census(n_max, k):
-        calls.append((n_max, k))
-        return census_critical(n_max, k)
-
-    monkeypatch.setattr(suites, "census_critical", counting_census)
+def test_default_census_is_built_once(calls_to):
+    calls = calls_to(suites, "census_critical")
     suites._default_input.cache_clear()
     try:
         results = {suite_id: run_suite(suite_id) for suite_id in SUITE_IDS}
@@ -283,21 +263,14 @@ def test_default_census_is_built_once(monkeypatch):
     assert len(results["ky-bound"].rows) == len(results["mic-ineq"].rows) == 9
 
 
-def test_default_trees_are_built_once(monkeypatch):
-    drawn = []
-    random_ore_tree = suites.random_ore_tree
-
-    def counting_tree(k, steps, rng):
-        drawn.append(k)
-        return random_ore_tree(k, steps, rng)
-
-    monkeypatch.setattr(suites, "random_ore_tree", counting_tree)
+def test_default_trees_are_built_once(calls_to):
+    drawn = calls_to(suites, "random_ore_tree")
     suites._default_input.cache_clear()
     try:
         results = [run_suite(sid, params={"k": 5}) for sid in ("main2-potential", "t-superadd", "t-lower")]
     finally:
         suites._default_input.cache_clear()
-    assert drawn == [5] * suites.RANDOM_TREES
+    assert [k for k, _, _ in drawn] == [5] * suites.RANDOM_TREES
     assert all(r.passed and dict(r.config)["trees"] == str(suites.RANDOM_TREES) for r in results)
 
 
@@ -341,44 +314,6 @@ def test_catalog_default_for_near_clique_suite():
 # -- each suite computes a fact once per item ------------------------------------
 
 
-def walk_nodes(tree):
-    if isinstance(tree, Node):
-        yield tree
-        yield from walk_nodes(tree.edge_side)
-        yield from walk_nodes(tree.split_side)
-
-
-def t_superadd_by_node(tree, params: dict) -> list:
-    """The suite body that realized and packed every node and both of its
-    sides from the leaves, kept as the oracle for the one bottom-up pass."""
-    k = params["k"]
-    rows = []
-    for node in walk_nodes(tree):
-        g = realize(node, k)
-        t = compute_T(g, k).value
-        t1 = compute_T(realize(node.edge_side, k), k).value
-        t2 = compute_T(realize(node.split_side, k), k).value
-        g6 = graph6_encode(g)
-        left_leaf = isinstance(node.edge_side, Leaf)
-        right_leaf = isinstance(node.split_side, Leaf)
-        if left_leaf and right_leaf:
-            rows.append(suites._row(g6, "double complete composition packs exactly 4", t == 4, t=t, t1=t1, t2=t2))
-            continue
-        drop = 1 if (left_leaf or right_leaf) else 2
-        rows.append(
-            suites._row(
-                g6,
-                "packing value is superadditive under composition",
-                t >= t1 + t2 - drop,
-                t=t,
-                t1=t1,
-                t2=t2,
-                allowed_drop=drop,
-            )
-        )
-    return rows
-
-
 def subtrees(tree) -> list:
     """Every subtree, children before their parent."""
     if isinstance(tree, Leaf):
@@ -395,7 +330,7 @@ def row_key(row):
 def test_t_superadd_matches_the_per_node_walk(k, steps, seed):
     tree = random_ore_tree(k, steps, random.Random(seed))
     rows = suites._t_superadd(suites._tree_records((tree,), k)[0], {"k": k})
-    assert sorted(rows, key=row_key) == sorted(t_superadd_by_node(tree, {"k": k}), key=row_key)
+    assert sorted(rows, key=row_key) == sorted(oracles.t_superadd_by_node(tree, {"k": k}), key=row_key)
     assert len(rows) == steps
 
 
@@ -404,30 +339,16 @@ def test_t_superadd_rejects_a_tree_of_another_k():
         run_suite("t-superadd", params={"k": 5, "trees": [nested()]})
 
 
-def counting(monkeypatch, module, name: str) -> list:
-    """Replace ``module.name`` by a wrapper that records each call's
-    positional arguments; return the record."""
-    real = getattr(module, name)
-    calls = []
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
-
-
 def distinct_subtree_graphs(tree) -> list[Graph]:
     """The distinct graphs of the subtrees, in order of first appearance."""
     return list(dict.fromkeys(realize(sub) for sub in subtrees(tree)))
 
 
-def test_t_superadd_packs_and_composes_each_subtree_once(monkeypatch):
+def test_t_superadd_packs_and_composes_each_subtree_once(calls_to):
     tree = nested()  # its three leaves are one graph, K_4
     expected = distinct_subtree_graphs(tree)
-    packed = counting(monkeypatch, suites, "compute_T")
-    composed = counting(monkeypatch, orekit, "ore_compose")
+    packed = calls_to(suites, "compute_T")
+    composed = calls_to(orekit, "ore_compose")
     result = run_suite("t-superadd", params={"trees": [tree]})
     assert result.passed and len(result.rows) == 2
     assert [args[0] for args in packed] == expected and len(expected) == 3
@@ -440,8 +361,8 @@ def distinct_sweep_graphs(trees) -> list[Graph]:
     return list(dict.fromkeys(g for t in trees for g in distinct_subtree_graphs(t)))
 
 
-def test_t_superadd_sweep_packs_each_subtree_once(monkeypatch):
-    packed = counting(monkeypatch, suites, "compute_T")
+def test_t_superadd_sweep_packs_each_subtree_once(calls_to):
+    packed = calls_to(suites, "compute_T")
     graphs = 0
     for k in (4, 5, 6):
         params = {"k": k, "seed": 1}
@@ -456,7 +377,7 @@ def test_t_superadd_sweep_packs_each_subtree_once(monkeypatch):
 TREE_SUITES = ("main2-potential", "t-superadd", "t-lower")
 
 
-def test_tree_suites_share_one_record_per_tree(monkeypatch):
+def test_tree_suites_share_one_record_per_tree(calls_to):
     """Over a sweep the three tree suites compose each node once and pack
     each distinct subtree graph once per k, in the order the first suite
     meets them, whichever trees share it: one record list is built per k.
@@ -465,8 +386,8 @@ def test_tree_suites_share_one_record_per_tree(monkeypatch):
     graphs = {k: distinct_sweep_graphs(trees[k]) for k in trees}
     expected = [g for k in trees for g in graphs[k]]
     nodes = sum(isinstance(sub, Node) for k in trees for t in trees[k] for sub in subtrees(t))
-    packed = counting(monkeypatch, suites, "compute_T")
-    composed = counting(monkeypatch, orekit, "ore_compose")
+    packed = calls_to(suites, "compute_T")
+    composed = calls_to(orekit, "ore_compose")
     for k in trees:
         assert all(run_suite(sid, params={"k": k, "seed": 1}).passed for sid in TREE_SUITES)
         records = suites._tree_records(suites._default_input("trees", k, 1), k)
@@ -480,7 +401,7 @@ def test_tree_suites_share_one_record_per_tree(monkeypatch):
     assert suites._tree_records.cache_info().misses == len(trees)
 
 
-def test_tree_suites_share_one_record_list_for_given_trees(monkeypatch):
+def test_tree_suites_share_one_record_list_for_given_trees(calls_to):
     """The three tree suites run one after another on one caller-given
     list, a tree repeated in it, realize and pack the list once: one
     compute_T per distinct subtree graph and one ore_compose per node of
@@ -491,8 +412,8 @@ def test_tree_suites_share_one_record_list_for_given_trees(monkeypatch):
     distinct = list(dict.fromkeys(trees))
     graphs = distinct_sweep_graphs(distinct)
     nodes = sum(isinstance(sub, Node) for t in distinct for sub in subtrees(t))
-    packed = counting(monkeypatch, suites, "compute_T")
-    composed = counting(monkeypatch, orekit, "ore_compose")
+    packed = calls_to(suites, "compute_T")
+    composed = calls_to(orekit, "ore_compose")
     results = {sid: run_suite(sid, params={"k": 5, "trees": trees}) for sid in TREE_SUITES}
     assert all(result.passed for result in results.values())
     assert len(results["main2-potential"].rows) == len(trees)
@@ -538,8 +459,8 @@ def test_tree_suites_reject_a_tree_of_another_k(suite_id):
             run_suite(suite_id, params={"k": k, "trees": [tree]})
 
 
-def test_diamond_emerald_lists_each_graph_once(monkeypatch):
-    listed = counting(monkeypatch, suites, "find_diamonds_emeralds")
+def test_diamond_emerald_lists_each_graph_once(calls_to):
+    listed = calls_to(suites, "find_diamonds_emeralds")
     trees = ore_catalog(4, 1)
     assert run_suite("diamond-emerald", params={"trees": trees}).passed
     assert listed == [(realize(t), 4) for t in trees]
@@ -579,11 +500,11 @@ def test_extension_suite_searches_each_reduction_once_per_host(monkeypatch):
     assert sum(len(graphs) for _, graphs in hosts) == 239
 
 
-def test_extension_suite_packs_each_induced_graph_once(monkeypatch, census4_8):
+def test_extension_suite_packs_each_induced_graph_once(calls_to, census4_8):
     """Each distinct induced graph, a G[R], a G[R'] or a W, is packed once
     per host graph, however many vertex sets or records give it."""
-    calls = counting(monkeypatch, suites, "rho_subset")
-    packed = counting(monkeypatch, potential, "compute_T")
+    calls = calls_to(suites, "rho_subset")
+    packed = calls_to(potential, "compute_T")
     corpus = [g for g in census4_8.graphs if g.n <= 7]
     rows = []
     merged = 0
