@@ -24,10 +24,10 @@ upward or downward, one shift per vertex, and the survivors are the set
 bits of their intersection. The last condition, that every parent edge is
 critical, is one more table per parent edge, the colorable-mask table of
 the parent less that edge, so the census never calls the coloring solver.
-Every table comes from one walk over proper partitions in a max-adjacency
-order of the parent, and a parent-edge table walks only the partitions
-that put the edge's ends in one class, as the parent's own table holds the
-rest.
+Every table comes from the kernel's one partition walk
+(``graphs._partitions``) over proper partitions in a max-adjacency order
+of the parent, and a parent-edge table walks only the partitions that put
+the edge's ends in one class, as the parent's own table holds the rest.
 The bounds this workbench is meant to verify are never used to generate,
 so the census cannot beg the question.
 """
@@ -37,12 +37,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeCapError
 from .graphs import (
     Graph,
     _orbit_firsts,
+    _partitions,
     _search,
     bits_of,
     canonical_key,
@@ -67,6 +68,9 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.graphs)
+
+    def __iter__(self) -> Iterator[Graph]:
+        return iter(self.graphs)
 
 
 def corpus_from_graphs(graphs: Iterable[Graph]) -> Corpus:
@@ -208,32 +212,23 @@ def _adjacency_order(g: Graph) -> list[int]:
     return order
 
 
-def _walk(items: list[tuple[int, int]], i: int, classes: list[int], t: int, full: int, marks: int) -> int | None:
-    """``marks`` with bit ``full ^ cls`` set for each class cls of every
-    partition of the items from the i-th on, added to ``classes``, into at
-    most t independent classes; None at the first such partition with
-    fewer than t classes. An item is (its vertex bits, their neighbors).
-    Each partition is met once: an item opens a new class only after it
-    has tried every open one."""
-    if i == len(items):
-        if len(classes) < t:
-            return None
+def _marked(items: list[tuple[int, int]], k: int, full: int, columns: list[tuple[int, int]]) -> int | None:
+    """The downward closure by ``columns`` of the table marking ``full ^ cls``
+    for each class cls of every partition of the items into at most k-1
+    independent classes; None at the first partition into fewer."""
+    marks = 0
+
+    def mark(classes: list[int]) -> bool:
+        nonlocal marks
+        if len(classes) < k - 1:
+            return True
         for cls in classes:
             marks |= 1 << (full ^ cls)
-        return marks
-    bits, row = items[i]
-    for c, cls in enumerate(classes):
-        if not cls & row:
-            classes[c] = cls | bits
-            marks = _walk(items, i + 1, classes, t, full, marks)
-            classes[c] = cls
-            if marks is None:
-                return None
-    if len(classes) < t:
-        classes.append(bits)
-        marks = _walk(items, i + 1, classes, t, full, marks)
-        classes.pop()
-    return marks
+        return False
+
+    if _partitions(items, k - 1, mark, [], 0):
+        return None
+    return _closure(marks, columns, up=False)
 
 
 def _colorable_masks(parent: Graph, k: int, order: list[int], columns: list[tuple[int, int]]) -> int | None:
@@ -251,8 +246,7 @@ def _colorable_masks(parent: Graph, k: int, order: list[int], columns: list[tupl
     closure by the parent's ``columns`` marks every submask of a marked
     mask.
     """
-    marks = _walk([(1 << v, parent.adj[v]) for v in order], 0, [], k - 1, parent.full_mask(), 0)
-    return None if marks is None else _closure(marks, columns, up=False)
+    return _marked([(1 << v, parent.adj[v]) for v in order], k, parent.full_mask(), columns)
 
 
 def _merged_masks(
@@ -273,8 +267,7 @@ def _merged_masks(
     later = max(u, v, key=order.index)
     pair = (1 << u | 1 << v, parent.adj[u] | parent.adj[v])
     items = [pair if w in (u, v) else (1 << w, parent.adj[w]) for w in order if w != later]
-    marks = _walk(items, 0, [], k - 1, parent.full_mask(), 0)
-    return None if marks is None else _closure(marks, columns, up=False)
+    return _marked(items, k, parent.full_mask(), columns)
 
 
 def _survivors(parent: Graph, n: int, k: int, table: int, columns: list[tuple[int, int]]) -> int:

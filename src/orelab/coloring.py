@@ -20,15 +20,14 @@ proper on the rows; those colorings live for one call, so no store here
 grows without bound.
 
 A coloring has one form here and in every layer that takes one: a sequence
-of color classes, each a vertex bitmask. ``first_coloring`` returns one,
-and ``color_partitions`` yields one per color-permutation orbit.
+of color classes, each a vertex bitmask. ``first_coloring`` returns one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .errors import SizeCapError
 from .graphs import Graph, _cliques, _orbit_firsts, _search, bits_of, mask_of
@@ -267,18 +266,26 @@ def is_k_critical(g: Graph, k: int) -> bool:
     index = {e: i for i, e in enumerate(edges)}
     images = [[index[(p[u], p[v]) if p[u] < p[v] else (p[v], p[u])] for u, v in edges] for p in _search(g)[1]]
     for i in _orbit_firsts(range(len(edges)), images):
-        if _uncolorable_without(g.adj, *edges[i], k - 1) is not None:
+        if _uncolorable_without(g.adj, *edges[i], k - 1, []) is not None:
             return False
     return True
 
 
-def _uncolorable_without(rows: Sequence[int], u: int, v: int, t: int) -> list[int] | None:
+def _uncolorable_without(rows: Sequence[int], u: int, v: int, t: int, kept: list[list[int]]) -> list[int] | None:
     """The rows with edge uv deleted if they are still not t-colorable,
-    otherwise None."""
+    otherwise None. A coloring in ``kept`` that is proper on them answers
+    without the solver; one the solver finds is appended to ``kept``."""
     trial = list(rows)
     trial[u] &= ~(1 << v)
     trial[v] &= ~(1 << u)
-    return trial if first_coloring(trial, t) is None else None
+    for classes in kept:
+        if not any(trial[x] & m for m in classes for x in bits_of(m)):
+            return None
+    classes = first_coloring(trial, t)
+    if classes is None:
+        return trial
+    kept.append(classes)
+    return None
 
 
 # -- critical subgraph extraction --------------------------------------------
@@ -325,27 +332,13 @@ def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Graph]:
     edges = g.edges()
     colorings: dict[tuple[int, int], list[list[int]]] = {e: [] for e in edges}
     found: set[tuple[int, ...]] = set()
-
-    def uncolorable_without(rows: Sequence[int], u: int, v: int) -> list[int] | None:
-        trial = list(rows)
-        trial[u] &= ~(1 << v)
-        trial[v] &= ~(1 << u)
-        for classes in colorings[u, v]:
-            if not any(trial[x] & m for m in classes for x in bits_of(m)):
-                return None
-        classes = first_coloring(trial, t)
-        if classes is None:
-            return trial
-        colorings[u, v].append(classes)
-        return None
-
     first: tuple[int, ...] = ()
     for start in chain([None], edges):
         if len(found) >= limit:
             break
         if start is not None and not first[start[0]] >> start[1] & 1:
             continue
-        rows = list(g.adj) if start is None else uncolorable_without(g.adj, *start)
+        rows = list(g.adj) if start is None else _uncolorable_without(g.adj, *start, t, colorings[start])
         if rows is None:
             continue
         core = _peel(rows, (1 << g.n) - 1, t, [])
@@ -357,46 +350,13 @@ def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Graph]:
                 rows[u] &= ~(1 << v)
                 rows[v] &= ~(1 << u)
                 continue
-            trial = uncolorable_without(rows, u, v)
+            trial = _uncolorable_without(rows, u, v, t, colorings[u, v])
             if trial is not None:
                 rows = trial
                 core = _peel(rows, core, t, [])
         found.add(tuple(rows))
         first = first or tuple(rows)
     return sorted((Graph._trusted(g.n, w) for w in found), key=Graph.edges)
-
-
-# -- proper partitions (colorings up to color permutation) -------------------
-
-
-def color_partitions(g: Graph, vertices: Iterable[int], max_classes: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of ``vertices`` into <= max_classes independent
-    classes, each class a vertex mask, in the order the classes open.
-
-    Exactly one representative per color-permutation orbit is produced
-    (restricted-growth enumeration: a vertex may open a new class only after
-    all earlier classes were tried).
-    """
-    verts = sorted(vertices)
-    classes: list[int] = []
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == len(verts):
-            yield tuple(classes)
-            return
-        v = verts[i]
-        bit = 1 << v
-        for ci in range(len(classes)):
-            if not classes[ci] & g.adj[v]:
-                classes[ci] |= bit
-                yield from rec(i + 1)
-                classes[ci] ^= bit
-        if len(classes) < max_classes:
-            classes.append(bit)
-            yield from rec(i + 1)
-            classes.pop()
-
-    yield from rec(0)
 
 
 # -- degree-class edge-count inequality ---------------------------------------

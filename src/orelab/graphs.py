@@ -256,6 +256,33 @@ def _cliques(
     return extend(0, within, size)
 
 
+def _partitions(
+    items: Sequence[tuple[int, int]], t: int, visit: Callable[[list[int]], bool], classes: list[int], i: int
+) -> bool:
+    """Hand each partition of ``items[i:]``, added to the open ``classes``,
+    into at most t independent classes to ``visit`` as the live list of
+    class masks, once, in restricted-growth order (an item tries every open
+    class in turn, then opens a new one), and stop with True as soon as
+    ``visit`` returns True. An item is (its vertex bits, their neighbour
+    row); a walk starts from [] and 0 and leaves the list as it found it."""
+    if i == len(items):
+        return visit(classes)
+    bits, row = items[i]
+    for c, cls in enumerate(classes):
+        if not cls & row:
+            classes[c] = cls | bits
+            stop = _partitions(items, t, visit, classes, i + 1)
+            classes[c] = cls
+            if stop:
+                return True
+    if len(classes) < t:
+        classes.append(bits)
+        stop = _partitions(items, t, visit, classes, i + 1)
+        classes.pop()
+        return stop
+    return False
+
+
 def cliques_of_size(g: Graph, size: int, cap: int | None = None) -> list[tuple[int, ...]]:
     """All vertex sets of the given size inducing a complete subgraph.
 

@@ -1,5 +1,6 @@
 """Local structure around degree-(k-1) vertices and subset machinery:
-clusters, near-cliques, color reductions with critical extensions, the
+clusters, near-cliques, minimum colorings of a vertex set (listed by the
+kernel's partition walk), color reductions with critical extensions, the
 weighted independence number, and edge counts between vertex sets, taken on
 adjacency masks.
 """
@@ -7,18 +8,11 @@ adjacency masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .coloring import (
-    chromatic_number,
-    color_partitions,
-    find_critical_subgraphs,
-    first_coloring,
-    is_k_critical,
-)
+from .coloring import chromatic_number, find_critical_subgraphs, first_coloring, is_k_critical
 from .errors import SizeCapError
-from .graphs import Graph, _cliques, _quotient, bits_of, mask_of
+from .graphs import Graph, _cliques, _partitions, _quotient, bits_of, mask_of
 
 MIC_MAX_VERTICES = 40
 
@@ -204,13 +198,23 @@ def minimum_colorings(
     g: Graph, r_set: Iterable[int], k: int, limit: int | None = None
 ) -> Iterator[tuple[int, ...]]:
     """Yield minimum proper colorings of G[R] as partitions of R into
-    chi(G[R]) color classes (vertex masks), one per color-permutation class,
-    capped at ``limit``; none when G[R] needs more than k-1 colors."""
+    chi(G[R]) color classes (vertex masks), one per color-permutation class
+    in the kernel walk's order over increasing R, capped at ``limit`` (not
+    negative); none when G[R] needs more than k-1 colors."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be None or nonnegative, got {limit}")
     r = sorted(set(r_set))
     need = chromatic_number(g.induced(r)[0])
-    if need > k - 1:
+    if need > k - 1 or limit == 0:
         return
-    yield from islice(color_partitions(g, r, need), limit)
+    found: list[tuple[int, ...]] = []
+
+    def keep(classes: list[int]) -> bool:
+        found.append(tuple(classes))
+        return len(found) == limit
+
+    _partitions([(1 << v, g.adj[v]) for v in r], need, keep, [], 0)
+    yield from found
 
 
 # -- weighted independence -----------------------------------------------------

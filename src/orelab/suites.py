@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .census import Corpus, census_critical, graph_classes, random_graph
+from .census import census_critical, graph_classes, random_graph
 from .coloring import chromatic_number, edge_count_lemma_check
 from .discharging import charge_report
 from .errors import SizeCapError
@@ -137,14 +137,6 @@ def _vals(**kwargs) -> tuple[tuple[str, str], ...]:
 
 def _row(g6: str, claim: str, ok: bool, **values) -> SuiteRow:
     return SuiteRow(g6, claim, _vals(**values), PASS if ok else FAIL)
-
-
-def _graphs_of(corpus) -> list[Graph]:
-    if corpus is None:
-        return []
-    if isinstance(corpus, Corpus):
-        return list(corpus.graphs)
-    return list(corpus)
 
 
 # -- individual suites: each checks one graph or tree and returns its rows -----
@@ -563,7 +555,7 @@ def check_suite_args(suite_ids: Iterable[str], caps: dict) -> None:
 def run_suite(suite_id: str, corpus=None, params: dict | None = None) -> SuiteResult:
     """Run one named suite and return its sorted, re-verifiable rows.
 
-    ``corpus`` may be a Corpus, an iterable of graphs, or None to let the
+    ``corpus`` is an iterable of graphs (a Corpus is one) or None to let the
     suite build its documented default input. Tree-driven suites read
     ``params["trees"]`` and otherwise use seeded random composition trees
     (or, for the near-clique suite, the exhaustive catalog); a library
@@ -587,7 +579,7 @@ def run_suite(suite_id: str, corpus=None, params: dict | None = None) -> SuiteRe
             )
     check_suite_args((suite_id,), p["caps"])
     suite = _SUITES[suite_id]
-    graphs = items = _graphs_of(corpus)
+    graphs = items = [] if corpus is None else list(corpus)
     trees: tuple = ()
     on_trees = suite.default in _TREE_KINDS
     on_records = suite.default == "trees"

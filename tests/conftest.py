@@ -1,8 +1,15 @@
 import sys
 
 import pytest
+from hypothesis import settings
 
 from orelab import census_critical, suites
+
+# Every run draws the same examples, and no failure found in an earlier run
+# is replayed first, so whether a test catches a fault never depends on the
+# run: a case that only some draws reach must be an explicit @example.
+settings.register_profile("fixed", derandomize=True, database=None)
+settings.load_profile("fixed")
 
 ACCEPTANCE_LINES: list[tuple[int, str]] = []
 

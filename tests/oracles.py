@@ -22,7 +22,8 @@ Index: library function -- independent oracle; kept parent copy.
   n up to 40, where counts pass 15; none.
 - ``first_coloring`` -- ``backtrack_coloring`` and ``colorings``;
   ``full_reduction``, the full pass that ``coloring._settle`` replaced.
-- ``chromatic_number``, ``color_partitions`` -- ``colorings``; none.
+- ``chromatic_number``, ``graphs._partitions`` and ``minimum_colorings``
+  -- ``colorings``; none.
 - ``is_k_critical`` -- ``colorings`` on the definition; ``is_k_critical``
   here, one question per edge, which reaches the census and the trees.
 - ``find_critical_subgraphs`` -- the definition, by ``is_k_critical``;
@@ -348,7 +349,7 @@ def is_k_critical(g: Graph, k: int) -> bool:
 def _minimalize(rows: list[int], edges: list[tuple[int, int]], k: int) -> list[int]:
     for u, v in edges:
         if rows[u] >> v & 1:
-            trial = coloring._uncolorable_without(rows, u, v, k - 1)
+            trial = coloring._uncolorable_without(rows, u, v, k - 1, [])
             if trial is not None:
                 rows = trial
     return rows
@@ -363,7 +364,7 @@ def critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Graph]:
         raise ValueError("graph is (k-1)-colorable; no k-critical subgraph exists")
     edges = g.edges()
     found: dict[tuple[int, ...], Graph] = {}
-    trials = (coloring._uncolorable_without(g.adj, u, v, k - 1) for u, v in edges)
+    trials = (coloring._uncolorable_without(g.adj, u, v, k - 1, []) for u, v in edges)
     for rows in itertools.chain([list(g.adj)], trials):
         if len(found) >= limit:
             break

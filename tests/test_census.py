@@ -24,6 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 import orelab.census
 import orelab.coloring
+import orelab.graphs
 from orelab import (
     Corpus,
     Graph,
@@ -288,7 +289,8 @@ def test_sieve_bounds_the_criticality_tests(calls_to):
     census = orelab.census
     walked = calls_to(census, "_colorable_masks")
     merged = calls_to(census, "_merged_masks")
-    nodes = calls_to(census, "_walk")
+    # the top-level walks and their recursive calls
+    nodes = calls_to(orelab.graphs, "_partitions", everywhere=True)
     assert len(census_critical(8, 4)) == 9
     # one walk per parent, and no graph built for a parent less an edge
     assert [id(args[0]) for args in walked] == [id(p) for p in parents] and len(parents) == 321

@@ -25,7 +25,6 @@ from orelab import (
     SizeCapError,
     census_critical,
     chromatic_number,
-    color_partitions,
     edge_count_lemma_check,
     edge_between,
     find_critical_subgraphs,
@@ -394,13 +393,21 @@ def test_criticality_at_the_papers_k():
 # -- colorings / chromatic_number ----------------------------------------------
 
 
+def partitions(g: Graph, vertices, t: int) -> list[tuple[int, ...]]:
+    """Every partition of ``vertices`` into at most t independent classes of
+    g, in the order the kernel's partition walk meets them."""
+    found = []
+    graphs._partitions([(1 << v, g.adj[v]) for v in vertices], t, lambda classes: found.append(tuple(classes)), [], 0)
+    return found
+
+
 def check_coloring(g: Graph, t: int) -> None:
     """For g with chromatic number t: first_coloring finds a proper
     t-coloring, and the partitions into at most t classes are the colorings
     up to color permutation, each once."""
     classes = first_coloring(g.adj, t)
     assert classes is not None and is_proper_coloring(g, classes, t)
-    parts = list(color_partitions(g, range(g.n), t))
+    parts = partitions(g, range(g.n), t)
     for part in parts:
         assert is_proper_coloring(g, part, t) and all(part)
     assert len(set(parts)) == len(parts) == oracles.colorings(g, t) // math.factorial(t)
@@ -409,7 +416,7 @@ def check_coloring(g: Graph, t: int) -> None:
 def test_colorable_odd_cycle():
     c5 = Graph.cycle(5)
     assert first_coloring(c5.adj, 2) is None
-    assert list(color_partitions(c5, range(5), 2)) == []
+    assert partitions(c5, range(5), 2) == []
     check_coloring(c5, 3)
 
 
@@ -712,14 +719,28 @@ def test_critical_subgraphs_meet_the_definition_on_every_census_reduction(census
 
 
 def test_color_partitions_independent_and_clique():
-    assert len(list(color_partitions(Graph.empty(3), [0, 1, 2], 3))) == 5
-    assert len(list(color_partitions(Graph.empty(3), [0, 1, 2], 2))) == 4
-    assert len(list(color_partitions(Graph.complete(3), [0, 1, 2], 3))) == 1
-    assert list(color_partitions(Graph.complete(3), [0, 1, 2], 2)) == []
-    for part in color_partitions(Graph.cycle(4), [0, 1, 2, 3], 3):
+    assert len(partitions(Graph.empty(3), [0, 1, 2], 3)) == 5
+    assert len(partitions(Graph.empty(3), [0, 1, 2], 2)) == 4
+    assert len(partitions(Graph.complete(3), [0, 1, 2], 3)) == 1
+    assert partitions(Graph.complete(3), [0, 1, 2], 2) == []
+    for part in partitions(Graph.cycle(4), [0, 1, 2, 3], 3):
         assert is_proper_coloring(Graph.cycle(4), part, len(part)) and all(part)
     # the classes of a vertex subset open in the order of their least member
-    assert list(color_partitions(Graph.path(4), [1, 2, 3], 2)) == [(0b1010, 0b0100)]
+    assert partitions(Graph.path(4), [1, 2, 3], 2) == [(0b1010, 0b0100)]
+    assert list(minimum_colorings(Graph.path(4), [3, 1, 2], 3)) == [(0b1010, 0b0100)]
+    # the walk stops at the first partition its visitor accepts and leaves
+    # the class list as it was given
+    classes = []
+    assert graphs._partitions([(1, 0), (2, 0)], 2, lambda live: len(live) == 2, classes, 0) and classes == []
+    # minimum colorings read the same walk: limit None keeps every one, a
+    # limit its first ones, 0 none, and a negative limit is refused
+    c5 = Graph.cycle(5)
+    every = list(minimum_colorings(c5, range(5), 4))
+    assert every == partitions(c5, range(5), 3) and len(every) == 5
+    assert list(minimum_colorings(c5, range(5), 4, limit=2)) == every[:2]
+    assert list(minimum_colorings(c5, range(5), 4, limit=0)) == []
+    with pytest.raises(ValueError):
+        list(minimum_colorings(c5, range(5), 4, limit=-1))
 
 
 # -- low-vertex edge-count lemma --------------------------------------------------

@@ -10,7 +10,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from orelab import (
@@ -417,20 +417,32 @@ def refinement_graphs(draw):
     return g.relabelled(draw(st.permutations(range(g.n))))
 
 
-@given(refinement_graphs(), st.data())
-@settings(max_examples=300, deadline=None)
-def test_splitter_refinement_matches_the_full_rescan(g, data):
-    order = data.draw(st.permutations(range(g.n)))
-    cuts = sorted(data.draw(st.sets(st.integers(1, g.n - 1)))) if g.n > 1 else []
+@st.composite
+def ordered_partitions(draw):
+    """A graph of ``refinement_graphs``, an ordered partition of its
+    vertices, and a pick among the vertices that may be individualized."""
+    g = draw(refinement_graphs())
+    order = draw(st.permutations(range(g.n)))
+    cuts = sorted(draw(st.sets(st.integers(1, g.n - 1)))) if g.n > 1 else []
     bounds = [0] + cuts + [g.n]
-    cells = [order[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
+    return g, [order[a:b] for a, b in zip(bounds, bounds[1:]) if a < b], draw(st.integers(0, max(g.n - 1, 0)))
+
+
+# an edge beside a star with 16 leaves, vertex 0 split off: the edge's
+# other end counts (1, 0) into the cells and the star's centre (0, 16), so
+# a key whose fields were 4 bits wide would merge the two
+@example((Graph.from_edges(19, [(0, 1)] + [(2, v) for v in range(3, 19)]), [[0], list(range(1, 19))], 0))
+@given(ordered_partitions())
+@settings(max_examples=300, deadline=None)
+def test_splitter_refinement_matches_the_full_rescan(case):
+    g, cells, pick = case
     # any ordered partition, with every cell a splitter
     assert _refine(g.adj, cells, [mask_of(cell) for cell in cells]) == oracles.rescan_refine(g.adj, cells)
     # a stable partition with one vertex individualized, as the search's children
     stable = oracles.rescan_refine(g.adj, cells)
     choices = [(i, v) for i, cell in enumerate(stable) if len(cell) > 1 for v in cell]
     if choices:
-        i, v = data.draw(st.sampled_from(choices))
+        i, v = choices[pick % len(choices)]
         child = stable[:i] + [[v], [u for u in stable[i] if u != v]] + stable[i + 1:]
         assert _refine(g.adj, child, [1 << v]) == oracles.rescan_refine(g.adj, child)
 
@@ -471,6 +483,7 @@ def check_witnessed_automorphisms(g: Graph) -> None:
 
 
 @given(graphs(max_n=10))
+@example(Graph.cycle(5))  # a search that witnessed identities for later leaves would list more than n - 1
 @settings(max_examples=150, deadline=None)
 def test_witnessed_automorphisms_are_automorphisms(g):
     if g.n:
