@@ -142,11 +142,12 @@ def graph_classes(n: int, min_degree: int = 0, colors: int | None = None) -> tup
 
 
 @lru_cache(maxsize=None)
-def _classes(n: int, d: int, t: int) -> tuple[tuple[Graph, ...], tuple[tuple[tuple[int, ...], ...], ...]]:
+def _classes(n: int, d: int, t: int) -> tuple[tuple[Graph, ...], tuple[tuple[bytes, ...], ...]]:
     """``graph_classes(n, d, t)`` for d <= n + 1 and t <= n, from the parents
     ``_classes(n - 1, max(d - 1, 0), min(t, n - 1))``, and side by side with
     it the generators of each class's Aut that the search labelling its
-    representative witnessed, for the level above. A mask is labelled
+    representative witnessed, for the level above, each as the bytes of its
+    vertex images (n <= ENUMERATION_CAP). A mask is labelled
     only if the new vertex gets degree d or more and covers every parent
     vertex of degree d - 1, and, when t < n, only if the child is
     t-colorable by the parent's colorable-mask table."""
@@ -168,8 +169,8 @@ def _classes(n: int, d: int, t: int) -> tuple[tuple[Graph, ...], tuple[tuple[tup
             form, gens = _search(g)
             out.setdefault(form.key, (g, gens))
     keys = sorted(out)
-    # tuples all through: the cache hands the same value to every caller
-    return tuple(out[key][0] for key in keys), tuple(tuple(map(tuple, out[key][1])) for key in keys)
+    # immutable all through: the cache hands the same value to every caller
+    return tuple(out[key][0] for key in keys), tuple(tuple(map(bytes, out[key][1])) for key in keys)
 
 
 # -- criticality census --------------------------------------------------------

@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import random
 import sys
+from contextlib import contextmanager, suppress
 
 import click
 
@@ -152,24 +154,60 @@ def verify_cmd(suite_id, k, infile, census_n, seed, caps, json_path, csv_path):
     elif census_n is not None:
         corpus = census_critical(census_n, k)
     params = {"k": k, "seed": seed, "caps": cap_map}
-    results = [run_suite(sid, corpus, params) for sid in ids]
-    for res in results:
-        c = res.counts()
-        click.echo(
-            f"{res.suite_id}: {'pass' if res.passed else 'FAIL'}"
-            f" (pass={c['pass']} fail={c['fail']} skip-cap={c['skip-cap']})"
-        )
-    if json_path:
-        payload = [r.to_json_dict() for r in results]
-        with open(json_path, "w") as fh:
-            json.dump(payload[0] if len(payload) == 1 else payload, fh, indent=2)
-    if csv_path:
-        with open(csv_path, "w") as fh:
-            writer = csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n")
-            for res in results:
-                writer.writerows(res.csv_rows())
-    if not all(r.passed for r in results):
+    summary = []
+    # the CSV is replaced last, so it wins when both options name one file
+    with _staged(csv_path, "csv") as csv_fh, _staged(json_path, "json") as json_fh:
+        csv_out = csv.writer(csv_fh, quoting=csv.QUOTE_ALL, lineterminator="\n") if csv_fh else None
+        several = len(ids) > 1
+        for i, sid in enumerate(ids):
+            if json_fh and several:
+                json_fh.write(",\n  " if i else "[\n  ")
+            summary.append(_run_and_write(sid, corpus, params, json_fh, several, csv_out))
+        if json_fh and several:
+            json_fh.write("\n]")
+    for line, _ in summary:
+        click.echo(line)
+    if not all(passed for _, passed in summary):
         sys.exit(1)
+
+
+@contextmanager
+def _staged(path, kind):
+    """A text file beside ``path`` (None when there is no path) that
+    replaces ``path`` when the block ends and is deleted if it raises, so
+    a failed run leaves any earlier report as it was."""
+    if not path:
+        yield None
+        return
+    staging = f"{path}.{kind}.tmp"
+    try:
+        with open(staging, "w") as fh:
+            yield fh
+        os.replace(staging, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(staging)
+        raise
+
+
+def _run_and_write(sid, corpus, params, json_fh, indented, csv_out) -> tuple[str, bool]:
+    """Run one suite, append its report to the open report files, and
+    return its summary line and verdict; the result goes with the call.
+    The JSON chunks are those of ``json.dump(..., indent=2)``, shifted one
+    level in when the suite is an item of the report's list (a JSON string
+    holds no raw newline)."""
+    res = run_suite(sid, corpus, params)
+    if json_fh:
+        for chunk in json.JSONEncoder(indent=2).iterencode(res.to_json_dict()):
+            json_fh.write(chunk.replace("\n", "\n  ") if indented else chunk)
+    if csv_out:
+        csv_out.writerows(res.csv_rows())
+    c = res.counts()
+    line = (
+        f"{res.suite_id}: {'pass' if res.passed else 'FAIL'}"
+        f" (pass={c['pass']} fail={c['fail']} skip-cap={c['skip-cap']})"
+    )
+    return line, res.passed
 
 
 @main.command("export")

@@ -69,7 +69,7 @@ def _check_order(n: int) -> None:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph on vertex ids 0..n-1, with n <= MAX_VERTICES.
 
@@ -253,7 +253,10 @@ def _cliques(
                 return True
         return False
 
-    return extend(0, within, size)
+    try:
+        return extend(0, within, size)
+    finally:
+        del extend  # breaks the closure's cycle through itself, which held its captures
 
 
 def _partitions(
@@ -352,7 +355,7 @@ def embeddings(pattern: Graph, host: Graph) -> Iterator[tuple[int, ...]]:
 # -- canonical labeling ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalForm:
     """Canonical labeling certificate.
 
@@ -527,7 +530,10 @@ def _search(g: Graph) -> tuple[CanonicalForm, list[list[int]]]:
             gens.append([v for _, v in sorted(zip(first, order))])
         return bits == first_bits
 
-    search([list(range(g.n))], [], True)
+    try:
+        search([list(range(g.n))], [], True)
+    finally:
+        del search  # breaks the closure's cycle through itself
     return CanonicalForm(g.n, best_bits, tuple(best)), gens
 
 

@@ -43,14 +43,14 @@ from .structure import clusters
 DEFAULT_RECOGNITION_CAP = 25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     """The complete graph K_k."""
 
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     """One composition step.
 

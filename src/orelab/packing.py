@@ -113,7 +113,10 @@ def compute_T(g: Graph, k: int) -> PackingWitness:
                 return
             dfs([], [m for m in smalls[j + 1:] if not m & head], value + 1, chosen + (head,))
 
-    dfs(big, small, 0, ())
+    try:
+        dfs(big, small, 0, ())
+    finally:
+        del dfs  # breaks the closure's cycle through itself
     witness = PackingWitness(tuple(tuple(bits_of(m)) for m in best_chosen), best_value)
     check_witness(g, k, witness)
     return witness

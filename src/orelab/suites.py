@@ -80,7 +80,7 @@ FAIL = "fail"
 SKIP = "skip-cap"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuiteRow:
     graph6: str
     claim: str

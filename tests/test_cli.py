@@ -1,12 +1,25 @@
 """Command-line behavior, exercised through click's test runner."""
 
+import csv
+import io
 import json
 
 from click.testing import CliRunner
 
 import orelab.cli
 import orelab.packing
-from orelab import Graph, graph6_decode, graph6_encode, is_k_ore, tree_loads
+from orelab import (
+    DEFAULT_SEED,
+    SUITE_IDS,
+    Graph,
+    census_critical,
+    corpus_from_graphs,
+    graph6_decode,
+    graph6_encode,
+    is_k_ore,
+    run_suite,
+    tree_loads,
+)
 from orelab.cli import main
 
 
@@ -88,16 +101,51 @@ def test_low_k_and_packing_cap_are_clean_errors(monkeypatch):
         assert "Error:" in result.output and "exceeds cap 1" in result.output, command
 
 
+def reports_of(suite_ids, corpus, k):
+    """The JSON and CSV texts ``verify`` writes for these suites, built the
+    collect-then-write way from ``run_suite``: one bare dict or a list."""
+    results = [run_suite(sid, corpus, {"k": k, "seed": DEFAULT_SEED, "caps": {}}) for sid in suite_ids]
+    dicts = [res.to_json_dict() for res in results]
+    rows = io.StringIO()
+    writer = csv.writer(rows, quoting=csv.QUOTE_ALL, lineterminator="\n")
+    for res in results:
+        writer.writerows(res.csv_rows())
+    return json.dumps(dicts[0] if len(dicts) == 1 else dicts, indent=2), rows.getvalue()
+
+
 def test_verify_all_reports_capped_items(tmp_path):
     graphs = invoke("gen-ore", "--k", "4", "--steps", "3", "--seed", "1", "--count", "2")
     assert graphs.exit_code == 0
     report = tmp_path / "report.json"
-    result = invoke("verify", "--suite", "all", "--k", "4", "--in", "-", "--json", str(report), input=graphs.output)
+    rows = tmp_path / "report.csv"
+    result = invoke(
+        "verify", "--suite", "all", "--k", "4", "--in", "-", "--json", str(report), "--csv", str(rows),
+        input=graphs.output,
+    )
     assert isinstance(result.exception, SystemExit) and result.exit_code == 1
     assert "packing-oracle: FAIL (pass=0 fail=0 skip-cap=2)" in result.output.splitlines()
     by_suite = {entry["suite"]: entry for entry in json.loads(report.read_text())}
     assert by_suite["packing-oracle"]["counts"] == {"pass": 0, "fail": 0, "skip-cap": 2}
     assert all(entry["counts"]["fail"] == 0 for entry in by_suite.values())
+    corpus = corpus_from_graphs(graph6_decode(line) for line in graphs.output.split())
+    assert (report.read_text(), rows.read_text()) == reports_of(SUITE_IDS, corpus, 4)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "report.json"]
+
+
+def test_verify_leaves_no_report_when_a_later_suite_raises(tmp_path):
+    # a corpus graph that is not 4-critical passes the first suites, then
+    # extension-potential refuses it as a host
+    json_path = tmp_path / "out.json"
+    csv_path = tmp_path / "out.csv"
+    json_path.write_bytes(b"an earlier report\n")
+    result = invoke(
+        "verify", "--suite", "all", "--k", "4", "--in", "-", "--json", str(json_path), "--csv", str(csv_path),
+        input="D~{\n",
+    )
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == "Error: extensions are built over a k-critical host\n"
+    assert json_path.read_bytes() == b"an earlier report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
 
 def test_recognize_ore():
@@ -163,6 +211,7 @@ def test_verify_pass_and_artifacts(tmp_path):
     csv_lines = csv_path.read_text().strip().splitlines()
     assert csv_lines[0].startswith('"graph6"')
     assert len(csv_lines) == len(payload["rows"]) + 1
+    assert (json_path.read_text(), csv_path.read_text()) == reports_of(["ky-bound"], census_critical(7, 4), 4)
 
 
 def test_verify_fails_on_violating_corpus():
