@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import SizeCapError
 from .graphs import (
     Graph,
-    _orbit_firsts,
+    _orbits,
     _partitions,
     _search,
     bits_of,
@@ -91,7 +91,8 @@ def _augment(parent: Graph, mask: int) -> Graph:
 
 def _orbit_minima(parent: Graph, generators: Sequence[Sequence[int]]) -> list[int]:
     """The least mask of each orbit of Aut(parent) on the new-vertex masks
-    0..2^pn-1, in increasing order, from ``generators`` of Aut(parent)."""
+    0..2^pn-1, in increasing order, from ``generators`` of Aut(parent), each
+    mask joined to its images in ``graphs._orbits``."""
     size = 1 << parent.n
     images = []
     for perm in generators:
@@ -100,7 +101,8 @@ def _orbit_minima(parent: Graph, generators: Sequence[Sequence[int]]) -> list[in
             low = mask & -mask
             image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
         images.append(image)
-    return _orbit_firsts(range(size), images)
+    orbit = _orbits(size, ((mask, image[mask]) for image in images for mask in range(size) if image[mask] != mask))
+    return [mask for mask in range(size) if orbit[mask] == mask]
 
 
 def _bound(name: str, value: int) -> int:

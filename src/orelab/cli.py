@@ -35,6 +35,12 @@ def _read_graphs(handle):
     return out
 
 
+def _check_k(k, what):
+    """Reject k < 4 before a command reads its input or prints a line."""
+    if k < 4:
+        raise click.ClickException(f"{what} requires k >= 4")
+
+
 class _Main(click.Group):
     """Reports a library ValueError (bad input, a broken precondition, a size
     cap) as one error line instead of a traceback."""
@@ -76,6 +82,7 @@ def gen_ore(k, steps, seed, count, out, tree_out):
 @click.option("--cap", type=int, default=DEFAULT_RECOGNITION_CAP, show_default=True, help="Vertex cap for recognition.")
 def recognize_ore(k, infile, cap):
     """Decide for each input graph whether it is a composed graph."""
+    _check_k(k, "recognition")
     if cap < 0:
         raise click.ClickException(f"cap must be nonnegative, got {cap}")
     for g in _read_graphs(infile):
@@ -92,6 +99,7 @@ def recognize_ore(k, infile, cap):
 @click.option("--in", "infile", type=click.File("r"), required=True)
 def potential_cmd(k, infile):
     """Print exact potential values for each input graph."""
+    _check_k(k, "packing parameter")
     click.echo("graph6\tn\tm\tT\trho_int\trho")
     for g in _read_graphs(infile):
         t_val = compute_T(g, k).value
@@ -106,6 +114,7 @@ def potential_cmd(k, infile):
 @click.option("--in", "infile", type=click.File("r"), required=True)
 def pack_cmd(k, infile):
     """Print the exact packing value and a witness for each input graph."""
+    _check_k(k, "packing parameter")
     for g in _read_graphs(infile):
         witness = compute_T(g, k)
         parts = " ".join("+".join(map(str, c)) for c in witness.cliques) or "-"

@@ -30,7 +30,7 @@ from itertools import chain
 from typing import Sequence
 
 from .errors import SizeCapError
-from .graphs import Graph, _cliques, _search, bits_of, mask_of
+from .graphs import Graph, _cliques, _orbits, _search, bits_of, mask_of
 
 
 # -- core exact solver -------------------------------------------------------
@@ -252,9 +252,8 @@ def is_k_critical(g: Graph, k: int) -> bool:
     orbit, in edge order, under the generators that labelling g witnessed,
     each mapping edge uv to the edge p[u]p[v]. Generators that span less
     than Aut(g) give smaller orbits and so more questions, never a wrong
-    answer. The orbits come from a union-find over only the edges each
-    generator moves, those at a vertex it moves; each set's root is its
-    first edge.
+    answer. ``graphs._orbits`` joins only the edges each generator moves,
+    those at a vertex it moves, and names each orbit by its first edge.
     """
     if k < 2:
         raise ValueError("criticality is defined here for k >= 2")
@@ -266,28 +265,15 @@ def is_k_critical(g: Graph, k: int) -> bool:
         return False
     edges = g.edges()
     index = {e: i for i, e in enumerate(edges)}
-    root = list(range(len(edges)))
-    for p in _search(g)[1]:
-        for u in range(g.n):
-            if p[u] == u:
-                continue
-            for v in bits_of(g.adj[u]):
-                a = _root(root, index[(u, v) if u < v else (v, u)])
-                b = _root(root, index[(p[u], p[v]) if p[u] < p[v] else (p[v], p[u])])
-                if a != b:
-                    root[max(a, b)] = min(a, b)
+    links = (
+        (index[(u, v) if u < v else (v, u)], index[(p[u], p[v]) if p[u] < p[v] else (p[v], p[u])])
+        for p in _search(g)[1] for u in range(g.n) if p[u] != u for v in bits_of(g.adj[u])
+    )
+    orbit = _orbits(len(edges), links)
     for i, edge in enumerate(edges):
-        if root[i] == i and _uncolorable_without(g.adj, *edge, k - 1, []) is not None:
+        if orbit[i] == i and _uncolorable_without(g.adj, *edge, k - 1, []) is not None:
             return False
     return True
-
-
-def _root(root: list[int], i: int) -> int:
-    """The root of i in the union-find ``root``, halving the path on the way."""
-    while root[i] != i:
-        root[i] = root[root[i]]
-        i = root[i]
-    return i
 
 
 def _uncolorable_without(rows: Sequence[int], u: int, v: int, t: int, kept: list[list[int]]) -> list[int] | None:
@@ -426,5 +412,8 @@ def edge_count_lemma_check(g: Graph, k: int, subset_cap: int = 2 ** 20) -> EdgeC
             rec(j + 1, chosen, chosen_mask | (1 << v), lhs + (g.adj[v] & bmask).bit_count())
             chosen.pop()
 
-    rec(0, [], 0, 0)
+    try:
+        rec(0, [], 0, 0)
+    finally:
+        del rec  # breaks the closure's cycle through itself
     return EdgeCountCheck(not violations, checked, b0, b1, tuple(violations))

@@ -486,10 +486,13 @@ def _search(g: Graph) -> tuple[CanonicalForm, list[list[int]]]:
     later leaf ends the search below its first-path ancestor's child, and
     every node skips a child in the orbit of a child it tried under the
     generators that fix its path, the individualized vertices above it (on
-    the first path, all of them). Every pruned leaf is the image of one met
-    earlier, so the first best leaf and the first leaf with the first leaf's
-    bits below each child are still met; every generator joins two orbits,
-    so there are at most n - 1.
+    the first path, all of them). Such a generator maps each of the node's
+    cells onto itself, so the node joins only the cell's vertices to their
+    images, in ``_orbits``, once, and again only when a generator found
+    below it on the first path has grown the list. Every pruned leaf is the
+    image of one met earlier, so the first best leaf and the first leaf with
+    the first leaf's bits below each child are still met; every generator
+    joins two orbits, so there are at most n - 1.
     """
     adj = g.adj
     first = best = []  # the orders of the first leaf and of the best leaf
@@ -507,8 +510,12 @@ def _search(g: Graph) -> tuple[CanonicalForm, list[list[int]]]:
                 # every generator fixes the path
                 stab = gens if on_first else [p for p in gens if all(p[u] == u for u in path)]
                 tried: list[int] = []
+                known = 0  # the generators that ``orbit`` is taken under
                 for v in cell:
-                    if tried and stab and _orbit_firsts(tried + [v], stab)[-1] != v:
+                    if tried and known < len(stab):
+                        known = len(stab)
+                        orbit = _orbits(g.n, ((u, p[u]) for p in stab for u in cell if p[u] != u))
+                    if known and any(orbit[u] == orbit[v] for u in tried):
                         continue
                     child = cells[:i] + [[v], [u for u in cell if u != v]] + cells[i + 1:]
                     if search(child, path + [v], on_first and not tried) and not on_first:
@@ -560,27 +567,27 @@ def _graph_of_key(key: tuple[int, int]) -> Graph:
     return Graph._trusted(n, tuple(rows))
 
 
-def _orbit_firsts(candidates: Iterable, generators: Sequence) -> list:
-    """The first candidate of each orbit of the group the generators span,
-    in input order. Each generator is an image map, ``generator[c]`` the
-    image of c; its domain holds every candidate and is closed under all
-    the generators, and may hold more than the candidates."""
-    seen = set()
-    firsts = []
-    for c in candidates:
-        if c in seen:
-            continue
-        firsts.append(c)
-        seen.add(c)
-        stack = [c]
-        while stack:
-            d = stack.pop()
-            for generator in generators:
-                e = generator[d]
-                if e not in seen:
-                    seen.add(e)
-                    stack.append(e)
-    return firsts
+def _orbits(size: int, links: Iterable[tuple[int, int]]) -> list[int]:
+    """The least member of each point's orbit, for the points 0..size-1 of
+    a group given by its generators: ``links`` holds the pairs (i, p(i)) of
+    the points that each generator p moves (a pair (i, i) joins nothing).
+    One union-find joins the two ends of every link, hanging the larger
+    root under the smaller, so every root is its set's least member and
+    every other entry points below itself; one pass in index order then
+    points each entry at its root."""
+    root = list(range(size))
+    for i, j in links:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        while root[j] != j:
+            root[j] = j = root[root[j]]
+        if i < j:
+            root[j] = i
+        elif j < i:
+            root[i] = j
+    for i in range(size):
+        root[i] = root[root[i]]
+    return root
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:

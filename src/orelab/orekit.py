@@ -29,7 +29,7 @@ from .graphs import (
     Graph,
     _check_order,
     _graph_of_key,
-    _orbit_firsts,
+    _orbits,
     _quotient,
     _search,
     bits_of,
@@ -480,11 +480,14 @@ def _composition_sides(g: Graph) -> tuple[list, list]:
     by selector, and each keeps the first member of its orbit. A generator p
     maps an edge (x, y) to the ordered pair (p[x], p[y]) and a split
     (z, halves) to p[z] with the image of each half. An edge may map onto
-    the reverse of an edge, so the edge image maps also hold each edge's
-    reversed orientation. A split is coded as (z, mask of its first half),
+    the reverse of an edge, so the orbits are taken on arcs: the sorted
+    edges, then each one reversed. A forward edge keeps its index below
+    ``len(edges)``, so the least arc of an orbit that holds an edge is that
+    orbit's first edge. A split is coded as (z, mask of its first half),
     which fixes the second half, and indexed by its place in the walk; the
     images of z's first halves are built as z's selectors are, one bit at a
-    time, so each split's image is one lookup.
+    time, so each split's image is one lookup. ``graphs._orbits`` joins
+    each arc and each split index to its images that differ from it.
     """
     perms = _search(g)[1]
     edges = sorted(g.edges())
@@ -499,12 +502,15 @@ def _composition_sides(g: Graph) -> tuple[list, list]:
         return out[1:-1]
 
     splits = [(z, first) for z in range(g.n) for first in firsts(z, range(g.n))]
-    index = {split: i for i, split in enumerate(splits)}
-    edge_images = [{(x, y): (p[x], p[y]) for x, y in arcs} for p in perms]
-    split_images = [[index[p[z], first] for z in range(g.n) for first in firsts(z, p)] for p in perms]
-    kept = [splits[i] for i in _orbit_firsts(range(len(splits)), split_images)]
+    arc_index = {arc: i for i, arc in enumerate(arcs)}
+    split_index = {split: i for i, split in enumerate(splits)}
+    arc_links = ((i, arc_index[p[x], p[y]]) for p in perms for i, (x, y) in enumerate(arcs) if p[x] != x or p[y] != y)
+    arc_orbit = _orbits(len(arcs), arc_links)
+    split_images = [[split_index[p[z], first] for z in range(g.n) for first in firsts(z, p)] for p in perms]
+    split_orbit = _orbits(len(splits), ((i, j) for image in split_images for i, j in enumerate(image) if i != j))
+    kept = [split for i, split in enumerate(splits) if split_orbit[i] == i]
     halves = [(z, (tuple(bits_of(first)), tuple(bits_of(g.adj[z] & ~first)))) for z, first in kept]
-    return _orbit_firsts(edges, edge_images), halves
+    return [edge for i, edge in enumerate(edges) if arc_orbit[i] == i], halves
 
 
 # One entry per (k, max_steps): a verify sweep keys k = 4, 5, 6 and the

@@ -155,4 +155,7 @@ def compute_T_bruteforce(g: Graph, k: int) -> int:
         memo[avail] = best
         return best
 
-    return search(g.full_mask())
+    try:
+        return search(g.full_mask())
+    finally:
+        del search  # breaks the closure's cycle through itself

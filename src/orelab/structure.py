@@ -248,7 +248,10 @@ def mic(g: Graph) -> tuple[int, frozenset[int]]:
         chosen.pop()
         dfs(rest, value, chosen)
 
-    dfs(order, 0, [])
+    try:
+        dfs(order, 0, [])
+    finally:
+        del dfs  # breaks the closure's cycle through itself
     if not g.is_independent(best_set):
         raise AssertionError("mic witness is not independent")
     return best_val, frozenset(best_set)

@@ -451,7 +451,10 @@ def _chromatic_oracle(g: Graph) -> int:
                     return True
         return False
 
-    return next(t for t in range(g.n + 1) if rec(0, t))
+    try:
+        return next(t for t in range(g.n + 1) if rec(0, t))
+    finally:
+        del rec  # breaks the closure's cycle through itself
 
 
 def _coloring_oracle(g: Graph, params: dict) -> list[SuiteRow]:

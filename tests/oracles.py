@@ -20,6 +20,11 @@ Index: library function -- independent oracle; kept parent copy.
   none.
 - ``graphs._refine`` -- ``rescan_refine``, also on seeded G(n, 1/2) with
   n up to 40, where counts pass 15; none.
+- ``graphs._orbits`` -- an orbit grown under random permutations until it
+  closes (``test_orbits_match_a_closure``); ``orbit_firsts``, the stack
+  closure that was ``graphs._orbit_firsts``, on the edges of the trees at
+  k = 33 and 40 and of the census graphs, the census masks for n <= 6 and
+  the catalog's arcs and splits.
 - ``first_coloring`` -- ``backtrack_coloring`` and ``colorings``;
   ``full_reduction``, the full pass that ``coloring._settle`` replaced.
 - ``chromatic_number``, ``graphs._partitions`` and ``minimum_colorings``
@@ -155,6 +160,29 @@ def search_leaves(g: Graph):
         yield _adjacency_bits(g.adj, order), order, cells
 
     return search([list(range(g.n))])
+
+
+def orbit_firsts(candidates: Iterable, generators) -> list:
+    """The first candidate of each orbit of the group the generators span,
+    in input order. Each generator is an image map, ``generator[c]`` the
+    image of c; its domain holds every candidate and is closed under all
+    the generators, and may hold more than the candidates."""
+    seen = set()
+    firsts = []
+    for c in candidates:
+        if c in seen:
+            continue
+        firsts.append(c)
+        seen.add(c)
+        stack = [c]
+        while stack:
+            d = stack.pop()
+            for generator in generators:
+                e = generator[d]
+                if e not in seen:
+                    seen.add(e)
+                    stack.append(e)
+    return firsts
 
 
 # -- graph6 --------------------------------------------------------------------

@@ -91,9 +91,10 @@ def test_low_k_and_packing_cap_are_clean_errors(monkeypatch):
         "potential": "packing parameter requires k >= 4",
     }
     for command, message in low_k.items():
-        result = invoke(command, "--k", "3", "--in", "-", input=k4)
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), command
-        assert result.output.splitlines()[-1] == f"Error: {message}", command
+        for text in (k4, ""):  # rejected before any input is read or any line printed
+            result = invoke(command, "--k", "3", "--in", "-", input=text)
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit), command
+            assert result.output == f"Error: {message}\n", command
     monkeypatch.setattr(orelab.packing, "CLIQUE_CAP", 1)
     for command in ("pack", "potential"):
         result = invoke(command, "--k", "4", "--in", "-", input=k4)

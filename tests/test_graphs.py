@@ -5,6 +5,7 @@ permutation brute force, so the canonical-form code is never trusted to
 grade itself.
 """
 
+import gc
 import io
 import itertools
 import random
@@ -21,11 +22,17 @@ from orelab import (
     canonical_form,
     canonical_key,
     cliques_of_size,
+    compute_T,
+    compute_T_bruteforce,
+    edge_count_lemma_check,
     embeddings,
     graph6_decode,
     graph6_encode,
     graph_classes,
     isomorphism,
+    mic,
+    ore_catalog,
+    suites,
     to_dot,
 )
 from orelab.census import _augment, random_graph
@@ -34,6 +41,7 @@ from orelab.graphs import (
     MAX_VERTICES,
     _cliques,
     _graph_of_key,
+    _orbits,
     _quotient,
     _refine,
     _search,
@@ -591,6 +599,92 @@ def test_cycle_families_need_few_refinements(monkeypatch):
                         stack.append(perm[u])
             found.add(frozenset(orbit))
         assert found == orbits, spec
+
+
+# -- orbits --------------------------------------------------------------------
+
+
+@st.composite
+def permutation_groups(draw):
+    """A point count up to 12 and up to four permutations of the points."""
+    size = draw(st.integers(0, 12))
+    return size, draw(st.lists(st.permutations(range(size)), max_size=4))
+
+
+@given(permutation_groups())
+@example((2, [[1, 0]]))  # a smaller root hung under the larger names the orbit by 1
+@example((4, [[0, 1, 3, 2], [0, 2, 1, 3]]))  # 3 hangs under 2, then 2 under 1
+@settings(max_examples=200, deadline=None)
+def test_orbits_match_a_closure(group):
+    size, generators = group
+    expected = []
+    for i in range(size):  # the orbit of i, grown under the generators until it closes
+        orbit = {i}
+        while len(grown := orbit | {p[j] for p in generators for j in orbit}) > len(orbit):
+            orbit = grown
+        expected.append(min(orbit))
+    assert _orbits(size, [(i, p[i]) for p in generators for i in range(size) if p[i] != i]) == expected
+
+
+def orbit_actions(hosts):
+    """(size, generators as image lists) for the actions whose orbits the
+    kernel takes: the edges of the 1- to 3-step trees at k = 33 and 40 and
+    of ``hosts``, the new-vertex masks of every class on up to 6 vertices,
+    and the arcs and splits of the catalog graphs at k = 4, 5."""
+    trees = [realize(random_ore_tree(k, steps, random.Random(steps))) for k in (33, 40) for steps in (1, 2, 3)]
+    for g in trees + list(hosts):
+        index = {e: i for i, e in enumerate(g.edges())}
+        yield len(index), [[index[min(p[u], p[v]), max(p[u], p[v])] for u, v in index] for p in _search(g)[1]]
+    for n in range(7):
+        for g in graph_classes(n):
+            yield 1 << n, [[mask_of(p[v] for v in bits_of(m)) for m in range(1 << n)] for p in _search(g)[1]]
+    for g in {realize(tree) for k in (4, 5) for tree in ore_catalog(k, 2)}:
+        generators = _search(g)[1]
+        arcs = g.edges() + [(y, x) for x, y in g.edges()]
+        index = {arc: i for i, arc in enumerate(arcs)}
+        yield len(arcs), [[index[p[x], p[y]] for x, y in arcs] for p in generators]
+        splits = []
+        for z in range(g.n):
+            nbrs = g.neighbors(z)
+            splits += [(z, mask_of(nbrs[i] for i in bits_of(s))) for s in range(1, (1 << len(nbrs)) - 1)]
+        index = {split: i for i, split in enumerate(splits)}
+        images = [[index[p[z], mask_of(p[v] for v in bits_of(half))] for z, half in splits] for p in generators]
+        yield len(splits), images
+
+
+def test_orbits_keep_the_parent_firsts(census4_8, census5_8):
+    for size, images in orbit_actions(census4_8.graphs + census5_8.graphs):
+        orbit = _orbits(size, [(i, image[i]) for image in images for i in range(size) if image[i] != i])
+        assert [i for i in range(size) if orbit[i] == i] == oracles.orbit_firsts(range(size), images)
+
+
+# -- recursive searches ----------------------------------------------------------
+
+# Each search recurses through a closure that names itself, a reference
+# cycle until the search deletes it; the cycle would hold the closure's
+# captures until a collector pass.
+RECURSIVE_SEARCHES = {
+    "graphs._cliques": lambda: _cliques(Graph.complete(4).adj, 15, 3, lambda clique, later: False),
+    "graphs._search": lambda: _search(Graph.cycle(5)),
+    "packing.compute_T": lambda: compute_T(Graph.complete(4), 4),
+    "packing.compute_T_bruteforce": lambda: compute_T_bruteforce(Graph.complete(4), 4),
+    "structure.mic": lambda: mic(Graph.cycle(5)),
+    "coloring.edge_count_lemma_check": lambda: edge_count_lemma_check(Graph.complete(4), 4),
+    "suites._chromatic_oracle": lambda: suites._chromatic_oracle(Graph.cycle(5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECURSIVE_SEARCHES))
+def test_recursive_searches_leave_no_reference_cycle(name):
+    search = RECURSIVE_SEARCHES[name]
+    search()  # a first call may fill caches
+    gc.collect()
+    gc.disable()
+    try:
+        search()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- graph6 --------------------------------------------------------------------
