@@ -388,32 +388,30 @@ def edge_count_lemma_check(g: Graph, k: int, subset_cap: int = 2 ** 20) -> EdgeC
     """
     if not is_k_critical(g, k):
         raise ValueError("edge-count inequality only applies to k-critical graphs")
-    low = [v for v in range(g.n) if g.degree(v) == k - 1]
     b0 = tuple(v for v in range(g.n) if g.degree(v) == k)
     b1 = tuple(v for v in range(g.n) if g.degree(v) == k + 1)
+    bmask = mask_of(b0) | mask_of(b1)
+    low = [(v, (g.adj[v] & bmask).bit_count()) for v in range(g.n) if g.degree(v) == k - 1]
     if 1 << len(low) > subset_cap:
         raise SizeCapError("independent-subset scan", 1 << len(low), subset_cap)
-    bmask = mask_of(b0) | mask_of(b1)
-    rhs_b = 2 * len(b0) + 3 * len(b1)
     violations = []
-    checked = 0
-
-    def rec(idx: int, chosen: list[int], chosen_mask: int, lhs: int):
-        nonlocal checked
-        if chosen:
-            checked += 1
-            if lhs >= len(chosen) + rhs_b:
-                violations.append((tuple(chosen), lhs, len(chosen) + rhs_b))
-        for j in range(idx, len(low)):
-            v = low[j]
-            if g.adj[v] & chosen_mask:
-                continue
-            chosen.append(v)
-            rec(j + 1, chosen, chosen_mask | (1 << v), lhs + (g.adj[v] & bmask).bit_count())
-            chosen.pop()
-
-    try:
-        rec(0, [], 0, 0)
-    finally:
-        del rec  # breaks the closure's cycle through itself
+    checked = _scan(g.adj, low, 2 * len(b0) + 3 * len(b1), 0, (), 0, 0, violations)
     return EdgeCountCheck(not violations, checked, b0, b1, tuple(violations))
+
+
+def _scan(
+    adj: tuple[int, ...], low: list[tuple[int, int]], rhs_b: int, idx: int, chosen: tuple[int, ...],
+    chosen_mask: int, lhs: int, violations: list[tuple[tuple[int, ...], int, int]],
+) -> int:
+    """``edge_count_lemma_check``'s scan of the independent set A = ``chosen``,
+    with e(A, B) = ``lhs``, and of its extensions by the (vertex, e(vertex, B))
+    pairs ``low[idx:]``, depth first: adds each (A, e(A, B), |A| + ``rhs_b``)
+    that breaks the bound to ``violations``; returns the nonempty sets seen."""
+    checked = 1 if chosen else 0
+    if chosen and lhs >= len(chosen) + rhs_b:
+        violations.append((chosen, lhs, len(chosen) + rhs_b))
+    for j in range(idx, len(low)):
+        v, e = low[j]
+        if not adj[v] & chosen_mask:
+            checked += _scan(adj, low, rhs_b, j + 1, chosen + (v,), chosen_mask | 1 << v, lhs + e, violations)
+    return checked

@@ -237,26 +237,25 @@ def _cliques(
     """
     if size < 0:
         raise ValueError("clique size must be nonnegative")
+    return _extend(adj, visit, 0, within, size)
 
-    def extend(prefix: int, allowed: int, want: int) -> bool:
-        if want == 0:
-            return visit(prefix, allowed)
-        while allowed.bit_count() >= want:
-            low = allowed & -allowed
-            allowed ^= low
-            v = low.bit_length() - 1
-            nxt = allowed & adj[v]
-            if want == 1:  # the last vertex: hand the clique over without a call
-                if visit(prefix | low, nxt):
-                    return True
-            elif nxt.bit_count() >= want - 1 and extend(prefix | low, nxt, want - 1):
+
+def _extend(adj: Sequence[int], visit: Callable[[int, int], bool], prefix: int, allowed: int, want: int) -> bool:
+    """``_cliques``' search below the clique ``prefix``: extend it by
+    ``want`` more vertices of ``allowed``, its later common neighbours."""
+    if want == 0:
+        return visit(prefix, allowed)
+    while allowed.bit_count() >= want:
+        low = allowed & -allowed
+        allowed ^= low
+        v = low.bit_length() - 1
+        nxt = allowed & adj[v]
+        if want == 1:  # the last vertex: hand the clique over without a call
+            if visit(prefix | low, nxt):
                 return True
-        return False
-
-    try:
-        return extend(0, within, size)
-    finally:
-        del extend  # breaks the closure's cycle through itself, which held its captures
+        elif nxt.bit_count() >= want - 1 and _extend(adj, visit, prefix | low, nxt, want - 1):
+            return True
+    return False
 
 
 def _partitions(
@@ -326,30 +325,29 @@ def embeddings(pattern: Graph, host: Graph) -> Iterator[tuple[int, ...]]:
         order.append(v)
         placed |= 1 << v
         remaining.remove(v)
-    image = [-1] * pn
-    used = 0
+    yield from _embed(pattern, host, order, [-1] * pn, 0, 0)
 
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        nonlocal used
-        if i == pn:
-            yield tuple(image)
-            return
-        pv = order[i]
-        need = pattern.degree(pv)
-        candidates = host.full_mask() & ~used
-        for pu in bits_of(pattern.adj[pv]):
-            if image[pu] >= 0:
-                candidates &= host.adj[image[pu]]
-        for hv in bits_of(candidates):
-            if host.degree(hv) < need:
-                continue
-            image[pv] = hv
-            used |= 1 << hv
-            yield from rec(i + 1)
-            used &= ~(1 << hv)
-            image[pv] = -1
 
-    yield from rec(0)
+def _embed(
+    pattern: Graph, host: Graph, order: list[int], image: list[int], i: int, used: int
+) -> Iterator[tuple[int, ...]]:
+    """``embeddings`` below the map ``image`` of ``order[:i]`` onto the host
+    vertices ``used``: each way to extend it, host vertices in order."""
+    if i == len(order):
+        yield tuple(image)
+        return
+    pv = order[i]
+    need = pattern.degree(pv)
+    candidates = host.full_mask() & ~used
+    for pu in bits_of(pattern.adj[pv]):
+        if image[pu] >= 0:
+            candidates &= host.adj[image[pu]]
+    for hv in bits_of(candidates):
+        if host.degree(hv) < need:
+            continue
+        image[pv] = hv
+        yield from _embed(pattern, host, order, image, i + 1, used | 1 << hv)
+        image[pv] = -1
 
 
 # -- canonical labeling ----------------------------------------------------
@@ -488,60 +486,62 @@ def _search(g: Graph) -> tuple[CanonicalForm, list[list[int]]]:
     generators that fix its path, the individualized vertices above it (on
     the first path, all of them). Such a generator maps each of the node's
     cells onto itself, so the node joins only the cell's vertices to their
-    images, in ``_orbits``, once, and again only when a generator found
-    below it on the first path has grown the list. Every pruned leaf is the
-    image of one met earlier, so the first best leaf and the first leaf with
-    the first leaf's bits below each child are still met; every generator
-    joins two orbits, so there are at most n - 1.
+    images, in ``_orbits``, at its second child, and again only when a
+    generator found below it on the first path has grown the list. Every
+    pruned leaf is the image of one met earlier, so the first best leaf and
+    the first leaf with the first leaf's bits below each child are still
+    met; every generator joins two orbits, so there are at most n - 1.
     """
-    adj = g.adj
-    first = best = []  # the orders of the first leaf and of the best leaf
-    first_bits = best_bits = -1
     gens: list[list[int]] = []
-
-    def search(cells: list[list[int]], path: list[int], on_first: bool) -> bool:
-        """True once a leaf below ``cells``, off the first path, has the first leaf's bits."""
-        nonlocal first, first_bits, best, best_bits
-        cells = _refine(adj, cells, [1 << path[-1]] if path else [g.full_mask()])
-        masks = [mask_of(cell) for cell in cells] if len(cells) < g.n else []
-        for i, cell in enumerate(cells):
-            if len(cell) > 1 and not _twin_cell(adj, masks, i):
-                # gens grows below this node only on the first path, where
-                # every generator fixes the path
-                stab = gens if on_first else [p for p in gens if all(p[u] == u for u in path)]
-                tried: list[int] = []
-                known = 0  # the generators that ``orbit`` is taken under
-                for v in cell:
-                    if tried and known < len(stab):
-                        known = len(stab)
-                        orbit = _orbits(g.n, ((u, p[u]) for p in stab for u in cell if p[u] != u))
-                    if known and any(orbit[u] == orbit[v] for u in tried):
-                        continue
-                    child = cells[:i] + [[v], [u for u in cell if u != v]] + cells[i + 1:]
-                    if search(child, path + [v], on_first and not tried) and not on_first:
-                        return True
-                    tried.append(v)
-                return False
-        order = [v for cell in cells for v in cell]
-        bits = _adjacency_bits(adj, order)
-        if on_first:
-            first, first_bits, best, best_bits = order, bits, order, bits
-            for u, v in [(u, v) for cell in cells if len(cell) > 1 for u, v in zip(cell, cell[1:])]:
-                perm = list(range(g.n))
-                perm[u], perm[v] = v, u
-                gens.append(perm)
-            return False
-        if bits > best_bits:
-            best_bits, best = bits, order
-        if bits == first_bits:
-            gens.append([v for _, v in sorted(zip(first, order))])
-        return bits == first_bits
-
-    try:
-        search([list(range(g.n))], [], True)
-    finally:
-        del search  # breaks the closure's cycle through itself
+    _, _, (best_bits, best) = _descend(g.adj, [list(range(g.n))], [], gens, None, (-1, []))
     return CanonicalForm(g.n, best_bits, tuple(best)), gens
+
+
+def _descend(
+    adj: tuple[int, ...], cells: list[list[int]], path: list[int], gens: list[list[int]],
+    first: tuple | None, best: tuple,
+) -> tuple[bool, tuple, tuple]:
+    """``_search`` below the node ``cells`` that individualizes ``path``,
+    with the first leaf (None until met) and the best leaf so far, each as
+    (bits, order), adding the generators it finds to ``gens``: whether a
+    leaf below it, off the first path, has the first leaf's bits, and the
+    first and best leaves after it."""
+    n = len(adj)
+    on_first = first is None  # only the first path's nodes come before its leaf
+    cells = _refine(adj, cells, [1 << path[-1]] if path else [(1 << n) - 1])
+    masks = [mask_of(cell) for cell in cells] if len(cells) < n else []
+    for i, cell in enumerate(cells):
+        if len(cell) > 1 and not _twin_cell(adj, masks, i):
+            # gens grows below this node only on the first path, where
+            # every generator fixes the path
+            stab = gens if on_first else [p for p in gens if all(p[u] == u for u in path)]
+            tried: list[int] = []
+            known = 0  # the generators that ``orbit`` is taken under
+            for v in cell:
+                if tried and known < len(stab):
+                    known = len(stab)
+                    orbit = _orbits(n, ((u, p[u]) for p in stab for u in cell if p[u] != u))
+                if known and any(orbit[u] == orbit[v] for u in tried):
+                    continue
+                child = cells[:i] + [[v], [u for u in cell if u != v]] + cells[i + 1:]
+                hit, first, best = _descend(adj, child, path + [v], gens, first, best)
+                if hit and not on_first:
+                    return True, first, best
+                tried.append(v)
+            return False, first, best
+    order = [v for cell in cells for v in cell]
+    bits = _adjacency_bits(adj, order)
+    if on_first:
+        for u, v in [(u, v) for cell in cells if len(cell) > 1 for u, v in zip(cell, cell[1:])]:
+            perm = list(range(n))
+            perm[u], perm[v] = v, u
+            gens.append(perm)
+        return False, (bits, order), (bits, order)
+    if bits > best[0]:
+        best = (bits, order)
+    if bits == first[0]:
+        gens.append([v for _, v in sorted(zip(first[1], order))])
+    return bits == first[0], first, best
 
 
 @lru_cache(maxsize=CANONICAL_CACHE_SIZE)

@@ -484,31 +484,31 @@ def _composition_sides(g: Graph) -> tuple[list, list]:
     edges, then each one reversed. A forward edge keeps its index below
     ``len(edges)``, so the least arc of an orbit that holds an edge is that
     orbit's first edge. A split is coded as (z, mask of its first half),
-    which fixes the second half, and indexed by its place in the walk; the
-    images of z's first halves are built as z's selectors are, one bit at a
-    time, so each split's image is one lookup. ``graphs._orbits`` joins
-    each arc and each split index to its images that differ from it.
+    which fixes the second half, and indexed by its place in the walk. A
+    generator that fixes z and its neighbours fixes each split of z, so only
+    the others map z's first halves, as z's selectors are built, one bit at
+    a time. ``graphs._orbits`` joins each arc and split index to its images.
     """
     perms = _search(g)[1]
     edges = sorted(g.edges())
     arcs = edges + [(y, x) for x, y in edges]
 
     def firsts(z: int, image: Sequence[int]) -> list[int]:
-        """The images under ``image`` of the first halves of z's splits, in
-        selector order (bit i of a selector is z's i-th neighbor)."""
+        """The images under ``image`` of z's first halves, in selector order (bit i is z's i-th neighbor)."""
         out = [0]
         for v in bits_of(g.adj[z]):
             out += [mask | 1 << image[v] for mask in out]
         return out[1:-1]
 
-    splits = [(z, first) for z in range(g.n) for first in firsts(z, range(g.n))]
+    own = [firsts(z, range(g.n)) for z in range(g.n)]
     arc_index = {arc: i for i, arc in enumerate(arcs)}
-    split_index = {split: i for i, split in enumerate(splits)}
+    split_index = {split: i for i, split in enumerate((z, first) for z in range(g.n) for first in own[z])}
     arc_links = ((i, arc_index[p[x], p[y]]) for p in perms for i, (x, y) in enumerate(arcs) if p[x] != x or p[y] != y)
     arc_orbit = _orbits(len(arcs), arc_links)
-    split_images = [[split_index[p[z], first] for z in range(g.n) for first in firsts(z, p)] for p in perms]
-    split_orbit = _orbits(len(splits), ((i, j) for image in split_images for i, j in enumerate(image) if i != j))
-    kept = [split for i, split in enumerate(splits) if split_orbit[i] == i]
+    moved = ((p, z) for p in perms for z in range(g.n) if any(p[v] != v for v in bits_of(g.closed_mask(z))))
+    split_links = ((split_index[z, a], split_index[p[z], b]) for p, z in moved for a, b in zip(own[z], firsts(z, p)))
+    split_orbit = _orbits(len(split_index), split_links)
+    kept = [split for i, split in enumerate(split_index) if split_orbit[i] == i]
     halves = [(z, (tuple(bits_of(first)), tuple(bits_of(g.adj[z] & ~first)))) for z, first in kept]
     return [edge for i, edge in enumerate(edges) if arc_orbit[i] == i], halves
 

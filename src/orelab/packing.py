@@ -85,41 +85,39 @@ def compute_T(g: Graph, k: int) -> PackingWitness:
         return False
 
     _cliques(g.adj, g.full_mask(), k - 2, collect)
-    best_value = -1
-    best_chosen: tuple[int, ...] = ()
-
-    def dfs(bigs: list[int], smalls: list[int], value: int, chosen: tuple[int, ...]):
-        # Packs each candidate in turn, big ones first; moving on excludes
-        # it, so the loops walk the exclusion chain, step j bounded by
-        # covers[-1 - j], the union of the candidates from j on, all from one
-        # backward pass; a step among the big ones keeps every small one.
-        nonlocal best_value, best_chosen
-        if value > best_value:
-            best_value = value
-            best_chosen = chosen
-        small_covers = list(accumulate(reversed(smalls), or_))
-        small_union = small_covers[-1] if smalls else 0
-        big_covers = list(accumulate(reversed(bigs), or_))
-        for j, head in enumerate(bigs):
-            cover = big_covers[-1 - j]
-            spread = 2 * (k - 2) * cover.bit_count() + (k - 1) * (small_union & ~cover).bit_count()
-            if value + spread // ((k - 1) * (k - 2)) <= best_value:
-                return
-            later_bigs = [m for m in bigs[j + 1:] if not m & head]
-            dfs(later_bigs, [m for m in smalls if not m & head], value + 2, chosen + (head,))
-        for j, head in enumerate(smalls):
-            # (k-1)|SL| // ((k-1)(k-2)), with no big candidate left
-            if value + small_covers[-1 - j].bit_count() // (k - 2) <= best_value:
-                return
-            dfs([], [m for m in smalls[j + 1:] if not m & head], value + 1, chosen + (head,))
-
-    try:
-        dfs(big, small, 0, ())
-    finally:
-        del dfs  # breaks the closure's cycle through itself
+    best_value, best_chosen = _pack(k, big, small, 0, (), (-1, ()))
     witness = PackingWitness(tuple(tuple(bits_of(m)) for m in best_chosen), best_value)
     check_witness(g, k, witness)
     return witness
+
+
+def _pack(
+    k: int, bigs: list[int], smalls: list[int], value: int, chosen: tuple[int, ...], best: tuple[int, tuple[int, ...]]
+) -> tuple[int, tuple[int, ...]]:
+    """``compute_T``'s search below the packed cliques ``chosen`` of weight
+    ``value``: the first best (value, cliques) of it and of ``best``, the
+    best before it. It packs each candidate in turn, big ones first; moving
+    on excludes it, so the loops walk the exclusion chain, step j bounded by
+    covers[-1 - j], the union of the candidates from j on, all from one
+    backward pass; a step among the big ones keeps every small one."""
+    if value > best[0]:
+        best = (value, chosen)
+    small_covers = list(accumulate(reversed(smalls), or_))
+    small_union = small_covers[-1] if smalls else 0
+    big_covers = list(accumulate(reversed(bigs), or_))
+    for j, head in enumerate(bigs):
+        cover = big_covers[-1 - j]
+        spread = 2 * (k - 2) * cover.bit_count() + (k - 1) * (small_union & ~cover).bit_count()
+        if value + spread // ((k - 1) * (k - 2)) <= best[0]:
+            return best
+        later_bigs = [m for m in bigs[j + 1:] if not m & head]
+        best = _pack(k, later_bigs, [m for m in smalls if not m & head], value + 2, chosen + (head,), best)
+    for j, head in enumerate(smalls):
+        # (k-1)|SL| // ((k-1)(k-2)), with no big candidate left
+        if value + small_covers[-1 - j].bit_count() // (k - 2) <= best[0]:
+            return best
+        best = _pack(k, [], [m for m in smalls[j + 1:] if not m & head], value + 1, chosen + (head,), best)
+    return best
 
 
 def compute_T_bruteforce(g: Graph, k: int) -> int:
@@ -140,22 +138,21 @@ def compute_T_bruteforce(g: Graph, k: int) -> int:
         for subset in combinations(range(g.n), order):
             if g.is_clique(subset):
                 by_low[subset[0]].append((mask_of(subset), weight))
-    memo: dict[int, int] = {}
+    return _family(by_low, {}, g.full_mask())
 
-    def search(avail: int) -> int:
-        if avail == 0:
-            return 0
-        if avail in memo:
-            return memo[avail]
-        v = (avail & -avail).bit_length() - 1
-        best = search(avail & ~(1 << v))
-        for cmask, weight in by_low.get(v, ()):
-            if cmask & avail == cmask:
-                best = max(best, weight + search(avail & ~cmask))
-        memo[avail] = best
-        return best
 
-    try:
-        return search(g.full_mask())
-    finally:
-        del search  # breaks the closure's cycle through itself
+def _family(by_low: dict[int, list[tuple[int, int]]], memo: dict[int, int], avail: int) -> int:
+    """``compute_T_bruteforce``'s best packing value on the vertices
+    ``avail``, deciding its lowest vertex first; ``memo`` holds the values
+    of the masks already searched."""
+    if avail == 0:
+        return 0
+    if avail in memo:
+        return memo[avail]
+    v = (avail & -avail).bit_length() - 1
+    best = _family(by_low, memo, avail & ~(1 << v))
+    for cmask, weight in by_low.get(v, ()):
+        if cmask & avail == cmask:
+            best = max(best, weight + _family(by_low, memo, avail & ~cmask))
+    memo[avail] = best
+    return best

@@ -230,31 +230,26 @@ def mic(g: Graph) -> tuple[int, frozenset[int]]:
         raise SizeCapError("mic vertex count", g.n, MIC_MAX_VERTICES)
     degs = [g.degree(v) for v in range(g.n)]
     order = sorted(range(g.n), key=lambda v: (-degs[v], v))
-    best_val = -1
-    best_set: tuple[int, ...] = ()
-
-    def dfs(cands: list[int], value: int, chosen: list[int]):
-        nonlocal best_val, best_set
-        if value > best_val:
-            best_val = value
-            best_set = tuple(chosen)
-        if not cands:
-            return
-        if value + sum(degs[c] for c in cands) <= best_val:
-            return
-        head, rest = cands[0], cands[1:]
-        chosen.append(head)
-        dfs([c for c in rest if not g.adj[head] >> c & 1], value + degs[head], chosen)
-        chosen.pop()
-        dfs(rest, value, chosen)
-
-    try:
-        dfs(order, 0, [])
-    finally:
-        del dfs  # breaks the closure's cycle through itself
+    best_val, best_set = _heaviest(g.adj, degs, order, 0, (), (-1, ()))
     if not g.is_independent(best_set):
         raise AssertionError("mic witness is not independent")
     return best_val, frozenset(best_set)
+
+
+def _heaviest(
+    adj: tuple[int, ...], degs: list[int], cands: list[int], value: int, chosen: tuple[int, ...],
+    best: tuple[int, tuple[int, ...]],
+) -> tuple[int, tuple[int, ...]]:
+    """``mic``'s search below the independent set ``chosen`` of degree sum
+    ``value``: the first best (value, set) of it, its extensions by
+    ``cands`` and ``best``, the best found before it."""
+    if value > best[0]:
+        best = (value, chosen)
+    if not cands or value + sum(degs[c] for c in cands) <= best[0]:
+        return best
+    head, rest = cands[0], cands[1:]
+    best = _heaviest(adj, degs, [c for c in rest if not adj[head] >> c & 1], value + degs[head], chosen + (head,), best)
+    return _heaviest(adj, degs, rest, value, chosen, best)
 
 
 # -- subset bookkeeping ---------------------------------------------------------

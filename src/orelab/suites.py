@@ -435,26 +435,29 @@ def _chromatic_oracle(g: Graph) -> int:
     nbrs = [tuple(u for u in g.neighbors(v) if u < v) for v in range(g.n)]
     colors = [0] * g.n
     nodes = 0
+    for t in range(g.n + 1):  # n colours always do
+        done, nodes = _backtrack(nbrs, colors, 0, t, nodes)
+        if done:
+            return t
 
-    def rec(v: int, t: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > ORACLE_NODE_BUDGET:
-            raise SizeCapError("plain-backtracking coloring nodes", nodes, ORACLE_NODE_BUDGET)
-        if v == g.n:
-            return True
-        used = {colors[u] for u in nbrs[v]}
-        for c in range(1, t + 1):
-            if c not in used:
-                colors[v] = c
-                if rec(v + 1, t):
-                    return True
-        return False
 
-    try:
-        return next(t for t in range(g.n + 1) if rec(0, t))
-    finally:
-        del rec  # breaks the closure's cycle through itself
+def _backtrack(nbrs: list[tuple[int, ...]], colors: list[int], v: int, t: int, nodes: int) -> tuple[bool, int]:
+    """``_chromatic_oracle``'s search for colours in 1..t of the vertices
+    from v on, ``colors`` holding those before it: whether one exists, and
+    ``nodes`` plus the nodes it visited."""
+    nodes += 1
+    if nodes > ORACLE_NODE_BUDGET:
+        raise SizeCapError("plain-backtracking coloring nodes", nodes, ORACLE_NODE_BUDGET)
+    if v == len(nbrs):
+        return True, nodes
+    used = {colors[u] for u in nbrs[v]}
+    for c in range(1, t + 1):
+        if c not in used:
+            colors[v] = c
+            done, nodes = _backtrack(nbrs, colors, v + 1, t, nodes)
+            if done:
+                return True, nodes
+    return False, nodes
 
 
 def _coloring_oracle(g: Graph, params: dict) -> list[SuiteRow]:

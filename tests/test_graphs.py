@@ -660,11 +660,11 @@ def test_orbits_keep_the_parent_firsts(census4_8, census5_8):
 
 # -- recursive searches ----------------------------------------------------------
 
-# Each search recurses through a closure that names itself, a reference
-# cycle until the search deletes it; the cycle would hold the closure's
-# captures until a collector pass.
+# No search leaves a reference cycle: a cycle would hold the search's
+# state until a collector pass.
 RECURSIVE_SEARCHES = {
     "graphs._cliques": lambda: _cliques(Graph.complete(4).adj, 15, 3, lambda clique, later: False),
+    "graphs.embeddings": lambda: list(embeddings(Graph.path(3), Graph.cycle(5))),
     "graphs._search": lambda: _search(Graph.cycle(5)),
     "packing.compute_T": lambda: compute_T(Graph.complete(4), 4),
     "packing.compute_T_bruteforce": lambda: compute_T_bruteforce(Graph.complete(4), 4),

@@ -24,7 +24,7 @@ PACKAGE = ROOT / "src" / "orelab"
 
 ALLOWED_UNUSED = {
     "tree_loads": "reads back the JSON lines that gen-ore --tree-out writes",
-    "eps_edge_bound": "the paper's main edge bound; ROADMAP item 5's eps-bound suite will call it",
+    "eps_edge_bound": "the paper's main edge bound; ROADMAP item 1's eps-bound suite will call it",
 }
 
 ALLOWED_UNUSED_METHODS = {
@@ -289,6 +289,24 @@ def test_traced_names_have_no_private_twin():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[:1] == "_" and node.name[1:] in traced
     ]
     assert twins == [], f"private twins of traced functions: {twins}"
+
+
+def test_no_nested_function_refers_to_itself():
+    """A function nested in another that names itself holds its own closure
+    cell, a reference cycle that keeps its captures until a collector pass;
+    a recursive search recurses at module level, taking its state as
+    arguments."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(outer, ast.FunctionDef):
+                continue
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, ast.FunctionDef) and any(
+                    isinstance(node, ast.Name) and node.id == inner.name for node in ast.walk(inner)
+                ):
+                    found.add(f"{path.stem}.{outer.name}.{inner.name}")
+    assert sorted(found) == [], f"nested functions that refer to themselves: {sorted(found)}"
 
 
 EDGE_LIST_BUILDERS = {"graphs.Graph.cycle", "graphs.Graph.path", "census.random_graph"}
