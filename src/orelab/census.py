@@ -45,6 +45,7 @@ from .graphs import (
     _orbits,
     _partitions,
     _search,
+    _submask_images,
     bits_of,
     canonical_key,
     cliques_of_size,
@@ -92,15 +93,10 @@ def _augment(parent: Graph, mask: int) -> Graph:
 def _orbit_minima(parent: Graph, generators: Sequence[Sequence[int]]) -> list[int]:
     """The least mask of each orbit of Aut(parent) on the new-vertex masks
     0..2^pn-1, in increasing order, from ``generators`` of Aut(parent), each
-    mask joined to its images in ``graphs._orbits``."""
+    mask joined to its images, from ``graphs._submask_images``, in
+    ``graphs._orbits``."""
     size = 1 << parent.n
-    images = []
-    for perm in generators:
-        image = [0] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
-        images.append(image)
+    images = [_submask_images(parent.full_mask(), perm) for perm in generators]
     orbit = _orbits(size, ((mask, image[mask]) for image in images for mask in range(size) if image[mask] != mask))
     return [mask for mask in range(size) if orbit[mask] == mask]
 
@@ -289,7 +285,7 @@ def _survivors(parent: Graph, n: int, k: int, table: int, columns: list[tuple[in
     if n > k:
         cliques = 0
         for clique in cliques_of_size(parent, k - 1):
-            cliques |= 1 << mask_of(clique)
+            cliques |= 1 << clique
         keep &= ~_closure(cliques, columns, up=True)
     for step, with_bit in columns:
         keep &= ~with_bit | (table & ~with_bit) << step

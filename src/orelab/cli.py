@@ -15,7 +15,7 @@ import click
 
 from .census import census_critical, corpus_from_graphs, graph_classes
 from .errors import SizeCapError
-from .graphs import graph6_decode, graph6_encode, to_dot
+from .graphs import bits_of, graph6_decode, graph6_encode, to_dot
 from .orekit import DEFAULT_RECOGNITION_CAP, is_k_ore, random_ore_tree, realize, tree_dumps
 from .packing import compute_T
 from .potential import rho, rho_ky
@@ -117,7 +117,7 @@ def pack_cmd(k, infile):
     _check_k(k, "packing parameter")
     for g in _read_graphs(infile):
         witness = compute_T(g, k)
-        parts = " ".join("+".join(map(str, c)) for c in witness.cliques) or "-"
+        parts = " ".join("+".join(map(str, bits_of(c))) for c in witness.cliques) or "-"
         click.echo(f"{graph6_encode(g)}\tT={witness.value}\t{parts}")
 
 

@@ -36,7 +36,7 @@ def _gadget_key_hits(g: Graph, catalog: tuple[Gadget, ...], target: int) -> int:
         if gadget.graph.n > g.n or not gadget.key_vertices:
             continue
         for image in embeddings(gadget.graph, g):
-            hits |= mask_of(image[v] for v in gadget.key_vertices)
+            hits |= mask_of(image[v] for v in bits_of(gadget.key_vertices))
             if not target & ~hits:
                 return hits
     return hits
@@ -80,15 +80,15 @@ def classify_degree_k1(
 
     roles: dict[int, str] = dict.fromkeys(range(g.n), ROLE_OTHER)
     cluster_size: dict[int, int] = {}
-    for members in clusters(g, k):
-        c = mask_of(members)
-        for v in members:
-            cluster_size[v] = len(members)
+    for c in clusters(g, k):
+        size = c.bit_count()
+        for v in bits_of(c):
+            cluster_size[v] = size
             if c & structure:  # a cluster with one structure vertex is promoted whole
                 roles[v] = ROLE_STRUCTURE
             elif g.adj[v] & low & ~c:
                 roles[v] = ROLE_NEAR
-            elif len(members) > k - 4:
+            elif size > k - 4:
                 raise AssertionError("a lone cluster this large is itself a clique witness")
             else:
                 roles[v] = ROLE_LONE

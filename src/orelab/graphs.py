@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import SizeCapError
-
 MAX_VERTICES = 256
 # Entries memoised by canonical_form: the seeded benchmark stream keeps about
 # 2,500 for 480 graphs and a verify sweep 600, so no workload evicts.
@@ -170,15 +168,20 @@ class Graph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def is_clique(self, vertices: Iterable[int]) -> bool:
-        vs = list(vertices)
-        m = mask_of(vs)
-        return all((self.adj[v] & m) == m ^ (1 << v) for v in vs)
+    def _within(self, mask: int) -> int:
+        """``mask``, once it is known to be a vertex mask of this graph;
+        checked before any bits_of, which never ends on a negative int."""
+        if mask < 0 or mask >> self.n:
+            raise ValueError(f"vertex mask {mask:#x} has ids outside 0..{self.n - 1}")
+        return mask
 
-    def is_independent(self, vertices: Iterable[int]) -> bool:
-        vs = list(vertices)
-        m = mask_of(vs)
-        return all(not (self.adj[v] & m) for v in vs)
+    def is_clique(self, mask: int) -> bool:
+        """Whether the vertex mask ``mask`` induces a complete subgraph."""
+        return all((self.adj[v] & mask) == mask ^ (1 << v) for v in bits_of(self._within(mask)))
+
+    def is_independent(self, mask: int) -> bool:
+        """Whether the vertex mask ``mask`` induces no edge."""
+        return all(not self.adj[v] & mask for v in bits_of(self._within(mask)))
 
     # -- derived graphs ----------------------------------------------------
 
@@ -285,23 +288,23 @@ def _partitions(
     return False
 
 
-def cliques_of_size(g: Graph, size: int, cap: int | None = None) -> list[tuple[int, ...]]:
-    """All vertex sets of the given size inducing a complete subgraph.
+def cliques_of_size(g: Graph, size: int) -> list[int]:
+    """All vertex sets of the given size inducing a complete subgraph, as
+    vertex masks in lexicographic order of their sorted vertex lists."""
+    out: list[int] = []
+    _cliques(g.adj, g.full_mask(), size, lambda clique, later: out.append(clique))
+    return out
 
-    Results are sorted tuples in lexicographic order. ``cap`` bounds how
-    many cliques may be collected before the search aborts.
-    """
-    if size == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
 
-    def collect(clique: int, later: int) -> bool:
-        out.append(tuple(bits_of(clique)))
-        if cap is not None and len(out) > cap:
-            raise SizeCapError("clique enumeration", len(out), cap)
-        return False
-
-    _cliques(g.adj, g.full_mask(), size, collect)
+def _submask_images(mask: int, perm: Sequence[int]) -> list[int]:
+    """The image under ``perm`` of every submask of ``mask``, in selector
+    order: entry s is the image of the submask that holds the i-th vertex
+    of ``mask`` for each set bit i of s. Built by doubling: each vertex
+    appends the images so far, each joined by that vertex's image."""
+    out = [0]
+    for v in bits_of(mask):
+        bit = 1 << perm[v]
+        out += [image | bit for image in out]
     return out
 
 

@@ -21,7 +21,6 @@ import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 from .coloring import first_coloring
 from .errors import SizeCapError
@@ -32,6 +31,7 @@ from .graphs import (
     _orbits,
     _quotient,
     _search,
+    _submask_images,
     bits_of,
     canonical_form,
     components,
@@ -430,9 +430,10 @@ def _decompose(g: Graph, k: int):
             yield a, b, split_mask, (g1, map1, t1), (g2, map2, t2)
 
 
-def key_vertices(tree: OreTree) -> frozenset[int]:
-    """Vertices of the realized graph that sit on the edge side, outside the
-    overlap pair, in every decomposition found by the recognition search.
+def key_vertices(tree: OreTree) -> int:
+    """The mask of the vertices of the realized graph that sit on the edge
+    side, outside the overlap pair, in every decomposition found by the
+    recognition search.
 
     For K_k there are no decompositions at all, so every vertex qualifies.
     """
@@ -441,7 +442,7 @@ def key_vertices(tree: OreTree) -> frozenset[int]:
     if g.n > DEFAULT_RECOGNITION_CAP:
         raise SizeCapError("key-vertex vertex count", g.n, DEFAULT_RECOGNITION_CAP)
     if g.n == k:
-        return frozenset(range(k))
+        return g.full_mask()
     keys = g.full_mask()
     decomposable = False
     for a, b, split_mask, _, _ in _decompose(g, k):
@@ -449,7 +450,7 @@ def key_vertices(tree: OreTree) -> frozenset[int]:
         decomposable = True
     if not decomposable:
         raise AssertionError("realized composition admits no decomposition")
-    return frozenset(bits_of(keys))
+    return keys
 
 
 # -- gadgets -----------------------------------------------------------------
@@ -459,14 +460,14 @@ def key_vertices(tree: OreTree) -> frozenset[int]:
 class Gadget:
     """A closure member H with one cluster vertex x removed.
 
-    ``graph`` is H - x with dense ids; ``key_vertices`` are the key vertices
-    of H surviving in those ids.
+    ``graph`` is H - x with dense ids; ``key_vertices`` is the mask of the
+    key vertices of H surviving in those ids.
     """
 
     tree: OreTree
     deleted_vertex: int
     graph: Graph
-    key_vertices: frozenset[int]
+    key_vertices: int
 
 
 # -- exhaustive catalogs -----------------------------------------------------
@@ -486,27 +487,21 @@ def _composition_sides(g: Graph) -> tuple[list, list]:
     orbit's first edge. A split is coded as (z, mask of its first half),
     which fixes the second half, and indexed by its place in the walk. A
     generator that fixes z and its neighbours fixes each split of z, so only
-    the others map z's first halves, as z's selectors are built, one bit at
-    a time. ``graphs._orbits`` joins each arc and split index to its images.
+    the others map z's first halves, in selector order (bit i is z's i-th
+    neighbour) by ``graphs._submask_images``, less the empty and full ones.
+    ``graphs._orbits`` joins each arc and split index to its images.
     """
     perms = _search(g)[1]
     edges = sorted(g.edges())
     arcs = edges + [(y, x) for x, y in edges]
-
-    def firsts(z: int, image: Sequence[int]) -> list[int]:
-        """The images under ``image`` of z's first halves, in selector order (bit i is z's i-th neighbor)."""
-        out = [0]
-        for v in bits_of(g.adj[z]):
-            out += [mask | 1 << image[v] for mask in out]
-        return out[1:-1]
-
-    own = [firsts(z, range(g.n)) for z in range(g.n)]
+    own = [_submask_images(g.adj[z], range(g.n))[1:-1] for z in range(g.n)]
     arc_index = {arc: i for i, arc in enumerate(arcs)}
     split_index = {split: i for i, split in enumerate((z, first) for z in range(g.n) for first in own[z])}
     arc_links = ((i, arc_index[p[x], p[y]]) for p in perms for i, (x, y) in enumerate(arcs) if p[x] != x or p[y] != y)
     arc_orbit = _orbits(len(arcs), arc_links)
     moved = ((p, z) for p in perms for z in range(g.n) if any(p[v] != v for v in bits_of(g.closed_mask(z))))
-    split_links = ((split_index[z, a], split_index[p[z], b]) for p, z in moved for a, b in zip(own[z], firsts(z, p)))
+    images = ((p, z, _submask_images(g.adj[z], p)[1:-1]) for p, z in moved)
+    split_links = ((split_index[z, a], split_index[p[z], b]) for p, z, firsts in images for a, b in zip(own[z], firsts))
     split_orbit = _orbits(len(split_index), split_links)
     kept = [split for i, split in enumerate(split_index) if split_orbit[i] == i]
     halves = [(z, (tuple(bits_of(first)), tuple(bits_of(g.adj[z] & ~first)))) for z, first in kept]
@@ -582,13 +577,13 @@ def gadget_catalog(k: int, max_steps: int) -> tuple[Gadget, ...]:
     for tree in ore_catalog(k, max_steps):
         g = realize(tree)
         keys = key_vertices(tree)
-        eligible = {v for c in clusters(g, k) if len(c) >= 2 for v in c}
-        for x in sorted(eligible):
-            stripped, remap = g.induced(v for v in range(g.n) if v != x)
-            kept_keys = frozenset(remap[v] for v in keys if v != x)
+        eligible = sum(c for c in clusters(g, k) if c.bit_count() >= 2)  # disjoint: the sum is the union
+        for x in bits_of(eligible):
+            stripped, _ = g.induced(v for v in range(g.n) if v != x)
+            below = (1 << x) - 1
+            kept_keys = keys & below | keys >> 1 & ~below  # vertices above x move down one
             cf = canonical_form(stripped)
-            pos = {v: i for i, v in enumerate(cf.labeling)}
-            sig = (cf.key, frozenset(pos[v] for v in kept_keys))
+            sig = (cf.key, mask_of(i for i, v in enumerate(cf.labeling) if kept_keys >> v & 1))
             if sig not in seen:
                 seen.add(sig)
                 out.append(Gadget(tree, x, stripped, kept_keys))

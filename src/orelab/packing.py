@@ -23,9 +23,10 @@ BRUTEFORCE_MAX_VERTICES = 12
 
 @dataclass(frozen=True)
 class PackingWitness:
-    """A vertex-disjoint family of (k-1)- and (k-2)-cliques with its value."""
+    """A vertex-disjoint family of (k-1)- and (k-2)-cliques, as vertex
+    masks, with its value."""
 
-    cliques: tuple[tuple[int, ...], ...]
+    cliques: tuple[int, ...]
     value: int
 
 
@@ -33,16 +34,16 @@ def check_witness(g: Graph, k: int, witness: PackingWitness) -> None:
     """Re-validate a packing witness independently of the solver."""
     used = 0
     total = 0
-    for cl in witness.cliques:
-        if len(cl) not in (k - 1, k - 2):
-            raise ValueError(f"clique {cl} has order {len(cl)}, want {k - 1} or {k - 2}")
+    for cl in map(g._within, witness.cliques):
+        order = cl.bit_count()
+        if order not in (k - 1, k - 2):
+            raise ValueError(f"clique {list(bits_of(cl))} has order {order}, want {k - 1} or {k - 2}")
         if not g.is_clique(cl):
-            raise ValueError(f"vertex set {cl} is not a clique")
-        m = mask_of(cl)
-        if m & used:
-            raise ValueError(f"clique {cl} overlaps another packed clique")
-        used |= m
-        total += 2 if len(cl) == k - 1 else 1
+            raise ValueError(f"vertex set {list(bits_of(cl))} is not a clique")
+        if cl & used:
+            raise ValueError(f"clique {list(bits_of(cl))} overlaps another packed clique")
+        used |= cl
+        total += 2 if order == k - 1 else 1
     if total != witness.value:
         raise ValueError(f"declared value {witness.value} != recomputed {total}")
 
@@ -86,7 +87,7 @@ def compute_T(g: Graph, k: int) -> PackingWitness:
 
     _cliques(g.adj, g.full_mask(), k - 2, collect)
     best_value, best_chosen = _pack(k, big, small, 0, (), (-1, ()))
-    witness = PackingWitness(tuple(tuple(bits_of(m)) for m in best_chosen), best_value)
+    witness = PackingWitness(best_chosen, best_value)
     check_witness(g, k, witness)
     return witness
 
@@ -136,8 +137,9 @@ def compute_T_bruteforce(g: Graph, k: int) -> int:
         if order < 1:
             continue
         for subset in combinations(range(g.n), order):
-            if g.is_clique(subset):
-                by_low[subset[0]].append((mask_of(subset), weight))
+            m = mask_of(subset)
+            if g.is_clique(m):
+                by_low[subset[0]].append((m, weight))
     return _family(by_low, {}, g.full_mask())
 
 

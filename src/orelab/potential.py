@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
-from .graphs import Graph
+from .graphs import Graph, bits_of
 from .packing import compute_T
 
 
@@ -57,9 +56,10 @@ def rho(g: Graph, k: int, t_value: int) -> Fraction:
     return rho_value(g.n, g.edge_count(), t_value, k)
 
 
-def rho_subset(g: Graph, subset: Iterable[int], k: int) -> Fraction:
-    """Potential of an induced subgraph, with T packed on that subgraph."""
-    sub, _ = g.induced(subset)
+def rho_subset(g: Graph, subset: int, k: int) -> Fraction:
+    """Potential of the subgraph induced on the vertex mask ``subset``, with
+    T packed on that subgraph."""
+    sub, _ = g.induced(bits_of(g._within(subset)))
     t_value = compute_T(sub, k).value
     return rho(sub, k, t_value)
 

@@ -20,26 +20,27 @@ MIC_MAX_VERTICES = 40
 # -- clusters ----------------------------------------------------------------
 
 
-def clusters(g: Graph, k: int) -> list[frozenset[int]]:
+def clusters(g: Graph, k: int) -> list[int]:
     """The maximal sets of degree-(k-1) vertices sharing one closed
-    neighborhood, ordered by least member.
+    neighborhood, as vertex masks ordered by least member.
 
     Members are pairwise adjacent (each lies in the other's closed
     neighborhood), so a cluster is a clique of mutually cloned vertices.
     """
-    groups: dict[int, list[int]] = {}
+    groups: dict[int, int] = {}
     for v, row in enumerate(g.adj):
         if row.bit_count() == k - 1:
-            groups.setdefault(g.closed_mask(v), []).append(v)
+            closed = g.closed_mask(v)
+            groups[closed] = groups.get(closed, 0) | 1 << v
     # a group opens at its least member, so insertion order is that order
-    return [frozenset(vs) for vs in groups.values()]
+    return list(groups.values())
 
 
 # -- diamonds and emeralds ---------------------------------------------------
 
 
-def find_diamonds_emeralds(g: Graph, k: int) -> list[frozenset[int]]:
-    """The vertex sets of all diamonds and emeralds of g: diamonds first,
+def find_diamonds_emeralds(g: Graph, k: int) -> list[int]:
+    """The vertex masks of all diamonds and emeralds of g: diamonds first,
     then emeralds, each kind in order of its sorted vertex list.
 
     Diamond: a k-set inducing K_k minus exactly the edge between its two
@@ -54,24 +55,23 @@ def find_diamonds_emeralds(g: Graph, k: int) -> list[frozenset[int]]:
     A caller asking about many vertex sets lists once and keeps, for each
     set, the entries that miss it.
     """
-    out: list[frozenset[int]] = []
+    out: list[int] = []
     low = mask_of(v for v in range(g.n) if g.degree(v) == k - 1)
 
     def visit(im: int, later: int) -> bool:
         if im & low != im:
             return False
-        interior = tuple(bits_of(im))
-        out.extend(frozenset(interior + (v,)) for v in bits_of(later & low))
+        out.extend(im | 1 << v for v in bits_of(later & low))
         common = g.full_mask() & ~im
-        for q in interior:
+        for q in bits_of(im):
             common &= g.adj[q]
         for u in bits_of(common):
-            out.extend(frozenset(interior + (u, v)) for v in bits_of(common & ~g.adj[u] & ~((2 << u) - 1)))
+            out.extend(im | 1 << u | 1 << v for v in bits_of(common & ~g.adj[u] & ~((2 << u) - 1)))
         return False
 
     _cliques(g.adj, g.full_mask(), k - 2, visit)
     # a diamond has k vertices and an emerald k-1
-    out.sort(key=lambda s: (-len(s), sorted(s)))
+    out.sort(key=lambda m: (-m.bit_count(), tuple(bits_of(m))))
     return out
 
 
@@ -115,19 +115,20 @@ def color_reduce(g: Graph, classes: Sequence[int]) -> Graph:
 class ExtensionRecord:
     """One critical extension of a subset R.
 
-    ``r_set`` is R, the union of the coloring's classes, and class i is
-    vertex n_out + i of the reduced graph; ``w_subgraph`` is W as a graph on
-    the reduced graph's ids, every vertex outside W isolated; ``core`` is the
-    set of class vertices W touches; ``r_prime`` is the extended subset back
-    in the host graph's ids, spanning when it has every host vertex.
+    The vertex sets are vertex masks. ``r_set`` is R, the union of the
+    coloring's classes, and class i is vertex n_out + i of the reduced
+    graph; ``w_subgraph`` is W as a graph on the reduced graph's ids, every
+    vertex outside W isolated; ``core`` is the set of class vertices W
+    touches, in those ids; ``r_prime`` is the extended subset back in the
+    host graph's ids, spanning when it has every host vertex.
     ``incompleteness`` counts how far the edge bookkeeping identity falls
     short of equality (always >= 0).
     """
 
-    r_set: frozenset[int]
+    r_set: int
     w_subgraph: Graph
-    core: tuple[int, ...]
-    r_prime: frozenset[int]
+    core: int
+    r_prime: int
     incompleteness: int
 
 
@@ -165,28 +166,21 @@ def build_extension(
             except ValueError:
                 raise AssertionError("reduced graph of a critical host must need k colors") from None
         subgraphs = searched[reduced]
-        r = frozenset(bits_of(r_mask))
         outside = list(bits_of(g.full_mask() & ~r_mask))
         n_out = len(outside)
         r_edges = _induced_edge_count(g, r_mask)
         for w in subgraphs:
-            core = tuple(v for v in range(n_out, w.n) if w.adj[v])
+            core = mask_of(v for v in range(n_out, w.n) if w.adj[v])
             if not core:
                 raise AssertionError("critical subgraph avoids every class vertex")
             r_prime = r_mask | mask_of(outside[v] for v in range(n_out) if w.adj[v])
-            x = len(core)
+            x = core.bit_count()
             i = _induced_edge_count(g, r_prime) - (
                 r_edges + w.edge_count() - x * (x - 1) // 2
             )
             if i < 0:
                 raise AssertionError("incompleteness came out negative")
-            yield ExtensionRecord(
-                r_set=r,
-                w_subgraph=w,
-                core=core,
-                r_prime=frozenset(bits_of(r_prime)),
-                incompleteness=i,
-            )
+            yield ExtensionRecord(r_set=r_mask, w_subgraph=w, core=core, r_prime=r_prime, incompleteness=i)
 
 
 def _induced_edge_count(g: Graph, mask: int) -> int:
@@ -220,8 +214,9 @@ def minimum_colorings(
 # -- weighted independence -----------------------------------------------------
 
 
-def mic(g: Graph) -> tuple[int, frozenset[int]]:
-    """Maximum total degree over independent sets, with a witness set.
+def mic(g: Graph) -> tuple[int, int]:
+    """Maximum total degree over independent sets, with a witness set as a
+    vertex mask.
 
     Exact branch and bound: vertices in decreasing-degree order, pruning with
     the remaining degree sum.
@@ -230,25 +225,25 @@ def mic(g: Graph) -> tuple[int, frozenset[int]]:
         raise SizeCapError("mic vertex count", g.n, MIC_MAX_VERTICES)
     degs = [g.degree(v) for v in range(g.n)]
     order = sorted(range(g.n), key=lambda v: (-degs[v], v))
-    best_val, best_set = _heaviest(g.adj, degs, order, 0, (), (-1, ()))
-    if not g.is_independent(best_set):
+    best = _heaviest(g.adj, degs, order, 0, 0, (-1, 0))
+    if not g.is_independent(best[1]):
         raise AssertionError("mic witness is not independent")
-    return best_val, frozenset(best_set)
+    return best
 
 
 def _heaviest(
-    adj: tuple[int, ...], degs: list[int], cands: list[int], value: int, chosen: tuple[int, ...],
-    best: tuple[int, tuple[int, ...]],
-) -> tuple[int, tuple[int, ...]]:
-    """``mic``'s search below the independent set ``chosen`` of degree sum
-    ``value``: the first best (value, set) of it, its extensions by
-    ``cands`` and ``best``, the best found before it."""
+    adj: tuple[int, ...], degs: list[int], cands: list[int], value: int, chosen: int, best: tuple[int, int]
+) -> tuple[int, int]:
+    """``mic``'s search below the independent vertex mask ``chosen`` of
+    degree sum ``value``: the first best (value, mask) of it, its extensions
+    by ``cands`` and ``best``, the best found before it."""
     if value > best[0]:
         best = (value, chosen)
     if not cands or value + sum(degs[c] for c in cands) <= best[0]:
         return best
     head, rest = cands[0], cands[1:]
-    best = _heaviest(adj, degs, [c for c in rest if not adj[head] >> c & 1], value + degs[head], chosen + (head,), best)
+    free = [c for c in rest if not adj[head] >> c & 1]
+    best = _heaviest(adj, degs, free, value + degs[head], chosen | 1 << head, best)
     return _heaviest(adj, degs, rest, value, chosen, best)
 
 

@@ -36,7 +36,7 @@ from .census import census_critical, graph_classes, random_graph
 from .coloring import chromatic_number, edge_count_lemma_check
 from .discharging import charge_report
 from .errors import SizeCapError
-from .graphs import Graph, canonical_key, cliques_of_size, graph6_decode, graph6_encode
+from .graphs import Graph, bits_of, canonical_key, cliques_of_size, graph6_decode, graph6_encode, mask_of
 from .orekit import (
     DEFAULT_RECOGNITION_CAP,
     OreTree,
@@ -311,13 +311,13 @@ def _diamond_emerald(tree: OreTree, params: dict) -> list[SuiteRow]:
     g = realize(tree, k)
     g6 = graph6_encode(g)
     found = find_diamonds_emeralds(g, k)
-    forbidden = [("near-clique witness avoiding one vertex", (v,)) for v in range(g.n)]
+    forbidden = [("near-clique witness avoiding one vertex", 1 << v) for v in range(g.n)]
     if g.n > k:
         forbidden += [("near-clique witness avoiding a full clique", c) for c in cliques_of_size(g, k - 1)]
     rows = []
     for claim, forb in forbidden:
-        hits = sum(1 for vertices in found if vertices.isdisjoint(forb))
-        rows.append(_row(g6, claim, hits > 0, forbidden="+".join(map(str, forb)), witnesses=hits))
+        hits = sum(1 for vertices in found if not vertices & forb)
+        rows.append(_row(g6, claim, hits > 0, forbidden="+".join(map(str, bits_of(forb))), witnesses=hits))
     return rows
 
 
@@ -340,8 +340,8 @@ def _extension_rows(g: Graph, k: int, caps: dict) -> Iterator[SuiteRow]:
     # distinct one is packed once per host graph
     rhos: dict[Graph, Fraction] = {}
 
-    def rho_of(host: Graph, subset) -> Fraction:
-        sub, _ = host.induced(subset)
+    def rho_of(host: Graph, subset: int) -> Fraction:
+        sub, _ = host.induced(bits_of(subset))
         if sub not in rhos:
             rhos[sub] = rho_subset(host, subset, k)
         return rhos[sub]
@@ -349,10 +349,10 @@ def _extension_rows(g: Graph, k: int, caps: dict) -> Iterator[SuiteRow]:
     for rec in build_extension(g, k, colorings, limit=caps["witnesses_per_reduction"]):
         rho_r, lhs = rho_of(g, rec.r_set), rho_of(g, rec.r_prime)
         w = rec.w_subgraph
-        x = len(rec.core)
+        x = rec.core.bit_count()
         rhs = (
             rho_r
-            + rho_of(w, [v for v in range(w.n) if w.adj[v]])
+            + rho_of(w, mask_of(v for v in range(w.n) if w.adj[v]))
             - (
                 complete_potential(x, k)
                 + par.delta * complete_graph_T(x, k)
@@ -363,8 +363,8 @@ def _extension_rows(g: Graph, k: int, caps: dict) -> Iterator[SuiteRow]:
             g6,
             "extension never raises the subset potential past the drop bound",
             lhs <= rhs,
-            r="+".join(map(str, sorted(rec.r_set))),
-            r_prime="+".join(map(str, sorted(rec.r_prime))),
+            r="+".join(map(str, bits_of(rec.r_set))),
+            r_prime="+".join(map(str, bits_of(rec.r_prime))),
             core=x,
             incompleteness=rec.incompleteness,
             lhs=lhs,

@@ -39,7 +39,7 @@ Index: library function -- independent oracle; kept parent copy.
 - ``census._colorable_masks``/``census._merged_masks`` -- ``solver_table``;
   none.
 - ``compute_T`` -- ``compute_T_bruteforce`` (in ``orelab.packing``);
-  ``compute_T`` here, on clique tuples with two clique searches.
+  ``compute_T`` here, on clique masks from two clique searches.
 - ``ore_compose`` -- ``compose_by_edges``; none.
 - ``orekit._decompose`` -- ``sides_by_edge_lists`` and networkx; none.
 - ``orekit._candidate_splits`` -- ``candidate_splits_by_pair_scan``; none.
@@ -483,7 +483,7 @@ def solver_table(g: Graph, k: int) -> int | None:
 
 
 def compute_T(g: Graph, k: int) -> PackingWitness:
-    """The include/exclude search on clique tuples, listed by one clique
+    """The include/exclude search on clique masks, listed by one clique
     search per order, recomputing the cover bound over the whole remaining
     list at every node."""
     if k < 4:
@@ -492,7 +492,7 @@ def compute_T(g: Graph, k: int) -> PackingWitness:
     small = cliques_of_size(g, k - 2)
     cand = [(2, cl) for cl in big] + [(1, cl) for cl in small]
     weights = [w for w, _ in cand]
-    masks = [mask_of(cl) for _, cl in cand]
+    masks = [cl for _, cl in cand]
     n_big = len(big)
     best_value = -1
     best_chosen: tuple[int, ...] = ()
@@ -654,13 +654,12 @@ def near_cliques_avoiding(g: Graph, k: int, forbidden) -> list:
     out = []
     low = [v for v in range(g.n) if g.degree(v) == k - 1]
     low_mask = mask_of(low)
-    for cl in cliques_of_size(g, k - 1):
-        m = mask_of(cl)
+    for m in cliques_of_size(g, k - 1):
         if m & forb or m & low_mask != m:
             continue
-        out.append(frozenset(cl))
-    for interior in cliques_of_size(g, k - 2):
-        im = mask_of(interior)
+        out.append(frozenset(bits_of(m)))
+    for im in cliques_of_size(g, k - 2):
+        interior = tuple(bits_of(im))
         if im & forb or im & low_mask != im:
             continue
         common = g.full_mask() & ~im
@@ -713,7 +712,7 @@ def gadget_key_hits(g: Graph, catalog, target: set[int]) -> set[int]:
         if gadget.graph.n > g.n or not gadget.key_vertices:
             continue
         for image in embeddings(gadget.graph, g):
-            hits.update(image[v] for v in gadget.key_vertices)
+            hits.update(image[v] for v in bits_of(gadget.key_vertices))
             if target <= hits:
                 return hits
     return hits
@@ -725,9 +724,9 @@ def classify_degree_k1(g: Graph, k: int, ore_catalog_cap: int = 2) -> tuple[dict
         raise ValueError("classification needs k >= 4")
     low = {v for v in range(g.n) if g.degree(v) == k - 1}
     roles: dict[int, str] = {v: "not-deg-(k-1)" for v in range(g.n)}
-    cluster_list = clusters(g, k)
+    cluster_list = [frozenset(bits_of(c)) for c in clusters(g, k)]
     cluster_of = {v: c for c in cluster_list for v in c}
-    in_clique = {v for q in cliques_of_size(g, k - 3) for v in q}
+    in_clique = {v for q in cliques_of_size(g, k - 3) for v in bits_of(q)}
     key_targets = {v for v in low if v not in in_clique}
     key_hits = gadget_key_hits(g, gadget_catalog(k, ore_catalog_cap), key_targets) if key_targets else set()
     structure = {v for v in low if v in in_clique or v in key_hits}

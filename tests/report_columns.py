@@ -63,7 +63,7 @@ def charge_columns(g, k: int, cap: int = 2) -> dict:
     l_mask, m_mask, p_mask, q_mask = (by_label[lab] for lab in "LMPQ")
     catalog = gadget_catalog(k, cap)
     structure = {v for v, role in roles.items() if role == "structure"}
-    targets = structure - {v for q in cliques_of_size(g, k - 3) for v in q}
+    targets = structure - {v for q in cliques_of_size(g, k - 3) for v in bits_of(q)}
     eps = PotentialParams.for_k(k).eps
     return {
         "roles": [roles[v] for v in range(g.n)],

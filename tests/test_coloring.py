@@ -52,7 +52,7 @@ def is_proper_coloring(g: Graph, classes, t: int) -> bool:
     return (
         len(classes) == t
         and members == list(range(g.n))
-        and all(g.is_independent(bits_of(cls)) for cls in classes)
+        and all(g.is_independent(cls) for cls in classes)
     )
 
 

@@ -21,7 +21,9 @@ from orelab import (
     census_critical,
     charge_report,
     classify_degree_k1,
+    cliques_of_size,
     compute_T,
+    gadget_catalog,
     graph_classes,
     random_graph,
     random_ore_tree,
@@ -262,6 +264,21 @@ def test_catalog_is_built_only_for_vertices_in_no_small_clique(monkeypatch, cens
     for k, g in hosts:
         rep = charge_report(g, k)
         assert rep.total_charge == rep.rho_plus_delta_t and sum(rep.sizes.values()) == g.n
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_every_gadget_key_vertex_lies_in_a_small_clique(k):
+    """Every key vertex of every two-step gadget lies in a K_{k-3} of the
+    gadget's graph. An embedding maps that clique onto a K_{k-3} of the
+    host, so each vertex the gadget search marks is one the clique test has
+    marked already: at these k the search never changes a role."""
+    catalog = gadget_catalog(k, 2)
+    assert any(gadget.key_vertices for gadget in catalog)
+    for gadget in catalog:
+        covered = 0
+        for clique in cliques_of_size(gadget.graph, k - 3):
+            covered |= clique
+        assert not gadget.key_vertices & ~covered, gadget
 
 
 def test_wheel_labels():

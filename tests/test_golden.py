@@ -28,6 +28,7 @@ from itertools import combinations
 
 from orelab import (
     Graph,
+    bits_of,
     census_critical,
     charge_report,
     gadget_catalog,
@@ -88,7 +89,7 @@ def catalog_snapshot() -> dict:
                     "tree": tree_to_json(gadget.tree),
                     "deleted_vertex": gadget.deleted_vertex,
                     "graph6": graph6_encode(gadget.graph),
-                    "key_vertices": sorted(gadget.key_vertices),
+                    "key_vertices": list(bits_of(gadget.key_vertices)),
                 },
                 sort_keys=True,
             )
@@ -131,14 +132,14 @@ def _extension_lines(g, k: int) -> list[str]:
     for rec, classes in extensions_with_colorings(g, k, colorings, limit=3):
         record = {
             "graph6": graph6_encode(g),
-            "r_set": sorted(rec.r_set),
+            "r_set": list(bits_of(rec.r_set)),
             "phi": [list(p) for p in phi(classes)],
             "w_vertices": [v for v in range(rec.w_subgraph.n) if rec.w_subgraph.adj[v]],
             "w_edges": sorted(map(list, rec.w_subgraph.edges())),
-            "core": list(rec.core),
-            "r_prime": sorted(rec.r_prime),
+            "core": list(bits_of(rec.core)),
+            "r_prime": list(bits_of(rec.r_prime)),
             "incompleteness": rec.incompleteness,
-            "spanning": len(rec.r_prime) == g.n,
+            "spanning": rec.r_prime.bit_count() == g.n,
         }
         lines.append(json.dumps(record, sort_keys=True))
     return lines

@@ -18,7 +18,6 @@ from orelab import (
     CanonicalForm,
     Graph,
     GraphFormatError,
-    SizeCapError,
     canonical_form,
     canonical_key,
     cliques_of_size,
@@ -45,6 +44,7 @@ from orelab.graphs import (
     _quotient,
     _refine,
     _search,
+    _submask_images,
     bits_of,
     components,
     mask_of,
@@ -174,8 +174,13 @@ def test_queries():
     whole = components(g.adj, g.full_mask())
     assert len(whole) == 2
     assert sorted(len(c.bit_length() and [v for v in range(5) if c >> v & 1]) for c in whole) == [2, 3]
-    assert g.is_clique([0, 1]) and not g.is_clique([0, 1, 2])
-    assert g.is_independent([1, 2]) and not g.is_independent([3, 4])
+    assert g.is_clique(mask_of([0, 1])) and not g.is_clique(mask_of([0, 1, 2]))
+    assert g.is_independent(mask_of([1, 2])) and not g.is_independent(mask_of([3, 4]))
+    for outside in (-1, 1 << 5):  # a negative mask would never end bits_of
+        with pytest.raises(ValueError, match="ids outside"):
+            g.is_clique(outside)
+        with pytest.raises(ValueError, match="ids outside"):
+            g.is_independent(outside)
 
 
 def test_edits_return_new_graphs():
@@ -224,20 +229,15 @@ def test_early_exit_clique_search_matches_brute_force(g, size, data):
         assert _cliques(g.adj, inside, size, lambda clique, later: True) == expected(bits_of(inside))
 
 
-@given(kernel_graphs(), st.integers(0, 6), st.integers(0, 40))
+@given(kernel_graphs(), st.integers(0, 6))
 @settings(max_examples=150, deadline=None)
-def test_cliques_of_size_matches_brute_force(g, size, cap):
+def test_cliques_of_size_matches_brute_force(g, size):
     expected = [
         vs
         for vs in itertools.combinations(range(g.n), size)
         if all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))
     ]
-    assert cliques_of_size(g, size) == expected
-    if size and len(expected) > cap:  # the empty clique is returned without a search
-        with pytest.raises(SizeCapError):
-            cliques_of_size(g, size, cap=cap)
-    else:
-        assert cliques_of_size(g, size, cap=cap) == expected
+    assert [tuple(bits_of(m)) for m in cliques_of_size(g, size)] == expected
 
 
 @given(kernel_graphs(), st.integers(1, 6), st.data())
@@ -267,10 +267,8 @@ def test_cliques_of_size():
     k4 = Graph.complete(4)
     assert len(cliques_of_size(k4, 3)) == 4
     assert cliques_of_size(k4, 5) == []
-    assert cliques_of_size(k4, 4) == [(0, 1, 2, 3)]
-    assert cliques_of_size(Graph.empty(3), 1) == [(0,), (1,), (2,)]
-    with pytest.raises(SizeCapError):
-        cliques_of_size(Graph.complete(10), 3, cap=5)
+    assert [tuple(bits_of(m)) for m in cliques_of_size(k4, 4)] == [(0, 1, 2, 3)]
+    assert [tuple(bits_of(m)) for m in cliques_of_size(Graph.empty(3), 1)] == [(0,), (1,), (2,)]
     with pytest.raises(ValueError, match="nonnegative"):
         cliques_of_size(k4, -1)
 
@@ -624,6 +622,15 @@ def test_orbits_match_a_closure(group):
             orbit = grown
         expected.append(min(orbit))
     assert _orbits(size, [(i, p[i]) for p in generators for i in range(size) if p[i] != i]) == expected
+
+
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(st.integers(0, (1 << n) - 1), st.permutations(range(n)))))
+@settings(max_examples=100, deadline=None)
+def test_submask_images_come_in_selector_order(case):
+    mask, perm = case
+    vertices = list(bits_of(mask))
+    expected = [mask_of(perm[v] for i, v in enumerate(vertices) if s >> i & 1) for s in range(1 << len(vertices))]
+    assert _submask_images(mask, perm) == expected
 
 
 def orbit_actions(hosts):

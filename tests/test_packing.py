@@ -4,7 +4,7 @@ The branch-and-bound solver must agree with compute_T_bruteforce everywhere;
 the bowtie case pins down why "drop K_{k-2}s inside used K_{k-1}s" style
 shortcuts were rejected: the best packing can take a triangle from one bowtie
 lobe and only an edge from the other. ``tests/oracles.compute_T`` keeps the
-search on clique tuples with a weaker bound; a sharper bound may only cut
+older include/exclude search with a weaker bound; a sharper bound may only cut
 more subtrees, so the solver must still return the very same witness. It
 also lists its candidates with two clique searches, one per order, so it
 checks the solver's one-pass listing as well.
@@ -31,6 +31,7 @@ from orelab import (
     graph6_decode,
     graph6_encode,
     graph_classes,
+    mask_of,
     ore_compose,
     random_graph,
     random_ore_tree,
@@ -66,7 +67,7 @@ def test_bowtie_needs_mixed_packing():
     g = bowtie()
     w = compute_T(g, 4)
     assert w.value == 3 == compute_T_bruteforce(g, 4)
-    orders = sorted(len(c) for c in w.cliques)
+    orders = sorted(c.bit_count() for c in w.cliques)
     assert orders == [2, 3]
 
 
@@ -74,22 +75,28 @@ def test_witness_structure_and_independent_check(census4_8):
     for g in census4_8.graphs:
         w = compute_T(g, 4)
         check_witness(g, 4, w)
-        assert w.value == 2 * sum(len(c) == 3 for c in w.cliques) + sum(
-            len(c) == 2 for c in w.cliques
+        assert w.value == 2 * sum(c.bit_count() == 3 for c in w.cliques) + sum(
+            c.bit_count() == 2 for c in w.cliques
         )
 
 
 def test_check_witness_rejects_tampering():
     k4 = Graph.complete(4)
     with pytest.raises(ValueError):
-        check_witness(k4, 4, PackingWitness(((0, 1, 2), (2, 3)), 3))  # overlap
+        check_witness(k4, 4, PackingWitness((mask_of((0, 1, 2)), mask_of((2, 3))), 3))  # overlap
     with pytest.raises(ValueError):
-        check_witness(k4, 4, PackingWitness(((0, 1, 2, 3),), 2))  # wrong order
+        check_witness(k4, 4, PackingWitness((mask_of((0, 1, 2, 3)),), 2))  # wrong order
     with pytest.raises(ValueError):
-        check_witness(k4, 4, PackingWitness(((0, 1, 2),), 1))  # wrong value
+        check_witness(k4, 4, PackingWitness((mask_of((0, 1, 2)),), 1))  # wrong value
     c4 = Graph.cycle(4)
     with pytest.raises(ValueError):
-        check_witness(c4, 4, PackingWitness(((0, 1, 2),), 2))  # not a clique
+        check_witness(c4, 4, PackingWitness((mask_of((0, 1, 2)),), 2))  # not a clique
+    # masks from outside are range-checked before any bits_of, which never
+    # ends on a negative int
+    with pytest.raises(ValueError, match="ids outside"):
+        check_witness(k4, 4, PackingWitness((-7,), 2))  # negative
+    with pytest.raises(ValueError, match="ids outside"):
+        check_witness(k4, 4, PackingWitness((mask_of((2, 3, 4)),), 2))  # out of range
 
 
 def test_matches_bruteforce_on_all_small_classes():

@@ -20,6 +20,7 @@ from orelab import (
     is_k_ore,
     ky_edge_bound,
     main_potential_bound,
+    mask_of,
     ore_catalog,
     realize,
     rho,
@@ -83,13 +84,15 @@ def test_rho_value_consistency(census4_8):
 def test_rho_subset():
     g = fused_k4()
     t = compute_T(g, 4).value
-    assert rho_subset(g, range(g.n), 4) == rho(g, 4, t)
-    assert rho_subset(g, [], 4) == 0
+    assert rho_subset(g, g.full_mask(), 4) == rho(g, 4, t)
+    assert rho_subset(g, 0, 4) == 0
     # a K_3 inside the composition
     tri = next(
-        c for c in __import__("itertools").combinations(range(7), 3) if g.is_clique(c)
+        c for c in __import__("itertools").combinations(range(7), 3) if g.is_clique(mask_of(c))
     )
-    assert rho_subset(g, tri, 4) == Fraction(12 * 11 - 3, 11)  # 12 - 3/11
+    assert rho_subset(g, mask_of(tri), 4) == Fraction(12 * 11 - 3, 11)  # 12 - 3/11
+    with pytest.raises(ValueError, match="ids outside"):
+        rho_subset(g, -1, 4)  # a negative mask would never end bits_of
 
 
 def standard_facts(k: int) -> dict[str, bool]:

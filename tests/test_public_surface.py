@@ -309,6 +309,18 @@ def test_no_nested_function_refers_to_itself():
     assert sorted(found) == [], f"nested functions that refer to themselves: {sorted(found)}"
 
 
+def test_no_frozenset_in_the_package():
+    """A vertex set crosses every layer as a bitmask: no module of the
+    package builds, converts to or annotates a frozenset."""
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id == "frozenset"
+    ]
+    assert found == [], f"frozenset names in the package: {found}"
+
+
 EDGE_LIST_BUILDERS = {"graphs.Graph.cycle", "graphs.Graph.path", "census.random_graph"}
 
 

@@ -57,12 +57,12 @@ def planted_diamond() -> Graph:
 
 def test_clusters_on_complete_graph():
     cs = clusters(Graph.complete(4), 4)
-    assert len(cs) == 1 and cs[0] == frozenset(range(4))
+    assert len(cs) == 1 and frozenset(bits_of(cs[0])) == frozenset(range(4))
 
 
 def test_clusters_on_cycle():
     cs = clusters(Graph.cycle(5), 3)
-    assert len(cs) == 5 and all(len(c) == 1 for c in cs)
+    assert len(cs) == 5 and all(c.bit_count() == 1 for c in cs)
 
 
 def test_clusters_match_pairwise_oracle():
@@ -74,7 +74,7 @@ def test_clusters_match_pairwise_oracle():
             u for u in low if g.closed_mask(u) == g.closed_mask(v)
         )
         expected.add(members)
-    assert set(clusters(g, 4)) == expected
+    assert {frozenset(bits_of(c)) for c in clusters(g, 4)} == expected
 
 
 # -- diamonds and emeralds ------------------------------------------------------
@@ -86,7 +86,7 @@ def check_near_clique(g: Graph, k: int, nc: frozenset[int]) -> None:
     vs = sorted(nc)
     assert len(vs) in (k - 1, k)
     if len(vs) == k - 1:
-        assert g.is_clique(vs)
+        assert g.is_clique(mask_of(vs))
         assert all(g.degree(v) == k - 1 for v in vs)
     else:
         ((u, v),) = [(a, b) for a, b in itertools.combinations(vs, 2) if not g.has_edge(a, b)]
@@ -98,8 +98,9 @@ def check_near_clique(g: Graph, k: int, nc: frozenset[int]) -> None:
 
 
 def avoiding(found, forbidden) -> list:
-    """The near-cliques of ``found`` whose vertex sets miss ``forbidden``."""
-    return [nc for nc in found if nc.isdisjoint(forbidden)]
+    """The near-cliques of ``found``, vertex masks, that miss ``forbidden``,
+    as vertex sets."""
+    return [frozenset(bits_of(nc)) for nc in found if not nc & mask_of(forbidden)]
 
 
 def test_emeralds_of_complete_graph():
@@ -120,7 +121,7 @@ def test_wheel_has_no_diamonds_or_emeralds():
 def test_planted_diamond_found():
     g = planted_diamond()
     found = find_diamonds_emeralds(g, 4)
-    assert frozenset({0, 1, 2, 3}) in found
+    assert mask_of({0, 1, 2, 3}) in found
     # a diamond, with endpoints (0, 1): the 4-set's one non-edge
     assert [(a, b) for a, b in itertools.combinations(range(4), 2) if not g.has_edge(a, b)] == [(0, 1)]
 
@@ -140,7 +141,7 @@ def test_avoidance_on_small_ore_graphs():
             if g.n == k:
                 continue
             for q in itertools.combinations(range(g.n), k - 1):
-                if not g.is_clique(q):
+                if not g.is_clique(mask_of(q)):
                     continue
                 found = avoiding(everything, q)
                 assert found
@@ -162,8 +163,8 @@ def test_one_clique_pass_matches_the_two_searches(census4_8, census5_8):
     kinds = set()
     for g, k in checks:
         found = find_diamonds_emeralds(g, k)
-        assert found == oracles.near_cliques_avoiding(g, k, ()), (k, g)
-        kinds.update((k, len(s) == k) for s in found)
+        assert [frozenset(bits_of(m)) for m in found] == oracles.near_cliques_avoiding(g, k, ()), (k, g)
+        kinds.update((k, s.bit_count() == k) for s in found)
     # diamonds (k vertices) and emeralds (k - 1) both occur at every small k
     assert {(k, diamond) for k in (3, 4, 5, 6) for diamond in (True, False)} <= kinds
 
@@ -173,8 +174,8 @@ def test_filtered_list_matches_the_forbidden_search(k):
     for tree in ore_catalog(k, 2):
         g = realize(tree)
         everything = find_diamonds_emeralds(g, k)
-        assert everything == oracles.near_cliques_avoiding(g, k, ())
-        sets = [(v,) for v in range(g.n)] + (cliques_of_size(g, k - 1) if g.n > k else [])
+        assert [frozenset(bits_of(m)) for m in everything] == oracles.near_cliques_avoiding(g, k, ())
+        sets = [(v,) for v in range(g.n)] + ([tuple(bits_of(m)) for m in cliques_of_size(g, k - 1)] if g.n > k else [])
         for forbidden in sets:
             assert avoiding(everything, forbidden) == oracles.near_cliques_avoiding(g, k, forbidden)
         # the suite's rows count the same near-cliques as the oracle
@@ -297,18 +298,18 @@ def test_reduced_census_graphs_stay_uncolorable(census4_8):
 
 
 def replay_incompleteness(g: Graph, rec) -> int:
-    r_edges = g.induced(sorted(rec.r_set))[0].edge_count()
-    rp_edges = g.induced(sorted(rec.r_prime))[0].edge_count()
+    r_edges = g.induced(bits_of(rec.r_set))[0].edge_count()
+    rp_edges = g.induced(bits_of(rec.r_prime))[0].edge_count()
     w_edges = rec.w_subgraph.edge_count()
-    x = len(rec.core)
+    x = rec.core.bit_count()
     return rp_edges - (r_edges + w_edges - x * (x - 1) // 2)
 
 
 def test_extension_on_complete_graph_is_complete_and_spanning():
     k4 = Graph.complete(4)
     (rec,) = build_extension(k4, 4, [(0b1,)])
-    assert len(rec.core) == 1 and rec.incompleteness == 0
-    assert rec.r_prime == frozenset(range(4))  # spanning
+    assert rec.core.bit_count() == 1 and rec.incompleteness == 0
+    assert frozenset(bits_of(rec.r_prime)) == frozenset(range(4))  # spanning
 
 
 def test_extension_records_replay(census4_8):
@@ -322,18 +323,19 @@ def test_extension_records_replay(census4_8):
             r = rng.sample(range(g.n), rng.randrange(2, 4))
             for rec in build_extension(g, 4, minimum_colorings(g, r, 4, limit=2), limit=4):
                 checked += 1
-                assert rec.r_set == frozenset(r)
+                r_prime = frozenset(bits_of(rec.r_prime))
+                assert frozenset(bits_of(rec.r_set)) == frozenset(r)
                 assert rec.incompleteness == replay_incompleteness(g, rec) >= 0
-                assert len(rec.core) >= 1
-                assert frozenset(r) <= rec.r_prime
-                assert rec.r_prime <= frozenset(range(g.n))
+                assert rec.core.bit_count() >= 1
+                assert frozenset(r) <= r_prime
+                assert r_prime <= frozenset(range(g.n))
                 # potential drop under extension
-                x = len(rec.core)
+                x = rec.core.bit_count()
                 w = rec.w_subgraph
                 w_graph, _ = w.induced(v for v in range(w.n) if w.adj[v])
                 lhs = rho_subset(g, rec.r_prime, 4)
                 rhs = (
-                    rho_subset(g, r, 4)
+                    rho_subset(g, mask_of(r), 4)
                     + rho(w_graph, 4, compute_T(w_graph, 4).value)
                     - (complete_potential(x, 4) + p.delta * complete_graph_T(x, 4) - p.delta * x)
                 )
@@ -389,7 +391,7 @@ def test_extension_phi_numbers_the_classes_from_one():
     g = wheel5()
     ((rec, classes),) = extensions_with_colorings(g, 4, [(0b101, 0b10)], limit=1)
     assert phi(classes) == ((0, 1), (1, 2), (2, 1))
-    assert rec.r_set == {0, 1, 2} and set(rec.core) <= {3, 4}
+    assert set(bits_of(rec.r_set)) == {0, 1, 2} and set(bits_of(rec.core)) <= {3, 4}
 
 
 def test_extension_requires_critical_host():
@@ -409,7 +411,7 @@ def test_extension_requires_a_nonempty_proper_subset():
 
 def test_mic_anchors():
     value, witness = mic(Graph.complete(4))
-    assert value == 3 and len(witness) == 1
+    assert value == 3 and witness.bit_count() == 1
     assert mic(Graph.cycle(5))[0] == 4
     star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
     value, witness = mic(star)
@@ -424,12 +426,12 @@ def test_mic_matches_bruteforce():
         best = 0
         for size in range(1, g.n + 1):
             for combo in itertools.combinations(range(g.n), size):
-                if g.is_independent(combo):
+                if g.is_independent(mask_of(combo)):
                     best = max(best, sum(g.degree(v) for v in combo))
         value, witness = mic(g)
         assert value == best
         assert g.is_independent(witness)
-        assert sum(g.degree(v) for v in witness) == value
+        assert sum(g.degree(v) for v in bits_of(witness)) == value
 
 
 def test_mic_cap():

@@ -23,6 +23,7 @@ from orelab import (
     Leaf,
     Node,
     SizeCapError,
+    bits_of,
     cliques_of_size,
     graph_classes,
     ore_catalog,
@@ -515,7 +516,7 @@ def test_extension_suite_packs_each_induced_graph_once(calls_to, census4_8):
         assert result.passed
         rows += result.rows
         graphs = [args[0] for args in packed]
-        assert graphs == [host.induced(subset)[0] for host, subset, _ in calls]
+        assert graphs == [host.induced(bits_of(subset))[0] for host, subset, _ in calls]
         assert len(set(graphs)) == len(graphs) < len(result.rows)
         # the vertex sets the rows read, by the graph they induce
         sets_of = defaultdict(set)
