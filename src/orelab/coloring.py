@@ -210,7 +210,7 @@ def _peel(rows: list[int], live: int, t: int, peeled: list[int]) -> int:
     return live
 
 
-def _stop(clique: tuple[int, ...], later: int) -> bool:
+def _stop(clique: int, later: int) -> bool:
     """Stop a clique search at the first clique it finds."""
     return True
 
@@ -301,12 +301,12 @@ def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Graph]:
 
     Requires g itself to not be (k-1)-colorable. Each W comes back as a graph
     on g's vertex ids in which every vertex outside W is isolated, so W is
-    ``W.induced`` of its non-isolated vertices. Enumeration restarts with
-    each single edge force-deleted first, which surfaces distinct minimal
-    subgraphs; at most ``limit`` distinct results are returned, ordered by
-    their edge lists. Each start drops, in one ordered pass, every edge
-    uv whose deletion leaves the rows not (k-1)-colorable; a kept edge stays
-    needed as others go, so one pass ends edge-minimal.
+    ``W.induced`` on the mask of its non-isolated vertices. Enumeration
+    restarts with each single edge force-deleted first, which surfaces
+    distinct minimal subgraphs; at most ``limit`` distinct results are
+    returned, ordered by their edge lists. Each start drops, in one ordered
+    pass, every edge uv whose deletion leaves the rows not (k-1)-colorable;
+    a kept edge stays needed as others go, so one pass ends edge-minimal.
 
     Each coloring found for some S - uv is kept for this call under uv, as
     the solver returns it. A later trial on which a kept coloring is still
@@ -370,13 +370,15 @@ def find_critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Graph]:
 @dataclass(frozen=True)
 class EdgeCountCheck:
     """Result of scanning e(A, B0 u B1) < |A| + 2|B0| + 3|B1| over all
-    nonempty independent A inside the degree-(k-1) class."""
+    nonempty independent A inside the degree-(k-1) class. ``b0`` and ``b1``
+    are the degree-k and degree-(k+1) classes as vertex masks, and each
+    violation is (A as a vertex mask, e(A, B0 u B1), |A| + 2|B0| + 3|B1|)."""
 
     ok: bool
     subsets_checked: int
-    b0: tuple[int, ...]
-    b1: tuple[int, ...]
-    violations: tuple[tuple[tuple[int, ...], int, int], ...]
+    b0: int
+    b1: int
+    violations: tuple[tuple[int, int, int], ...]
 
 
 def edge_count_lemma_check(g: Graph, k: int, subset_cap: int = 2 ** 20) -> EdgeCountCheck:
@@ -388,30 +390,30 @@ def edge_count_lemma_check(g: Graph, k: int, subset_cap: int = 2 ** 20) -> EdgeC
     """
     if not is_k_critical(g, k):
         raise ValueError("edge-count inequality only applies to k-critical graphs")
-    b0 = tuple(v for v in range(g.n) if g.degree(v) == k)
-    b1 = tuple(v for v in range(g.n) if g.degree(v) == k + 1)
-    bmask = mask_of(b0) | mask_of(b1)
-    low = [(v, (g.adj[v] & bmask).bit_count()) for v in range(g.n) if g.degree(v) == k - 1]
+    b0 = mask_of(v for v in range(g.n) if g.degree(v) == k)
+    b1 = mask_of(v for v in range(g.n) if g.degree(v) == k + 1)
+    low = [(v, (g.adj[v] & (b0 | b1)).bit_count()) for v in range(g.n) if g.degree(v) == k - 1]
     if 1 << len(low) > subset_cap:
         raise SizeCapError("independent-subset scan", 1 << len(low), subset_cap)
     violations = []
-    checked = _scan(g.adj, low, 2 * len(b0) + 3 * len(b1), 0, (), 0, 0, violations)
+    checked = _scan(g.adj, low, 2 * b0.bit_count() + 3 * b1.bit_count(), 0, 0, 0, violations)
     return EdgeCountCheck(not violations, checked, b0, b1, tuple(violations))
 
 
 def _scan(
-    adj: tuple[int, ...], low: list[tuple[int, int]], rhs_b: int, idx: int, chosen: tuple[int, ...],
-    chosen_mask: int, lhs: int, violations: list[tuple[tuple[int, ...], int, int]],
+    adj: tuple[int, ...], low: list[tuple[int, int]], rhs_b: int, idx: int, chosen: int, lhs: int,
+    violations: list[tuple[int, int, int]],
 ) -> int:
-    """``edge_count_lemma_check``'s scan of the independent set A = ``chosen``,
-    with e(A, B) = ``lhs``, and of its extensions by the (vertex, e(vertex, B))
-    pairs ``low[idx:]``, depth first: adds each (A, e(A, B), |A| + ``rhs_b``)
-    that breaks the bound to ``violations``; returns the nonempty sets seen."""
+    """``edge_count_lemma_check``'s scan of the independent vertex mask
+    A = ``chosen``, with e(A, B) = ``lhs``, and of its extensions by the
+    (vertex, e(vertex, B)) pairs ``low[idx:]``, depth first: adds each
+    (A, e(A, B), |A| + ``rhs_b``) that breaks the bound to ``violations``;
+    returns the nonempty sets seen."""
     checked = 1 if chosen else 0
-    if chosen and lhs >= len(chosen) + rhs_b:
-        violations.append((chosen, lhs, len(chosen) + rhs_b))
+    if chosen and lhs >= chosen.bit_count() + rhs_b:
+        violations.append((chosen, lhs, chosen.bit_count() + rhs_b))
     for j in range(idx, len(low)):
         v, e = low[j]
-        if not adj[v] & chosen_mask:
-            checked += _scan(adj, low, rhs_b, j + 1, chosen + (v,), chosen_mask | 1 << v, lhs + e, violations)
+        if not adj[v] & chosen:
+            checked += _scan(adj, low, rhs_b, j + 1, chosen | 1 << v, lhs + e, violations)
     return checked

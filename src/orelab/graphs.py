@@ -2,8 +2,10 @@
 
 Vertices are dense ints 0..n-1 and adjacency rows are int bitmasks, so set
 algebra (intersection with a candidate pool, degree counts, component scans)
-is single-instruction work. Every operation that renumbers vertices returns
-the old->new map alongside the new graph.
+is single-instruction work. A vertex set crosses every layer as such a
+bitmask, and a mask that comes from outside the program is checked against
+the graph once, by ``Graph._within``. An induced subgraph renumbers its
+vertices by rank: the i-th set bit of the mask becomes vertex i.
 """
 
 from __future__ import annotations
@@ -151,9 +153,6 @@ class Graph:
     def min_degree(self) -> int:
         return min((row.bit_count() for row in self.adj), default=0)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits_of(self.adj[v]))
-
     def closed_mask(self, v: int) -> int:
         return self.adj[v] | (1 << v)
 
@@ -185,13 +184,11 @@ class Graph:
 
     # -- derived graphs ----------------------------------------------------
 
-    def induced(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
-        """Induced subgraph plus the old->new renumbering map."""
-        keep = sorted(set(vertices))
-        if keep and not (0 <= keep[0] and keep[-1] < self.n):
-            raise ValueError("induced set outside vertex range")
-        remap = {old: new for new, old in enumerate(keep)}
-        return Graph._trusted(len(keep), _quotient(self.adj, remap, len(keep))), remap
+    def induced(self, mask: int) -> "Graph":
+        """The subgraph induced on the vertex mask ``mask``, its i-th set
+        bit renumbered to vertex i."""
+        rank = {old: new for new, old in enumerate(bits_of(self._within(mask)))}
+        return Graph._trusted(len(rank), _quotient(self.adj, rank, len(rank)))
 
     def relabelled(self, perm: list[int] | tuple[int, ...]) -> "Graph":
         """Apply a vertex bijection given as the list of images, ``perm[old]``
@@ -319,15 +316,13 @@ def embeddings(pattern: Graph, host: Graph) -> Iterator[tuple[int, ...]]:
         return
     # order pattern vertices: highest degree first, then expand by adjacency
     order: list[int] = []
-    placed = 0
-    remaining = set(range(pn))
-    while remaining:
-        attached = [v for v in remaining if pattern.adj[v] & placed]
-        pool = attached if attached else list(remaining)
-        v = max(pool, key=lambda u: (pattern.degree(u), -u))
+    placed = reach = 0
+    while placed != pattern.full_mask():
+        pool = reach & ~placed or pattern.full_mask() ^ placed
+        v = max(bits_of(pool), key=lambda u: (pattern.degree(u), -u))
         order.append(v)
         placed |= 1 << v
-        remaining.remove(v)
+        reach |= pattern.adj[v]
     yield from _embed(pattern, host, order, [-1] * pn, 0, 0)
 
 

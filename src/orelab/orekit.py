@@ -102,22 +102,22 @@ def ore_compose(
         raise ValueError(f"split half member {outside[0]} is outside the split side's 0..{g2.n - 1}")
     if not 0 <= z < g2.n:
         raise ValueError(f"split vertex {z} not in the split side")
-    part1, part2 = tuple(sorted(partition[0])), tuple(sorted(partition[1]))
-    if not part1 or not part2:
+    half1, half2 = mask_of(partition[0]), mask_of(partition[1])
+    if not half1 or not half2:
         raise ValueError("both halves of the split must have positive degree")
-    if set(part1) & set(part2):
+    if half1 & half2:
         raise ValueError("split halves must be disjoint")
-    if mask_of(part1) | mask_of(part2) != g2.adj[z]:
+    if half1 | half2 != g2.adj[z]:
         raise ValueError("split halves must partition the split vertex's neighbors")
     n1 = g1.n
     _check_order(n1 + g2.n - 1)
-    side, remap = g2.induced(v for v in range(g2.n) if v != z)
+    side = g2.induced(g2.full_mask() ^ 1 << z)
     rows = [*g1.adj, *(row << n1 for row in side.adj)]
     rows[x] ^= 1 << y
     rows[y] ^= 1 << x
-    for end, half in ((x, part1), (y, part2)):
-        for w in half:
-            glued = n1 + remap[w]
+    for end, half in ((x, half1), (y, half2)):
+        for w in bits_of(half):
+            glued = n1 + w - (w > z)
             rows[end] |= 1 << glued
             rows[glued] |= 1 << end
     return Graph._trusted(n1 + g2.n - 1, tuple(rows))
@@ -579,7 +579,7 @@ def gadget_catalog(k: int, max_steps: int) -> tuple[Gadget, ...]:
         keys = key_vertices(tree)
         eligible = sum(c for c in clusters(g, k) if c.bit_count() >= 2)  # disjoint: the sum is the union
         for x in bits_of(eligible):
-            stripped, _ = g.induced(v for v in range(g.n) if v != x)
+            stripped = g.induced(g.full_mask() ^ 1 << x)
             below = (1 << x) - 1
             kept_keys = keys & below | keys >> 1 & ~below  # vertices above x move down one
             cf = canonical_form(stripped)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import Graph, bits_of
+from .graphs import Graph
 from .packing import compute_T
 
 
@@ -59,7 +59,7 @@ def rho(g: Graph, k: int, t_value: int) -> Fraction:
 def rho_subset(g: Graph, subset: int, k: int) -> Fraction:
     """Potential of the subgraph induced on the vertex mask ``subset``, with
     T packed on that subgraph."""
-    sub, _ = g.induced(bits_of(g._within(subset)))
+    sub = g.induced(subset)
     t_value = compute_T(sub, k).value
     return rho(sub, k, t_value)
 

@@ -82,23 +82,20 @@ def color_reduce(g: Graph, classes: Sequence[int]) -> Graph:
     """The quotient of g that collapses each color class of R to one vertex,
     with a clique on the class vertices.
 
-    R is the union of ``classes``, vertex masks that must be nonempty,
+    R is the union of ``classes``, vertex masks of g that must be nonempty,
     pairwise disjoint and independent, and exactly chi(G[R]) in number. The
     n_out outside vertices come first as 0..n_out-1 (in increasing original
     id); class i is vertex n_out + i.
     """
-    # checked before any bits_of, which never ends on a negative mask
-    if any(cls < 0 or cls >> g.n for cls in classes):
-        raise ValueError("R contains ids outside the graph")
     r = 0
-    for cls in classes:
+    for cls in map(g._within, classes):
         if not cls or cls & r:
             raise ValueError("color classes must be nonempty and pairwise disjoint")
         r |= cls
     if any(g.adj[v] & cls for cls in classes for v in bits_of(cls)):
         raise ValueError("a color class is not independent in G[R]")
     if classes:
-        g_r = g.induced(bits_of(r))[0]
+        g_r = g.induced(r)
         if first_coloring(g_r.adj, len(classes) - 1) is not None:
             raise ValueError(f"coloring uses {len(classes)} colors; minimum is {chromatic_number(g_r)}")
     image = {old: new for new, old in enumerate(bits_of(g.full_mask() & ~r))}
@@ -188,17 +185,15 @@ def _induced_edge_count(g: Graph, mask: int) -> int:
     return sum((g.adj[v] & mask).bit_count() for v in bits_of(mask)) // 2
 
 
-def minimum_colorings(
-    g: Graph, r_set: Iterable[int], k: int, limit: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Yield minimum proper colorings of G[R] as partitions of R into
-    chi(G[R]) color classes (vertex masks), one per color-permutation class
-    in the kernel walk's order over increasing R, capped at ``limit`` (not
-    negative); none when G[R] needs more than k-1 colors."""
+def minimum_colorings(g: Graph, r: int, k: int, limit: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Yield minimum proper colorings of G[R], R the vertex mask ``r``, as
+    partitions of R into chi(G[R]) color classes (vertex masks), one per
+    color-permutation class in the order the kernel walk meets them over
+    R's vertices in increasing order, capped at ``limit`` (not negative);
+    none when G[R] needs more than k-1 colors."""
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be None or nonnegative, got {limit}")
-    r = sorted(set(r_set))
-    need = chromatic_number(g.induced(r)[0])
+    need = chromatic_number(g.induced(r))
     if need > k - 1 or limit == 0:
         return
     found: list[tuple[int, ...]] = []
@@ -207,7 +202,7 @@ def minimum_colorings(
         found.append(tuple(classes))
         return len(found) == limit
 
-    _partitions([(1 << v, g.adj[v]) for v in r], need, keep, [], 0)
+    _partitions([(1 << v, g.adj[v]) for v in bits_of(r)], need, keep, [], 0)
     yield from found
 
 
@@ -257,7 +252,5 @@ def edge_between(g: Graph, a: int, b: int) -> int:
     Summing |N(v) & b| over v in a counts an edge inside a & b from both
     ends, so those edges are subtracted once.
     """
-    # checked before any bits_of, which never ends on a negative mask
-    if a < 0 or b < 0 or (a | b) >> g.n:
-        raise ValueError("vertex masks must lie within the graph")
+    a, b = g._within(a), g._within(b)
     return sum((g.adj[v] & b).bit_count() for v in bits_of(a)) - _induced_edge_count(g, a & b)

@@ -329,19 +329,21 @@ def _extension_potential(g: Graph, params: dict) -> list[SuiteRow]:
 def _extension_rows(g: Graph, k: int, caps: dict) -> Iterator[SuiteRow]:
     par = PotentialParams.for_k(k)
     g6 = graph6_encode(g)
+    # anchors in lexicographic order of their vertex lists, not in mask
+    # order: the caller keeps the first rows
     colorings = (
         classes
         for size in ANCHOR_SIZES
         if size < g.n
-        for r_set in combinations(range(g.n), size)
-        for classes in minimum_colorings(g, r_set, k, limit=caps["colorings_per_subset"])
+        for r in map(mask_of, combinations(range(g.n), size))
+        for classes in minimum_colorings(g, r, k, limit=caps["colorings_per_subset"])
     )
     # rho of each induced graph met so far (G[R], G[R'] or W), so each
     # distinct one is packed once per host graph
     rhos: dict[Graph, Fraction] = {}
 
     def rho_of(host: Graph, subset: int) -> Fraction:
-        sub, _ = host.induced(bits_of(subset))
+        sub = host.induced(subset)
         if sub not in rhos:
             rhos[sub] = rho_subset(host, subset, k)
         return rhos[sub]
@@ -380,8 +382,8 @@ def _kernel_ineq(g: Graph, params: dict) -> list[SuiteRow]:
             "independent low-degree sets meet the strict edge count bound",
             check.ok,
             subsets=check.subsets_checked,
-            b0=len(check.b0),
-            b1=len(check.b1),
+            b0=check.b0.bit_count(),
+            b1=check.b1.bit_count(),
             violations=len(check.violations),
         )
     ]
@@ -432,7 +434,7 @@ def _packing_oracle(g: Graph, params: dict) -> list[SuiteRow]:
 def _chromatic_oracle(g: Graph) -> int:
     """Plain backtracking over vertex order with 0, 1, 2, ... colors; past
     ORACLE_NODE_BUDGET search nodes it raises SizeCapError."""
-    nbrs = [tuple(u for u in g.neighbors(v) if u < v) for v in range(g.n)]
+    nbrs = [tuple(bits_of(g.adj[v] & ((1 << v) - 1))) for v in range(g.n)]
     colors = [0] * g.n
     nodes = 0
     for t in range(g.n + 1):  # n colours always do

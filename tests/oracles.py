@@ -12,6 +12,7 @@ brute-force loop written inline in one test stays in that test.
 
 Index: library function -- independent oracle; kept parent copy.
 
+- ``Graph.induced`` -- ``induced_by_edges``; none.
 - ``graph6_encode``/``graph6_decode`` -- networkx's codec
   (``test_graph6_agrees_with_networkx``); ``graph6_encode``/``graph6_decode``
   here, bit by bit, with the library's error messages and offsets.
@@ -46,6 +47,8 @@ Index: library function -- independent oracle; kept parent copy.
 - ``ore_catalog`` -- ``unreduced_catalog``; none.
 - ``find_diamonds_emeralds`` -- none; ``near_cliques_avoiding``.
 - ``color_reduce`` -- ``color_reduce_by_edges``; none.
+- ``edge_count_lemma_check`` -- ``edge_count_scan``, over every vertex
+  mask; none.
 - ``edge_between`` -- ``edge_between``, edge by edge; none.
 - ``classify_degree_k1`` -- none; ``classify_degree_k1`` on vertex sets.
 - ``apply_rules`` -- ``apply_rules``, one ``Fraction`` transfer at a time;
@@ -99,6 +102,16 @@ from orelab.graphs import (
     mask_of,
 )
 from report_columns import ChargeRow
+
+# -- graphs: derived graphs ------------------------------------------------------
+
+
+def induced_by_edges(g: Graph, mask: int) -> Graph:
+    """The subgraph on the vertices whose bits ``mask`` sets, built as an
+    edge list, each kept vertex renumbered to its rank among them."""
+    rank = {v: i for i, v in enumerate(v for v in range(g.n) if mask >> v & 1)}
+    return Graph.from_edges(len(rank), [(rank[u], rank[v]) for u, v in g.edges() if u in rank and v in rank])
+
 
 # -- graphs: canonical labelling -------------------------------------------------
 
@@ -402,6 +415,24 @@ def critical_subgraphs(g: Graph, k: int, limit: int = 6) -> list[Graph]:
         if w not in found:
             found[w] = Graph(g.n, w)
     return sorted(found.values(), key=lambda w: sorted(w.edges()))
+
+
+def edge_count_scan(g: Graph, k: int) -> tuple[int, int, list[tuple[int, int]]]:
+    """The degree-k and degree-(k+1) classes B0 and B1 as vertex masks, and
+    each nonempty independent set A of degree-(k-1) vertices as (A's mask,
+    e(A, B0 u B1)), over every such set in lexicographic order of its
+    sorted vertex list, the edges counted one by one."""
+    degree = [sum(g.has_edge(v, u) for u in range(g.n)) for v in range(g.n)]
+    b0 = sum(1 << v for v in range(g.n) if degree[v] == k)
+    b1 = sum(1 << v for v in range(g.n) if degree[v] == k + 1)
+    low = [v for v in range(g.n) if degree[v] == k - 1]
+    found = []
+    for size in range(1, len(low) + 1):
+        for a in itertools.combinations(low, size):
+            if not any(g.has_edge(u, v) for u, v in itertools.combinations(a, 2)):
+                e = sum(1 for u, v in g.edges() if (u in a and (b0 | b1) >> v & 1) or (v in a and (b0 | b1) >> u & 1))
+                found.append((a, sum(1 << v for v in a), e))
+    return b0, b1, [(mask, e) for _, mask, e in sorted(found)]
 
 
 # -- census ----------------------------------------------------------------------
@@ -737,7 +768,7 @@ def classify_degree_k1(g: Graph, k: int, ore_catalog_cap: int = 2) -> tuple[dict
         if v in structure:
             roles[v] = "structure"
             continue
-        outside = [u for u in g.neighbors(v) if u in low and u not in cluster_of[v]]
+        outside = [u for u in bits_of(g.adj[v]) if u in low and u not in cluster_of[v]]
         roles[v] = "near" if outside else "lone"
         if roles[v] == "lone" and len(cluster_of[v]) > k - 4:
             raise AssertionError("a lone cluster this large is itself a clique witness")
@@ -757,13 +788,13 @@ def apply_rules(g: Graph, k: int, roles: dict[int, str], cluster_size: dict[int,
             sent_total = Fraction((k - d) * (k - 1))
             shift[v] -= sent_total
             per_edge = sent_total / d
-            for u in g.neighbors(v):
+            for u in bits_of(g.adj[v]):
                 shift[u] += per_edge
             assert initial[v] - sent_total == -2 + eps, "sender residue is off"
     for v in range(g.n):
         if roles[v] != "structure":
             continue
-        near = [u for u in g.neighbors(v) if roles[u] == "near"]
+        near = [u for u in bits_of(g.adj[v]) if roles[u] == "near"]
         if not near:
             continue
         sent_total = Fraction(-(k - 1))

@@ -475,7 +475,7 @@ def test_is_k_critical_matches_definition_on_small_classes():
                         for u, v in g.edges()
                     )
                     and all(
-                        oracles.chromatic_number(g.induced(u for u in range(g.n) if u != v)[0]) <= k - 1
+                        oracles.chromatic_number(g.induced(g.full_mask() ^ 1 << v)) <= k - 1
                         for v in range(g.n)
                     )
                 )
@@ -534,7 +534,7 @@ def test_critical_graphs_are_vertex_critical_and_well_connected(census4_8):
             continue
         assert g.min_degree() >= 3
         for v in range(g.n):
-            h, _ = g.induced(u for u in range(g.n) if u != v)
+            h = g.induced(g.full_mask() ^ 1 << v)
             assert first_coloring(h.adj, 3) is not None
         # every proper nonempty subset sends at least k-1 edges outside
         for size in range(1, g.n):
@@ -543,21 +543,21 @@ def test_critical_graphs_are_vertex_critical_and_well_connected(census4_8):
                 assert edge_between(g, mask, g.full_mask() & ~mask) >= 3
 
 
-def vertices_of(w: Graph) -> list[int]:
-    """The vertices of a subgraph kept on its host's ids: the non-isolated ones."""
-    return [v for v in range(w.n) if w.adj[v]]
+def vertices_of(w: Graph) -> int:
+    """The vertex mask of a subgraph kept on its host's ids: the non-isolated ones."""
+    return mask_of(v for v in range(w.n) if w.adj[v])
 
 
 def test_find_critical_subgraphs():
     w5 = wheel5()
     subs = find_critical_subgraphs(w5, 4)
-    assert len(subs) == 1 and set(vertices_of(subs[0])) == set(range(6))
+    assert len(subs) == 1 and vertices_of(subs[0]) == w5.full_mask()
     pendant = Graph.from_edges(5, Graph.complete(4).edges() + [(0, 4)])
     subs = find_critical_subgraphs(pendant, 4)
     assert len(subs) == 1
-    sub_graph, _ = subs[0].induced(vertices_of(subs[0]))
+    sub_graph = subs[0].induced(vertices_of(subs[0]))
     assert is_k_critical(sub_graph, 4)
-    assert set(vertices_of(subs[0])) == {0, 1, 2, 3}
+    assert vertices_of(subs[0]) == 0b1111
     for u, v in subs[0].edges():
         assert pendant.has_edge(u, v)
     # 3-colorable hosts hold no 4-critical subgraph; asking is a caller bug
@@ -571,7 +571,7 @@ def test_find_critical_subgraphs_enumerates_several():
     edges += [(u + 4, v + 4) for u, v in Graph.complete(4).edges()]
     twin = Graph.from_edges(8, edges)
     subs = find_critical_subgraphs(twin, 4, limit=6)
-    assert {frozenset(vertices_of(s)) for s in subs} >= {frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7})}
+    assert {vertices_of(s) for s in subs} >= {0x0F, 0xF0}
 
 
 # -- witness reuse in find_critical_subgraphs -----------------------------------------
@@ -586,7 +586,7 @@ def extension_reductions(graphs, k: int) -> list[Graph]:
         for g in graphs
         for size in suites.ANCHOR_SIZES
         if size < g.n
-        for r in itertools.combinations(range(g.n), size)
+        for r in map(mask_of, itertools.combinations(range(g.n), size))
         for classes in minimum_colorings(g, r, k, limit=per_subset)
     ]
 
@@ -709,7 +709,7 @@ def test_critical_subgraphs_meet_the_definition_on_every_census_reduction(census
                 for w in subs:
                     assert all(not w.adj[v] & ~g.adj[v] for v in range(g.n)), "an edge outside the host"
                     assert w.n == g.n, "W is not on the host's ids"
-                    inner, _ = w.induced(vertices_of(w))
+                    inner = w.induced(vertices_of(w))
                     if inner not in critical:
                         critical[inner] = is_k_critical(inner, k)
                     assert critical[inner], (g, limit, w)
@@ -727,7 +727,7 @@ def test_color_partitions_independent_and_clique():
         assert is_proper_coloring(Graph.cycle(4), part, len(part)) and all(part)
     # the classes of a vertex subset open in the order of their least member
     assert partitions(Graph.path(4), [1, 2, 3], 2) == [(0b1010, 0b0100)]
-    assert list(minimum_colorings(Graph.path(4), [3, 1, 2], 3)) == [(0b1010, 0b0100)]
+    assert list(minimum_colorings(Graph.path(4), 0b1110, 3)) == [(0b1010, 0b0100)]
     # the walk stops at the first partition its visitor accepts and leaves
     # the class list as it was given
     classes = []
@@ -735,12 +735,12 @@ def test_color_partitions_independent_and_clique():
     # minimum colorings read the same walk: limit None keeps every one, a
     # limit its first ones, 0 none, and a negative limit is refused
     c5 = Graph.cycle(5)
-    every = list(minimum_colorings(c5, range(5), 4))
+    every = list(minimum_colorings(c5, c5.full_mask(), 4))
     assert every == partitions(c5, range(5), 3) and len(every) == 5
-    assert list(minimum_colorings(c5, range(5), 4, limit=2)) == every[:2]
-    assert list(minimum_colorings(c5, range(5), 4, limit=0)) == []
+    assert list(minimum_colorings(c5, c5.full_mask(), 4, limit=2)) == every[:2]
+    assert list(minimum_colorings(c5, c5.full_mask(), 4, limit=0)) == []
     with pytest.raises(ValueError):
-        list(minimum_colorings(c5, range(5), 4, limit=-1))
+        list(minimum_colorings(c5, c5.full_mask(), 4, limit=-1))
 
 
 # -- low-vertex edge-count lemma --------------------------------------------------
@@ -750,12 +750,27 @@ def test_edge_count_lemma_on_k4():
     report = edge_count_lemma_check(Graph.complete(4), 4)
     assert report.ok and report.violations == ()
     assert report.subsets_checked == 4  # singletons only; K_4 has no larger independent set
-    assert report.b0 == () and report.b1 == ()
+    assert report.b0 == report.b1 == 0
 
 
 def test_edge_count_lemma_on_composition():
     fused = fused_k4()
     assert edge_count_lemma_check(fused, 4).ok
+
+
+def test_edge_count_lemma_reads_the_degree_classes_and_every_low_set(census4_8, census5_8):
+    hosts = [(g, 4) for g in census4_8.graphs] + [(g, 5) for g in census5_8.graphs]
+    hosts.append((realize(random_ore_tree(5, 2, random.Random(1))), 5))
+    for g, k in hosts:
+        report = edge_count_lemma_check(g, k)
+        b0, b1, sets = oracles.edge_count_scan(g, k)
+        assert (report.b0, report.b1, report.subsets_checked) == (b0, b1, len(sets)), (g, k)
+        # below every count each set breaks the bound, and comes back as a
+        # vertex mask in scan order
+        low = [(v, (g.adj[v] & (b0 | b1)).bit_count()) for v in range(g.n) if g.degree(v) == k - 1]
+        violations = []
+        coloring._scan(g.adj, low, -g.n * g.n, 0, 0, 0, violations)
+        assert violations == [(a, e, a.bit_count() - g.n * g.n) for a, e in sets]
 
 
 def test_edge_count_lemma_rejects_non_critical_hosts():

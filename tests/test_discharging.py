@@ -18,6 +18,7 @@ from orelab import (
     Graph,
     PotentialParams,
     apply_rules,
+    bits_of,
     census_critical,
     charge_report,
     classify_degree_k1,
@@ -123,7 +124,7 @@ def test_integer_ledger_matches_fraction_arithmetic():
         rows = rows_of(apply_rules(g, k, roles, cluster_size))
         assert [str(r) for r in rows] == [str(r) for r in oracles.apply_rules(g, k, roles, cluster_size)], (g, k)
         senders += any(g.degree(v) >= k + 2 for v in range(g.n))
-        moves += any(roles[v] == "structure" and roles[u] == "near" for v in range(g.n) for u in g.neighbors(v))
+        moves += any(roles[v] == "structure" and roles[u] == "near" for v in range(g.n) for u in bits_of(g.adj[v]))
     assert senders > 100 and moves > 100
 
 

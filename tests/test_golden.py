@@ -34,6 +34,7 @@ from orelab import (
     gadget_catalog,
     graph6_encode,
     graph_classes,
+    mask_of,
     minimum_colorings,
     ore_catalog,
     realize,
@@ -127,7 +128,7 @@ def _extension_lines(g, k: int) -> list[str]:
     # the extension-potential suite's limits: 2 colorings, 3 witnesses
     lines = []
     colorings = (
-        classes for r_set in combinations(range(g.n), 3) for classes in minimum_colorings(g, r_set, k, limit=2)
+        classes for r in map(mask_of, combinations(range(g.n), 3)) for classes in minimum_colorings(g, r, k, limit=2)
     )
     for rec, classes in extensions_with_colorings(g, k, colorings, limit=3):
         record = {

@@ -119,7 +119,7 @@ def test_deletion_monotonicity():
         g = random_graph(rng, rng.randrange(2, 9))
         t = compute_T(g, 4).value
         v = rng.randrange(g.n)
-        assert compute_T(g.induced(u for u in range(g.n) if u != v)[0], 4).value >= t - 2
+        assert compute_T(g.induced(g.full_mask() ^ 1 << v), 4).value >= t - 2
         if g.edge_count():
             u, w = rng.choice(g.edges())
             assert compute_T(Graph.from_edges(g.n, [e for e in g.edges() if e != (u, w)]), 4).value >= t - 2

@@ -321,6 +321,37 @@ def test_no_frozenset_in_the_package():
     assert found == [], f"frozenset names in the package: {found}"
 
 
+def test_no_vertex_iterable_crosses_a_boundary():
+    """A vertex set is handed over as a bitmask: no function of the package
+    but ``mask_of`` takes a parameter annotated ``Iterable[int]``, and none
+    rebuilds a vertex list by ``sorted(set(...))``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.FunctionDef) and node.name != "mask_of":
+            found.extend(
+                f"{scope}({arg.arg})"
+                for arg in ast.walk(node.args)
+                if isinstance(arg, ast.arg) and arg.annotation and ast.unparse(arg.annotation) == "Iterable[int]"
+            )
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "sorted"
+            and node.args
+            and isinstance(node.args[0], ast.Call)
+            and getattr(node.args[0].func, "id", None) == "set"
+        ):
+            found.append(f"{scope}: sorted(set(...))")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert found == [], f"vertex sets handed over as iterables: {found}"
+
+
 EDGE_LIST_BUILDERS = {"graphs.Graph.cycle", "graphs.Graph.path", "census.random_graph"}
 
 

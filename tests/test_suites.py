@@ -23,9 +23,9 @@ from orelab import (
     Leaf,
     Node,
     SizeCapError,
-    bits_of,
     cliques_of_size,
     graph_classes,
+    mask_of,
     ore_catalog,
     graph6_encode,
     random_graph,
@@ -516,14 +516,14 @@ def test_extension_suite_packs_each_induced_graph_once(calls_to, census4_8):
         assert result.passed
         rows += result.rows
         graphs = [args[0] for args in packed]
-        assert graphs == [host.induced(bits_of(subset))[0] for host, subset, _ in calls]
+        assert graphs == [host.induced(subset) for host, subset, _ in calls]
         assert len(set(graphs)) == len(graphs) < len(result.rows)
         # the vertex sets the rows read, by the graph they induce
         sets_of = defaultdict(set)
         for row in result.rows:
             for key in ("r", "r_prime"):
-                subset = frozenset(map(int, dict(row.values)[key].split("+")))
-                sets_of[g.induced(subset)[0]].add(subset)
+                subset = mask_of(map(int, dict(row.values)[key].split("+")))
+                sets_of[g.induced(subset)].add(subset)
         assert set(sets_of) <= set(graphs)
         merged += sum(len(sets) - 1 for sets in sets_of.values())
     # distinct vertex sets that induce one graph share its packing
