@@ -6,9 +6,10 @@ Roles and rules are evaluated on any host graph; facts that hold only for
 minimal counterexamples are never asserted. One report derives each
 per-graph fact once: classification finds the clusters and fetches the
 gadget catalog only when some degree-(k-1) vertex lies in no K_{k-3}, the
-rules read the cluster sizes it returns, and the report audits the charges
-against the potential. Charges are integers over one denominator; the
-report builds a Fraction only for the values it returns.
+rules read the role masks and lone clusters it returns, and the report reads
+each label's vertex mask off the ledger and audits the charges against the
+potential. Charges are integers over one denominator; the report builds a
+Fraction only for the values it returns.
 """
 
 from __future__ import annotations
@@ -21,12 +22,6 @@ from .graphs import Graph, _cliques, bits_of, embeddings, mask_of
 from .orekit import Gadget, gadget_catalog
 from .potential import PotentialParams, rho
 from .structure import clusters, edge_between
-
-ROLE_STRUCTURE = "structure"
-ROLE_NEAR = "near"
-ROLE_LONE = "lone"
-ROLE_OTHER = "not-deg-(k-1)"
-
 
 def _gadget_key_hits(g: Graph, catalog: tuple[Gadget, ...], target: int) -> int:
     """The mask of vertices that are key vertices of some embedded gadget,
@@ -42,16 +37,15 @@ def _gadget_key_hits(g: Graph, catalog: tuple[Gadget, ...], target: int) -> int:
     return hits
 
 
-def classify_degree_k1(
-    g: Graph, k: int, ore_catalog_cap: int = 2
-) -> tuple[dict[int, str], dict[int, int]]:
-    """Label each degree-(k-1) vertex structure, near, or lone; return the
-    role of every vertex and the cluster size of each degree-(k-1) vertex.
+def classify_degree_k1(g: Graph, k: int, ore_catalog_cap: int = 2) -> tuple[int, int, list[int]]:
+    """Sort the degree-(k-1) vertices into structure, near and lone; return
+    the structure mask, the near mask and the lone clusters as masks, in
+    order of least member.
 
     structure: a key vertex of an embedded gadget, or a member of some
     K_{k-3} subgraph. near: not structure, with a degree-(k-1) neighbor in a
     different cluster. lone: not structure, every degree-(k-1) neighbor in
-    its own cluster. Other vertices get the placeholder role.
+    its own cluster.
 
     Gadgets are drawn from the exhaustive catalog with at most
     ``ore_catalog_cap`` compositions, so a host too large for the cap may
@@ -76,23 +70,21 @@ def classify_degree_k1(
     key_targets = low & ~in_clique
     # a vertex in some K_{k-3} never reads the catalog, so build it only for the rest
     key_hits = _gadget_key_hits(g, gadget_catalog(k, ore_catalog_cap), key_targets) if key_targets else 0
-    structure = low & (in_clique | key_hits)
-
-    roles: dict[int, str] = dict.fromkeys(range(g.n), ROLE_OTHER)
-    cluster_size: dict[int, int] = {}
+    hit = in_clique | key_hits
+    structure = near = 0
+    lone = []
+    # members of a cluster are clones: one role serves the whole cluster, and
+    # its least member's neighbours outside it are every member's
     for c in clusters(g, k):
-        size = c.bit_count()
-        for v in bits_of(c):
-            cluster_size[v] = size
-            if c & structure:  # a cluster with one structure vertex is promoted whole
-                roles[v] = ROLE_STRUCTURE
-            elif g.adj[v] & low & ~c:
-                roles[v] = ROLE_NEAR
-            elif size > k - 4:
-                raise AssertionError("a lone cluster this large is itself a clique witness")
-            else:
-                roles[v] = ROLE_LONE
-    return roles, cluster_size
+        if c & hit:  # a cluster with one structure vertex is promoted whole
+            structure |= c
+        elif g.adj[(c & -c).bit_length() - 1] & low & ~c:
+            near |= c
+        elif c.bit_count() > k - 4:
+            raise AssertionError("a lone cluster this large is itself a clique witness")
+        else:
+            lone.append(c)
+    return structure, near, lone
 
 
 LABELS = ("L", "M", "P", "Q", "R-other")
@@ -100,20 +92,19 @@ LABELS = ("L", "M", "P", "Q", "R-other")
 
 @dataclass(frozen=True)
 class ChargeLedger:
-    """The rules' outcome in vertex order: each vertex's label and its
-    charge before and after the rules, as integers over ``den``."""
+    """The rules' outcome: each entry of ``LABELS`` mapped to its vertex
+    mask, and each vertex's charge before and after the rules, in vertex
+    order, as integers over ``den``."""
 
-    labels: tuple[str, ...]
+    labels: dict[str, int]
     initial: tuple[int, ...]
     final: tuple[int, ...]
     den: int
 
 
-def apply_rules(
-    g: Graph, k: int, roles: dict[int, str], cluster_size: dict[int, int]
-) -> ChargeLedger:
-    """Run both redistribution rules and return the ledger of every vertex,
-    in vertex order: ``labels[v]``, ``initial[v]`` and ``final[v]`` are v's.
+def apply_rules(g: Graph, k: int, structure: int, near: int, lone: list[int]) -> ChargeLedger:
+    """Run both redistribution rules on the roles ``classify_degree_k1``
+    returns and label the vertices: ``initial[v]`` and ``final[v]`` are v's.
 
     Every vertex v starts with (k-2)(k+1) + eps - d(v)(k-1). Rule one: each
     vertex of degree d >= k+2 keeps exactly -2+eps and sends (k-d)(k-1)/d
@@ -129,9 +120,8 @@ def apply_rules(
     adj = g.adj
     degree = [row.bit_count() for row in adj]
     senders = [v for v, d in enumerate(degree) if d >= k + 2]
-    near = mask_of(v for v, role in roles.items() if role == ROLE_NEAR)
     # each structure vertex with a near neighbour, and the mask of those it pays
-    payers = {v: adj[v] & near for v, role in roles.items() if role == ROLE_STRUCTURE and adj[v] & near}
+    payers = {v: adj[v] & near for v in bits_of(structure) if adj[v] & near}
     scale = lcm(*(degree[v] for v in senders), *(paid.bit_count() for paid in payers.values()))
     den = eps.denominator * scale
     base = (k - 2) * (k + 1) * den + eps.numerator * scale
@@ -156,13 +146,13 @@ def apply_rules(
     if sum(initial) != sum(final):
         raise AssertionError("rules moved charge without conserving it")
     # L and M are lone vertices in clusters of one and two; P and Q have
-    # degree k and k+1; everything else is R
-    lone = {1: "L", 2: "M"}
-    by_degree = {k: "P", k + 1: "Q"}
-    labels = tuple(
-        lone[cluster_size[v]] if roles[v] == ROLE_LONE and cluster_size[v] in lone else by_degree.get(d, "R-other")
-        for v, d in enumerate(degree)
-    )
+    # degree k and k+1 and are not in L or M; everything else is R
+    l_mask = sum(c for c in lone if c.bit_count() == 1)  # disjoint: the sum is the union
+    m_mask = sum(c for c in lone if c.bit_count() == 2)
+    lm = l_mask | m_mask
+    p_mask, q_mask = (mask_of(v for v, d in enumerate(degree) if d == want) & ~lm for want in (k, k + 1))
+    rest = g.full_mask() ^ lm ^ p_mask ^ q_mask
+    labels = dict(zip(LABELS, (l_mask, m_mask, p_mask, q_mask, rest)))
     return ChargeLedger(labels, tuple(initial), tuple(final), den)
 
 
@@ -188,10 +178,7 @@ def charge_report(g: Graph, k: int, ore_catalog_cap: int = 2) -> ChargeReport:
     whatever T is, so no packing is computed.
     """
     ledger = apply_rules(g, k, *classify_degree_k1(g, k, ore_catalog_cap))
-    by_label = dict.fromkeys(LABELS, 0)  # each label's vertex mask
-    for v, lab in enumerate(ledger.labels):
-        by_label[lab] |= 1 << v
-    l_mask, m_mask, p_mask, q_mask, rest = by_label.values()
+    l_mask, m_mask, p_mask, q_mask, rest = ledger.labels.values()
     direct = edge_between(g, l_mask | m_mask, rest)
     identity = (
         (k - 1) * l_mask.bit_count()
@@ -208,7 +195,7 @@ def charge_report(g: Graph, k: int, ore_catalog_cap: int = 2) -> ChargeReport:
     if total != rho_plus:
         raise AssertionError("total charge disagrees with the potential")
     return ChargeReport(
-        sizes={lab: mask.bit_count() for lab, mask in by_label.items()},
+        sizes={lab: mask.bit_count() for lab, mask in ledger.labels.items()},
         identity_hypothesis=hypothesis,
         total_charge=total,
         rho_plus_delta_t=rho_plus,

@@ -25,6 +25,7 @@ from functools import lru_cache
 from .coloring import first_coloring
 from .errors import SizeCapError
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     _check_order,
     _graph_of_key,
@@ -56,7 +57,7 @@ class Node:
 
     ``replaced_edge`` names the deleted edge in the realized edge side;
     ``split_vertex`` and ``partition`` name the split vertex of the realized
-    split side and the two nonempty neighbor groups handed to the endpoints
+    split side and the two nonempty neighbor masks handed to the endpoints
     of the replaced edge.
     """
 
@@ -64,7 +65,7 @@ class Node:
     split_side: "OreTree"
     replaced_edge: tuple[int, int]
     split_vertex: int
-    partition: tuple[tuple[int, ...], tuple[int, ...]]
+    partition: tuple[int, int]
 
 
 OreTree = Leaf | Node
@@ -86,9 +87,10 @@ def ore_compose(
     xy: tuple[int, int],
     g2: Graph,
     z: int,
-    partition: tuple[tuple[int, ...], tuple[int, ...]],
+    partition: tuple[int, int],
 ) -> Graph:
-    """Compose: delete edge xy from g1, split z of g2, glue the halves to x and y.
+    """Compose: delete edge xy from g1, split z of g2, glue the halves (two
+    vertex masks of g2) to x and y.
 
     Result ids: g1's vertices keep their ids; g2's vertices other than z
     follow in increasing original order. So |V| = n1 + n2 - 1 and
@@ -97,12 +99,9 @@ def ore_compose(
     x, y = xy
     if not (0 <= x < g1.n and 0 <= y < g1.n and g1.has_edge(x, y)):
         raise ValueError(f"replaced pair ({x},{y}) is not an edge of the edge side on vertices 0..{g1.n - 1}")
-    outside = [w for w in (*partition[0], *partition[1]) if not 0 <= w < g2.n]
-    if outside:
-        raise ValueError(f"split half member {outside[0]} is outside the split side's 0..{g2.n - 1}")
+    half1, half2 = map(g2._within, partition)
     if not 0 <= z < g2.n:
         raise ValueError(f"split vertex {z} not in the split side")
-    half1, half2 = mask_of(partition[0]), mask_of(partition[1])
     if not half1 or not half2:
         raise ValueError("both halves of the split must have positive degree")
     if half1 & half2:
@@ -159,7 +158,7 @@ def tree_to_json(tree: OreTree) -> dict:
         "split_side": tree_to_json(tree.split_side),
         "replaced_edge": list(tree.replaced_edge),
         "split_vertex": tree.split_vertex,
-        "partition": [list(tree.partition[0]), list(tree.partition[1])],
+        "partition": [list(bits_of(half)) for half in tree.partition],
     }
 
 
@@ -173,6 +172,15 @@ def _json_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError("not a JSON integer")
     return value
+
+
+def _json_half(value) -> int:
+    """The vertex mask of a JSON list of vertex ids, each checked before
+    its bit is set, so no id builds a mask beyond ``MAX_VERTICES`` bits."""
+    ids = list(map(_json_int, _json_list(value)))
+    if not all(0 <= v < MAX_VERTICES for v in ids):
+        raise ValueError("a vertex id outside the vertex range")
+    return mask_of(ids)
 
 
 def tree_from_json(data: dict) -> OreTree:
@@ -196,10 +204,7 @@ def tree_from_json(data: dict) -> OreTree:
                 tree_from_json(data["split_side"]),
                 field("replaced_edge", lambda e: tuple(map(_json_int, _json_list(e, 2)))),
                 field("split_vertex", _json_int),
-                field(
-                    "partition",
-                    lambda p: tuple(tuple(map(_json_int, _json_list(h))) for h in _json_list(p, 2)),
-                ),
+                field("partition", lambda p: tuple(map(_json_half, _json_list(p, 2)))),
             )
     except KeyError as err:
         raise ValueError(f"tree {kind} is missing field {err.args[0]!r}") from None
@@ -237,16 +242,11 @@ def random_ore_tree(k: int, steps: int, rng: random.Random) -> OreTree:
     g2 = realize(t2)
     edge = rng.choice(sorted(g1.edges()))
     z = rng.randrange(g2.n)
-    nbrs = sorted(bits_of(g2.adj[z]))
-    sel = rng.randrange(1, (1 << len(nbrs)) - 1)
-    return Node(t1, t2, edge, z, _halves(nbrs, sel))
-
-
-def _halves(nbrs: list[int], sel: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split the sorted neighbors of z by the bits of sel: set bits go to the
-    first half, clear bits to the second."""
-    first = tuple(v for i, v in enumerate(nbrs) if sel >> i & 1)
-    return first, tuple(v for i, v in enumerate(nbrs) if not sel >> i & 1)
+    nbrs = g2.adj[z]
+    # bit i of sel puts z's i-th neighbour, in increasing order, in the first half
+    sel = rng.randrange(1, (1 << nbrs.bit_count()) - 1)
+    first = mask_of(v for i, v in enumerate(bits_of(nbrs)) if sel >> i & 1)
+    return Node(t1, t2, edge, z, (first, nbrs ^ first))
 
 
 # -- recognition -------------------------------------------------------------
@@ -315,8 +315,8 @@ def _recognize_class(key: tuple[int, int], k: int) -> OreTree | None:
         # express labels in the realizations so the witness is self-contained
         inv1 = {v: u for u, v in isomorphism(realize(t1), g1).items()}
         inv2 = {v: u for u, v in isomorphism(realize(t2), g2).items()}
-        part_a = tuple(sorted(inv2[map2[w]] for w in bits_of(g.adj[a] & split_mask)))
-        part_b = tuple(sorted(inv2[map2[w]] for w in bits_of(g.adj[b] & split_mask)))
+        part_a = mask_of(inv2[map2[w]] for w in bits_of(g.adj[a] & split_mask))
+        part_b = mask_of(inv2[map2[w]] for w in bits_of(g.adj[b] & split_mask))
         return Node(t1, t2, (inv1[map1[a]], inv1[map1[b]]), inv2[map2[a]], (part_a, part_b))
     return None
 
@@ -475,7 +475,8 @@ class Gadget:
 
 def _composition_sides(g: Graph) -> tuple[list, list]:
     """One representative per Aut(g) orbit of g's uses as a composition side,
-    from the generators that one canonical search of g witnesses.
+    from the generators that one canonical search of g witnesses: the edges,
+    and the splits as (z, halves) with each half a mask of z's neighbours.
 
     Edges (x, y) are walked in sorted order, splits (z, halves) by z and then
     by selector, and each keeps the first member of its orbit. A generator p
@@ -503,9 +504,8 @@ def _composition_sides(g: Graph) -> tuple[list, list]:
     images = ((p, z, _submask_images(g.adj[z], p)[1:-1]) for p, z in moved)
     split_links = ((split_index[z, a], split_index[p[z], b]) for p, z, firsts in images for a, b in zip(own[z], firsts))
     split_orbit = _orbits(len(split_index), split_links)
-    kept = [split for i, split in enumerate(split_index) if split_orbit[i] == i]
-    halves = [(z, (tuple(bits_of(first)), tuple(bits_of(g.adj[z] & ~first)))) for z, first in kept]
-    return [edge for i, edge in enumerate(edges) if arc_orbit[i] == i], halves
+    splits = [(z, (first, g.adj[z] ^ first)) for i, (z, first) in enumerate(split_index) if split_orbit[i] == i]
+    return [edge for i, edge in enumerate(edges) if arc_orbit[i] == i], splits
 
 
 # One entry per (k, max_steps): a verify sweep keys k = 4, 5, 6 and the

@@ -558,14 +558,15 @@ def compute_T(g: Graph, k: int) -> PackingWitness:
 
 
 def compose_by_edges(g1: Graph, xy, g2: Graph, z: int, partition) -> Graph:
-    """The composition built as an edge list, for valid arguments."""
+    """The composition built as an edge list, for valid arguments; the two
+    halves of ``partition`` are vertex masks of g2."""
     x, y = xy
     n1 = g1.n
     remap = {w: n1 + w - (1 if w > z else 0) for w in range(g2.n) if w != z}
     edges = [e for e in g1.edges() if set(e) != {x, y}]
     edges += [(remap[u], remap[v]) for u, v in g2.edges() if z not in (u, v)]
-    edges += [(x, remap[w]) for w in partition[0]]
-    edges += [(y, remap[w]) for w in partition[1]]
+    edges += [(x, remap[w]) for w in range(g2.n) if partition[0] >> w & 1]
+    edges += [(y, remap[w]) for w in range(g2.n) if partition[1] >> w & 1]
     return Graph.from_edges(n1 + g2.n - 1, edges)
 
 
@@ -625,10 +626,8 @@ def unreduced_catalog(k: int, max_steps: int) -> tuple:
                         for z in range(g2.n):
                             nbrs = sorted(v for v in range(g2.n) if g2.has_edge(z, v))
                             for sel in range(1, (1 << len(nbrs)) - 1):
-                                halves = (
-                                    tuple(v for i, v in enumerate(nbrs) if sel >> i & 1),
-                                    tuple(v for i, v in enumerate(nbrs) if not sel >> i & 1),
-                                )
+                                first = sum(1 << v for i, v in enumerate(nbrs) if sel >> i & 1)
+                                halves = (first, g2.adj[z] ^ first)
                                 key = canonical_key(ore_compose(g1, edge, g2, z, halves))
                                 found.setdefault(key, Node(t1, t2, edge, z, halves))
         levels.append(found)

@@ -3,17 +3,20 @@ from what the library does return.
 
 ``charge_report`` returns class sizes, the identity hypothesis and the two
 sides of the charge identity; the per-vertex rows, roles and edge counts
-behind them come from ``classify_degree_k1`` and ``apply_rules``, whose
-ledger holds each charge as an integer over one denominator. An
-``ExtensionRecord`` does not repeat the coloring it was built from; its
-vertex-to-class numbering is read from the classes. ``tests/test_golden.py``
-digests these values and ``tests/test_discharging.py`` asserts on them.
+behind them come from ``classify_degree_k1``, whose roles are masks, and
+``apply_rules``, whose ledger holds each label's vertex mask and each charge
+as an integer over one denominator. An ``ExtensionRecord`` does not repeat
+the coloring it was built from; its vertex-to-class numbering is read from
+the classes. ``tests/test_golden.py`` digests these values and
+``tests/test_discharging.py`` asserts on them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from orelab import (
     PotentialParams,
@@ -24,7 +27,6 @@ from orelab import (
     cliques_of_size,
     edge_between,
     gadget_catalog,
-    mask_of,
 )
 from orelab.discharging import _gadget_key_hits
 
@@ -40,10 +42,20 @@ class ChargeRow:
 
 def rows_of(ledger) -> tuple[ChargeRow, ...]:
     """The ledger of ``apply_rules`` as one row per vertex, in vertex order."""
+    label_of = {v: label for label, mask in ledger.labels.items() for v in bits_of(mask)}
     return tuple(
-        ChargeRow(label, Fraction(initial, ledger.den), Fraction(final, ledger.den))
-        for label, initial, final in zip(ledger.labels, ledger.initial, ledger.final)
+        ChargeRow(label_of[v], Fraction(initial, ledger.den), Fraction(final, ledger.den))
+        for v, (initial, final) in enumerate(zip(ledger.initial, ledger.final))
     )
+
+
+def role_dicts(n: int, structure: int, near: int, lone) -> tuple[dict[int, str], dict[int, int]]:
+    """The roles of ``classify_degree_k1`` in the dict form of the oracles:
+    each vertex's role, and the cluster size of each lone vertex."""
+    roles = dict.fromkeys(range(n), "not-deg-(k-1)")
+    for role, mask in (("structure", structure), ("near", near), ("lone", sum(lone))):
+        roles.update(dict.fromkeys(bits_of(mask), role))
+    return roles, {v: c.bit_count() for c in lone for v in bits_of(c)}
 
 
 def charge_rows(g, k: int, cap: int = 2) -> tuple[ChargeRow, ...]:
@@ -57,22 +69,21 @@ def charge_columns(g, k: int, cap: int = 2) -> dict:
     embed into g; ``promoted`` lists structure vertices that are neither on
     a K_(k-3) nor a gadget key vertex, so they were promoted with their
     cluster; the frontier compares |L| + |P| with n(1 - eps/2)."""
-    roles, cluster_size = classify_degree_k1(g, k, cap)
-    rows = rows_of(apply_rules(g, k, roles, cluster_size))
-    by_label = {lab: mask_of(v for v, r in enumerate(rows) if r.label == lab) for lab in ("L", "M", "P", "Q", "R-other")}
-    l_mask, m_mask, p_mask, q_mask = (by_label[lab] for lab in "LMPQ")
+    structure, near, lone = classify_degree_k1(g, k, cap)
+    ledger = apply_rules(g, k, structure, near, lone)
+    rows = rows_of(ledger)
+    l_mask, m_mask, p_mask, q_mask, rest = ledger.labels.values()
     catalog = gadget_catalog(k, cap)
-    structure = {v for v, role in roles.items() if role == "structure"}
-    targets = structure - {v for q in cliques_of_size(g, k - 3) for v in bits_of(q)}
+    targets = structure & ~reduce(or_, cliques_of_size(g, k - 3), 0)
     eps = PotentialParams.for_k(k).eps
     return {
-        "roles": [roles[v] for v in range(g.n)],
+        "roles": list(role_dicts(g.n, structure, near, lone)[0].values()),
         "rows": rows,
         # every gadget comes from a host on k + steps*(k-1) vertices, one removed
         "complete": cap >= max(0, (g.n + 1 - k) // (k - 1)),
         "catalog_size": len(catalog),
-        "promoted": sorted(targets - set(bits_of(_gadget_key_hits(g, catalog, mask_of(targets))))) if targets else [],
-        "lm_to_rest_edges": edge_between(g, l_mask | m_mask, by_label["R-other"]),
+        "promoted": list(bits_of(targets & ~_gadget_key_hits(g, catalog, targets))) if targets else [],
+        "lm_to_rest_edges": edge_between(g, l_mask | m_mask, rest),
         "lm_identity_value": (
             (k - 1) * l_mask.bit_count()
             - edge_between(g, l_mask, p_mask | q_mask)

@@ -26,12 +26,12 @@ def petersen() -> Graph:
 def one_step(k: int = 4) -> Node:
     """Two K_k leaves: the edge 01 of one replaced by vertex 0 of the other,
     split as {1} and {2, ..., k-1}."""
-    return Node(Leaf(k), Leaf(k), (0, 1), 0, ((1,), tuple(range(2, k))))
+    return Node(Leaf(k), Leaf(k), (0, 1), 0, (0b10, (1 << k) - 4))
 
 
 def fused_k4() -> Graph:
     """The fused K_4 pair: ``one_step()`` realized, on 7 vertices."""
-    return ore_compose(Graph.complete(4), (0, 1), Graph.complete(4), 0, ((1,), (2, 3)))
+    return ore_compose(Graph.complete(4), (0, 1), Graph.complete(4), 0, (0b10, 0b1100))
 
 
 @st.composite

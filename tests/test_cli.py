@@ -1,6 +1,7 @@
 """Command-line behavior, exercised through click's test runner."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -295,3 +296,24 @@ def test_bad_graph6_reports_line_number():
     result = invoke("pack", "--k", "4", "--in", "-", input="C~\nD?\n")
     assert result.exit_code != 0
     assert "line 2" in result.output
+
+
+# sha256 of the gen-ore graph6 and --tree-out lines below, as first drawn
+PINNED_GEN_ORE = "c1af4398f2ce04728aafe070e562d8642ee59f80683069e7530b22d59648acbe"
+
+
+def test_gen_ore_lines_are_pinned(tmp_path):
+    """The measure stream and the default suite trees are drawn through
+    ``random_ore_tree``: every rng draw and every tree stays as first drawn,
+    here at k = 4, 5 and 33 with 1 to 3 steps and seeds 1 to 3."""
+    digest = hashlib.sha256()
+    trees = tmp_path / "trees.jsonl"
+    for k in (4, 5, 33):
+        for steps in (1, 2, 3):
+            for seed in (1, 2, 3):
+                args = ("--k", str(k), "--steps", str(steps), "--seed", str(seed), "--count", "2")
+                result = invoke("gen-ore", *args, "--tree-out", str(trees))
+                assert result.exit_code == 0, result.output
+                digest.update(result.output.encode())
+                digest.update(trees.read_bytes())
+    assert digest.hexdigest() == PINNED_GEN_ORE

@@ -108,7 +108,7 @@ def dirac_chain(k: int, steps: int, rng: random.Random) -> Graph:
         nbrs = list(bits_of(d.adj[z]))
         rng.shuffle(nbrs)
         cut = rng.randrange(1, len(nbrs))
-        g = ore_compose(g, rng.choice(g.edges()), d, z, (tuple(nbrs[:cut]), tuple(nbrs[cut:])))
+        g = ore_compose(g, rng.choice(g.edges()), d, z, (mask_of(nbrs[:cut]), mask_of(nbrs[cut:])))
     return g
 
 

@@ -23,16 +23,18 @@ from orelab import (
     charge_report,
     classify_degree_k1,
     cliques_of_size,
+    clusters,
     compute_T,
     gadget_catalog,
     graph_classes,
+    mask_of,
     random_graph,
     random_ore_tree,
     realize,
     rho,
     suites,
 )
-from report_columns import charge_columns, charge_rows, rows_of
+from report_columns import charge_columns, charge_rows, role_dicts, rows_of
 from sample_graphs import fused_k4, moved_edge, wheel5
 
 EPS4 = Fraction(1, 11)
@@ -51,16 +53,10 @@ def test_initial_charge_values():
 
 def test_classify_small_anchors():
     for k, g in ((4, Graph.complete(4)), (5, Graph.complete(5))):
-        roles, cluster_size = classify_degree_k1(g, k)
-        assert all(role == "structure" for role in roles.values())
-        assert set(cluster_size.values()) == {k}
-    w5 = wheel5()
-    roles, cluster_size = classify_degree_k1(w5, 4)
-    assert all(roles[v] == "structure" for v in range(5))
-    assert roles[5] == "not-deg-(k-1)"
-    assert cluster_size == {v: 1 for v in range(5)}
-    roles, cluster_size = classify_degree_k1(star(4), 4)
-    assert set(roles.values()) == {"not-deg-(k-1)"} and cluster_size == {}
+        assert classify_degree_k1(g, k) == (g.full_mask(), 0, [])
+    # the rim of the wheel is structure; the hub's degree is not k - 1
+    assert classify_degree_k1(wheel5(), 4) == (0b11111, 0, [])
+    assert classify_degree_k1(star(4), 4) == (0, 0, [])
     with pytest.raises(ValueError):
         classify_degree_k1(Graph.complete(3), 3)
 
@@ -102,29 +98,38 @@ def test_structure_pays_its_near_neighbor():
     g = Graph.from_edges(
         10, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (1, 7), (6, 7), (1, 8), (1, 9)]
     )
-    roles, cluster_size = classify_degree_k1(g, 6, ore_catalog_cap=1)
-    assert roles[0] == "near" and roles[1] == "structure"
-    rows = rows_of(apply_rules(g, 6, roles, cluster_size))
+    structure, near, lone = classify_degree_k1(g, 6, ore_catalog_cap=1)
+    assert near == 0b1 and structure == 0b10 and lone == []
+    rows = rows_of(apply_rules(g, 6, structure, near, lone))
     assert rows[0].final - rows[0].initial == -5
     assert rows[1].final - rows[1].initial == 5
     assert sum(r.initial for r in rows) == sum(r.final for r in rows)
 
 
 def test_integer_ledger_matches_fraction_arithmetic():
-    # random roles and cluster sizes on random hosts: high-degree senders
-    # and structure-to-near transfers come together, which no measure
-    # stream graph has; rows are compared as their printed values
+    # random roles and lone clusters of one to three vertices of any degree
+    # on random hosts: high-degree senders and structure-to-near transfers
+    # come together, which no measure stream graph has; rows are compared
+    # as their printed values
     rng = random.Random("ledger")
     moves = senders = 0
     for _ in range(400):
         k = rng.randint(4, 9)
         g = random_graph(rng, rng.randint(1, 2 * k + 4))
-        roles = {v: rng.choice(["structure", "near", "lone", "not-deg-(k-1)"]) for v in range(g.n)}
-        cluster_size = {v: rng.randint(1, 3) for v in range(g.n) if roles[v] != "not-deg-(k-1)"}
-        rows = rows_of(apply_rules(g, k, roles, cluster_size))
-        assert [str(r) for r in rows] == [str(r) for r in oracles.apply_rules(g, k, roles, cluster_size)], (g, k)
+        masks = {"structure": 0, "near": 0, "lone": 0, "not-deg-(k-1)": 0}
+        for v in range(g.n):
+            masks[rng.choice(list(masks))] |= 1 << v
+        lone_vertices = list(bits_of(masks["lone"]))
+        lone = []
+        while lone_vertices:
+            size = rng.randint(1, 3)
+            lone.append(mask_of(lone_vertices[:size]))
+            del lone_vertices[:size]
+        rows = rows_of(apply_rules(g, k, masks["structure"], masks["near"], lone))
+        roles, lone_size = role_dicts(g.n, masks["structure"], masks["near"], lone)
+        assert [str(r) for r in rows] == [str(r) for r in oracles.apply_rules(g, k, roles, lone_size)], (g, k)
         senders += any(g.degree(v) >= k + 2 for v in range(g.n))
-        moves += any(roles[v] == "structure" and roles[u] == "near" for v in range(g.n) for u in bits_of(g.adj[v]))
+        moves += any(g.adj[v] & masks["near"] for v in bits_of(masks["structure"]))
     assert senders > 100 and moves > 100
 
 
@@ -150,9 +155,13 @@ def test_ledger_matches_the_row_oracle():
     set-based classification, the per-vertex Fraction rows and their
     fraction sum on every oracle host."""
     for g, k in oracle_hosts():
-        roles = classify_degree_k1(g, k)
-        assert roles == oracles.classify_degree_k1(g, k), (g, k)
-        assert [str(r) for r in charge_rows(g, k)] == [str(r) for r in oracles.apply_rules(g, k, *roles)], (g, k)
+        structure, near, lone = classify_degree_k1(g, k)
+        assert set(lone) <= set(clusters(g, k)), (g, k)
+        roles, lone_size = role_dicts(g.n, structure, near, lone)
+        want_roles, want_size = oracles.classify_degree_k1(g, k)
+        assert roles == want_roles, (g, k)
+        assert lone_size == {v: size for v, size in want_size.items() if want_roles[v] == "lone"}, (g, k)
+        assert [str(r) for r in charge_rows(g, k)] == [str(r) for r in oracles.apply_rules(g, k, roles, lone_size)], (g, k)
         rep = charge_report(g, k)
         want = oracles.charge_report(g, k)
         assert list(rep.sizes.items()) == list(want["sizes"].items()), (g, k)

@@ -41,7 +41,7 @@ from orelab import (
     tree_loads,
     tree_to_json,
 )
-from orelab.graphs import components
+from orelab.graphs import MAX_VERTICES, components
 from sample_graphs import fused_k4, moved_edge, one_step, wheel5
 
 
@@ -75,7 +75,7 @@ def test_compose_identity_arithmetic():
         nbrs = list(bits_of(g2.adj[z]))
         cut = rng.randrange(1, len(nbrs))
         rng.shuffle(nbrs)
-        g = ore_compose(g1, edge, g2, z, (tuple(nbrs[:cut]), tuple(nbrs[cut:])))
+        g = ore_compose(g1, edge, g2, z, (mask_of(nbrs[:cut]), mask_of(nbrs[cut:])))
         assert g.n == g1.n + g2.n - 1
         assert g.edge_count() == g1.edge_count() + g2.edge_count() - 1
 
@@ -83,20 +83,20 @@ def test_compose_identity_arithmetic():
 def test_compose_rejects_bad_arguments():
     k4 = Graph.complete(4)
     with pytest.raises(ValueError):
-        ore_compose(k4, (0, 1), k4, 0, ((), (1, 2, 3)))  # empty part
+        ore_compose(k4, (0, 1), k4, 0, (0, 0b1110))  # empty part
     with pytest.raises(ValueError):
-        ore_compose(k4, (0, 1), k4, 0, ((1,), (2,)))  # partition misses a neighbor
+        ore_compose(k4, (0, 1), k4, 0, (0b10, 0b100))  # partition misses a neighbor
     with pytest.raises(ValueError):
-        ore_compose(k4, (0, 1), k4, 0, ((1, 2), (2, 3)))  # overlapping parts
+        ore_compose(k4, (0, 1), k4, 0, (0b110, 0b1100))  # overlapping parts
     with pytest.raises(ValueError):
-        ore_compose(Graph.from_edges(4, k4.edges()[1:]), (0, 1), k4, 0, ((1,), (2, 3)))  # non-edge
+        ore_compose(Graph.from_edges(4, k4.edges()[1:]), (0, 1), k4, 0, (0b10, 0b1100))  # non-edge
     # ids outside the graphs are named, not read through Python's negative indexing
     with pytest.raises(ValueError, match=r"pair \(-1,0\) is not an edge of the edge side on vertices 0..3"):
-        ore_compose(k4, (-1, 0), k4, 0, ((1,), (2, 3)))
+        ore_compose(k4, (-1, 0), k4, 0, (0b10, 0b1100))
     with pytest.raises(ValueError, match=r"pair \(0,4\) is not an edge of the edge side on vertices 0..3"):
-        ore_compose(k4, (0, 4), k4, 0, ((1,), (2, 3)))
-    for halves, bad in ((((-1,), (2, 3)), -1), (((1,), (2, -3)), -3), (((1,), (2, 3, 4)), 4)):
-        with pytest.raises(ValueError, match=f"split half member {bad} is outside the split side's 0..3"):
+        ore_compose(k4, (0, 4), k4, 0, (0b10, 0b1100))
+    for halves, bad in (((-2, 0b1100), "-0x2"), ((0b10, -0b1100), "-0xc"), ((0b10, 0b11100), "0x1c")):
+        with pytest.raises(ValueError, match=f"vertex mask {bad} has ids outside 0..3"):
             ore_compose(k4, (0, 1), k4, 0, halves)
     node = tree_to_json(one_step())
     node["replaced_edge"] = [-1, 0]
@@ -114,7 +114,7 @@ def test_compose_matches_the_edge_list_oracle(k, seed, data):
     z = data.draw(st.integers(0, g2.n - 1))
     nbrs = data.draw(st.permutations(list(bits_of(g2.adj[z]))))
     cut = data.draw(st.integers(1, len(nbrs) - 1))
-    halves = (tuple(nbrs[:cut]), tuple(nbrs[cut:]))
+    halves = (mask_of(nbrs[:cut]), mask_of(nbrs[cut:]))
     assert ore_compose(g1, edge, g2, z, halves) == oracles.compose_by_edges(g1, edge, g2, z, halves)
 
 
@@ -122,7 +122,7 @@ def test_realize_counts_and_ky_value():
     assert realize(Leaf(4)) == Graph.complete(4)
     g1 = realize(one_step())
     assert g1.n == 7 and rho_ky(g1, 4) == 4
-    two = Node(one_step(), Leaf(4), g1.edges()[0], 0, ((1,), (2, 3)))
+    two = Node(one_step(), Leaf(4), g1.edges()[0], 0, (0b10, 0b1100))
     g2 = realize(two)
     assert g2.n == 10 and g2.edge_count() == 16  # (l+1)k(k-1)/2 - l at l=2
     for k in (4, 5, 6):
@@ -141,7 +141,7 @@ def test_realized_graphs_are_critical():
 
 
 def test_mixed_leaf_parameters_rejected():
-    bad = Node(Leaf(4), Leaf(5), (0, 1), 0, ((1,), (2, 3)))
+    bad = Node(Leaf(4), Leaf(5), (0, 1), 0, (0b10, 0b1100))
     with pytest.raises(ValueError):
         tree_k(bad)
     with pytest.raises(ValueError):
@@ -202,6 +202,20 @@ def test_tree_json_rejects_malformed_input():
         realize(tree_from_json(node))
     with pytest.raises(ValueError, match="nonnegative"):
         random_ore_tree(4, -1, random.Random(0))
+
+
+def test_tree_json_refuses_a_half_member_outside_the_vertex_range():
+    """A half is loaded as a vertex mask, so a member id is checked before
+    its bit is set: a negative id, or one at or past ``MAX_VERTICES``, would
+    otherwise build a mask of that many bits."""
+    for half in ([-1], [MAX_VERTICES], [10**12], [1, 2, -3]):
+        node = tree_to_json(one_step())
+        node["partition"] = [half, [1]]
+        with pytest.raises(ValueError, match="tree node field 'partition' is malformed"):
+            tree_from_json(node)
+    node = tree_to_json(one_step())
+    node["partition"] = [[MAX_VERTICES - 1], [1]]
+    assert tree_from_json(node).partition == (1 << MAX_VERTICES - 1, 0b10)
 
 
 def test_random_tree_determinism():
@@ -481,15 +495,14 @@ def test_catalog_composes_one_pair_per_orbit(calls_to):
 
 def composition_side_candidates(g: Graph) -> tuple[list, list]:
     """Every edge (x < y) in sorted order and every split (z, (first, second))
-    by z and then by selector over z's sorted neighbours, as the catalog
-    walks them."""
+    of two masks, by z and then by selector over z's sorted neighbours, as
+    the catalog walks them."""
     splits = []
     for z in range(g.n):
         nbrs = sorted(bits_of(g.adj[z]))
         for sel in range(1, (1 << len(nbrs)) - 1):
-            first = tuple(v for i, v in enumerate(nbrs) if sel >> i & 1)
-            second = tuple(v for i, v in enumerate(nbrs) if not sel >> i & 1)
-            splits.append((z, (first, second)))
+            first = mask_of(v for i, v in enumerate(nbrs) if sel >> i & 1)
+            splits.append((z, (first, g.adj[z] ^ first)))
     return sorted(g.edges()), splits
 
 
@@ -510,7 +523,7 @@ def test_composition_sides_keep_the_first_of_each_orbit():
 
         def split_orbit(split):
             z, halves = split
-            return {(p[z], tuple(tuple(sorted(p[w] for w in half)) for half in halves)) for p in autos}
+            return {(p[z], tuple(mask_of(p[w] for w in bits_of(half)) for half in halves)) for p in autos}
 
         edges, splits = orekit._composition_sides(g)
         all_edges, all_splits = composition_side_candidates(g)

@@ -129,7 +129,7 @@ def test_one_step_composition_at_k20():
     # n = 39 and 59 candidate cliques; a packed unit of weight costs at least
     # (k - 1) / 2 vertices, so 4 (two disjoint K_19) is the most there can be
     k20 = Graph.complete(20)
-    g = ore_compose(k20, (0, 1), k20, 0, (tuple(range(1, 10)), tuple(range(10, 20))))
+    g = ore_compose(k20, (0, 1), k20, 0, (mask_of(range(1, 10)), mask_of(range(10, 20))))
     assert g.n == 39
     witness = compute_T(g, 20)
     check_witness(g, 20, witness)
@@ -176,7 +176,7 @@ def test_caps(monkeypatch):
 
 def k33_one_step() -> Graph:
     k33 = Graph.complete(33)
-    return ore_compose(k33, (0, 1), k33, 0, (tuple(range(1, 17)), tuple(range(17, 33))))
+    return ore_compose(k33, (0, 1), k33, 0, (mask_of(range(1, 17)), mask_of(range(17, 33))))
 
 
 @lru_cache(maxsize=None)

@@ -352,6 +352,28 @@ def test_no_vertex_iterable_crosses_a_boundary():
     assert found == [], f"vertex sets handed over as iterables: {found}"
 
 
+# a split's two halves as vertex tuples, and a role or label per vertex
+TUPLE_AND_DICT_VERTEX_SETS = {"tuple[tuple[int, ...], tuple[int, ...]]", "dict[int, str]"}
+
+
+def test_no_vertex_set_is_annotated_as_tuples_or_a_vertex_dict():
+    """A split's halves, the roles of the degree-(k-1) vertices and the
+    charge labels cross as vertex masks: no annotation in the package, on a
+    parameter, a return, a field or a variable, names a pair of vertex
+    tuples or a per-vertex string dict."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            annotation = node.returns if isinstance(node, ast.FunctionDef) else getattr(node, "annotation", None)
+            if annotation is not None:
+                found.extend(
+                    f"{path.stem}:{part.lineno} {ast.unparse(part)}"
+                    for part in ast.walk(annotation)
+                    if ast.unparse(part) in TUPLE_AND_DICT_VERTEX_SETS
+                )
+    assert found == [], f"vertex sets annotated as tuples or dicts: {found}"
+
+
 EDGE_LIST_BUILDERS = {"graphs.Graph.cycle", "graphs.Graph.path", "census.random_graph"}
 
 

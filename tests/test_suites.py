@@ -51,7 +51,7 @@ def random_graphs(count: int) -> list[Graph]:
 
 def nested() -> Node:
     g1 = realize(one_step())
-    return Node(one_step(), Leaf(4), g1.edges()[0], 0, ((1,), (2, 3)))
+    return Node(one_step(), Leaf(4), g1.edges()[0], 0, (0b10, 0b1100))
 
 
 SMALL_INPUTS = {
@@ -427,7 +427,7 @@ def test_a_capped_subtree_skips_only_the_rows_that_read_it(monkeypatch):
     With the cap at 18 only t-superadd, which reads the sides' T, skips the
     tree; the rows that read the root's T do not change."""
     k = 6
-    tree = Node(Leaf(k), Leaf(k), (0, 1), 0, ((1, 2), (3, 4, 5)))
+    tree = Node(Leaf(k), Leaf(k), (0, 1), 0, (0b110, 0b111000))
 
     def candidates(g: Graph) -> int:
         return len(cliques_of_size(g, k - 1)) + len(cliques_of_size(g, k - 2))
