@@ -4,12 +4,11 @@ charge identities that tie redistribution back to the potential.
 
 Roles and rules are evaluated on any host graph; facts that hold only for
 minimal counterexamples are never asserted. One report derives each
-per-graph fact once: classification finds the clusters and fetches the
-gadget catalog only when some degree-(k-1) vertex lies in no K_{k-3}, the
-rules read the role masks and lone clusters it returns, and the report reads
-each label's vertex mask off the ledger and audits the charges against the
-potential. Charges are integers over one denominator; the report builds a
-Fraction only for the values it returns.
+per-graph fact once: classification finds the clusters and the degree-(k-1)
+vertices on some K_{k-3}, the rules read the role masks and lone clusters it
+returns, and the report reads each label's vertex mask off the ledger and
+audits the charges against the potential. Charges are integers over one
+denominator; the report builds a Fraction only for the values it returns.
 """
 
 from __future__ import annotations
@@ -18,39 +17,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .graphs import Graph, _cliques, bits_of, embeddings, mask_of
-from .orekit import Gadget, gadget_catalog
+from .graphs import Graph, _cliques, bits_of, mask_of
 from .potential import PotentialParams, rho
 from .structure import clusters, edge_between
 
-def _gadget_key_hits(g: Graph, catalog: tuple[Gadget, ...], target: int) -> int:
-    """The mask of vertices that are key vertices of some embedded gadget,
-    complete once it covers the mask ``target``."""
-    hits = 0
-    for gadget in catalog:
-        if gadget.graph.n > g.n or not gadget.key_vertices:
-            continue
-        for image in embeddings(gadget.graph, g):
-            hits |= mask_of(image[v] for v in bits_of(gadget.key_vertices))
-            if not target & ~hits:
-                return hits
-    return hits
 
-
-def classify_degree_k1(g: Graph, k: int, ore_catalog_cap: int = 2) -> tuple[int, int, list[int]]:
+def classify_degree_k1(g: Graph, k: int) -> tuple[int, int, list[int]]:
     """Sort the degree-(k-1) vertices into structure, near and lone; return
     the structure mask, the near mask and the lone clusters as masks, in
     order of least member.
 
-    structure: a key vertex of an embedded gadget, or a member of some
-    K_{k-3} subgraph. near: not structure, with a degree-(k-1) neighbor in a
-    different cluster. lone: not structure, every degree-(k-1) neighbor in
-    its own cluster.
+    structure: in a cluster that meets some K_{k-3} subgraph. near: not
+    structure, with a degree-(k-1) neighbor in a different cluster. lone:
+    not structure, every degree-(k-1) neighbor in its own cluster.
 
-    Gadgets are drawn from the exhaustive catalog with at most
-    ``ore_catalog_cap`` compositions, so a host too large for the cap may
-    have structure vertices labeled near or lone. Labels are made
-    cluster-constant by promoting a mixed cluster to structure.
+    The paper also counts a key vertex of an embedded Ore gadget as
+    structure; for gadgets of at most two steps that adds no vertex. In a
+    k-Ore graph a vertex whose leaf sits at depth d of the construction tree
+    lies in a K_{k-d}, since each composition takes at most one vertex out
+    of any clique through a vertex it keeps, and a gadget deletes one more
+    vertex. So every key vertex of such a gadget lies in a K_{k-3}, and an
+    embedding maps that clique into the host.
     """
     if k < 4:
         raise ValueError("classification needs k >= 4")
@@ -67,16 +54,12 @@ def classify_degree_k1(g: Graph, k: int, ore_catalog_cap: int = 2) -> tuple[int,
     for v in bits_of(low):
         if not in_clique >> v & 1 and _cliques(g.adj, g.adj[v], k - 4, cover):
             in_clique |= 1 << v
-    key_targets = low & ~in_clique
-    # a vertex in some K_{k-3} never reads the catalog, so build it only for the rest
-    key_hits = _gadget_key_hits(g, gadget_catalog(k, ore_catalog_cap), key_targets) if key_targets else 0
-    hit = in_clique | key_hits
     structure = near = 0
     lone = []
     # members of a cluster are clones: one role serves the whole cluster, and
     # its least member's neighbours outside it are every member's
     for c in clusters(g, k):
-        if c & hit:  # a cluster with one structure vertex is promoted whole
+        if c & in_clique:  # a cluster that meets a K_{k-3} is structure whole
             structure |= c
         elif g.adj[(c & -c).bit_length() - 1] & low & ~c:
             near |= c
@@ -167,7 +150,7 @@ class ChargeReport:
     rho_plus_delta_t: Fraction
 
 
-def charge_report(g: Graph, k: int, ore_catalog_cap: int = 2) -> ChargeReport:
+def charge_report(g: Graph, k: int) -> ChargeReport:
     """Classify, redistribute, and audit the arithmetic on one graph.
 
     The boundary-edge identity e(L+M, rest) = (k-1)|L| - e(L, P+Q)
@@ -177,7 +160,7 @@ def charge_report(g: Graph, k: int, ore_catalog_cap: int = 2) -> ChargeReport:
     charge must equal rho + delta*T, which is ((k-2)(k+1) + eps)n - 2(k-1)m
     whatever T is, so no packing is computed.
     """
-    ledger = apply_rules(g, k, *classify_degree_k1(g, k, ore_catalog_cap))
+    ledger = apply_rules(g, k, *classify_degree_k1(g, k))
     l_mask, m_mask, p_mask, q_mask, rest = ledger.labels.values()
     direct = edge_between(g, l_mask | m_mask, rest)
     identity = (

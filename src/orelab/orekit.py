@@ -234,19 +234,32 @@ def random_ore_tree(k: int, steps: int, rng: random.Random) -> OreTree:
         return Leaf(k)
     if k < 3:
         raise ValueError(f"composition needs a split vertex of degree >= 2, so k >= 3, got k={k}")
+    return _random_step(k, steps, rng)[0]
+
+
+def _random_step(k: int, steps: int, rng: random.Random) -> tuple[Node, Graph, Graph]:
+    """The root step of ``random_ore_tree``'s draw with the graphs of its two
+    sides; the root itself is not composed, so a drawn tree may be too large
+    to realize."""
     left = rng.randrange(steps)
-    right = steps - 1 - left
-    t1 = random_ore_tree(k, left, rng)
-    t2 = random_ore_tree(k, right, rng)
-    g1 = realize(t1)
-    g2 = realize(t2)
+    t1, g1 = _random_tree(k, left, rng)
+    t2, g2 = _random_tree(k, steps - 1 - left, rng)
     edge = rng.choice(sorted(g1.edges()))
     z = rng.randrange(g2.n)
     nbrs = g2.adj[z]
     # bit i of sel puts z's i-th neighbour, in increasing order, in the first half
     sel = rng.randrange(1, (1 << nbrs.bit_count()) - 1)
     first = mask_of(v for i, v in enumerate(bits_of(nbrs)) if sel >> i & 1)
-    return Node(t1, t2, edge, z, (first, nbrs ^ first))
+    return Node(t1, t2, edge, z, (first, nbrs ^ first)), g1, g2
+
+
+def _random_tree(k: int, steps: int, rng: random.Random) -> tuple[OreTree, Graph]:
+    """A drawn subtree with its graph, so every step below the root is
+    composed once."""
+    if steps == 0:
+        return Leaf(k), Graph.complete(k)
+    node, g1, g2 = _random_step(k, steps, rng)
+    return node, ore_compose(g1, node.replaced_edge, g2, node.split_vertex, node.partition)
 
 
 # -- recognition -------------------------------------------------------------

@@ -404,7 +404,7 @@ def _mic_ineq(g: Graph, params: dict) -> list[SuiteRow]:
 
 
 def _charge_identity(g: Graph, params: dict) -> list[SuiteRow]:
-    report = charge_report(g, params["k"], ore_catalog_cap=params["caps"]["gadget_steps"])
+    report = charge_report(g, params["k"])
     return [
         _row(
             graph6_encode(g),
@@ -515,7 +515,7 @@ _SUITES = {
     ),
     "kernel-ineq": _Suite(_kernel_ineq, "census", {"subset_cap": 2 ** 20}),
     "mic-ineq": _Suite(_mic_ineq, "census", {}),
-    "charge-identity": _Suite(_charge_identity, "classes+random", {"gadget_steps": 2}),
+    "charge-identity": _Suite(_charge_identity, "classes+random", {}),
     "packing-oracle": _Suite(_packing_oracle, "random", {}),
     "coloring-oracle": _Suite(_coloring_oracle, "classes", {}),
     "graph6-roundtrip": _Suite(_graph6_roundtrip, "classes", {}),

@@ -50,7 +50,8 @@ Index: library function -- independent oracle; kept parent copy.
 - ``edge_count_lemma_check`` -- ``edge_count_scan``, over every vertex
   mask; none.
 - ``edge_between`` -- ``edge_between``, edge by edge; none.
-- ``classify_degree_k1`` -- none; ``classify_degree_k1`` on vertex sets.
+- ``classify_degree_k1`` -- none; ``classify_degree_k1`` on vertex sets,
+  keeping the parent's gadget branch with networkx embeddings.
 - ``apply_rules`` -- ``apply_rules``, one ``Fraction`` transfer at a time;
   none.
 - ``charge_report`` -- ``charge_report``, from those rows; none.
@@ -79,7 +80,6 @@ from orelab import (
     clusters,
     compute_T as library_compute_T,
     coloring,
-    embeddings,
     first_coloring,
     gadget_catalog,
     graph6_encode as library_graph6_encode,
@@ -737,19 +737,44 @@ def edge_between(g: Graph, a: set[int], b: set[int]) -> int:
 
 
 def gadget_key_hits(g: Graph, catalog, target: set[int]) -> set[int]:
+    """Host vertices that some embedding of a catalog gadget maps a key
+    vertex onto, complete once they cover ``target``; the embeddings are
+    networkx's subgraph monomorphisms."""
+    from networkx import Graph as NxGraph
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def nx_graph(h: Graph, order) -> NxGraph:
+        out = NxGraph()
+        out.add_nodes_from(order)
+        out.add_edges_from(h.edges())
+        return out
+
+    host = nx_graph(g, range(g.n))
     hits: set[int] = set()
     for gadget in catalog:
-        if gadget.graph.n > g.n or not gadget.key_vertices:
+        pattern = gadget.graph
+        if pattern.n > g.n or not gadget.key_vertices:
             continue
-        for image in embeddings(gadget.graph, g):
-            hits.update(image[v] for v in bits_of(gadget.key_vertices))
+        # networkx matches the pattern's vertices in insertion order: breadth
+        # first, each one meets a vertex placed before it, which prunes early
+        order = [0]
+        for v in order:
+            order += [u for u in bits_of(pattern.adj[v]) if u not in order]
+        order += [v for v in range(pattern.n) if v not in order]
+        keys = set(bits_of(gadget.key_vertices))
+        # each match maps host vertices onto the gadget's vertices
+        for match in GraphMatcher(host, nx_graph(pattern, order)).subgraph_monomorphisms_iter():
+            hits.update(u for u, v in match.items() if v in keys)
             if target <= hits:
                 return hits
     return hits
 
 
 def classify_degree_k1(g: Graph, k: int, ore_catalog_cap: int = 2) -> tuple[dict[int, str], dict[int, int]]:
-    """Roles and cluster sizes on vertex sets and a list of small cliques."""
+    """Roles and cluster sizes on vertex sets and a list of small cliques,
+    with the gadget branch the library dropped: a degree-(k-1) vertex on no
+    K_{k-3} is structure when it is a key vertex of an embedded gadget of at
+    most ``ore_catalog_cap`` steps."""
     if k < 4:
         raise ValueError("classification needs k >= 4")
     low = {v for v in range(g.n) if g.degree(v) == k - 1}

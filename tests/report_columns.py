@@ -28,7 +28,6 @@ from orelab import (
     edge_between,
     gadget_catalog,
 )
-from orelab.discharging import _gadget_key_hits
 
 
 @dataclass(frozen=True)
@@ -58,18 +57,21 @@ def role_dicts(n: int, structure: int, near: int, lone) -> tuple[dict[int, str],
     return roles, {v: c.bit_count() for c in lone for v in bits_of(c)}
 
 
-def charge_rows(g, k: int, cap: int = 2) -> tuple[ChargeRow, ...]:
+def charge_rows(g, k: int) -> tuple[ChargeRow, ...]:
     """The per-vertex charge rows, as ``charge_report`` computes them."""
-    return rows_of(apply_rules(g, k, *classify_degree_k1(g, k, cap)))
+    return rows_of(apply_rules(g, k, *classify_degree_k1(g, k)))
 
 
 def charge_columns(g, k: int, cap: int = 2) -> dict:
     """Roles, charge rows and the edge and charge counts over the L/M/P/Q
-    classes: ``complete`` says the gadget catalog covers every size that can
-    embed into g; ``promoted`` lists structure vertices that are neither on
-    a K_(k-3) nor a gadget key vertex, so they were promoted with their
-    cluster; the frontier compares |L| + |P| with n(1 - eps/2)."""
-    structure, near, lone = classify_degree_k1(g, k, cap)
+    classes: ``complete`` says the gadget catalog of at most ``cap`` steps
+    covers every size that can embed into g; ``promoted`` lists structure
+    vertices that are neither on a K_(k-3) nor a key vertex of a gadget the
+    parent copy ``oracles.gadget_key_hits`` embeds, so they were promoted
+    with their cluster; the frontier compares |L| + |P| with n(1 - eps/2)."""
+    from oracles import gadget_key_hits  # here: oracles imports ChargeRow from this module
+
+    structure, near, lone = classify_degree_k1(g, k)
     ledger = apply_rules(g, k, structure, near, lone)
     rows = rows_of(ledger)
     l_mask, m_mask, p_mask, q_mask, rest = ledger.labels.values()
@@ -82,7 +84,7 @@ def charge_columns(g, k: int, cap: int = 2) -> dict:
         # every gadget comes from a host on k + steps*(k-1) vertices, one removed
         "complete": cap >= max(0, (g.n + 1 - k) // (k - 1)),
         "catalog_size": len(catalog),
-        "promoted": list(bits_of(targets & ~_gadget_key_hits(g, catalog, targets))) if targets else [],
+        "promoted": sorted(set(bits_of(targets)) - gadget_key_hits(g, catalog, set(bits_of(targets)))) if targets else [],
         "lm_to_rest_edges": edge_between(g, l_mask | m_mask, rest),
         "lm_identity_value": (
             (k - 1) * l_mask.bit_count()

@@ -23,6 +23,12 @@ def petersen() -> Graph:
     return Graph.from_edges(10, outer + spokes + inner)
 
 
+def clebsch() -> Graph:
+    """The Clebsch graph: 5-regular and triangle-free on 16 vertices, u ~ v
+    when their 4-bit labels differ in one bit or in all four."""
+    return Graph.from_edges(16, [(u, v) for u, v in combinations(range(16), 2) if bin(u ^ v).count("1") in (1, 4)])
+
+
 def one_step(k: int = 4) -> Node:
     """Two K_k leaves: the edge 01 of one replaced by vertex 0 of the other,
     split as {1} and {2, ..., k-1}."""

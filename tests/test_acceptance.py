@@ -236,9 +236,7 @@ def test_criterion_11_charge_identity(census4_9, census5_9, acceptance_log):
     c4, _ = census4_9
     c5, _ = census5_9
     for k, corpus in ((4, c4), (5, c5)):
-        result = run_suite(
-            "charge-identity", corpus=corpus, params={"k": k, "caps": {"gadget_steps": 1}}
-        )
+        result = run_suite("charge-identity", corpus=corpus, params={"k": k})
         assert result.passed and result.counts()["fail"] == 0
         assert result.counts()["pass"] == len(corpus)
     rng = random.Random(DEFAULT_SEED)  # the default random stream

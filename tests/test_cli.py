@@ -270,6 +270,17 @@ def test_verify_checks_arguments_before_building_the_census(monkeypatch):
     assert bogus.exit_code == 1 and "unknown suite id 'bogus'" in bogus.output
 
 
+def test_verify_refuses_the_gadget_steps_cap_before_building_the_census(monkeypatch):
+    # the charge audit builds no gadget catalog, so its cap key is gone
+    def no_census(n_max, k):
+        raise AssertionError("the census was built before the arguments were checked")
+
+    monkeypatch.setattr(orelab.cli, "census_critical", no_census)
+    result = invoke("verify", "--suite", "charge-identity", "--census", "6", "--cap", "gadget_steps=2")
+    assert result.exit_code == 1 and "Error: unknown cap key 'gadget_steps'" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_verify_in_skips_blank_lines_and_dedupes(tmp_path):
     k4 = Graph.complete(4)
     lines = [graph6_encode(k4), "", graph6_encode(k4.relabelled([3, 2, 1, 0])), graph6_encode(Graph.cycle(5))]

@@ -2,7 +2,8 @@
 
 The synthetic hosts below are engineered so each role arises for a known
 reason; none of them needs to be critical, the bookkeeping is purely local.
-Catalog caps are kept at 1 for k >= 6 to stay fast.
+The gadget catalog that ``charge_columns`` and the oracle copy read is kept
+at 1 step for k >= 6 to stay fast, except on the Clebsch graph.
 """
 
 import random
@@ -35,7 +36,7 @@ from orelab import (
     suites,
 )
 from report_columns import charge_columns, charge_rows, role_dicts, rows_of
-from sample_graphs import fused_k4, moved_edge, wheel5
+from sample_graphs import clebsch, fused_k4, moved_edge, wheel5
 
 EPS4 = Fraction(1, 11)
 
@@ -68,7 +69,7 @@ def test_lone_singletons_with_silent_rules():
     edges = [(0, y) for y in range(1, 8)]
     edges += [(y, b) for y in range(1, 8) for b in range(8, 15)]
     g = Graph.from_edges(15, edges)
-    rep = charge_report(g, 8, ore_catalog_cap=1)
+    rep = charge_report(g, 8)
     columns = charge_columns(g, 8, cap=1)
     assert columns["roles"][0] == "lone" and columns["roles"][8] == "lone"
     assert rep.sizes == {"L": 8, "M": 0, "P": 7, "Q": 0, "R-other": 0}
@@ -85,7 +86,7 @@ def test_lone_pair_skips_the_identity():
     edges += [(b, y) for b in (0, 1) for y in range(2, 8)]
     edges += [(y, c) for y in range(2, 8) for c in range(8, 14)]
     g = Graph.from_edges(14, edges)
-    rep = charge_report(g, 8, ore_catalog_cap=1)
+    rep = charge_report(g, 8)
     columns = charge_columns(g, 8, cap=1)
     assert rep.sizes == {"L": 0, "M": 2, "P": 6, "Q": 0, "R-other": 6}
     assert columns["m_p_edges"] == 12 and not rep.identity_hypothesis
@@ -98,7 +99,7 @@ def test_structure_pays_its_near_neighbor():
     g = Graph.from_edges(
         10, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (1, 7), (6, 7), (1, 8), (1, 9)]
     )
-    structure, near, lone = classify_degree_k1(g, 6, ore_catalog_cap=1)
+    structure, near, lone = classify_degree_k1(g, 6)
     assert near == 0b1 and structure == 0b10 and lone == []
     rows = rows_of(apply_rules(g, 6, structure, near, lone))
     assert rows[0].final - rows[0].initial == -5
@@ -133,37 +134,39 @@ def test_integer_ledger_matches_fraction_arithmetic():
     assert senders > 100 and moves > 100
 
 
-def oracle_hosts() -> list[tuple[Graph, int]]:
-    """(host, k): the order-8 census at k = 4, 5, 6, the charge-identity
-    suite's classes+random corpus at k = 4 and 5, seeded composed graphs
-    with 1 to 4 steps at k = 4 and 5, each with a moved-edge near miss, and
-    one 1-step composed graph at k = 33."""
+def oracle_hosts() -> list[tuple[Graph, int, int]]:
+    """(host, k, catalog cap of the oracle copy): the order-8 census at
+    k = 4, 5, 6, the charge-identity suite's classes+random corpus at k = 4
+    and 5, seeded composed graphs with 1 to 4 steps at k = 4 to 7, each with
+    a moved-edge near miss, and one 1-step composed graph at k = 33, at cap
+    2; and the Clebsch graph at k = 6, whose every vertex lies on no
+    triangle, at caps 1 and 2."""
     hosts = [(g, k) for k in (4, 5, 6) for g in census_critical(8, k).graphs]
     hosts += [(g, k) for k in (4, 5) for g in suites._default_input("classes+random", k, 1)]
     rng = random.Random("charge oracle")
-    for k in (4, 5):
+    for k in (4, 5, 6, 7):
         for steps in range(1, 5):
             for _ in range(3):
                 g = realize(random_ore_tree(k, steps, rng), k)
                 hosts += [(g, k), (moved_edge(g, rng), k)]
     hosts.append((realize(random_ore_tree(33, 1, rng), 33), 33))
-    return hosts
+    return [(g, k, 2) for g, k in hosts] + [(clebsch(), 6, cap) for cap in (1, 2)]
 
 
 def test_ledger_matches_the_row_oracle():
     """Roles, charge rows (as printed) and whole reports agree with the
-    set-based classification, the per-vertex Fraction rows and their
-    fraction sum on every oracle host."""
-    for g, k in oracle_hosts():
+    set-based classification, gadget branch included, the per-vertex
+    Fraction rows and their fraction sum on every oracle host."""
+    for g, k, cap in oracle_hosts():
         structure, near, lone = classify_degree_k1(g, k)
         assert set(lone) <= set(clusters(g, k)), (g, k)
         roles, lone_size = role_dicts(g.n, structure, near, lone)
-        want_roles, want_size = oracles.classify_degree_k1(g, k)
-        assert roles == want_roles, (g, k)
+        want_roles, want_size = oracles.classify_degree_k1(g, k, cap)
+        assert roles == want_roles, (g, k, cap)
         assert lone_size == {v: size for v, size in want_size.items() if want_roles[v] == "lone"}, (g, k)
         assert [str(r) for r in charge_rows(g, k)] == [str(r) for r in oracles.apply_rules(g, k, roles, lone_size)], (g, k)
         rep = charge_report(g, k)
-        want = oracles.charge_report(g, k)
+        want = oracles.charge_report(g, k, cap)
         assert list(rep.sizes.items()) == list(want["sizes"].items()), (g, k)
         assert rep.identity_hypothesis == want["identity_hypothesis"], (g, k)
         assert str(rep.total_charge) == str(want["total_charge"]), (g, k)
@@ -251,29 +254,35 @@ def test_charge_report_does_no_packing(monkeypatch, census4_8):
         assert charge_report(g, 4).total_charge == rho(g, 4, t) + delta * t
 
 
-def test_catalog_is_built_only_for_vertices_in_no_small_clique(monkeypatch, census4_8, census5_8):
-    """A degree-(k-1) vertex in some K_{k-3} never reads the gadget catalog,
-    and on these hosts every one lies in such a clique: with gadget_catalog
-    raising in every orelab module that holds it, each report still
-    succeeds. Building the catalog first exceeds the recognition cap at
-    k = 10 and runs for minutes at k = 14."""
+# seeded trees (k, steps, seed) with degree-(k-1) vertices on no K_{k-3}: at
+# k >= 10 the two-step gadget catalog is over the 25-vertex recognition cap,
+# and embedding it into the 65-vertex tree (9, 7, 2) takes minutes
+CATALOG_CAP_TREES = ((10, 4, 2), (10, 6, 2), (10, 6, 3), (10, 10, 0), (12, 8, 2), (33, 4, 2), (9, 7, 2))
 
-    def no_catalog(k, max_steps):
-        raise AssertionError("charge_report built the gadget catalog")
 
-    holders = [
-        name
-        for name, module in list(sys.modules.items())
-        if name.split(".")[0] == "orelab" and hasattr(module, "gadget_catalog")
-    ]
-    assert {"orelab", "orelab.orekit", "orelab.discharging"} <= set(holders)
-    for name in holders:
-        monkeypatch.setattr(sys.modules[name], "gadget_catalog", no_catalog)
-    hosts = [(4, g) for g in census4_8.graphs] + [(5, g) for g in census5_8.graphs]
-    hosts += [(k, realize(random_ore_tree(k, s, random.Random(s)))) for k in (6, 8, 10, 14) for s in (1, 2, 3)]
+def test_charge_report_builds_no_catalog_and_embeds_nothing(monkeypatch):
+    """Structure is membership of a cluster that meets a K_{k-3}: with
+    gadget_catalog and embeddings raising in every orelab module that holds
+    them, each report still succeeds, on the Clebsch graph at k = 6 (every
+    vertex of degree k - 1 and on no triangle) and on the seeded trees, and
+    the charge-identity suite passes on the k = 33 tree."""
+
+    def no_search(*args):
+        raise AssertionError("charge_report searched for gadgets")
+
+    for name, homes in (("gadget_catalog", {"orelab", "orelab.orekit"}), ("embeddings", {"orelab", "orelab.graphs"})):
+        holders = [key for key, module in list(sys.modules.items()) if key.split(".")[0] == "orelab" and hasattr(module, name)]
+        assert homes <= set(holders), name
+        for key in holders:
+            monkeypatch.setattr(sys.modules[key], name, no_search)
+    hosts = [(6, clebsch())]
+    hosts += [(k, realize(random_ore_tree(k, steps, random.Random(seed)))) for k, steps, seed in CATALOG_CAP_TREES]
     for k, g in hosts:
         rep = charge_report(g, k)
         assert rep.total_charge == rep.rho_plus_delta_t and sum(rep.sizes.values()) == g.n
+    g33 = realize(random_ore_tree(33, 4, random.Random(2)))
+    result = suites.run_suite("charge-identity", corpus=[g33], params={"k": 33})
+    assert result.passed and result.counts() == {"pass": 1, "fail": 0, "skip-cap": 0}
 
 
 @pytest.mark.parametrize("k", [6, 7])

@@ -27,7 +27,6 @@ from click.testing import CliRunner
 from itertools import combinations
 
 from orelab import (
-    Graph,
     bits_of,
     census_critical,
     charge_report,
@@ -43,6 +42,7 @@ from orelab import (
 )
 from orelab.cli import main
 from report_columns import charge_columns, extensions_with_colorings, phi
+from sample_graphs import clebsch
 
 GOLDEN = Path(__file__).with_name("golden") / "verify_all.json"
 CATALOGS = Path(__file__).with_name("golden") / "catalogs.json"
@@ -104,7 +104,7 @@ def catalog_snapshot() -> dict:
 
 
 def _charge_lines(g, k: int, cap: int = 2) -> list[str]:
-    rep = charge_report(g, k, ore_catalog_cap=cap)
+    rep = charge_report(g, k)
     columns = charge_columns(g, k, cap)
     rows = columns.pop("rows")
     head = {
@@ -162,13 +162,10 @@ def structure_snapshot() -> dict:
     out["ore1_k6"] = {
         "charge_report": _digest([line for g in trees for line in _charge_lines(g, 6, cap=1)])
     }
-    # gadgets are embedded only for a degree-(k-1) vertex on no K_{k-3}, which
-    # none of the graphs above has; every vertex of the Clebsch graph
-    # (5-regular, triangle-free) is one at k = 6
-    clebsch = Graph.from_edges(
-        16, [(u, v) for u, v in combinations(range(16), 2) if bin(u ^ v).count("1") in (1, 4)]
-    )
-    out["clebsch_k6"] = {"charge_report": _digest(_charge_lines(clebsch, 6, cap=1))}
+    # the oracle behind the promoted column embeds gadgets only for a
+    # degree-(k-1) vertex on no K_{k-3}, which none of the graphs above has;
+    # every vertex of the Clebsch graph is one at k = 6
+    out["clebsch_k6"] = {"charge_report": _digest(_charge_lines(clebsch(), 6, cap=1))}
     return out
 
 

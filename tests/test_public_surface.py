@@ -25,6 +25,7 @@ PACKAGE = ROOT / "src" / "orelab"
 ALLOWED_UNUSED = {
     "tree_loads": "reads back the JSON lines that gen-ore --tree-out writes",
     "eps_edge_bound": "the paper's main edge bound; ROADMAP item 1's eps-bound suite will call it",
+    "embeddings": "bench/spans.py traces it; it goes with ROADMAP item 2's benchmark change",
 }
 
 ALLOWED_UNUSED_METHODS = {
@@ -160,6 +161,8 @@ def test_method_allowlist_names_public_methods():
 ALLOWED_UNUSED_FIELDS = {
     "Gadget.tree": "the composition tree a gadget comes from; tests/golden/catalogs.json digests it",
     "Gadget.deleted_vertex": "the vertex deleted from the realized tree; tests/golden/catalogs.json digests it",
+    "Gadget.graph": "the realized tree less the deleted vertex; it goes with ROADMAP item 2's benchmark change",
+    "Gadget.key_vertices": "the key vertices left in that graph; it goes with ROADMAP item 2's benchmark change",
     "GraphFormatError.offset": "gives library callers the byte offset of the failure in bad graph6 input",
     "ChargeLedger.final": "the charges the vertices end with after the rules; tests/golden/structure.json digests them",
 }

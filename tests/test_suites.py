@@ -275,6 +275,12 @@ def test_default_trees_are_built_once(calls_to):
     assert all(r.passed and dict(r.config)["trees"] == str(suites.RANDOM_TREES) for r in results)
 
 
+def test_charge_identity_refuses_the_gadget_steps_cap():
+    # structure needs no gadget catalog, so no suite reads a catalog cap
+    with pytest.raises(ValueError, match="^unknown cap key 'gadget_steps'; expected one of "):
+        run_suite("charge-identity", corpus=[Graph.complete(4)], params={"caps": {"gadget_steps": 2}})
+
+
 def test_caps_reject_unknown_keys_and_non_integers():
     with pytest.raises(ValueError, match="unknown cap key 'recogniton'"):
         run_suite("ky-equality-ore", corpus=[], params={"caps": {"recogniton": 3}})
