@@ -15,15 +15,15 @@ bounded level below and labels only the children that meet both bounds.
 The criticality census reads only the parents a k-critical graph can have
 (minimum degree k-2, (k-1)-colorable), grows one chain of bounded levels for
 its top parent level and filters each lower parent level from that chain,
-and sieves their augmentation with necessary conditions that follow from
-the definition only (colorability, minimum degree, connectivity, no K_k
-above order k, and criticality of the new vertex's edges). The sieve is a
-whole-table one: each condition is a 2^pn-bit table over the new vertex's
-masks, built from facts computed once per parent by closing single bits
-upward or downward, one shift per vertex, and the survivors are the set
-bits of their intersection. The last condition, that every parent edge is
-critical, is one more table per parent edge, the colorable-mask table of
-the parent less that edge, so the census never calls the coloring solver.
+and sieves their augmentation with four necessary conditions that follow
+from the definition only (colorability, minimum degree, no K_k above order
+k, and criticality of the new vertex's edges), each a 2^pn-bit table over
+the new vertex's masks, built from facts computed once per parent by
+closing single bits upward, one shift per vertex; the survivors are the
+set bits of their intersection. One more table per parent edge, the
+colorable-mask table of the parent less that edge, keeps every parent edge
+critical, so the census never calls the coloring solver; these tables also
+cut every mask that misses a parent component, so connectivity needs none.
 Every table comes from the kernel's one partition walk
 (``graphs._partitions``) over proper partitions in a max-adjacency order
 of the parent, and a parent-edge table walks only the partitions that put
@@ -49,7 +49,6 @@ from .graphs import (
     bits_of,
     canonical_key,
     cliques_of_size,
-    components,
     mask_of,
 )
 
@@ -186,11 +185,11 @@ def _columns(pn: int) -> list[tuple[int, int]]:
     return out
 
 
-def _closure(table: int, columns: list[tuple[int, int]], up: bool) -> int:
+def _closure(table: int, columns: list[tuple[int, int]]) -> int:
     """The 2^pn-bit ``table`` closed upward (each supermask of a set mask
-    set) or downward (each submask), one shift per vertex of ``columns``."""
+    set), one shift per vertex of ``columns``."""
     for step, with_bit in columns:
-        table |= (table & ~with_bit) << step if up else (table & with_bit) >> step
+        table |= (table & ~with_bit) << step
     return table
 
 
@@ -227,7 +226,9 @@ def _marked(items: list[tuple[int, int]], k: int, full: int, columns: list[tuple
 
     if _partitions(items, k - 1, mark, [], 0):
         return None
-    return _closure(marks, columns, up=False)
+    for step, with_bit in columns:
+        marks |= (marks & with_bit) >> step
+    return marks
 
 
 def _colorable_masks(parent: Graph, k: int, order: list[int], columns: list[tuple[int, int]]) -> int | None:
@@ -270,23 +271,23 @@ def _merged_masks(
 
 
 def _survivors(parent: Graph, n: int, k: int, table: int, columns: list[tuple[int, int]]) -> int:
-    """The masks of ``parent`` that pass the sieve ``census_critical``
-    describes, as one 2^pn-bit table built by whole-table bit operations
-    from the parent's colorable-mask ``table``: the upward closure of bit
-    ``forced`` less ``table``, less the downward closure of each component's
-    complement, less (above order k) the upward closure of the (k-1)-clique
-    bits, and, for each vertex bit b, only the masks with b whose mask less
-    b is in ``table``. ``columns`` is ``_columns(parent.n)``."""
-    full = parent.full_mask()
+    """The masks of ``parent`` that pass the four conditions
+    ``census_critical`` lists, as one 2^pn-bit table built by whole-table
+    bit operations from the parent's colorable-mask ``table``: the upward
+    closure of bit ``forced`` less ``table``, less (above order k) the
+    upward closure of the (k-1)-clique bits, and, for each vertex bit b,
+    only the masks with b whose mask less b is in ``table``. ``columns`` is
+    ``_columns(parent.n)``. A mask that misses a parent component C passes
+    here, but not the cut by an edge e of C (one exists, as k-2 >= 1): C is
+    (k-1)-colorable, so the rest of the child is not, nor the child less e,
+    and the parent less e is not (k-2)-colorable, so e's table is built."""
     forced = mask_of(v for v, row in enumerate(parent.adj) if row.bit_count() == k - 2)
-    keep = _closure(1 << forced, columns, up=True) & ~table
-    for comp in components(parent.adj, full):
-        keep &= ~_closure(1 << (full & ~comp), columns, up=False)
+    keep = _closure(1 << forced, columns) & ~table
     if n > k:
         cliques = 0
         for clique in cliques_of_size(parent, k - 1):
             cliques |= 1 << clique
-        keep &= ~_closure(cliques, columns, up=True)
+        keep &= ~_closure(cliques, columns)
     for step, with_bit in columns:
         keep &= ~with_bit | (table & ~with_bit) << step
     return keep
@@ -344,7 +345,6 @@ def census_critical(n_max: int, k: int) -> Corpus:
     - leave g not (k-1)-colorable, by the parent's colorable-mask table (a
       mask of fewer than k-1 bits misses a color class, so v has degree
       k-1 or more);
-    - meet every component of the parent (g is connected);
     - contain no (k-1)-clique of the parent above order k (no K_k in g; the
       parent has none, so any K_k in g uses v);
     - leave g - vu (k-1)-colorable for every neighbor u of v, again by the
@@ -352,14 +352,16 @@ def census_critical(n_max: int, k: int) -> Corpus:
 
     Each condition is one 2^pn-bit table per parent, so the survivors are
     found by whole-table bit operations, not mask by mask (see
-    ``_survivors``). What is left of criticality is that g - e is
-    (k-1)-colorable for every parent edge e, and that is a table too: the
-    colorable-mask table of the parent less e, which keeps every mask when
-    the parent less e is (k-2)-colorable. The survivors are cut by these
-    tables edge by edge until none is left, and every mask that remains
-    gives a k-critical graph. A partition of the parent less e = uv parts u
-    and v, and is then one of the parent's own, or puts them in one class,
-    so each edge's table walks only the latter (see ``_merged_masks``).
+    ``_survivors``). A k-critical g is connected (Dirac 1953), which the
+    parent-edge tables below enforce. What is left of criticality is that
+    g - e is (k-1)-colorable for every parent edge e, and that is a table
+    too: the colorable-mask table of the parent less e, which keeps every
+    mask when the parent less e is (k-2)-colorable. The survivors are cut by
+    these tables edge by edge until none is left, and every mask that
+    remains gives a k-critical graph. A partition of the parent less e = uv
+    parts u and v, and is then one of the parent's own, or puts them in one
+    class, so each edge's table walks only the latter (see
+    ``_merged_masks``).
 
     Only the top parent level, ``graph_classes(n_max - 1, k - 2, k - 1)``,
     grows its own chain of bounded levels; the lower parent levels are read

@@ -16,7 +16,7 @@ import click
 from .census import census_critical, corpus_from_graphs, graph_classes
 from .errors import SizeCapError
 from .graphs import bits_of, graph6_decode, graph6_encode, to_dot
-from .orekit import DEFAULT_RECOGNITION_CAP, is_k_ore, random_ore_tree, realize, tree_dumps
+from .orekit import DEFAULT_RECOGNITION_CAP, _random_tree, is_k_ore, tree_dumps
 from .packing import compute_T
 from .potential import rho, rho_ky
 from .suites import DEFAULT_SEED, SUITE_IDS, check_suite_args, run_suite
@@ -70,8 +70,8 @@ def gen_ore(k, steps, seed, count, out, tree_out):
         raise click.ClickException(f"count must be nonnegative, got {count}")
     rng = random.Random(seed)
     for _ in range(count):
-        tree = random_ore_tree(k, steps, rng)
-        out.write(graph6_encode(realize(tree, k)) + "\n")
+        tree, g = _random_tree(k, steps, rng)
+        out.write(graph6_encode(g) + "\n")
         if tree_out is not None:
             tree_out.write(tree_dumps(tree) + "\n")
 

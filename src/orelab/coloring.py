@@ -81,16 +81,14 @@ def _branch(
 
     ``rows``, ``members`` and ``peeled`` belong to the branch, which changes
     them; no forced merge and no (t+1)-clique is left among its ``live``
-    vertices. Only the merge side of a Zykov branch recurses, and each
-    level has one live vertex fewer, so the depth stays below the vertex
-    count.
+    vertices. So the live vertices never form a clique: in one of t or
+    fewer vertices each would have fewer than t live neighbors and be
+    peeled, and a larger one holds a (t+1)-clique. Only the merge side of a
+    Zykov branch recurses, and each level has one live vertex fewer, so the
+    depth stays below the vertex count.
     """
     while live:
-        pair = _zykov_pair(rows, live)
-        if pair is None:
-            # a clique whose vertices have t or more neighbors each
-            return None
-        x, y = pair
+        x, y = _zykov_pair(rows, live)
         merged_rows, merged_members, merged_peeled = list(rows), list(members), list(peeled)
         _merge(merged_rows, merged_members, x, y)
         merged_live = _settle(merged_rows, merged_members, live ^ 1 << y, t, merged_peeled, [x])
@@ -180,7 +178,8 @@ def _merge(rows: list[int], members: list[int], x: int, y: int) -> None:
 
 def _zykov_pair(rows: Sequence[int], live: int) -> tuple[int, int] | None:
     """The nonadjacent live pair x < y with the most common live neighbors
-    (the least pair on a tie), or None if the live vertices are a clique."""
+    (the least pair on a tie), or None if the live vertices are a clique,
+    which no caller hands over: ``_branch`` sees no live clique."""
     most, pair = -1, None
     for x in bits_of(live):
         row = rows[x] & live
@@ -257,8 +256,7 @@ def is_k_critical(g: Graph, k: int) -> bool:
     """
     if k < 2:
         raise ValueError("criticality is defined here for k >= 2")
-    if g.n == 0:
-        return False
+    # the empty graph's minimum degree is 0, below k-1
     if g.min_degree() < k - 1:
         return False
     if first_coloring(g.adj, k - 1) is not None:

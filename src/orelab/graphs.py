@@ -435,8 +435,9 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]], splitters: list[int]) 
 
 
 def _twin_cell(adj: tuple[int, ...], masks: list[int], idx: int) -> bool:
-    """True if every pair inside the cell ``masks[idx]`` is a (true or false)
-    twin; ``masks`` are the vertex masks of the partition's cells.
+    """True if every pair inside the cell ``masks[idx]``, of two or more
+    vertices, is a (true or false) twin; ``masks`` are the vertex masks of
+    the partition's cells.
 
     Under a stable refinement it suffices to inspect one member: a cell whose
     member sees each other cell completely or not at all, and whose interior
@@ -444,8 +445,6 @@ def _twin_cell(adj: tuple[int, ...], masks: list[int], idx: int) -> bool:
     """
     cell = masks[idx]
     low = cell & -cell
-    if cell == low:
-        return True
     row = adj[low.bit_length() - 1]
     for m in masks:
         seen = row & m

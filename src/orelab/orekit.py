@@ -228,19 +228,17 @@ def random_ore_tree(k: int, steps: int, rng: random.Random) -> OreTree:
     Shape, replaced edge, split vertex, and neighbor partition are all drawn
     from the rng, so a seeded generator reproduces the tree exactly.
     """
-    if steps < 0:
-        raise ValueError(f"step count must be nonnegative, got {steps}")
-    if steps == 0:
-        return Leaf(k)
-    if k < 3:
-        raise ValueError(f"composition needs a split vertex of degree >= 2, so k >= 3, got k={k}")
-    return _random_step(k, steps, rng)[0]
+    return Leaf(k) if steps == 0 else _random_step(k, steps, rng)[0]
 
 
 def _random_step(k: int, steps: int, rng: random.Random) -> tuple[Node, Graph, Graph]:
-    """The root step of ``random_ore_tree``'s draw with the graphs of its two
-    sides; the root itself is not composed, so a drawn tree may be too large
-    to realize."""
+    """The root step of a drawn tree, after ``random_ore_tree``'s argument
+    checks, with the graphs of its two sides; the root itself is not
+    composed, so a drawn tree may be too large to realize."""
+    if steps < 0:
+        raise ValueError(f"step count must be nonnegative, got {steps}")
+    if k < 3:
+        raise ValueError(f"composition needs a split vertex of degree >= 2, so k >= 3, got k={k}")
     left = rng.randrange(steps)
     t1, g1 = _random_tree(k, left, rng)
     t2, g2 = _random_tree(k, steps - 1 - left, rng)
@@ -254,8 +252,8 @@ def _random_step(k: int, steps: int, rng: random.Random) -> tuple[Node, Graph, G
 
 
 def _random_tree(k: int, steps: int, rng: random.Random) -> tuple[OreTree, Graph]:
-    """A drawn subtree with its graph, so every step below the root is
-    composed once."""
+    """``random_ore_tree``'s draw, from the same rng draws, with its graph,
+    so every step is composed once; ``gen-ore`` reads its graphs here."""
     if steps == 0:
         return Leaf(k), Graph.complete(k)
     node, g1, g2 = _random_step(k, steps, rng)

@@ -134,8 +134,6 @@ def compute_T_bruteforce(g: Graph, k: int) -> int:
         raise SizeCapError("brute-force packing", g.n, BRUTEFORCE_MAX_VERTICES)
     by_low: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n)}
     for order, weight in ((k - 1, 2), (k - 2, 1)):
-        if order < 1:
-            continue
         for subset in combinations(range(g.n), order):
             m = mask_of(subset)
             if g.is_clique(m):

@@ -49,9 +49,10 @@ def find_diamonds_emeralds(g: Graph, k: int) -> list[int]:
     were present the set would induce K_k outright. The endpoints are the
     set's one non-adjacent pair, so the set alone determines them.
     Emerald: a (k-1)-clique whose vertices all have host degree k-1.
-    Both come from one pass over the low (k-2)-cliques: a diamond adds a
-    non-adjacent pair of common neighbours, an emerald one low vertex after
-    the clique's last that is adjacent to all of it.
+    Both come from one pass over the low (k-2)-cliques, a clique search
+    inside the low vertices: a diamond adds a non-adjacent pair of common
+    neighbours, an emerald one low vertex after the clique's last that is
+    adjacent to all of it, which the search hands over as ``later``.
     A caller asking about many vertex sets lists once and keeps, for each
     set, the entries that miss it.
     """
@@ -59,9 +60,7 @@ def find_diamonds_emeralds(g: Graph, k: int) -> list[int]:
     low = mask_of(v for v in range(g.n) if g.degree(v) == k - 1)
 
     def visit(im: int, later: int) -> bool:
-        if im & low != im:
-            return False
-        out.extend(im | 1 << v for v in bits_of(later & low))
+        out.extend(im | 1 << v for v in bits_of(later))
         common = g.full_mask() & ~im
         for q in bits_of(im):
             common &= g.adj[q]
@@ -69,7 +68,7 @@ def find_diamonds_emeralds(g: Graph, k: int) -> list[int]:
             out.extend(im | 1 << u | 1 << v for v in bits_of(common & ~g.adj[u] & ~((2 << u) - 1)))
         return False
 
-    _cliques(g.adj, g.full_mask(), k - 2, visit)
+    _cliques(g.adj, low, k - 2, visit)
     # a diamond has k vertices and an emerald k-1
     out.sort(key=lambda m: (-m.bit_count(), tuple(bits_of(m))))
     return out

@@ -84,15 +84,19 @@ def test_criterion_01_edge_bound_on_census(census4_9, acceptance_log):
     )
 
 
-# sha256 of the census's graph6 lines, in corpus order, joined by newlines
+# sha256 of the census's graph6 lines, in corpus order, joined by newlines;
+# at k = 3 one mask that misses a parent component survives the sieve, and
+# only a parent-edge table cuts it
 CENSUS_9_DIGESTS = {
+    3: "2b33dad30e27aa51950d43c3dd8b136a5cfd6b6c66c92a2f8b94bd61c73599ba",
     4: "35f9cb897176729203eeb738724802d51ec92ad015a4f564854627e2af101724",
     5: "d85b5dbbf5f02d8ed3ccd6ce10f59ea400fd9dec1ba9d1182d088b6d385af6cf",
+    6: "adab8308a249ac750751d1d80f3b783bed50d3ae10faafaa4d1b8f83d8296a8f",
 }
 
 
 def test_order_nine_census_representatives_are_frozen(census4_9, census5_9):
-    for k, (corpus, _) in ((4, census4_9), (5, census5_9)):
+    for k, corpus in ((3, census_critical(9, 3)), (4, census4_9[0]), (5, census5_9[0]), (6, census_critical(9, 6))):
         lines = "\n".join(graph6_encode(g) for g in corpus.graphs)
         assert hashlib.sha256(lines.encode()).hexdigest() == CENSUS_9_DIGESTS[k], k
 

@@ -8,6 +8,7 @@ import json
 from click.testing import CliRunner
 
 import orelab.cli
+import orelab.orekit
 import orelab.packing
 from orelab import (
     DEFAULT_SEED,
@@ -69,11 +70,20 @@ def test_gen_ore_rejects_bad_k():
     assert "Error: step count must be nonnegative, got -1" in negative.output
 
 
+def test_gen_ore_composes_each_graph_once(calls_to):
+    """Each graph comes from the draw's own recursion: 10 compositions for
+    a 10-step tree, none in a second realization."""
+    composed = calls_to(orelab.orekit, "ore_compose")
+    result = invoke("gen-ore", "--k", "4", "--steps", "10", "--seed", "1", "--count", "5")
+    assert result.exit_code == 0 and len(result.output.splitlines()) == 5
+    assert len(composed) <= 50
+
+
 def test_negative_count_and_cap_fail_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the option was checked")
 
-    monkeypatch.setattr(orelab.cli, "random_ore_tree", no_work)
+    monkeypatch.setattr(orelab.cli, "_random_tree", no_work)
     monkeypatch.setattr(orelab.cli, "is_k_ore", no_work)
     count = invoke("gen-ore", "--k", "4", "--steps", "1", "--seed", "1", "--count", "-2")
     assert count.exit_code == 1 and isinstance(count.exception, SystemExit)

@@ -459,6 +459,7 @@ def test_is_k_critical_anchors():
     assert is_k_critical(wheel5(), 4)
     fused = fused_k4()
     assert is_k_critical(fused, 4)
+    assert is_k_critical(Graph.empty(0), 4) is False  # minimum degree 0 < k - 1
 
 
 def test_is_k_critical_matches_definition_on_small_classes():

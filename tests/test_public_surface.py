@@ -6,7 +6,8 @@ sets must be used by the package itself (a suite, the CLI, another layer)
 or by the benchmark in ``bench/``. Tests do not count: code only its own
 tests call or read is dead weight. The few exceptions are listed below,
 each with its reason, and an entry that gains a caller or reader must leave
-its list, so the lists only shrink.
+its list, so the lists only shrink. Each public entry also refuses an
+argument outside its domain with its own message.
 """
 
 import ast
@@ -17,7 +18,10 @@ import textwrap
 from functools import lru_cache
 from pathlib import Path
 
+import pytest
+
 import orelab
+from orelab import Graph, Leaf
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "orelab"
@@ -466,3 +470,38 @@ def test_no_test_module_imports_another():
                 continue
             found += [f"{path.name}: {name}" for name in names if set(name.split(".")) & test_modules]
     assert found == []
+
+
+K3 = Graph.complete(3)
+
+GUARDS = [
+    pytest.param(lambda: orelab.is_k_critical(K3, 1), "criticality is defined here for k >= 2", id="is_k_critical"),
+    pytest.param(lambda: Graph(2, (0b100, 0)), "vertex 0 has a neighbor outside 0..1", id="Graph"),
+    pytest.param(lambda: Graph.cycle(2), "cycle needs at least 3 vertices", id="Graph.cycle"),
+    pytest.param(
+        lambda: orelab.ore_compose(Graph.complete(4), (0, 1), Graph.complete(4), 4, (0b1, 0b110)),
+        "split vertex 4 not in the split side",
+        id="ore_compose",
+    ),
+    pytest.param(lambda: orelab.realize(Leaf(4), 5), "tree is built over k=4, caller expected 5", id="realize"),
+    pytest.param(lambda: orelab.is_k_ore(K3, 3), "recognition requires k >= 4", id="is_k_ore"),
+    pytest.param(lambda: orelab.compute_T(K3, 3), "packing parameter requires k >= 4", id="compute_T"),
+    pytest.param(
+        lambda: orelab.compute_T_bruteforce(K3, 3), "packing parameter requires k >= 4", id="compute_T_bruteforce"
+    ),
+    pytest.param(lambda: orelab.rho_ky(K3, 3), "potential requires k >= 4", id="rho_ky"),
+    pytest.param(lambda: orelab.ky_edge_bound(5, 3), "edge bound requires k >= 4", id="ky_edge_bound"),
+    pytest.param(lambda: orelab.eps_edge_bound(5, 3, 0), "edge bound requires k >= 4", id="eps_edge_bound-k"),
+    pytest.param(
+        lambda: orelab.eps_edge_bound(3, 4, 0), "edge bound needs n >= k, got n=3, k=4", id="eps_edge_bound-n"
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", GUARDS)
+def test_input_guards_refuse_with_their_message(call, message):
+    """Each public entry refuses an argument outside its domain with its own
+    message, not a wrong answer or a failure deeper down."""
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

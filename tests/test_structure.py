@@ -154,12 +154,16 @@ def test_one_clique_pass_matches_the_two_searches(census4_8, census5_8):
     list the two clique searches, (k-1)-cliques for emeralds and
     (k-2)-cliques for diamond interiors, give: here with no vertex set
     avoided, over the catalogs and censuses at k = 4..6, every class with at
-    most 6 vertices at k = 3..5, and seeded composed graphs up to k = 33."""
+    most 6 vertices at k = 3..5, seeded composed graphs up to k = 33, and
+    200 seeded random graphs at k = 4..6, where most have a (k-2)-clique
+    with both low and high vertices, which the search inside the low
+    vertices never meets."""
     checks = [(realize(tree), k) for k in (4, 5, 6) for tree in ore_catalog(k, 2)]
     checks += [(g, k) for k, census in ((4, census4_8), (5, census5_8)) for g in census.graphs]
     checks += [(g, k) for k in (3, 4, 5) for n in range(7) for g in graph_classes(n)]
     rng = random.Random("one clique pass")
     checks += [(realize(random_ore_tree(k, rng.randrange(1, 4), rng)), k) for k in (7, 10, 20, 33)]
+    checks += [(random_graph(rng, rng.randrange(4, 13)), 4 + i % 3) for i in range(200)]
     kinds = set()
     for g, k in checks:
         found = find_diamonds_emeralds(g, k)
