@@ -591,14 +591,6 @@ def canonical_key(g: Graph) -> tuple[int, int]:
     return canonical_form(g).key
 
 
-def isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
-    """An explicit isomorphism g -> h obtained from canonical labelings."""
-    cg, ch = canonical_form(g), canonical_form(h)
-    if cg.key != ch.key:
-        return None
-    return {cg.labeling[i]: ch.labeling[i] for i in range(g.n)}
-
-
 # -- graph6 ----------------------------------------------------------------
 
 

@@ -9,10 +9,12 @@ re-realizes to the input up to isomorphism.
 One search, ``_decompose``, serves recognition and ``key_vertices``.
 Recognition searches one member of each class, rebuilt from its canonical
 key behind one bounded cache, so a witness depends only on the isomorphism
-class of its input. The catalog composes one (edge, split) pair per symmetry
-class of the two sides it already holds, with the orbits taken, as in the
-census, from the automorphism generators each side's canonical search
-witnesses; the gadget catalog finds the key vertices once per tree.
+class of its input; each side comes back with its vertex map onto its
+witness's realization, so no tree is realized. The catalog composes one
+(edge, split) pair per symmetry class of the two sides it already holds,
+with the orbits taken, as in the census, from the automorphism generators
+each side's canonical search witnesses; the gadget catalog finds the key
+vertices once per tree.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .graphs import (
     bits_of,
     canonical_form,
     components,
-    isomorphism,
     mask_of,
 )
 from .structure import clusters
@@ -282,10 +283,11 @@ def is_k_ore(g: Graph, k: int, cap: int = DEFAULT_RECOGNITION_CAP) -> OreTree | 
     """Recognize membership in the composition closure of {K_k}.
 
     Returns a construction tree that re-realizes to a graph isomorphic to g,
-    or None. A (k-1)-colorable g is refused first, before any labelling:
-    every closure member is k-critical. That filter runs here only, not on
-    the two sides of every candidate split, where it would cost more than
-    the split search it saves.
+    labelled through the vertex map the search builds for each side, or
+    None. A (k-1)-colorable g is refused first, before any labelling: every
+    closure member is k-critical. That filter runs here only, not on the
+    two sides of every candidate split, where it would cost more than the
+    split search it saves.
 
     Search: every decomposition has a nonadjacent overlap pair whose removal
     separates the two interiors, so candidate splits are enumerated from
@@ -302,33 +304,40 @@ def is_k_ore(g: Graph, k: int, cap: int = DEFAULT_RECOGNITION_CAP) -> OreTree | 
     # every closure member is k-critical, so none is (k-1)-colorable
     if first_coloring(g.adj, k - 1) is not None:
         return None
-    return _recognize(g, k)
+    found = _recognize(g, k)
+    return None if found is None else found[0]
 
 
-def _recognize(g: Graph, k: int) -> OreTree | None:
+def _recognize(g: Graph, k: int) -> tuple[OreTree, tuple[int, ...]] | None:
+    """The witness of g and the vertex of its realization that each vertex
+    of g becomes; g's vertex at canonical position p is member vertex n-1-p."""
     expected = _expected_edge_count(g.n, k)
     if expected is None or g.edge_count() != expected:
         return None
     if g.n == k:
-        return Leaf(k)  # edge filter above already forces completeness
-    return _recognize_class(canonical_form(g).key, k)
+        return Leaf(k), tuple(range(k))  # edge filter above already forces completeness
+    cf = canonical_form(g)
+    found = _recognize_class(cf.key, k)
+    return found and (found[0], tuple(u for _, u in sorted(zip(cf.labeling, reversed(found[1])))))
 
 
 @lru_cache(maxsize=RECOGNITION_CACHE_SIZE)
-def _recognize_class(key: tuple[int, int], k: int) -> OreTree | None:
+def _recognize_class(key: tuple[int, int], k: int) -> tuple[OreTree, tuple[int, ...]] | None:
     """Recognition of the class with canonical key ``key``, from the first
-    decomposition of the member ``_graph_of_key`` builds. That member is
-    numbered from the last canonical position down: on the seeded benchmark
-    stream the split search then scans about a fifth fewer component sets
-    than in canonical order, and fewer than on the input labels."""
+    decomposition of the member ``_graph_of_key`` builds, with its vertex
+    map. That member is numbered from the last canonical position down: on
+    the seeded benchmark stream the split search then scans about a fifth
+    fewer component sets than in canonical order, and fewer than on the
+    input labels. A vertex outside the split interior takes its image in
+    the edge side, an interior one its image w in the split side, numbered
+    as ``ore_compose`` numbers it; the cache hands every caller one tuple."""
     g = _graph_of_key(key)
-    for a, b, split_mask, (g1, map1, t1), (g2, map2, t2) in _decompose(g, k):
-        # express labels in the realizations so the witness is self-contained
-        inv1 = {v: u for u, v in isomorphism(realize(t1), g1).items()}
-        inv2 = {v: u for u, v in isomorphism(realize(t2), g2).items()}
-        part_a = mask_of(inv2[map2[w]] for w in bits_of(g.adj[a] & split_mask))
-        part_b = mask_of(inv2[map2[w]] for w in bits_of(g.adj[b] & split_mask))
-        return Node(t1, t2, (inv1[map1[a]], inv1[map1[b]]), inv2[map2[a]], (part_a, part_b))
+    for a, b, split_mask, (_, map1, (t1, onto1)), (_, map2, (t2, onto2)) in _decompose(g, k):
+        z = onto2[map2[a]]
+        inner = {v: onto2[map2[v]] for v in bits_of(split_mask)}
+        onto = {v: onto1[i] for v, i in map1.items()} | {v: len(map1) + w - (w > z) for v, w in inner.items()}
+        halves = tuple(mask_of(inner[w] for w in bits_of(g.adj[end] & split_mask)) for end in (a, b))
+        return Node(t1, t2, (onto[a], onto[b]), z, halves), tuple(onto[v] for v in range(g.n))
     return None
 
 
@@ -415,13 +424,14 @@ def _candidate_splits(g: Graph):
 
 def _decompose(g: Graph, k: int):
     """Yield each candidate split whose two sides are closure members, as
-    (a, b, split_mask, (g1, map1, t1), (g2, map2, t2)).
+    (a, b, split_mask, (g1, map1, side1), (g2, map2, side2)).
 
     g1 drops the split interior and restores the replaced edge ab; g2 keeps
     the split interior plus the pair and merges the pair back into z. Each
     side is one quotient of g: map1 numbers the vertices outside the split
     interior in order, and map2 numbers the split interior in order and
-    sends a and b both to the last id. t1 and t2 are the recognized trees.
+    sends a and b both to the last id. side1 and side2 are each side's
+    recognized tree with its vertex map, as ``_recognize`` returns them.
     The split side is built only once the edge side is recognized.
     """
     for a, b, split_mask in _candidate_splits(g):
@@ -430,15 +440,15 @@ def _decompose(g: Graph, k: int):
         rows[map1[a]] |= 1 << map1[b]
         rows[map1[b]] |= 1 << map1[a]
         g1 = Graph._trusted(len(map1), tuple(rows))
-        t1 = _recognize(g1, k)
-        if t1 is None:
+        side1 = _recognize(g1, k)
+        if side1 is None:
             continue
         z = split_mask.bit_count()
         map2 = {v: i for i, v in enumerate(bits_of(split_mask))} | {a: z, b: z}
         g2 = Graph._trusted(z + 1, _quotient(g.adj, map2, z + 1))
-        t2 = _recognize(g2, k)
-        if t2 is not None:
-            yield a, b, split_mask, (g1, map1, t1), (g2, map2, t2)
+        side2 = _recognize(g2, k)
+        if side2 is not None:
+            yield a, b, split_mask, (g1, map1, side1), (g2, map2, side2)
 
 
 def key_vertices(tree: OreTree) -> int:

@@ -42,7 +42,10 @@ Index: library function -- independent oracle; kept parent copy.
 - ``compute_T`` -- ``compute_T_bruteforce`` (in ``orelab.packing``);
   ``compute_T`` here, on clique masks from two clique searches.
 - ``ore_compose`` -- ``compose_by_edges``; none.
-- ``orekit._decompose`` -- ``sides_by_edge_lists`` and networkx; none.
+- ``orekit._decompose`` -- ``sides_by_edge_lists`` and networkx, which also
+  checks each side's vertex map onto its witness's realization; none.
+- ``is_k_ore`` -- networkx's ``is_isomorphic`` on each witness's
+  realization and the input; none.
 - ``orekit._candidate_splits`` -- ``candidate_splits_by_pair_scan``; none.
 - ``ore_catalog`` -- ``unreduced_catalog``; none.
 - ``find_diamonds_emeralds`` -- none; ``near_cliques_avoiding``.

@@ -28,7 +28,6 @@ from orelab import (
     graph6_decode,
     graph6_encode,
     graph_classes,
-    isomorphism,
     mic,
     ore_catalog,
     suites,
@@ -333,15 +332,26 @@ def test_canonical_classes_match_permutation_brute_force(n, expected):
     assert len(graph_classes(n)) == expected
 
 
-def test_isomorphism_returns_a_valid_bijection():
-    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
-    h = g.relabelled([3, 5, 0, 2, 4, 1])
-    phi = isomorphism(g, h)
-    assert phi is not None and sorted(phi.values()) == list(range(6))
-    for u in range(6):
-        for v in range(u + 1, 6):
-            assert g.has_edge(u, v) == h.has_edge(phi[u], phi[v])
-    assert isomorphism(g, Graph.cycle(6)) is None
+def test_composed_labelings_are_an_isomorphism():
+    # CanonicalForm's contract: two graphs with equal keys place their
+    # vertices labeling[i] at the same position i, so pairing the two
+    # labelings maps g onto h edge for edge (checked here pair by pair)
+    rng = random.Random("labelings")
+    corpus = [Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])]
+    corpus += [random_graph(rng, rng.randrange(1, 13)) for _ in range(60)]
+    for g in corpus:
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = g.relabelled(perm)
+            cg, ch = canonical_form(g), canonical_form(h)
+            assert cg.key == ch.key
+            phi = dict(zip(cg.labeling, ch.labeling))
+            assert sorted(phi) == sorted(phi.values()) == list(range(g.n))
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    assert g.has_edge(u, v) == h.has_edge(phi[u], phi[v])
+    assert canonical_key(corpus[0]) != canonical_key(Graph.cycle(6))
     assert canonical_key(Graph.complete(3)) != canonical_key(Graph.empty(3))
 
 

@@ -57,6 +57,19 @@ def seeded_trees(k: int, count: int, max_steps: int, seed: str):
     return [random_ore_tree(k, rng.randrange(1, max_steps + 1), rng) for _ in range(count)]
 
 
+def nx_graph(nx, g: Graph):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def maps_onto(g: Graph, onto: tuple[int, ...], h: Graph) -> bool:
+    """Whether ``onto`` is an isomorphism from g onto h, pair by pair."""
+    pairs = itertools.combinations(range(g.n), 2)
+    return sorted(onto) == list(range(h.n)) and all(g.has_edge(u, v) == h.has_edge(onto[u], onto[v]) for u, v in pairs)
+
+
 # -- composition -----------------------------------------------------------------
 
 
@@ -256,12 +269,16 @@ def test_recognition_anchors():
 
 
 def test_generate_and_recognize_roundtrip():
+    # networkx grades each witness, so the canonical labelling that the
+    # recognition search runs on is not its own judge
+    nx = pytest.importorskip("networkx")
     for k, count, steps in ((4, 8, 2), (5, 4, 1)):
         for tree in seeded_trees(k, count, steps, f"recog:{k}"):
             g = realize(tree)
             witness = is_k_ore(g, k)
             assert witness is not None
             assert canonical_key(realize(witness)) == canonical_key(g)
+            assert nx.is_isomorphic(nx_graph(nx, realize(witness)), nx_graph(nx, g))
 
 
 def test_witness_does_not_depend_on_call_order():
@@ -356,20 +373,58 @@ def test_filtered_witnesses_are_the_split_search_witnesses():
             g = realize(tree)
             witness = is_k_ore(g, k)
             assert witness is not None
-            assert tree_dumps(witness) == tree_dumps(orekit._recognize(g, k))
+            found, onto = orekit._recognize(g, k)
+            assert tree_dumps(witness) == tree_dumps(found)
+            assert maps_onto(g, onto, realize(found))
+
+
+def test_recognition_never_realizes(monkeypatch, calls_to):
+    """Each witness is labelled through its sides' vertex maps, so no side is
+    realized or labelled again; networkx grades the witnesses after the patch
+    is gone. A cold recognition of one 6-step tree at k = 4 runs 5 canonical
+    searches (8 when each side's witness was realized and labelled again)."""
+    nx = pytest.importorskip("networkx")
+    inputs = []
+    for k in (4, 5, 6):
+        for n_steps in range(1, 6):
+            rng = random.Random(f"never realizes:{k}:{n_steps}")
+            g = realize(random_ore_tree(k, n_steps, rng))
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            inputs.append((g.relabelled(perm), k))
+    orekit._recognize_class.cache_clear()
+
+    def refused(*args):
+        raise AssertionError("recognition realized a tree")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(orekit, "realize", refused)
+        patch.setattr(orekit, "_realized", refused)
+        witnesses = [is_k_ore(g, k, cap=g.n) for g, k in inputs]
+    for (g, k), witness in zip(inputs, witnesses):
+        assert witness is not None and tree_k(witness) == k
+        assert nx.is_isomorphic(nx_graph(nx, realize(witness)), nx_graph(nx, g))
+    rng = random.Random("never realizes:0")
+    g = realize(random_ore_tree(4, 6, rng))
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    orekit._recognize_class.cache_clear()
+    canonical_form.cache_clear()
+    calls = calls_to(graphs, "_search")
+    assert is_k_ore(g.relabelled(perm), 4) is not None
+    assert len(calls) == 5
 
 
 def test_decompositions_replay():
     # networkx rebuilds both sides: the edge side adds ab back to g minus the
-    # split interior, the split side contracts b into a
+    # split interior, the split side contracts b into a; each side's vertex
+    # map carries it onto the realization of its tree
     nx = pytest.importorskip("networkx")
     g = realize(one_step())
-    whole = nx.Graph()
-    whole.add_nodes_from(range(g.n))
-    whole.add_edges_from(g.edges())
+    whole = nx_graph(nx, g)
     decs = list(orekit._decompose(g, 4))
     assert decs
-    for a, b, split_mask, (g1, map1, t1), (g2, map2, t2) in decs:
+    for a, b, split_mask, (g1, map1, (t1, onto1)), (g2, map2, (t2, onto2)) in decs:
         edge_side, split_side = set(map1), set(map2)
         assert not g.has_edge(a, b)
         assert edge_side | split_side == set(range(g.n))
@@ -382,8 +437,11 @@ def test_decompositions_replay():
             assert h.n == side.number_of_nodes() and h.edge_count() == side.number_of_edges()
             assert all(h.has_edge(side_map[u], side_map[v]) for u, v in side.edges())
             assert is_k_ore(h, 4) is not None
-        assert canonical_key(realize(t1)) == canonical_key(g1)
-        assert canonical_key(realize(t2)) == canonical_key(g2)
+        for side, side_map, tree, onto in ((eside, map1, t1, onto1), (sside, map2, t2, onto2)):
+            image = nx.relabel_nodes(side, {v: onto[side_map[v]] for v in side})
+            target = nx_graph(nx, realize(tree))
+            assert set(image) == set(target)
+            assert set(map(frozenset, image.edges())) == set(map(frozenset, target.edges()))
 
 
 def test_decompose_sides_match_the_edge_list_construction(monkeypatch):

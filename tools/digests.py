@@ -17,12 +17,15 @@ directory. The families:
 - ``gen-ore``: the graph6 and ``--tree-out`` lines that
   ``tests/test_cli.py`` pins (k = 4, 5, 33, 1 to 3 steps, seeds 1 to 3);
 - ``catalog-trees``: the tree JSON of ``ore_catalog(k, 2)`` for k = 4, 5, 6;
-- ``diamonds``: ``find_diamonds_emeralds`` on each of those realized trees.
+- ``diamonds``: ``find_diamonds_emeralds`` on each of those realized trees;
+- ``witnesses``: the tree JSON of ``is_k_ore`` on four seeded random trees
+  for each k = 4, 5, 6 and 1 to 5 steps, each realized and relabelled.
 
 A run takes about 5 s on a 2-core machine with Python 3.11.
 """
 
 import hashlib
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -31,7 +34,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from click.testing import CliRunner  # noqa: E402
 
-from orelab import census_critical, find_diamonds_emeralds, graph6_encode, ore_catalog, realize, tree_dumps  # noqa: E402
+from orelab import (  # noqa: E402
+    census_critical,
+    find_diamonds_emeralds,
+    graph6_encode,
+    is_k_ore,
+    ore_catalog,
+    random_ore_tree,
+    realize,
+    tree_dumps,
+)
 from orelab.cli import main  # noqa: E402
 
 
@@ -57,8 +69,22 @@ def _gen_ore(digests: dict, tmp: Path) -> None:
                 digests["gen-ore"].update(trees.read_bytes())
 
 
+def _witnesses(digests: dict) -> None:
+    for k in (4, 5, 6):
+        for steps in range(1, 6):
+            rng = random.Random(f"witnesses:{k}:{steps}")
+            for _ in range(4):
+                g = realize(random_ore_tree(k, steps, rng))
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                witness = is_k_ore(g.relabelled(perm), k, cap=g.n)
+                digests["witnesses"].update((tree_dumps(witness) + "\n").encode())
+
+
 def family_digests() -> dict:
-    names = ("verify-json", "verify-csv", "verify-stdout", "census", "gen-ore", "catalog-trees", "diamonds")
+    names = (
+        "verify-json", "verify-csv", "verify-stdout", "census", "gen-ore", "catalog-trees", "diamonds", "witnesses",
+    )
     digests = {name: hashlib.sha256() for name in names}
     with tempfile.TemporaryDirectory() as tmp:
         _verify(digests, Path(tmp))
@@ -72,6 +98,7 @@ def family_digests() -> dict:
             digests["catalog-trees"].update((tree_dumps(tree) + "\n").encode())
             found = find_diamonds_emeralds(realize(tree), k)
             digests["diamonds"].update((" ".join(map(str, found)) + "\n").encode())
+    _witnesses(digests)
     return digests
 
 
