@@ -100,54 +100,38 @@ def _orbit_minima(parent: Graph, generators: Sequence[Sequence[int]]) -> list[in
     return [mask for mask in range(size) if orbit[mask] == mask]
 
 
-def _bound(name: str, value: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-    return value
-
-
-def graph_classes(n: int, min_degree: int = 0, colors: int | None = None) -> tuple[Graph, ...]:
-    """Every graph on n vertices with minimum degree at least ``min_degree``
-    that is ``colors``-colorable (None: any number of colors), one per
-    isomorphism class, in canonical-key order; each class is represented by
-    its first child in the loop over parents (in order) and masks
-    (increasing), so a bounded list is the full list filtered.
-
-    Both bounds are inherited by the parents: a graph minus a vertex is
-    still ``colors``-colorable and has minimum degree at least
-    ``min_degree - 1``. So every child of a wanted class comes from a parent
-    in the bounded list one order down, the loop meets the wanted children
-    in the unbounded loop's order, and each wanted class keeps its
-    representative.
-
-    Masks in one orbit of Aut(parent) give isomorphic children, so only the
-    least mask of each orbit is labelled. That leaves every representative
-    as it was: the masks that give one class are a union of orbits, and the
-    loop meets each orbit's least mask before its other masks. The orbits
-    come from the generators that labelling the parent as a child one level
-    down witnessed, so no parent is searched twice.
-    """
+def graph_classes(n: int) -> tuple[Graph, ...]:
+    """Every graph on n vertices, one per class, in canonical-key order."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     if n > ENUMERATION_CAP:
         raise SizeCapError("built-in enumeration order", n, ENUMERATION_CAP)
-    min_degree = _bound("min_degree", min_degree)
-    colors = n if colors is None else _bound("colors", colors)
-    # no vertex has degree n and every graph on n vertices is n-colorable,
-    # so the capped bounds name the same level and the cache stays finite
-    return _classes(n, min(min_degree, n + 1), min(colors, n))[0]
+    return _classes(n, 0, n)[0]
 
 
 @lru_cache(maxsize=None)
 def _classes(n: int, d: int, t: int) -> tuple[tuple[Graph, ...], tuple[tuple[bytes, ...], ...]]:
-    """``graph_classes(n, d, t)`` for d <= n + 1 and t <= n, from the parents
-    ``_classes(n - 1, max(d - 1, 0), min(t, n - 1))``, and side by side with
-    it the generators of each class's Aut that the search labelling its
-    representative witnessed, for the level above, each as the bytes of its
-    vertex images (n <= ENUMERATION_CAP). A mask is labelled
-    only if the new vertex gets degree d or more and covers every parent
-    vertex of degree d - 1, and, when t < n, only if the child is
-    t-colorable by the parent's colorable-mask table."""
+    """The graphs on n vertices of minimum degree d or more that are
+    t-colorable (d <= n + 1, t <= n <= ENUMERATION_CAP), one per class in
+    canonical-key order, each the first child met in the loop over parents
+    (in order) and masks (increasing), and beside them the generators of
+    each class's Aut that labelling it witnessed, as bytes of vertex images.
+
+    Both bounds pass to the parents: a graph less a vertex is still
+    t-colorable, of minimum degree d - 1 or more. So every wanted child
+    grows from ``_classes(n - 1, max(d - 1, 0), min(t, n - 1))``, met in the
+    unbounded loop's order, and a bounded level is the full level
+    ``_classes(n, 0, n)`` filtered. A mask is labelled only if the new
+    vertex gets degree d or more and covers every parent vertex of degree
+    d - 1, and, when t < n, only if the parent's colorable-mask table makes
+    the child t-colorable.
+
+    Masks in one orbit of Aut(parent) give isomorphic children, so only the
+    least mask of each orbit is labelled: the masks of one class are a union
+    of orbits, met least mask first, so every representative stays. The
+    orbits come from the generators witnessed one level down, so no parent
+    is searched twice.
+    """
     if n == 0:
         return ((), ()) if d else ((Graph.empty(0),), ((),))
     if t == 0:
@@ -296,7 +280,7 @@ def _survivors(parent: Graph, n: int, k: int, table: int, columns: list[tuple[in
 def _critical_on(parents: Iterable[Graph], n: int, k: int) -> list[Graph]:
     """The k-critical graphs on n vertices, one per class in canonical-key
     order, sieved as ``census_critical`` describes; ``parents`` are the
-    classes of ``graph_classes(n - 1, k - 2, k - 1)``, in their order.
+    classes of ``_classes(n - 1, k - 2, k - 1)``, in their order.
 
     Each parent's survivors are one 2^pn-bit table (see ``_survivors``),
     cut by the colorable-mask table of the parent less each parent edge uv
@@ -334,7 +318,7 @@ def census_critical(n_max: int, k: int) -> Corpus:
     """All k-critical graphs on at most n_max vertices, up to isomorphism.
 
     Augmentation from the (n-1)-vertex classes of minimum degree k-2 or more
-    that are (k-1)-colorable, ``graph_classes(n - 1, k - 2, k - 1)``. A
+    that are (k-1)-colorable, ``_classes(n - 1, k - 2, k - 1)``. A
     k-critical graph g has minimum degree k-1, and g minus any vertex v is a
     proper subgraph, so it is (k-1)-colorable with minimum degree k-2 or
     more and, as v needs a color of its own, not (k-2)-colorable; parents
@@ -363,7 +347,7 @@ def census_critical(n_max: int, k: int) -> Corpus:
     class, so each edge's table walks only the latter (see
     ``_merged_masks``).
 
-    Only the top parent level, ``graph_classes(n_max - 1, k - 2, k - 1)``,
+    Only the top parent level, ``_classes(n_max - 1, k - 2, k - 1)``,
     grows its own chain of bounded levels; the lower parent levels are read
     off that chain (see ``_parents``).
     """
@@ -373,18 +357,19 @@ def census_critical(n_max: int, k: int) -> Corpus:
         raise ValueError("vertex count must be nonnegative")
     if n_max > ENUMERATION_CAP:
         raise SizeCapError("criticality census order", n_max, ENUMERATION_CAP)
-    return corpus_from_graphs(
-        g for n in range(k, n_max + 1) for g in _critical_on(_parents(n - 1, n_max - 1, k), n, k)
-    )
+    # each level is in canonical-key order and holds one vertex count, so
+    # the corpus stands in (n, canonical key) order
+    return Corpus(tuple(g for n in range(k, n_max + 1) for g in _critical_on(_parents(n - 1, n_max - 1, k), n, k)))
 
 
 def _parents(m: int, top: int, k: int) -> list[Graph]:
-    """``graph_classes(m, k - 2, k - 1)`` for m <= top, read off the chain
-    of bounded levels that ``graph_classes(top, k - 2, k - 1)`` grows from:
-    its level at order m has minimum degree k - 2 - (top - m) or more, and
-    a bounded level is the full level filtered, so filtering it to minimum
-    degree k - 2 gives the same classes, representatives and order."""
-    return [p for p in graph_classes(m, max(k - 2 - top + m, 0), k - 1) if p.min_degree() >= k - 2]
+    """The classes of ``_classes(m, k - 2, k - 1)`` for m <= top, read off
+    the chain of bounded levels that ``_classes(top, k - 2, k - 1)`` grows
+    from: its level at order m has minimum degree k - 2 - (top - m) or
+    more, and a bounded level is the full level filtered, so filtering it
+    to minimum degree k - 2 gives the same classes, representatives and
+    order."""
+    return [p for p in _classes(m, max(k - 2 - top + m, 0), k - 1)[0] if p.min_degree() >= k - 2]
 
 
 def random_graph(rng: random.Random, n: int) -> Graph:

@@ -269,16 +269,6 @@ def _random_tree(k: int, steps: int, rng: random.Random) -> tuple[OreTree, Graph
 RECOGNITION_CACHE_SIZE = 4096
 
 
-def _expected_edge_count(n: int, k: int) -> int | None:
-    """Edge count forced by |V| for members of the composition closure, or
-    None when |V| is not even attainable. Every composition adds k-1 vertices
-    and multiplies out to (l+1)*k*(k-1)/2 - l edges after l steps."""
-    if n < k or (n - k) % (k - 1):
-        return None
-    ell = (n - k) // (k - 1)
-    return (ell + 1) * k * (k - 1) // 2 - ell
-
-
 def is_k_ore(g: Graph, k: int, cap: int = DEFAULT_RECOGNITION_CAP) -> OreTree | None:
     """Recognize membership in the composition closure of {K_k}.
 
@@ -310,12 +300,13 @@ def is_k_ore(g: Graph, k: int, cap: int = DEFAULT_RECOGNITION_CAP) -> OreTree | 
 
 def _recognize(g: Graph, k: int) -> tuple[OreTree, tuple[int, ...]] | None:
     """The witness of g and the vertex of its realization that each vertex
-    of g becomes; g's vertex at canonical position p is member vertex n-1-p."""
-    expected = _expected_edge_count(g.n, k)
-    if expected is None or g.edge_count() != expected:
+    of g becomes; g's vertex at canonical position p is member vertex n-1-p.
+    Every composition adds k-1 vertices and every member attains the
+    Kostochka-Yancey equality rho_KY = k(k-3), so no other g is labelled."""
+    if (g.n - k) % (k - 1) or (k - 2) * (k + 1) * g.n - 2 * (k - 1) * g.edge_count() != k * (k - 3):
         return None
     if g.n == k:
-        return Leaf(k), tuple(range(k))  # edge filter above already forces completeness
+        return Leaf(k), tuple(range(k))  # KY equality on k vertices forces K_k
     cf = canonical_form(g)
     found = _recognize_class(cf.key, k)
     return found and (found[0], tuple(u for _, u in sorted(zip(cf.labeling, reversed(found[1])))))

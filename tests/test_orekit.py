@@ -313,6 +313,23 @@ def test_recognition_rejects_non_ore_census_graphs(census4_8):
             assert rho_ky(g, 4) == 4
 
 
+def test_ky_equal_graph_of_an_unreached_order_is_refused_unlabelled(calls_to):
+    """Every composition adds k - 1 vertices, so the size filter refuses a
+    KY-equal graph of any other order before labelling it. At k = 7, K_7 on
+    0..6 plus a triangle on 7, 8, 9, joined to 0-2, 3-4 and 5-6, has n = 10,
+    m = 31 and rho_KY = 28 = k(k - 3), and it is not 6-colorable, so only
+    the order check refuses it."""
+    k = 7
+    edges = [(u, v) for u in range(7) for v in range(u + 1, 7)] + [(7, 8), (7, 9), (8, 9)]
+    edges += [(0, 7), (1, 7), (2, 7), (3, 8), (4, 8), (5, 9), (6, 9)]
+    g = Graph.from_edges(10, edges)
+    assert (g.n, g.edge_count(), rho_ky(g, k)) == (10, 31, k * (k - 3))
+    assert first_coloring(g.adj, k - 1) is None
+    labelled = calls_to(orekit, "canonical_form")
+    assert is_k_ore(g, k) is None
+    assert labelled == []
+
+
 def test_recognition_cap(monkeypatch):
     def uncolored(adj, t):
         raise AssertionError("colored before the cap check")
@@ -500,6 +517,18 @@ def test_key_vertices():
     for a, b, _, (_, map1, _), _ in orekit._decompose(g, 4):
         expected &= set(map1) - {a, b}
     assert frozenset(bits_of(keys)) == expected
+
+
+def test_key_vertices_and_gadgets_at_k_3():
+    # the odd cycles are the k = 3 closure; every vertex of one lies in some
+    # split interior or overlap pair, and only K_3 has a size-2 cluster
+    for steps in (1, 2):
+        tree = random_ore_tree(3, steps, random.Random(steps))
+        g = realize(tree)
+        assert (g.n, g.edge_count()) == (3 + 2 * steps, 3 + 2 * steps)
+        assert key_vertices(tree) == 0
+    (gadget,) = gadget_catalog.__wrapped__(3, 1)
+    assert gadget.tree == Leaf(3) and gadget.graph == Graph.complete(2)
 
 
 # -- gadgets ----------------------------------------------------------------------

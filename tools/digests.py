@@ -14,6 +14,9 @@ directory. The families:
   with the exit code;
 - ``census``: the graph6 lines of ``census_critical(n, k)`` for n = 7, 8, 9
   and k = 3..6;
+- ``classes``: the graph6 lines of ``graph_classes(n)`` for n <= 7 and of
+  the census's parent levels ``census._parents(m, top, k)`` for k = 3..6
+  and k - 1 <= m <= top <= 8;
 - ``gen-ore``: the graph6 and ``--tree-out`` lines that
   ``tests/test_cli.py`` pins (k = 4, 5, 33, 1 to 3 steps, seeds 1 to 3);
 - ``catalog-trees``: the tree JSON of ``ore_catalog(k, 2)`` for k = 4, 5, 6;
@@ -21,7 +24,7 @@ directory. The families:
 - ``witnesses``: the tree JSON of ``is_k_ore`` on four seeded random trees
   for each k = 4, 5, 6 and 1 to 5 steps, each realized and relabelled.
 
-A run takes about 5 s on a 2-core machine with Python 3.11.
+A run takes about 4 s on a 2-core machine with Python 3.11.
 """
 
 import hashlib
@@ -38,12 +41,14 @@ from orelab import (  # noqa: E402
     census_critical,
     find_diamonds_emeralds,
     graph6_encode,
+    graph_classes,
     is_k_ore,
     ore_catalog,
     random_ore_tree,
     realize,
     tree_dumps,
 )
+from orelab.census import _parents  # noqa: E402
 from orelab.cli import main  # noqa: E402
 
 
@@ -69,6 +74,17 @@ def _gen_ore(digests: dict, tmp: Path) -> None:
                 digests["gen-ore"].update(trees.read_bytes())
 
 
+def _classes(digests: dict) -> None:
+    for n in range(8):
+        lines = "".join(graph6_encode(g) + "\n" for g in graph_classes(n))
+        digests["classes"].update(f"{n}\n{lines}".encode())
+    for k in range(3, 7):
+        for top in range(k - 1, 9):
+            for m in range(k - 1, top + 1):
+                lines = "".join(graph6_encode(g) + "\n" for g in _parents(m, top, k))
+                digests["classes"].update(f"{k} {top} {m}\n{lines}".encode())
+
+
 def _witnesses(digests: dict) -> None:
     for k in (4, 5, 6):
         for steps in range(1, 6):
@@ -83,7 +99,8 @@ def _witnesses(digests: dict) -> None:
 
 def family_digests() -> dict:
     names = (
-        "verify-json", "verify-csv", "verify-stdout", "census", "gen-ore", "catalog-trees", "diamonds", "witnesses",
+        "verify-json", "verify-csv", "verify-stdout", "census", "classes", "gen-ore", "catalog-trees", "diamonds",
+        "witnesses",
     )
     digests = {name: hashlib.sha256() for name in names}
     with tempfile.TemporaryDirectory() as tmp:
@@ -93,6 +110,7 @@ def family_digests() -> dict:
         for k in range(3, 7):
             lines = "".join(graph6_encode(g) + "\n" for g in census_critical(n, k))
             digests["census"].update(f"{n} {k}\n{lines}".encode())
+    _classes(digests)
     for k in (4, 5, 6):
         for tree in ore_catalog(k, 2):
             digests["catalog-trees"].update((tree_dumps(tree) + "\n").encode())
