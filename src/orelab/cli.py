@@ -139,7 +139,7 @@ def enumerate_cmd(n, critical, k):
 @click.option("--in", "infile", type=click.File("r"), default=None, help="graph6 corpus.")
 @click.option("--census", "census_n", type=int, default=None, help="Use the criticality census up to n as corpus.")
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@click.option("--cap", "caps", multiple=True, help="Suite cap as key=value; repeatable.")
+@click.option("--cap", "caps", multiple=True, help="recognition=N: the vertex cap of ky-equality-ore's recognition.")
 @click.option("--json", "json_path", type=click.Path(writable=True), default=None)
 @click.option("--csv", "csv_path", type=click.Path(writable=True), default=None)
 def verify_cmd(suite_id, k, infile, census_n, seed, caps, json_path, csv_path):

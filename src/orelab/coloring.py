@@ -32,6 +32,8 @@ from typing import Sequence
 from .errors import SizeCapError
 from .graphs import Graph, _cliques, _orbits, _search, bits_of, mask_of
 
+SUBSET_CAP = 2 ** 20  # most degree-(k-1) subsets edge_count_lemma_check scans
+
 
 # -- core exact solver -------------------------------------------------------
 
@@ -379,7 +381,7 @@ class EdgeCountCheck:
     violations: tuple[tuple[int, int, int], ...]
 
 
-def edge_count_lemma_check(g: Graph, k: int, subset_cap: int = 2 ** 20) -> EdgeCountCheck:
+def edge_count_lemma_check(g: Graph, k: int) -> EdgeCountCheck:
     """Verify the degree-class edge bound on a k-critical graph.
 
     A ranges over nonempty independent subsets of the degree-(k-1) vertices;
@@ -391,8 +393,8 @@ def edge_count_lemma_check(g: Graph, k: int, subset_cap: int = 2 ** 20) -> EdgeC
     b0 = mask_of(v for v in range(g.n) if g.degree(v) == k)
     b1 = mask_of(v for v in range(g.n) if g.degree(v) == k + 1)
     low = [(v, (g.adj[v] & (b0 | b1)).bit_count()) for v in range(g.n) if g.degree(v) == k - 1]
-    if 1 << len(low) > subset_cap:
-        raise SizeCapError("independent-subset scan", 1 << len(low), subset_cap)
+    if 1 << len(low) > SUBSET_CAP:
+        raise SizeCapError("independent-subset scan", 1 << len(low), SUBSET_CAP)
     violations = []
     checked = _scan(g.adj, low, 2 * b0.bit_count() + 3 * b1.bit_count(), 0, 0, 0, violations)
     return EdgeCountCheck(not violations, checked, b0, b1, tuple(violations))

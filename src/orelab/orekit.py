@@ -323,7 +323,7 @@ def _recognize_class(key: tuple[int, int], k: int) -> tuple[OreTree, tuple[int, 
     the edge side, an interior one its image w in the split side, numbered
     as ``ore_compose`` numbers it; the cache hands every caller one tuple."""
     g = _graph_of_key(key)
-    for a, b, split_mask, (_, map1, (t1, onto1)), (_, map2, (t2, onto2)) in _decompose(g, k):
+    for a, b, split_mask, (map1, (t1, onto1)), (map2, (t2, onto2)) in _decompose(g, k):
         z = onto2[map2[a]]
         inner = {v: onto2[map2[v]] for v in bits_of(split_mask)}
         onto = {v: onto1[i] for v, i in map1.items()} | {v: len(map1) + w - (w > z) for v, w in inner.items()}
@@ -415,10 +415,10 @@ def _candidate_splits(g: Graph):
 
 def _decompose(g: Graph, k: int):
     """Yield each candidate split whose two sides are closure members, as
-    (a, b, split_mask, (g1, map1, side1), (g2, map2, side2)).
+    (a, b, split_mask, (map1, side1), (map2, side2)).
 
-    g1 drops the split interior and restores the replaced edge ab; g2 keeps
-    the split interior plus the pair and merges the pair back into z. Each
+    The edge side drops the split interior and restores the edge ab; the
+    split side keeps the interior plus the pair, merged back into z. Each
     side is one quotient of g: map1 numbers the vertices outside the split
     interior in order, and map2 numbers the split interior in order and
     sends a and b both to the last id. side1 and side2 are each side's
@@ -430,16 +430,14 @@ def _decompose(g: Graph, k: int):
         rows = list(_quotient(g.adj, map1, len(map1)))
         rows[map1[a]] |= 1 << map1[b]
         rows[map1[b]] |= 1 << map1[a]
-        g1 = Graph._trusted(len(map1), tuple(rows))
-        side1 = _recognize(g1, k)
+        side1 = _recognize(Graph._trusted(len(map1), tuple(rows)), k)
         if side1 is None:
             continue
         z = split_mask.bit_count()
         map2 = {v: i for i, v in enumerate(bits_of(split_mask))} | {a: z, b: z}
-        g2 = Graph._trusted(z + 1, _quotient(g.adj, map2, z + 1))
-        side2 = _recognize(g2, k)
+        side2 = _recognize(Graph._trusted(z + 1, _quotient(g.adj, map2, z + 1)), k)
         if side2 is not None:
-            yield a, b, split_mask, (g1, map1, side1), (g2, map2, side2)
+            yield a, b, split_mask, (map1, side1), (map2, side2)
 
 
 def key_vertices(tree: OreTree) -> int:

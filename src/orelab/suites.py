@@ -71,6 +71,9 @@ RANDOM_TREES = 200  # seeded random composition trees
 TREE_STEPS = 3  # most compositions in a random tree
 CATALOG_STEPS = 2  # most compositions in the exhaustive catalog
 ANCHOR_SIZES = (3, 4, 5)  # anchor set sizes of the extension suite
+EXTENSIONS_PER_GRAPH = 30  # rows the extension suite keeps per host graph
+COLORINGS_PER_SUBSET = 2  # minimum colorings it tries per anchor set
+WITNESSES_PER_REDUCTION = 3  # critical subgraphs it takes per color reduction
 # search nodes of the coloring oracle: graph classes up to 7 vertices need at
 # most 2,380, census_critical(9, 5) 4,801, K_9 125,683 and K_10 1,112,094
 ORACLE_NODE_BUDGET = 200_000
@@ -160,7 +163,7 @@ def _ky_bound(g: Graph, params: dict) -> list[SuiteRow]:
 def _ky_equality_ore(g: Graph, params: dict) -> list[SuiteRow]:
     k = params["k"]
     target = rho_ky(g, k) == k * (k - 3)
-    witness = is_k_ore(g, k, cap=params["caps"]["recognition"])
+    witness = is_k_ore(g, k, cap=params["caps"].get("recognition", DEFAULT_RECOGNITION_CAP))
     return [
         _row(
             graph6_encode(g),
@@ -322,11 +325,10 @@ def _diamond_emerald(tree: OreTree, params: dict) -> list[SuiteRow]:
 
 
 def _extension_potential(g: Graph, params: dict) -> list[SuiteRow]:
-    caps = params["caps"]
-    return list(islice(_extension_rows(g, params["k"], caps), caps["extensions_per_graph"]))
+    return list(islice(_extension_rows(g, params["k"]), EXTENSIONS_PER_GRAPH))
 
 
-def _extension_rows(g: Graph, k: int, caps: dict) -> Iterator[SuiteRow]:
+def _extension_rows(g: Graph, k: int) -> Iterator[SuiteRow]:
     par = PotentialParams.for_k(k)
     g6 = graph6_encode(g)
     # anchors in lexicographic order of their vertex lists, not in mask
@@ -336,7 +338,7 @@ def _extension_rows(g: Graph, k: int, caps: dict) -> Iterator[SuiteRow]:
         for size in ANCHOR_SIZES
         if size < g.n
         for r in map(mask_of, combinations(range(g.n), size))
-        for classes in minimum_colorings(g, r, k, limit=caps["colorings_per_subset"])
+        for classes in minimum_colorings(g, r, k, limit=COLORINGS_PER_SUBSET)
     )
     # rho of each induced graph met so far (G[R], G[R'] or W), so each
     # distinct one is packed once per host graph
@@ -348,7 +350,7 @@ def _extension_rows(g: Graph, k: int, caps: dict) -> Iterator[SuiteRow]:
             rhos[sub] = rho_subset(host, subset, k)
         return rhos[sub]
 
-    for rec in build_extension(g, k, colorings, limit=caps["witnesses_per_reduction"]):
+    for rec in build_extension(g, k, colorings, limit=WITNESSES_PER_REDUCTION):
         rho_r, lhs = rho_of(g, rec.r_set), rho_of(g, rec.r_prime)
         w = rec.w_subgraph
         x = rec.core.bit_count()
@@ -375,7 +377,7 @@ def _extension_rows(g: Graph, k: int, caps: dict) -> Iterator[SuiteRow]:
 
 
 def _kernel_ineq(g: Graph, params: dict) -> list[SuiteRow]:
-    check = edge_count_lemma_check(g, params["k"], subset_cap=params["caps"]["subset_cap"])
+    check = edge_count_lemma_check(g, params["k"])
     return [
         _row(
             graph6_encode(g),
@@ -498,31 +500,26 @@ def _graph6_roundtrip(g: Graph, params: dict) -> list[SuiteRow]:
 class _Suite(NamedTuple):
     check: Callable  # (graph, tree or tree record, params) -> rows for that item
     default: str  # input kind used when the caller gives none, see _default_input
-    caps: dict[str, int]  # the cap keys the suite reads, with their defaults
 
 
 _SUITES = {
-    "ky-bound": _Suite(_ky_bound, "census", {}),
-    "ky-equality-ore": _Suite(_ky_equality_ore, "census", {"recognition": DEFAULT_RECOGNITION_CAP}),
-    "main2-potential": _Suite(_main2_potential, "trees", {}),
-    "t-superadd": _Suite(_t_superadd, "trees", {}),
-    "t-lower": _Suite(_t_lower, "trees", {}),
-    "diamond-emerald": _Suite(_diamond_emerald, "catalog", {}),
-    "extension-potential": _Suite(
-        _extension_potential,
-        "census",
-        {"extensions_per_graph": 30, "colorings_per_subset": 2, "witnesses_per_reduction": 3},
-    ),
-    "kernel-ineq": _Suite(_kernel_ineq, "census", {"subset_cap": 2 ** 20}),
-    "mic-ineq": _Suite(_mic_ineq, "census", {}),
-    "charge-identity": _Suite(_charge_identity, "classes+random", {}),
-    "packing-oracle": _Suite(_packing_oracle, "random", {}),
-    "coloring-oracle": _Suite(_coloring_oracle, "classes", {}),
-    "graph6-roundtrip": _Suite(_graph6_roundtrip, "classes", {}),
+    "ky-bound": _Suite(_ky_bound, "census"),
+    "ky-equality-ore": _Suite(_ky_equality_ore, "census"),
+    "main2-potential": _Suite(_main2_potential, "trees"),
+    "t-superadd": _Suite(_t_superadd, "trees"),
+    "t-lower": _Suite(_t_lower, "trees"),
+    "diamond-emerald": _Suite(_diamond_emerald, "catalog"),
+    "extension-potential": _Suite(_extension_potential, "census"),
+    "kernel-ineq": _Suite(_kernel_ineq, "census"),
+    "mic-ineq": _Suite(_mic_ineq, "census"),
+    "charge-identity": _Suite(_charge_identity, "classes+random"),
+    "packing-oracle": _Suite(_packing_oracle, "random"),
+    "coloring-oracle": _Suite(_coloring_oracle, "classes"),
+    "graph6-roundtrip": _Suite(_graph6_roundtrip, "classes"),
 }
 
 SUITE_IDS = tuple(_SUITES)
-_CAP_KEYS = tuple(sorted({key for suite in _SUITES.values() for key in suite.caps}))
+_CAP_KEYS = ("recognition",)  # the recognition vertex cap of ky-equality-ore
 _TREE_KINDS = ("trees", "catalog")
 
 
@@ -546,8 +543,8 @@ def _default_input(kind: str, k: int, seed: int) -> tuple:
 
 
 def check_suite_args(suite_ids: Iterable[str], caps: dict) -> None:
-    """Raise ValueError for a suite id or a cap that no suite in the registry
-    accepts; cheap, so callers run it before building any corpus."""
+    """Raise ValueError for an unknown suite id or any cap but a nonnegative
+    integer ``recognition``; cheap, so callers run it before any corpus."""
     for suite_id in suite_ids:
         if suite_id not in _SUITES:
             raise ValueError(f"unknown suite id {suite_id!r}; expected one of {', '.join(SUITE_IDS)}")
@@ -574,9 +571,9 @@ def run_suite(suite_id: str, corpus=None, params: dict | None = None) -> SuiteRe
     which is not a pass. An item that hits a size cap or fails an internal
     audit gives one skip-cap or fail row, named by the graph6 of the graph
     or the tree's root; any other ValueError propagates. ``params["caps"]``
-    may set, to a nonnegative integer, any cap key that some suite in the
-    registry declares; any other key or value raises ValueError, and so
-    does any params key other than k, seed, caps and trees.
+    may set ``recognition``, the vertex cap ky-equality-ore passes to
+    ``is_k_ore``, to a nonnegative integer; any other key or value raises
+    ValueError, as does any params key but k, seed, caps and trees.
     """
     p = {"k": 4, "seed": DEFAULT_SEED, "caps": {}}
     p.update(params or {})
@@ -597,11 +594,10 @@ def run_suite(suite_id: str, corpus=None, params: dict | None = None) -> SuiteRe
         items = _tree_records(trees, p["k"]) if on_records else trees
     elif corpus is None:
         graphs = items = _default_input(suite.default, p["k"], p["seed"])
-    item_params = {**p, "caps": {**suite.caps, **p["caps"]}}
 
     def checked(item) -> list[SuiteRow]:
         try:
-            return suite.check(item, item_params)
+            return suite.check(item, p)
         except (SizeCapError, AssertionError) as err:
             if on_records:
                 g6 = item[-1].graph6  # the root's

@@ -208,11 +208,7 @@ def test_criterion_08_oracle_equivalence(census4_9, acceptance_log):
 
 def test_criterion_09_extension_inequality(census4_9, acceptance_log):
     corpus, _ = census4_9
-    result = run_suite(
-        "extension-potential",
-        corpus=corpus,
-        params={"caps": {"extensions_per_graph": 5}},
-    )
+    result = run_suite("extension-potential", corpus=corpus)
     counts = result.counts()
     assert result.passed and counts["fail"] == 0
     assert counts["pass"] >= 100

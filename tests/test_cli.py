@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 
+import pytest
 from click.testing import CliRunner
 
 import orelab.cli
@@ -288,6 +289,21 @@ def test_verify_refuses_the_gadget_steps_cap_before_building_the_census(monkeypa
     monkeypatch.setattr(orelab.cli, "census_critical", no_census)
     result = invoke("verify", "--suite", "charge-identity", "--census", "6", "--cap", "gadget_steps=2")
     assert result.exit_code == 1 and "Error: unknown cap key 'gadget_steps'" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize(
+    "suite_id, cap", [("extension-potential", "extensions_per_graph=8"), ("kernel-ineq", "subset_cap=4")]
+)
+def test_verify_refuses_the_sample_and_subset_caps_before_building_the_census(suite_id, cap, monkeypatch):
+    # the extension suite's sample sizes and the subset cap are constants
+    def no_census(n_max, k):
+        raise AssertionError("the census was built before the arguments were checked")
+
+    monkeypatch.setattr(orelab.cli, "census_critical", no_census)
+    result = invoke("verify", "--suite", suite_id, "--census", "6", "--cap", cap)
+    key = cap.partition("=")[0]
+    assert result.exit_code == 1 and f"Error: unknown cap key '{key}'" in result.output
     assert isinstance(result.exception, SystemExit)
 
 

@@ -581,14 +581,13 @@ def test_find_critical_subgraphs_enumerates_several():
 
 def extension_reductions(graphs, k: int) -> list[Graph]:
     """Every color reduction the extension suite builds on ``graphs``."""
-    per_subset = suites._SUITES["extension-potential"].caps["colorings_per_subset"]
     return [
         color_reduce(g, classes)
         for g in graphs
         for size in suites.ANCHOR_SIZES
         if size < g.n
         for r in map(mask_of, itertools.combinations(range(g.n), size))
-        for classes in minimum_colorings(g, r, k, limit=per_subset)
+        for classes in minimum_colorings(g, r, k, limit=suites.COLORINGS_PER_SUBSET)
     ]
 
 
@@ -777,5 +776,6 @@ def test_edge_count_lemma_reads_the_degree_classes_and_every_low_set(census4_8, 
 def test_edge_count_lemma_rejects_non_critical_hosts():
     with pytest.raises(ValueError):
         edge_count_lemma_check(Graph.cycle(6), 4)
+    # the one-step tree at k = 33 is 33-critical with 63 degree-32 vertices
     with pytest.raises(SizeCapError):
-        edge_count_lemma_check(wheel5(), 4, subset_cap=2)
+        edge_count_lemma_check(realize(random_ore_tree(33, 1, random.Random(1))), 33)
